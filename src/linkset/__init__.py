@@ -22,6 +22,7 @@ from .designs import (
     DSParams,
     HyperplaneFamily,
     complement,
+    difference_set_params,
     hyperplanes,
     is_difference_set,
     is_reversible,
@@ -65,11 +66,14 @@ from .groups import (
 )
 from .group_ring import (
     GroupRingElement,
+    autocorrelations,
     decompose_two_valued,
     from_subset,
+    indicators,
     involution,
     is_subset,
     mul,
+    pair_products,
 )
 from .linking import (
     LinkingSystem,

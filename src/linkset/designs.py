@@ -7,8 +7,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import group_ring as rg
 from .groups import FiniteGroup, Subgroup, is_central
 
@@ -48,19 +46,22 @@ class DifferenceSetRecord:
 
 def is_difference_set(G: FiniteGroup, S):
     """DSParams of S if S S^(-1) = n*1 + lambda*G in Z[G], else None."""
-    s = rg.from_subset(G, S)
-    prod = rg.mul(s, rg.involution(s)).coeffs
-    k = int(s.coeffs.sum())
-    if prod[0] != k:
-        return None
-    rest = prod[1:]
-    if G.order > 1:
-        lam = int(rest[0])
-        if not np.all(rest == lam):
-            return None
-    else:
-        lam = 0
-    return DSParams(G.order, k, lam, k - lam)
+    return difference_set_params(G, [S])[0]
+
+
+def difference_set_params(G: FiniteGroup, sets) -> list:
+    """is_difference_set for each of many sets, from one autocorrelation batch.
+
+    S S^(-1) has coefficient k = |S| at the identity, so S is a difference
+    set iff the product is constant (lambda) off the identity.
+    """
+    prods = rg.autocorrelations(G, sets)
+    v = G.order
+    if v == 1:
+        return [DSParams(1, int(k), 0, int(k)) for k in prods[:, 0]]
+    constant = (prods[:, 1:] == prods[:, 1:2]).all(axis=1)
+    return [DSParams(v, k, lam, k - lam) if ok else None
+            for k, lam, ok in zip(prods[:, 0].tolist(), prods[:, 1].tolist(), constant.tolist())]
 
 
 def make_record(G: FiniteGroup, S) -> DifferenceSetRecord:

@@ -9,19 +9,6 @@ smallest irreducible polynomial over GF(2) with 0/1 coefficients.
 from __future__ import annotations
 
 
-def gf2_mul(a: int, b: int, modulus: int, t: int) -> int:
-    """Carryless product of bit-polynomials reduced modulo an irreducible."""
-    acc = 0
-    while b:
-        if b & 1:
-            acc ^= a
-        b >>= 1
-        a <<= 1
-        if a >> t & 1:
-            a ^= modulus
-    return acc
-
-
 def gf2_is_irreducible(poly: int, deg: int) -> bool:
     """Trial division by every polynomial of degree 1..deg//2."""
     for fdeg in range(1, deg // 2 + 1):

@@ -189,7 +189,14 @@ def make_abelian(invariant_factors: list[int] | tuple[int, ...]) -> FiniteGroup:
         v *= n
     exps = _abelian_exponents(factors, v)
     weights = _radix_weights(factors)
-    table = ((exps[:, None, :] + exps[None, :, :]) % np.array(factors)) @ weights
+    # one factor at a time, so the scratch memory is one v x v int32 array
+    table = np.zeros((v, v), dtype=np.int32)
+    for i, n in enumerate(factors):
+        e = exps[:, i].astype(np.int32)
+        digit = e[:, None] + e[None, :]
+        digit %= n
+        digit *= int(weights[i])
+        table += digit
     gen_names = [f"x{i+1}" for i in range(len(factors))]
     names = [_word_name(gen_names, e) for e in exps]
     gens = [(gen_names[i], int(weights[i])) for i in range(len(factors))]

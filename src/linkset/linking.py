@@ -7,8 +7,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import group_ring as rg
-from .designs import DifferenceSetRecord, DSParams, complement, is_difference_set, is_reversible
+from .designs import (
+    DifferenceSetRecord,
+    DSParams,
+    complement,
+    difference_set_params,
+    is_difference_set,
+    is_reversible,
+)
 from .groups import FiniteGroup
 
 
@@ -74,19 +83,6 @@ class LinkingSystem:
         return max(i for i, _ in self.entries)
 
 
-def _pair_witness(G: FiniteGroup, xi: rg.GroupRingElement, xj: rg.GroupRingElement,
-                  munu: MuNu, params: DSParams):
-    """Witness record for D_i D_j^(-1) under (mu, nu), or None."""
-    prod = rg.mul(xi, rg.involution(xj))
-    support = rg.decompose_two_valued(prod, munu.mu, munu.nu)
-    if support is None:
-        return None
-    wparams = is_difference_set(G, support)
-    if wparams != params:
-        return None
-    return DifferenceSetRecord(G, support, wparams)
-
-
 def verify_reduced(G: FiniteGroup, sets) -> ReducedLinkingSystem | None:
     """Check Definition-level linking of a list of element sets.
 
@@ -105,24 +101,37 @@ def verify_reduced(G: FiniteGroup, sets) -> ReducedLinkingSystem | None:
     params = records[0].params
     if any(r.params != params for r in records):
         return None
-    ring = [r.ring_element() for r in records]
+    ind = rg.indicators(G, [r.elements for r in records])
     for munu in mu_nu_candidates(params):
-        witnesses: dict[tuple[int, int], DifferenceSetRecord] = {}
-        ok = True
-        for i in range(len(records)):
-            for j in range(len(records)):
-                if i == j:
-                    continue
-                w = _pair_witness(G, ring[i], ring[j], munu, params)
-                if w is None:
-                    ok = False
-                    break
-                witnesses[(i + 1, j + 1)] = w
-            if not ok:
-                break
-        if ok:
+        witnesses = _pair_witnesses(G, ind, munu, params)
+        if witnesses is not None:
             return ReducedLinkingSystem(G, tuple(records), munu, witnesses)
     return None
+
+
+def _pair_witnesses(G: FiniteGroup, ind: np.ndarray, munu: MuNu, params: DSParams):
+    """Witness records of all ordered pairs under (mu, nu), or None.
+
+    One left row at a time: the products D_i D_j^(-1) for every j, the
+    two-valued test for every j != i, then one difference-set check of the
+    row's l-1 witnesses.
+    """
+    mu, nu = munu.as_tuple()
+    if mu == nu:
+        raise ValueError("mu and nu must be distinct")
+    ell = len(ind)
+    witnesses: dict[tuple[int, int], DifferenceSetRecord] = {}
+    for i in range(ell):
+        others = [j for j in range(ell) if j != i]
+        prods = rg._pair_products(G, ind[i:i + 1], ind)[0, others]
+        if not np.all((prods == mu) | (prods == nu)):
+            return None
+        supports = [np.flatnonzero(row == mu) for row in prods]
+        for j, support, wparams in zip(others, supports, difference_set_params(G, supports)):
+            if wparams != params:
+                return None
+            witnesses[(i + 1, j + 1)] = DifferenceSetRecord(G, tuple(support.tolist()), wparams)
+    return witnesses
 
 
 def expand(reduced: ReducedLinkingSystem) -> LinkingSystem:
@@ -155,8 +164,8 @@ def reduce_system(full: LinkingSystem) -> ReducedLinkingSystem:
 
 
 def verify_full(full: LinkingSystem) -> bool:
-    """Exact check of the product identity over all index triples and the
-    transpose-involution identity over all pairs."""
+    """Exact check of the transpose-involution identity over all pairs and
+    the product identity over all index triples."""
     G = full.group
     ell = full.top_index
     idx = range(ell + 1)
@@ -165,25 +174,28 @@ def verify_full(full: LinkingSystem) -> bool:
         raise ValueError("malformed system: wrong index set")
     params = next(iter(full.entries.values())).params
     mu, nu = full.munu.as_tuple()
-    ring = {}
-    for key, rec in full.entries.items():
-        if rec.params != params or is_difference_set(G, rec.elements) != params:
-            return False
-        ring[key] = rec.ring_element()
-    allg = rg.all_ones(G)
+    records = list(full.entries.values())
+    if any(rec.params != params for rec in records):
+        return False
+    if any(p != params for p in difference_set_params(G, [rec.elements for rec in records])):
+        return False
+    # F[i, j] is the indicator of D_(i,j); the diagonal stays empty
+    F = np.zeros((ell + 1, ell + 1, G.order), dtype=np.float32)
     for (i, j), rec in full.entries.items():
-        inv_ji = rg.involution(ring[(j, i)])
-        if ring[(i, j)] != inv_ji:
+        F[i, j, list(rec.elements)] = 1
+    # D_(i,j) = D_(j,i)^(-1): the coefficient of g on the right is D_(j,i)[g^-1]
+    if not np.array_equal(F, F.transpose(1, 0, 2)[:, :, G.inv_table]):
+        return False
+    # so D_(h,i) D_(i,j) = D_(h,i) D_(j,i)^(-1), and one pair_products call over
+    # the rows D_(h,i) gives every product through the middle index i
+    diag = np.arange(ell)
+    for i in idx:
+        others = [h for h in idx if h != i]
+        prods = rg._pair_products(G, F[others, i], F[others, i])
+        want = (mu - nu) * F[np.ix_(others, others)] + nu
+        want[diag, diag] = prods[diag, diag]  # h = j is not a triple
+        if not np.array_equal(prods, want):
             return False
-    for h in idx:
-        for i in idx:
-            for j in idx:
-                if h == i or i == j or h == j:
-                    continue
-                lhs = rg.mul(ring[(h, i)], ring[(i, j)])
-                rhs = rg.add(rg.scale(mu - nu, ring[(h, j)]), rg.scale(nu, allg))
-                if lhs != rhs:
-                    return False
     return True
 
 
@@ -208,12 +220,4 @@ def complement_system(reduced: ReducedLinkingSystem) -> ReducedLinkingSystem:
     want = (v - 2 * k + reduced.munu.nu, v - 2 * k + reduced.munu.mu)
     if out.munu.as_tuple() != want:
         raise ValueError("complement system produced unexpected (mu, nu)")
-    return out
-
-
-def record_from_sets(G: FiniteGroup, sets) -> ReducedLinkingSystem:
-    """verify_reduced that raises instead of returning None."""
-    out = verify_reduced(G, sets)
-    if out is None:
-        raise ValueError("sets do not form a reduced linking system")
     return out

@@ -1,9 +1,12 @@
 """Exhaustive search engines: difference-set enumeration, the linking graph
 and its clique census, and the McFarland/Spence nonexistence sweeps.
 
-All searches are exact.  The heavy inner loop (group-ring products of one
-set against many) is a dense matrix product in float64, which is exact for
-the coefficient sizes in scope (bounded by k^2 <= 1024).
+All searches are exact.  The heavy inner loop, the products of one set
+against many, is ``group_ring.pair_products``: a table gather and one
+float32 GEMM per left set, exact because every coefficient is a count of at
+most v <= 4096 < 2^24 ones.  Each search checks and casts its sets to
+indicator rows once (``group_ring.indicators``) and reuses them for every
+left set through the unchecked ``group_ring._pair_products``.
 """
 
 from __future__ import annotations
@@ -14,11 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import group_ring as rg
 from .designs import (
     DifferenceSetRecord,
     DSParams,
+    difference_set_params,
     hyperplanes,
-    is_difference_set,
 )
 from .groups import (
     FiniteGroup,
@@ -28,16 +32,20 @@ from .groups import (
 )
 from .linking import MuNu, mu_nu_candidates, verify_reduced
 
+# k-subsets checked per autocorrelation batch by enumerate_difference_sets
+ENUMERATION_CHUNK = 1024
+
 
 def enumerate_difference_sets(G: FiniteGroup, k: int) -> list[DifferenceSetRecord]:
     """Every k-subset of G that is a difference set, in lexicographic order."""
     if k > G.order // 2:
         raise ValueError("enumerate with k <= v/2; complements are mirrored")
     out = []
-    for combo in itertools.combinations(range(G.order), k):
-        params = is_difference_set(G, combo)
-        if params is not None:
-            out.append(DifferenceSetRecord(G, combo, params))
+    combos = itertools.combinations(range(G.order), k)
+    while chunk := list(itertools.islice(combos, ENUMERATION_CHUNK)):
+        for combo, params in zip(chunk, difference_set_params(G, chunk)):
+            if params is not None:
+                out.append(DifferenceSetRecord(G, combo, params))
     return out
 
 
@@ -59,27 +67,27 @@ class LinkingGraph:
         return int(np.count_nonzero(self.adjacency)) // 2
 
 
-def _product_coefficients(G: FiniteGroup, left: np.ndarray, members: np.ndarray) -> np.ndarray:
-    """Column j holds the coefficients of left * members[j]^(-1).
+def _two_valued_pairs(args) -> list[tuple[int, int, tuple[int, ...]]]:
+    """(i, j, support of the mu coefficients) for each row i in the range
+    and every row j of the indicator matrix with members[i] members[j]^(-1)
+    valued in {mu, nu}.
 
-    coeff_h = sum_z members[j][z] * left[h * z]; float64 matmul is exact here.
+    Module level so that the --jobs process pool can run it.
     """
-    B = left[G.table].astype(np.float64)
-    return B @ members.T.astype(np.float64)
-
-
-def _two_valued_rows(args) -> list[tuple[int, int, tuple[int, ...]]]:
-    """Worker: (i, j, witness support) for two-valued products in a row range."""
-    table, indicators, mu, nu, row_range = args
+    G, members, mu, nu, rows = args
     out = []
-    for i in row_range:
-        B = indicators[i][table].astype(np.float64)
-        coeffs = B @ indicators.T.astype(np.float64)
-        two_valued = np.all((coeffs == mu) | (coeffs == nu), axis=0)
-        for j in np.nonzero(two_valued)[0]:
-            if i != j:
-                support = tuple(int(h) for h in np.nonzero(coeffs[:, j] == mu)[0])
-                out.append((i, int(j), support))
+    for i in rows:
+        prods = rg._pair_products(G, members[i:i + 1], members)[0]
+        # coefficient by coefficient over the surviving candidates: most
+        # products leave {mu, nu} within a few coefficients
+        cand = np.arange(len(prods))
+        for h in range(G.order):
+            coeff = prods[cand, h]
+            cand = cand[(coeff == mu) | (coeff == nu)]
+            if not len(cand):
+                break
+        for j in cand.tolist():
+            out.append((i, j, tuple(np.flatnonzero(prods[j] == mu).tolist())))
     return out
 
 
@@ -91,32 +99,27 @@ def build_linking_graph(G: FiniteGroup, records, munu: MuNu, jobs: int = 1) -> L
     if any(r.params != params for r in records):
         raise ValueError("records must share parameters")
     n = len(records)
-    indicators = np.zeros((n, G.order), dtype=np.int64)
-    for i, r in enumerate(records):
-        indicators[i, list(r.elements)] = 1
+    indicators = rg.indicators(G, [r.elements for r in records])
     mu, nu = munu.as_tuple()
     chunks = _row_chunks(n, jobs)
-    args = [(G.table, indicators, mu, nu, chunk) for chunk in chunks]
+    args = [(G, indicators, mu, nu, chunk) for chunk in chunks]
     if jobs > 1 and len(chunks) > 1:
         import concurrent.futures
 
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_two_valued_rows, args))
+            results = list(pool.map(_two_valued_pairs, args))
     else:
-        results = [_two_valued_rows(a) for a in args]
+        results = [_two_valued_pairs(a) for a in args]
 
-    cache: dict[tuple[int, ...], DSParams | None] = {}
-
-    def ds_lookup(support):
-        if support not in cache:
-            cache[support] = is_difference_set(G, support)
-        return cache[support]
-
+    pairs = [(i, j, support) for chunk_result in results
+             for i, j, support in chunk_result if i != j]
+    supports = sorted({support for _, _, support in pairs})
+    linked = {support for support, p in zip(supports, difference_set_params(G, supports))
+              if p == params}
     directed = np.zeros((n, n), dtype=bool)
-    for chunk_result in results:
-        for i, j, support in chunk_result:
-            if ds_lookup(support) == params:
-                directed[i, j] = True
+    for i, j, support in pairs:
+        if support in linked:
+            directed[i, j] = True
     adjacency = directed & directed.T
     np.fill_diagonal(adjacency, False)
     return LinkingGraph(G, records, munu, adjacency)
@@ -254,28 +257,18 @@ def _translation_classes(G: FiniteGroup, sets: list[tuple[int, ...]]):
     return reps, assign
 
 
-def _sweep_pairs(G: FiniteGroup, left_sets, all_sets, munu: MuNu, params: DSParams) -> tuple[int, int]:
-    """Count linked ordered pairs of left x all (exact two-valued test plus
-    a difference-set check on any surviving witness)."""
-    members = np.zeros((len(all_sets), G.order), dtype=np.int64)
-    for j, S in enumerate(all_sets):
-        members[j, list(S)] = 1
+def _sweep_pairs(G: FiniteGroup, sets, munu: MuNu, params: DSParams) -> tuple[int, int]:
+    """Count linked ordered pairs of distinct sets (exact two-valued test
+    plus a difference-set check on any surviving witness)."""
+    members = rg.indicators(G, sets)
     mu, nu = munu.as_tuple()
     linked = 0
-    tested = 0
-    for S in left_sets:
-        left = np.zeros(G.order, dtype=np.int64)
-        left[list(S)] = 1
-        coeffs = _product_coefficients(G, left, members)
-        two_valued = np.all((coeffs == mu) | (coeffs == nu), axis=0)
-        tested += len(all_sets)
-        for j in np.nonzero(two_valued)[0]:
-            if all_sets[j] == S:
-                continue
-            support = tuple(int(h) for h in np.nonzero(coeffs[:, j] == mu)[0])
-            if is_difference_set(G, support) == params:
-                linked += 1
-    return tested, linked
+    for i in range(len(sets)):
+        supports = [support for _, j, support in _two_valued_pairs((G, members, mu, nu, [i]))
+                    if j != i]
+        if supports:
+            linked += sum(p == params for p in difference_set_params(G, supports))
+    return len(sets) ** 2, linked
 
 
 def mcfarland_pair_sweep(G: FiniteGroup, mode: str = "pruned") -> SweepReport:
@@ -314,14 +307,14 @@ def mcfarland_pair_sweep(G: FiniteGroup, mode: str = "pruned") -> SweepReport:
                 constructed.append(tuple(sorted(elems)))
     distinct = sorted(set(constructed))
     class_reps, _assign = _translation_classes(G, distinct)
-    verified = sum(1 for S in distinct if is_difference_set(G, S) == params)
+    verified = sum(p == params for p in difference_set_params(G, distinct))
     if verified != len(distinct):
         raise AssertionError("a constructed set failed difference-set verification")
 
     if mode == "full":
-        tested, linked = _sweep_pairs(G, distinct, distinct, munu, params)
+        tested, linked = _sweep_pairs(G, distinct, munu, params)
     elif mode == "pruned":
-        tested, linked = _sweep_pairs(G, class_reps, class_reps, munu, params)
+        tested, linked = _sweep_pairs(G, class_reps, munu, params)
     else:
         raise ValueError("mode must be 'full' or 'pruned'")
     return SweepReport(G.spec, "mcfarland-q3-d1", mode, len(constructed), len(distinct),
@@ -377,14 +370,14 @@ def spence_pair_sweep(G: FiniteGroup, mode: str = "pruned") -> SweepReport:
             else:
                 cross += 1
 
-    verified = sum(1 for S in distinct if is_difference_set(G, S) == params)
+    verified = sum(p == params for p in difference_set_params(G, distinct))
     if verified != len(distinct):
         raise AssertionError("a constructed set failed difference-set verification")
 
     if mode == "full":
-        tested, linked = _sweep_pairs(G, distinct, distinct, munu, params)
+        tested, linked = _sweep_pairs(G, distinct, munu, params)
     elif mode == "pruned":
-        tested, linked = _sweep_pairs(G, class_reps, class_reps, munu, params)
+        tested, linked = _sweep_pairs(G, class_reps, munu, params)
     else:
         raise ValueError("mode must be 'full' or 'pruned'")
     return SweepReport(G.spec, "spence-d1", mode, len(constructed), len(distinct),

@@ -1,8 +1,15 @@
-"""End-to-end selftest over the worked examples."""
+"""End-to-end selftest over the worked examples, plus a cross-check of the
+batched product kernels against the plain group-ring product."""
 
 from __future__ import annotations
 
+import random
+
+import numpy as np
+
+from . import group_ring as rg
 from .diffmat import linked_from_dm, normalize, verify_dm, witness_direct
+from .groups import direct_product, make_abelian, make_dihedral8
 from .linking import reversibility_profile, verify_reduced
 from .worked_examples import (
     dm_z2z2,
@@ -20,8 +27,34 @@ def _check(name: str, ok: bool, verbose: bool, failures: list[str]) -> None:
         failures.append(name)
 
 
+def _kernel_checks(verbose: bool, failures: list[str]) -> None:
+    """pair_products against mul on a nonabelian group, and the two
+    autocorrelation paths against each other."""
+    rng = random.Random(0)
+    DZ = direct_product(make_dihedral8(), make_abelian([2]))
+    sets = [rng.sample(range(DZ.order), rng.randint(1, DZ.order)) for _ in range(6)]
+    ring = [rg.from_subset(DZ, S) for S in sets]
+    prods = rg.pair_products(DZ, rg.indicators(DZ, sets), rg.indicators(DZ, sets))
+    _check("pair_products agrees with mul on D4xZ2",
+           all(np.array_equal(prods[a, b], rg.mul(ring[a], rg.involution(ring[b])).coeffs)
+               for a in range(6) for b in range(6)), verbose, failures)
+    Z = make_abelian([4, 4, 4])
+    sets = [rng.sample(range(Z.order), rng.randint(1, Z.order)) for _ in range(6)]
+    try:
+        fft_ok = np.array_equal(rg._fft_autocorrelations(Z, sets),
+                                rg._count_autocorrelations(Z, sets))
+    except ArithmeticError:  # the FFT's rounding check tripped
+        fft_ok = False
+    _check("autocorrelations: FFT and count paths agree on Z4^3", fft_ok, verbose, failures)
+
+
 def run_selftest(verbose: bool = True) -> bool:
     failures: list[str] = []
+
+    # the worked examples below run on these kernels
+    _kernel_checks(verbose, failures)
+    if failures:
+        return False
 
     G, sets = linked_triple_z4z4()
     system = verify_reduced(G, sets)

@@ -114,6 +114,23 @@ def test_selftest():
     assert code == 0 and "FAIL" not in out
 
 
+def test_selftest_fails_on_a_broken_kernel(monkeypatch):
+    import numpy as np
+
+    from linkset import group_ring as rg
+
+    irfftn = np.fft.irfftn
+    monkeypatch.setattr(np.fft, "irfftn", lambda *a, **k: irfftn(*a, **k) + 0.3)
+    code, out, _ = run_capture(["selftest"])
+    assert code == 1 and "FAIL  autocorrelations" in out
+    monkeypatch.undo()
+
+    pair_products = rg.pair_products
+    monkeypatch.setattr(rg, "pair_products", lambda G, left, right: pair_products(G, left, right) + 1)
+    code, out, _ = run_capture(["selftest"])
+    assert code == 1 and "FAIL  pair_products" in out
+
+
 def test_usage_errors():
     assert run_capture(["census", "bogus"])[0] == 2
     assert run_capture(["frobnicate"])[0] == 2

@@ -151,3 +151,117 @@ def test_counter_oracle_matches_convolution():
     prod = rg.mul(rg.from_subset(G, s1), rg.from_subset(G, s2))
     for a in G.elements():
         assert prod.coeffs[a] == counts.get(a, 0)
+
+
+# -- the batched kernels ----------------------------------------------------------
+
+
+def _kernel_groups():
+    D4, Q8, Z2 = make_dihedral8(), make_quaternion8(), make_abelian([2])
+    return [make_abelian([4, 4]), make_abelian([8, 2]), make_abelian([3, 3]), D4, Q8,
+            direct_product(D4, Z2), direct_product(Q8, Z2)]
+
+
+def test_pair_products_match_mul():
+    rng = random.Random(17)
+    for G in _kernel_groups():
+        sets = [rng.sample(range(G.order), rng.randint(0, G.order)) for _ in range(5)]
+        ring = [rg.from_subset(G, S) for S in sets]
+        P = rg.pair_products(G, rg.indicators(G, sets[:3]), rg.indicators(G, sets))
+        assert P.shape == (3, 5, G.order)
+        noncommuting = False
+        for a in range(3):
+            for b in range(5):
+                want = rg.mul(ring[a], rg.involution(ring[b]))
+                assert np.array_equal(P[a, b], want.coeffs)
+                if a == 0 and b == 1:
+                    assert want == naive_mul(G, ring[a], rg.involution(ring[b]))
+                noncommuting |= want != rg.mul(rg.involution(ring[b]), ring[a])
+        # X Y^(-1) keeps its factor order: in a nonabelian group it differs
+        # from Y^(-1) X for some pair
+        assert noncommuting == (not G.abelian)
+
+
+def test_pair_products_reject_rows_that_are_not_indicators():
+    G = make_abelian([4, 4])
+    good = rg.indicators(G, [[0, 1, 2]])
+    with pytest.raises(ValueError):
+        rg.pair_products(G, 2 * good, good)
+    with pytest.raises(ValueError):
+        rg.pair_products(G, good, 0.5 * good)
+    bad = good.astype(np.int64)
+    bad[0, 5] = -1
+    with pytest.raises(ValueError):
+        rg.pair_products(G, good, bad)
+    with pytest.raises(ValueError):
+        rg.pair_products(G, good[0], good)  # not a 2-D block of rows
+    with pytest.raises(ValueError):
+        rg.pair_products(G, good, np.ones((1, 8)))  # wrong length
+
+
+def test_autocorrelations_match_mul_in_any_group():
+    rng = random.Random(23)
+    for G in _kernel_groups():
+        sets = [rng.sample(range(G.order), rng.randint(0, G.order)) for _ in range(4)]
+        A = rg.autocorrelations(G, sets)
+        for S, row in zip(sets, A):
+            s = rg.from_subset(G, S)
+            assert np.array_equal(row, rg.mul(s, rg.involution(s)).coeffs)
+
+
+def test_autocorrelation_paths_agree_on_improved_witnesses():
+    from linkset.diffmat import build_improved
+
+    G = make_abelian([4] * 5)
+    system = build_improved(G)
+    witnesses = [w.elements for w in system.witnesses.values()]
+    assert len(witnesses) == 31 * 30
+    k = len(witnesses[0])
+    assert rg._fft_pays(G, k, rg.FFT_BLOCK)  # the default takes the FFT here
+    fft = rg._fft_autocorrelations(G, witnesses)
+    assert np.array_equal(fft, rg._count_autocorrelations(G, witnesses))
+    assert np.array_equal(fft, rg.autocorrelations(G, witnesses))
+    # every witness is a (1024, 496, 240, 256) difference set
+    assert np.all(fft[:, 0] == k) and np.all(fft[:, 1:] == 240)
+
+
+def test_autocorrelation_paths_agree_on_mixed_radix_sets():
+    G = make_abelian([16, 4, 2, 2])
+    rng = random.Random(29)
+    sets = [rng.sample(range(G.order), rng.randint(0, G.order)) for _ in range(70)]
+    fft = rg._fft_autocorrelations(G, sets)
+    assert np.array_equal(fft, rg._count_autocorrelations(G, sets))
+    s = rg.from_subset(G, sets[0])
+    assert np.array_equal(fft[0], rg.mul(s, rg.involution(s)).coeffs)
+
+
+def test_autocorrelations_reject_malformed_sets():
+    G = make_abelian([4, 4])
+    with pytest.raises(ValueError):
+        rg.autocorrelations(G, [[0, 16]])
+    with pytest.raises(ValueError):
+        rg.autocorrelations(G, [[3, 3]])
+    assert rg.autocorrelations(G, []).shape == (0, 16)
+
+
+def test_fft_rounding_guard(monkeypatch):
+    G = make_abelian([4, 4, 4, 4])
+    rng = random.Random(31)
+    sets = [rng.sample(range(G.order), 120) for _ in range(16)]
+    want = rg._count_autocorrelations(G, sets)
+    irfftn = np.fft.irfftn
+
+    def perturbed(by):
+        return lambda *args, **kwargs: irfftn(*args, **kwargs) + by
+
+    # an error under 1/4 rounds away
+    monkeypatch.setattr(np.fft, "irfftn", perturbed(0.2))
+    assert np.array_equal(rg.autocorrelations(G, sets), want)
+    # an error of 0.3 trips the check instead of giving a wrong count
+    monkeypatch.setattr(np.fft, "irfftn", perturbed(0.3))
+    with pytest.raises(ArithmeticError):
+        rg.autocorrelations(G, sets)
+    with pytest.raises(ArithmeticError):
+        rg._fft_autocorrelations(G, sets[:1])
+    # the count path never touches the FFT
+    assert np.array_equal(rg._count_autocorrelations(G, sets), want)

@@ -132,3 +132,129 @@ def test_mu_nu_integrality_invariant():
         root = math.isqrt(n)
         assert (mu - nu) ** 2 == n
         assert nu * v in (k * (k + root), k * (k - root))
+
+
+# -- the batched verifiers on larger and nonabelian systems ------------------------
+
+
+def _swap_one(G, elements, rng):
+    drop = rng.choice(elements)
+    add = rng.choice([a for a in G.elements() if a not in set(elements)])
+    return tuple(sorted(set(elements) - {drop} | {add}))
+
+
+def test_verify_reduced_batched_rejections_z4_4(monkeypatch):
+    from linkset import group_ring as rg
+    from linkset.designs import is_difference_set
+    from linkset.diffmat import build_improved
+    from linkset.groups import abelian_element, abelian_exponent_tuple, make_abelian
+
+    G = make_abelian([4] * 4)
+    sets = [r.elements for r in build_improved(G).records]
+    assert len(sets) == 15
+
+    # the witnesses of a row go through the FFT path
+    fft_calls = []
+    fft = rg._fft_autocorrelations
+    monkeypatch.setattr(rg, "_fft_autocorrelations",
+                        lambda G, block: fft_calls.append(len(block)) or fft(G, block))
+    system = verify_reduced(G, sets)
+    assert system is not None and len(system.witnesses) == 15 * 14
+    assert fft_calls == [14] * 15
+
+    rng = random.Random(41)
+    for i in (0, 7, 14):
+        mutated = list(sets)
+        mutated[i] = _swap_one(G, sets[i], rng)
+        assert verify_reduced(G, mutated) is None
+    # an image under an automorphism (x1 <-> x2) is still a difference set
+    # with the same parameters, but it no longer links with the others
+    def swap(a):
+        e = abelian_exponent_tuple(G, a)
+        return abelian_element(G, (e[1], e[0]) + e[2:])
+
+    image = tuple(sorted(swap(a) for a in sets[3]))
+    assert image != sets[3]
+    assert is_difference_set(G, image) == is_difference_set(G, sets[3])
+    mutated = list(sets)
+    mutated[3] = image
+    assert verify_reduced(G, mutated) is None
+
+
+def _perturbations(full, rng):
+    """Mutated copies of a verified full system, each breaking one identity."""
+    from linkset.designs import DifferenceSetRecord
+    from linkset.linking import LinkingSystem
+
+    G = full.group
+    g = next(a for a in G.elements() if a != 0)
+    out = []
+    for key in (sorted(full.entries)[1], (1, 2)):
+        i, j = key
+        rec = full.entries[key]
+        swapped = dict(full.entries)
+        swapped[key] = DifferenceSetRecord(G, _swap_one(G, rec.elements, rng), rec.params)
+        out.append(swapped)
+        # a left translate is still a difference set, but no longer the
+        # inverse of its transpose ...
+        moved = tuple(G.mul(g, a) for a in rec.elements)
+        translated = dict(full.entries)
+        translated[key] = DifferenceSetRecord(G, moved, rec.params)
+        out.append(translated)
+        # ... and with its transpose moved along, only a product breaks
+        both = dict(translated)
+        both[(j, i)] = DifferenceSetRecord(G, tuple(G.inv(a) for a in moved), rec.params)
+        out.append(both)
+    return [LinkingSystem(G, entries, full.munu) for entries in out]
+
+
+def test_verify_full_rejects_perturbed_bent_system():
+    from linkset.bent import bent_linking, kerdock_bent_set
+
+    full = expand(bent_linking(kerdock_bent_set(2)))
+    assert full.top_index == 31 and full.group.order == 64
+    assert verify_full(full)
+    for mutated in _perturbations(full, random.Random(43)):
+        assert not verify_full(mutated)
+
+
+def test_verify_full_rejects_perturbed_nonabelian_system():
+    from linkset.diffmat import build_tyken
+    from linkset.groups import make_abelian
+
+    for d, K in ((1, make_abelian([2])), (2, make_abelian([2, 2, 2]))):
+        full = expand(build_tyken(d, K))
+        assert not full.group.abelian and verify_full(full)
+        for mutated in _perturbations(full, random.Random(47)):
+            assert not verify_full(mutated)
+
+
+def test_is_difference_set_rejects_malformed_sets():
+    import pytest
+
+    from linkset.designs import is_difference_set
+
+    G, sets = linked_triple_z4z4()
+    with pytest.raises(ValueError, match="out of range"):
+        is_difference_set(G, [0, 1, 16])
+    with pytest.raises(ValueError, match="out of range"):
+        is_difference_set(G, [-1, 1])
+    with pytest.raises(ValueError, match="repeated"):
+        is_difference_set(G, [0, 1, 1])
+    with pytest.raises(ValueError, match="repeated"):
+        verify_reduced(G, [sets[0], list(sets[1][:-1]) + [sets[1][0]]])
+
+
+def test_verify_full_checks_the_transpose_identity_alone():
+    """With l = 1 there is no index triple: only D_(0,1) = D_(1,0)^(-1)
+    separates a valid system from one whose (0,1) entry is D itself."""
+    from linkset.designs import DifferenceSetRecord
+    from linkset.linking import LinkingSystem
+
+    G, sets = linked_triple_z4z4()
+    system = verify_reduced(G, sets)
+    D = system.records[1]  # not reversible: D != D^(-1)
+    inverse = DifferenceSetRecord(G, tuple(G.inv(a) for a in D.elements), D.params)
+    assert inverse.elements != D.elements
+    assert verify_full(LinkingSystem(G, {(1, 0): D, (0, 1): inverse}, system.munu))
+    assert not verify_full(LinkingSystem(G, {(1, 0): D, (0, 1): D}, system.munu))

@@ -224,3 +224,27 @@ def test_enumerate_systems_matches_brute_force():
         want = {c for c in itertools.combinations(range(n), 3)
                 if all(adj[i][j] for i in c for j in c if i < j)}
         assert got == want
+
+
+def test_two_valued_pairs_match_the_ring_product():
+    """The sweeps' and the graph's pair scan against rg.mul, pair by pair."""
+    from linkset.groups import direct_product, make_dihedral8
+    from linkset.search import _two_valued_pairs
+
+    G = make_abelian([4, 4])
+    sets = [r.elements for r in enumerate_difference_sets(G, 6)]
+    D4Z2 = direct_product(make_dihedral8(), make_abelian([2]))
+    rng = random.Random(53)
+    cases = [(G, sets[::4], 1, 3),
+             (D4Z2, [tuple(rng.sample(range(16), 6)) for _ in range(60)], 1, 3)]
+    for H, members, mu, nu in cases:
+        got = _two_valued_pairs((H, rg.indicators(H, members), mu, nu, range(len(members))))
+        want = []
+        for i, X in enumerate(members):
+            for j, Y in enumerate(members):
+                prod = rg.mul(rg.from_subset(H, X), rg.involution(rg.from_subset(H, Y)))
+                support = rg.decompose_two_valued(prod, mu, nu)
+                if support is not None:
+                    want.append((i, j, support))
+        assert got == want
+        assert want  # the scan has survivors to find
