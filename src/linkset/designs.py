@@ -7,6 +7,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import group_ring as rg
 from .groups import FiniteGroup, Subgroup, is_central
 
@@ -202,11 +204,8 @@ def mcfarland_construct(G: FiniteGroup, family: HyperplaneFamily,
     assignment = [int(a) for a in assignment]
     if len(assignment) != s or len(set(assignment)) != s or not all(0 <= a <= s for a in assignment):
         raise ValueError("assignment must injectively map the s slots into the s+1 cosets")
-    elems: list[int] = []
-    for i, H in enumerate(family.members):
-        g = reps[assignment[i]]
-        elems.extend(G.mul(g, h) for h in H.elements)
-    record = make_record(G, elems)
+    slot_reps = [[reps[a] for a in assignment]]
+    record = make_record(G, _coset_unions(G, slot_reps, _slot_parts(family, None))[0].tolist())
     q = p
     expect = DSParams(q ** (d + 1) * (s + 1), q ** d * s,
                       q ** d * (s - q ** d), q ** (2 * d))
@@ -233,20 +232,67 @@ def spence_construct(G: FiniteGroup, family: HyperplaneFamily,
     m = int(complemented_slot)
     if not 0 <= m < s:
         raise ValueError("complemented slot out of range")
-    elems: list[int] = []
-    for i, H in enumerate(family.members):
-        g = reps[i]
-        if i == m:
-            part = [h for h in E.elements if h not in set(H.elements)]
-        else:
-            part = list(H.elements)
-        elems.extend(G.mul(g, h) for h in part)
-    record = make_record(G, elems)
+    record = make_record(G, _coset_unions(G, [reps], _slot_parts(family, m))[0].tolist())
     expect = DSParams(3 ** (d + 1) * s, 3 ** d * (s + 1),
                       3 ** d * (s + 1 - 3 ** d), 3 ** (2 * d))
     if record.params != expect:
         raise ValueError("constructed set does not have Spence parameters")
     return record
+
+
+def construction_sets(family: HyperplaneFamily, reps,
+                      complemented_slot: int | None = None) -> np.ndarray:
+    """Every set the McFarland construction (``complemented_slot`` None) or
+    the Spence construction (complemented slot m) gives over ``family``.
+
+    Slot i of a set is the coset c_a(i) t_i P_i, where a runs over the
+    injective maps from the s slots into the coset representatives ``reps``
+    (``itertools.permutations`` order), t_i over the minimal-id transversal
+    of H_i in E (``itertools.product`` order, inner), and P_i is H_i, or
+    E minus H_m at the complemented slot.  With s + 1 representatives the
+    maps leave one coset of E unused (McFarland); with s they are the
+    orderings of the cosets (Spence).  Returns one row per choice, an
+    (N, k) int64 array with each row sorted; duplicates are kept.
+    """
+    G = family.subgroup.group
+    s = family.count
+    _check_transversal(G, family.subgroup, reps)
+    parts = _slot_parts(family, complemented_slot)
+    reps = np.asarray(reps, dtype=np.int64)
+    perms = np.array(list(itertools.permutations(range(len(reps)), s)), dtype=np.int64)
+    translates = [_transversal_in(G, family.subgroup, H) for H in family.members]
+    picks = np.array(list(itertools.product(*(range(len(t)) for t in translates))),
+                     dtype=np.int64)
+    slot_reps = np.empty((len(perms), len(picks), s), dtype=np.int64)
+    for i in range(s):
+        # table[coset, translate]: the coset representative of slot i
+        slot_reps[:, :, i] = G.table[reps[perms[:, i]][:, None], translates[i][picks[:, i]]]
+    return _coset_unions(G, slot_reps.reshape(-1, s), parts)
+
+
+def _slot_parts(family: HyperplaneFamily, complemented_slot: int | None) -> list[np.ndarray]:
+    """H_i per slot, or E minus H_m at the complemented slot m."""
+    parts = [np.array(H.elements, dtype=np.int64) for H in family.members]
+    if complemented_slot is not None:
+        E = np.array(family.subgroup.elements, dtype=np.int64)
+        m = complemented_slot
+        parts[m] = E[~np.isin(E, parts[m])]
+    return parts
+
+
+def _coset_unions(G: FiniteGroup, slot_reps, parts) -> np.ndarray:
+    """Row r: the union over slots i of slot_reps[r][i] * parts[i], sorted."""
+    slot_reps = np.asarray(slot_reps, dtype=np.int64)
+    rows = np.concatenate([G.table[slot_reps[:, i, None], part[None, :]]
+                           for i, part in enumerate(parts)], axis=1).astype(np.int64)
+    rows.sort(axis=1)
+    return rows
+
+
+def _transversal_in(G: FiniteGroup, E: Subgroup, H: Subgroup) -> np.ndarray:
+    """The minimal element of each coset of H inside E, ascending."""
+    cosets = G.table[np.array(E.elements)[:, None], np.array(H.elements)[None, :]]
+    return np.unique(cosets.min(axis=1)).astype(np.int64)
 
 
 def _check_transversal(G: FiniteGroup, E: Subgroup, reps) -> None:

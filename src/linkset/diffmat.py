@@ -541,11 +541,14 @@ def _section_map(G: FiniteGroup, Q: FiniteGroup, q_positions: list[int]) -> np.n
 
 
 def build_general(G: FiniteGroup, budget: int = DEFAULT_SEARCH_BUDGET) -> ReducedLinkingSystem:
-    """Size-3 system in an abelian group of order 2^(2d+2), rank >= d+1,
-    exponent <= 2^(d+1), via a 4-row quotient difference matrix."""
+    """Size-3 system in an abelian group of order 2^(2d+2) with d >= 1,
+    rank >= d+1, exponent <= 2^(d+1), via a 4-row quotient difference matrix."""
     from .groups import abelian_rank, exponent
 
     d, factors = _abelian_2group_data(G)
+    if d == 0:
+        # the quotient would be Z2, and no 4-row difference matrix over Z2 exists
+        raise ValueError("d must be at least 1 (order at least 16)")
     if abelian_rank(G) < d + 1:
         raise ValueError(f"rank must be at least {d + 1}")
     if exponent(G) > 2 ** (d + 1):

@@ -25,6 +25,9 @@ from .groups import FiniteGroup
 # the kernels' scratch memory at a few MB whatever the batch size or order.
 GATHER_BLOCK = 1 << 16
 FFT_BLOCK = 64
+# Quotients (and counts) _count_autocorrelations holds at once: about 1 MB
+# of int64 each.
+COUNT_BLOCK = 1 << 17
 # autocorrelations uses the FFT only above this order; at and below it the
 # exact bincount is faster for every set size.
 FFT_MIN_ORDER = 64
@@ -178,9 +181,13 @@ def _pair_products(G: FiniteGroup, L: np.ndarray, R: np.ndarray) -> np.ndarray:
 def indicators(G: FiniteGroup, sets) -> np.ndarray:
     """0/1 indicator rows (float32, shape (n, v)) of subsets given by ids,
     ready for ``pair_products``."""
-    out = np.zeros((len(sets), G.order), dtype=np.float32)
-    for t, S in enumerate(sets):
-        out[t, _subset_ids(G, S)] = 1
+    ids = _subset_rows(G, sets)
+    out = np.zeros((len(ids), G.order), dtype=np.float32)
+    if isinstance(ids, np.ndarray):
+        out[np.arange(len(ids))[:, None], ids] = 1
+    else:
+        for t, S in enumerate(ids):
+            out[t, S] = 1
     return out
 
 
@@ -196,17 +203,20 @@ def _indicator_rows(G: FiniteGroup, rows, name: str) -> np.ndarray:
 def autocorrelations(G: FiniteGroup, sets) -> np.ndarray:
     """Coefficients of S S^(-1) for each subset S (int64, shape (n, v)).
 
-    Each S is an iterable of distinct element ids.  Sets are counted
-    exactly (``_count_autocorrelations``, any group); in a group built from
-    cyclic factors, sets large enough that it pays go through a rounded and
-    checked float64 FFT instead (``_fft_autocorrelations``), in blocks of at
-    most FFT_BLOCK sets.
+    Each S is an iterable of distinct element ids, or ``sets`` is one
+    (n, k) array of id rows.  Sets are counted exactly
+    (``_count_autocorrelations``, any group); in a group built from cyclic
+    factors, sets large enough that it pays go through a rounded and
+    checked float64 FFT instead (``_fft_autocorrelations``), in blocks of
+    at most FFT_BLOCK sets.
     """
-    ids = [_subset_ids(G, S) for S in sets]
+    ids = _subset_rows(G, sets)
     batch = min(len(ids), FFT_BLOCK)
-    fft = np.array([_fft_pays(G, len(S), batch) for S in ids], dtype=bool)
+    pays = {k: _fft_pays(G, k, batch) for k in {len(S) for S in ids}}
+    fft = np.array([pays[len(S)] for S in ids], dtype=bool)
     out = np.empty((len(ids), G.order), dtype=np.int64)
-    out[~fft] = _count_autocorrelations(G, [S for S, f in zip(ids, fft) if not f])
+    out[~fft] = _count_autocorrelations(G, ids[~fft] if isinstance(ids, np.ndarray)
+                                        else [S for S, f in zip(ids, fft) if not f])
     fft_rows = np.flatnonzero(fft)
     for s in range(0, len(fft_rows), FFT_BLOCK):
         block = fft_rows[s:s + FFT_BLOCK]
@@ -216,23 +226,56 @@ def autocorrelations(G: FiniteGroup, sets) -> np.ndarray:
 
 def _count_autocorrelations(G: FiniteGroup, sets) -> np.ndarray:
     """S S^(-1) for each set of distinct ids: an exact integer count of the
-    quotients s t^(-1) over all pairs of S."""
-    out = np.empty((len(sets), G.order), dtype=np.int64)
+    quotients s t^(-1) over all pairs of S.
+
+    An (n, k) array of id rows goes through in blocks of at most
+    COUNT_BLOCK quotients and counts: table[S[:, :, None], inv[S[:, None, :]]]
+    gives every quotient of each set of the block, offset by v times its
+    row, and one bincount counts them all.  A list of sets is counted one
+    set at a time, which is cheaper for the few sets a verifier checks.
+    """
+    v = G.order
+    out = np.empty((len(sets), v), dtype=np.int64)
+    if isinstance(sets, np.ndarray):
+        step = max(1, COUNT_BLOCK // max(sets.shape[1] ** 2, v))
+        for s in range(0, len(sets), step):
+            block = sets[s:s + step]
+            quot = G.table[block[:, :, None], G.inv_table[block][:, None, :]]
+            quot += (v * np.arange(len(block), dtype=np.int32))[:, None, None]
+            out[s:s + step] = np.bincount(quot.ravel(),
+                                          minlength=len(block) * v).reshape(-1, v)
+        return out
     for t, S in enumerate(sets):
         S = np.asarray(S, dtype=np.int64)
-        out[t] = np.bincount(G.table[S[:, None], G.inv_table[S]].ravel(), minlength=G.order)
+        out[t] = np.bincount(G.table[S[:, None], G.inv_table[S]].ravel(), minlength=v)
     return out
+
+
+def _subset_rows(G: FiniteGroup, sets):
+    """The checked ids of each subset: one (n, k) int64 array when ``sets``
+    is one, else a list of ``_subset_ids`` arrays."""
+    if isinstance(sets, np.ndarray) and sets.ndim == 2:
+        arr = _check_range(G, sets.astype(np.int64, copy=False))
+        ordered = np.sort(arr, axis=1)
+        if (ordered[:, 1:] == ordered[:, :-1]).any():
+            raise ValueError("subset contains a repeated element")
+        return arr
+    return [_subset_ids(G, S) for S in sets]
 
 
 def _subset_ids(G: FiniteGroup, S) -> np.ndarray:
     """The ids of S as an int64 array; rejects out-of-range and repeated ids."""
-    arr = np.asarray(S if isinstance(S, np.ndarray) else list(S), dtype=np.int64).reshape(-1)
-    if arr.size:
-        if arr.min() < 0 or arr.max() >= G.order:
-            bad = arr[(arr < 0) | (arr >= G.order)][0]
-            raise ValueError(f"element id {bad} out of range")
-        if np.bincount(arr).max() > 1:
-            raise ValueError("subset contains a repeated element")
+    arr = _check_range(G, np.asarray(S if isinstance(S, np.ndarray) else list(S),
+                                     dtype=np.int64).reshape(-1))
+    if arr.size and np.bincount(arr).max() > 1:
+        raise ValueError("subset contains a repeated element")
+    return arr
+
+
+def _check_range(G: FiniteGroup, arr: np.ndarray) -> np.ndarray:
+    if arr.size and (arr.min() < 0 or arr.max() >= G.order):
+        bad = arr[(arr < 0) | (arr >= G.order)][0]
+        raise ValueError(f"element id {bad} out of range")
     return arr
 
 

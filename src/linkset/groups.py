@@ -327,15 +327,20 @@ def _rename_word(word: str, rename: dict[str, str]) -> str:
 def group_from_spec(spec: object) -> FiniteGroup:
     """Build a group from its JSON description.
 
-    Accepted forms: ``{"abelian": [4,4]}``, ``"D4"``, ``"Q8"``, and
-    ``{"product": [spec1, spec2]}`` nesting any of these.
+    Accepted forms: ``{"abelian": [4,4]}`` (a list of plain integers;
+    strings, floats and booleans are rejected, not coerced), ``"D4"``,
+    ``"Q8"``, and ``{"product": [spec1, spec2]}`` nesting any of these.
     """
     if spec == "D4":
         return make_dihedral8()
     if spec == "Q8":
         return make_quaternion8()
     if isinstance(spec, dict) and "abelian" in spec:
-        return make_abelian(spec["abelian"])
+        factors = spec["abelian"]
+        if not isinstance(factors, list) or not all(
+                isinstance(n, int) and not isinstance(n, bool) for n in factors):
+            raise ValueError(f"abelian factors must be a list of integers, got {factors!r}")
+        return make_abelian(factors)
     if isinstance(spec, dict) and "product" in spec:
         parts = spec["product"]
         if len(parts) != 2:

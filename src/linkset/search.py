@@ -2,11 +2,19 @@
 and its clique census, and the McFarland/Spence nonexistence sweeps.
 
 All searches are exact.  The heavy inner loop, the products of one set
-against many, is ``group_ring.pair_products``: a table gather and one
-float32 GEMM per left set, exact because every coefficient is a count of at
-most v <= 4096 < 2^24 ones.  Each search checks and casts its sets to
-indicator rows once (``group_ring.indicators``) and reuses them for every
-left set through the unchecked ``group_ring._pair_products``.
+against many, runs on ``group_ring``'s table gather and float32 GEMM, exact
+because every coefficient is a count of at most v <= 4096 < 2^24 ones.
+Each search checks and casts its sets to indicator rows once
+(``group_ring.indicators``).  The pair scan behind the linking graph and
+the sweeps, ``_two_valued_pairs``, sieves first: one GEMM per block of left
+sets gives the coefficients at the first SIEVE_COEFFS ids against every
+right set, and only pairs whose coefficients there all lie in {mu, nu} get
+a full product row (none do in the sweeps, where no pair links).
+
+The sweeps build their sets as rows of one array with
+``designs.construction_sets`` (table gathers, no per-element loop), keep
+the distinct rows with ``np.unique`` and find translation classes on the
+table (``_translation_classes``).
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ from . import group_ring as rg
 from .designs import (
     DifferenceSetRecord,
     DSParams,
+    construction_sets,
     difference_set_params,
     hyperplanes,
 )
@@ -34,6 +43,14 @@ from .linking import MuNu, mu_nu_candidates, verify_reduced
 
 # k-subsets checked per autocorrelation batch by enumerate_difference_sets
 ENUMERATION_CHUNK = 1024
+# The pair scan's sieve: product coefficients tested before a full row is
+# computed, and the float32 entries one sieve block holds (2 MB).
+SIEVE_COEFFS = 4
+SIEVE_BLOCK = 1 << 19
+# int32 translates _translation_classes holds at once (1 MB)
+CLASS_BLOCK = 1 << 18
+# Distinct Spence sets over which the slot-sharing pair counts are sampled
+SLOT_SAMPLE = 200
 
 
 def enumerate_difference_sets(G: FiniteGroup, k: int) -> list[DifferenceSetRecord]:
@@ -43,7 +60,7 @@ def enumerate_difference_sets(G: FiniteGroup, k: int) -> list[DifferenceSetRecor
     out = []
     combos = itertools.combinations(range(G.order), k)
     while chunk := list(itertools.islice(combos, ENUMERATION_CHUNK)):
-        for combo, params in zip(chunk, difference_set_params(G, chunk)):
+        for combo, params in zip(chunk, difference_set_params(G, np.array(chunk))):
             if params is not None:
                 out.append(DifferenceSetRecord(G, combo, params))
     return out
@@ -72,22 +89,39 @@ def _two_valued_pairs(args) -> list[tuple[int, int, tuple[int, ...]]]:
     and every row j of the indicator matrix with members[i] members[j]^(-1)
     valued in {mu, nu}.
 
+    A sieve first: for a block of left rows, one float32 GEMM gives the
+    coefficients at ids 0..SIEVE_COEFFS-1 of the products against every
+    right row, and only the pairs whose coefficients there all lie in
+    {mu, nu} get a full product row.  Exact like ``pair_products``: every
+    entry is a count of at most v <= 4096 < 2^24 ones, so each float32 sum
+    is the integer itself, and a pair is dropped only on a coefficient that
+    already rules it out.
+
     Module level so that the --jobs process pool can run it.
     """
     G, members, mu, nu, rows = args
+    rows = np.asarray(rows, dtype=np.int64)
+    v, n = G.order, len(members)
+    h0 = min(SIEVE_COEFFS, v)
+    block = max(1, SIEVE_BLOCK // (h0 * max(n, v)))
+    right = np.ascontiguousarray(members.T)
     out = []
-    for i in rows:
-        prods = rg._pair_products(G, members[i:i + 1], members)[0]
-        # coefficient by coefficient over the surviving candidates: most
-        # products leave {mu, nu} within a few coefficients
-        cand = np.arange(len(prods))
-        for h in range(G.order):
-            coeff = prods[cand, h]
-            cand = cand[(coeff == mu) | (coeff == nu)]
+    for start in range(0, len(rows), block):
+        left = rows[start:start + block]
+        # head[h, s, t] = sum_z Y_t[z] X_s[h z], the coefficient of h in X_s Y_t^(-1)
+        gathered = members[left][:, G.table[:h0]].transpose(1, 0, 2).reshape(-1, v)
+        head = (gathered @ right).reshape(h0, len(left), n)
+        keep = (head[0] == mu) | (head[0] == nu)
+        for h in range(1, h0):
+            keep &= (head[h] == mu) | (head[h] == nu)
+        for s, i in enumerate(left.tolist()):
+            cand = np.flatnonzero(keep[s])
             if not len(cand):
-                break
-        for j in cand.tolist():
-            out.append((i, j, tuple(np.flatnonzero(prods[j] == mu).tolist())))
+                continue
+            prods = rg._pair_products(G, members[i:i + 1], members[cand])[0]
+            two = ((prods == mu) | (prods == nu)).all(axis=1)
+            for j, p in zip(cand[two].tolist(), prods[two]):
+                out.append((i, j, tuple(np.flatnonzero(p == mu).tolist())))
     return out
 
 
@@ -204,6 +238,16 @@ def max_system_size(graph: LinkingGraph) -> int:
 
 @dataclass(frozen=True)
 class SweepReport:
+    """Counts of one nonexistence sweep.
+
+    ``pairs_tested`` is n^2 over the n sets scanned (every distinct set in
+    full mode, one per translation class in pruned mode) and
+    ``linked_pairs`` the ordered pairs of distinct sets that link.
+    ``same_slot_pairs``/``cross_slot_pairs`` (Spence only) are sampled, not
+    totals: they count the ordered pairs among the first SLOT_SAMPLE = 200
+    distinct sets that do and do not share a complemented slot.
+    """
+
     group_spec: object
     family: str
     mode: str
@@ -230,44 +274,37 @@ def _central_e(G: FiniteGroup, rank: int, p: int) -> Subgroup:
     return found[0]
 
 
-def _subgroup_transversal_in(G: FiniteGroup, E: Subgroup, H: Subgroup) -> list[int]:
-    """Coset reps of H inside E (minimal ids)."""
-    seen: set[int] = set()
-    reps = []
-    for a in E.elements:
-        if a not in seen:
-            reps.append(a)
-            for h in H.elements:
-                seen.add(G.mul(a, h))
-    return reps
-
-
-def _translation_classes(G: FiniteGroup, sets: list[tuple[int, ...]]):
-    """Canonical representative (lexicographically smallest left translate)
-    per set; returns (distinct sets, class reps, set -> class index)."""
-    classes: dict[tuple[int, ...], int] = {}
-    reps: list[tuple[int, ...]] = []
-    assign: dict[tuple[int, ...], int] = {}
-    for S in sets:
-        canon = min(tuple(sorted(G.mul(a, x) for x in S)) for a in G.elements())
-        if canon not in classes:
-            classes[canon] = len(reps)
-            reps.append(canon)
-        assign[S] = classes[canon]
-    return reps, assign
+def _translation_classes(G: FiniteGroup, sets: np.ndarray) -> np.ndarray:
+    """One canonical representative, the lexicographically smallest sorted
+    left translate a S, per translation class of the rows of ``sets``
+    (sorted (n, k) id rows), in order of first appearance."""
+    v, k = G.order, sets.shape[1]
+    block = max(1, CLASS_BLOCK // (v * k))
+    canon = np.empty_like(sets)
+    for start in range(0, len(sets), block):
+        translates = G.table[:, sets[start:start + block]]   # [a, s, j] = a S_s[j]
+        translates.sort(axis=2)
+        # lexicographic minimum over a, one column at a time: only the
+        # translates that tie on every earlier column stay candidates
+        cand = np.ones(translates.shape[:2], dtype=bool)
+        for j in range(k):
+            col = np.where(cand, translates[:, :, j], v)
+            low = col.min(axis=0)
+            cand &= col == low
+            canon[start:start + block, j] = low
+    _, first = np.unique(canon, axis=0, return_index=True)
+    return canon[np.sort(first)]
 
 
 def _sweep_pairs(G: FiniteGroup, sets, munu: MuNu, params: DSParams) -> tuple[int, int]:
     """Count linked ordered pairs of distinct sets (exact two-valued test
-    plus a difference-set check on any surviving witness)."""
+    plus a difference-set check on any surviving witness): one pair scan
+    over every row, which takes the rows in blocks itself."""
     members = rg.indicators(G, sets)
     mu, nu = munu.as_tuple()
-    linked = 0
-    for i in range(len(sets)):
-        supports = [support for _, j, support in _two_valued_pairs((G, members, mu, nu, [i]))
-                    if j != i]
-        if supports:
-            linked += sum(p == params for p in difference_set_params(G, supports))
+    pairs = _two_valued_pairs((G, members, mu, nu, range(len(sets))))
+    supports = [support for i, j, support in pairs if i != j]
+    linked = sum(p == params for p in difference_set_params(G, supports))
     return len(sets) ** 2, linked
 
 
@@ -281,109 +318,64 @@ def mcfarland_pair_sweep(G: FiniteGroup, mode: str = "pruned") -> SweepReport:
     equivalent by the translation invariance of the linking test.
     """
     start = time.time()
-    if G.order != 45:
-        raise ValueError("expected a group of order 45")
-    q, d = 3, 1
-    E = _central_e(G, d + 1, q)
-    family = hyperplanes(E, q, _greedy_basis(G, E, q))
-    reps = list(coset_transversal(G, E).reps)
-    s = family.count
     params = DSParams(45, 12, 3, 9)
-    branches = mu_nu_candidates(params)
-    if len(branches) != 1:
-        raise AssertionError("expected the unique integer branch (1, 4)")
-    munu = branches[0]
-
-    h_transversals = [_subgroup_transversal_in(G, E, H) for H in family.members]
-    constructed: list[tuple[int, ...]] = []
-    for omitted in range(s + 1):
-        cosets = [reps[i] for i in range(s + 1) if i != omitted]
-        for perm in itertools.permutations(range(s)):
-            for translates in itertools.product(*(range(len(t)) for t in h_transversals)):
-                elems: list[int] = []
-                for slot in range(s):
-                    g = G.mul(cosets[perm[slot]], h_transversals[slot][translates[slot]])
-                    elems.extend(G.mul(g, h) for h in family.members[slot].elements)
-                constructed.append(tuple(sorted(elems)))
-    distinct = sorted(set(constructed))
-    class_reps, _assign = _translation_classes(G, distinct)
-    verified = sum(p == params for p in difference_set_params(G, distinct))
-    if verified != len(distinct):
-        raise AssertionError("a constructed set failed difference-set verification")
-
-    if mode == "full":
-        tested, linked = _sweep_pairs(G, distinct, munu, params)
-    elif mode == "pruned":
-        tested, linked = _sweep_pairs(G, class_reps, munu, params)
-    else:
-        raise ValueError("mode must be 'full' or 'pruned'")
-    return SweepReport(G.spec, "mcfarland-q3-d1", mode, len(constructed), len(distinct),
-                       len(class_reps), tested, linked, munu.as_tuple(),
-                       verified_sets=verified, runtime_seconds=time.time() - start)
+    family, reps, munu = _sweep_setup(G, mode, params)
+    constructed = construction_sets(family, reps)
+    distinct = np.unique(constructed, axis=0)
+    return _sweep_report(G, "mcfarland-q3-d1", mode, len(constructed), distinct,
+                         params, munu, start)
 
 
 def spence_pair_sweep(G: FiniteGroup, mode: str = "pruned") -> SweepReport:
     """Sweep all pairs of Spence-constructed (36,15,6,9) difference sets
     over the central Z_3^2 of an order-36 group: zero pairs may link."""
     start = time.time()
-    if G.order != 36:
-        raise ValueError("expected a group of order 36")
-    d = 1
-    E = _central_e(G, d + 1, 3)
-    family = hyperplanes(E, 3, _greedy_basis(G, E, 3))
-    reps = list(coset_transversal(G, E).reps)
-    s = family.count
     params = DSParams(36, 15, 6, 9)
+    family, reps, munu = _sweep_setup(G, mode, params)
+    s = family.count
+    by_slot = [construction_sets(family, reps, m) for m in range(s)]
+    constructed = np.concatenate(by_slot)
+    distinct, where = np.unique(constructed, axis=0, return_inverse=True)
+
+    # slots[t, m]: distinct set t arises with slot m complemented; two sets
+    # share a slot iff their rows overlap (sampled over the first sets)
+    slots = np.zeros((len(distinct), s), dtype=np.int64)
+    slots[where.reshape(-1), np.repeat(np.arange(s), [len(c) for c in by_slot])] = 1
+    sample = slots[:SLOT_SAMPLE]
+    same = int(np.count_nonzero(sample @ sample.T)) - len(sample)
+    cross = len(sample) * (len(sample) - 1) - same
+    return _sweep_report(G, "spence-d1", mode, len(constructed), distinct, params, munu,
+                         start, same_slot_pairs=same, cross_slot_pairs=cross)
+
+
+def _sweep_setup(G: FiniteGroup, mode: str, params: DSParams):
+    """The hyperplanes of a central Z_3^2, its coset representatives and
+    the unique integer (mu, nu) branch of ``params``."""
+    if mode not in ("full", "pruned"):
+        raise ValueError("mode must be 'full' or 'pruned'")
+    if G.order != params.v:
+        raise ValueError(f"expected a group of order {params.v}")
+    E = _central_e(G, 2, 3)
+    family = hyperplanes(E, 3, _greedy_basis(G, E, 3))
     branches = mu_nu_candidates(params)
     if len(branches) != 1:
-        raise AssertionError("expected the unique integer branch (8, 5)")
-    munu = branches[0]
+        raise AssertionError("expected a unique integer (mu, nu) branch")
+    return family, coset_transversal(G, E).reps, branches[0]
 
-    h_transversals = [_subgroup_transversal_in(G, E, H) for H in family.members]
-    constructed: list[tuple[int, ...]] = []
-    slot_of: dict[tuple[int, ...], set[int]] = {}
-    for m_slot in range(s):
-        for perm in itertools.permutations(range(s)):
-            for translates in itertools.product(*(range(len(t)) for t in h_transversals)):
-                elems = []
-                for slot in range(s):
-                    g = G.mul(reps[perm[slot]], h_transversals[slot][translates[slot]])
-                    H = family.members[slot]
-                    if slot == m_slot:
-                        part = [h for h in E.elements if h not in set(H.elements)]
-                    else:
-                        part = list(H.elements)
-                    elems.extend(G.mul(g, h) for h in part)
-                S = tuple(sorted(elems))
-                constructed.append(S)
-                slot_of.setdefault(S, set()).add(m_slot)
-    distinct = sorted(set(constructed))
-    class_reps, _assign = _translation_classes(G, distinct)
 
-    same = cross = 0
-    for S1 in distinct[: min(len(distinct), 200)]:
-        for S2 in distinct[: min(len(distinct), 200)]:
-            if S1 == S2:
-                continue
-            if slot_of[S1] & slot_of[S2]:
-                same += 1
-            else:
-                cross += 1
-
+def _sweep_report(G: FiniteGroup, family: str, mode: str, constructed: int,
+                  distinct: np.ndarray, params: DSParams, munu: MuNu, start: float,
+                  **slot_pairs) -> SweepReport:
+    """Check that every distinct set is a difference set with ``params``,
+    scan the pairs the mode asks for and report."""
+    class_reps = _translation_classes(G, distinct)
     verified = sum(p == params for p in difference_set_params(G, distinct))
     if verified != len(distinct):
         raise AssertionError("a constructed set failed difference-set verification")
-
-    if mode == "full":
-        tested, linked = _sweep_pairs(G, distinct, munu, params)
-    elif mode == "pruned":
-        tested, linked = _sweep_pairs(G, class_reps, munu, params)
-    else:
-        raise ValueError("mode must be 'full' or 'pruned'")
-    return SweepReport(G.spec, "spence-d1", mode, len(constructed), len(distinct),
-                       len(class_reps), tested, linked, munu.as_tuple(),
-                       verified_sets=verified, same_slot_pairs=same, cross_slot_pairs=cross,
-                       runtime_seconds=time.time() - start)
+    tested, linked = _sweep_pairs(G, distinct if mode == "full" else class_reps, munu, params)
+    return SweepReport(G.spec, family, mode, constructed, len(distinct), len(class_reps),
+                       tested, linked, munu.as_tuple(), verified_sets=verified,
+                       runtime_seconds=time.time() - start, **slot_pairs)
 
 
 def _greedy_basis(G: FiniteGroup, E: Subgroup, p: int) -> tuple[int, ...]:

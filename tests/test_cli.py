@@ -136,6 +136,19 @@ def test_usage_errors():
     assert run_capture(["frobnicate"])[0] == 2
 
 
+def test_malformed_group_specs_are_usage_errors():
+    for spec in ['{"abelian": "44"}', '{"abelian": [4, 4.5]}']:
+        code, out, err = run_capture(["group", spec])
+        assert code == 2 and out == "" and "list of integers" in err
+        assert "Traceback" not in err
+
+
+def test_build_general_rejects_order_4():
+    code, out, err = run_capture(["build", "general", "--group", '{"abelian": [2, 2]}'])
+    assert code == 2 and out == "" and "d must be at least 1" in err
+    assert "Traceback" not in err
+
+
 def test_version():
     code, out, _ = run_capture(["--version"])
     assert code == 0

@@ -1,4 +1,5 @@
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -7,6 +8,8 @@ from linkset import group_ring as rg
 from linkset.designs import (
     DSParams,
     complement,
+    construction_sets,
+    difference_set_params,
     hyperplanes,
     is_difference_set,
     is_reversible,
@@ -189,6 +192,51 @@ def test_spence(factors):
         assert rec.params.as_tuple() == (36, 15, 6, 9)
         # |E \ H| + (s-1)|H| = 6 + 9 = 15
         assert len(rec.elements) == 15
+
+
+def _min_transversal(G, E, H):
+    """Minimal element of each coset of H in E, ascending (from the definition)."""
+    return sorted({min(G.mul(a, h) for h in H.elements) for a in E.elements})
+
+
+def test_construction_sets_match_the_constructions():
+    """Rows of the array generator against the one-set constructions, for
+    sampled (injective slot assignment, translates) choices."""
+    rng = random.Random(17)
+    for factors, m in [([3, 3, 5], None), ([3, 3, 2, 2], 0), ([3, 3, 4], 2)]:
+        G = make_abelian(factors)
+        E = find_central_elementary_abelian(G, 2, p=3)[0]
+        fam = hyperplanes(E, 3, _basis3(G, E))
+        reps = coset_transversal(G, E).reps
+        s = fam.count
+        rows = construction_sets(fam, reps, m)
+        perms = list(itertools.permutations(range(len(reps)), s))
+        picks = list(itertools.product(*(_min_transversal(G, E, H) for H in fam.members)))
+        assert rows.shape == (len(perms) * len(picks), 12 if m is None else 15)
+        for r in rng.sample(range(len(rows)), 40):
+            perm, translates = perms[r // len(picks)], picks[r % len(picks)]
+            slot_reps = list(reps)
+            if m is None:  # McFarland: slot i uses coset perm[i], one coset unused
+                for i in range(s):
+                    slot_reps[perm[i]] = G.mul(reps[perm[i]], translates[i])
+                want = mcfarland_construct(G, fam, slot_reps, perm)
+            else:  # Spence: slot i uses coset perm[i]
+                slot_reps = [G.mul(reps[perm[i]], translates[i]) for i in range(s)]
+                want = spence_construct(G, fam, slot_reps, m)
+            assert tuple(rows[r].tolist()) == want.elements
+
+
+def test_construction_sets_in_z4z4(z4z4):
+    """Every McFarland set over the Klein four subgroup of Z4^2 is a
+    (16,6,2,4) difference set, and the linked triple's first member is one."""
+    G = z4z4
+    E = subgroup_generated(G, [G.element("x1^2"), G.element("x2^2")])
+    fam = hyperplanes(E, 2, (G.element("x1^2"), G.element("x2^2")))
+    rows = construction_sets(fam, coset_transversal(G, E).reps)
+    assert rows.shape == (4 * 3 * 2 * 2 ** 3, 6)
+    assert all(p is not None and p.as_tuple() == (16, 6, 2, 4)
+               for p in difference_set_params(G, rows))
+    assert tuple(linked_triple_z4z4()[1][0]) in {tuple(r) for r in rows.tolist()}
 
 
 def _basis3(G, E):

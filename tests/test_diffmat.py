@@ -231,6 +231,8 @@ def test_build_general():
         build_general(make_abelian([16, 2, 2]))  # exponent 16 > 2^(d+1)
     with pytest.raises(ValueError):
         build_general(make_abelian([16, 4]))  # rank 2 < d+1 = 3
+    with pytest.raises(ValueError, match="d must be at least 1"):
+        build_general(make_abelian([2, 2]))  # d = 0: no 4-row DM over Z2
 
 
 def test_build_improved():

@@ -242,6 +242,15 @@ def test_autocorrelations_reject_malformed_sets():
     with pytest.raises(ValueError):
         rg.autocorrelations(G, [[3, 3]])
     assert rg.autocorrelations(G, []).shape == (0, 16)
+    # the same checks on one array of id rows
+    for rows in ([[0, 1], [2, 16]], [[0, 1], [3, 3]], [[-1, 2]]):
+        with pytest.raises(ValueError):
+            rg.autocorrelations(G, np.array(rows))
+        with pytest.raises(ValueError):
+            rg.indicators(G, np.array(rows))
+    rows = np.array([[0, 1, 5], [2, 7, 9]])
+    assert np.array_equal(rg.autocorrelations(G, rows), rg.autocorrelations(G, rows.tolist()))
+    assert np.array_equal(rg.indicators(G, rows), rg.indicators(G, rows.tolist()))
 
 
 def test_fft_rounding_guard(monkeypatch):
@@ -265,3 +274,18 @@ def test_fft_rounding_guard(monkeypatch):
         rg._fft_autocorrelations(G, sets[:1])
     # the count path never touches the FFT
     assert np.array_equal(rg._count_autocorrelations(G, sets), want)
+
+
+@pytest.mark.parametrize("block_sets", [None, 7])
+def test_count_autocorrelations_in_blocks(block_sets, monkeypatch):
+    """Equal-size sets as one array, counted in blocks, against rg.mul in a
+    nonabelian group (in one block, and in blocks of 7 sets)."""
+    G = direct_product(make_dihedral8(), make_abelian([2]))
+    rng = random.Random(71)
+    rows = np.array([sorted(rng.sample(range(G.order), 5)) for _ in range(50)])
+    if block_sets:
+        monkeypatch.setattr(rg, "COUNT_BLOCK", block_sets * 5 * 5)
+    got = rg._count_autocorrelations(G, rows)
+    for S, coeffs in zip(rows.tolist(), got):
+        x = rg.from_subset(G, S)
+        assert np.array_equal(coeffs, rg.mul(x, rg.involution(x)).coeffs)

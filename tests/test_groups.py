@@ -207,6 +207,14 @@ def test_group_from_spec_round_trip():
         group_from_spec({"weird": 1})
 
 
+def test_group_from_spec_rejects_malformed_factors():
+    for factors in ["44", [4, 4.5], [4, 4.0], [4, "4"], [True, 4], (4, 4), 4]:
+        with pytest.raises(ValueError, match="list of integers"):
+            group_from_spec({"abelian": factors})
+    with pytest.raises(ValueError, match="list of integers"):
+        group_from_spec({"product": [{"abelian": [4, 4.5]}, "D4"]})
+
+
 def test_element_name_round_trip():
     for G in SMALL_GROUPS:
         for a in G.elements():

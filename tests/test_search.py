@@ -153,29 +153,25 @@ def test_mcfarland_sweep_structure():
 
 
 def test_mcfarland_constructed_sets_are_difference_sets():
-    G = make_abelian([3, 3, 5])
-    from linkset.designs import hyperplanes
+    from linkset.designs import construction_sets, difference_set_params, hyperplanes
     from linkset.groups import coset_transversal, find_central_elementary_abelian
 
+    G = make_abelian([3, 3, 5])
     E = find_central_elementary_abelian(G, 2, p=3)[0]
     fam = hyperplanes(E, 3, (G.element("x1"), G.element("x2")))
-    reps = coset_transversal(G, E).reps
-    rng = random.Random(3)
-    for _ in range(10):
-        omitted = rng.randrange(5)
-        cosets = [reps[i] for i in range(5) if i != omitted]
-        perm = rng.sample(range(4), 4)
-        elems = []
-        for slot in range(4):
-            g = cosets[perm[slot]]
-            elems.extend(G.mul(g, h) for h in fam.members[slot].elements)
-        params = is_difference_set(G, elems)
+    rows = construction_sets(fam, coset_transversal(G, E).reps)
+    assert rows.shape == (5 * 24 * 81, 12)
+    sample = rows[random.Random(3).sample(range(len(rows)), 200)]
+    for params in difference_set_params(G, sample):
         assert params is not None and params.as_tuple() == (45, 12, 3, 9)
 
 
 def test_spence_sweep_structure():
     report = spence_pair_sweep(make_abelian([3, 3, 2, 2]), mode="pruned")
     assert report.constructed_count == 4 * 24 * 81  # 7776
+    assert (report.distinct_count, report.class_count) == (7776, 216)
+    # sampled over the first 200 distinct sets; derived constants, frozen
+    assert (report.same_slot_pairs, report.cross_slot_pairs) == (9806, 29994)
     assert report.munu == (8, 5)
     assert report.linked_pairs == 0
     assert report.verified_sets == report.distinct_count  # all are (36,15,6,9) sets
@@ -248,3 +244,59 @@ def test_two_valued_pairs_match_the_ring_product():
                     want.append((i, j, support))
         assert got == want
         assert want  # the scan has survivors to find
+
+
+def _full_scan(G, members, mu, nu):
+    """The pair scan without a sieve: a full product row for every pair."""
+    out = []
+    for i in range(len(members)):
+        prods = rg._pair_products(G, members[i:i + 1], members)[0]
+        for j in np.flatnonzero(((prods == mu) | (prods == nu)).all(axis=1)).tolist():
+            out.append((i, j, tuple(np.flatnonzero(prods[j] == mu).tolist())))
+    return out
+
+
+@pytest.mark.parametrize("factors, pairs", [([4, 4], 12288), ([4, 2, 2], 36864), ([8, 2], 0)])
+def test_sieved_pair_scan_matches_full_products(factors, pairs, monkeypatch):
+    from linkset import search
+    from linkset.search import _two_valued_pairs
+
+    G = make_abelian(factors)
+    sets = [r.elements for r in enumerate_difference_sets(G, 6)]
+    members = rg.indicators(G, sets)
+    want = _full_scan(G, members, 1, 3)
+    assert len(want) == pairs
+    assert _two_valued_pairs((G, members, 1, 3, range(len(sets)))) == want
+    # any row range gives the rows' slice of the list, in the same order,
+    # also when the sieve takes the rows in blocks of 5
+    rows = range(len(sets) // 3, len(sets) // 2)
+    monkeypatch.setattr(search, "SIEVE_BLOCK", 5 * search.SIEVE_COEFFS * len(sets))
+    assert _two_valued_pairs((G, members, 1, 3, rows)) == [p for p in want if p[0] in rows]
+
+
+@pytest.mark.parametrize("block_sets", [None, 7])
+def test_translation_classes_match_brute_force(block_sets, monkeypatch):
+    """Canonical representatives are the smallest sorted left translates,
+    listed in order of first appearance, in abelian and nonabelian groups
+    (in one block of sets, and in blocks of 7)."""
+    from linkset import search
+    from linkset.groups import direct_product, make_dihedral8
+    from linkset.search import _translation_classes
+
+    rng = random.Random(61)
+    for G in (make_abelian([3, 3, 5]), direct_product(make_dihedral8(), make_abelian([3]))):
+        base = [rng.sample(range(G.order), 7) for _ in range(12)]
+        sets = [sorted(G.mul(rng.randrange(G.order), x) for x in rng.choice(base))
+                for _ in range(60)]
+        if block_sets:
+            monkeypatch.setattr(search, "CLASS_BLOCK", block_sets * G.order * 7)
+        got = _translation_classes(G, np.array(sets))
+
+        def canon(S, side):
+            return min(tuple(sorted(G.mul(a, x) if side == "left" else G.mul(x, a) for x in S))
+                       for a in G.elements())
+
+        want = list(dict.fromkeys(canon(S, "left") for S in sets))
+        assert [tuple(r) for r in got.tolist()] == want
+        if not G.abelian:  # right translates would give other representatives
+            assert want != list(dict.fromkeys(canon(S, "right") for S in sets))
