@@ -184,9 +184,8 @@ def kerdock_bent_set(d: int) -> list[BooleanFunction]:
     """A verified bent set of the maximum size 2^(2d+1) on arity 2d+2,
     containing the zero function.
 
-    The trace-form family is not trusted: is_bent_set gates the output, and
-    for d = 1 a clique search over the 896 bent functions of arity 4 backs
-    it up should a formula variant ever fail.
+    The trace-form family is not trusted: is_bent_set gates the output,
+    and a family that fails it raises AssertionError.
     """
     if d < 0:
         raise ValueError("d must be nonnegative")
@@ -200,35 +199,7 @@ def kerdock_bent_set(d: int) -> list[BooleanFunction]:
         fns = translate_to_zero(fns)
     if len(set(fns)) == 2 ** (2 * d + 1) and is_bent_set(fns):
         return fns
-    if d == 1:
-        return _search_bent_set_arity4()
     raise AssertionError("trace-form bent set failed verification")
-
-
-def _search_bent_set_arity4() -> list[BooleanFunction]:
-    """Backtracking completion of a size-8 bent set on arity 4."""
-    bents = enumerate_bent(4)
-    chosen: list[BooleanFunction] = []
-
-    def extend(start: int) -> bool:
-        if len(chosen) == 7:
-            return True
-        for idx in range(start, len(bents)):
-            cand = bents[idx]
-            if all(is_bent(cand + f) for f in chosen):
-                chosen.append(cand)
-                if extend(idx + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    if not extend(0):
-        raise AssertionError("no size-8 bent set found on arity 4")
-    fns = [zero_function(4)] + chosen
-    fns = _normalize_light(fns)
-    if not is_bent_set(fns):
-        raise AssertionError("searched bent set failed verification")
-    return fns
 
 
 def bent_linking(fns, G: FiniteGroup | None = None) -> ReducedLinkingSystem:

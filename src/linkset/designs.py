@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import group_ring as rg
-from .groups import FiniteGroup, Subgroup, is_central
+from .groups import FiniteGroup, Subgroup, _ilog, is_central
 
 
 @dataclass(frozen=True)
@@ -304,11 +304,3 @@ def _check_transversal(G: FiniteGroup, E: Subgroup, reps) -> None:
         seen |= coset
     if len(seen) != len(reps) * E.order:
         raise ValueError("coset representatives overlap")
-
-
-def _ilog(n: int, p: int) -> int:
-    e = 0
-    while n > 1:
-        n //= p
-        e += 1
-    return e

@@ -27,10 +27,9 @@ class FiniteGroup:
         spec: object,
         cyclic_factors: tuple[int, ...] | None = None,
     ):
+        _check_table_order(len(table))
         self.table = np.ascontiguousarray(table, dtype=np.int32)
         self.order = int(self.table.shape[0])
-        if self.order > MAX_TABLE_ORDER:
-            raise ValueError(f"group order {self.order} exceeds table limit {MAX_TABLE_ORDER}")
         self.names = list(names)
         self.generators = list(generators)
         self.spec = spec
@@ -164,6 +163,12 @@ class CosetTransversal:
             raise ValueError("coset representatives do not cover the group")
 
 
+def _check_table_order(v: int) -> None:
+    """Reject an order past MAX_TABLE_ORDER before its v x v table exists."""
+    if v > MAX_TABLE_ORDER:
+        raise ValueError(f"group order {v} exceeds table limit {MAX_TABLE_ORDER}")
+
+
 def _invert_table(table: np.ndarray) -> np.ndarray:
     v = table.shape[0]
     inv = np.empty(v, dtype=np.int32)
@@ -187,6 +192,7 @@ def make_abelian(invariant_factors: list[int] | tuple[int, ...]) -> FiniteGroup:
     v = 1
     for n in factors:
         v *= n
+    _check_table_order(v)
     exps = _abelian_exponents(factors, v)
     weights = _radix_weights(factors)
     # one factor at a time, so the scratch memory is one v x v int32 array
@@ -278,11 +284,10 @@ def make_quaternion8() -> FiniteGroup:
 def direct_product(G1: FiniteGroup, G2: FiniteGroup) -> FiniteGroup:
     """Componentwise product; ids are packed as a*|G2| + b, names concatenate."""
     v1, v2 = G1.order, G2.order
-    t1 = G1.table.astype(np.int64)
-    t2 = G2.table.astype(np.int64)
-    # T[(a1,b1),(a2,b2)] = (t1[a1,a2], t2[b1,b2])
-    table = (np.kron(t1, np.ones((v2, v2), dtype=np.int64)) * v2
-             + np.kron(np.ones((v1, v1), dtype=np.int64), t2))
+    _check_table_order(v1 * v2)
+    # T[(a1,b1),(a2,b2)] = t1[a1,a2] v2 + t2[b1,b2], on the axes (a1, b1, a2, b2)
+    table = (G1.table[:, None, :, None] * v2
+             + G2.table[None, :, None, :]).reshape(v1 * v2, v1 * v2)
     names, gens = _product_names(G1, G2)
     factors = None
     if G1.cyclic_factors is not None and G2.cyclic_factors is not None:
@@ -513,14 +518,13 @@ def find_central_elementary_abelian(G: FiniteGroup, rank: int, p: int = 2) -> li
     t = len(basis)
     if t < rank:
         return []
-    span, coords = _span_table(G, basis, p)
+    span = _span_table(G, basis, p)
     out = []
     for rows in _echelon_bases(t, rank, p):
         gens = [span[_coord_to_index(r, p)] for r in rows]
         sub = subgroup_generated(G, gens)
         out.append(sub)
     out.sort(key=lambda s: s.elements)
-    del coords
     return out
 
 
@@ -534,17 +538,15 @@ def _independent_basis(G: FiniteGroup, torsion: list[int], p: int) -> list[int]:
     return basis
 
 
-def _span_table(G: FiniteGroup, basis: list[int], p: int):
-    t = len(basis)
+def _span_table(G: FiniteGroup, basis: list[int], p: int) -> list[int]:
+    """The span element of each coefficient vector, in mixed-radix order."""
     span = []
-    coords = {}
-    for vec in itertools.product(range(p), repeat=t):
+    for vec in itertools.product(range(p), repeat=len(basis)):
         x = 0
         for b, e in zip(basis, vec):
             x = G.mul(x, G.power(b, e))
         span.append(x)
-        coords[x] = vec
-    return span, coords
+    return span
 
 
 def _coord_to_index(vec: tuple[int, ...], p: int) -> int:

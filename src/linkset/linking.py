@@ -112,26 +112,43 @@ def verify_reduced(G: FiniteGroup, sets) -> ReducedLinkingSystem | None:
 def _pair_witnesses(G: FiniteGroup, ind: np.ndarray, munu: MuNu, params: DSParams):
     """Witness records of all ordered pairs under (mu, nu), or None.
 
-    One left row at a time: the products D_i D_j^(-1) for every j, the
-    two-valued test for every j != i, then one difference-set check of the
-    row's l-1 witnesses.
+    One left row at a time through ``_row_witnesses`` against the row's
+    l-1 other sets.
     """
-    mu, nu = munu.as_tuple()
-    if mu == nu:
-        raise ValueError("mu and nu must be distinct")
     ell = len(ind)
     witnesses: dict[tuple[int, int], DifferenceSetRecord] = {}
     for i in range(ell):
         others = [j for j in range(ell) if j != i]
-        prods = rg._pair_products(G, ind[i:i + 1], ind)[0, others]
-        if not np.all((prods == mu) | (prods == nu)):
+        supports = _row_witnesses(G, ind[i], ind[others], munu, params)
+        if any(support is None for support in supports):
             return None
-        supports = [np.flatnonzero(row == mu) for row in prods]
-        for j, support, wparams in zip(others, supports, difference_set_params(G, supports)):
-            if wparams != params:
-                return None
-            witnesses[(i + 1, j + 1)] = DifferenceSetRecord(G, tuple(support.tolist()), wparams)
+        for j, support in zip(others, supports):
+            witnesses[(i + 1, j + 1)] = DifferenceSetRecord(G, tuple(support.tolist()), params)
     return witnesses
+
+
+def _row_witnesses(G: FiniteGroup, left: np.ndarray, right: np.ndarray, munu: MuNu,
+                   params: DSParams) -> list:
+    """The pair check of one left indicator row X against right rows Y_j.
+
+    The full product row X Y_j^(-1) for every j, the two-valued test, then
+    one difference-set check of the mu-supports that pass it.  Returns, per
+    right row, the mu-support (an id array) when the product is valued in
+    {mu, nu} and its support is a difference set with ``params``, else None.
+    """
+    mu, nu = munu.as_tuple()
+    if mu == nu:
+        raise ValueError("mu and nu must be distinct")
+    prods = rg._pair_products(G, left[None], right)[0]
+    is_mu = prods == mu
+    # only supports of params.k elements can have params: one (m, k) id batch
+    cand = np.flatnonzero((is_mu | (prods == nu)).all(axis=1) & (is_mu.sum(axis=1) == params.k))
+    supports = np.nonzero(is_mu[cand])[1].reshape(len(cand), params.k)
+    out: list = [None] * len(right)
+    for j, support, wparams in zip(cand.tolist(), supports, difference_set_params(G, supports)):
+        if wparams == params:
+            out[j] = support
+    return out
 
 
 def expand(reduced: ReducedLinkingSystem) -> LinkingSystem:

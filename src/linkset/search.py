@@ -11,6 +11,9 @@ sets gives the coefficients at the first SIEVE_COEFFS ids against every
 right set, and only pairs whose coefficients there all lie in {mu, nu} get
 a full product row (none do in the sweeps, where no pair links).
 
+The census re-verifies its cliques from memoized verdicts: the vertices
+once, each distinct directed pair once (``_reverify_cliques``).
+
 The sweeps build their sets as rows of one array with
 ``designs.construction_sets`` (table gathers, no per-element loop), keep
 the distinct rows with ``np.unique`` and find translation classes on the
@@ -39,7 +42,7 @@ from .groups import (
     coset_transversal,
     find_central_elementary_abelian,
 )
-from .linking import MuNu, mu_nu_candidates, verify_reduced
+from .linking import MuNu, _row_witnesses, mu_nu_candidates
 
 # k-subsets checked per autocorrelation batch by enumerate_difference_sets
 ENUMERATION_CHUNK = 1024
@@ -49,6 +52,8 @@ SIEVE_COEFFS = 4
 SIEVE_BLOCK = 1 << 19
 # int32 translates _translation_classes holds at once (1 MB)
 CLASS_BLOCK = 1 << 18
+# Cliques re-verified per block by enumerate_systems
+CLIQUE_BLOCK = 1 << 14
 # Distinct Spence sets over which the slot-sharing pair counts are sampled
 SLOT_SAMPLE = 200
 
@@ -165,24 +170,25 @@ def _row_chunks(n: int, jobs: int) -> list[range]:
     return [range(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
 
 
-def enumerate_systems(graph: LinkingGraph, ell: int,
-                      reverify: bool = True) -> list[tuple[DifferenceSetRecord, ...]]:
+def enumerate_systems(graph: LinkingGraph, ell: int) -> list[tuple[DifferenceSetRecord, ...]]:
     """All ell-vertex cliques as unordered record tuples, lexicographic in
-    vertex order; each clique re-verified by verify_reduced before emission."""
+    vertex order, each re-verified before emission (``_reverify_cliques``)."""
     if ell < 2:
         raise ValueError("system size must be at least 2")
-    n = graph.num_vertices
-    masks = _adjacency_masks(graph.adjacency)
-    out: list[tuple[DifferenceSetRecord, ...]] = []
+    cliques = _clique_indices(graph.adjacency, ell)
+    _reverify_cliques(graph, cliques)
+    return [tuple(graph.records[i] for i in clique) for clique in cliques.tolist()]
+
+
+def _clique_indices(adjacency: np.ndarray, ell: int) -> np.ndarray:
+    """Every ell-vertex clique of the graph as a row of increasing vertex
+    indices, shape (m, ell), rows in lexicographic order."""
+    masks = _adjacency_masks(adjacency)
+    out: list[tuple[int, ...]] = []
 
     def extend(clique: list[int], candidates: int, start: int) -> None:
         if len(clique) == ell:
-            members = tuple(graph.records[i] for i in clique)
-            if reverify:
-                system = verify_reduced(graph.group, [r.elements for r in members])
-                if system is None:
-                    raise AssertionError("clique failed re-verification")
-            out.append(members)
+            out.append(tuple(clique))
             return
         remaining = candidates >> start
         idx = start
@@ -195,7 +201,59 @@ def enumerate_systems(graph: LinkingGraph, ell: int,
             clique.pop()
             idx += 1
 
-    extend([], (1 << n) - 1, 0)
+    extend([], (1 << len(adjacency)) - 1, 0)
+    return np.array(out, dtype=np.int64).reshape(len(out), ell)
+
+
+def _reverify_cliques(graph: LinkingGraph, cliques: np.ndarray) -> None:
+    """Raise AssertionError unless every clique (a row of vertex indices) is
+    a reduced linking system under ``graph.munu``.
+
+    Exact, from memoized verdicts: for a fixed (mu, nu), verify_reduced
+    accepts S_1..S_l iff every S_i is a difference set with common
+    parameters and every ordered pair (i, j) has D_i D_j^(-1) valued in
+    {mu, nu} with a mu-support that is a difference set with the same
+    parameters.  So the vertices of the cliques are checked once, each
+    distinct directed pair once (``_pair_verdicts``), and a clique passes
+    iff all its l(l-1) pair verdicts do.  The cliques go through in blocks
+    of CLIQUE_BLOCK rows; a block's pairs are found as i*n + j codes and
+    only those not yet in the n x n memo are computed.
+    """
+    if not len(cliques):
+        return
+    G, n, ell = graph.group, graph.num_vertices, cliques.shape[1]
+    vertex_params = difference_set_params(
+        G, [graph.records[i].elements for i in np.unique(cliques).tolist()])
+    params = vertex_params[0]
+    if params is None or any(p != params for p in vertex_params):
+        raise AssertionError("clique failed re-verification")
+    ind = rg.indicators(G, [r.elements for r in graph.records])
+    known = np.zeros(n * n, dtype=bool)
+    linked = np.zeros(n * n, dtype=bool)
+    positions = [(a, b) for a in range(ell) for b in range(ell) if a != b]
+    for start in range(0, len(cliques), CLIQUE_BLOCK):
+        block = cliques[start:start + CLIQUE_BLOCK]
+        codes = [block[:, a] * n + block[:, b] for a, b in positions]
+        new = np.unique(np.concatenate(codes))
+        new = new[~known[new]]
+        linked[new] = _pair_verdicts(G, ind, new, graph.munu, params)
+        known[new] = True
+        if not all(linked[c].all() for c in codes):
+            raise AssertionError("clique failed re-verification")
+
+
+def _pair_verdicts(G: FiniteGroup, ind: np.ndarray, codes: np.ndarray, munu: MuNu,
+                   params: DSParams) -> np.ndarray:
+    """Whether each directed pair (i, j), given by its sorted code i*n + j
+    over the n indicator rows ``ind``, links under (mu, nu) with witness
+    parameters ``params``: one ``linking._row_witnesses`` call (full product
+    rows, as verify_reduced makes) per left row."""
+    n = len(ind)
+    out = np.zeros(len(codes), dtype=bool)
+    lefts, first = np.unique(codes // n, return_index=True)
+    for i, a, b in zip(lefts.tolist(), first.tolist(), [*first[1:].tolist(), len(codes)]):
+        supports = _row_witnesses(G, ind[i], ind[codes[a:b] % n], munu, params)
+        out[a:b] = [support is not None for support in supports]
     return out
 
 

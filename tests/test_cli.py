@@ -143,6 +143,15 @@ def test_malformed_group_specs_are_usage_errors():
         assert "Traceback" not in err
 
 
+def test_orders_past_the_table_limit_are_usage_errors():
+    for spec in ['{"abelian": [8192]}', '{"product": [{"abelian": [64]}, {"abelian": [128]}]}',
+                 '{"abelian": [1000000000000]}',
+                 '{"product": [{"abelian": [1024]}, {"abelian": [1024]}]}']:
+        code, out, err = run_capture(["group", spec])
+        assert code == 2 and out == "" and "exceeds table limit 4096" in err
+        assert "Traceback" not in err
+
+
 def test_build_general_rejects_order_4():
     code, out, err = run_capture(["build", "general", "--group", '{"abelian": [2, 2]}'])
     assert code == 2 and out == "" and "d must be at least 1" in err

@@ -215,6 +215,32 @@ def test_group_from_spec_rejects_malformed_factors():
         group_from_spec({"product": [{"abelian": [4, 4.5]}, "D4"]})
 
 
+@pytest.mark.parametrize("spec", [
+    {"abelian": [8192]},
+    {"abelian": [64, 128]},
+    {"product": [{"abelian": [64]}, {"abelian": [128]}]},
+    {"product": ["D4", {"abelian": [1024]}]},
+    {"abelian": [2] * 60},
+    {"abelian": [10 ** 12]},
+    {"product": [{"abelian": [1024]}, {"abelian": [1024]}]},
+])
+def test_orders_past_the_table_limit_are_rejected_before_allocating(spec):
+    """Orders past MAX_TABLE_ORDER = 4096 (8192, and far past it) raise
+    ValueError before any v x v table or v-row array is allocated."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="exceeds table limit 4096"):
+            group_from_spec(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # only the factor groups are built (a 1024-element one peaks at about
+    # 17 MB); an 8192 x 8192 int32 table alone would be 256 MB
+    assert peak < 32 * 2 ** 20
+
+
 def test_element_name_round_trip():
     for G in SMALL_GROUPS:
         for a in G.elements():

@@ -95,7 +95,7 @@ def test_census_substructure(z4z4_census):
 
 def test_census_deterministic(z4z4_census):
     graph, systems = z4z4_census.graph, z4z4_census.systems
-    again = enumerate_systems(graph, 3, reverify=False)
+    again = enumerate_systems(graph, 3)
     assert [[r.elements for r in s] for s in systems] == \
         [[r.elements for r in s] for s in again]
 
@@ -204,8 +204,8 @@ def test_max_system_size_matches_brute_force():
 
 
 def test_enumerate_systems_matches_brute_force():
-    from linkset.linking import MuNu
-    from linkset.search import LinkingGraph
+    """The clique listing behind enumerate_systems, on random graphs."""
+    from linkset.search import _clique_indices
 
     rng = random.Random(43)
     for _ in range(10):
@@ -215,11 +215,98 @@ def test_enumerate_systems_matches_brute_force():
             for j in range(i + 1, n):
                 if rng.random() < 0.6:
                     adj[i, j] = adj[j, i] = True
-        graph = LinkingGraph(make_abelian([2]), tuple(range(n)), MuNu(1, 3, True), adj)
-        got = {tuple(c) for c in enumerate_systems(graph, 3, reverify=False)}
-        want = {c for c in itertools.combinations(range(n), 3)
-                if all(adj[i][j] for i in c for j in c if i < j)}
-        assert got == want
+        got = _clique_indices(adj, 3)
+        want = [c for c in itertools.combinations(range(n), 3)
+                if all(adj[i][j] for i in c for j in c if i < j)]
+        assert [tuple(c) for c in got.tolist()] == want
+
+
+def _edges_only(graph, edges):
+    """The graph with only the given undirected edges."""
+    from dataclasses import replace
+
+    adj = np.zeros_like(graph.adjacency)
+    for i, j in edges:
+        adj[i, j] = adj[j, i] = True
+    return replace(graph, adjacency=adj)
+
+
+def test_false_edge_fails_reverification(z4z4_census):
+    """An edge between two unlinked sets is caught, as a size-2 clique and
+    inside a size-3 clique, at each position of the clique."""
+    from dataclasses import replace
+
+    graph = z4z4_census.graph
+    adj = graph.adjacency
+    found = {}  # where the common neighbour m sits relative to i < j
+    for i, j in zip(*np.nonzero(np.triu(~adj, 1))):
+        for m in np.flatnonzero(adj[i] & adj[j]).tolist():
+            found.setdefault(int(m > i) + int(m > j), (int(i), int(j), m))
+        if len(found) == 3:
+            break
+    assert len(found) == 3
+    for i, j, m in found.values():
+        assert verify_reduced(graph.group, [graph.records[i].elements,
+                                            graph.records[j].elements]) is None
+        assert len(enumerate_systems(_edges_only(graph, [(i, m), (j, m)]), 2)) == 2
+        for ell in (2, 3):
+            with pytest.raises(AssertionError, match="re-verification"):
+                enumerate_systems(_edges_only(graph, [(i, m), (j, m), (i, j)]), ell)
+    i, j, _ = found[0]
+    with_edge = adj.copy()
+    with_edge[i, j] = with_edge[j, i] = True
+    for ell in (2, 3):
+        with pytest.raises(AssertionError, match="re-verification"):
+            enumerate_systems(replace(graph, adjacency=with_edge), ell)
+
+
+def test_wrong_graph_data_fails_reverification(z4z4_census):
+    """A graph carrying the wrong (mu, nu), or a vertex that is not a
+    difference set, fails re-verification."""
+    from dataclasses import replace
+
+    from linkset.designs import DifferenceSetRecord
+    from linkset.linking import MuNu
+
+    graph = z4z4_census.graph
+    assert graph.munu.as_tuple() == (1, 3)
+    # every edge product is valued in {3, 1} too, but its 3-support has 10
+    # elements and is no (16, 6, 2) difference set
+    for munu in (MuNu(3, 1, False), MuNu(1, 2, True)):
+        with pytest.raises(AssertionError, match="re-verification"):
+            enumerate_systems(replace(graph, munu=munu), 2)
+    i = int(np.flatnonzero(graph.adjacency.any(axis=1))[0])
+    records = list(graph.records)
+    records[i] = DifferenceSetRecord(graph.group, (0, 1, 2, 3, 4, 5), records[i].params)
+    assert is_difference_set(graph.group, records[i].elements) is None
+    with pytest.raises(AssertionError, match="re-verification"):
+        enumerate_systems(replace(graph, records=tuple(records)), 2)
+
+
+def test_pair_verdicts_match_verify_reduced(z4z4_census):
+    """The memo's per-pair verdicts equal verify_reduced on the 2-set system:
+    every edge and a sample of non-edges, each in both orientations."""
+    from linkset.search import _pair_verdicts
+
+    graph = z4z4_census.graph
+    G, records, n = graph.group, graph.records, graph.num_vertices
+    rng = np.random.default_rng(71)
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    edges = np.argwhere(graph.adjacency & upper)
+    non_edges = np.argwhere(~graph.adjacency & upper)
+    pairs = np.concatenate([edges, non_edges[rng.choice(len(non_edges), 300, replace=False)]])
+    assert len(edges) == 6144
+    codes = np.concatenate([pairs[:, 0] * n + pairs[:, 1], pairs[:, 1] * n + pairs[:, 0]])
+    order = np.argsort(codes)
+    verdicts = np.empty(len(codes), dtype=bool)
+    ind = rg.indicators(G, [r.elements for r in records])
+    verdicts[order] = _pair_verdicts(G, ind, codes[order], graph.munu, records[0].params)
+    forward, backward = verdicts[:len(pairs)], verdicts[len(pairs):]
+    for (i, j), fwd, bwd in zip(pairs.tolist(), forward.tolist(), backward.tolist()):
+        system = verify_reduced(G, [records[i].elements, records[j].elements])
+        linked = system is not None and system.munu == graph.munu
+        assert fwd == bwd == linked
+    assert forward.sum() == 6144
 
 
 def test_two_valued_pairs_match_the_ring_product():
