@@ -8,7 +8,7 @@ same 65536 systems come out of the difference-matrix construction from
 just two base matrices, 4^3 row multiples, and 2^9 lift choices; the two
 enumerations coincide set-for-set.
 
-Takes about a minute.
+Takes a few seconds.
 """
 
 import time

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import group_ring as rg
-from .groups import FiniteGroup, Subgroup, _ilog, is_central
+from .groups import FiniteGroup, Subgroup, _cosets, _ilog, _span_table, is_central
 
 
 @dataclass(frozen=True)
@@ -151,17 +151,12 @@ def hyperplanes(E: Subgroup, p: int, basis) -> HyperplaneFamily:
 
 
 def _coordinates(G: FiniteGroup, E: Subgroup, basis, p: int) -> dict[int, tuple[int, ...]]:
-    coords = {}
-    for vec in itertools.product(range(p), repeat=len(basis)):
-        a = 0
-        for b, e in zip(basis, vec):
-            a = G.mul(a, G.power(b, e))
-        if a in coords:
-            raise ValueError("basis does not span the subgroup freely")
-        coords[a] = vec
-    if set(coords) != set(E.elements):
+    span = _span_table(G, list(basis), p)
+    if len(set(span)) != len(span):
+        raise ValueError("basis does not span the subgroup freely")
+    if set(span) != set(E.elements):
         raise ValueError("basis span does not equal the subgroup")
-    return coords
+    return dict(zip(span, itertools.product(range(p), repeat=len(basis))))
 
 
 def _normalized_functionals(t: int, p: int):
@@ -180,6 +175,12 @@ def _check_central_elementary(G: FiniteGroup, E: Subgroup, p: int, d: int) -> No
         raise ValueError("subgroup must be central")
     if E.order != p ** (d + 1):
         raise ValueError(f"subgroup must have order {p ** (d + 1)}")
+    elems = np.array(E.elements)
+    power = elems
+    for _ in range(p - 1):
+        power = G.table[power, elems]
+    if power.any():
+        raise ValueError("subgroup must be elementary abelian")
 
 
 def mcfarland_construct(G: FiniteGroup, family: HyperplaneFamily,
@@ -260,7 +261,11 @@ def construction_sets(family: HyperplaneFamily, reps,
     parts = _slot_parts(family, complemented_slot)
     reps = np.asarray(reps, dtype=np.int64)
     perms = np.array(list(itertools.permutations(range(len(reps)), s)), dtype=np.int64)
-    translates = [_transversal_in(G, family.subgroup, H) for H in family.members]
+    translates = []
+    for H in family.members:
+        # the cosets of H_i inside E are the ones whose minimal element is in E
+        minima = _cosets(G, H)[1]
+        translates.append(minima[np.isin(minima, family.subgroup.elements)])
     picks = np.array(list(itertools.product(*(range(len(t)) for t in translates))),
                      dtype=np.int64)
     slot_reps = np.empty((len(perms), len(picks), s), dtype=np.int64)
@@ -289,18 +294,7 @@ def _coset_unions(G: FiniteGroup, slot_reps, parts) -> np.ndarray:
     return rows
 
 
-def _transversal_in(G: FiniteGroup, E: Subgroup, H: Subgroup) -> np.ndarray:
-    """The minimal element of each coset of H inside E, ascending."""
-    cosets = G.table[np.array(E.elements)[:, None], np.array(H.elements)[None, :]]
-    return np.unique(cosets.min(axis=1)).astype(np.int64)
-
-
 def _check_transversal(G: FiniteGroup, E: Subgroup, reps) -> None:
-    seen: set[int] = set()
-    for r in reps:
-        coset = frozenset(G.mul(r, h) for h in E.elements)
-        if seen & coset:
-            raise ValueError("representatives do not lie in distinct cosets")
-        seen |= coset
-    if len(seen) != len(reps) * E.order:
-        raise ValueError("coset representatives overlap")
+    ids = _cosets(G, E)[0][list(reps)]
+    if len(np.unique(ids)) != len(ids):
+        raise ValueError("representatives do not lie in distinct cosets")

@@ -15,14 +15,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import HyperplaneFamily, hyperplanes, two_group_params
+from .designs import (
+    HyperplaneFamily,
+    _check_central_elementary,
+    _coset_unions,
+    hyperplanes,
+    two_group_params,
+)
 from .galois import GaloisRing
 from .groups import (
     FiniteGroup,
     Subgroup,
+    _abelian_exponents,
+    _cosets,
+    _independent_basis,
+    _radix_weights,
+    _span_table,
     abelian_element,
-    abelian_exponent_tuple,
-    is_central,
     make_abelian,
     subgroup_generated,
 )
@@ -57,15 +66,20 @@ class DifferenceMatrix:
 
 def verify_dm(M: DifferenceMatrix) -> bool:
     """Exact row-pair difference-multiset check."""
-    G = M.group
-    arr = M.array()
-    inv = G.inv_table
-    for i in range(M.num_rows):
-        for r in range(M.num_rows):
+    return _row_pairs_cover(M.group, M.array(), np.arange(M.group.order), M.lam)
+
+
+def _row_pairs_cover(G: FiniteGroup, arr: np.ndarray, ids: np.ndarray, lam: int) -> bool:
+    """Whether for every ordered pair of distinct rows i, r the quotients
+    arr[i, j] arr[r, j]^(-1) fall exactly lam times into each class of
+    ``ids`` (a class number 0..max for each element of G)."""
+    width = int(ids.max()) + 1
+    for i in range(len(arr)):
+        for r in range(len(arr)):
             if i == r:
                 continue
-            diffs = G.table[arr[i], inv[arr[r]]]
-            if not np.all(np.bincount(diffs, minlength=G.order) == M.lam):
+            diffs = ids[G.table[arr[i], G.inv_table[arr[r]]]]
+            if not np.all(np.bincount(diffs, minlength=width) == lam):
                 return False
     return True
 
@@ -218,16 +232,8 @@ def _permute_onto(M: DifferenceMatrix, G: FiniteGroup,
         raise AssertionError("unexpected source factor order")
     if G.cyclic_factors == sorted_factors:
         return _transplant(M, G)
-    perm = _stable_factor_permutation(sorted_factors, G.cyclic_factors)
-    idmap = np.empty(src.order, dtype=np.int64)
-    for a in range(src.order):
-        exps = abelian_exponent_tuple(src, a)
-        dst_exps = [0] * len(exps)
-        for i, p in enumerate(perm):
-            dst_exps[p] = exps[i]
-        idmap[a] = abelian_element(G, dst_exps)
-    rows = tuple(tuple(int(idmap[x]) for x in row) for row in M.rows)
-    out = DifferenceMatrix(G, 1, rows)
+    idmap = _copy_exponents(G, src, _stable_factor_permutation(sorted_factors, G.cyclic_factors))
+    out = DifferenceMatrix(G, 1, tuple(map(tuple, idmap[M.array()].tolist())))
     if not verify_dm(out):
         raise AssertionError("factor permutation broke the difference property")
     return out
@@ -317,18 +323,6 @@ class _BudgetExhausted(Exception):
 # -- difference matrix -> linking system ---------------------------------------
 
 
-def _coset_ids(G: FiniteGroup, E: Subgroup) -> np.ndarray:
-    """coset id per element; ids follow increasing minimal coset element."""
-    out = np.full(G.order, -1, dtype=np.int64)
-    next_id = 0
-    for a in G.elements():
-        if out[a] == -1:
-            for h in E.elements:
-                out[G.mul(a, h)] = next_id
-            next_id += 1
-    return out
-
-
 def _infer_depth(G: FiniteGroup) -> int:
     r = G.order.bit_length() - 1
     if 2 ** r != G.order or r % 2 != 0 or r < 2:
@@ -336,27 +330,9 @@ def _infer_depth(G: FiniteGroup) -> int:
     return (r - 2) // 2
 
 
-def _check_linking_subgroup(G: FiniteGroup, E: Subgroup, d: int) -> None:
-    if E.group is not G:
-        raise ValueError("subgroup belongs to a different group")
-    if E.order != 2 ** (d + 1):
-        raise ValueError(f"central subgroup must have order {2 ** (d + 1)}")
-    if not is_central(G, E):
-        raise ValueError("subgroup must be central")
-    for a in E.elements:
-        if a != 0 and G.mul(a, a) != 0:
-            raise ValueError("central subgroup must be elementary abelian")
-
-
 def default_hyperplanes(G: FiniteGroup, E: Subgroup) -> HyperplaneFamily:
     """Hyperplane family over the greedy minimal-id basis of E."""
-    basis: list[int] = []
-    span = {0}
-    for a in E.elements:
-        if a not in span:
-            basis.append(a)
-            span = {G.mul(x, y) for x in span for y in (0, a)}
-    return hyperplanes(E, 2, tuple(basis))
+    return hyperplanes(E, 2, _independent_basis(G, E.elements, 2))
 
 
 def linked_from_dm(G: FiniteGroup, E: Subgroup, bmat, lifts=None,
@@ -371,7 +347,7 @@ def linked_from_dm(G: FiniteGroup, E: Subgroup, bmat, lifts=None,
     system, which is re-verified before being returned.
     """
     d = _infer_depth(G)
-    _check_linking_subgroup(G, E, d)
+    _check_central_elementary(G, E, 2, d)
     s = 2 ** (d + 1) - 1
     bmat = [[int(x) for x in row] for row in bmat]
     m = len(bmat)
@@ -379,10 +355,11 @@ def linked_from_dm(G: FiniteGroup, E: Subgroup, bmat, lifts=None,
         raise ValueError("need at least 3 matrix rows (system size m-1 >= 2)")
     if any(len(row) != s + 1 for row in bmat):
         raise ValueError(f"matrix must have {s + 1} columns")
-    coset = _coset_ids(G, E)
+    coset = _cosets(G, E)[0]
     if any(coset[x] != 0 for x in bmat[0]):
         raise ValueError("row 0 must project to the identity coset")
-    _check_quotient_dm(G, coset, bmat, s + 1)
+    if not _row_pairs_cover(G, np.array(bmat), coset, 1):
+        raise ValueError("matrix does not project to a (G/E, m, 1)-difference matrix")
     if family is None:
         family = default_hyperplanes(G, E)
     if family.subgroup.elements != E.elements:
@@ -396,33 +373,15 @@ def linked_from_dm(G: FiniteGroup, E: Subgroup, bmat, lifts=None,
     if any(x not in eset for row in lifts for x in row):
         raise ValueError("lift entries must lie in E")
 
-    sets = []
-    for i in range(1, m):
-        elems: list[int] = []
-        for j in range(1, s + 1):
-            g = G.mul(bmat[i][j], lifts[i - 1][j - 1])
-            H = family.members[j - 1]
-            elems.extend(G.mul(g, h) for h in H.elements)
-        sets.append(tuple(sorted(elems)))
-    system = verify_reduced(G, sets)
+    slot_reps = G.table[np.array(bmat)[1:, 1:], np.array(lifts)]
+    parts = [np.array(H.elements) for H in family.members]
+    system = verify_reduced(G, _coset_unions(G, slot_reps, parts).tolist())
     if system is None:
         raise AssertionError("difference-matrix construction failed verification")
     expect = mu_nu_candidates(two_group_params(2 * d + 2))
     if system.munu not in expect:
         raise AssertionError("verified system has unexpected (mu, nu)")
     return system
-
-
-def _check_quotient_dm(G: FiniteGroup, coset: np.ndarray, bmat, width: int) -> None:
-    inv = G.inv_table
-    arr = np.array(bmat, dtype=np.int64)
-    for i in range(len(bmat)):
-        for r in range(len(bmat)):
-            if i == r:
-                continue
-            diffs = coset[G.table[arr[i], inv[arr[r]]]]
-            if not np.all(np.bincount(diffs, minlength=width) == 1):
-                raise ValueError("matrix does not project to a (G/E, m, 1)-difference matrix")
 
 
 def witness_direct(G: FiniteGroup, family: HyperplaneFamily, f_reps, g_reps,
@@ -442,8 +401,8 @@ def witness_direct(G: FiniteGroup, family: HyperplaneFamily, f_reps, g_reps,
     g = [int(x) for x in g_reps]
     if len(f) != s or len(g) != s:
         raise ValueError(f"expected {s} representatives per side")
-    coset = _coset_ids(G, E)
-    prods = [G.mul(f[i], G.inv(g[i])) for i in range(s)]
+    coset, coset_min = _cosets(G, E)
+    prods = G.table[f, G.inv_table[g]].tolist()
     if check:
         missing = []
         for seq in (f, g, prods):
@@ -451,16 +410,12 @@ def witness_direct(G: FiniteGroup, family: HyperplaneFamily, f_reps, g_reps,
             if len(set(ids)) != s:
                 raise ValueError("representatives do not occupy distinct cosets")
             missing.append((set(range(s + 1)) - set(ids)).pop())
-        f0 = int(np.nonzero(coset == missing[0])[0][0])
-        g0 = int(np.nonzero(coset == missing[1])[0][0])
-        if int(coset[G.mul(f0, G.inv(g0))]) != missing[2]:
+        f0, g0 = coset_min[missing[0]], coset_min[missing[1]]
+        if int(coset[G.table[f0, G.inv_table[g0]]]) != missing[2]:
             raise ValueError("transversal condition violated at the omitted coset")
-    elems: list[int] = []
-    hset = [set(H.elements) for H in family.members]
-    for i in range(s):
-        rest = [h for h in E.elements if h not in hset[i]]
-        elems.extend(G.mul(prods[i], h) for h in rest)
-    return tuple(sorted(elems))
+    elems = np.array(E.elements)
+    parts = [elems[~np.isin(elems, H.elements)] for H in family.members]
+    return tuple(_coset_unions(G, [prods], parts)[0].tolist())
 
 
 # -- family drivers --------------------------------------------------------------
@@ -513,7 +468,7 @@ def _build_from_quotient_dm(G: FiniteGroup, d: int, head_positions: list[int],
     if M is None:
         raise AssertionError("difference-matrix pipeline came up short")
 
-    section = _section_map(G, Q, q_positions)
+    section = _copy_exponents(G, Q, q_positions)
     bmat = [[int(section[x]) for x in row] for row in M.rows[:m]]
     basis = list(e_gens)
     if reverse_basis:
@@ -523,21 +478,16 @@ def _build_from_quotient_dm(G: FiniteGroup, d: int, head_positions: list[int],
 
 
 def _generator_power(G: FiniteGroup, position: int, power: int) -> int:
-    exps = [0] * len(G.cyclic_factors)
-    exps[position] = power
-    return abelian_element(G, exps)
+    """x_position^power in a group built from cyclic factors."""
+    return power * int(_radix_weights(G.cyclic_factors)[position])
 
 
-def _section_map(G: FiniteGroup, Q: FiniteGroup, q_positions: list[int]) -> np.ndarray:
-    """Canonical lift Q -> G: copy each quotient exponent onto its factor."""
-    out = np.empty(Q.order, dtype=np.int64)
-    for q in range(Q.order):
-        q_exps = abelian_exponent_tuple(Q, q)
-        g_exps = [0] * len(G.cyclic_factors)
-        for exp, p in zip(q_exps, q_positions):
-            g_exps[p] = exp
-        out[q] = abelian_element(G, g_exps)
-    return out
+def _copy_exponents(G: FiniteGroup, Q: FiniteGroup, positions: list[int]) -> np.ndarray:
+    """The id map Q -> G that copies exponent i of each element of Q onto
+    factor positions[i] of G (both groups built from cyclic factors)."""
+    exps = np.zeros((Q.order, len(G.cyclic_factors)), dtype=np.int64)
+    exps[:, positions] = _abelian_exponents(Q.cyclic_factors, Q.order)
+    return exps @ _radix_weights(G.cyclic_factors)
 
 
 def build_general(G: FiniteGroup, budget: int = DEFAULT_SEARCH_BUDGET) -> ReducedLinkingSystem:
@@ -595,37 +545,22 @@ def build_tyken(d: int, K: FiniteGroup) -> ReducedLinkingSystem:
     two_pos = [i for i, n in enumerate(kfactors) if n == 2]
     c, r = len(four_pos), len(kfactors)
     # E' = <squares of Z4 factors, first d-c of the Z2 factors>: K/E' = Z2^(d-1)
-    eprime = [abelian_element(K, _unit_exps(kfactors, p, 2)) for p in four_pos]
-    eprime += [abelian_element(K, _unit_exps(kfactors, p, 1)) for p in two_pos[:d - c]]
+    eprime = [_generator_power(K, p, 2) for p in four_pos]
+    eprime += [_generator_power(K, p, 1) for p in two_pos[:d - c]]
     a_sq = D4.element("a^2")
     e_gens = [a_sq * vK + 0] + [0 * vK + k for k in eprime]
     E = subgroup_generated(G, e_gens)
 
     # section Z2^(d+1) -> G: two bits for D4/<a^2>, the rest for K/E'
     Q = make_abelian([2] * (d + 1))
-    quot_gens_K = [abelian_element(K, _unit_exps(kfactors, p, 1)) for p in four_pos]
-    quot_gens_K += [abelian_element(K, _unit_exps(kfactors, p, 1)) for p in two_pos[d - c:]]
-    a_id, b_id = D4.element("a"), D4.element("b")
-    section = np.empty(Q.order, dtype=np.int64)
-    for q in range(Q.order):
-        bits = abelian_exponent_tuple(Q, q)
-        d4_part = D4.mul(D4.power(a_id, bits[0]), D4.power(b_id, bits[1]))
-        k_part = 0
-        for bit, gen in zip(bits[2:], quot_gens_K):
-            k_part = K.mul(k_part, K.power(gen, bit))
-        section[q] = d4_part * vK + k_part
+    quot_gens_K = [_generator_power(K, p, 1) for p in four_pos + two_pos[d - c:]]
+    section = _span_table(G, [D4.element("a") * vK, D4.element("b") * vK] + quot_gens_K, 2)
     M = dm_auto(Q, 2 ** (d + 1))
     if M is None:
         raise AssertionError("field matrix pipeline failed")
     bmat = [[int(section[x]) for x in row] for row in M.rows]
     family = hyperplanes(E, 2, tuple(e_gens))
     return linked_from_dm(G, E, bmat, family=family)
-
-
-def _unit_exps(factors, position: int, value: int) -> list[int]:
-    exps = [0] * len(factors)
-    exps[position] = value
-    return exps
 
 
 def build_nonreversible(d: int) -> ReducedLinkingSystem:

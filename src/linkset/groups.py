@@ -152,14 +152,11 @@ class CosetTransversal:
     reps: tuple[int, ...]
 
     def __post_init__(self):
-        G = self.subgroup.group
-        seen: set[int] = set()
-        for r in self.reps:
-            coset = frozenset(G.mul(r, h) for h in self.subgroup.elements)
-            if seen & coset:
-                raise ValueError("coset representatives overlap")
-            seen |= coset
-        if len(seen) != G.order:
+        ids, reps = _cosets(self.subgroup.group, self.subgroup)
+        taken = ids[list(self.reps)]
+        if len(np.unique(taken)) != len(taken):
+            raise ValueError("coset representatives overlap")
+        if len(taken) != len(reps):
             raise ValueError("coset representatives do not cover the group")
 
 
@@ -461,47 +458,35 @@ def is_normal(G: FiniteGroup, N: Subgroup) -> bool:
     return True
 
 
+def _cosets(G: FiniteGroup, H: Subgroup) -> tuple[np.ndarray, np.ndarray]:
+    """The left coset id of every element of G and the minimal element of
+    each left coset of H, ids numbered by increasing minimal element (the
+    identity's coset is 0, and the minima come out sorted)."""
+    if H.group is not G:
+        raise ValueError("subgroup belongs to a different group")
+    reps, ids = np.unique(G.table[:, list(H.elements)].min(axis=1), return_inverse=True)
+    return ids, reps
+
+
 def quotient(G: FiniteGroup, N: Subgroup):
     """Quotient group on coset ids plus the projection map g -> coset id.
 
     Coset ids are assigned in increasing order of the minimal element id in
     each coset, so the image of the identity is 0.
     """
-    if N.group is not G:
-        raise ValueError("subgroup belongs to a different group")
+    proj, reps = _cosets(G, N)
     if not is_normal(G, N):
         raise ValueError("subgroup is not normal; quotient undefined")
-    proj = np.full(G.order, -1, dtype=np.int32)
-    reps: list[int] = []
-    for a in G.elements():
-        if proj[a] == -1:
-            cid = len(reps)
-            reps.append(a)
-            for h in N.elements:
-                proj[G.mul(a, h)] = cid
-    q = len(reps)
-    table = np.zeros((q, q), dtype=np.int32)
-    for i, r in enumerate(reps):
-        for j, s in enumerate(reps):
-            table[i, j] = proj[G.mul(r, s)]
+    table = proj[G.table[np.ix_(reps, reps)]]
     names = [G.names[r] for r in reps]
-    gens = [(f"c{i}", i) for i in range(1, q)]  # quotient generators unnamed; expose all cosets
+    gens = [(f"c{i}", i) for i in range(1, len(reps))]  # quotient generators unnamed; expose all cosets
     Q = FiniteGroup(table, names, gens, {"quotient": [G.spec, list(N.elements)]})
     return Q, proj
 
 
 def coset_transversal(G: FiniteGroup, H: Subgroup) -> CosetTransversal:
     """Minimum element id per left coset, sorted; identity represents H."""
-    if H.group is not G:
-        raise ValueError("subgroup belongs to a different group")
-    seen = np.zeros(G.order, dtype=bool)
-    reps = []
-    for a in G.elements():
-        if not seen[a]:
-            reps.append(a)
-            for h in H.elements:
-                seen[G.mul(a, h)] = True
-    return CosetTransversal(H, tuple(reps))
+    return CosetTransversal(H, tuple(_cosets(G, H)[1].tolist()))
 
 
 def find_central_elementary_abelian(G: FiniteGroup, rank: int, p: int = 2) -> list[Subgroup]:

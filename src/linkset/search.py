@@ -39,6 +39,7 @@ from .designs import (
 from .groups import (
     FiniteGroup,
     Subgroup,
+    _independent_basis,
     coset_transversal,
     find_central_elementary_abelian,
 )
@@ -270,24 +271,32 @@ def _adjacency_masks(adjacency: np.ndarray) -> list[int]:
 def max_system_size(graph: LinkingGraph) -> int:
     """Maximum clique size (0 for an empty graph): the largest possible
     reduced linking system on these vertices."""
-    masks = _adjacency_masks(graph.adjacency)
-    n = graph.num_vertices
+    return _max_clique(_adjacency_masks(graph.adjacency))
+
+
+def _max_clique(masks: list[int]) -> int:
+    """Size of a maximum clique of the graph with neighbour bitmasks
+    ``masks``: branch and bound, pruned by a greedy colouring of the
+    candidates (each colour class is an independent set, so a clique takes
+    at most one vertex from each)."""
     best = [0]
 
     def expand(candidates: int, size: int) -> None:
         if candidates == 0:
-            best[0] = max(best[0], size)
+            if size > best[0]:
+                best[0] = size
             return
-        if size + bin(candidates).count("1") <= best[0]:
+        bound = size + _greedy_color_bound(candidates, masks)
+        if bound <= best[0]:
             return
         while candidates:
-            v = (candidates & -candidates).bit_length() - 1
             if size + bin(candidates).count("1") <= best[0]:
                 return
+            v = (candidates & -candidates).bit_length() - 1
             candidates &= candidates - 1
             expand(candidates & masks[v], size + 1)
 
-    expand((1 << n) - 1, 0)
+    expand((1 << len(masks)) - 1, 0)
     return best[0]
 
 
@@ -414,7 +423,7 @@ def _sweep_setup(G: FiniteGroup, mode: str, params: DSParams):
     if G.order != params.v:
         raise ValueError(f"expected a group of order {params.v}")
     E = _central_e(G, 2, 3)
-    family = hyperplanes(E, 3, _greedy_basis(G, E, 3))
+    family = hyperplanes(E, 3, _independent_basis(G, E.elements, 3))
     branches = mu_nu_candidates(params)
     if len(branches) != 1:
         raise AssertionError("expected a unique integer (mu, nu) branch")
@@ -434,16 +443,6 @@ def _sweep_report(G: FiniteGroup, family: str, mode: str, constructed: int,
     return SweepReport(G.spec, family, mode, constructed, len(distinct), len(class_reps),
                        tested, linked, munu.as_tuple(), verified_sets=verified,
                        runtime_seconds=time.time() - start, **slot_pairs)
-
-
-def _greedy_basis(G: FiniteGroup, E: Subgroup, p: int) -> tuple[int, ...]:
-    basis: list[int] = []
-    span = {0}
-    for a in E.elements:
-        if a not in span:
-            basis.append(a)
-            span = {G.mul(x, G.power(a, e)) for x in span for e in range(p)}
-    return tuple(basis)
 
 
 # -- whole-group censuses --------------------------------------------------------
@@ -500,26 +499,8 @@ def bent_max_clique(d: int = 1) -> int:
                 masks[i] |= 1 << j
                 masks[j] |= 1 << i
 
-    best = [0]
-
-    def expand(candidates: int, size: int) -> None:
-        if candidates == 0:
-            if size > best[0]:
-                best[0] = size
-            return
-        bound = size + _greedy_color_bound(candidates, masks)
-        if bound <= best[0]:
-            return
-        while candidates:
-            if size + bin(candidates).count("1") <= best[0]:
-                return
-            v = (candidates & -candidates).bit_length() - 1
-            candidates &= candidates - 1
-            expand(candidates & masks[v], size + 1)
-
-    expand((1 << n) - 1, 0)
     # zero function is adjacent to every bent function (0 + f = f is bent)
-    return best[0] + 1
+    return _max_clique(masks) + 1
 
 
 def _greedy_color_bound(candidates: int, masks: list[int]) -> int:

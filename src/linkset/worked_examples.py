@@ -8,7 +8,9 @@ an order-16 worked example over Z_4 x Z_2 x Z_2.
 
 from __future__ import annotations
 
-from .designs import hyperplanes
+import numpy as np
+
+from .designs import _coset_unions, hyperplanes
 from .diffmat import DifferenceMatrix
 from .groups import FiniteGroup, make_abelian, subgroup_generated
 
@@ -109,19 +111,16 @@ def construction_side_systems(G: FiniteGroup) -> set[frozenset[frozenset[int]]]:
         lift_options.append((0, outside))
     coset_reps = [G.element(w) for w in ("1", "x1", "x2", "x1*x2")]
 
+    row_mults = np.array(list(itertools.product(coset_reps, repeat=3)))
+    lifts = np.array(list(itertools.product(*(lift_options[j % 3] for j in range(9)))))
+    parts = [np.array(H.elements) for H in family.members]
     out: set[frozenset[frozenset[int]]] = set()
     for bmat in census_b_matrices(G):
-        for row_mults in itertools.product(coset_reps, repeat=3):
-            for flat in itertools.product(*(lift_options[j % 3] for j in range(9))):
-                lifts = (flat[0:3], flat[3:6], flat[6:9])
-                members = []
-                for i in range(1, 4):
-                    parts: set[int] = set()
-                    for j in range(1, 4):
-                        g = G.mul(G.mul(bmat[i][j], row_mults[i - 1]), lifts[i - 1][j - 1])
-                        parts |= {G.mul(g, h) for h in family.members[j - 1].elements}
-                    members.append(frozenset(parts))
-                out.add(frozenset(members))
+        # slot_reps[r, l, i, j] = b_ij * row_mults[r, i] * lifts[l, i, j], members i, j = 1..3
+        b = G.table[np.array(bmat)[None, 1:, 1:], row_mults[:, :, None]]
+        slot_reps = G.table[b[:, None], lifts.reshape(1, -1, 3, 3)]
+        members = _coset_unions(G, slot_reps.reshape(-1, 3), parts).reshape(-1, 3, 6)
+        out |= {frozenset(map(frozenset, system)) for system in members.tolist()}
     return out
 
 

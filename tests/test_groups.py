@@ -137,11 +137,23 @@ def test_quotients():
         quotient(D4, subgroup_generated(D4, [D4.element("b")]))  # not normal
 
 
+def _left_cosets(G, H):
+    """The left cosets {a h : h in H}, sorted by minimal element (from the definition)."""
+    return sorted({frozenset(G.mul(a, h) for h in H.elements) for a in G.elements()}, key=min)
+
+
 def test_projection_is_homomorphism():
+    D4Z2 = direct_product(make_dihedral8(), make_abelian([2]))
+    Q8Z2 = direct_product(make_quaternion8(), make_abelian([2]))
     cases = [
         (make_abelian([8, 2]), ["x1^4", "x2"]),
         (make_abelian([4, 4]), ["x1^2", "x2^2"]),
-        (direct_product(make_dihedral8(), make_abelian([2])), ["a^2", "x1"]),
+        (D4Z2, ["a^2", "x1"]),
+        (D4Z2, ["a"]),
+        (D4Z2, ["a^2", "b"]),
+        (Q8Z2, ["b"]),
+        (Q8Z2, ["a^2", "x1"]),
+        (Q8Z2, ["a*b*x1"]),
     ]
     for G, gen_words in cases:
         N = subgroup_generated(G, [G.element(w) for w in gen_words])
@@ -149,6 +161,11 @@ def test_projection_is_homomorphism():
         for g in G.elements():
             for h in G.elements():
                 assert proj[G.mul(g, h)] == Q.mul(proj[g], proj[h])
+        # cosets numbered by increasing minimal element; names from the minima
+        cosets = _left_cosets(G, N)
+        assert [proj[g] for g in G.elements()] == [
+            next(i for i, c in enumerate(cosets) if g in c) for g in G.elements()]
+        assert Q.names == [G.name(min(c)) for c in cosets]
 
 
 def test_coset_transversal():
@@ -169,6 +186,18 @@ def test_coset_transversal():
         assert not (covered & coset)
         covered |= coset
     assert len(covered) == G45.order
+    # nonabelian groups and non-normal subgroups: the minima of the left
+    # cosets, and inside a central E the minima of the cosets of H <= E
+    for G in (direct_product(make_dihedral8(), make_abelian([2])),
+              direct_product(make_quaternion8(), make_abelian([2]))):
+        E = subgroup_generated(G, [G.element("a^2"), G.element("x1")])
+        for gen_words in (["b"], ["a*b"], ["b", "x1"], ["a*b*x1"], ["a"], ["a^2"], ["x1"]):
+            H = subgroup_generated(G, [G.element(w) for w in gen_words])
+            reps = coset_transversal(G, H).reps
+            assert reps == tuple(min(c) for c in _left_cosets(G, H))
+            if set(H.elements) <= set(E.elements):
+                assert [r for r in reps if r in E] == sorted(
+                    {min(G.mul(a, h) for h in H.elements) for a in E.elements})
 
 
 def test_transversal_validation():

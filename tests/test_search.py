@@ -203,6 +203,15 @@ def test_max_system_size_matches_brute_force():
         assert max_system_size(graph) == brute_max_clique(adj.tolist())
 
 
+@pytest.mark.parametrize("factors, size", [([2, 2, 2, 2], 7), ([4, 2, 2], 3)])
+def test_max_system_size_order16(factors, size):
+    """The (16,6,2,4) linking graphs of Z2^4 (448 vertices) and Z4 x Z2^2."""
+    G = make_abelian(factors)
+    records = enumerate_difference_sets(G, 6)
+    graph = build_linking_graph(G, records, mu_nu_candidates(records[0].params)[0])
+    assert max_system_size(graph) == size
+
+
 def test_enumerate_systems_matches_brute_force():
     """The clique listing behind enumerate_systems, on random graphs."""
     from linkset.search import _clique_indices
