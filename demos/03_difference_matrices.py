@@ -39,12 +39,13 @@ P = dm_product(dm_field_elementary(2), dm_galois_ring(2, 1))
 print(f"product: a (Z2^2 x Z4, {P.num_rows}, 1)-matrix; verified: {verify_dm(P)}")
 
 # The pipeline front end: ask for a row count and let it find a realization.
-# Z4 x Z2 is noncyclic, so 4 rows exist; the backtracking search finds them.
+# Z4 x Z2 is noncyclic, so 4 rows exist; the forward-checking search finds them.
 A = dm_auto(make_abelian([4, 2]), 4)
 print(f"\ndm_auto(Z4 x Z2, 4): {A.num_rows} rows; verified: {verify_dm(A)}")
 for row in A.rows:
     print("  ", [A.group.name(a) for a in row])
 
-# Cyclic groups stop at 2 rows: the search proves there is no third row.
+# Cyclic 2-groups stop at 2 rows: their elements do not sum to the identity,
+# which a third row would force (Paige's sum argument), so absence is proved.
 missing = dm_auto(make_abelian([4]), 3)
-print(f"dm_auto(Z4, 3): {missing}  (exhaustive search: no such matrix)")
+print(f"dm_auto(Z4, 3): {missing}  (proved: no such matrix)")

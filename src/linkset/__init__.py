@@ -33,6 +33,7 @@ from .designs import (
 )
 from .diffmat import (
     DifferenceMatrix,
+    SearchInconclusive,
     build_general,
     build_improved,
     build_nonreversible,

@@ -2,7 +2,10 @@
 
 Exit codes follow the grep convention: 0 when the requested object was
 found or verified, 1 when verification fails or a search confirms absence
-(the expected outcome of the ``nonexist`` subcommands), 2 on usage errors.
+(the expected outcome of the ``nonexist`` subcommands), 2 on usage errors,
+and 3 (EXIT_INCONCLUSIVE) when a difference-matrix search ran out of budget
+without settling existence (``dm construct``, ``build general``, ``build
+improved``).
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from . import __version__
 from . import io as lio
 from .bent import BooleanFunction, is_bent_set, kerdock_bent_set
 from .diffmat import (
+    SearchInconclusive,
     build_general,
     build_improved,
     build_nonreversible,
@@ -26,6 +30,9 @@ from .diffmat import (
 from .groups import abelian_rank, center, exponent, group_from_spec, make_abelian
 from .linking import reversibility_profile
 from .search import census_systems, mcfarland_pair_sweep, spence_pair_sweep
+
+# A bounded search neither found its object nor proved it absent.
+EXIT_INCONCLUSIVE = 3
 
 
 def _parse_group(text: str):
@@ -106,7 +113,8 @@ def _cmd_dm_construct(args) -> int:
     G = _parse_group(args.group)
     M = dm_auto(G, args.rows)
     if M is None:
-        print("no difference matrix found within budget", file=sys.stderr)
+        print(f"no difference matrix with {args.rows} rows exists over {json.dumps(G.spec)}",
+              file=sys.stderr)
         return 1
     cert = lio.certificate("difference-matrix", lio.dm_to_json(M), {"rows": args.rows})
     _write_out(args, cert)
@@ -329,6 +337,9 @@ def run(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
+    except SearchInconclusive as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_INCONCLUSIVE
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -88,6 +89,12 @@ class LinkingGraph:
 
     def num_edges(self) -> int:
         return int(np.count_nonzero(self.adjacency)) // 2
+
+    @cached_property
+    def masks(self) -> list[int]:
+        """Neighbour bitmasks (bit j of masks[i] set iff i ~ j), built once
+        per graph for the clique listing and the maximum-clique search."""
+        return _adjacency_masks(self.adjacency)
 
 
 def _two_valued_pairs(args) -> list[tuple[int, int, tuple[int, ...]]]:
@@ -176,15 +183,15 @@ def enumerate_systems(graph: LinkingGraph, ell: int) -> list[tuple[DifferenceSet
     vertex order, each re-verified before emission (``_reverify_cliques``)."""
     if ell < 2:
         raise ValueError("system size must be at least 2")
-    cliques = _clique_indices(graph.adjacency, ell)
+    cliques = _clique_indices(graph.masks, ell)
     _reverify_cliques(graph, cliques)
     return [tuple(graph.records[i] for i in clique) for clique in cliques.tolist()]
 
 
-def _clique_indices(adjacency: np.ndarray, ell: int) -> np.ndarray:
-    """Every ell-vertex clique of the graph as a row of increasing vertex
-    indices, shape (m, ell), rows in lexicographic order."""
-    masks = _adjacency_masks(adjacency)
+def _clique_indices(masks: list[int], ell: int) -> np.ndarray:
+    """Every ell-vertex clique of the graph with neighbour bitmasks ``masks``
+    as a row of increasing vertex indices, shape (m, ell), rows in
+    lexicographic order."""
     out: list[tuple[int, ...]] = []
 
     def extend(clique: list[int], candidates: int, start: int) -> None:
@@ -202,7 +209,7 @@ def _clique_indices(adjacency: np.ndarray, ell: int) -> np.ndarray:
             clique.pop()
             idx += 1
 
-    extend([], (1 << len(adjacency)) - 1, 0)
+    extend([], (1 << len(masks)) - 1, 0)
     return np.array(out, dtype=np.int64).reshape(len(out), ell)
 
 
@@ -259,19 +266,19 @@ def _pair_verdicts(G: FiniteGroup, ind: np.ndarray, codes: np.ndarray, munu: MuN
 
 
 def _adjacency_masks(adjacency: np.ndarray) -> list[int]:
-    masks = []
-    for row in adjacency:
-        m = 0
-        for j in np.nonzero(row)[0]:
-            m |= 1 << int(j)
-        masks.append(m)
-    return masks
+    """Row i of the bool adjacency matrix as the int with bit j set iff
+    adjacency[i, j]: little-endian packed bytes, one int.from_bytes a row."""
+    packed = np.packbits(adjacency, axis=1, bitorder="little")
+    width = packed.shape[1]
+    raw = packed.tobytes()
+    return [int.from_bytes(raw[i * width:(i + 1) * width], "little")
+            for i in range(len(packed))]
 
 
 def max_system_size(graph: LinkingGraph) -> int:
     """Maximum clique size (0 for an empty graph): the largest possible
     reduced linking system on these vertices."""
-    return _max_clique(_adjacency_masks(graph.adjacency))
+    return _max_clique(graph.masks)
 
 
 def _max_clique(masks: list[int]) -> int:

@@ -95,6 +95,22 @@ def test_dm_absent():
     assert code == 1 and "no difference matrix" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["dm", "construct", "--group", '{"abelian": [8, 4]}', "--rows", "4"],
+    ["build", "general", "--group", '{"abelian": [16, 4, 2, 2]}'],  # quotient Z8 x Z2
+    ["build", "improved", "--group", '{"abelian": [8, 8, 4, 2, 2]}'],  # quotient Z4^2 x Z2
+])
+def test_budget_out_is_inconclusive_exit_code(monkeypatch, argv):
+    from linkset import diffmat
+    from linkset.cli import EXIT_INCONCLUSIVE
+
+    monkeypatch.setattr(diffmat, "DEFAULT_SEARCH_BUDGET", 100)
+    code, out, err = run_capture(argv)
+    assert code == EXIT_INCONCLUSIVE == 3
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("inconclusive:") and "Traceback" not in err
+
+
 def test_bent_round_trip(tmp_path):
     path = tmp_path / "bent.json"
     code, _, _ = run_capture(["bent", "kerdock", "-d", "1", "--out", str(path)])

@@ -1,4 +1,5 @@
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -6,7 +7,12 @@ import pytest
 from linkset import group_ring as rg
 from linkset.designs import is_reversible
 from linkset.diffmat import (
+    ABSENT,
+    FOUND,
+    INCONCLUSIVE,
     DifferenceMatrix,
+    SearchInconclusive,
+    _backtrack_dm,
     build_general,
     build_improved,
     build_nonreversible,
@@ -142,6 +148,69 @@ def test_dm_auto_row_ceiling():
     for factors, m in [([2, 2], 4), ([4, 2], 4), ([4, 4], 4)]:
         M = dm_auto(make_abelian(factors), m)
         assert M is not None and M.num_rows <= M.group.order
+
+
+# The lexicographically first matrices of the reduced search space (row 0
+# all-identity, row 1 the elements in id order, column 0 all-identity), as
+# the column-by-column backtracking without forward checking returned them.
+FIRST_ROWS = {
+    (8, 2): ((0, 2, 1, 5, 8, 3, 12, 15, 13, 14, 4, 10, 7, 9, 11, 6),
+             (0, 3, 6, 14, 10, 13, 11, 5, 4, 2, 1, 8, 15, 12, 7, 9)),
+    (4, 2): ((0, 2, 1, 6, 5, 7, 4, 3),
+             (0, 3, 6, 4, 1, 2, 7, 5)),
+}
+
+
+@pytest.mark.parametrize("factors", sorted(FIRST_ROWS))
+def test_search_returns_the_lexicographically_first_matrix(factors):
+    G = make_abelian(list(factors))
+    v = G.order
+    search = _backtrack_dm(G, 4, 10 ** 6)
+    assert search.outcome == FOUND
+    assert search.rows == ((0,) * v, tuple(range(v))) + FIRST_ROWS[factors]
+    assert verify_dm(DifferenceMatrix(G, 1, search.rows))
+    # neither Galois ring nor product gives four rows here, so dm_auto searches
+    assert dm_auto(G, 4).rows == search.rows
+
+
+@pytest.mark.parametrize("factors", [[4], [8], [16]])
+def test_search_proves_absence_on_cyclic_groups(factors):
+    search = _backtrack_dm(make_abelian(factors), 3, 10 ** 6)
+    assert search.outcome == ABSENT and search.rows is None
+    assert dm_auto(make_abelian(factors), 3, budget=10 ** 6) is None
+
+
+@pytest.mark.parametrize("G, m", [(make_abelian([4, 2]), 5), (make_dihedral8(), 4)])
+def test_search_exhausts_to_prove_absence(G, m):
+    """Cases the sum argument does not settle: the search runs out of space."""
+    search = _backtrack_dm(G, m, 10 ** 6)
+    assert search.outcome == ABSENT and 0 < search.nodes < 10 ** 6
+
+
+def test_budget_out_is_inconclusive():
+    G = make_abelian([8, 4])
+    search = _backtrack_dm(G, 4, 100)
+    assert search.outcome == INCONCLUSIVE and search.rows is None and search.nodes == 100
+    with pytest.raises(SearchInconclusive, match="inconclusive") as info:
+        dm_auto(G, 4, budget=100)
+    assert info.value.budget == 100 and info.value.rows == 4
+    with pytest.raises(SearchInconclusive):
+        build_general(make_abelian([16, 4, 2, 2]), budget=100)  # quotient Z8 x Z2
+
+
+# Every abelian group of order 256 in build_general's domain (rank >= 4,
+# exponent <= 16); the first two have quotient Z8 x Z2 and use the search.
+GENERAL_256 = ([16, 4, 2, 2], [16, 2, 2, 2, 2], [8, 8, 2, 2], [8, 4, 4, 2],
+               [8, 4, 2, 2, 2], [8, 2, 2, 2, 2, 2], [4, 4, 4, 4], [4, 4, 4, 2, 2],
+               [4, 4, 2, 2, 2, 2], [4, 2, 2, 2, 2, 2, 2], [2] * 8)
+
+
+@pytest.mark.parametrize("factors", GENERAL_256, ids=str)
+def test_build_general_order_256_domain(factors):
+    start = time.perf_counter()
+    system = build_general(make_abelian(factors))
+    assert time.perf_counter() - start < 1.0
+    assert system.size == 3 and system.group.order == 256
 
 
 def test_linked_from_dm_reproduces_triple():

@@ -214,7 +214,7 @@ def test_max_system_size_order16(factors, size):
 
 def test_enumerate_systems_matches_brute_force():
     """The clique listing behind enumerate_systems, on random graphs."""
-    from linkset.search import _clique_indices
+    from linkset.search import _adjacency_masks, _clique_indices
 
     rng = random.Random(43)
     for _ in range(10):
@@ -224,10 +224,31 @@ def test_enumerate_systems_matches_brute_force():
             for j in range(i + 1, n):
                 if rng.random() < 0.6:
                     adj[i, j] = adj[j, i] = True
-        got = _clique_indices(adj, 3)
+        got = _clique_indices(_adjacency_masks(adj), 3)
         want = [c for c in itertools.combinations(range(n), 3)
                 if all(adj[i][j] for i in c for j in c if i < j)]
         assert [tuple(c) for c in got.tolist()] == want
+
+
+def test_adjacency_masks_match_rows():
+    from linkset.search import _adjacency_masks
+
+    rng = np.random.default_rng(44)
+    for n in (0, 1, 7, 8, 9, 70):
+        adj = rng.random((n, n)) < 0.4
+        want = [sum(1 << j for j in range(n) if adj[i, j]) for i in range(n)]
+        assert _adjacency_masks(adj) == want
+
+
+def test_census_builds_masks_once(monkeypatch):
+    from linkset import search
+
+    calls = []
+    real = search._adjacency_masks
+    monkeypatch.setattr(search, "_adjacency_masks", lambda adj: calls.append(1) or real(adj))
+    result = census_systems(make_abelian([4, 4]), 6, 2)
+    assert len(calls) == 1
+    assert result.max_size == 3 and result.count > 0
 
 
 def _edges_only(graph, edges):
