@@ -43,7 +43,7 @@ class DifferenceSetRecord:
         return rg.from_subset(self.group, self.elements)
 
     def names(self) -> list[str]:
-        return [self.group.name(a) for a in self.elements]
+        return self.group.name_array[list(self.elements)].tolist()
 
 
 def is_difference_set(G: FiniteGroup, S):
@@ -55,15 +55,18 @@ def difference_set_params(G: FiniteGroup, sets) -> list:
     """is_difference_set for each of many sets, from one autocorrelation batch.
 
     S S^(-1) has coefficient k = |S| at the identity, so S is a difference
-    set iff the product is constant (lambda) off the identity.
+    set iff the product is constant (lambda) off the identity.  Each block
+    of products is cut down to (k, lambda, constant) as it comes out of
+    the kernel, so the whole (n, v) array never exists.
     """
-    prods = rg.autocorrelations(G, sets)
     v = G.order
-    if v == 1:
-        return [DSParams(1, int(k), 0, int(k)) for k in prods[:, 0]]
-    constant = (prods[:, 1:] == prods[:, 1:2]).all(axis=1)
-    return [DSParams(v, k, lam, k - lam) if ok else None
-            for k, lam, ok in zip(prods[:, 0].tolist(), prods[:, 1].tolist(), constant.tolist())]
+    out: list = []
+    for _, prods in rg.autocorrelation_blocks(G, sets):
+        lam = prods[:, 1:2].sum(axis=1)  # 0 in the trivial group
+        constant = (prods[:, 1:] == prods[:, 1:2]).all(axis=1)
+        out += [DSParams(v, k, lam, k - lam) if ok else None
+                for k, lam, ok in zip(prods[:, 0].tolist(), lam.tolist(), constant.tolist())]
+    return out
 
 
 def make_record(G: FiniteGroup, S) -> DifferenceSetRecord:

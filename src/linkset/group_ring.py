@@ -5,32 +5,54 @@ operations are pure; products respect the group's multiplication order, so
 nonabelian groups are handled correctly.
 
 Two batched kernels serve the verifiers and searches, whose operands are
-subsets (0/1 coefficient vectors): ``pair_products`` gives every product
-X Y^(-1) of a block of left sets against a block of right sets, and
-``autocorrelations`` gives S S^(-1) for many sets at once.  ``mul`` stays
-the general-coefficient product and the oracle both kernels are tested
-against.
+subsets (0/1 coefficient vectors): ``RowProducts`` (and ``pair_products``
+on top of it) gives the products X Y^(-1) of left sets against right sets,
+and ``autocorrelations`` gives S S^(-1) for many sets at once.  Each runs
+on one of two exact routes:
+
+* the transform route, in a group built from cyclic factors of order at
+  most NTT_BLOCK, of order at least NTT_MIN_ORDER: the number-theoretic
+  transform ``_Transform``, the discrete Fourier transform of Z[G] modulo
+  one prime p > 2v + 4, as float64 GEMMs whose every partial sum stays
+  below 2^53 by a written bound;
+* the table route, in every other group (nonabelian ones, small ones): a
+  table gather and a float32 GEMM for the pair products, and an exact
+  count of quotients for the autocorrelations.
+
+``mul`` stays the general-coefficient product and the oracle both kernels
+are tested against.
 """
 
 from __future__ import annotations
 
+import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import FiniteGroup
+from .groups import FiniteGroup, _prime_factors
 
-# Largest block of gathered table entries pair_products holds at once
-# (float32), and largest block of sets one FFT transforms: together they cap
-# the kernels' scratch memory at a few MB whatever the batch size or order.
+# Largest block of gathered table entries the table route holds at once
+# (float32): it caps that route's scratch memory at a few MB whatever the
+# batch size or order.
 GATHER_BLOCK = 1 << 16
-FFT_BLOCK = 64
 # Quotients (and counts) _count_autocorrelations holds at once: about 1 MB
 # of int64 each.
 COUNT_BLOCK = 1 << 17
-# autocorrelations uses the FFT only above this order; at and below it the
-# exact bincount is faster for every set size.
-FFT_MIN_ORDER = 64
+# Largest root-of-unity matrix of the transform: a group takes the
+# transform only if each cyclic factor fits in one block.
+NTT_BLOCK = 64
+# Smallest order that takes the transform; below it the table-gather GEMM
+# and the count are faster (see README, "Product kernels").
+NTT_MIN_ORDER = 128
+# Entries of one autocorrelation block on the transform route (1 MB of
+# float64 per array).
+NTT_ROWS = 1 << 17
+# The transform keeps every value and every partial sum below this bound:
+# float64 holds every integer below 2^53 exactly, and the margin keeps the
+# reduction's rounded quotient times p below 2^53 as well.
+EXACT_LIMIT = 2.0 ** 52
 
 
 @dataclass(frozen=True)
@@ -139,49 +161,242 @@ def decompose_two_valued(x: GroupRingElement, mu: int, nu: int):
     return tuple(int(i) for i in np.nonzero(c == mu)[0])
 
 
+# -- the transform route ---------------------------------------------------------
+
+
+class _Transform:
+    """The discrete Fourier transform of Z[G] modulo a prime, for a group G
+    = Z_n1 x ... x Z_nr laid out in mixed radix (factor 1 most significant).
+
+    p is the least prime above 2v + 4 with p = 1 (mod exp G), so Z/p holds
+    a primitive n-th root of unity w_n for every factor n, v is invertible,
+    and every integer in [0, v] is its own residue of least absolute value.
+    T(x)[j] = sum_m x[m] prod_i w_ni^(j_i m_i) is x evaluated at the
+    character j; T(x y) = T(x) T(y), T(y^(-1)) = T(y) o neg with neg the
+    gather by ``G.inv_table``, and T(T(x)) = v x o neg.  Hence
+
+        X Y^(-1) = v^(-1) T(T(X) o neg . T(Y))   (mod p),
+
+    and since every coefficient of a product of two subsets lies in [0, v],
+    the reduced residues (``_reduce``) are the coefficients themselves.
+
+    The transform runs one block of consecutive axes at a time: ``blocks``
+    splits the factors into blocks of order at most NTT_BLOCK, and each
+    block is one float64 GEMM against the Kronecker product of its axes'
+    root-of-unity matrices, with entries reduced to |entry| <= p // 2.
+
+    Exactness bound: a GEMM stage of order b on data of absolute value at
+    most B sums b terms of absolute value at most B * (p // 2), so every
+    partial sum is an integer of absolute value at most b * B * (p // 2).
+    ``stages`` carries that bound from stage to stage and has the data
+    reduced (to |x| <= ``half`` = p // 2 + 2, ``_reduce``) before any stage
+    whose bound would reach EXACT_LIMIT = 2^52; the constructor checks that
+    one stage on products of two reduced values stays below it.  Below
+    2^53 float64 adds and multiplies integers exactly, in any order of
+    summation, so every value is exact.  On Z4^5 no transform reduces
+    between its stages; at order 4096 the inverse reduces once
+    (tests/test_group_ring.py pins the bound).
+    """
+
+    def __init__(self, factors: tuple[int, ...]):
+        self.v = v = math.prod(factors)
+        self.p = p = _ntt_prime(2 * v + 4, math.lcm(*factors))
+        self.half = p // 2 + 2
+        self.vinv = pow(v, -1, p)
+        g = _primitive_root(p)
+        self.matrices = [_block_matrix(blk, p, g) for blk in _blocks(factors)]
+        for M in self.matrices:
+            M.setflags(write=False)
+        # the written bound: one stage on products of two reduced values
+        # stays exact
+        assert self.half * self.half * NTT_BLOCK * (p // 2) < EXACT_LIMIT
+
+    def __call__(self, x: np.ndarray, bound: float, batch_first: bool) -> np.ndarray:
+        """T of each vector of a batch, reduced (|entry| <= ``half``).
+
+        ``x`` holds n vectors with entries of absolute value at most
+        ``bound`` (and may be reduced in place): an (n, v) array when
+        ``batch_first``, else (v, n).  The result comes in the other
+        layout, so no stage copies its data: a batch-first stage takes the
+        trailing axis and puts its output first, a batch-last stage takes
+        the leading axis and puts it last; after every block the axes are
+        back in mixed-radix order.
+        """
+        shape = (self.v, len(x)) if batch_first else (x.shape[1], self.v)
+        for M, reduce, _ in self.stages(bound, batch_first):
+            if reduce:
+                x = self._reduce(x)
+            b = len(M)
+            x = M @ x.reshape(-1, b).T if batch_first else x.reshape(b, -1).T @ M
+        return self._reduce(x).reshape(shape)
+
+    def stages(self, bound: float, batch_first: bool) -> list[tuple[np.ndarray, bool, float]]:
+        """The GEMM stages of one transform of data of absolute value at
+        most ``bound``: (matrix, whether the data is reduced first, the
+        bound on every partial sum of the stage), in the order they run."""
+        p2 = self.p // 2
+        out = []
+        for M in (self.matrices[::-1] if batch_first else self.matrices):
+            reduce = bound * len(M) * p2 >= EXACT_LIMIT
+            bound = (self.half if reduce else bound) * len(M) * p2
+            out.append((M, reduce, bound))
+        return out
+
+    def _reduce(self, x: np.ndarray) -> np.ndarray:
+        """x - p * rint(x / p) in place: the residue of x with |residue| <=
+        p // 2 + 2, for |x| < EXACT_LIMIT = 2^52 (the computed quotient is
+        within 2/p of x / p, so its rounding within 1/2 + 2/p; the product
+        with p stays below 2^53 and the difference is exact)."""
+        q = x * (1.0 / self.p)
+        np.rint(q, out=q)
+        q *= self.p
+        x -= q
+        return x
+
+    def left(self, spectra: np.ndarray, inv_table: np.ndarray) -> np.ndarray:
+        """v^(-1) T(X) o neg, reduced, for the spectra T(X) (the columns of
+        a batch-last array): the left factor of X Y^(-1) = T(v^(-1) T(X) o
+        neg . T(Y)).  Its products with reduced spectra are bounded by
+        half^2, and ``__call__`` takes them unreduced."""
+        return self._reduce(spectra[inv_table] * self.vinv)
+
+
+_TRANSFORMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _transform(G: FiniteGroup) -> _Transform | None:
+    """G's transform, built on first use, or None where G takes the table
+    route (nonabelian, below NTT_MIN_ORDER, or with a cyclic factor past
+    NTT_BLOCK)."""
+    factors = G.cyclic_factors
+    if factors is None or G.order < NTT_MIN_ORDER or max(factors, default=1) > NTT_BLOCK:
+        return None
+    if G not in _TRANSFORMS:
+        _TRANSFORMS[G] = _Transform(factors)
+    return _TRANSFORMS[G]
+
+
+def _ntt_prime(low: int, e: int) -> int:
+    """The least prime p > low with p = 1 (mod e)."""
+    p = low + 1 + (-low) % e
+    while _prime_factors(p) != [p]:
+        p += e
+    return p
+
+
+def _primitive_root(p: int) -> int:
+    """The least generator of the multiplicative group mod the prime p."""
+    qs = _prime_factors(p - 1)
+    return next(g for g in range(2, p) if all(pow(g, (p - 1) // q, p) != 1 for q in qs))
+
+
+def _blocks(factors: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Consecutive runs of factors, each of order at most NTT_BLOCK: the
+    fewest stages (each one costs a pass over the data and a reduction, as
+    much as about 60 madds an entry), then the least total order (the
+    madds an entry of one transform)."""
+    best: dict[int, tuple[int, int, list]] = {0: (0, 0, [])}  # (stages, cost, runs)
+    for end in range(1, len(factors) + 1):
+        options = []
+        for start in range(end - 1, -1, -1):
+            order = math.prod(factors[start:end])
+            if order > NTT_BLOCK:
+                break
+            stages, cost, runs = best[start]
+            options.append((stages + 1, cost + order, runs + [factors[start:end]]))
+        best[end] = min(options, key=lambda o: o[:2])
+    return best[len(factors)][2]
+
+
+def _block_matrix(block: tuple[int, ...], p: int, g: int) -> np.ndarray:
+    """Kronecker product of the root-of-unity matrices W_n[j, m] = w_n^(jm)
+    over the block's factors, entries reduced to |entry| <= p // 2."""
+    M = np.ones((1, 1), dtype=np.int64)
+    for n in block:
+        w = pow(g, (p - 1) // n, p)
+        powers = np.array([pow(w, k, p) for k in range(n)], dtype=np.int64)
+        ids = np.arange(n)
+        M = np.kron(M, powers[np.outer(ids, ids) % n]) % p
+    return np.where(M > p // 2, M - p, M).astype(np.float64)
+
+
+# -- products of subsets -----------------------------------------------------------
+
+
+class RowProducts:
+    """The products X_s X_t^(-1) among the rows of one 0/1 indicator matrix.
+
+    ``rows`` (n x v) are indicator rows as ``indicators`` builds them; they
+    are prepared once (transformed, on the transform route), and each call
+    ``products(left, right)`` with two index sequences returns the array P
+    of shape (a, b, v), P[s, t] the coefficients of X_left[s]
+    X_right[t]^(-1).  Entries are exact integers in [0, v] held as float32.
+
+    On the transform route each left row is one pointwise product with the
+    right rows' spectra and one transform.  On the table route the
+    coefficient of h is sum_z Y[z] X[h z], so one table gather X[table]
+    (v x v) and one float32 GEMM against the right rows give a whole row,
+    in any group.  The gather runs in blocks of at most GATHER_BLOCK
+    entries (several left rows at small v, slices of one row's table at
+    large v).
+    float32 is exact: every addend is 0 or 1, so every partial sum is an
+    integer in [0, v] with v <= MAX_TABLE_ORDER = 4096 < 2^24.
+    """
+
+    def __init__(self, G: FiniteGroup, rows: np.ndarray):
+        self.group = G
+        self.rows = rows
+        self._transform = _transform(G)
+        if self._transform is not None:
+            self._spectra = self._transform(rows, 1, True)
+
+    def __call__(self, left, right) -> np.ndarray:
+        G, v = self.group, self.group.order
+        left, right = np.asarray(left, dtype=np.int64), np.asarray(right, dtype=np.int64)
+        out = np.empty((len(left), len(right), v), dtype=np.float32)
+        tr = self._transform
+        if tr is not None:
+            spectra = self._spectra[:, right]
+            lefts = tr.left(self._spectra[:, left], G.inv_table)
+            for s in range(len(left)):
+                out[s] = tr(spectra * lefts[:, s:s + 1], tr.half ** 2, False)
+            return out
+        R = self.rows[right]
+        # blocks of c left rows times hc values of h, with c * hc * v <= GATHER_BLOCK
+        hc = min(v, max(1, GATHER_BLOCK // v))
+        c = max(1, GATHER_BLOCK // (hc * v))
+        for s in range(0, len(left), c):
+            for h in range(0, v, hc):
+                gathered = self.rows[left[s:s + c]][:, G.table[h:h + hc]]  # [s, h, z] = X_s[h z]
+                if hc == v:
+                    np.matmul(R, gathered.transpose(0, 2, 1), out=out[s:s + c])
+                else:
+                    out[s:s + c, :, h:h + hc] = np.matmul(R, gathered.transpose(0, 2, 1))
+        return out
+
+
 def pair_products(G: FiniteGroup, left, right) -> np.ndarray:
     """Every product of a left set with the inverse of a right set.
 
     ``left`` (a x v) and ``right`` (b x v) hold 0/1 indicator rows of subsets
     X_1..X_a and Y_1..Y_b.  Returns the float32 array P of shape (a, b, v)
-    with P[s, t] the coefficients of X_s Y_t^(-1): the coefficient of h is
-    sum_z Y_t[z] X_s[h z], so one table gather X_s[table] (v x v) and one
-    GEMM against the right rows give a whole row of products, in any group.
-    The gather runs in blocks of at most GATHER_BLOCK entries (several left
-    rows at small v, slices of one row's table at large v).
-
-    float32 is exact: every addend is 0 or 1, so every partial sum is an
-    integer in [0, v] with v <= MAX_TABLE_ORDER = 4096 < 2^24, and float32
-    represents every integer up to 2^24 exactly.  Rows that are not 0/1 are
-    rejected, since they would void that bound.
+    with P[s, t] the coefficients of X_s Y_t^(-1) (see ``RowProducts``).
+    Rows that are not 0/1 are rejected, since they would void the
+    exactness bounds of both routes.
     """
-    return _pair_products(G, _indicator_rows(G, left, "left"),
-                          _indicator_rows(G, right, "right"))
-
-
-def _pair_products(G: FiniteGroup, L: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """``pair_products`` without the input check, for float32 0/1 rows built
-    by ``indicators``: the verifiers and searches check and cast their sets
-    once and then call this for every left row."""
-    v = G.order
-    out = np.empty((len(L), len(R), v), dtype=np.float32)
-    # blocks of c left rows times hc values of h, with c * hc * v <= GATHER_BLOCK
-    hc = min(v, max(1, GATHER_BLOCK // v))
-    c = max(1, GATHER_BLOCK // (hc * v))
-    for s in range(0, len(L), c):
-        for h in range(0, v, hc):
-            gathered = L[s:s + c][:, G.table[h:h + hc]]    # [s, h, z] = X_s[h z]
-            if hc == v:
-                np.matmul(R, gathered.transpose(0, 2, 1), out=out[s:s + c])
-            else:
-                out[s:s + c, :, h:h + hc] = np.matmul(R, gathered.transpose(0, 2, 1))
-    return out
+    L = _indicator_rows(G, left, "left")
+    R = _indicator_rows(G, right, "right")
+    return RowProducts(G, np.concatenate([L, R]))(range(len(L)), range(len(L), len(L) + len(R)))
 
 
 def indicators(G: FiniteGroup, sets) -> np.ndarray:
     """0/1 indicator rows (float32, shape (n, v)) of subsets given by ids,
-    ready for ``pair_products``."""
-    ids = _subset_rows(G, sets)
+    ready for ``RowProducts``."""
+    return _indicator_matrix(G, _subset_rows(G, sets))
+
+
+def _indicator_matrix(G: FiniteGroup, ids) -> np.ndarray:
+    """``indicators`` of checked ids (an (n, k) array or a list of arrays)."""
     out = np.zeros((len(ids), G.order), dtype=np.float32)
     if isinstance(ids, np.ndarray):
         out[np.arange(len(ids))[:, None], ids] = 1
@@ -204,47 +419,61 @@ def autocorrelations(G: FiniteGroup, sets) -> np.ndarray:
     """Coefficients of S S^(-1) for each subset S (int64, shape (n, v)).
 
     Each S is an iterable of distinct element ids, or ``sets`` is one
-    (n, k) array of id rows.  Sets are counted exactly
-    (``_count_autocorrelations``, any group); in a group built from cyclic
-    factors, sets large enough that it pays go through a rounded and
-    checked float64 FFT instead (``_fft_autocorrelations``), in blocks of
-    at most FFT_BLOCK sets.
+    (n, k) array of id rows.
+    """
+    out = np.empty((len(sets), G.order), dtype=np.int64)
+    for start, block in autocorrelation_blocks(G, sets):
+        out[start:start + len(block)] = block
+    return out
+
+
+def autocorrelation_blocks(G: FiniteGroup, sets):
+    """``autocorrelations`` a block of sets at a time: yields (start, the
+    block's rows), so a caller can reduce each block as it comes out.
+
+    On the transform route a block is at most NTT_ROWS entries of sets
+    (``_transform_autocorrelations``); otherwise the sets are counted
+    (``_count_autocorrelations``), an id array in blocks of COUNT_BLOCK
+    quotients, a list of sets one set at a time.
     """
     ids = _subset_rows(G, sets)
-    batch = min(len(ids), FFT_BLOCK)
-    pays = {k: _fft_pays(G, k, batch) for k in {len(S) for S in ids}}
-    fft = np.array([pays[len(S)] for S in ids], dtype=bool)
-    out = np.empty((len(ids), G.order), dtype=np.int64)
-    out[~fft] = _count_autocorrelations(G, ids[~fft] if isinstance(ids, np.ndarray)
-                                        else [S for S, f in zip(ids, fft) if not f])
-    fft_rows = np.flatnonzero(fft)
-    for s in range(0, len(fft_rows), FFT_BLOCK):
-        block = fft_rows[s:s + FFT_BLOCK]
-        out[block] = _fft_autocorrelations(G, [ids[t] for t in block])
-    return out
+    if _transform(G) is not None:
+        step = max(1, NTT_ROWS // G.order)
+        for start in range(0, len(ids), step):
+            yield start, _transform_autocorrelations(G, ids[start:start + step])
+    elif isinstance(ids, np.ndarray):
+        step = max(1, COUNT_BLOCK // max(ids.shape[1] ** 2, G.order))
+        for start in range(0, len(ids), step):
+            yield start, _count_autocorrelations(G, ids[start:start + step])
+    else:
+        for start, S in enumerate(ids):
+            yield start, _count_autocorrelations(G, [S])
+
+
+def _transform_autocorrelations(G: FiniteGroup, sets) -> np.ndarray:
+    """S S^(-1) = T(v^(-1) T(S) o neg . T(S)) for each set (see
+    ``_Transform``), on the sets' 0/1 indicator rows."""
+    tr = _transform(G)
+    spectra = tr(_indicator_matrix(G, sets), 1, True)
+    return tr(tr.left(spectra, G.inv_table) * spectra, tr.half ** 2, False).astype(np.int64)
 
 
 def _count_autocorrelations(G: FiniteGroup, sets) -> np.ndarray:
     """S S^(-1) for each set of distinct ids: an exact integer count of the
     quotients s t^(-1) over all pairs of S.
 
-    An (n, k) array of id rows goes through in blocks of at most
-    COUNT_BLOCK quotients and counts: table[S[:, :, None], inv[S[:, None, :]]]
-    gives every quotient of each set of the block, offset by v times its
-    row, and one bincount counts them all.  A list of sets is counted one
-    set at a time, which is cheaper for the few sets a verifier checks.
+    An (n, k) array of id rows is counted at once: table[S[:, :, None],
+    inv[S[:, None, :]]] gives every quotient of each set, offset by v times
+    its row, and one bincount counts them all (``autocorrelation_blocks``
+    keeps a block to COUNT_BLOCK quotients).  A list of sets is counted one
+    set at a time.
     """
     v = G.order
-    out = np.empty((len(sets), v), dtype=np.int64)
     if isinstance(sets, np.ndarray):
-        step = max(1, COUNT_BLOCK // max(sets.shape[1] ** 2, v))
-        for s in range(0, len(sets), step):
-            block = sets[s:s + step]
-            quot = G.table[block[:, :, None], G.inv_table[block][:, None, :]]
-            quot += (v * np.arange(len(block), dtype=np.int32))[:, None, None]
-            out[s:s + step] = np.bincount(quot.ravel(),
-                                          minlength=len(block) * v).reshape(-1, v)
-        return out
+        quot = G.table[sets[:, :, None], G.inv_table[sets][:, None, :]]
+        quot += (v * np.arange(len(sets), dtype=np.int32))[:, None, None]
+        return np.bincount(quot.ravel(), minlength=len(sets) * v).reshape(-1, v)
+    out = np.empty((len(sets), v), dtype=np.int64)
     for t, S in enumerate(sets):
         S = np.asarray(S, dtype=np.int64)
         out[t] = np.bincount(G.table[S[:, None], G.inv_table[S]].ravel(), minlength=v)
@@ -277,42 +506,3 @@ def _check_range(G: FiniteGroup, arr: np.ndarray) -> np.ndarray:
         bad = arr[(arr < 0) | (arr >= G.order)][0]
         raise ValueError(f"element id {bad} out of range")
     return arr
-
-
-def _fft_pays(G: FiniteGroup, k: int, batch: int) -> bool:
-    """Whether the FFT beats the count for one k-set among ``batch`` sets.
-
-    Costs in ns, measured with numpy's pocketfft: about 8 k^2 for the
-    count; for the FFT, v * sum(120/n + 10) over the cyclic factors n per
-    set plus 150,000 per call, shared by the sets of a block.
-    """
-    v, factors = G.order, G.cyclic_factors
-    if factors is None or v <= FFT_MIN_ORDER:
-        return False
-    fft_ns = v * sum(120 / n + 10 for n in factors) + 150_000 / batch
-    return 8 * k * k > fft_ns
-
-
-def _fft_autocorrelations(G: FiniteGroup, sets) -> np.ndarray:
-    """S S^(-1) as the cyclic autocorrelation ifftn(|fftn(x)|^2) of each
-    indicator x, laid out on the mixed-radix axes of ``G.cyclic_factors``.
-
-    Error bound: one float64 FFT of length v has relative 2-norm error
-    gamma <= 5 * log2(v) * 2^-53, so the computed correlation is off by at
-    most about 3 * gamma * k^2 in each coefficient; at k = v = 4096 that is
-    under 1e-6.  The rounding check below (distance to the nearest integer
-    under 1/4) turns any breach of that bound into an error, never into a
-    wrong count.
-    """
-    factors = G.cyclic_factors
-    axes = tuple(range(1, len(factors) + 1))
-    x = np.zeros((len(sets), G.order), dtype=np.float64)
-    for t, S in enumerate(sets):
-        x[t, S] = 1.0
-    spectrum = np.fft.rfftn(x.reshape((len(sets),) + factors), axes=axes)
-    power = spectrum.real ** 2 + spectrum.imag ** 2
-    corr = np.fft.irfftn(power, s=factors, axes=axes).reshape(len(sets), G.order)
-    rounded = np.rint(corr)
-    if np.max(np.abs(corr - rounded)) >= 0.25:
-        raise ArithmeticError("FFT autocorrelation failed its rounding check")
-    return rounded.astype(np.int64)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -69,6 +70,22 @@ class FiniteGroup:
 
     def name(self, a: int) -> str:
         return self.names[a]
+
+    @cached_property
+    def name_array(self) -> np.ndarray:
+        """The element names as an object array: ``name_array[ids]`` names
+        many ids at once."""
+        return np.array(self.names, dtype=object)
+
+    def element_ids(self, names) -> list[int]:
+        """``element`` of each name in a list: one dict lookup per name
+        while every name is an exact element name, and ``element``'s parser
+        for all of them after a miss (an equivalent generator word, or a
+        name that raises ValueError)."""
+        try:
+            return list(map(self._name_to_id.__getitem__, names))
+        except (KeyError, TypeError):
+            return [self.element(n) for n in names]
 
     def element(self, name: str) -> int:
         """Parse a generator word like ``x1^3*x2`` (identity is ``1``)."""

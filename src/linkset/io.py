@@ -10,6 +10,8 @@ from __future__ import annotations
 import hashlib
 import json
 
+import numpy as np
+
 from .designs import DifferenceSetRecord, is_difference_set
 from .diffmat import DifferenceMatrix, verify_dm
 from .groups import FiniteGroup, group_from_spec
@@ -19,11 +21,11 @@ FORMAT_VERSION = "0.1.0"
 
 
 def set_to_names(G: FiniteGroup, elems) -> list[str]:
-    return [G.name(a) for a in sorted(int(x) for x in elems)]
+    return G.name_array[np.sort(np.asarray(elems, dtype=np.int64))].tolist()
 
 
 def names_to_set(G: FiniteGroup, names) -> tuple[int, ...]:
-    return tuple(sorted(G.element(n) for n in names))
+    return tuple(sorted(G.element_ids(names)))
 
 
 def record_to_json(record: DifferenceSetRecord) -> dict:
@@ -79,13 +81,13 @@ def dm_to_json(M: DifferenceMatrix) -> dict:
     return {
         "group": G.spec,
         "lambda": M.lam,
-        "rows": [[G.name(x) for x in row] for row in M.rows],
+        "rows": [G.name_array[list(row)].tolist() for row in M.rows],
     }
 
 
 def dm_from_json(obj: dict) -> DifferenceMatrix:
     G = group_from_spec(obj["group"])
-    rows = tuple(tuple(G.element(n) for n in row) for row in obj["rows"])
+    rows = tuple(tuple(G.element_ids(row)) for row in obj["rows"])
     M = DifferenceMatrix(G, int(obj.get("lambda", 1)), rows)
     if not verify_dm(M):
         raise ValueError("serialized matrix fails the difference property")

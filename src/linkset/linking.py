@@ -101,25 +101,25 @@ def verify_reduced(G: FiniteGroup, sets) -> ReducedLinkingSystem | None:
     params = records[0].params
     if any(r.params != params for r in records):
         return None
-    ind = rg.indicators(G, [r.elements for r in records])
+    products = rg.RowProducts(G, rg.indicators(G, [r.elements for r in records]))
     for munu in mu_nu_candidates(params):
-        witnesses = _pair_witnesses(G, ind, munu, params)
+        witnesses = _pair_witnesses(G, products, munu, params)
         if witnesses is not None:
             return ReducedLinkingSystem(G, tuple(records), munu, witnesses)
     return None
 
 
-def _pair_witnesses(G: FiniteGroup, ind: np.ndarray, munu: MuNu, params: DSParams):
+def _pair_witnesses(G: FiniteGroup, products: rg.RowProducts, munu: MuNu, params: DSParams):
     """Witness records of all ordered pairs under (mu, nu), or None.
 
     One left row at a time through ``_row_witnesses`` against the row's
     l-1 other sets.
     """
-    ell = len(ind)
+    ell = len(products.rows)
     witnesses: dict[tuple[int, int], DifferenceSetRecord] = {}
     for i in range(ell):
         others = [j for j in range(ell) if j != i]
-        supports = _row_witnesses(G, ind[i], ind[others], munu, params)
+        supports = _row_witnesses(G, products, i, others, munu, params)
         if any(support is None for support in supports):
             return None
         for j, support in zip(others, supports):
@@ -127,9 +127,10 @@ def _pair_witnesses(G: FiniteGroup, ind: np.ndarray, munu: MuNu, params: DSParam
     return witnesses
 
 
-def _row_witnesses(G: FiniteGroup, left: np.ndarray, right: np.ndarray, munu: MuNu,
+def _row_witnesses(G: FiniteGroup, products: rg.RowProducts, left: int, right, munu: MuNu,
                    params: DSParams) -> list:
-    """The pair check of one left indicator row X against right rows Y_j.
+    """The pair check of the set X in row ``left`` of ``products`` against
+    the sets Y_j in its rows ``right``.
 
     The full product row X Y_j^(-1) for every j, the two-valued test, then
     one difference-set check of the mu-supports that pass it.  Returns, per
@@ -139,12 +140,12 @@ def _row_witnesses(G: FiniteGroup, left: np.ndarray, right: np.ndarray, munu: Mu
     mu, nu = munu.as_tuple()
     if mu == nu:
         raise ValueError("mu and nu must be distinct")
-    prods = rg._pair_products(G, left[None], right)[0]
+    prods = products([left], right)[0]
     is_mu = prods == mu
     # only supports of params.k elements can have params: one (m, k) id batch
     cand = np.flatnonzero((is_mu | (prods == nu)).all(axis=1) & (is_mu.sum(axis=1) == params.k))
     supports = np.nonzero(is_mu[cand])[1].reshape(len(cand), params.k)
-    out: list = [None] * len(right)
+    out: list = [None] * len(prods)
     for j, support, wparams in zip(cand.tolist(), supports, difference_set_params(G, supports)):
         if wparams == params:
             out[j] = support
@@ -203,12 +204,12 @@ def verify_full(full: LinkingSystem) -> bool:
     # D_(i,j) = D_(j,i)^(-1): the coefficient of g on the right is D_(j,i)[g^-1]
     if not np.array_equal(F, F.transpose(1, 0, 2)[:, :, G.inv_table]):
         return False
-    # so D_(h,i) D_(i,j) = D_(h,i) D_(j,i)^(-1), and one pair_products call over
-    # the rows D_(h,i) gives every product through the middle index i
+    # so D_(h,i) D_(i,j) = D_(h,i) D_(j,i)^(-1), and the products among the
+    # rows D_(h,i) give every product through the middle index i
     diag = np.arange(ell)
     for i in idx:
         others = [h for h in idx if h != i]
-        prods = rg._pair_products(G, F[others, i], F[others, i])
+        prods = rg.RowProducts(G, F[others, i])(diag, diag)
         want = (mu - nu) * F[np.ix_(others, others)] + nu
         want[diag, diag] = prods[diag, diag]  # h = j is not a triple
         if not np.array_equal(prods, want):

@@ -2,14 +2,14 @@
 and its clique census, and the McFarland/Spence nonexistence sweeps.
 
 All searches are exact.  The heavy inner loop, the products of one set
-against many, runs on ``group_ring``'s table gather and float32 GEMM, exact
-because every coefficient is a count of at most v <= 4096 < 2^24 ones.
-Each search checks and casts its sets to indicator rows once
-(``group_ring.indicators``).  The pair scan behind the linking graph and
-the sweeps, ``_two_valued_pairs``, sieves first: one GEMM per block of left
-sets gives the coefficients at the first SIEVE_COEFFS ids against every
-right set, and only pairs whose coefficients there all lie in {mu, nu} get
-a full product row (none do in the sweeps, where no pair links).
+against many, runs on ``group_ring.RowProducts``.  Each search checks and
+casts its sets to indicator rows once (``group_ring.indicators``).  The
+pair scan behind the linking graph and the sweeps, ``_two_valued_pairs``,
+sieves first: one table-gather float32 GEMM per block of left sets gives
+the coefficients at the first SIEVE_COEFFS ids against every right set,
+exact because every coefficient is a count of at most v <= 4096 < 2^24
+ones, and only pairs whose coefficients there all lie in {mu, nu} get a
+full product row (none do in the sweeps, where no pair links).
 
 The census re-verifies its cliques from memoized verdicts: the vertices
 once, each distinct directed pair once (``_reverify_cliques``).
@@ -118,6 +118,7 @@ def _two_valued_pairs(args) -> list[tuple[int, int, tuple[int, ...]]]:
     h0 = min(SIEVE_COEFFS, v)
     block = max(1, SIEVE_BLOCK // (h0 * max(n, v)))
     right = np.ascontiguousarray(members.T)
+    products = rg.RowProducts(G, members)
     out = []
     for start in range(0, len(rows), block):
         left = rows[start:start + block]
@@ -131,7 +132,7 @@ def _two_valued_pairs(args) -> list[tuple[int, int, tuple[int, ...]]]:
             cand = np.flatnonzero(keep[s])
             if not len(cand):
                 continue
-            prods = rg._pair_products(G, members[i:i + 1], members[cand])[0]
+            prods = products([i], cand)[0]
             two = ((prods == mu) | (prods == nu)).all(axis=1)
             for j, p in zip(cand[two].tolist(), prods[two]):
                 out.append((i, j, tuple(np.flatnonzero(p == mu).tolist())))
@@ -235,7 +236,7 @@ def _reverify_cliques(graph: LinkingGraph, cliques: np.ndarray) -> None:
     params = vertex_params[0]
     if params is None or any(p != params for p in vertex_params):
         raise AssertionError("clique failed re-verification")
-    ind = rg.indicators(G, [r.elements for r in graph.records])
+    products = rg.RowProducts(G, rg.indicators(G, [r.elements for r in graph.records]))
     known = np.zeros(n * n, dtype=bool)
     linked = np.zeros(n * n, dtype=bool)
     positions = [(a, b) for a in range(ell) for b in range(ell) if a != b]
@@ -244,23 +245,23 @@ def _reverify_cliques(graph: LinkingGraph, cliques: np.ndarray) -> None:
         codes = [block[:, a] * n + block[:, b] for a, b in positions]
         new = np.unique(np.concatenate(codes))
         new = new[~known[new]]
-        linked[new] = _pair_verdicts(G, ind, new, graph.munu, params)
+        linked[new] = _pair_verdicts(G, products, new, graph.munu, params)
         known[new] = True
         if not all(linked[c].all() for c in codes):
             raise AssertionError("clique failed re-verification")
 
 
-def _pair_verdicts(G: FiniteGroup, ind: np.ndarray, codes: np.ndarray, munu: MuNu,
+def _pair_verdicts(G: FiniteGroup, products: rg.RowProducts, codes: np.ndarray, munu: MuNu,
                    params: DSParams) -> np.ndarray:
     """Whether each directed pair (i, j), given by its sorted code i*n + j
-    over the n indicator rows ``ind``, links under (mu, nu) with witness
+    over the n rows of ``products``, links under (mu, nu) with witness
     parameters ``params``: one ``linking._row_witnesses`` call (full product
     rows, as verify_reduced makes) per left row."""
-    n = len(ind)
+    n = len(products.rows)
     out = np.zeros(len(codes), dtype=bool)
     lefts, first = np.unique(codes // n, return_index=True)
     for i, a, b in zip(lefts.tolist(), first.tolist(), [*first[1:].tolist(), len(codes)]):
-        supports = _row_witnesses(G, ind[i], ind[codes[a:b] % n], munu, params)
+        supports = _row_witnesses(G, products, i, codes[a:b] % n, munu, params)
         out[a:b] = [support is not None for support in supports]
     return out
 

@@ -28,24 +28,24 @@ def _check(name: str, ok: bool, verbose: bool, failures: list[str]) -> None:
 
 
 def _kernel_checks(verbose: bool, failures: list[str]) -> None:
-    """pair_products against mul on a nonabelian group, and the two
-    autocorrelation paths against each other."""
+    """pair_products against mul on a nonabelian group (table route) and on
+    an abelian one (transform route), and the transform's autocorrelations
+    against the exact count."""
     rng = random.Random(0)
-    DZ = direct_product(make_dihedral8(), make_abelian([2]))
-    sets = [rng.sample(range(DZ.order), rng.randint(1, DZ.order)) for _ in range(6)]
-    ring = [rg.from_subset(DZ, S) for S in sets]
-    prods = rg.pair_products(DZ, rg.indicators(DZ, sets), rg.indicators(DZ, sets))
-    _check("pair_products agrees with mul on D4xZ2",
-           all(np.array_equal(prods[a, b], rg.mul(ring[a], rg.involution(ring[b])).coeffs)
-               for a in range(6) for b in range(6)), verbose, failures)
-    Z = make_abelian([4, 4, 4])
+    Z = make_abelian([8, 4, 4])
+    for label, G in (("D4xZ2", direct_product(make_dihedral8(), make_abelian([2]))),
+                     ("Z8xZ4xZ4", Z)):
+        sets = [rng.sample(range(G.order), rng.randint(1, G.order)) for _ in range(6)]
+        ring = [rg.from_subset(G, S) for S in sets]
+        prods = rg.pair_products(G, rg.indicators(G, sets), rg.indicators(G, sets))
+        _check(f"pair_products agrees with mul on {label}",
+               all(np.array_equal(prods[a, b], rg.mul(ring[a], rg.involution(ring[b])).coeffs)
+                   for a in range(6) for b in range(6)), verbose, failures)
     sets = [rng.sample(range(Z.order), rng.randint(1, Z.order)) for _ in range(6)]
-    try:
-        fft_ok = np.array_equal(rg._fft_autocorrelations(Z, sets),
-                                rg._count_autocorrelations(Z, sets))
-    except ArithmeticError:  # the FFT's rounding check tripped
-        fft_ok = False
-    _check("autocorrelations: FFT and count paths agree on Z4^3", fft_ok, verbose, failures)
+    _check("autocorrelations: transform and count paths agree on Z8xZ4xZ4",
+           rg._transform(Z) is not None
+           and np.array_equal(rg._transform_autocorrelations(Z, sets),
+                              rg._count_autocorrelations(Z, sets)), verbose, failures)
 
 
 def run_selftest(verbose: bool = True) -> bool:

@@ -1,8 +1,6 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
-Run with ``pytest tests/test_acceptance.py -v`` (criterion 13 is marked
-``extended`` and excluded from the default run; include it with ``-m ''``
-or ``-m extended``).
+Run with ``pytest tests/test_acceptance.py -v``.
 """
 
 import math
@@ -267,7 +265,6 @@ def test_criterion_12_property_suites():
     report(12, ok, f"{elapsed:.1f}s")
 
 
-@pytest.mark.extended
 def test_criterion_13_bent_max_clique():
     start = time.time()
     result = bent_max_clique(d=1)

@@ -168,7 +168,6 @@ def test_enumerate_bent_small():
     assert all(is_bent(f) for f in bents4[:10])
 
 
-@pytest.mark.extended
 def test_bent_pipeline_d3():
     fns = kerdock_bent_set(3)
     assert len(fns) == 128 and fns[0].arity == 8

@@ -217,22 +217,26 @@ def test_autocorrelation_paths_agree_on_improved_witnesses():
     witnesses = [w.elements for w in system.witnesses.values()]
     assert len(witnesses) == 31 * 30
     k = len(witnesses[0])
-    assert rg._fft_pays(G, k, rg.FFT_BLOCK)  # the default takes the FFT here
-    fft = rg._fft_autocorrelations(G, witnesses)
-    assert np.array_equal(fft, rg._count_autocorrelations(G, witnesses))
-    assert np.array_equal(fft, rg.autocorrelations(G, witnesses))
+    assert rg._transform(G) is not None  # the default takes the transform here
+    got = rg._transform_autocorrelations(G, witnesses)
+    assert np.array_equal(got, rg._count_autocorrelations(G, witnesses))
+    assert np.array_equal(got, rg.autocorrelations(G, witnesses))
+    s = rg.from_subset(G, witnesses[0])
+    assert np.array_equal(got[0], rg.mul(s, rg.involution(s)).coeffs)
     # every witness is a (1024, 496, 240, 256) difference set
-    assert np.all(fft[:, 0] == k) and np.all(fft[:, 1:] == 240)
+    assert np.all(got[:, 0] == k) and np.all(got[:, 1:] == 240)
 
 
 def test_autocorrelation_paths_agree_on_mixed_radix_sets():
     G = make_abelian([16, 4, 2, 2])
     rng = random.Random(29)
     sets = [rng.sample(range(G.order), rng.randint(0, G.order)) for _ in range(70)]
-    fft = rg._fft_autocorrelations(G, sets)
-    assert np.array_equal(fft, rg._count_autocorrelations(G, sets))
-    s = rg.from_subset(G, sets[0])
-    assert np.array_equal(fft[0], rg.mul(s, rg.involution(s)).coeffs)
+    assert rg._transform(G) is not None
+    got = rg._transform_autocorrelations(G, sets)
+    assert np.array_equal(got, rg._count_autocorrelations(G, sets))
+    for S, row in zip(sets[:3], got):
+        s = rg.from_subset(G, S)
+        assert np.array_equal(row, rg.mul(s, rg.involution(s)).coeffs)
 
 
 def test_autocorrelations_reject_malformed_sets():
@@ -253,27 +257,91 @@ def test_autocorrelations_reject_malformed_sets():
     assert np.array_equal(rg.indicators(G, rows), rg.indicators(G, rows.tolist()))
 
 
-def test_fft_rounding_guard(monkeypatch):
-    G = make_abelian([4, 4, 4, 4])
+def _partitions(n, largest):
+    """The partitions of n into parts of at most ``largest``, parts descending."""
+    if n == 0:
+        return [()]
+    return [(k,) + rest for k in range(min(n, largest), 0, -1)
+            for rest in _partitions(n - k, k)]
+
+
+def test_transform_exactness_bound():
+    """The written bound at the largest orders: every abelian group of order
+    4096 that takes the transform (cyclic factors up to NTT_BLOCK = 64), and
+    odd orders with three stages, keep every partial sum of the forward
+    transform of 0/1 rows and of the inverse of unreduced pointwise
+    products below 2^53.  In Z4^6 (two stages of 64) the forward transform
+    never reduces between stages and the inverse once; in Z4^5 neither."""
+    cases = [tuple(2 ** e for e in parts) for parts in _partitions(12, 6)]
+    cases += [(3,) * 7, (5,) * 5, (7,) * 4, (3,) * 5 + (2,) * 4]
+    for factors in cases:
+        tr = rg._Transform(factors)
+        assert tr.p > 2 * tr.v + 4 and (tr.p - 1) % max(factors) == 0
+        for bound, batch_first in ((1, True), (tr.half ** 2, False)):
+            stages = tr.stages(bound, batch_first)
+            assert max(partial for _, _, partial in stages) < 2 ** 53
+    for factors, p, sizes, reductions in (((4,) * 6, 8209, [64, 64], [0, 1]),
+                                          ((4,) * 5, 2053, [64, 16], [0, 0])):
+        tr = rg._Transform(factors)
+        assert tr.p == p and [len(M) for M in tr.matrices] == sizes
+        assert [sum(reduce for _, reduce, _ in tr.stages(bound, batch_first))
+                for bound, batch_first in ((1, True), (tr.half ** 2, False))] == reductions
+    # near-half-size sets on an order-4096 group, against the count
+    G = make_abelian([4] * 6)
     rng = random.Random(31)
-    sets = [rng.sample(range(G.order), 120) for _ in range(16)]
-    want = rg._count_autocorrelations(G, sets)
-    irfftn = np.fft.irfftn
+    sets = [rng.sample(range(G.order), 2048 + d) for d in (-1, 0, 1)]
+    assert rg._transform(G) is not None
+    assert np.array_equal(rg.autocorrelations(G, sets), rg._count_autocorrelations(G, sets))
 
-    def perturbed(by):
-        return lambda *args, **kwargs: irfftn(*args, **kwargs) + by
 
-    # an error under 1/4 rounds away
-    monkeypatch.setattr(np.fft, "irfftn", perturbed(0.2))
-    assert np.array_equal(rg.autocorrelations(G, sets), want)
-    # an error of 0.3 trips the check instead of giving a wrong count
-    monkeypatch.setattr(np.fft, "irfftn", perturbed(0.3))
-    with pytest.raises(ArithmeticError):
-        rg.autocorrelations(G, sets)
-    with pytest.raises(ArithmeticError):
-        rg._fft_autocorrelations(G, sets[:1])
-    # the count path never touches the FFT
-    assert np.array_equal(rg._count_autocorrelations(G, sets), want)
+def _routes(G, rows, monkeypatch):
+    """All products among ``rows`` on the transform route (at any order)
+    and on the table route."""
+    everything = range(len(rows))
+    monkeypatch.setattr(rg, "NTT_MIN_ORDER", 1)
+    assert rg._transform(G) is not None
+    transform = rg.RowProducts(G, rows)(everything, everything)
+    monkeypatch.setattr(rg, "_transform", lambda G: None)
+    table = rg.RowProducts(G, rows)(everything, everything)
+    monkeypatch.undo()
+    return transform, table
+
+
+def test_transform_pair_products_match_the_table_route(monkeypatch):
+    from linkset.diffmat import build_improved
+
+    Z45 = make_abelian([4] * 5)
+    rng = random.Random(37)
+    cases = [(Z45, [r.elements for r in build_improved(Z45).records])]
+    for factors in ([16, 4, 2, 2], [2] * 8, [3, 3, 5]):
+        G = make_abelian(factors)
+        cases.append((G, [rng.sample(range(G.order), rng.randint(0, G.order))
+                          for _ in range(12)]))
+    for G, sets in cases:
+        transform, table = _routes(G, rg.indicators(G, sets), monkeypatch)
+        assert np.array_equal(transform, table)
+        x, y = rg.from_subset(G, sets[0]), rg.from_subset(G, sets[1])
+        assert np.array_equal(transform[0, 1], rg.mul(x, rg.involution(y)).coeffs)
+
+
+def test_nonabelian_groups_never_reach_the_transform(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("transform called")
+
+    monkeypatch.setattr(rg, "NTT_MIN_ORDER", 1)
+    monkeypatch.setattr(rg._Transform, "__call__", refuse)
+    rng = random.Random(43)
+    for G in (direct_product(make_dihedral8(), make_abelian([2])),
+              direct_product(make_quaternion8(), make_abelian([2]))):
+        assert rg._transform(G) is None
+        sets = [rng.sample(range(G.order), rng.randint(1, G.order)) for _ in range(5)]
+        ind = rg.indicators(G, sets)
+        P = rg.pair_products(G, ind, ind)
+        A = rg.autocorrelations(G, sets)
+        for S, row in zip(sets, A):
+            s = rg.from_subset(G, S)
+            assert np.array_equal(row, rg.mul(s, rg.involution(s)).coeffs)
+            assert np.array_equal(P[0, 0], A[0])
 
 
 @pytest.mark.parametrize("block_sets", [None, 7])
@@ -285,7 +353,9 @@ def test_count_autocorrelations_in_blocks(block_sets, monkeypatch):
     rows = np.array([sorted(rng.sample(range(G.order), 5)) for _ in range(50)])
     if block_sets:
         monkeypatch.setattr(rg, "COUNT_BLOCK", block_sets * 5 * 5)
-    got = rg._count_autocorrelations(G, rows)
+    blocks = [len(block) for _, block in rg.autocorrelation_blocks(G, rows)]
+    assert blocks == ([block_sets] * 7 + [1] if block_sets else [50])
+    got = rg.autocorrelations(G, rows)
     for S, coeffs in zip(rows.tolist(), got):
         x = rg.from_subset(G, S)
         assert np.array_equal(coeffs, rg.mul(x, rg.involution(x)).coeffs)

@@ -278,3 +278,19 @@ def test_element_name_round_trip():
     assert G.element("x1^-1") == G.inv(G.element("x1"))
     with pytest.raises(ValueError):
         G.element("z9")
+
+
+def test_names_by_table_with_the_parser_on_a_miss():
+    from linkset import io as lio
+
+    for G in SMALL_GROUPS:
+        ids = list(G.elements())
+        assert G.name_array[ids].tolist() == [G.name(a) for a in ids]
+        assert G.element_ids(G.names) == ids
+    G = make_abelian([4, 4])
+    words = ["x2", "x1*x1", "x1^-1*x2", "1"]  # equivalent words, not table names
+    assert G.element_ids(words) == [G.element(w) for w in words]
+    assert lio.names_to_set(G, words) == tuple(sorted(G.element(w) for w in words))
+    assert lio.set_to_names(G, (5, 0, 3)) == [G.name(0), G.name(3), G.name(5)]
+    with pytest.raises(ValueError):
+        G.element_ids(["x1", "z9"])

@@ -153,14 +153,15 @@ def test_verify_reduced_batched_rejections_z4_4(monkeypatch):
     sets = [r.elements for r in build_improved(G).records]
     assert len(sets) == 15
 
-    # the witnesses of a row go through the FFT path
-    fft_calls = []
-    fft = rg._fft_autocorrelations
-    monkeypatch.setattr(rg, "_fft_autocorrelations",
-                        lambda G, block: fft_calls.append(len(block)) or fft(G, block))
+    # the sets, then the witnesses of each row, go through the transform
+    # path in one batch each
+    calls = []
+    transform = rg._transform_autocorrelations
+    monkeypatch.setattr(rg, "_transform_autocorrelations",
+                        lambda G, block: calls.append(len(block)) or transform(G, block))
     system = verify_reduced(G, sets)
     assert system is not None and len(system.witnesses) == 15 * 14
-    assert fft_calls == [14] * 15
+    assert calls == [1] * 15 + [14] * 15
 
     rng = random.Random(41)
     for i in (0, 7, 14):
@@ -178,6 +179,30 @@ def test_verify_reduced_batched_rejections_z4_4(monkeypatch):
     assert is_difference_set(G, image) == is_difference_set(G, sets[3])
     mutated = list(sets)
     mutated[3] = image
+    assert verify_reduced(G, mutated) is None
+
+
+def test_verify_reduced_rejections_z4_5():
+    """The improved system in Z4^5 (v = 1024, on the transform route) stops
+    verifying after one swapped element, and after one set is replaced by
+    its complement, a difference set of the other parameter family."""
+    from linkset import group_ring as rg
+    from linkset.designs import complement
+    from linkset.diffmat import build_improved
+    from linkset.groups import make_abelian
+
+    G = make_abelian([4] * 5)
+    system = build_improved(G)
+    assert rg._transform(G) is not None
+    sets = system.sets()
+    again = verify_reduced(G, sets)
+    assert again.witnesses == system.witnesses and again.munu == system.munu
+    mutated = list(sets)
+    mutated[5] = _swap_one(G, sets[5], random.Random(47))
+    assert verify_reduced(G, mutated) is None
+    other = complement(system.records[5])
+    assert other.params != system.params
+    mutated[5] = other.elements
     assert verify_reduced(G, mutated) is None
 
 

@@ -329,8 +329,8 @@ def test_pair_verdicts_match_verify_reduced(z4z4_census):
     codes = np.concatenate([pairs[:, 0] * n + pairs[:, 1], pairs[:, 1] * n + pairs[:, 0]])
     order = np.argsort(codes)
     verdicts = np.empty(len(codes), dtype=bool)
-    ind = rg.indicators(G, [r.elements for r in records])
-    verdicts[order] = _pair_verdicts(G, ind, codes[order], graph.munu, records[0].params)
+    products = rg.RowProducts(G, rg.indicators(G, [r.elements for r in records]))
+    verdicts[order] = _pair_verdicts(G, products, codes[order], graph.munu, records[0].params)
     forward, backward = verdicts[:len(pairs)], verdicts[len(pairs):]
     for (i, j), fwd, bwd in zip(pairs.tolist(), forward.tolist(), backward.tolist()):
         system = verify_reduced(G, [records[i].elements, records[j].elements])
@@ -366,8 +366,9 @@ def test_two_valued_pairs_match_the_ring_product():
 def _full_scan(G, members, mu, nu):
     """The pair scan without a sieve: a full product row for every pair."""
     out = []
+    products = rg.RowProducts(G, members)
     for i in range(len(members)):
-        prods = rg._pair_products(G, members[i:i + 1], members)[0]
+        prods = products([i], range(len(members)))[0]
         for j in np.flatnonzero(((prods == mu) | (prods == nu)).all(axis=1)).tolist():
             out.append((i, j, tuple(np.flatnonzero(prods[j] == mu).tolist())))
     return out
