@@ -15,10 +15,11 @@ import json
 import os
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from . import io as lio
-from .bent import BooleanFunction, is_bent_set, kerdock_bent_set
+from .bent import kerdock_bent_set
 from .diffmat import (
     SearchInconclusive,
     build_general,
@@ -43,9 +44,11 @@ def _parse_group(text: str):
     return group_from_spec(spec)
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
+def _emit(args, payload, text_lines: list[str]) -> None:
+    """Print ``payload()`` as indented JSON under ``--output json``, else the
+    text lines; the payload is only built when it is printed."""
     if args.output == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _write_json(sys.stdout, payload())
     else:
         for line in text_lines:
             print(line)
@@ -56,15 +59,62 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
-def _payload_of(obj: dict) -> dict:
-    return obj["payload"] if "payload" in obj and "kind" in obj else obj
+def _payload_of(obj):
+    if isinstance(obj, dict) and "payload" in obj and "kind" in obj:
+        return obj["payload"]
+    return obj
+
+
+# The characters json.dumps writes as themselves inside a string's quotes.
+_PLAIN = bytes(c for c in range(0x20, 0x7F) if c not in b'"\\')
+
+
+def _json_pieces(obj, indent: str = ""):
+    """The text of ``json.dumps(obj, indent=2, sort_keys=True)``, in pieces.
+
+    A list of plain strings (only ``_PLAIN`` characters, so each encodes as
+    itself in quotes) is one joined piece; dicts with string keys and other
+    lists recurse; every other value is ``json.dumps``'s own text, its
+    continuation lines shifted to this depth.
+    """
+    if isinstance(obj, (list, tuple)) and obj:
+        inner = indent + "  "
+        try:
+            plain = not "".join(obj).encode("ascii").translate(None, _PLAIN)
+        except (TypeError, UnicodeEncodeError):  # a non-string, or a non-ASCII one
+            plain = False
+        if plain:
+            yield "[\n" + inner + '"' + ('",\n' + inner + '"').join(obj) + '"\n' + indent + "]"
+            return
+        yield "[\n" + inner
+        for n, item in enumerate(obj):
+            if n:
+                yield ",\n" + inner
+            yield from _json_pieces(item, inner)
+        yield "\n" + indent + "]"
+    elif isinstance(obj, dict) and obj and all(isinstance(key, str) for key in obj):
+        inner = indent + "  "
+        for n, key in enumerate(sorted(obj)):
+            yield ("{\n" if n == 0 else ",\n") + inner + encode_basestring_ascii(key) + ": "
+            yield from _json_pieces(obj[key], inner)
+        yield "\n" + indent + "}"
+    elif isinstance(obj, str):
+        yield encode_basestring_ascii(obj)
+    else:
+        yield json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + indent)
+
+
+def _write_json(fh, obj) -> None:
+    """Write ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"`` to ``fh``,
+    streamed, so a large certificate is never one string in memory."""
+    fh.writelines(_json_pieces(obj))
+    fh.write("\n")
 
 
 def _write_out(args, obj: dict) -> None:
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            _write_json(fh, obj)
 
 
 def _cmd_group(args) -> int:
@@ -78,7 +128,7 @@ def _cmd_group(args) -> int:
     }
     if G.abelian:
         info["rank"] = abelian_rank(G)
-    _emit(args, info, [f"{k}: {v}" for k, v in info.items()])
+    _emit(args, lambda: info, [f"{k}: {v}" for k, v in info.items()])
     return 0
 
 
@@ -89,7 +139,7 @@ def _cmd_ds_verify(args) -> int:
     except ValueError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
-    _emit(args, lio.record_to_json(record),
+    _emit(args, lambda: lio.record_to_json(record),
           [f"difference set with parameters {record.params.as_tuple()}"])
     return 0
 
@@ -102,7 +152,7 @@ def _cmd_link_verify(args) -> int:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
     profile = reversibility_profile(system)
-    _emit(args, lio.system_to_json(system),
+    _emit(args, lambda: lio.system_to_json(system),
           [f"reduced {system.params.as_tuple()} linking system of size {system.size}",
            f"(mu, nu) = {system.munu.as_tuple()}",
            f"reversibility profile: {profile}"])
@@ -118,7 +168,7 @@ def _cmd_dm_construct(args) -> int:
         return 1
     cert = lio.certificate("difference-matrix", lio.dm_to_json(M), {"rows": args.rows})
     _write_out(args, cert)
-    _emit(args, cert, [f"({G.spec}, {M.num_rows}, 1)-difference matrix; verified"])
+    _emit(args, lambda: cert, [f"({G.spec}, {M.num_rows}, 1)-difference matrix; verified"])
     return 0
 
 
@@ -129,27 +179,27 @@ def _cmd_dm_verify(args) -> int:
     except ValueError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
-    _emit(args, lio.dm_to_json(M),
+    _emit(args, lambda: lio.dm_to_json(M),
           [f"verified ({M.group.spec}, {M.num_rows}, {M.lam})-difference matrix"])
     return 0
 
 
 def _cmd_bent_kerdock(args) -> int:
     fns = kerdock_bent_set(args.d)
-    payload = {"arity": fns[0].arity, "tables": [f.to_hex() for f in fns]}
-    cert = lio.certificate("bent-set", payload, {"d": args.d})
+    cert = lio.certificate("bent-set", lio.bent_set_to_json(fns), {"d": args.d})
     _write_out(args, cert)
-    _emit(args, cert, [f"verified bent set of size {len(fns)} on arity {fns[0].arity}"])
+    _emit(args, lambda: cert, [f"verified bent set of size {len(fns)} on arity {fns[0].arity}"])
     return 0
 
 
 def _cmd_bent_verify(args) -> int:
     obj = _payload_of(_load_json(args.file))
-    fns = [BooleanFunction.from_hex(obj["arity"], h) for h in obj["tables"]]
-    if not is_bent_set(fns):
-        print("verification failed: not a bent set", file=sys.stderr)
+    try:
+        fns = lio.bent_set_from_json(obj)
+    except ValueError as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
         return 1
-    _emit(args, {"arity": obj["arity"], "size": len(fns), "bent_set": True},
+    _emit(args, lambda: {"arity": fns[0].arity, "size": len(fns), "bent_set": True},
           [f"verified bent set of size {len(fns)}"])
     return 0
 
@@ -177,7 +227,7 @@ def _cmd_build(args) -> int:
     cert = lio.certificate("linking-system", lio.system_to_json(system),
                            {"family": args.family})
     _write_out(args, cert)
-    _emit(args, cert,
+    _emit(args, lambda: cert,
           [f"verified reduced {system.params.as_tuple()} linking system of size {system.size}",
            f"reversibility profile: {reversibility_profile(system)}"])
     return 0
@@ -192,7 +242,7 @@ def _cmd_census(args) -> int:
                                  result.runtime_seconds)
     cert = lio.certificate("census-report", payload, {"target": "z42"})
     _write_out(args, cert)
-    _emit(args, cert,
+    _emit(args, lambda: cert,
           [f"size-3 reduced linking systems in Z4^2: {result.count}",
            f"maximum system size: {result.max_size}",
            f"digest: {payload['digest']}",
@@ -217,7 +267,7 @@ def _cmd_nonexist(args) -> int:
         empty = result.count == 0
         cert = lio.certificate("nonexistence-report", payload, {"target": args.target})
         _write_out(args, cert)
-        _emit(args, cert,
+        _emit(args, lambda: cert,
               [f"difference sets found: {payload['difference_sets']}",
                f"size-2 systems: {result.count} (expected 0)"])
         return 1 if empty else 0
@@ -240,7 +290,7 @@ def _cmd_nonexist(args) -> int:
     _write_out(args, cert)
     lines = [f"{r.family} over {r.group_spec}: {r.linked_pairs} linked pairs "
              f"of {r.pairs_tested} tested ({r.mode})" for r in reports]
-    _emit(args, cert, lines)
+    _emit(args, lambda: cert, lines)
     return 1 if all_empty else 0
 
 

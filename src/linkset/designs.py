@@ -39,6 +39,17 @@ class DifferenceSetRecord:
     def __post_init__(self):
         object.__setattr__(self, "elements", tuple(sorted(set(self.elements))))
 
+    @classmethod
+    def _of_sorted(cls, group: FiniteGroup, elements: tuple[int, ...],
+                   params: DSParams) -> "DifferenceSetRecord":
+        """A record of ids that are already sorted and distinct (a support
+        from ``np.nonzero``), built without ``__post_init__``'s normalization."""
+        record = object.__new__(cls)
+        object.__setattr__(record, "group", group)
+        object.__setattr__(record, "elements", elements)
+        object.__setattr__(record, "params", params)
+        return record
+
     def ring_element(self) -> rg.GroupRingElement:
         return rg.from_subset(self.group, self.elements)
 

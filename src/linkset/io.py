@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 
 import numpy as np
 
+from .bent import BooleanFunction, is_bent_set
 from .designs import DifferenceSetRecord, is_difference_set
 from .diffmat import DifferenceMatrix, verify_dm
 from .groups import FiniteGroup, group_from_spec
@@ -28,6 +30,32 @@ def names_to_set(G: FiniteGroup, names) -> tuple[int, ...]:
     return tuple(sorted(G.element_ids(names)))
 
 
+def _sets_to_names(G: FiniteGroup, sets) -> list[list[str]]:
+    """``set_to_names`` of each of many sets of one size: one sort and one
+    name gather over the stacked id rows."""
+    return G.name_array[np.sort(np.array(sets, dtype=np.int64), axis=1)].tolist()
+
+
+def _object(obj) -> dict:
+    if not isinstance(obj, dict):
+        raise ValueError("certificate payload must be a JSON object")
+    return obj
+
+
+def _strings(value, what: str) -> list:
+    """``value`` if it is a list of strings, else ValueError: a bare string
+    would otherwise be read as a list of one-character names."""
+    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
+        raise ValueError(f"{what} must be a list of strings")
+    return value
+
+
+def _list_of(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list")
+    return value
+
+
 def record_to_json(record: DifferenceSetRecord) -> dict:
     return {
         "group": record.group.spec,
@@ -37,41 +65,59 @@ def record_to_json(record: DifferenceSetRecord) -> dict:
 
 
 def record_from_json(obj: dict) -> DifferenceSetRecord:
-    G = group_from_spec(obj["group"])
-    elems = names_to_set(G, obj["set"])
+    G = group_from_spec(_object(obj)["group"])
+    elems = names_to_set(G, _strings(obj["set"], "set"))
     params = is_difference_set(G, elems)
     if params is None:
         raise ValueError("serialized set is not a difference set")
-    if "params" in obj and list(params.as_tuple()) != list(obj["params"]):
+    if "params" in obj and list(params.as_tuple()) != obj["params"]:
         raise ValueError("serialized parameters disagree with the verified ones")
     return DifferenceSetRecord(G, elems, params)
 
 
 def system_to_json(system: ReducedLinkingSystem) -> dict:
     G = system.group
+    witnesses = sorted(system.witnesses.items())
+    names = _sets_to_names(G, [r.elements for r in system.records]
+                           + [w.elements for _, w in witnesses])
     return {
         "group": G.spec,
         "params": list(system.params.as_tuple()),
         "mu": system.munu.mu,
         "nu": system.munu.nu,
-        "sets": [set_to_names(G, r.elements) for r in system.records],
-        "witnesses": {f"({i},{j})": set_to_names(G, w.elements)
-                      for (i, j), w in sorted(system.witnesses.items())},
+        "sets": names[:system.size],
+        "witnesses": {f"({i},{j})": w for ((i, j), _), w in zip(witnesses, names[system.size:])},
     }
 
 
+_WITNESS_KEY = re.compile(r"\((\d+),(\d+)\)")
+
+
 def system_from_json(obj: dict) -> ReducedLinkingSystem:
-    G = group_from_spec(obj["group"])
-    sets = [names_to_set(G, names) for names in obj["sets"]]
+    G = group_from_spec(_object(obj)["group"])
+    sets = [names_to_set(G, _strings(names, "each entry of sets"))
+            for names in _list_of(obj["sets"], "sets")]
     system = verify_reduced(G, sets)
     if system is None:
         raise ValueError("serialized sets do not form a reduced linking system")
     if (system.munu.mu, system.munu.nu) != (obj["mu"], obj["nu"]):
         raise ValueError("serialized (mu, nu) disagree with verification")
-    for key, names in obj.get("witnesses", {}).items():
-        i, j = key.strip("()").split(",")
-        stored = system.witnesses[(int(i), int(j))].elements
-        if names_to_set(G, names) != stored:
+    stored = obj.get("witnesses", {})
+    if not isinstance(stored, dict):
+        raise ValueError("witnesses must be an object")
+    canonical = dict(zip(system.witnesses, _sets_to_names(
+        G, [w.elements for w in system.witnesses.values()])))
+    for key, names in stored.items():
+        match = _WITNESS_KEY.fullmatch(key)
+        pair = (int(match[1]), int(match[2])) if match else None
+        if pair not in canonical:
+            raise ValueError(f"witness key {key!r} is not (i,j) for distinct "
+                             f"i, j in 1..{system.size}")
+        # the canonical names match at once; any other spelling of the same
+        # set (another order, an equivalent generator word) is parsed
+        if names != canonical[pair] and (
+                names_to_set(G, _strings(names, f"witness {key}"))
+                != system.witnesses[pair].elements):
             raise ValueError(f"witness {key} disagrees with the recomputed one")
     return system
 
@@ -86,12 +132,30 @@ def dm_to_json(M: DifferenceMatrix) -> dict:
 
 
 def dm_from_json(obj: dict) -> DifferenceMatrix:
-    G = group_from_spec(obj["group"])
-    rows = tuple(tuple(G.element_ids(row)) for row in obj["rows"])
-    M = DifferenceMatrix(G, int(obj.get("lambda", 1)), rows)
+    G = group_from_spec(_object(obj)["group"])
+    rows = tuple(tuple(G.element_ids(_strings(row, "each entry of rows")))
+                 for row in _list_of(obj["rows"], "rows"))
+    lam = obj.get("lambda", 1)
+    if type(lam) is not int:
+        raise ValueError("lambda must be an integer")
+    M = DifferenceMatrix(G, lam, rows)
     if not verify_dm(M):
         raise ValueError("serialized matrix fails the difference property")
     return M
+
+
+def bent_set_to_json(fns) -> dict:
+    return {"arity": fns[0].arity, "tables": [f.to_hex() for f in fns]}
+
+
+def bent_set_from_json(obj: dict) -> list[BooleanFunction]:
+    arity = _object(obj)["arity"]
+    if type(arity) is not int or arity < 0:
+        raise ValueError("arity must be a nonnegative integer")
+    fns = [BooleanFunction.from_hex(arity, table) for table in _strings(obj["tables"], "tables")]
+    if not is_bent_set(fns):
+        raise ValueError("not a bent set")
+    return fns
 
 
 def certificate(kind: str, payload: dict, input_echo=None) -> dict:

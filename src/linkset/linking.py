@@ -123,7 +123,8 @@ def _pair_witnesses(G: FiniteGroup, products: rg.RowProducts, munu: MuNu, params
         if any(support is None for support in supports):
             return None
         for j, support in zip(others, supports):
-            witnesses[(i + 1, j + 1)] = DifferenceSetRecord(G, tuple(support.tolist()), params)
+            witnesses[(i + 1, j + 1)] = DifferenceSetRecord._of_sorted(
+                G, tuple(support.tolist()), params)
     return witnesses
 
 

@@ -191,3 +191,169 @@ def test_dm_json_round_trip():
     obj = lio.dm_to_json(M)
     back = lio.dm_from_json(obj)
     assert back.rows == M.rows and back.lam == M.lam
+
+
+@pytest.mark.parametrize("argv, kind", [
+    (["build", "improved", "--group", '{"abelian": [4, 4, 4]}'], "linking-system"),
+    (["build", "nonrev", "-d", "1"], "linking-system"),
+    (["dm", "construct", "--group", '{"abelian": [4, 2]}', "--rows", "4"], "difference-matrix"),
+    (["bent", "kerdock", "-d", "1"], "bent-set"),
+    (["census", "z42"], "census-report"),
+    (["nonexist", "z8z2"], "nonexistence-report"),
+    (["nonexist", "mcfarland-q3", "--pruned"], "nonexistence-report"),
+])
+def test_certificate_bytes_equal_json_dumps(monkeypatch, tmp_path, argv, kind):
+    """The bytes written to --out are json.dumps(indent=2, sort_keys=True)
+    of the object the command handed to the writer, plus a newline."""
+    from linkset import cli
+    from linkset.search import census_systems
+
+    # the size-2 census of Z4^2 writes the same report shape as size 3, faster
+    monkeypatch.setattr(cli, "census_systems",
+                        lambda G, k, ell, jobs: census_systems(G, k, 2, jobs=jobs))
+    written = []
+    write_json = cli._write_json
+    monkeypatch.setattr(cli, "_write_json",
+                        lambda fh, obj: written.append(obj) or write_json(fh, obj))
+    path = tmp_path / "cert.json"
+    code, _, _ = run_capture(argv + ["--out", str(path)])
+    assert code in (0, 1) and len(written) == 1 and written[0]["kind"] == kind
+    expected = json.dumps(written[0], indent=2, sort_keys=True) + "\n"
+    assert path.read_bytes() == expected.encode()
+
+
+def test_output_json_prints_the_certificate_bytes(tmp_path):
+    path = tmp_path / "cert.json"
+    argv = ["build", "improved", "--group", '{"abelian": [4, 4, 4]}', "--out", str(path)]
+    code, out, _ = run_capture(["--output", "json"] + argv)
+    assert code == 0 and out == path.read_text()
+
+
+def test_json_writer_fallbacks_match_json_dumps():
+    from linkset.cli import _write_json
+
+    # each of these lists has one string that json.dumps escapes
+    escaped = [["x1", s] for s in ('a"b', "back\\slash", "tab\there", "del\x7f", "nul\x00",
+                                   "élément", "\U0001d400", "\u2028")]
+    obj = {
+        "plain": ["x1", "x1^2*x2", "1", "", " ~!#[]"],
+        "escaped": escaped,
+        "mixed": ["x1", 2, None, True, False, 1.5, -0.0, 1e300, float("inf"), float("nan")],
+        "empty": [[], {}, [[]], [{}]],
+        "nested": [[["x1", "x2"], []], [[1, [2, [3]]]], ("tu", "ple")],
+        "int_keys": {3: "c", 1: ["a", {"b": [1]}]},
+        "dict": {"z": {"y": {}}, "aé": [{"k": "v"}], "": 0},
+        "scalars": [0, -7, 2 ** 70, 0.1],
+        "\"key\"": "☃",
+    }
+    for value in [obj, [], {}, "x1", 3, None, ["x1", "x2"], [["x1"], "x2", {"a": []}]]:
+        out = io.StringIO()
+        _write_json(out, value)
+        assert out.getvalue() == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def _witness_variant(triple_file, tmp_path, change):
+    obj = json.loads(triple_file.read_text())
+    change(obj["witnesses"]["(1,2)"])
+    path = tmp_path / "variant.json"
+    path.write_text(json.dumps(obj))
+    return run_capture(["link", "verify-reduced", str(path)])
+
+
+def test_link_verify_accepts_other_spellings_of_a_witness(triple_file, tmp_path):
+    def respell(names):
+        names.reverse()
+        i = next(i for i, name in enumerate(names) if name != "1")
+        names[i] += "*x1^4"  # x1 has order 4: the same element
+
+    for change in (list.reverse, respell):
+        code, out, err = _witness_variant(triple_file, tmp_path, change)
+        assert code == 0 and err == "" and "linking system of size 3" in out
+
+
+def test_link_verify_rejects_a_tampered_witness(triple_file, tmp_path):
+    def tamper(names):
+        names[0] = next(f"x1^{a}*x2^{b}" for a in (1, 2, 3) for b in (1, 2, 3)
+                        if f"x1^{a}*x2^{b}".replace("^1", "") not in names)
+
+    code, out, err = _witness_variant(triple_file, tmp_path, tamper)
+    assert code == 1 and out == "" and "witness (1,2) disagrees" in err
+
+
+def _malformed_triples(triple):
+    """(name, payload) pairs: the triple certificate with one shape broken."""
+
+    def changed(path, value):
+        obj = json.loads(json.dumps(triple))
+        *parents, last = path
+        target = obj
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        return obj
+
+    witnesses = triple["witnesses"]
+    yield "top-level list", [1, 2]
+    yield "top-level string", "x1"
+    yield "top-level number", 5
+    yield "wrapped list", {"kind": "linking-system", "payload": [1, 2]}
+    yield "sets a string", changed(["sets"], "x1")
+    yield "set an int", changed(["sets", 0], 5)
+    yield "set a string", changed(["sets", 0], "x1")
+    yield "set with an int name", changed(["sets", 0, 0], 7)
+    yield "witnesses a list", changed(["witnesses"], [])
+    yield "witness a string", changed(["witnesses", "(1,2)"], "".join(witnesses["(1,2)"]))
+    yield "witness with an int", changed(["witnesses", "(1,2)", 0], 1)
+    for key in ("1-2", "(a,b)", "(1,1)", "(9,1)", "(1,2,3)", "(0,1)", " (1,2)"):
+        obj = json.loads(json.dumps(triple))
+        obj["witnesses"][key] = obj["witnesses"].pop("(1,2)")
+        yield f"witness key {key!r}", obj
+
+
+def _assert_verification_failed(argv):
+    code, out, err = run_capture(argv)
+    assert code == 1 and out == ""
+    assert err.startswith("verification failed: ") and err.count("\n") == 1
+
+
+def test_malformed_linking_certificates_fail_verification(triple_file, tmp_path):
+    triple = json.loads(triple_file.read_text())
+    for name, payload in _malformed_triples(triple):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(payload))
+        _assert_verification_failed(["link", "verify-reduced", str(path)])
+
+
+def test_malformed_dm_ds_and_bent_certificates_fail_verification(tmp_path):
+    G, sets = linked_triple_z4z4()
+    from linkset.designs import make_record
+
+    dm = lio.dm_to_json(dm_auto(make_abelian([4, 2]), 4))
+    ds = lio.record_to_json(make_record(G, sets[0]))
+    bent = {"arity": 2, "tables": ["00", "08"]}
+    cases = [
+        ("dm", [1, 2]), ("dm", dm | {"rows": "x1"}), ("dm", dm | {"rows": ["x1"] + dm["rows"][1:]}),
+        ("dm", dm | {"rows": [[1, 2]] + dm["rows"][1:]}), ("dm", dm | {"lambda": [1]}),
+        ("ds", [1, 2]), ("ds", ds | {"set": "x1"}), ("ds", ds | {"set": [1, 2]}),
+        ("ds", ds | {"params": 4}),
+        ("bent", [1, 2]), ("bent", bent | {"tables": "08"}), ("bent", bent | {"tables": [0, 8]}),
+        ("bent", bent | {"tables": []}), ("bent", bent | {"arity": "2"}),
+        ("bent", bent | {"tables": ["zz", "08"]}),
+    ]
+    for command, payload in cases:
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(payload))
+        _assert_verification_failed([command, "verify", str(path)])
+    path.write_text(json.dumps(bent))
+    assert run_capture(["bent", "verify", str(path)])[0] == 0
+
+
+def test_verify_builds_its_json_payload_only_for_json_output(monkeypatch, triple_file):
+    system_to_json = lio.system_to_json
+    calls = []
+    monkeypatch.setattr(lio, "system_to_json", lambda s: calls.append(s) or system_to_json(s))
+    code, out, _ = run_capture(["link", "verify-reduced", str(triple_file)])
+    assert code == 0 and calls == []
+    code, out, _ = run_capture(["--output", "json", "link", "verify-reduced", str(triple_file)])
+    assert code == 0 and len(calls) == 1
+    assert out == json.dumps(json.loads(triple_file.read_text()), indent=2, sort_keys=True) + "\n"

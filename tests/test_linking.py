@@ -38,6 +38,18 @@ def test_verify_reduced_triple():
     assert reversibility_profile(system) == (True, False, False)
 
 
+def test_records_are_normalized_or_come_normalized():
+    from linkset.designs import DifferenceSetRecord
+
+    G, sets = linked_triple_z4z4()
+    system = verify_reduced(G, [list(reversed(S)) for S in sets])
+    assert [r.elements for r in system.records] == [tuple(sorted(S)) for S in sets]
+    # witnesses come from the kernel already sorted and distinct
+    for w in system.witnesses.values():
+        assert type(w.elements) is tuple and all(type(a) is int for a in w.elements)
+        assert w == DifferenceSetRecord(G, tuple(reversed(w.elements)), w.params)
+
+
 def test_verify_reduced_rejects():
     G, sets = linked_triple_z4z4()
     assert verify_reduced(G, [sets[0], sets[0]]) is None  # duplicate
