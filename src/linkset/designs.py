@@ -89,7 +89,8 @@ def make_record(G: FiniteGroup, S) -> DifferenceSetRecord:
 
 def complement(record: DifferenceSetRecord) -> DifferenceSetRecord:
     G = record.group
-    comp = tuple(a for a in G.elements() if a not in set(record.elements))
+    members = set(record.elements)
+    comp = tuple(a for a in G.elements() if a not in members)
     v, k, lam, n = record.params.as_tuple()
     return DifferenceSetRecord(G, comp, DSParams(v, v - k, v - 2 * k + lam, n))
 

@@ -3,10 +3,11 @@ difference matrix into a reduced linking system of difference sets.
 
 The four drivers at the bottom (general / improved / tyken / nonreversible)
 build the infinite families in abelian 2-groups, D4 x K, and Z_4^(d+1).
-Difference matrices themselves come from a pipeline: Galois-ring
-multiplication tables for homogeneous groups, products across invariant
-factors, and a bounded search that closes the remaining gaps at desk scale;
-the row-pair verifier is the sole arbiter.
+Difference matrices themselves come from a pipeline: one Galois-ring
+matrix per run of equal invariant factors (whole rows of ring products from
+the array ``GaloisRing.mul``), composed across the runs and mapped onto the
+group's factor order, and a bounded search that closes the remaining gaps
+at desk scale; the row-pair verifier is the sole arbiter.
 
 The search (``_backtrack_dm``) fills rows one at a time, column by column,
 trying values in increasing order, with forward checking on Python-int
@@ -25,6 +26,7 @@ budget-out under a minute up to |G| = 1024 (about 45 s there).
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 from dataclasses import dataclass
 from operator import or_
@@ -47,7 +49,6 @@ from .groups import (
     _independent_basis,
     _radix_weights,
     _span_table,
-    abelian_element,
     make_abelian,
     subgroup_generated,
 )
@@ -88,15 +89,16 @@ def verify_dm(M: DifferenceMatrix) -> bool:
 def _row_pairs_cover(G: FiniteGroup, arr: np.ndarray, ids: np.ndarray, lam: int) -> bool:
     """Whether for every ordered pair of distinct rows i, r the quotients
     arr[i, j] arr[r, j]^(-1) fall exactly lam times into each class of
-    ``ids`` (a class number 0..max for each element of G)."""
+    ``ids`` (a class number 0..max for each element of G).  Row i is
+    checked against all other rows with one bincount, class c of the k-th
+    other row counted in bin k*width + c."""
     width = int(ids.max()) + 1
-    for i in range(len(arr)):
-        for r in range(len(arr)):
-            if i == r:
-                continue
-            diffs = ids[G.table[arr[i], G.inv_table[arr[r]]]]
-            if not np.all(np.bincount(diffs, minlength=width) == lam):
-                return False
+    m = len(arr)
+    offsets = (np.arange(m - 1) * width)[:, None]
+    for i in range(m):
+        diffs = ids[G.table[arr[i], G.inv_table[np.delete(arr, i, axis=0)]]]
+        if not np.all(np.bincount((diffs + offsets).ravel(), minlength=(m - 1) * width) == lam):
+            return False
     return True
 
 
@@ -135,11 +137,10 @@ def dm_galois_ring(e: int, t: int) -> DifferenceMatrix:
     ring = GaloisRing(e, t)
     G = make_abelian([2 ** e] * t)
     taus = ring.teichmueller()
-    rows = []
-    for tau in taus:
-        row = [abelian_element(G, ring.decode(ring.mul(tau, z))) for z in range(ring.size)]
-        rows.append(tuple(row))
-    M = DifferenceMatrix(G, 1, tuple(rows))
+    products = np.array([ring.mul(tau, np.arange(ring.size)) for tau in taus])
+    # ring digit i (the coefficient of X^i) is the exponent of factor i of G
+    ids = _copy_exponents(G, G, list(range(t))[::-1])[products]
+    M = DifferenceMatrix(G, 1, tuple(map(tuple, ids.tolist())))
     if not verify_dm(M):
         raise AssertionError("Galois-ring construction failed verification")
     return M
@@ -157,14 +158,9 @@ def dm_product(M1: DifferenceMatrix, M2: DifferenceMatrix) -> DifferenceMatrix:
     from .groups import direct_product
 
     G = direct_product(M1.group, M2.group)
-    v2 = M2.group.order
     m = min(M1.num_rows, M2.num_rows)
-    rows = []
-    for i in range(m):
-        row = [M1.rows[i][j1] * v2 + M2.rows[i][j2]
-               for j1 in range(M1.group.order) for j2 in range(v2)]
-        rows.append(tuple(row))
-    M = DifferenceMatrix(G, 1, tuple(rows))
+    rows = M1.array()[:m, :, None] * M2.group.order + M2.array()[:m, None, :]
+    M = DifferenceMatrix(G, 1, tuple(map(tuple, rows.reshape(m, -1).tolist())))
     if not verify_dm(M):
         raise AssertionError("product composition failed verification")
     return M
@@ -177,24 +173,18 @@ def _factor_exponent(n: int) -> int:
     return e
 
 
-def _transplant(M: DifferenceMatrix, G: FiniteGroup) -> DifferenceMatrix:
-    """Reinterpret a matrix over an identically-encoded group object."""
-    if M.group.cyclic_factors != G.cyclic_factors:
-        raise ValueError("cyclic factor mismatch")
-    return DifferenceMatrix(G, M.lam, M.rows)
-
-
 def dm_auto(G: FiniteGroup, target_rows: int,
             budget: int | None = None) -> DifferenceMatrix | None:
     """A (G, m, 1)-difference matrix with m >= target_rows, or None when
     none exists.
 
-    Pipeline: Galois-ring table when the group is homogeneous, product
-    composition across invariant-factor chunks, then the exact
-    forward-checking search ``_backtrack_dm`` within ``budget`` nodes
-    (default DEFAULT_SEARCH_BUDGET).  None means absence is proved: the
-    search exhausted its space, or target_rows > |G|.  A search that runs
-    out of budget raises SearchInconclusive instead.
+    Pipeline: one Galois-ring matrix per run of equal invariant factors,
+    composed by ``dm_product`` (a homogeneous group is a single run) and
+    mapped onto G's factor order, then the exact forward-checking search
+    ``_backtrack_dm`` within ``budget`` nodes (default
+    DEFAULT_SEARCH_BUDGET).  None means absence is proved: the search
+    exhausted its space, or target_rows > |G|.  A search that runs out of
+    budget raises SearchInconclusive instead.
     """
     if G.cyclic_factors is None:
         raise ValueError("dm_auto needs a group built from cyclic factors")
@@ -210,72 +200,25 @@ def dm_auto(G: FiniteGroup, target_rows: int,
         rows = (tuple([0] * v), tuple(range(v)))
         return DifferenceMatrix(G, 1, rows)
 
-    if len(set(factors)) == 1:
-        e = _factor_exponent(factors[0])
-        M = _transplant(dm_galois_ring(e, len(factors)), G)
-        if M.num_rows >= target_rows:
-            return M
-
-    sorted_factors = tuple(sorted(factors, reverse=True))
-    chunks = _equal_chunks(sorted_factors)
-    if len(chunks) > 1:
-        parts = [dm_galois_ring(_factor_exponent(val), count) for val, count in chunks]
-        M = parts[0]
-        for part in parts[1:]:
-            M = dm_product(M, part)
-        if M.num_rows >= target_rows:
-            return _permute_onto(M, G, sorted_factors)
-
-    if budget is None:
-        budget = DEFAULT_SEARCH_BUDGET
-    search = _backtrack_dm(G, target_rows, budget)
-    if search.outcome == INCONCLUSIVE:
-        raise SearchInconclusive(G, target_rows, budget)
-    if search.outcome == ABSENT:
-        return None
-    M = DifferenceMatrix(G, 1, search.rows)
+    positions = _sorted_positions(factors)
+    runs = [(n, len(list(run))) for n, run in itertools.groupby(factors[p] for p in positions)]
+    if min(2 ** count for _, count in runs) >= target_rows:
+        M = functools.reduce(dm_product, [dm_galois_ring(_factor_exponent(n), count)
+                                          for n, count in runs])
+        rows = _copy_exponents(G, M.group, positions)[M.array()].tolist()
+    else:
+        if budget is None:
+            budget = DEFAULT_SEARCH_BUDGET
+        search = _backtrack_dm(G, target_rows, budget)
+        if search.outcome == INCONCLUSIVE:
+            raise SearchInconclusive(G, target_rows, budget)
+        if search.outcome == ABSENT:
+            return None
+        rows = search.rows
+    M = DifferenceMatrix(G, 1, tuple(map(tuple, rows)))
     if not verify_dm(M):
-        raise AssertionError("difference-matrix search failed verification")
+        raise AssertionError("difference matrix failed verification")
     return M
-
-
-def _equal_chunks(sorted_factors: tuple[int, ...]) -> list[tuple[int, int]]:
-    chunks: list[tuple[int, int]] = []
-    for n in sorted_factors:
-        if chunks and chunks[-1][0] == n:
-            chunks[-1] = (n, chunks[-1][1] + 1)
-        else:
-            chunks.append((n, 1))
-    return chunks
-
-
-def _permute_onto(M: DifferenceMatrix, G: FiniteGroup,
-                  sorted_factors: tuple[int, ...]) -> DifferenceMatrix:
-    """Map a matrix over make_abelian(sorted_factors) onto G, which has the
-    same multiset of factors in a possibly different order."""
-    src = M.group
-    if src.cyclic_factors != sorted_factors:
-        raise AssertionError("unexpected source factor order")
-    if G.cyclic_factors == sorted_factors:
-        return _transplant(M, G)
-    idmap = _copy_exponents(G, src, _stable_factor_permutation(sorted_factors, G.cyclic_factors))
-    out = DifferenceMatrix(G, 1, tuple(map(tuple, idmap[M.array()].tolist())))
-    if not verify_dm(out):
-        raise AssertionError("factor permutation broke the difference property")
-    return out
-
-
-def _stable_factor_permutation(src: tuple[int, ...], dst: tuple[int, ...]) -> list[int]:
-    """perm[i] = position in dst for the i-th src factor (equal values in order)."""
-    slots: dict[int, list[int]] = {}
-    for pos, n in enumerate(dst):
-        slots.setdefault(n, []).append(pos)
-    perm = []
-    for n in src:
-        if not slots.get(n):
-            raise ValueError("factor multisets differ")
-        perm.append(slots[n].pop(0))
-    return perm
 
 
 FOUND, ABSENT, INCONCLUSIVE = "found", "absent", "inconclusive"

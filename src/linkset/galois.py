@@ -1,12 +1,17 @@
-"""Arithmetic in GF(2^t) and the Galois ring GR(2^e, t).
+"""Array arithmetic in the Galois ring GR(2^e, t), and so in GF(2^t) = GR(2, t).
 
-Ring elements are integers encoding polynomial coefficient vectors in mixed
-radix 2^e: the coefficient of X^i is digit i.  The modulus is the monic
-basic irreducible of degree t obtained by lifting the lexicographically
-smallest irreducible polynomial over GF(2) with 0/1 coefficients.
+Ring elements are integer ids encoding polynomial coefficient vectors in
+mixed radix 2^e: the coefficient of X^i is digit i.  The modulus is the
+monic basic irreducible of degree t obtained by lifting the
+lexicographically smallest irreducible polynomial over GF(2) with 0/1
+coefficients.  ``GaloisRing.mul`` multiplies whole id arrays exactly in
+int64; the difference-matrix and Kerdock constructions build their tables
+from it.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 
 def gf2_is_irreducible(poly: int, deg: int) -> bool:
@@ -44,87 +49,47 @@ class GaloisRing:
     def __init__(self, e: int, t: int):
         if e < 1 or t < 1:
             raise ValueError("e and t must be positive")
+        if e * t > 31:
+            raise ValueError("GR(2^e, t) with e*t > 31 is past exact int64 products")
         self.e = e
         self.t = t
         self.char = 2 ** e
         self.size = 2 ** (e * t)
         poly = irreducible_poly(t)
         self.modulus = tuple((poly >> i) & 1 for i in range(t))  # low coefficients
-        self._mul_cache: dict[tuple[int, int], int] = {}
 
-    def decode(self, z: int) -> list[int]:
-        digits = []
-        for _ in range(self.t):
-            digits.append(z % self.char)
-            z //= self.char
-        return digits
+    def mul(self, a, b) -> np.ndarray:
+        """Exact products of the ring elements with ids ``a`` and ``b``
+        (int64 arrays, broadcast against each other).
 
-    def encode(self, digits) -> int:
-        z = 0
-        for d in reversed(list(digits)):
-            z = z * self.char + (d % self.char)
-        return z
+        Digit i of b is the coefficient of X^i; the shifts X^i b are reduced
+        modulo the monic lift (X^t = -(low coefficients)) one step at a time
+        and accumulated with weight digit i of a, so the scratch memory is
+        t arrays of the broadcast shape plus t of b's shape, and every
+        intermediate stays below t 4^e <= 2^62 (e t <= 31).
+        """
+        e, t, mask = self.e, self.t, self.char - 1
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
+        shifted = [(b >> (e * j)) & mask for j in range(t)]  # digits of X^i b
+        acc = [0] * t
+        for i in range(t):
+            digit = (a >> (e * i)) & mask
+            for j in range(t):
+                acc[j] = acc[j] + digit * shifted[j]
+            top = shifted[-1]
+            shifted = [(low - top * c) & mask
+                       for low, c in zip([0] + shifted[:-1], self.modulus)]
+        return sum((d & mask) << (e * j) for j, d in enumerate(acc))
 
-    def add(self, a: int, b: int) -> int:
-        x, y = self.decode(a), self.decode(b)
-        return self.encode((u + v) % self.char for u, v in zip(x, y))
-
-    def sub(self, a: int, b: int) -> int:
-        x, y = self.decode(a), self.decode(b)
-        return self.encode((u - v) % self.char for u, v in zip(x, y))
-
-    def mul(self, a: int, b: int) -> int:
-        key = (a, b)
-        cached = self._mul_cache.get(key)
-        if cached is not None:
-            return cached
-        x, y = self.decode(a), self.decode(b)
-        t, char = self.t, self.char
-        prod = [0] * (2 * t - 1)
-        for i, u in enumerate(x):
-            if u:
-                for j, v in enumerate(y):
-                    prod[i + j] = (prod[i + j] + u * v) % char
-        # reduce modulo the monic lift: X^t = -(low coefficients)
-        for i in range(2 * t - 2, t - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                for j in range(t):
-                    prod[i - t + j] = (prod[i - t + j] - c * self.modulus[j]) % char
-        out = self.encode(prod[:t])
-        self._mul_cache[key] = out
+    def teichmueller(self) -> np.ndarray:
+        """The 2^t Teichmueller representatives, sorted by id: a^(2^(t(e-1)))
+        over the lifts a of GF(2^t) with 0/1 digits."""
+        bits = np.arange(2 ** self.t)
+        z = sum(((bits >> i) & 1) << (self.e * i) for i in range(self.t))
+        for _ in range(self.t * (self.e - 1)):
+            z = self.mul(z, z)
+        out = np.sort(z)
+        if np.any(out[1:] == out[:-1]):
+            raise AssertionError("two lifts share a Teichmueller representative")
         return out
-
-    def pow(self, a: int, n: int) -> int:
-        acc = 1
-        base = a
-        while n:
-            if n & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return acc
-
-    def teichmueller(self) -> list[int]:
-        """The 2^t fixed points of z -> z^(2^t), found by iterating the map
-        from every residue; sorted by integer encoding."""
-        reps = set()
-        q = 2 ** self.t
-        for z in range(self.size):
-            u = z
-            for _ in range(self.e * self.t + 2):
-                nxt = self.pow(u, q)
-                if nxt == u:
-                    break
-                u = nxt
-            if self.pow(u, q) == u:
-                reps.add(u)
-        out = sorted(reps)
-        if len(out) != q:
-            raise AssertionError(f"Teichmueller set has size {len(out)}, expected {q}")
-        return out
-
-    def is_unit(self, a: int) -> bool:
-        # the ring is local with maximal ideal (2): units reduce to nonzero mod 2
-        return any(d % 2 for d in self.decode(a))

@@ -47,10 +47,17 @@ class FiniteGroup:
             raise ValueError("id 0 is not a left identity")
         if not np.array_equal(self.table[:, 0], ids):
             raise ValueError("id 0 is not a right identity")
-        # cancellation: each row and each column is a permutation
-        if not np.array_equal(np.sort(self.table, axis=1), np.broadcast_to(ids, (v, v))):
+        # cancellation: each row and each column is a permutation, that is,
+        # its v entries lie in 0..v-1 and mark all v values
+        if self.table.min() < 0 or self.table.max() >= v:
             raise ValueError("a table row is not a permutation")
-        if not np.array_equal(np.sort(self.table, axis=0), np.broadcast_to(ids[:, None], (v, v))):
+        seen = np.zeros((v, v), dtype=bool)
+        seen[ids[:, None], self.table] = True
+        if not seen.all():
+            raise ValueError("a table row is not a permutation")
+        seen[:] = False
+        seen[self.table, ids] = True
+        if not seen.all():
             raise ValueError("a table column is not a permutation")
 
     # -- basic operations ----------------------------------------------------

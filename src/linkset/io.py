@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from operator import itemgetter
 
 import numpy as np
 
@@ -31,9 +32,12 @@ def names_to_set(G: FiniteGroup, names) -> tuple[int, ...]:
 
 
 def _sets_to_names(G: FiniteGroup, sets) -> list[list[str]]:
-    """``set_to_names`` of each of many sets of one size: one sort and one
-    name gather over the stacked id rows."""
-    return G.name_array[np.sort(np.array(sets, dtype=np.int64), axis=1)].tolist()
+    """``set_to_names`` of each of many sets whose ids are already sorted
+    (records and witness supports): one ``itemgetter`` per set, which
+    returns a bare name, not a tuple, for a single id."""
+    names = G.names
+    return [list(itemgetter(*ids)(names)) if len(ids) > 1 else [names[i] for i in ids]
+            for ids in sets]
 
 
 def _object(obj) -> dict:

@@ -128,6 +128,36 @@ def test_is_bent_set():
         is_bent_set([zero_function(4), zero_function(2)])
 
 
+def test_is_bent_set_matches_the_pairwise_definition():
+    rng = np.random.default_rng(5)
+    fns = kerdock_bent_set(2)
+    verdicts = set()
+    for _ in range(20):
+        members = [fns[i] for i in rng.choice(len(fns), 6, replace=False)]
+        if rng.random() < 0.7:  # flip one bit of one member
+            j, x = rng.integers(6), rng.integers(64)
+            table = members[j].table.copy()
+            table[x] ^= 1
+            members[j] = BooleanFunction(6, table)
+        pairwise = all(is_bent(f + g) for i, f in enumerate(members)
+                       for g in members[i + 1:])
+        assert is_bent_set(members) == pairwise
+        verdicts.add(pairwise)
+    assert verdicts == {True, False}
+    assert is_bent_set([QUAD44])
+    with pytest.raises(ValueError, match="even arity"):
+        is_bent_set([zero_function(3), zero_function(3)])
+
+
+@pytest.mark.parametrize("d", [-1, 5, 6])
+def test_kerdock_outside_its_domain_raises_before_any_work(monkeypatch, d):
+    import linkset.bent as bent
+
+    monkeypatch.setattr(bent, "_kerdock_trace_family", None)
+    with pytest.raises(ValueError, match="between 0 and 4"):
+        kerdock_bent_set(d)
+
+
 @pytest.mark.parametrize("d,size", [(0, 2), (1, 8), (2, 32)])
 def test_kerdock_sizes(d, size):
     fns = kerdock_bent_set(d)

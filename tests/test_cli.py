@@ -119,6 +119,15 @@ def test_bent_round_trip(tmp_path):
     assert code == 0 and "size 8" in out
 
 
+def test_kerdock_past_its_domain_is_a_usage_error(monkeypatch):
+    from linkset import bent
+
+    monkeypatch.setattr(bent, "_kerdock_trace_family", None)  # no work may start
+    code, out, err = run_capture(["bent", "kerdock", "-d", "5"])
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith("error: d must be between 0 and 4") and "Traceback" not in err
+
+
 def test_nonexist_exit_codes():
     code, out, _ = run_capture(["nonexist", "mcfarland-q3", "--pruned"])
     assert code == 1  # confirmed empty is the expected outcome
@@ -184,6 +193,19 @@ def test_canonical_json_stable():
     b = lio.canonical_dumps(lio.system_to_json(verify_reduced(G, sets)))
     assert a == b
     assert lio.digest(lio.system_to_json(system)) == lio.digest(json.loads(a))
+
+
+@pytest.mark.parametrize("sets", [[[0], [1], [2]], [[0, 1, 2], [0, 1, 3]]])
+def test_system_json_names_every_set_and_witness(sets):
+    """Sets and witnesses of one element each as well as larger ones."""
+    G = make_abelian([4])
+    system = verify_reduced(G, sets)
+    obj = lio.system_to_json(system)
+    assert obj["sets"] == [lio.set_to_names(G, r.elements) for r in system.records]
+    assert obj["witnesses"] == {f"({i},{j})": lio.set_to_names(G, w.elements)
+                                for (i, j), w in system.witnesses.items()}
+    assert ([r.elements for r in lio.system_from_json(obj).records]
+            == [r.elements for r in system.records])
 
 
 def test_dm_json_round_trip():

@@ -26,7 +26,12 @@ from linkset.diffmat import (
     verify_dm,
     witness_direct,
 )
-from linkset.groups import make_abelian, make_dihedral8, subgroup_generated
+from linkset.groups import (
+    abelian_exponent_tuple,
+    make_abelian,
+    make_dihedral8,
+    subgroup_generated,
+)
 from linkset.worked_examples import (
     dm_z2z2,
     linked_triple_z4z4,
@@ -142,6 +147,23 @@ def test_dm_auto():
     assert dm_auto(make_abelian([2, 2]), 5) is None  # above the |G| ceiling
     with pytest.raises(ValueError):
         dm_auto(make_abelian([3, 3]), 2)  # not a 2-group
+
+
+@pytest.mark.parametrize("factors,m", [([2, 4, 2, 4], 4), ([2, 8, 2, 8], 4),
+                                       ([4, 2, 4, 4, 2], 4), ([2, 2, 4, 4], 4)])
+def test_dm_auto_maps_the_galois_ring_product_onto_any_factor_order(factors, m):
+    """The matrix over G is the one over the descending factor order with
+    each element's exponents moved to G's positions (equal factors keep
+    their relative order)."""
+    G = make_abelian(factors)
+    S = make_abelian(sorted(factors, reverse=True))
+    M, MS = dm_auto(G, m), dm_auto(S, m)
+    assert verify_dm(M) and M.num_rows == MS.num_rows >= m
+    order = sorted(range(len(factors)), key=lambda i: (-factors[i], i))
+    for row, srow in zip(M.rows, MS.rows):
+        for x, y in zip(row, srow):
+            exps = abelian_exponent_tuple(G, x)
+            assert tuple(exps[p] for p in order) == abelian_exponent_tuple(S, y)
 
 
 def test_dm_auto_row_ceiling():

@@ -3,6 +3,7 @@ import pytest
 
 from linkset.groups import (
     CosetTransversal,
+    FiniteGroup,
     Subgroup,
     abelian_invariants,
     abelian_rank,
@@ -294,3 +295,18 @@ def test_names_by_table_with_the_parser_on_a_miss():
     assert lio.set_to_names(G, (5, 0, 3)) == [G.name(0), G.name(3), G.name(5)]
     with pytest.raises(ValueError):
         G.element_ids(["x1", "z9"])
+
+
+@pytest.mark.parametrize("rows,message", [
+    ([[1, 2, 0], [2, 0, 1], [0, 1, 2]], "not a left identity"),
+    ([[0, 1, 2], [2, 0, 1], [1, 2, 0]], "not a right identity"),
+    ([[0, 1, 2], [1, 2, 2], [2, 0, 1]], "row is not a permutation"),
+    ([[0, 1, 2], [1, 2, 3], [2, 0, 1]], "row is not a permutation"),
+    ([[0, 1, 2], [1, -1, 0], [2, 0, 1]], "row is not a permutation"),
+    ([[0, 1, 2], [1, 2, 0], [2, 1, 0]], "column is not a permutation"),
+])
+def test_table_validation(rows, message):
+    with pytest.raises(ValueError, match=message):
+        FiniteGroup(np.array(rows), ["1", "a", "b"], [], "bad")
+    assert FiniteGroup(np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]]),
+                       ["1", "a", "b"], [], "Z3").abelian
