@@ -75,13 +75,22 @@ def zero_function(arity: int) -> BooleanFunction:
 
 def wht(f: BooleanFunction) -> np.ndarray:
     """Exact Walsh-Hadamard transform by in-place butterflies, O(n 2^n)."""
-    w = np.where(f.table == 0, 1, -1).astype(np.int64)
-    return wht_signs(w)
+    return wht_signs(np.where(f.table == 0, 1, -1).astype(np.int32))
 
 
 def wht_signs(signs: np.ndarray) -> np.ndarray:
-    w = signs.astype(np.int64, copy=True)
-    n = w.shape[-1]
+    """The transform of each row (last axis, length 2^n) of an integer
+    array, in int32 (the callers pass +/-1 rows).
+
+    Exact: a transform value is a signed sum of the row's 2^n entries, so
+    every butterfly partial sum lies within 2^n * max|entry|, which is
+    2^n <= 4096 for +/-1 rows of every arity a group table allows.  Rows
+    whose bound would reach 2^31 are rejected.
+    """
+    n = signs.shape[-1]
+    if signs.size and n * max(int(signs.max()), -int(signs.min())) >= 2 ** 31:
+        raise ValueError("transform values would overflow int32")
+    w = signs.astype(np.int32, copy=True)
     h = 1
     while h < n:
         w = w.reshape(*w.shape[:-1], -1, 2 * h)
@@ -99,7 +108,7 @@ def _bent_rows(tables: np.ndarray, arity: int) -> np.ndarray:
     transform value is +/- 2^(n/2) (even arity only)."""
     if arity % 2 != 0:
         raise ValueError("bent functions require even arity")
-    spectra = wht_signs(1 - 2 * tables.astype(np.int64))
+    spectra = wht_signs(1 - 2 * tables.astype(np.int32))
     return np.all(np.abs(spectra) == 2 ** (arity // 2), axis=-1)
 
 

@@ -4,12 +4,11 @@ and its clique census, and the McFarland/Spence nonexistence sweeps.
 All searches are exact.  The heavy inner loop, the products of one set
 against many, runs on ``group_ring.RowProducts``.  Each search checks and
 casts its sets to indicator rows once (``group_ring.indicators``).  The
-pair scan behind the linking graph and the sweeps, ``_two_valued_pairs``,
-sieves first: one table-gather float32 GEMM per block of left sets gives
-the coefficients at the first SIEVE_COEFFS ids against every right set,
-exact because every coefficient is a count of at most v <= 4096 < 2^24
-ones, and only pairs whose coefficients there all lie in {mu, nu} get a
-full product row (none do in the sweeps, where no pair links).
+linking graph's pair scan, ``_two_valued_pairs``, sieves first: one
+table-gather float32 GEMM per block of left sets gives the coefficients at
+the first SIEVE_COEFFS ids against every right set, exact because every
+coefficient is a count of at most v <= 4096 < 2^24 ones, and only pairs
+whose coefficients there all lie in {mu, nu} get a full product row.
 
 The census re-verifies its cliques from memoized verdicts: the vertices
 once, each distinct directed pair once (``_reverify_cliques``).
@@ -17,7 +16,12 @@ once, each distinct directed pair once (``_reverify_cliques``).
 The sweeps build their sets as rows of one array with
 ``designs.construction_sets`` (table gathers, no per-element loop), keep
 the distinct rows with ``np.unique`` and find translation classes on the
-table (``_translation_classes``).
+table (``_translation_classes``).  They decide their pairs with the
+projection argument (``_projection_sieve``): each set is projected onto
+Z[G/K], K the elements of order prime to 3, and a pair whose projected
+product cannot be (mu - nu) W + nu |K| (G/K) with every coefficient of W in
+[0, |K|] is dropped exactly; none survive in the sweeps, and any that did
+would get the full pair check of ``linking._row_witnesses``.
 """
 
 from __future__ import annotations
@@ -43,6 +47,8 @@ from .groups import (
     _independent_basis,
     coset_transversal,
     find_central_elementary_abelian,
+    is_normal,
+    quotient,
 )
 from .linking import MuNu, _row_witnesses, mu_nu_candidates
 
@@ -98,9 +104,9 @@ class LinkingGraph:
 
 
 def _two_valued_pairs(args) -> list[tuple[int, int, tuple[int, ...]]]:
-    """(i, j, support of the mu coefficients) for each row i in the range
-    and every row j of the indicator matrix with members[i] members[j]^(-1)
-    valued in {mu, nu}.
+    """The linking graph's pair scan: (i, j, support of the mu coefficients)
+    for each row i in the range and every row j of the indicator matrix with
+    members[i] members[j]^(-1) valued in {mu, nu}.
 
     A sieve first: for a block of left rows, one float32 GEMM gives the
     coefficients at ids 0..SIEVE_COEFFS-1 of the products against every
@@ -316,8 +322,10 @@ class SweepReport:
     """Counts of one nonexistence sweep.
 
     ``pairs_tested`` is n^2 over the n sets scanned (every distinct set in
-    full mode, one per translation class in pruned mode) and
-    ``linked_pairs`` the ordered pairs of distinct sets that link.
+    full mode, one per translation class in pruned mode): every ordered
+    pair is decided exactly, most by the projection sieve and the rest by
+    the full pair check.  ``linked_pairs`` counts the ordered pairs of
+    distinct sets that link.
     ``same_slot_pairs``/``cross_slot_pairs`` (Spence only) are sampled, not
     totals: they count the ordered pairs among the first SLOT_SAMPLE = 200
     distinct sets that do and do not share a complemented slot.
@@ -371,15 +379,69 @@ def _translation_classes(G: FiniteGroup, sets: np.ndarray) -> np.ndarray:
     return canon[np.sort(first)]
 
 
-def _sweep_pairs(G: FiniteGroup, sets, munu: MuNu, params: DSParams) -> tuple[int, int]:
-    """Count linked ordered pairs of distinct sets (exact two-valued test
-    plus a difference-set check on any surviving witness): one pair scan
-    over every row, which takes the rows in blocks itself."""
-    members = rg.indicators(G, sets)
+def _prime_to_3_subgroup(G: FiniteGroup) -> Subgroup:
+    """K, the elements of G of order prime to 3, for a group whose Sylow
+    3-subgroup is a central Z_3^2 E: then G = E x K and G/K = E.
+
+    Raises ValueError unless K is a normal subgroup of order v/9.
+    """
+    elements = [a for a in G.elements() if G.element_order(a) % 3]
+    if 9 * len(elements) != G.order:
+        raise ValueError("the elements of order prime to 3 do not have index 9")
+    K = Subgroup(G, tuple(elements))  # raises unless closed
+    if not is_normal(G, K):
+        raise ValueError("the elements of order prime to 3 are not a normal subgroup")
+    return K
+
+
+def _projection_sieve(G: FiniteGroup, sets, N: Subgroup,
+                      munu: MuNu) -> tuple[np.ndarray, np.ndarray]:
+    """The projection test of the pairs among ``sets`` (equal-length id
+    rows) on G/N, N a normal subgroup: (classes, keep), where classes[i]
+    numbers the distinct projection of set i and keep[a, b] is False only
+    when no set projecting to a links with a set projecting to b.
+
+    With rho: Z[G] -> Z[G/N], a linked pair X Y^(-1) = (mu - nu) W + nu G
+    projects to rho(X) rho(Y)^(-1) = (mu - nu) rho(W) + nu |N| (G/N), and
+    each coefficient of rho(W) counts the elements of a coset of N in W, so
+    lies in [0, |N|].  A pair of projections whose product breaks that
+    congruence or that range cannot link, so dropping it is exact, and sets
+    with equal projections get equal verdicts.  The coefficient of c in
+    rho(X) rho(Y)^(-1) is sum_b rho(Y)[b] rho(X)[c b]: one int64 matmul of
+    the distinct projections per coset c, exact since it is at most k^2.
+    """
+    Q, proj = quotient(G, N)
+    ids = np.asarray(sets, dtype=np.int64)
+    n, w = len(ids), Q.order
+    counts = np.bincount((proj[ids] + w * np.arange(n)[:, None]).ravel(),
+                         minlength=n * w).reshape(n, w)
+    images, classes = np.unique(counts, axis=0, return_inverse=True)
     mu, nu = munu.as_tuple()
-    pairs = _two_valued_pairs((G, members, mu, nu, range(len(sets))))
-    supports = [support for i, j, support in pairs if i != j]
-    linked = sum(p == params for p in difference_set_params(G, supports))
+    keep = np.ones((len(images), len(images)), dtype=bool)
+    for c in range(w):
+        excess = images[:, Q.table[c]] @ images.T - nu * N.order
+        witness = excess // (mu - nu)
+        keep &= (excess % (mu - nu) == 0) & (witness >= 0) & (witness <= N.order)
+    return classes.reshape(-1), keep
+
+
+def _sweep_pairs(G: FiniteGroup, sets, munu: MuNu, params: DSParams,
+                 N: Subgroup) -> tuple[int, int]:
+    """Decide every ordered pair of the sets (sorted (n, k) id rows) and
+    count the linked pairs of distinct sets: the projection sieve on G/N
+    (``_projection_sieve``), then the full pair check of
+    ``linking._row_witnesses`` (two-valued product row, difference-set
+    check of the witness) for each pair it keeps."""
+    classes, keep = _projection_sieve(G, sets, N, munu)
+    linked = 0
+    if keep.any():
+        products = rg.RowProducts(G, rg.indicators(G, sets))
+        for i, a in enumerate(classes.tolist()):
+            right = np.flatnonzero(keep[a, classes])
+            right = right[right != i]
+            if len(right):
+                supports = _row_witnesses(G, products, i, right, munu, params)
+                linked += sum(support is not None for support in supports)
     return len(sets) ** 2, linked
 
 
@@ -394,11 +456,11 @@ def mcfarland_pair_sweep(G: FiniteGroup, mode: str = "pruned") -> SweepReport:
     """
     start = time.time()
     params = DSParams(45, 12, 3, 9)
-    family, reps, munu = _sweep_setup(G, mode, params)
+    family, reps, munu, K = _sweep_setup(G, mode, params)
     constructed = construction_sets(family, reps)
     distinct = np.unique(constructed, axis=0)
     return _sweep_report(G, "mcfarland-q3-d1", mode, len(constructed), distinct,
-                         params, munu, start)
+                         params, munu, K, start)
 
 
 def spence_pair_sweep(G: FiniteGroup, mode: str = "pruned") -> SweepReport:
@@ -406,7 +468,7 @@ def spence_pair_sweep(G: FiniteGroup, mode: str = "pruned") -> SweepReport:
     over the central Z_3^2 of an order-36 group: zero pairs may link."""
     start = time.time()
     params = DSParams(36, 15, 6, 9)
-    family, reps, munu = _sweep_setup(G, mode, params)
+    family, reps, munu, K = _sweep_setup(G, mode, params)
     s = family.count
     by_slot = [construction_sets(family, reps, m) for m in range(s)]
     constructed = np.concatenate(by_slot)
@@ -420,34 +482,36 @@ def spence_pair_sweep(G: FiniteGroup, mode: str = "pruned") -> SweepReport:
     same = int(np.count_nonzero(sample @ sample.T)) - len(sample)
     cross = len(sample) * (len(sample) - 1) - same
     return _sweep_report(G, "spence-d1", mode, len(constructed), distinct, params, munu,
-                         start, same_slot_pairs=same, cross_slot_pairs=cross)
+                         K, start, same_slot_pairs=same, cross_slot_pairs=cross)
 
 
 def _sweep_setup(G: FiniteGroup, mode: str, params: DSParams):
-    """The hyperplanes of a central Z_3^2, its coset representatives and
-    the unique integer (mu, nu) branch of ``params``."""
+    """The hyperplanes of a central Z_3^2, its coset representatives, the
+    unique integer (mu, nu) branch of ``params`` and the subgroup K of the
+    projection sieve."""
     if mode not in ("full", "pruned"):
         raise ValueError("mode must be 'full' or 'pruned'")
     if G.order != params.v:
         raise ValueError(f"expected a group of order {params.v}")
     E = _central_e(G, 2, 3)
+    K = _prime_to_3_subgroup(G)
     family = hyperplanes(E, 3, _independent_basis(G, E.elements, 3))
     branches = mu_nu_candidates(params)
     if len(branches) != 1:
         raise AssertionError("expected a unique integer (mu, nu) branch")
-    return family, coset_transversal(G, E).reps, branches[0]
+    return family, coset_transversal(G, E).reps, branches[0], K
 
 
 def _sweep_report(G: FiniteGroup, family: str, mode: str, constructed: int,
-                  distinct: np.ndarray, params: DSParams, munu: MuNu, start: float,
-                  **slot_pairs) -> SweepReport:
+                  distinct: np.ndarray, params: DSParams, munu: MuNu, K: Subgroup,
+                  start: float, **slot_pairs) -> SweepReport:
     """Check that every distinct set is a difference set with ``params``,
-    scan the pairs the mode asks for and report."""
+    decide the pairs the mode asks for on G/K and report."""
     class_reps = _translation_classes(G, distinct)
     verified = sum(p == params for p in difference_set_params(G, distinct))
     if verified != len(distinct):
         raise AssertionError("a constructed set failed difference-set verification")
-    tested, linked = _sweep_pairs(G, distinct if mode == "full" else class_reps, munu, params)
+    tested, linked = _sweep_pairs(G, distinct if mode == "full" else class_reps, munu, params, K)
     return SweepReport(G.spec, family, mode, constructed, len(distinct), len(class_reps),
                        tested, linked, munu.as_tuple(), verified_sets=verified,
                        runtime_seconds=time.time() - start, **slot_pairs)

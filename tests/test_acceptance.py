@@ -186,12 +186,17 @@ def test_criterion_11_nonexistence_sweeps():
     lines.append(f"mcfarland pruned {r.pairs_tested}")
     r = mcfarland_pair_sweep(make_abelian([3, 3, 5]), mode="full")
     ok &= r.all_pairs_fail
+    # every ordered pair of the distinct sets decided (derived constants, frozen)
+    ok &= (r.pairs_tested, r.linked_pairs, r.distinct_count, r.class_count) == (
+        9720 ** 2, 0, 9720, 216)
     lines.append(f"full {r.pairs_tested}")
     for factors in ([3, 3, 2, 2], [3, 3, 4]):
         r = spence_pair_sweep(make_abelian(factors), mode="pruned")
         ok &= r.all_pairs_fail and r.same_slot_pairs > 0 and r.cross_slot_pairs > 0
         r = spence_pair_sweep(make_abelian(factors), mode="full")
         ok &= r.all_pairs_fail
+        ok &= (r.pairs_tested, r.linked_pairs, r.distinct_count, r.class_count) == (
+            7776 ** 2, 0, 7776, 216)
         lines.append(f"spence {factors} full {r.pairs_tested}")
     elapsed = time.time() - start
     ok &= elapsed < 7200

@@ -60,6 +60,25 @@ def test_wht_matches_naive():
         assert np.array_equal(wht(f), naive_wht(f))
 
 
+def test_wht_signs_int32_matches_int64_reference():
+    """The int32 butterflies against an int64 Sylvester-Hadamard product on
+    random +/-1 batches of every arity up to 10 (|W| <= 2^n fits easily),
+    and rows whose bound reaches 2^31 are rejected."""
+    from linkset.bent import wht_signs
+
+    rng = np.random.default_rng(41)
+    hadamard = np.ones((1, 1), dtype=np.int64)
+    for n in range(1, 11):
+        hadamard = np.kron(np.array([[1, 1], [1, -1]], dtype=np.int64), hadamard)
+        signs = 1 - 2 * rng.integers(0, 2, size=(7, 2 ** n), dtype=np.int8)
+        got = wht_signs(signs)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, signs.astype(np.int64) @ hadamard)
+    assert np.array_equal(wht_signs(np.full(16, -3)), np.eye(16, dtype=np.int32)[0] * -48)
+    with pytest.raises(ValueError):
+        wht_signs(np.full(1024, 2 ** 21))
+
+
 def test_parseval():
     rng = random.Random(37)
     for n in (2, 4, 6, 8, 10):

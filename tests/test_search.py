@@ -6,7 +6,7 @@ import pytest
 
 from linkset import group_ring as rg
 from linkset.designs import is_difference_set
-from linkset.groups import make_abelian
+from linkset.groups import Subgroup, make_abelian
 from linkset.linking import mu_nu_candidates, verify_reduced
 from linkset.search import (
     build_linking_graph,
@@ -178,6 +178,106 @@ def test_spence_sweep_structure():
     assert report.same_slot_pairs > 0 and report.cross_slot_pairs > 0
 
 
+@pytest.mark.parametrize("factors, images", [([3, 3, 5], 81), ([3, 3, 2, 2], 324),
+                                             ([3, 3, 4], 324)])
+def test_projection_sieve_alone_decides_the_q3_sweeps(factors, images):
+    """On G/K (K the elements of order prime to 3) the sieve drops every
+    ordered pair of the full McFarland (order 45) and Spence (order 36)
+    set lists."""
+    from linkset.designs import DSParams, construction_sets
+    from linkset.search import _projection_sieve, _sweep_setup
+
+    G = make_abelian(factors)
+    params = DSParams(45, 12, 3, 9) if G.order == 45 else DSParams(36, 15, 6, 9)
+    family, reps, munu, K = _sweep_setup(G, "full", params)
+    slots = [None] if G.order == 45 else range(family.count)
+    sets = np.unique(np.concatenate([construction_sets(family, reps, m) for m in slots]), axis=0)
+    assert len(sets) == {45: 9720, 36: 7776}[G.order]
+    classes, keep = _projection_sieve(G, sets, K, munu)
+    assert keep.shape == (images, images)
+    sizes = np.bincount(classes)
+    assert sizes.sum() == len(sets) and int(sizes @ keep @ sizes) == 0
+
+
+def _subgroups(G):
+    """Every subgroup of G, by closing each one found under one more element."""
+    from linkset.groups import subgroup_generated
+
+    found = {(0,): ()}
+    frontier = [((0,), ())]
+    while frontier:
+        elements, gens = frontier.pop()
+        for g in G.elements():
+            if g not in elements:
+                H = subgroup_generated(G, [*gens, g]).elements
+                if H not in found:
+                    found[H] = (*gens, g)
+                    frontier.append((H, found[H]))
+    return [Subgroup(G, H) for H in found]
+
+
+@pytest.mark.parametrize("factors, directed, proper", [([4, 4], 12288, 13),
+                                                       ([4, 2, 2], 36864, 25),
+                                                       ([2, 2, 2, 2], 86016, 65)])
+def test_projection_sieve_keeps_every_linked_pair(factors, directed, proper):
+    """Soundness (mu < nu): every directed linked pair of the (16,6,2)
+    census passes the projection test on G/N for every proper nontrivial N."""
+    from linkset.search import _projection_sieve
+
+    G = make_abelian(factors)
+    records = enumerate_difference_sets(G, 6)
+    munu = mu_nu_candidates(records[0].params)[0]
+    adjacency = build_linking_graph(G, records, munu).adjacency
+    assert munu.as_tuple() == (1, 3) and int(adjacency.sum()) == directed
+    left, right = np.nonzero(adjacency)
+    subgroups = [N for N in _subgroups(G) if 1 < N.order < G.order]
+    assert len(subgroups) == proper
+    for N in subgroups:
+        classes, keep = _projection_sieve(G, [r.elements for r in records], N, munu)
+        assert keep[classes[left], classes[right]].all()
+
+
+def test_sweep_pairs_survivor_path_matches_the_exhaustive_scan():
+    """With a weak N (order 2) pairs survive the sieve, and the full pair
+    check behind it finds exactly the linked pairs the exhaustive scan does."""
+    from linkset.designs import difference_set_params
+    from linkset.search import _projection_sieve, _sweep_pairs, _two_valued_pairs
+
+    G = make_abelian([4, 4])
+    records = enumerate_difference_sets(G, 6)
+    sets = np.array([r.elements for r in records])
+    params = records[0].params
+    munu = mu_nu_candidates(params)[0]
+    pairs = _two_valued_pairs((G, rg.indicators(G, sets), *munu.as_tuple(), range(len(sets))))
+    supports = [support for i, j, support in pairs if i != j]
+    want = sum(p == params for p in difference_set_params(G, supports))
+    assert want == 12288
+    order2 = [N for N in _subgroups(G) if N.order == 2]
+    assert len(order2) == 3
+    for N in order2:
+        classes, keep = _projection_sieve(G, sets, N, munu)
+        sizes = np.bincount(classes)
+        assert int(sizes @ keep @ sizes) > want  # the full check rejects some survivors
+        assert _sweep_pairs(G, sets, munu, params, N) == (len(sets) ** 2, want)
+
+
+def test_sweeps_reject_a_group_without_a_normal_3_complement():
+    """K must be a normal subgroup of index 9; in S3 x S3 the elements of
+    order prime to 3 are 16 of 36 (and the centre is trivial)."""
+    from linkset.groups import FiniteGroup
+    from linkset.search import _prime_to_3_subgroup
+
+    perms = list(itertools.product(itertools.permutations(range(3)), repeat=2))
+    table = [[perms.index(tuple(tuple(a[i][b[i][x]] for x in range(3)) for i in (0, 1)))
+              for b in perms] for a in perms]
+    G = FiniteGroup(np.array(table), ["1", *(f"s{i}" for i in range(1, 36))], [], "S3xS3")
+    with pytest.raises(ValueError):
+        _prime_to_3_subgroup(G)
+    with pytest.raises(ValueError):
+        spence_pair_sweep(G, mode="full")
+    assert _prime_to_3_subgroup(make_abelian([3, 3, 4])).order == 4
+
+
 def brute_max_clique(adj):
     n = len(adj)
     for r in range(n, 0, -1):
@@ -340,7 +440,7 @@ def test_pair_verdicts_match_verify_reduced(z4z4_census):
 
 
 def test_two_valued_pairs_match_the_ring_product():
-    """The sweeps' and the graph's pair scan against rg.mul, pair by pair."""
+    """The linking graph's pair scan against rg.mul, pair by pair."""
     from linkset.groups import direct_product, make_dihedral8
     from linkset.search import _two_valued_pairs
 
