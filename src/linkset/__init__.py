@@ -22,6 +22,7 @@ from .designs import (
     DSParams,
     HyperplaneFamily,
     complement,
+    difference_set_mask,
     difference_set_params,
     hyperplanes,
     is_difference_set,
@@ -91,6 +92,7 @@ from .linking import (
 )
 from .search import (
     CensusResult,
+    CensusSystems,
     LinkingGraph,
     SweepReport,
     bent_max_clique,

@@ -242,10 +242,14 @@ def _cmd_census(args) -> int:
                                  result.runtime_seconds)
     cert = lio.certificate("census-report", payload, {"target": "z42"})
     _write_out(args, cert)
+    counts = result.counts
     _emit(args, lambda: cert,
           [f"size-3 reduced linking systems in Z4^2: {result.count}",
            f"maximum system size: {result.max_size}",
            f"digest: {payload['digest']}",
+           f"vertices: {counts['vertices']}, two-valued pairs: {counts['two_valued_pairs']}, "
+           f"linked directed pairs: {counts['linked_pairs']}, "
+           f"pairs re-verified: {counts['verified_pairs']}, cliques: {counts['cliques']}",
            f"runtime: {result.runtime_seconds:.1f}s"])
     return 0 if result.count else 1
 

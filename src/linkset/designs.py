@@ -63,21 +63,37 @@ def is_difference_set(G: FiniteGroup, S):
 
 
 def difference_set_params(G: FiniteGroup, sets) -> list:
-    """is_difference_set for each of many sets, from one autocorrelation batch.
+    """is_difference_set for each of many sets, from one autocorrelation
+    batch (``_autocorrelation_params``)."""
+    v = G.order
+    k, lam = _autocorrelation_params(G, sets)
+    return [DSParams(v, a, b, a - b) if b >= 0 else None
+            for a, b in zip(k.tolist(), lam.tolist())]
+
+
+def difference_set_mask(G: FiniteGroup, sets, params: DSParams) -> np.ndarray:
+    """Whether each set is a difference set with parameters ``params``: a
+    bool array, from one autocorrelation batch and no per-set objects."""
+    k, lam = _autocorrelation_params(G, sets)
+    return (k == params.k) & (lam == params.lam) & (G.order == params.v)
+
+
+def _autocorrelation_params(G: FiniteGroup, sets) -> tuple[np.ndarray, np.ndarray]:
+    """(k, lambda) of each set as int64 arrays, lambda -1 where the set is
+    no difference set.
 
     S S^(-1) has coefficient k = |S| at the identity, so S is a difference
     set iff the product is constant (lambda) off the identity.  Each block
-    of products is cut down to (k, lambda, constant) as it comes out of
-    the kernel, so the whole (n, v) array never exists.
+    of products is cut down to (k, lambda) as it comes out of the kernel,
+    so the whole (n, v) array never exists.
     """
-    v = G.order
-    out: list = []
+    ks, lams = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     for _, prods in rg.autocorrelation_blocks(G, sets):
         lam = prods[:, 1:2].sum(axis=1)  # 0 in the trivial group
         constant = (prods[:, 1:] == prods[:, 1:2]).all(axis=1)
-        out += [DSParams(v, k, lam, k - lam) if ok else None
-                for k, lam, ok in zip(prods[:, 0].tolist(), lam.tolist(), constant.tolist())]
-    return out
+        ks.append(prods[:, 0])
+        lams.append(np.where(constant, lam, -1))
+    return np.concatenate(ks), np.concatenate(lams)
 
 
 def make_record(G: FiniteGroup, S) -> DifferenceSetRecord:

@@ -318,14 +318,20 @@ def direct_product(G1: FiniteGroup, G2: FiniteGroup) -> FiniteGroup:
 
 
 def _product_names(G1: FiniteGroup, G2: FiniteGroup) -> tuple[list[str], list[tuple[str, int]]]:
-    # renumber abelian generators x1..xk across the product; keep a/b as is
+    # renumber abelian generators x1..xk across the product; keep a/b as is,
+    # except that a name of the second factor that the first factor uses
+    # gets the first free numeric suffix (a -> a2 in D4 x D4)
     rename1, rename2 = {}, {}
     counter = itertools.count(1)
     for (gname, _), rename in [(g, rename1) for g in G1.generators] + [(g, rename2) for g in G2.generators]:
         rename[gname] = f"x{next(counter)}" if gname.startswith("x") else gname
-    named = set(rename1.values())
-    if named & set(rename2.values()):
-        raise ValueError("generator name collision in direct product")
+    first = set(rename1.values())
+    taken = first | set(rename2.values())
+    for gname, new in rename2.items():
+        if new in first:
+            rename2[gname] = next(f"{new}{i}" for i in itertools.count(2)
+                                  if f"{new}{i}" not in taken)
+            taken.add(rename2[gname])
     v2 = G2.order
 
     def combined(a: int, b: int) -> str:

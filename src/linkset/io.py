@@ -19,8 +19,11 @@ from .designs import DifferenceSetRecord, is_difference_set
 from .diffmat import DifferenceMatrix, verify_dm
 from .groups import FiniteGroup, group_from_spec
 from .linking import ReducedLinkingSystem, verify_reduced
+from .search import CensusSystems
 
 FORMAT_VERSION = "0.1.0"
+# Systems whose JSON text census_payload hashes at once
+PAYLOAD_BLOCK = 1 << 13
 
 
 def set_to_names(G: FiniteGroup, elems) -> list[str]:
@@ -180,15 +183,60 @@ def digest(obj) -> str:
 
 
 def census_payload(graph_group: FiniteGroup, systems, max_size: int, runtime: float) -> dict:
-    canon = sorted(
-        [sorted(set_to_names(graph_group, r.elements) for r in members)
-         for members in systems]
-    )
+    """The census report.  Its digest is sha256 of canonical_dumps of
+    {"count": m, "systems": canon}, canon the sorted list of the systems,
+    each the sorted list of its sets' name lists.
+
+    ``systems`` is a ``CensusSystems`` view or a list of record tuples of
+    one size (mapped to vertex indices first).  The digest is streamed:
+    each vertex is ranked once by its name list (equal lists share a rank,
+    so comparing ranks compares name lists), each system's ranks are
+    sorted, the systems ordered by ``np.lexsort``, and the compact JSON
+    text, joined from one string per vertex, fed to sha256 in blocks of
+    PAYLOAD_BLOCK systems.
+    """
+    G = graph_group
+    if isinstance(systems, CensusSystems):
+        vertices, cliques = [r.elements for r in systems.records], systems.cliques
+    else:
+        index: dict = {}
+        rows = [[index.setdefault(r.elements, len(index)) for r in members]
+                for members in systems]
+        sizes = {len(row) for row in rows}
+        if len(sizes) > 1 or 0 in sizes:
+            raise ValueError("census systems must be nonempty and share one size")
+        vertices = list(index)
+        cliques = np.array(rows, dtype=np.int64).reshape(len(rows), sizes.pop() if rows else 1)
+    names = _sets_to_names(G, vertices)
+    rank = np.zeros(len(names), dtype=np.int64)
+    texts: list[str] = []
+    previous = None
+    for i in sorted(range(len(names)), key=names.__getitem__):
+        if names[i] != previous:
+            texts.append(json.dumps(names[i], separators=(",", ":")))
+            previous = names[i]
+        rank[i] = len(texts) - 1
+    keys = np.sort(rank[cliques], axis=1)
+    keys = keys[np.lexsort(keys.T[::-1])]
+    count, size = keys.shape
+    texts = np.array(texts, dtype=object)
+    h = hashlib.sha256(f'{{"count":{count},"systems":['.encode())
+    for start in range(0, count, PAYLOAD_BLOCK):
+        # the tokens ",[" t_1 "," t_2 ... "," t_size "]" of each system, one join a block
+        block = keys[start:start + PAYLOAD_BLOCK]
+        tokens = np.full((len(block), 2 * size + 1), ",", dtype=object)
+        tokens[:, 0] = ",["
+        tokens[:, -1] = "]"
+        tokens[:, 1::2] = texts[block]
+        if start == 0:
+            tokens[0, 0] = "["
+        h.update("".join(tokens.ravel().tolist()).encode())
+    h.update(b"]}")
     return {
-        "group": graph_group.spec,
-        "system_size": len(canon[0]) if canon else 0,
-        "count": len(canon),
+        "group": G.spec,
+        "system_size": size if count else 0,
+        "count": count,
         "max_system_size": max_size,
-        "digest": digest({"count": len(canon), "systems": canon}),
+        "digest": h.hexdigest(),
         "runtime_seconds": runtime,
     }

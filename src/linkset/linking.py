@@ -14,6 +14,7 @@ from .designs import (
     DifferenceSetRecord,
     DSParams,
     complement,
+    difference_set_mask,
     difference_set_params,
     is_difference_set,
     is_reversible,
@@ -112,45 +113,60 @@ def verify_reduced(G: FiniteGroup, sets) -> ReducedLinkingSystem | None:
 def _pair_witnesses(G: FiniteGroup, products: rg.RowProducts, munu: MuNu, params: DSParams):
     """Witness records of all ordered pairs under (mu, nu), or None.
 
-    One left row at a time through ``_row_witnesses`` against the row's
-    l-1 other sets.
+    One left row at a time: its full product rows against the row's l-1
+    other sets, then the pair check of ``_linked_rows``.
     """
     ell = len(products.rows)
     witnesses: dict[tuple[int, int], DifferenceSetRecord] = {}
     for i in range(ell):
         others = [j for j in range(ell) if j != i]
-        supports = _row_witnesses(G, products, i, others, munu, params)
-        if any(support is None for support in supports):
+        rows, supports = _linked_rows(G, products([i], others)[0], munu, params)
+        if len(rows) < len(others):
             return None
-        for j, support in zip(others, supports):
-            witnesses[(i + 1, j + 1)] = DifferenceSetRecord._of_sorted(
-                G, tuple(support.tolist()), params)
+        for j, support in zip(others, supports.tolist()):
+            witnesses[(i + 1, j + 1)] = DifferenceSetRecord._of_sorted(G, tuple(support), params)
     return witnesses
 
 
-def _row_witnesses(G: FiniteGroup, products: rg.RowProducts, left: int, right, munu: MuNu,
-                   params: DSParams) -> list:
-    """The pair check of the set X in row ``left`` of ``products`` against
-    the sets Y_j in its rows ``right``.
+def _linked_rows(G: FiniteGroup, prods: np.ndarray, munu: MuNu,
+                 params: DSParams) -> tuple[np.ndarray, np.ndarray]:
+    """The pair check on product rows ``prods`` (m x v, row t the
+    coefficients of some X Y^(-1)): (rows, supports), the indices of the rows
+    valued in {mu, nu} whose mu-support is a difference set with ``params``,
+    and those supports as one (len(rows), k) id array.
 
-    The full product row X Y_j^(-1) for every j, the two-valued test, then
-    one difference-set check of the mu-supports that pass it.  Returns, per
-    right row, the mu-support (an id array) when the product is valued in
-    {mu, nu} and its support is a difference set with ``params``, else None.
+    Only supports of params.k elements can have params, so they are cut out
+    as one (m', k) id batch, and one ``difference_set_mask`` checks its
+    distinct rows (``_distinct_rows`` of the packed mu-masks).
     """
     mu, nu = munu.as_tuple()
     if mu == nu:
         raise ValueError("mu and nu must be distinct")
-    prods = products([left], right)[0]
     is_mu = prods == mu
-    # only supports of params.k elements can have params: one (m, k) id batch
     cand = np.flatnonzero((is_mu | (prods == nu)).all(axis=1) & (is_mu.sum(axis=1) == params.k))
-    supports = np.nonzero(is_mu[cand])[1].reshape(len(cand), params.k)
-    out: list = [None] * len(prods)
-    for j, support, wparams in zip(cand.tolist(), supports, difference_set_params(G, supports)):
-        if wparams == params:
-            out[j] = support
-    return out
+    masks = is_mu[cand]
+    supports = np.nonzero(masks)[1].reshape(len(cand), params.k)
+    first, inverse = _distinct_rows(np.packbits(masks, axis=1))
+    ok = difference_set_mask(G, supports[first], params)[inverse]
+    return cand[ok], supports[ok]
+
+
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, inverse) for the rows of a 2-D uint8 array: the index of one
+    occurrence of each distinct row, and for every row the position of its
+    row among those.  The bytes of a row are read as uint64 words and
+    ordered by ``np.lexsort`` (``np.unique(axis=0)`` imports ``numpy.ma``)."""
+    width = -(-rows.shape[1] // 8) * 8
+    words = np.zeros((len(rows), width), dtype=np.uint8)
+    words[:, :rows.shape[1]] = rows
+    words = words.view(np.uint64)
+    order = np.lexsort(words.T)
+    ordered = words[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(rows), dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
 
 
 def expand(reduced: ReducedLinkingSystem) -> LinkingSystem:

@@ -10,8 +10,11 @@ the first SIEVE_COEFFS ids against every right set, exact because every
 coefficient is a count of at most v <= 4096 < 2^24 ones, and only pairs
 whose coefficients there all lie in {mu, nu} get a full product row.
 
-The census re-verifies its cliques from memoized verdicts: the vertices
-once, each distinct directed pair once (``_reverify_cliques``).
+The census runs on index arrays: the clique listing extends (m, t) arrays
+of vertex indices level by level (``_clique_indices``), the systems are a
+view over the records and those indices (``CensusSystems``), and the
+cliques are re-verified from memoized verdicts: the vertices once, each
+distinct directed pair once (``_reverify_cliques``).
 
 The sweeps build their sets as rows of one array with
 ``designs.construction_sets`` (table gathers, no per-element loop), keep
@@ -21,13 +24,14 @@ projection argument (``_projection_sieve``): each set is projected onto
 Z[G/K], K the elements of order prime to 3, and a pair whose projected
 product cannot be (mu - nu) W + nu |K| (G/K) with every coefficient of W in
 [0, |K|] is dropped exactly; none survive in the sweeps, and any that did
-would get the full pair check of ``linking._row_witnesses``.
+would get the full pair check of ``linking._linked_rows``.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -38,6 +42,7 @@ from .designs import (
     DifferenceSetRecord,
     DSParams,
     construction_sets,
+    difference_set_mask,
     difference_set_params,
     hyperplanes,
 )
@@ -50,7 +55,7 @@ from .groups import (
     is_normal,
     quotient,
 )
-from .linking import MuNu, _row_witnesses, mu_nu_candidates
+from .linking import MuNu, _linked_rows, mu_nu_candidates
 
 # k-subsets checked per autocorrelation batch by enumerate_difference_sets
 ENUMERATION_CHUNK = 1024
@@ -60,6 +65,11 @@ SIEVE_COEFFS = 4
 SIEVE_BLOCK = 1 << 19
 # int32 translates _translation_classes holds at once (1 MB)
 CLASS_BLOCK = 1 << 18
+# float32 entries of full product rows the pair scan and the pair verdicts
+# compute at once (4 MB)
+PRODUCT_BLOCK = 1 << 20
+# bool entries the clique listing ANDs at once (4 MB)
+LISTING_BLOCK = 1 << 22
 # Cliques re-verified per block by enumerate_systems
 CLIQUE_BLOCK = 1 << 14
 # Distinct Spence sets over which the slot-sharing pair counts are sampled
@@ -88,6 +98,8 @@ class LinkingGraph:
     records: tuple[DifferenceSetRecord, ...]
     munu: MuNu
     adjacency: np.ndarray
+    two_valued_pairs: int = 0  # ordered pairs i != j with a product valued in {mu, nu}
+    linked_pairs: int = 0      # of those, the pairs whose mu-support has the parameters
 
     @property
     def num_vertices(self) -> int:
@@ -97,24 +109,32 @@ class LinkingGraph:
         return int(np.count_nonzero(self.adjacency)) // 2
 
     @cached_property
+    def ids(self) -> np.ndarray:
+        """The vertices' sets as one (n, k) id array."""
+        return np.array([r.elements for r in self.records], dtype=np.int64)
+
+    @cached_property
     def masks(self) -> list[int]:
         """Neighbour bitmasks (bit j of masks[i] set iff i ~ j), built once
         per graph for the clique listing and the maximum-clique search."""
         return _adjacency_masks(self.adjacency)
 
 
-def _two_valued_pairs(args) -> list[tuple[int, int, tuple[int, ...]]]:
-    """The linking graph's pair scan: (i, j, support of the mu coefficients)
-    for each row i in the range and every row j of the indicator matrix with
-    members[i] members[j]^(-1) valued in {mu, nu}.
+def _two_valued_pairs(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The linking graph's pair scan: (left, right, prods), where for each
+    row i in the range and every row j of the indicator matrix with
+    members[i] members[j]^(-1) valued in {mu, nu}, in order of (i, j), the
+    pair is (left[t], right[t]) and prods[t] its product row (float32).
 
     A sieve first: for a block of left rows, one float32 GEMM gives the
     coefficients at ids 0..SIEVE_COEFFS-1 of the products against every
     right row, and only the pairs whose coefficients there all lie in
-    {mu, nu} get a full product row.  Exact like ``pair_products``: every
-    entry is a count of at most v <= 4096 < 2^24 ones, so each float32 sum
-    is the integer itself, and a pair is dropped only on a coefficient that
-    already rules it out.
+    {mu, nu} keep going.  Exact like ``pair_products``: every entry is a
+    count of at most v <= 4096 < 2^24 ones, so each float32 sum is the
+    integer itself, and a pair is dropped only on a coefficient that
+    already rules it out.  The full product rows of a block come from one
+    ``RowProducts`` call on its left rows against the right rows any of
+    them kept, at most PRODUCT_BLOCK entries at a time.
 
     Module level so that the --jobs process pool can run it.
     """
@@ -125,7 +145,8 @@ def _two_valued_pairs(args) -> list[tuple[int, int, tuple[int, ...]]]:
     block = max(1, SIEVE_BLOCK // (h0 * max(n, v)))
     right = np.ascontiguousarray(members.T)
     products = rg.RowProducts(G, members)
-    out = []
+    out = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
+            np.zeros((0, v), dtype=np.float32))]
     for start in range(0, len(rows), block):
         left = rows[start:start + block]
         # head[h, s, t] = sum_z Y_t[z] X_s[h z], the coefficient of h in X_s Y_t^(-1)
@@ -134,15 +155,17 @@ def _two_valued_pairs(args) -> list[tuple[int, int, tuple[int, ...]]]:
         keep = (head[0] == mu) | (head[0] == nu)
         for h in range(1, h0):
             keep &= (head[h] == mu) | (head[h] == nu)
-        for s, i in enumerate(left.tolist()):
-            cand = np.flatnonzero(keep[s])
-            if not len(cand):
-                continue
-            prods = products([i], cand)[0]
+        cols = np.flatnonzero(keep.any(axis=0))
+        if not len(cols):
+            continue
+        step = max(1, PRODUCT_BLOCK // (len(cols) * v))
+        for a in range(0, len(left), step):
+            sub = keep[a:a + step][:, cols]
+            s, t = np.nonzero(sub)
+            prods = products(left[a:a + step], cols)[s, t]
             two = ((prods == mu) | (prods == nu)).all(axis=1)
-            for j, p in zip(cand[two].tolist(), prods[two]):
-                out.append((i, j, tuple(np.flatnonzero(p == mu).tolist())))
-    return out
+            out.append((left[a + s[two]], cols[t[two]], prods[two]))
+    return tuple(np.concatenate(part) for part in zip(*out))
 
 
 def build_linking_graph(G: FiniteGroup, records, munu: MuNu, jobs: int = 1) -> LinkingGraph:
@@ -153,7 +176,7 @@ def build_linking_graph(G: FiniteGroup, records, munu: MuNu, jobs: int = 1) -> L
     if any(r.params != params for r in records):
         raise ValueError("records must share parameters")
     n = len(records)
-    indicators = rg.indicators(G, [r.elements for r in records])
+    indicators = rg.indicators(G, np.array([r.elements for r in records], dtype=np.int64))
     mu, nu = munu.as_tuple()
     chunks = _row_chunks(n, jobs)
     args = [(G, indicators, mu, nu, chunk) for chunk in chunks]
@@ -165,18 +188,15 @@ def build_linking_graph(G: FiniteGroup, records, munu: MuNu, jobs: int = 1) -> L
     else:
         results = [_two_valued_pairs(a) for a in args]
 
-    pairs = [(i, j, support) for chunk_result in results
-             for i, j, support in chunk_result if i != j]
-    supports = sorted({support for _, _, support in pairs})
-    linked = {support for support, p in zip(supports, difference_set_params(G, supports))
-              if p == params}
+    left, right, prods = (np.concatenate(part) for part in zip(*results))
+    off = left != right
+    left, right = left[off], right[off]
+    linked, _ = _linked_rows(G, prods[off], munu, params)
     directed = np.zeros((n, n), dtype=bool)
-    for i, j, support in pairs:
-        if support in linked:
-            directed[i, j] = True
+    directed[left[linked], right[linked]] = True
     adjacency = directed & directed.T
-    np.fill_diagonal(adjacency, False)
-    return LinkingGraph(G, records, munu, adjacency)
+    return LinkingGraph(G, records, munu, adjacency, two_valued_pairs=len(left),
+                        linked_pairs=len(linked))
 
 
 def _row_chunks(n: int, jobs: int) -> list[range]:
@@ -185,44 +205,87 @@ def _row_chunks(n: int, jobs: int) -> list[range]:
     return [range(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
 
 
-def enumerate_systems(graph: LinkingGraph, ell: int) -> list[tuple[DifferenceSetRecord, ...]]:
+class CensusSystems(Sequence):
+    """The systems of a census as a read-only list of record tuples.
+
+    A view over the graph's records and an (m, ell) array of vertex indices,
+    one row per system (``cliques``), so no tuple exists until one is asked
+    for.  Supports ``len``, indexing, iteration and ``==`` with a list.
+    ``verified_pairs`` counts the distinct directed pairs re-verified.
+    """
+
+    def __init__(self, records, cliques: np.ndarray, verified_pairs: int = 0):
+        self.records = tuple(records)
+        self.cliques = cliques
+        self.verified_pairs = verified_pairs
+
+    def __len__(self) -> int:
+        return len(self.cliques)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        return tuple(self.records[i] for i in self.cliques[index].tolist())
+
+    def __iter__(self):
+        records = self.records
+        for row in self.cliques.tolist():
+            yield tuple(records[i] for i in row)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (CensusSystems, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"CensusSystems({len(self)} systems of size {self.cliques.shape[1]})"
+
+
+def enumerate_systems(graph: LinkingGraph, ell: int) -> CensusSystems:
     """All ell-vertex cliques as unordered record tuples, lexicographic in
     vertex order, each re-verified before emission (``_reverify_cliques``)."""
     if ell < 2:
         raise ValueError("system size must be at least 2")
-    cliques = _clique_indices(graph.masks, ell)
-    _reverify_cliques(graph, cliques)
-    return [tuple(graph.records[i] for i in clique) for clique in cliques.tolist()]
+    cliques = _clique_indices(graph.adjacency, ell)
+    verified = _reverify_cliques(graph, cliques)
+    return CensusSystems(graph.records, cliques, verified)
 
 
-def _clique_indices(masks: list[int], ell: int) -> np.ndarray:
-    """Every ell-vertex clique of the graph with neighbour bitmasks ``masks``
-    as a row of increasing vertex indices, shape (m, ell), rows in
-    lexicographic order."""
-    out: list[tuple[int, ...]] = []
+def _clique_indices(adjacency: np.ndarray, ell: int) -> np.ndarray:
+    """Every ell-vertex clique of the graph with bool adjacency matrix
+    ``adjacency`` as a row of increasing vertex indices, shape (m, ell),
+    rows in lexicographic order.
 
-    def extend(clique: list[int], candidates: int, start: int) -> None:
-        if len(clique) == ell:
-            out.append(tuple(clique))
-            return
-        remaining = candidates >> start
-        idx = start
-        while remaining:
-            step = (remaining & -remaining).bit_length() - 1
-            idx += step
-            remaining >>= step + 1
-            clique.append(idx)
-            extend(clique, candidates & masks[idx], idx + 1)
-            clique.pop()
-            idx += 1
+    Level by level: each t-clique (a row of an (m, t) array) extends by
+    every vertex beyond its last member that is adjacent to all members,
+    the AND of the members' rows of the upper triangle.  ``np.flatnonzero``
+    lists the extensions row by row, each row's in increasing order, so
+    lexicographic order carries over.  The AND covers at most
+    LISTING_BLOCK entries at a time.
+    """
+    n = len(adjacency)
+    upper = np.triu(adjacency, 1)
+    columns = [np.arange(n, dtype=np.int64)]  # the cliques so far, one array per member
+    step = max(1, LISTING_BLOCK // max(1, n))
+    for _ in range(1, ell):
+        parts = [[np.zeros(0, dtype=np.int64)] * (len(columns) + 1)]
+        for a in range(0, len(columns[0]), step):
+            block = [c[a:a + step] for c in columns]
+            common = upper[block[0]]
+            for c in block[1:]:
+                common &= upper[c]
+            s, j = np.divmod(np.flatnonzero(common), n)
+            parts.append([c[s] for c in block] + [j])
+        columns = [np.concatenate(part) for part in zip(*parts)]
+    return np.stack(columns, axis=1)
 
-    extend([], (1 << len(masks)) - 1, 0)
-    return np.array(out, dtype=np.int64).reshape(len(out), ell)
 
-
-def _reverify_cliques(graph: LinkingGraph, cliques: np.ndarray) -> None:
+def _reverify_cliques(graph: LinkingGraph, cliques: np.ndarray) -> int:
     """Raise AssertionError unless every clique (a row of vertex indices) is
-    a reduced linking system under ``graph.munu``.
+    a reduced linking system under ``graph.munu``; returns the number of
+    distinct directed pairs re-verified.
 
     Exact, from memoized verdicts: for a fixed (mu, nu), verify_reduced
     accepts S_1..S_l iff every S_i is a difference set with common
@@ -235,40 +298,50 @@ def _reverify_cliques(graph: LinkingGraph, cliques: np.ndarray) -> None:
     only those not yet in the n x n memo are computed.
     """
     if not len(cliques):
-        return
+        return 0
     G, n, ell = graph.group, graph.num_vertices, cliques.shape[1]
-    vertex_params = difference_set_params(
-        G, [graph.records[i].elements for i in np.unique(cliques).tolist()])
-    params = vertex_params[0]
-    if params is None or any(p != params for p in vertex_params):
+    ids = graph.ids
+    vertices = ids[np.flatnonzero(np.bincount(cliques.ravel(), minlength=n))]
+    params = difference_set_params(G, vertices[:1])[0]
+    if params is None or not difference_set_mask(G, vertices, params).all():
         raise AssertionError("clique failed re-verification")
-    products = rg.RowProducts(G, rg.indicators(G, [r.elements for r in graph.records]))
+    products = rg.RowProducts(G, rg.indicators(G, ids))
     known = np.zeros(n * n, dtype=bool)
     linked = np.zeros(n * n, dtype=bool)
     positions = [(a, b) for a in range(ell) for b in range(ell) if a != b]
     for start in range(0, len(cliques), CLIQUE_BLOCK):
         block = cliques[start:start + CLIQUE_BLOCK]
-        codes = [block[:, a] * n + block[:, b] for a, b in positions]
-        new = np.unique(np.concatenate(codes))
-        new = new[~known[new]]
+        codes = np.stack([block[:, a] * n + block[:, b] for a, b in positions], axis=1)
+        new = np.zeros(n * n, dtype=bool)
+        new[codes.ravel()] = True
+        new = np.flatnonzero(new & ~known)
         linked[new] = _pair_verdicts(G, products, new, graph.munu, params)
         known[new] = True
-        if not all(linked[c].all() for c in codes):
+        if not linked[codes].all():
             raise AssertionError("clique failed re-verification")
+    return int(known.sum())
 
 
 def _pair_verdicts(G: FiniteGroup, products: rg.RowProducts, codes: np.ndarray, munu: MuNu,
                    params: DSParams) -> np.ndarray:
-    """Whether each directed pair (i, j), given by its sorted code i*n + j
-    over the n rows of ``products``, links under (mu, nu) with witness
-    parameters ``params``: one ``linking._row_witnesses`` call (full product
-    rows, as verify_reduced makes) per left row."""
-    n = len(products.rows)
-    out = np.zeros(len(codes), dtype=bool)
-    lefts, first = np.unique(codes // n, return_index=True)
-    for i, a, b in zip(lefts.tolist(), first.tolist(), [*first[1:].tolist(), len(codes)]):
-        supports = _row_witnesses(G, products, i, codes[a:b] % n, munu, params)
-        out[a:b] = [support is not None for support in supports]
+    """Whether each directed pair (i, j), given by its code i*n + j over the
+    n rows of ``products``, links under (mu, nu) with witness parameters
+    ``params``: full product rows, as verify_reduced makes, from one
+    ``RowProducts`` call per block of distinct left rows against every row
+    (at most PRODUCT_BLOCK entries), a gather of the pairs asked for and the
+    pair check of ``linking._linked_rows``."""
+    n, v = len(products.rows), G.order
+    left, right = np.divmod(np.asarray(codes, dtype=np.int64), n)
+    lefts = np.flatnonzero(np.bincount(left, minlength=n))
+    slot = np.zeros(n, dtype=np.int64)
+    slot[lefts] = np.arange(len(lefts))
+    out = np.zeros(len(left), dtype=bool)
+    step = max(1, PRODUCT_BLOCK // (n * v))
+    for a in range(0, len(lefts), step):
+        rows = lefts[a:a + step]
+        sel = np.flatnonzero((left >= rows[0]) & (left <= rows[-1]))
+        prods = products(rows, np.arange(n))[slot[left[sel]] - a, right[sel]]
+        out[sel[_linked_rows(G, prods, munu, params)[0]]] = True
     return out
 
 
@@ -430,7 +503,7 @@ def _sweep_pairs(G: FiniteGroup, sets, munu: MuNu, params: DSParams,
     """Decide every ordered pair of the sets (sorted (n, k) id rows) and
     count the linked pairs of distinct sets: the projection sieve on G/N
     (``_projection_sieve``), then the full pair check of
-    ``linking._row_witnesses`` (two-valued product row, difference-set
+    ``linking._linked_rows`` (two-valued product row, difference-set
     check of the witness) for each pair it keeps."""
     classes, keep = _projection_sieve(G, sets, N, munu)
     linked = 0
@@ -440,8 +513,7 @@ def _sweep_pairs(G: FiniteGroup, sets, munu: MuNu, params: DSParams,
             right = np.flatnonzero(keep[a, classes])
             right = right[right != i]
             if len(right):
-                supports = _row_witnesses(G, products, i, right, munu, params)
-                linked += sum(support is not None for support in supports)
+                linked += len(_linked_rows(G, products([i], right)[0], munu, params)[0])
     return len(sets) ** 2, linked
 
 
@@ -508,7 +580,7 @@ def _sweep_report(G: FiniteGroup, family: str, mode: str, constructed: int,
     """Check that every distinct set is a difference set with ``params``,
     decide the pairs the mode asks for on G/K and report."""
     class_reps = _translation_classes(G, distinct)
-    verified = sum(p == params for p in difference_set_params(G, distinct))
+    verified = int(difference_set_mask(G, distinct, params).sum())
     if verified != len(distinct):
         raise AssertionError("a constructed set failed difference-set verification")
     tested, linked = _sweep_pairs(G, distinct if mode == "full" else class_reps, munu, params, K)
@@ -524,13 +596,24 @@ def _sweep_report(G: FiniteGroup, family: str, mode: str, constructed: int,
 class CensusResult:
     group: FiniteGroup
     graph: LinkingGraph
-    systems: list[tuple[DifferenceSetRecord, ...]]
+    systems: CensusSystems
     max_size: int
     runtime_seconds: float
 
     @property
     def count(self) -> int:
         return len(self.systems)
+
+    @property
+    def counts(self) -> dict[str, int]:
+        """What the census did: the graph's vertices, its two-valued and
+        linked directed pairs, the directed pairs re-verified and the
+        cliques listed."""
+        return {"vertices": self.graph.num_vertices,
+                "two_valued_pairs": self.graph.two_valued_pairs,
+                "linked_pairs": self.graph.linked_pairs,
+                "verified_pairs": self.systems.verified_pairs,
+                "cliques": len(self.systems)}
 
 
 def census_systems(G: FiniteGroup, k: int, ell: int, jobs: int = 1) -> CensusResult:
@@ -539,7 +622,8 @@ def census_systems(G: FiniteGroup, k: int, ell: int, jobs: int = 1) -> CensusRes
     records = enumerate_difference_sets(G, k)
     if not records:
         return CensusResult(G, LinkingGraph(G, (), MuNu(0, 1, True), np.zeros((0, 0), dtype=bool)),
-                            [], 0, time.time() - start)
+                            CensusSystems((), np.zeros((0, ell), dtype=np.int64)), 0,
+                            time.time() - start)
     branches = mu_nu_candidates(records[0].params)
     if not branches:
         raise ValueError("parameters admit no integer (mu, nu)")

@@ -379,3 +379,11 @@ def test_verify_builds_its_json_payload_only_for_json_output(monkeypatch, triple
     code, out, _ = run_capture(["--output", "json", "link", "verify-reduced", str(triple_file)])
     assert code == 0 and len(calls) == 1
     assert out == json.dumps(json.loads(triple_file.read_text()), indent=2, sort_keys=True) + "\n"
+
+
+def test_census_z42_text_reports_its_counts():
+    code, out, err = run_capture(["census", "z42", "--jobs", "1"])
+    assert code == 0 and err == ""
+    assert ("vertices: 192, two-valued pairs: 12288, linked directed pairs: 12288, "
+            "pairs re-verified: 12288, cliques: 65536") in out.splitlines()
+    assert "digest: e6b7c55e6a8ee1611257089732beb388db4429ef06e36c7989267e15b6fe496e" in out

@@ -2,6 +2,7 @@ import itertools
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from linkset import group_ring as rg
@@ -9,6 +10,7 @@ from linkset.designs import (
     DSParams,
     complement,
     construction_sets,
+    difference_set_mask,
     difference_set_params,
     hyperplanes,
     is_difference_set,
@@ -67,6 +69,44 @@ def test_verifier_matches_oracle_on_all_6_subsets(z4z4):
         if got is not None:
             hits += 1
     assert hits == 192  # derived constant, frozen after first exhaustive run
+
+
+def test_difference_set_mask_matches_difference_set_params():
+    """The bool parameter check against difference_set_params on random
+    rows: difference sets, the same sets with one element moved, random
+    subsets, asked for the right and for wrong parameters, as one id array
+    and as a list of sets of mixed sizes, on the counting route (Z4^2) and
+    the transform route (Z4^4)."""
+    from linkset.diffmat import build_improved
+    from linkset.search import enumerate_difference_sets
+
+    rng = np.random.default_rng(81)
+    Z44 = make_abelian([4, 4])
+    cases = [(Z44, np.array([r.elements for r in enumerate_difference_sets(Z44, 6)]))]
+    big = build_improved(make_abelian([4, 4, 4, 4]))
+    cases.append((big.group, np.array([r.elements for r in big.records]
+                                      + [w.elements for w in big.witnesses.values()][:40])))
+    for G, good in cases:
+        v, k = G.order, good.shape[1]
+        moved = good.copy()
+        for row in moved:
+            outside = np.setdiff1d(np.arange(v), row)
+            row[rng.integers(k)] = rng.choice(outside)
+        random_rows = np.array([rng.choice(v, k, replace=False) for _ in range(60)])
+        rows = np.concatenate([good, moved, random_rows])
+        rows = rows[rng.permutation(len(rows))]
+        right = difference_set_params(G, good[:1])[0]
+        wrong = [DSParams(v, v - k, v - 2 * k + right.lam, right.n), DSParams(v, 1, 0, 1),
+                 two_group_params(6)]
+        mixed = [row[:rng.integers(1, k + 1)] if rng.random() < 0.3 else row for row in rows]
+        for sets in (rows, mixed):
+            found = difference_set_params(G, sets)
+            for params in [right, *wrong]:
+                got = difference_set_mask(G, sets, params)
+                assert got.dtype == bool and got.tolist() == [p == params for p in found]
+            assert 0 < difference_set_mask(G, sets, right).sum() < len(sets)
+        assert difference_set_mask(G, good, right).all()
+    assert difference_set_mask(Z44, np.zeros((0, 6), dtype=np.int64), right).shape == (0,)
 
 
 def test_complement():

@@ -237,6 +237,22 @@ def test_group_from_spec_round_trip():
         group_from_spec({"weird": 1})
 
 
+@pytest.mark.parametrize("factors", [["D4", "D4"], ["Q8", "D4"], ["Q8", "Q8"]])
+def test_products_of_nonabelian_factors_build(factors):
+    """Both factors name their generators a, b: the second factor's become
+    a2, b2, the names stay distinct and each parses back to its element,
+    through the name table and through the generator-word parser."""
+    G = group_from_spec({"product": factors})
+    assert G.order == 64 and len(set(G.names)) == 64
+    assert [g for g, _ in G.generators] == ["a", "b", "a2", "b2"]
+    for i, name in enumerate(G.names):
+        assert G.element(name) == i
+        assert G.element(" * ".join(name.split("*"))) == i
+    assert group_from_spec(G.spec).names == G.names
+    # the first factor's names are kept
+    assert [G.names[8 * a] for a in range(8)] == group_from_spec(factors[0]).names
+
+
 def test_group_from_spec_rejects_malformed_factors():
     for factors in ["44", [4, 4.5], [4, 4.0], [4, "4"], [True, 4], (4, 4), 4]:
         with pytest.raises(ValueError, match="list of integers"):

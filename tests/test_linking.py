@@ -295,3 +295,33 @@ def test_verify_full_checks_the_transpose_identity_alone():
     assert inverse.elements != D.elements
     assert verify_full(LinkingSystem(G, {(1, 0): D, (0, 1): inverse}, system.munu))
     assert not verify_full(LinkingSystem(G, {(1, 0): D, (0, 1): D}, system.munu))
+
+
+def test_linked_rows_match_a_per_row_check():
+    """The batched pair check on product rows (one difference-set check of
+    the distinct mu-supports) against is_difference_set row by row: rows
+    valued in {mu, nu} whose mu-support is or is not a difference set,
+    repeated supports, supports of the wrong size and rows with a third value."""
+    import numpy as np
+
+    from linkset.designs import is_difference_set
+    from linkset.groups import make_abelian
+    from linkset.linking import MuNu, _linked_rows
+    from linkset.search import enumerate_difference_sets
+
+    G = make_abelian([4, 4])
+    params = DSParams(16, 6, 2, 4)
+    rng = np.random.default_rng(91)
+    good = [r.elements for r in enumerate_difference_sets(G, 6)]
+    supports = [good[i] for i in rng.integers(len(good), size=40)]
+    supports += [tuple(rng.choice(16, size, replace=False)) for size in (6,) * 40 + (5, 7) * 5]
+    supports = [supports[i] for i in rng.integers(len(supports), size=150)]
+    prods = np.full((len(supports), 16), 3.0, dtype=np.float32)
+    for row, support in zip(prods, supports):
+        row[list(support)] = 1
+    prods[rng.integers(len(prods), size=10), rng.integers(16, size=10)] = 2
+    want = [t for t, (row, support) in enumerate(zip(prods, supports))
+            if set(row.tolist()) <= {1.0, 3.0} and is_difference_set(G, support) == params]
+    rows, found = _linked_rows(G, prods, MuNu(1, 3, True), params)
+    assert rows.tolist() == want and 0 < len(want) < len(supports)
+    assert [tuple(s) for s in found.tolist()] == [tuple(sorted(supports[t])) for t in want]

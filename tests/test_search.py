@@ -248,7 +248,8 @@ def test_sweep_pairs_survivor_path_matches_the_exhaustive_scan():
     sets = np.array([r.elements for r in records])
     params = records[0].params
     munu = mu_nu_candidates(params)[0]
-    pairs = _two_valued_pairs((G, rg.indicators(G, sets), *munu.as_tuple(), range(len(sets))))
+    pairs = _pair_list(_two_valued_pairs((G, rg.indicators(G, sets), *munu.as_tuple(),
+                                          range(len(sets)))), munu.mu)
     supports = [support for i, j, support in pairs if i != j]
     want = sum(p == params for p in difference_set_params(G, supports))
     assert want == 12288
@@ -312,22 +313,33 @@ def test_max_system_size_order16(factors, size):
     assert max_system_size(graph) == size
 
 
-def test_enumerate_systems_matches_brute_force():
-    """The clique listing behind enumerate_systems, on random graphs."""
-    from linkset.search import _adjacency_masks, _clique_indices
+def test_enumerate_systems_matches_brute_force(monkeypatch):
+    """The clique listing behind enumerate_systems, on random graphs and the
+    empty graph, for sizes 2..5: in one block, and ANDing 5 entries at a
+    time (one clique a block)."""
+    from linkset import search
+    from linkset.search import _clique_indices
 
     rng = random.Random(43)
+    graphs = [np.zeros((0, 0), dtype=bool), np.zeros((6, 6), dtype=bool)]
     for _ in range(10):
-        n = rng.randint(4, 10)
+        n = rng.randint(4, 12)
         adj = np.zeros((n, n), dtype=bool)
         for i in range(n):
             for j in range(i + 1, n):
                 if rng.random() < 0.6:
                     adj[i, j] = adj[j, i] = True
-        got = _clique_indices(_adjacency_masks(adj), 3)
-        want = [c for c in itertools.combinations(range(n), 3)
-                if all(adj[i][j] for i in c for j in c if i < j)]
-        assert [tuple(c) for c in got.tolist()] == want
+        graphs.append(adj)
+    for block in (search.LISTING_BLOCK, 5):
+        monkeypatch.setattr(search, "LISTING_BLOCK", block)
+        for adj in graphs:
+            n = len(adj)
+            for ell in range(2, 6):
+                got = _clique_indices(adj, ell)
+                want = [c for c in itertools.combinations(range(n), ell)
+                        if all(adj[i][j] for i in c for j in c if i < j)]
+                assert got.shape == (len(want), ell)
+                assert [tuple(c) for c in got.tolist()] == want
 
 
 def test_adjacency_masks_match_rows():
@@ -451,7 +463,8 @@ def test_two_valued_pairs_match_the_ring_product():
     cases = [(G, sets[::4], 1, 3),
              (D4Z2, [tuple(rng.sample(range(16), 6)) for _ in range(60)], 1, 3)]
     for H, members, mu, nu in cases:
-        got = _two_valued_pairs((H, rg.indicators(H, members), mu, nu, range(len(members))))
+        got = _pair_list(_two_valued_pairs((H, rg.indicators(H, members), mu, nu,
+                                            range(len(members)))), mu)
         want = []
         for i, X in enumerate(members):
             for j, Y in enumerate(members):
@@ -461,6 +474,13 @@ def test_two_valued_pairs_match_the_ring_product():
                     want.append((i, j, support))
         assert got == want
         assert want  # the scan has survivors to find
+
+
+def _pair_list(scan, mu):
+    """The pair scan's arrays as (i, j, mu-support) tuples."""
+    left, right, prods = scan
+    return [(i, j, tuple(np.flatnonzero(p == mu).tolist()))
+            for i, j, p in zip(left.tolist(), right.tolist(), prods)]
 
 
 def _full_scan(G, members, mu, nu):
@@ -484,12 +504,15 @@ def test_sieved_pair_scan_matches_full_products(factors, pairs, monkeypatch):
     members = rg.indicators(G, sets)
     want = _full_scan(G, members, 1, 3)
     assert len(want) == pairs
-    assert _two_valued_pairs((G, members, 1, 3, range(len(sets)))) == want
+    assert _pair_list(_two_valued_pairs((G, members, 1, 3, range(len(sets)))), 1) == want
     # any row range gives the rows' slice of the list, in the same order,
-    # also when the sieve takes the rows in blocks of 5
+    # also when the sieve takes the rows in blocks of 5 and the full
+    # products come 2 left rows at a time
     rows = range(len(sets) // 3, len(sets) // 2)
     monkeypatch.setattr(search, "SIEVE_BLOCK", 5 * search.SIEVE_COEFFS * len(sets))
-    assert _two_valued_pairs((G, members, 1, 3, rows)) == [p for p in want if p[0] in rows]
+    monkeypatch.setattr(search, "PRODUCT_BLOCK", 2 * len(sets) * G.order)
+    assert (_pair_list(_two_valued_pairs((G, members, 1, 3, rows)), 1)
+            == [p for p in want if p[0] in rows])
 
 
 @pytest.mark.parametrize("block_sets", [None, 7])
