@@ -44,6 +44,15 @@ def _parse_group(text: str):
     return group_from_spec(spec)
 
 
+def _jobs(args) -> int:
+    """The census worker count: ``--jobs``, else LINKSET_JOBS, else 1.
+    Anything but a positive integer is a usage error (ValueError)."""
+    text = args.jobs if args.jobs is not None else os.environ.get("LINKSET_JOBS", "1")
+    if not text.isdecimal() or int(text) < 1:
+        raise ValueError(f"--jobs (or LINKSET_JOBS) must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def _emit(args, payload, text_lines: list[str]) -> None:
     """Print ``payload()`` as indented JSON under ``--output json``, else the
     text lines; the payload is only built when it is printed."""
@@ -236,8 +245,9 @@ def _cmd_build(args) -> int:
 def _cmd_census(args) -> int:
     if args.target != "z42":
         raise SystemExit(2)
+    jobs = _jobs(args)
     G = make_abelian([4, 4])
-    result = census_systems(G, 6, 3, jobs=args.jobs)
+    result = census_systems(G, 6, 3, jobs=jobs)
     payload = lio.census_payload(G, result.systems, result.max_size,
                                  result.runtime_seconds)
     cert = lio.certificate("census-report", payload, {"target": "z42"})
@@ -255,12 +265,13 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_nonexist(args) -> int:
+    jobs = _jobs(args)
     mode = "full" if args.full else "pruned"
     reports = []
     if args.target == "z8z2":
         start = time.time()
         G = make_abelian([8, 2])
-        result = census_systems(G, 6, 2, jobs=args.jobs)
+        result = census_systems(G, 6, 2, jobs=jobs)
         payload = {
             "group": G.spec,
             "difference_sets": len(result.graph.records),
@@ -360,18 +371,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_build)
 
-    default_jobs = int(os.environ.get("LINKSET_JOBS", "1"))
-
     p = sub.add_parser("census", help="exhaustive linking-system census")
     p.add_argument("target", choices=["z42"])
-    p.add_argument("--jobs", type=int, default=default_jobs)
+    p.add_argument("--jobs", help="census worker processes (default: LINKSET_JOBS or 1)")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_census)
 
     p = sub.add_parser("nonexist", help="nonexistence sweeps (exit 1 = confirmed empty)")
     p.add_argument("target", choices=["z8z2", "mcfarland-q3", "spence-d1"])
     p.add_argument("--group")
-    p.add_argument("--jobs", type=int, default=default_jobs)
+    p.add_argument("--jobs", help="census worker processes (default: LINKSET_JOBS or 1)")
     grp = p.add_mutually_exclusive_group()
     grp.add_argument("--full", action="store_true")
     grp.add_argument("--pruned", action="store_true", default=True)

@@ -43,10 +43,13 @@ def _sets_to_names(G: FiniteGroup, sets) -> list[list[str]]:
             for ids in sets]
 
 
-def _object(obj) -> dict:
+def _field(obj, key: str):
+    """``obj[key]``, or ValueError unless ``obj`` is a JSON object with that field."""
     if not isinstance(obj, dict):
         raise ValueError("certificate payload must be a JSON object")
-    return obj
+    if key not in obj:
+        raise ValueError(f"certificate payload has no {key!r} field")
+    return obj[key]
 
 
 def _strings(value, what: str) -> list:
@@ -72,8 +75,8 @@ def record_to_json(record: DifferenceSetRecord) -> dict:
 
 
 def record_from_json(obj: dict) -> DifferenceSetRecord:
-    G = group_from_spec(_object(obj)["group"])
-    elems = names_to_set(G, _strings(obj["set"], "set"))
+    G = group_from_spec(_field(obj, "group"))
+    elems = names_to_set(G, _strings(_field(obj, "set"), "set"))
     params = is_difference_set(G, elems)
     if params is None:
         raise ValueError("serialized set is not a difference set")
@@ -101,13 +104,13 @@ _WITNESS_KEY = re.compile(r"\((\d+),(\d+)\)")
 
 
 def system_from_json(obj: dict) -> ReducedLinkingSystem:
-    G = group_from_spec(_object(obj)["group"])
+    G = group_from_spec(_field(obj, "group"))
     sets = [names_to_set(G, _strings(names, "each entry of sets"))
-            for names in _list_of(obj["sets"], "sets")]
+            for names in _list_of(_field(obj, "sets"), "sets")]
     system = verify_reduced(G, sets)
     if system is None:
         raise ValueError("serialized sets do not form a reduced linking system")
-    if (system.munu.mu, system.munu.nu) != (obj["mu"], obj["nu"]):
+    if system.munu.as_tuple() != (_field(obj, "mu"), _field(obj, "nu")):
         raise ValueError("serialized (mu, nu) disagree with verification")
     stored = obj.get("witnesses", {})
     if not isinstance(stored, dict):
@@ -139,9 +142,9 @@ def dm_to_json(M: DifferenceMatrix) -> dict:
 
 
 def dm_from_json(obj: dict) -> DifferenceMatrix:
-    G = group_from_spec(_object(obj)["group"])
+    G = group_from_spec(_field(obj, "group"))
     rows = tuple(tuple(G.element_ids(_strings(row, "each entry of rows")))
-                 for row in _list_of(obj["rows"], "rows"))
+                 for row in _list_of(_field(obj, "rows"), "rows"))
     lam = obj.get("lambda", 1)
     if type(lam) is not int:
         raise ValueError("lambda must be an integer")
@@ -156,10 +159,11 @@ def bent_set_to_json(fns) -> dict:
 
 
 def bent_set_from_json(obj: dict) -> list[BooleanFunction]:
-    arity = _object(obj)["arity"]
+    arity = _field(obj, "arity")
     if type(arity) is not int or arity < 0:
         raise ValueError("arity must be a nonnegative integer")
-    fns = [BooleanFunction.from_hex(arity, table) for table in _strings(obj["tables"], "tables")]
+    tables = _strings(_field(obj, "tables"), "tables")
+    fns = [BooleanFunction.from_hex(arity, table) for table in tables]
     if not is_bent_set(fns):
         raise ValueError("not a bent set")
     return fns

@@ -4,11 +4,9 @@ and its clique census, and the McFarland/Spence nonexistence sweeps.
 All searches are exact.  The heavy inner loop, the products of one set
 against many, runs on ``group_ring.RowProducts``.  Each search checks and
 casts its sets to indicator rows once (``group_ring.indicators``).  The
-linking graph's pair scan, ``_two_valued_pairs``, sieves first: one
-table-gather float32 GEMM per block of left sets gives the coefficients at
-the first SIEVE_COEFFS ids against every right set, exact because every
-coefficient is a count of at most v <= 4096 < 2^24 ones, and only pairs
-whose coefficients there all lie in {mu, nu} get a full product row.
+linking graph's pair scan (``_linked_pairs``) takes full product rows of a
+block of left sets against every set, keeps the two-valued ones and checks
+their witnesses with ``linking._linked_rows``.
 
 The census runs on index arrays: the clique listing extends (m, t) arrays
 of vertex indices level by level (``_clique_indices``), the systems are a
@@ -59,10 +57,6 @@ from .linking import MuNu, _linked_rows, mu_nu_candidates
 
 # k-subsets checked per autocorrelation batch by enumerate_difference_sets
 ENUMERATION_CHUNK = 1024
-# The pair scan's sieve: product coefficients tested before a full row is
-# computed, and the float32 entries one sieve block holds (2 MB).
-SIEVE_COEFFS = 4
-SIEVE_BLOCK = 1 << 19
 # int32 translates _translation_classes holds at once (1 MB)
 CLASS_BLOCK = 1 << 18
 # float32 entries of full product rows the pair scan and the pair verdicts
@@ -120,55 +114,43 @@ class LinkingGraph:
         return _adjacency_masks(self.adjacency)
 
 
-def _two_valued_pairs(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The linking graph's pair scan: (left, right, prods), where for each
-    row i in the range and every row j of the indicator matrix with
-    members[i] members[j]^(-1) valued in {mu, nu}, in order of (i, j), the
-    pair is (left[t], right[t]) and prods[t] its product row (float32).
+def _linked_pairs(args) -> tuple[np.ndarray, np.ndarray, int]:
+    """The linking graph's pair scan over the left rows ``rows`` of the
+    indicator matrix ``members``: (left, right, two_valued), the directed
+    pairs (left[t], right[t]) of distinct rows that link under ``munu``
+    with witness parameters ``params``, in order of (i, j), and the number
+    of ordered pairs i != j whose product is valued in {mu, nu}.
 
-    A sieve first: for a block of left rows, one float32 GEMM gives the
-    coefficients at ids 0..SIEVE_COEFFS-1 of the products against every
-    right row, and only the pairs whose coefficients there all lie in
-    {mu, nu} keep going.  Exact like ``pair_products``: every entry is a
-    count of at most v <= 4096 < 2^24 ones, so each float32 sum is the
-    integer itself, and a pair is dropped only on a coefficient that
-    already rules it out.  The full product rows of a block come from one
-    ``RowProducts`` call on its left rows against the right rows any of
-    them kept, at most PRODUCT_BLOCK entries at a time.
+    Per block of left rows (at most PRODUCT_BLOCK float32 entries), one
+    ``RowProducts`` call gives the full product rows against every row; the
+    two-valued pairs off the diagonal go through the pair check of
+    ``linking._linked_rows``.
 
     Module level so that the --jobs process pool can run it.
     """
-    G, members, mu, nu, rows = args
+    G, members, munu, params, rows = args
     rows = np.asarray(rows, dtype=np.int64)
-    v, n = G.order, len(members)
-    h0 = min(SIEVE_COEFFS, v)
-    block = max(1, SIEVE_BLOCK // (h0 * max(n, v)))
-    right = np.ascontiguousarray(members.T)
+    n, (mu, nu) = len(members), munu.as_tuple()
     products = rg.RowProducts(G, members)
-    out = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
-            np.zeros((0, v), dtype=np.float32))]
-    for start in range(0, len(rows), block):
-        left = rows[start:start + block]
-        # head[h, s, t] = sum_z Y_t[z] X_s[h z], the coefficient of h in X_s Y_t^(-1)
-        gathered = members[left][:, G.table[:h0]].transpose(1, 0, 2).reshape(-1, v)
-        head = (gathered @ right).reshape(h0, len(left), n)
-        keep = (head[0] == mu) | (head[0] == nu)
-        for h in range(1, h0):
-            keep &= (head[h] == mu) | (head[h] == nu)
-        cols = np.flatnonzero(keep.any(axis=0))
-        if not len(cols):
-            continue
-        step = max(1, PRODUCT_BLOCK // (len(cols) * v))
-        for a in range(0, len(left), step):
-            sub = keep[a:a + step][:, cols]
-            s, t = np.nonzero(sub)
-            prods = products(left[a:a + step], cols)[s, t]
-            two = ((prods == mu) | (prods == nu)).all(axis=1)
-            out.append((left[a + s[two]], cols[t[two]], prods[two]))
-    return tuple(np.concatenate(part) for part in zip(*out))
+    everyone = np.arange(n)
+    step = max(1, PRODUCT_BLOCK // (n * G.order))
+    left, right, two_valued = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)], 0
+    for start in range(0, len(rows), step):
+        block = rows[start:start + step]
+        prods = products(block, everyone)
+        s, t = np.nonzero(((prods == mu) | (prods == nu)).all(axis=2))
+        off = block[s] != t
+        s, t = s[off], t[off]
+        two_valued += len(s)
+        linked = _linked_rows(G, prods[s, t], munu, params)[0]
+        left.append(block[s[linked]])
+        right.append(t[linked])
+    return np.concatenate(left), np.concatenate(right), two_valued
 
 
 def build_linking_graph(G: FiniteGroup, records, munu: MuNu, jobs: int = 1) -> LinkingGraph:
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
     records = tuple(records)
     if not records:
         raise ValueError("no vertices")
@@ -177,31 +159,28 @@ def build_linking_graph(G: FiniteGroup, records, munu: MuNu, jobs: int = 1) -> L
         raise ValueError("records must share parameters")
     n = len(records)
     indicators = rg.indicators(G, np.array([r.elements for r in records], dtype=np.int64))
-    mu, nu = munu.as_tuple()
     chunks = _row_chunks(n, jobs)
-    args = [(G, indicators, mu, nu, chunk) for chunk in chunks]
-    if jobs > 1 and len(chunks) > 1:
+    args = [(G, indicators, munu, params, chunk) for chunk in chunks]
+    if len(chunks) > 1:
         import concurrent.futures
 
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_two_valued_pairs, args))
+            results = list(pool.map(_linked_pairs, args))
     else:
-        results = [_two_valued_pairs(a) for a in args]
+        results = [_linked_pairs(a) for a in args]
 
-    left, right, prods = (np.concatenate(part) for part in zip(*results))
-    off = left != right
-    left, right = left[off], right[off]
-    linked, _ = _linked_rows(G, prods[off], munu, params)
+    left, right, two_valued = zip(*results)
+    left, right = np.concatenate(left), np.concatenate(right)
     directed = np.zeros((n, n), dtype=bool)
-    directed[left[linked], right[linked]] = True
+    directed[left, right] = True
     adjacency = directed & directed.T
-    return LinkingGraph(G, records, munu, adjacency, two_valued_pairs=len(left),
-                        linked_pairs=len(linked))
+    return LinkingGraph(G, records, munu, adjacency, two_valued_pairs=sum(two_valued),
+                        linked_pairs=len(left))
 
 
 def _row_chunks(n: int, jobs: int) -> list[range]:
-    jobs = max(1, min(jobs, n)) if n else 1
-    bounds = np.linspace(0, n, jobs + 1, dtype=int)
+    """jobs (at most n) consecutive row ranges covering 0..n-1."""
+    bounds = np.linspace(0, n, min(jobs, n) + 1, dtype=int)
     return [range(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
 
 
@@ -618,6 +597,8 @@ class CensusResult:
 
 def census_systems(G: FiniteGroup, k: int, ell: int, jobs: int = 1) -> CensusResult:
     """Exhaustive census of size-ell reduced linking systems of k-subsets."""
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
     start = time.time()
     records = enumerate_difference_sets(G, k)
     if not records:

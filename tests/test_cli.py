@@ -330,12 +330,20 @@ def _malformed_triples(triple):
         obj = json.loads(json.dumps(triple))
         obj["witnesses"][key] = obj["witnesses"].pop("(1,2)")
         yield f"witness key {key!r}", obj
+    for key in ("group", "sets", "mu", "nu"):
+        yield f"no {key}", _without(triple, key)
+
+
+def _without(payload, key):
+    """``payload`` with the field ``key`` dropped."""
+    return {name: value for name, value in payload.items() if name != key}
 
 
 def _assert_verification_failed(argv):
     code, out, err = run_capture(argv)
     assert code == 1 and out == ""
     assert err.startswith("verification failed: ") and err.count("\n") == 1
+    return err
 
 
 def test_malformed_linking_certificates_fail_verification(triple_file, tmp_path):
@@ -343,7 +351,9 @@ def test_malformed_linking_certificates_fail_verification(triple_file, tmp_path)
     for name, payload in _malformed_triples(triple):
         path = tmp_path / "malformed.json"
         path.write_text(json.dumps(payload))
-        _assert_verification_failed(["link", "verify-reduced", str(path)])
+        err = _assert_verification_failed(["link", "verify-reduced", str(path)])
+        if name.startswith("no "):
+            assert f"no {name[3:]!r} field" in err
 
 
 def test_malformed_dm_ds_and_bent_certificates_fail_verification(tmp_path):
@@ -362,10 +372,15 @@ def test_malformed_dm_ds_and_bent_certificates_fail_verification(tmp_path):
         ("bent", bent | {"tables": []}), ("bent", bent | {"arity": "2"}),
         ("bent", bent | {"tables": ["zz", "08"]}),
     ]
+    dropped = [("dm", dm, "group"), ("dm", dm, "rows"), ("ds", ds, "group"), ("ds", ds, "set"),
+               ("bent", bent, "arity"), ("bent", bent, "tables")]
     for command, payload in cases:
         path = tmp_path / "malformed.json"
         path.write_text(json.dumps(payload))
         _assert_verification_failed([command, "verify", str(path)])
+    for command, payload, key in dropped:
+        path.write_text(json.dumps(_without(payload, key)))
+        assert f"no {key!r} field" in _assert_verification_failed([command, "verify", str(path)])
     path.write_text(json.dumps(bent))
     assert run_capture(["bent", "verify", str(path)])[0] == 0
 
@@ -387,3 +402,25 @@ def test_census_z42_text_reports_its_counts():
     assert ("vertices: 192, two-valued pairs: 12288, linked directed pairs: 12288, "
             "pairs re-verified: 12288, cliques: 65536") in out.splitlines()
     assert "digest: e6b7c55e6a8ee1611257089732beb388db4429ef06e36c7989267e15b6fe496e" in out
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["census", "z42", "--jobs", "0"], None), (["census", "z42", "--jobs", "-2"], None),
+    (["nonexist", "z8z2", "--jobs", "two"], None), (["census", "z42"], "-4"),
+    (["nonexist", "mcfarland-q3"], "abc"), (["census", "z42"], "")])
+def test_jobs_below_one_or_not_an_integer_are_usage_errors(monkeypatch, argv, env):
+    from linkset import search
+
+    if env is not None:
+        monkeypatch.setenv("LINKSET_JOBS", env)
+    monkeypatch.setattr(search, "enumerate_difference_sets", None)  # no work may start
+    code, out, err = run_capture(argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "positive integer" in err and err.count("\n") == 1
+
+
+def test_linkset_jobs_only_defaults_the_jobs_flag(monkeypatch):
+    monkeypatch.setenv("LINKSET_JOBS", "abc")
+    assert run_capture(["group", "D4"])[0] == 0
+    code, out, _ = run_capture(["nonexist", "z8z2", "--jobs", "1"])
+    assert code == 1 and "size-2 systems: 0" in out

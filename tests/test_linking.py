@@ -165,15 +165,15 @@ def test_verify_reduced_batched_rejections_z4_4(monkeypatch):
     sets = [r.elements for r in build_improved(G).records]
     assert len(sets) == 15
 
-    # the sets, then the witnesses of each row, go through the transform
-    # path in one batch each
+    # the sets in one batch, then the witnesses of each row in one batch
+    # each, go through the transform path
     calls = []
     transform = rg._transform_autocorrelations
     monkeypatch.setattr(rg, "_transform_autocorrelations",
                         lambda G, block: calls.append(len(block)) or transform(G, block))
     system = verify_reduced(G, sets)
     assert system is not None and len(system.witnesses) == 15 * 14
-    assert calls == [1] * 15 + [14] * 15
+    assert calls == [15] + [14] * 15
 
     rng = random.Random(41)
     for i in (0, 7, 14):

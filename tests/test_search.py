@@ -107,6 +107,20 @@ def test_census_with_jobs_matches(z4z4, z4z4_census):
     assert np.array_equal(parallel.adjacency, graph.adjacency)
 
 
+def test_jobs_below_one_are_rejected_before_any_work(z4z4, monkeypatch):
+    from linkset import search
+
+    records = enumerate_difference_sets(z4z4, 6)
+    munu = mu_nu_candidates(records[0].params)[0]
+    monkeypatch.setattr(search, "enumerate_difference_sets", None)
+    monkeypatch.setattr(search, "_linked_pairs", None)
+    for jobs in (0, -3):
+        with pytest.raises(ValueError, match="jobs"):
+            build_linking_graph(z4z4, records, munu, jobs=jobs)
+        with pytest.raises(ValueError, match="jobs"):
+            census_systems(z4z4, 6, 2, jobs=jobs)
+
+
 def test_translation_invariance(z4z4, z4z4_census):
     """linking success of (D1, D2) equals that of (aD1, D2b) in abelian G."""
     records, graph = z4z4_census.records, z4z4_census.graph
@@ -241,15 +255,14 @@ def test_sweep_pairs_survivor_path_matches_the_exhaustive_scan():
     """With a weak N (order 2) pairs survive the sieve, and the full pair
     check behind it finds exactly the linked pairs the exhaustive scan does."""
     from linkset.designs import difference_set_params
-    from linkset.search import _projection_sieve, _sweep_pairs, _two_valued_pairs
+    from linkset.search import _projection_sieve, _sweep_pairs
 
     G = make_abelian([4, 4])
     records = enumerate_difference_sets(G, 6)
     sets = np.array([r.elements for r in records])
     params = records[0].params
     munu = mu_nu_candidates(params)[0]
-    pairs = _pair_list(_two_valued_pairs((G, rg.indicators(G, sets), *munu.as_tuple(),
-                                          range(len(sets)))), munu.mu)
+    pairs = _full_scan(G, rg.indicators(G, sets), *munu.as_tuple())
     supports = [support for i, j, support in pairs if i != j]
     want = sum(p == params for p in difference_set_params(G, supports))
     assert want == 12288
@@ -452,39 +465,34 @@ def test_pair_verdicts_match_verify_reduced(z4z4_census):
 
 
 def test_two_valued_pairs_match_the_ring_product():
-    """The linking graph's pair scan against rg.mul, pair by pair."""
+    """The linking graph's counts and edges against rg.mul, pair by pair."""
+    cases = [(make_abelian([4, 4]), 4), (_d4z2(), 3)]
+    for G, stride in cases:
+        records = enumerate_difference_sets(G, 6)[::stride]
+        params = records[0].params
+        munu = mu_nu_candidates(params)[0]
+        graph = build_linking_graph(G, records, munu)
+        two_valued, directed = 0, np.zeros((len(records),) * 2, dtype=bool)
+        for (i, X), (j, Y) in itertools.permutations(enumerate(records), 2):
+            prod = rg.mul(X.ring_element(), rg.involution(Y.ring_element()))
+            support = rg.decompose_two_valued(prod, *munu.as_tuple())
+            if support is not None:
+                two_valued += 1
+                directed[i, j] = is_difference_set(G, support) == params
+        assert graph.two_valued_pairs == two_valued > 0
+        assert graph.linked_pairs == int(directed.sum()) > 0
+        assert np.array_equal(graph.adjacency, directed & directed.T)
+
+
+def _d4z2():
     from linkset.groups import direct_product, make_dihedral8
-    from linkset.search import _two_valued_pairs
 
-    G = make_abelian([4, 4])
-    sets = [r.elements for r in enumerate_difference_sets(G, 6)]
-    D4Z2 = direct_product(make_dihedral8(), make_abelian([2]))
-    rng = random.Random(53)
-    cases = [(G, sets[::4], 1, 3),
-             (D4Z2, [tuple(rng.sample(range(16), 6)) for _ in range(60)], 1, 3)]
-    for H, members, mu, nu in cases:
-        got = _pair_list(_two_valued_pairs((H, rg.indicators(H, members), mu, nu,
-                                            range(len(members)))), mu)
-        want = []
-        for i, X in enumerate(members):
-            for j, Y in enumerate(members):
-                prod = rg.mul(rg.from_subset(H, X), rg.involution(rg.from_subset(H, Y)))
-                support = rg.decompose_two_valued(prod, mu, nu)
-                if support is not None:
-                    want.append((i, j, support))
-        assert got == want
-        assert want  # the scan has survivors to find
-
-
-def _pair_list(scan, mu):
-    """The pair scan's arrays as (i, j, mu-support) tuples."""
-    left, right, prods = scan
-    return [(i, j, tuple(np.flatnonzero(p == mu).tolist()))
-            for i, j, p in zip(left.tolist(), right.tolist(), prods)]
+    return direct_product(make_dihedral8(), make_abelian([2]))
 
 
 def _full_scan(G, members, mu, nu):
-    """The pair scan without a sieve: a full product row for every pair."""
+    """The two-valued pairs (i, j, mu-support), i == j included, from a
+    full product row for every pair, one left row at a time."""
     out = []
     products = rg.RowProducts(G, members)
     for i in range(len(members)):
@@ -494,25 +502,44 @@ def _full_scan(G, members, mu, nu):
     return out
 
 
-@pytest.mark.parametrize("factors, pairs", [([4, 4], 12288), ([4, 2, 2], 36864), ([8, 2], 0)])
-def test_sieved_pair_scan_matches_full_products(factors, pairs, monkeypatch):
+@pytest.mark.parametrize("group, k, sample, two_valued", [
+    ("Z4xZ4", 6, None, 12288), ("Z4xZ2xZ2", 6, None, 36864), ("Z8xZ2", 6, None, 0),
+    ("D4xZ2", 6, 70, None), ("Z4xZ4", 1, None, 240)])
+def test_linking_graph_matches_full_products(group, k, sample, two_valued, monkeypatch):
+    """The graph's adjacency, two-valued and linked counts against a full
+    product row per pair (``_full_scan``), one difference-set check per
+    mu-support and verify_reduced on sampled pairs: in one product block,
+    over two jobs and in blocks of two left rows.  Singletons (k = 1) link
+    with themselves too, so the diagonal must be dropped."""
     from linkset import search
-    from linkset.search import _two_valued_pairs
+    from linkset.designs import difference_set_params
 
-    G = make_abelian(factors)
-    sets = [r.elements for r in enumerate_difference_sets(G, 6)]
-    members = rg.indicators(G, sets)
-    want = _full_scan(G, members, 1, 3)
-    assert len(want) == pairs
-    assert _pair_list(_two_valued_pairs((G, members, 1, 3, range(len(sets)))), 1) == want
-    # any row range gives the rows' slice of the list, in the same order,
-    # also when the sieve takes the rows in blocks of 5 and the full
-    # products come 2 left rows at a time
-    rows = range(len(sets) // 3, len(sets) // 2)
-    monkeypatch.setattr(search, "SIEVE_BLOCK", 5 * search.SIEVE_COEFFS * len(sets))
-    monkeypatch.setattr(search, "PRODUCT_BLOCK", 2 * len(sets) * G.order)
-    assert (_pair_list(_two_valued_pairs((G, members, 1, 3, rows)), 1)
-            == [p for p in want if p[0] in rows])
+    G = {"Z4xZ4": make_abelian([4, 4]), "Z4xZ2xZ2": make_abelian([4, 2, 2]),
+         "Z8xZ2": make_abelian([8, 2]), "D4xZ2": _d4z2()}[group]
+    records = enumerate_difference_sets(G, k)
+    rng = random.Random(67)
+    if sample:
+        records = sorted(rng.sample(records, sample), key=lambda r: r.elements)
+    n, params = len(records), records[0].params
+    munu = mu_nu_candidates(params)[0]
+    scan = [(i, j, support) for i, j, support in _full_scan(
+        G, rg.indicators(G, [r.elements for r in records]), *munu.as_tuple()) if i != j]
+    linked = [p == params for p in difference_set_params(G, [s for _, _, s in scan])]
+    assert two_valued in (None, len(scan))
+    directed = np.zeros((n, n), dtype=bool)
+    for (i, j, _), ok in zip(scan, linked):
+        directed[i, j] = ok
+    want = directed & directed.T
+    for i, j in (rng.sample(range(n), 2) for _ in range(10)):
+        system = verify_reduced(G, [records[i].elements, records[j].elements])
+        assert want[i, j] == (system is not None and system.munu == munu)
+
+    graphs = [build_linking_graph(G, records, munu), build_linking_graph(G, records, munu, jobs=2)]
+    monkeypatch.setattr(search, "PRODUCT_BLOCK", 2 * n * G.order)
+    graphs.append(build_linking_graph(G, records, munu))
+    for graph in graphs:
+        assert np.array_equal(graph.adjacency, want)
+        assert (graph.two_valued_pairs, graph.linked_pairs) == (len(scan), sum(linked))
 
 
 @pytest.mark.parametrize("block_sets", [None, 7])
