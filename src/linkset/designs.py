@@ -327,5 +327,5 @@ def _coset_unions(G: FiniteGroup, slot_reps, parts) -> np.ndarray:
 
 def _check_transversal(G: FiniteGroup, E: Subgroup, reps) -> None:
     ids = _cosets(G, E)[0][list(reps)]
-    if len(np.unique(ids)) != len(ids):
+    if np.bincount(ids, minlength=1).max() > 1:
         raise ValueError("representatives do not lie in distinct cosets")

@@ -178,7 +178,7 @@ class CosetTransversal:
     def __post_init__(self):
         ids, reps = _cosets(self.subgroup.group, self.subgroup)
         taken = ids[list(self.reps)]
-        if len(np.unique(taken)) != len(taken):
+        if np.bincount(taken, minlength=1).max() > 1:
             raise ValueError("coset representatives overlap")
         if len(taken) != len(reps):
             raise ValueError("coset representatives do not cover the group")
@@ -480,12 +480,12 @@ def is_central(G: FiniteGroup, S) -> bool:
 
 
 def is_normal(G: FiniteGroup, N: Subgroup) -> bool:
-    nset = set(N.elements)
-    for g in G.elements():
-        for h in N.elements:
-            if G.mul(G.mul(g, h), G.inv(g)) not in nset:
-                return False
-    return True
+    """Whether g h g^(-1) lies in N for every g in G and h in N: one table
+    gather of all the conjugates and one membership mask."""
+    inside = np.zeros(G.order, dtype=bool)
+    inside[list(N.elements)] = True
+    conjugates = G.table[G.table[:, list(N.elements)], G.inv_table[:, None]]
+    return bool(inside[conjugates].all())
 
 
 def _cosets(G: FiniteGroup, H: Subgroup) -> tuple[np.ndarray, np.ndarray]:

@@ -15,9 +15,12 @@ cliques are re-verified from memoized verdicts: the vertices once, each
 distinct directed pair once (``_reverify_cliques``).
 
 The sweeps build their sets as rows of one array with
-``designs.construction_sets`` (table gathers, no per-element loop), keep
-the distinct rows with ``np.unique`` and find translation classes on the
-table (``_translation_classes``).  They decide their pairs with the
+``designs.construction_sets`` (table gathers, no per-element loop) and key
+each set by one exact integer, sum of 2^(v-1-x) over its ids x, held in
+float64 (``_set_weights``, v <= 53).  The distinct rows come from a 1-D
+unique of the keys (``_distinct_rows``), and the translation classes from
+one GEMM that gives the keys of all v left translates of a block of sets
+(``_translation_classes``).  They decide their pairs with the
 projection argument (``_projection_sieve``): each set is projected onto
 Z[G/K], K the elements of order prime to 3, and a pair whose projected
 product cannot be (mu - nu) W + nu |K| (G/K) with every coefficient of W in
@@ -57,8 +60,11 @@ from .linking import MuNu, _linked_rows, mu_nu_candidates
 
 # k-subsets checked per autocorrelation batch by enumerate_difference_sets
 ENUMERATION_CHUNK = 1024
-# int32 translates _translation_classes holds at once (1 MB)
-CLASS_BLOCK = 1 << 18
+# float64 entries of the indicator block, and of its translate keys, that
+# _translation_classes holds at once (1 MB each)
+CLASS_BLOCK = 1 << 17
+# Largest group order whose set keys are exact in float64 (_set_weights)
+KEY_MAX_ORDER = 53
 # float32 entries of full product rows the pair scan and the pair verdicts
 # compute at once (4 MB)
 PRODUCT_BLOCK = 1 << 20
@@ -409,26 +415,62 @@ def _central_e(G: FiniteGroup, rank: int, p: int) -> Subgroup:
     return found[0]
 
 
+def _set_weights(v: int) -> np.ndarray:
+    """w[x] = 2^(v-1-x) as float64, so that key(S) = sum of w[x] over x in S.
+
+    For sets of equal size a lexicographically smaller sorted row has the
+    larger key: at the first position where two rows differ, the smaller
+    id's bit exceeds all later bits of the other row together.  Keys are
+    exact: a key, and so each entry of the translate GEMM, is a sum of k
+    distinct powers of two, each at most 2^52, so every partial sum is an
+    integer below 2^53 in any summation order (FMA included).  Raises
+    ValueError for v > 53.
+    """
+    if v > KEY_MAX_ORDER:
+        raise ValueError(f"set keys need group order <= {KEY_MAX_ORDER}, got {v}")
+    return np.ldexp(1.0, np.arange(v - 1, -1, -1))
+
+
+def _distinct_rows(v: int, sets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of ``sets`` (sorted (n, k) id rows of a group of
+    order v) in lexicographic order, and the index of each row's distinct
+    row: ``np.unique(sets, axis=0, return_inverse=True)``, by a 1-D unique
+    of the keys in descending order (``_set_weights``)."""
+    weights = _set_weights(v)
+    _, first, where = np.unique(-weights[sets].sum(axis=1), return_index=True,
+                                return_inverse=True)
+    return sets[first], where
+
+
 def _translation_classes(G: FiniteGroup, sets: np.ndarray) -> np.ndarray:
     """One canonical representative, the lexicographically smallest sorted
     left translate a S, per translation class of the rows of ``sets``
-    (sorted (n, k) id rows), in order of first appearance."""
-    v, k = G.order, sets.shape[1]
-    block = max(1, CLASS_BLOCK // (v * k))
-    canon = np.empty_like(sets)
+    (sorted (n, k) id rows), in order of first appearance.
+
+    With P[x, a] = 2^(v-1-a x), the indicator rows times P give the keys of
+    all v left translates at once (``_set_weights``: exact for v <= 53); the
+    largest key picks the smallest translate.  Raises ValueError for v > 53
+    or a row that is not a strictly increasing list of element ids.
+    """
+    v = G.order
+    weights = _set_weights(v)
+    if len(sets) and ((np.diff(sets, axis=1) <= 0).any()
+                      or sets[:, 0].min() < 0 or sets[:, -1].max() >= v):
+        raise ValueError("rows must be strictly increasing lists of element ids")
+    P = weights[G.table.T]
+    block = max(1, CLASS_BLOCK // v)
+    best = np.empty(len(sets), dtype=np.intp)
+    canon = np.empty(len(sets))
     for start in range(0, len(sets), block):
-        translates = G.table[:, sets[start:start + block]]   # [a, s, j] = a S_s[j]
-        translates.sort(axis=2)
-        # lexicographic minimum over a, one column at a time: only the
-        # translates that tie on every earlier column stay candidates
-        cand = np.ones(translates.shape[:2], dtype=bool)
-        for j in range(k):
-            col = np.where(cand, translates[:, :, j], v)
-            low = col.min(axis=0)
-            cand &= col == low
-            canon[start:start + block, j] = low
-    _, first = np.unique(canon, axis=0, return_index=True)
-    return canon[np.sort(first)]
+        rows = sets[start:start + block]
+        indicator = np.zeros((len(rows), v))
+        indicator[np.arange(len(rows))[:, None], rows] = 1.0
+        keys = indicator @ P                      # [s, a] = key(a S_s)
+        best[start:start + block] = keys.argmax(axis=1)
+        canon[start:start + block] = keys.max(axis=1)
+    _, first = np.unique(canon, return_index=True)
+    first.sort()
+    return np.sort(G.table[best[first, None], sets[first]], axis=1)
 
 
 def _prime_to_3_subgroup(G: FiniteGroup) -> Subgroup:
@@ -509,7 +551,7 @@ def mcfarland_pair_sweep(G: FiniteGroup, mode: str = "pruned") -> SweepReport:
     params = DSParams(45, 12, 3, 9)
     family, reps, munu, K = _sweep_setup(G, mode, params)
     constructed = construction_sets(family, reps)
-    distinct = np.unique(constructed, axis=0)
+    distinct, _ = _distinct_rows(G.order, constructed)
     return _sweep_report(G, "mcfarland-q3-d1", mode, len(constructed), distinct,
                          params, munu, K, start)
 
@@ -523,12 +565,12 @@ def spence_pair_sweep(G: FiniteGroup, mode: str = "pruned") -> SweepReport:
     s = family.count
     by_slot = [construction_sets(family, reps, m) for m in range(s)]
     constructed = np.concatenate(by_slot)
-    distinct, where = np.unique(constructed, axis=0, return_inverse=True)
+    distinct, where = _distinct_rows(G.order, constructed)
 
     # slots[t, m]: distinct set t arises with slot m complemented; two sets
     # share a slot iff their rows overlap (sampled over the first sets)
     slots = np.zeros((len(distinct), s), dtype=np.int64)
-    slots[where.reshape(-1), np.repeat(np.arange(s), [len(c) for c in by_slot])] = 1
+    slots[where, np.repeat(np.arange(s), [len(c) for c in by_slot])] = 1
     sample = slots[:SLOT_SAMPLE]
     same = int(np.count_nonzero(sample @ sample.T)) - len(sample)
     cross = len(sample) * (len(sample) - 1) - same

@@ -219,6 +219,8 @@ def test_mcfarland_errors(z4z4):
         mcfarland_construct(G, fam, reps, [1, 1, 2])  # not injective
     with pytest.raises(ValueError):
         mcfarland_construct(G, fam, reps[:3], [1, 2, 3])  # wrong transversal size
+    with pytest.raises(ValueError, match="distinct cosets"):
+        mcfarland_construct(G, fam, [*reps[:3], G.element("x1^3")], [1, 2, 3])  # x1^3 in x1's coset
 
 
 @pytest.mark.parametrize("factors", [[3, 3, 2, 2], [3, 3, 4]])

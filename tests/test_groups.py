@@ -14,6 +14,7 @@ from linkset.groups import (
     find_central_elementary_abelian,
     group_from_spec,
     is_central,
+    is_normal,
     make_abelian,
     make_dihedral8,
     make_quaternion8,
@@ -136,6 +137,21 @@ def test_quotients():
     assert Q3.order == 1
     with pytest.raises(ValueError):
         quotient(D4, subgroup_generated(D4, [D4.element("b")]))  # not normal
+
+
+def test_is_normal_matches_the_scalar_definition():
+    """The table gather agrees with g h g^(-1) in N, one product at a time,
+    on D4's rotation subgroup (normal) and a reflection subgroup (not)."""
+    D4 = make_dihedral8()
+    rotations = subgroup_generated(D4, [D4.element("a")])
+    reflection = subgroup_generated(D4, [D4.element("b")])
+    for N, normal in ((rotations, True), (reflection, False)):
+        scalar = all(D4.mul(D4.mul(g, h), D4.inv(g)) in N.elements
+                     for g in D4.elements() for h in N.elements)
+        assert is_normal(D4, N) is scalar is normal
+    quotient(D4, rotations)
+    with pytest.raises(ValueError, match="not normal"):
+        quotient(D4, reflection)
 
 
 def _left_cosets(G, H):

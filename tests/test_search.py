@@ -1,5 +1,9 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +22,8 @@ from linkset.search import (
     spence_pair_sweep,
 )
 from linkset.worked_examples import linked_triple_z4z4
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_enumerate_singletons():
@@ -192,20 +198,40 @@ def test_spence_sweep_structure():
     assert report.same_slot_pairs > 0 and report.cross_slot_pairs > 0
 
 
+@pytest.mark.parametrize("argv", [["nonexist", "mcfarland-q3"],
+                                  ["nonexist", "spence-d1", "--full"]])
+def test_sweeps_leave_numpy_ma_unimported(argv):
+    """np.unique without index, inverse or count outputs imports numpy.ma
+    (about 20 ms); the sweeps' dedup, translation classes and transversal
+    checks use none."""
+    code = ("import sys; from linkset.cli import run; "
+            f"assert run({argv!r}) == 1; print('numpy.ma' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OMP_NUM_THREADS="1",
+               OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip().splitlines()[-1] == "False"
+
+
 @pytest.mark.parametrize("factors, images", [([3, 3, 5], 81), ([3, 3, 2, 2], 324),
                                              ([3, 3, 4], 324)])
 def test_projection_sieve_alone_decides_the_q3_sweeps(factors, images):
     """On G/K (K the elements of order prime to 3) the sieve drops every
     ordered pair of the full McFarland (order 45) and Spence (order 36)
-    set lists."""
+    set lists.  The sweeps' key-based dedup gives np.unique(axis=0)'s rows,
+    in its order, and its inverse."""
     from linkset.designs import DSParams, construction_sets
-    from linkset.search import _projection_sieve, _sweep_setup
+    from linkset.search import _distinct_rows, _projection_sieve, _sweep_setup
 
     G = make_abelian(factors)
     params = DSParams(45, 12, 3, 9) if G.order == 45 else DSParams(36, 15, 6, 9)
     family, reps, munu, K = _sweep_setup(G, "full", params)
     slots = [None] if G.order == 45 else range(family.count)
-    sets = np.unique(np.concatenate([construction_sets(family, reps, m) for m in slots]), axis=0)
+    constructed = np.concatenate([construction_sets(family, reps, m) for m in slots])
+    want, want_where = np.unique(constructed, axis=0, return_inverse=True)
+    sets, where = _distinct_rows(G.order, constructed)
+    assert np.array_equal(sets, want) and np.array_equal(where, want_where.reshape(-1))
     assert len(sets) == {45: 9720, 36: 7776}[G.order]
     classes, keep = _projection_sieve(G, sets, K, munu)
     assert keep.shape == (images, images)
@@ -546,18 +572,23 @@ def test_linking_graph_matches_full_products(group, k, sample, two_valued, monke
 def test_translation_classes_match_brute_force(block_sets, monkeypatch):
     """Canonical representatives are the smallest sorted left translates,
     listed in order of first appearance, in abelian and nonabelian groups
-    (in one block of sets, and in blocks of 7)."""
+    and at orders 52 and 53, where id 0 carries the top key bit 2^52 (in
+    one block of sets, and in blocks of 7)."""
     from linkset import search
     from linkset.groups import direct_product, make_dihedral8
     from linkset.search import _translation_classes
 
     rng = random.Random(61)
-    for G in (make_abelian([3, 3, 5]), direct_product(make_dihedral8(), make_abelian([3]))):
+    for G in (make_abelian([3, 3, 5]), direct_product(make_dihedral8(), make_abelian([3])),
+              make_abelian([4, 13]), make_abelian([53])):
         base = [rng.sample(range(G.order), 7) for _ in range(12)]
-        sets = [sorted(G.mul(rng.randrange(G.order), x) for x in rng.choice(base))
-                for _ in range(60)]
+        sets = []
+        for _ in range(60):
+            a = rng.randrange(G.order)  # one translate per set
+            sets.append(sorted(G.mul(a, x) for x in rng.choice(base)))
+        assert all(len(set(S)) == 7 for S in sets)
         if block_sets:
-            monkeypatch.setattr(search, "CLASS_BLOCK", block_sets * G.order * 7)
+            monkeypatch.setattr(search, "CLASS_BLOCK", block_sets * G.order)
         got = _translation_classes(G, np.array(sets))
 
         def canon(S, side):
@@ -568,3 +599,48 @@ def test_translation_classes_match_brute_force(block_sets, monkeypatch):
         assert [tuple(r) for r in got.tolist()] == want
         if not G.abelian:  # right translates would give other representatives
             assert want != list(dict.fromkeys(canon(S, "right") for S in sets))
+
+
+@pytest.mark.parametrize("rows", [[[1, 1, 2]], [[0, 3, 2]], [[0, 1, 2], [5, 4, 6]],
+                                  [[-1, 2, 3]], [[1, 2, 45]]])
+def test_translation_classes_reject_rows_that_are_not_sets(rows):
+    from linkset.search import _translation_classes
+
+    with pytest.raises(ValueError, match="strictly increasing"):
+        _translation_classes(make_abelian([3, 3, 5]), np.array(rows))
+
+
+def test_set_keys_reject_orders_past_53_before_allocating():
+    """Past order 53 a key would need more than float64's 53 bits; both
+    key users raise before their first array (one float64 entry per id of
+    the 4,000 rows below already takes 192 kB)."""
+    import tracemalloc
+
+    from linkset.search import _distinct_rows, _translation_classes
+
+    G = make_abelian([54])
+    sets = np.sort(np.random.default_rng(5).permuted(np.tile(np.arange(54), (4000, 1)),
+                                                     axis=1)[:, :6], axis=1)
+    for call in (lambda: _translation_classes(G, sets), lambda: _distinct_rows(54, sets)):
+        tracemalloc.start()
+        with pytest.raises(ValueError, match="order <= 53"):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 50_000
+
+
+def test_distinct_rows_match_numpy_unique_on_random_sets():
+    """The key-based dedup gives np.unique(axis=0)'s rows, in its order,
+    and its inverse on random 5-sets of an order-53 group, where id 0
+    carries the top key bit, duplicates included (the sweeps' own sets are
+    compared in test_projection_sieve_alone_decides_the_q3_sweeps)."""
+    from linkset.search import _distinct_rows
+
+    rng = np.random.default_rng(53)
+    drawn = np.sort(rng.permuted(np.tile(np.arange(53), (300, 1)), axis=1)[:, :5], axis=1)
+    sets = drawn[rng.integers(0, 300, size=900)]
+    want, want_where = np.unique(sets, axis=0, return_inverse=True)
+    got, where = _distinct_rows(53, sets)
+    assert len(want) < len(sets) and (sets[:, 0] == 0).any()
+    assert np.array_equal(got, want) and np.array_equal(where, want_where.reshape(-1))
