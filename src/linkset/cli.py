@@ -269,6 +269,9 @@ def _cmd_nonexist(args) -> int:
     mode = "full" if args.full else "pruned"
     reports = []
     if args.target == "z8z2":
+        if args.group is not None or args.full:
+            print("error: nonexist z8z2 takes neither --group nor --full", file=sys.stderr)
+            return 2
         start = time.time()
         G = make_abelian([8, 2])
         result = census_systems(G, 6, 2, jobs=jobs)

@@ -21,6 +21,9 @@ from .designs import (
 )
 from .groups import FiniteGroup
 
+# float32 entries of full product rows that the pair check computes at once (4 MB)
+PRODUCT_BLOCK = 1 << 20
+
 
 @dataclass(frozen=True)
 class MuNu:
@@ -108,19 +111,51 @@ def verify_reduced(G: FiniteGroup, sets) -> ReducedLinkingSystem | None:
 def _pair_witnesses(G: FiniteGroup, products: rg.RowProducts, munu: MuNu, params: DSParams):
     """Witness records of all ordered pairs under (mu, nu), or None.
 
-    One left row at a time: its full product rows against the row's l-1
-    other sets, then the pair check of ``_linked_rows``.
+    One left row at a time: the pair check of ``_linked_block`` on the
+    row against its l-1 other sets, stopping at the first row with a pair
+    that does not link.
     """
     ell = len(products.rows)
+    everyone = np.arange(ell)
     witnesses: dict[tuple[int, int], DifferenceSetRecord] = {}
     for i in range(ell):
-        others = [j for j in range(ell) if j != i]
-        rows, supports = _linked_rows(G, products([i], others)[0], munu, params)
-        if len(rows) < len(others):
+        others = np.delete(everyone, i)
+        _, _, t, supports = _linked_block(G, products, everyone[i:i + 1], others, munu, params)
+        if len(t) < ell - 1:
             return None
-        for j, support in zip(others, supports.tolist()):
+        for j, support in zip(others[t].tolist(), supports.tolist()):
             witnesses[(i + 1, j + 1)] = DifferenceSetRecord._of_sorted(G, tuple(support), params)
     return witnesses
+
+
+def _linked_block(G: FiniteGroup, products: rg.RowProducts, rows: np.ndarray, cols: np.ndarray,
+                  munu: MuNu, params: DSParams):
+    """The pair check over the rectangle rows x cols of ``products`` (two
+    int64 index arrays), pairs with rows[s] == cols[t] dropped:
+    (two_valued, s, t, supports), the number of pairs whose product is
+    valued in {mu, nu}, the positions (s, t) of the pairs that link, in
+    order of (s, t), and their mu-supports as one (len(s), k) id array.
+
+    Per block of left rows (at most PRODUCT_BLOCK float32 entries), one
+    ``RowProducts`` call gives the full product rows and ``_linked_rows``
+    checks the two-valued ones; a block with none skips it.
+    """
+    mu, nu = munu.as_tuple()
+    step = max(1, PRODUCT_BLOCK // max(1, len(cols) * G.order))
+    two_valued, found = 0, []
+    for start in range(0, len(rows), step):
+        prods = products(rows[start:start + step], cols)
+        s, t = np.nonzero(((prods == mu) | (prods == nu)).all(axis=2))
+        off = rows[start + s] != cols[t]
+        s, t = s[off], t[off]
+        two_valued += len(s)
+        if len(s):
+            linked, supports = _linked_rows(G, prods[s, t], munu, params)
+            found.append((start + s[linked], t[linked], supports))
+    if len(found) == 1:
+        return (two_valued, *found[0])
+    empty = (np.zeros(0, dtype=np.int64),) * 2 + (np.zeros((0, params.k), dtype=np.int64),)
+    return (two_valued, *(np.concatenate(part) for part in zip(empty, *found)))
 
 
 def _linked_rows(G: FiniteGroup, prods: np.ndarray, munu: MuNu,
@@ -147,19 +182,26 @@ def _linked_rows(G: FiniteGroup, prods: np.ndarray, munu: MuNu,
 
 
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(first, inverse) for the rows of a 2-D uint8 array: the index of one
-    occurrence of each distinct row, and for every row the position of its
-    row among those.  The bytes of a row are read as uint64 words and
-    ordered by ``np.lexsort`` (``np.unique(axis=0)`` imports ``numpy.ma``)."""
-    width = -(-rows.shape[1] // 8) * 8
-    words = np.zeros((len(rows), width), dtype=np.uint8)
-    words[:, :rows.shape[1]] = rows
-    words = words.view(np.uint64)
-    order = np.lexsort(words.T)
+    """(first, inverse) for the rows of a 2-D array of nonnegative integers,
+    as ``np.unique(rows, axis=0, return_index=True, return_inverse=True)``
+    gives them (it imports ``numpy.ma``): the first occurrence of each
+    distinct row, in lexicographic order, and each row's position among those.
+
+    Entries are written as big-endian bytes of the narrowest width that holds
+    them and each zero-padded row is read as big-endian uint64 words, so the
+    words order the rows lexicographically; ``np.lexsort`` is stable, so a
+    first occurrence comes first among its equals.
+    """
+    n, c = rows.shape
+    width = next(b for b in (1, 2, 4, 8) if int(rows.max(initial=0)) < 1 << 8 * b)
+    data = np.zeros((n, max(1, -(-c * width // 8)) * 8), dtype=np.uint8)
+    data[:, :c * width] = rows.astype(f">u{width}").view(np.uint8).reshape(n, c * width)
+    words = data.view(">u8").astype(np.uint64)
+    order = np.lexsort(words.T[::-1])
     ordered = words[order]
-    new = np.ones(len(rows), dtype=bool)
+    new = np.ones(n, dtype=bool)
     new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    inverse = np.empty(len(rows), dtype=np.int64)
+    inverse = np.empty(n, dtype=np.int64)
     inverse[order] = np.cumsum(new) - 1
     return order[new], inverse
 

@@ -3,10 +3,12 @@ and its clique census, and the McFarland/Spence nonexistence sweeps.
 
 All searches are exact.  The heavy inner loop, the products of one set
 against many, runs on ``group_ring.RowProducts``.  Each search checks and
-casts its sets to indicator rows once (``group_ring.indicators``).  The
-linking graph's pair scan (``_linked_pairs``) takes full product rows of a
-block of left sets against every set, keeps the two-valued ones and checks
-their witnesses with ``linking._linked_rows``.
+casts its sets to indicator rows once (``group_ring.indicators``).  Every
+linking decision, in the linking graph (``_linked_pairs``), the census
+re-verification and behind the sweeps' sieve, is the pair check of
+``linking._linked_block`` over a rectangle of left and right sets: full
+product rows, a two-valued test and one difference-set batch of the
+distinct witnesses.
 
 The census runs on index arrays: the clique listing extends (m, t) arrays
 of vertex indices level by level (``_clique_indices``), the systems are a
@@ -16,16 +18,16 @@ distinct directed pair once (``_reverify_cliques``).
 
 The sweeps build their sets as rows of one array with
 ``designs.construction_sets`` (table gathers, no per-element loop) and key
-each set by one exact integer, sum of 2^(v-1-x) over its ids x, held in
-float64 (``_set_weights``, v <= 53).  The distinct rows come from a 1-D
-unique of the keys (``_distinct_rows``), and the translation classes from
-one GEMM that gives the keys of all v left translates of a block of sets
-(``_translation_classes``).  They decide their pairs with the
-projection argument (``_projection_sieve``): each set is projected onto
-Z[G/K], K the elements of order prime to 3, and a pair whose projected
-product cannot be (mu - nu) W + nu |K| (G/K) with every coefficient of W in
-[0, |K|] is dropped exactly; none survive in the sweeps, and any that did
-would get the full pair check of ``linking._linked_rows``.
+dedup them, and their projections, with ``linking._distinct_rows``.  The
+translation classes come from one GEMM that gives the keys of all v left
+translates of a block of sets, each key one exact integer, sum of
+2^(v-1-x) over the ids x, held in float64 (``_translation_classes``,
+v <= 53).  The sweeps decide their pairs with the projection argument
+(``_projection_sieve``): each set is projected onto Z[G/K], K the elements
+of order prime to 3, and a pair whose projected product cannot be
+(mu - nu) W + nu |K| (G/K) with every coefficient of W in [0, |K|] is
+dropped exactly; none survive in the sweeps, and any that did would get
+the pair check of ``linking._linked_block``.
 """
 
 from __future__ import annotations
@@ -56,18 +58,16 @@ from .groups import (
     is_normal,
     quotient,
 )
-from .linking import MuNu, _linked_rows, mu_nu_candidates
+from .linking import MuNu, _distinct_rows, _linked_block, mu_nu_candidates
 
 # k-subsets checked per autocorrelation batch by enumerate_difference_sets
 ENUMERATION_CHUNK = 1024
 # float64 entries of the indicator block, and of its translate keys, that
 # _translation_classes holds at once (1 MB each)
 CLASS_BLOCK = 1 << 17
-# Largest group order whose set keys are exact in float64 (_set_weights)
+# Largest group order whose translate keys are exact in float64
+# (_set_weights, used by _translation_classes)
 KEY_MAX_ORDER = 53
-# float32 entries of full product rows the pair scan and the pair verdicts
-# compute at once (4 MB)
-PRODUCT_BLOCK = 1 << 20
 # bool entries the clique listing ANDs at once (4 MB)
 LISTING_BLOCK = 1 << 22
 # Cliques re-verified per block by enumerate_systems
@@ -121,37 +121,19 @@ class LinkingGraph:
 
 
 def _linked_pairs(args) -> tuple[np.ndarray, np.ndarray, int]:
-    """The linking graph's pair scan over the left rows ``rows`` of the
-    indicator matrix ``members``: (left, right, two_valued), the directed
-    pairs (left[t], right[t]) of distinct rows that link under ``munu``
-    with witness parameters ``params``, in order of (i, j), and the number
-    of ordered pairs i != j whose product is valued in {mu, nu}.
-
-    Per block of left rows (at most PRODUCT_BLOCK float32 entries), one
-    ``RowProducts`` call gives the full product rows against every row; the
-    two-valued pairs off the diagonal go through the pair check of
-    ``linking._linked_rows``.
+    """The linking graph's pair scan of the left rows ``rows`` of the
+    indicator matrix ``members`` against every row (``linking._linked_block``):
+    (left, right, two_valued), the directed pairs (left[t], right[t]) of
+    distinct rows that link, in order of (i, j), and the number of ordered
+    pairs i != j whose product is valued in {mu, nu}.
 
     Module level so that the --jobs process pool can run it.
     """
     G, members, munu, params, rows = args
     rows = np.asarray(rows, dtype=np.int64)
-    n, (mu, nu) = len(members), munu.as_tuple()
-    products = rg.RowProducts(G, members)
-    everyone = np.arange(n)
-    step = max(1, PRODUCT_BLOCK // (n * G.order))
-    left, right, two_valued = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)], 0
-    for start in range(0, len(rows), step):
-        block = rows[start:start + step]
-        prods = products(block, everyone)
-        s, t = np.nonzero(((prods == mu) | (prods == nu)).all(axis=2))
-        off = block[s] != t
-        s, t = s[off], t[off]
-        two_valued += len(s)
-        linked = _linked_rows(G, prods[s, t], munu, params)[0]
-        left.append(block[s[linked]])
-        right.append(t[linked])
-    return np.concatenate(left), np.concatenate(right), two_valued
+    two_valued, s, t, _ = _linked_block(G, rg.RowProducts(G, members), rows,
+                                        np.arange(len(members)), munu, params)
+    return rows[s], t, two_valued
 
 
 def build_linking_graph(G: FiniteGroup, records, munu: MuNu, jobs: int = 1) -> LinkingGraph:
@@ -276,11 +258,12 @@ def _reverify_cliques(graph: LinkingGraph, cliques: np.ndarray) -> int:
     accepts S_1..S_l iff every S_i is a difference set with common
     parameters and every ordered pair (i, j) has D_i D_j^(-1) valued in
     {mu, nu} with a mu-support that is a difference set with the same
-    parameters.  So the vertices of the cliques are checked once, each
-    distinct directed pair once (``_pair_verdicts``), and a clique passes
-    iff all its l(l-1) pair verdicts do.  The cliques go through in blocks
-    of CLIQUE_BLOCK rows; a block's pairs are found as i*n + j codes and
-    only those not yet in the n x n memo are computed.
+    parameters.  So the vertices of the cliques are checked once, and a
+    clique passes iff all its l(l-1) pair verdicts do.  The cliques go
+    through in blocks of CLIQUE_BLOCK rows, their pairs found as i*n + j
+    codes; the pair check of ``linking._linked_block`` runs once per vertex,
+    on its row against every row, when a block first holds it, and the
+    verdicts it gives are kept in an n x n memo.
     """
     if not len(cliques):
         return 0
@@ -291,43 +274,22 @@ def _reverify_cliques(graph: LinkingGraph, cliques: np.ndarray) -> int:
     if params is None or not difference_set_mask(G, vertices, params).all():
         raise AssertionError("clique failed re-verification")
     products = rg.RowProducts(G, rg.indicators(G, ids))
-    known = np.zeros(n * n, dtype=bool)
+    everyone = np.arange(n)
+    done = np.zeros(n, dtype=bool)            # vertices whose row is in the memo
     linked = np.zeros(n * n, dtype=bool)
+    asked = np.zeros(n * n, dtype=bool)
     positions = [(a, b) for a in range(ell) for b in range(ell) if a != b]
     for start in range(0, len(cliques), CLIQUE_BLOCK):
         block = cliques[start:start + CLIQUE_BLOCK]
         codes = np.stack([block[:, a] * n + block[:, b] for a, b in positions], axis=1)
-        new = np.zeros(n * n, dtype=bool)
-        new[codes.ravel()] = True
-        new = np.flatnonzero(new & ~known)
-        linked[new] = _pair_verdicts(G, products, new, graph.munu, params)
-        known[new] = True
+        asked[codes.ravel()] = True
+        lefts = np.flatnonzero((np.bincount(block.ravel(), minlength=n) > 0) & ~done)
+        _, s, t, _ = _linked_block(G, products, lefts, everyone, graph.munu, params)
+        linked[lefts[s] * n + t] = True
+        done[lefts] = True
         if not linked[codes].all():
             raise AssertionError("clique failed re-verification")
-    return int(known.sum())
-
-
-def _pair_verdicts(G: FiniteGroup, products: rg.RowProducts, codes: np.ndarray, munu: MuNu,
-                   params: DSParams) -> np.ndarray:
-    """Whether each directed pair (i, j), given by its code i*n + j over the
-    n rows of ``products``, links under (mu, nu) with witness parameters
-    ``params``: full product rows, as verify_reduced makes, from one
-    ``RowProducts`` call per block of distinct left rows against every row
-    (at most PRODUCT_BLOCK entries), a gather of the pairs asked for and the
-    pair check of ``linking._linked_rows``."""
-    n, v = len(products.rows), G.order
-    left, right = np.divmod(np.asarray(codes, dtype=np.int64), n)
-    lefts = np.flatnonzero(np.bincount(left, minlength=n))
-    slot = np.zeros(n, dtype=np.int64)
-    slot[lefts] = np.arange(len(lefts))
-    out = np.zeros(len(left), dtype=bool)
-    step = max(1, PRODUCT_BLOCK // (n * v))
-    for a in range(0, len(lefts), step):
-        rows = lefts[a:a + step]
-        sel = np.flatnonzero((left >= rows[0]) & (left <= rows[-1]))
-        prods = products(rows, np.arange(n))[slot[left[sel]] - a, right[sel]]
-        out[sel[_linked_rows(G, prods, munu, params)[0]]] = True
-    return out
+    return int(asked.sum())
 
 
 def _adjacency_masks(adjacency: np.ndarray) -> list[int]:
@@ -416,7 +378,8 @@ def _central_e(G: FiniteGroup, rank: int, p: int) -> Subgroup:
 
 
 def _set_weights(v: int) -> np.ndarray:
-    """w[x] = 2^(v-1-x) as float64, so that key(S) = sum of w[x] over x in S.
+    """w[x] = 2^(v-1-x) as float64, so that key(S) = sum of w[x] over x in S
+    (the translate keys of ``_translation_classes``).
 
     For sets of equal size a lexicographically smaller sorted row has the
     larger key: at the first position where two rows differ, the smaller
@@ -429,17 +392,6 @@ def _set_weights(v: int) -> np.ndarray:
     if v > KEY_MAX_ORDER:
         raise ValueError(f"set keys need group order <= {KEY_MAX_ORDER}, got {v}")
     return np.ldexp(1.0, np.arange(v - 1, -1, -1))
-
-
-def _distinct_rows(v: int, sets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of ``sets`` (sorted (n, k) id rows of a group of
-    order v) in lexicographic order, and the index of each row's distinct
-    row: ``np.unique(sets, axis=0, return_inverse=True)``, by a 1-D unique
-    of the keys in descending order (``_set_weights``)."""
-    weights = _set_weights(v)
-    _, first, where = np.unique(-weights[sets].sum(axis=1), return_index=True,
-                                return_inverse=True)
-    return sets[first], where
 
 
 def _translation_classes(G: FiniteGroup, sets: np.ndarray) -> np.ndarray:
@@ -509,32 +461,30 @@ def _projection_sieve(G: FiniteGroup, sets, N: Subgroup,
     n, w = len(ids), Q.order
     counts = np.bincount((proj[ids] + w * np.arange(n)[:, None]).ravel(),
                          minlength=n * w).reshape(n, w)
-    images, classes = np.unique(counts, axis=0, return_inverse=True)
+    first, classes = _distinct_rows(counts)
+    images = counts[first]
     mu, nu = munu.as_tuple()
     keep = np.ones((len(images), len(images)), dtype=bool)
     for c in range(w):
         excess = images[:, Q.table[c]] @ images.T - nu * N.order
         witness = excess // (mu - nu)
         keep &= (excess % (mu - nu) == 0) & (witness >= 0) & (witness <= N.order)
-    return classes.reshape(-1), keep
+    return classes, keep
 
 
 def _sweep_pairs(G: FiniteGroup, sets, munu: MuNu, params: DSParams,
                  N: Subgroup) -> tuple[int, int]:
     """Decide every ordered pair of the sets (sorted (n, k) id rows) and
     count the linked pairs of distinct sets: the projection sieve on G/N
-    (``_projection_sieve``), then the full pair check of
-    ``linking._linked_rows`` (two-valued product row, difference-set
-    check of the witness) for each pair it keeps."""
+    (``_projection_sieve``), then the pair check of
+    ``linking._linked_block`` on each set against the sets it keeps."""
     classes, keep = _projection_sieve(G, sets, N, munu)
     linked = 0
     if keep.any():
         products = rg.RowProducts(G, rg.indicators(G, sets))
         for i, a in enumerate(classes.tolist()):
             right = np.flatnonzero(keep[a, classes])
-            right = right[right != i]
-            if len(right):
-                linked += len(_linked_rows(G, products([i], right)[0], munu, params)[0])
+            linked += len(_linked_block(G, products, np.array([i]), right, munu, params)[1])
     return len(sets) ** 2, linked
 
 
@@ -551,7 +501,7 @@ def mcfarland_pair_sweep(G: FiniteGroup, mode: str = "pruned") -> SweepReport:
     params = DSParams(45, 12, 3, 9)
     family, reps, munu, K = _sweep_setup(G, mode, params)
     constructed = construction_sets(family, reps)
-    distinct, _ = _distinct_rows(G.order, constructed)
+    distinct = constructed[_distinct_rows(constructed)[0]]
     return _sweep_report(G, "mcfarland-q3-d1", mode, len(constructed), distinct,
                          params, munu, K, start)
 
@@ -565,7 +515,8 @@ def spence_pair_sweep(G: FiniteGroup, mode: str = "pruned") -> SweepReport:
     s = family.count
     by_slot = [construction_sets(family, reps, m) for m in range(s)]
     constructed = np.concatenate(by_slot)
-    distinct, where = _distinct_rows(G.order, constructed)
+    first, where = _distinct_rows(constructed)
+    distinct = constructed[first]
 
     # slots[t, m]: distinct set t arises with slot m complemented; two sets
     # share a slot iff their rows overlap (sampled over the first sets)
@@ -666,18 +617,12 @@ def bent_max_clique(d: int = 1) -> int:
         raise ValueError("exhaustive bent clique supported only at d = 1")
     from .bent import enumerate_bent
 
-    bents = enumerate_bent(4)
-    tables = [int.from_bytes(np.packbits(f.table, bitorder="little").tobytes(), "little")
-              for f in bents]
-    bent_ints = set(tables)
-    n = len(tables)
-    masks = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if tables[i] ^ tables[j] in bent_ints:
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
-
+    # each truth table as one 16-bit int; f + g is bent iff bent[f ^ g]
+    tables = np.packbits([f.table for f in enumerate_bent(4)], axis=1,
+                         bitorder="little").view("<u2")[:, 0]
+    bent = np.zeros(1 << 16, dtype=bool)
+    bent[tables] = True
+    masks = _adjacency_masks(bent[tables[:, None] ^ tables[None, :]])
     # zero function is adjacent to every bent function (0 + f = f is bent)
     return _max_clique(masks) + 1
 

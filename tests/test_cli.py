@@ -134,6 +134,19 @@ def test_nonexist_exit_codes():
     assert "0 linked pairs" in out
 
 
+@pytest.mark.parametrize("extra", [["--group", '{"abelian": [4, 4]}'], ["--group", ""],
+                                   ["--full"]])
+def test_nonexist_z8z2_rejects_group_and_full(monkeypatch, extra):
+    """z8z2 names its group and has one mode: --group or --full would be
+    ignored, so either is a usage error before any work."""
+    from linkset import cli
+
+    monkeypatch.setattr(cli, "census_systems", None)  # no work may start
+    code, out, err = run_capture(["nonexist", "z8z2", *extra])
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_selftest():
     code, out, _ = run_capture(["selftest"])
     assert code == 0 and "FAIL" not in out

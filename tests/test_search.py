@@ -219,10 +219,12 @@ def test_sweeps_leave_numpy_ma_unimported(argv):
 def test_projection_sieve_alone_decides_the_q3_sweeps(factors, images):
     """On G/K (K the elements of order prime to 3) the sieve drops every
     ordered pair of the full McFarland (order 45) and Spence (order 36)
-    set lists.  The sweeps' key-based dedup gives np.unique(axis=0)'s rows,
-    in its order, and its inverse."""
+    set lists.  The sweeps' dedup gives np.unique(axis=0)'s rows, in its
+    order, and its inverse, on the constructed sets and on the projections."""
     from linkset.designs import DSParams, construction_sets
-    from linkset.search import _distinct_rows, _projection_sieve, _sweep_setup
+    from linkset.groups import quotient
+    from linkset.linking import _distinct_rows
+    from linkset.search import _projection_sieve, _sweep_setup
 
     G = make_abelian(factors)
     params = DSParams(45, 12, 3, 9) if G.order == 45 else DSParams(36, 15, 6, 9)
@@ -230,11 +232,15 @@ def test_projection_sieve_alone_decides_the_q3_sweeps(factors, images):
     slots = [None] if G.order == 45 else range(family.count)
     constructed = np.concatenate([construction_sets(family, reps, m) for m in slots])
     want, want_where = np.unique(constructed, axis=0, return_inverse=True)
-    sets, where = _distinct_rows(G.order, constructed)
+    first, where = _distinct_rows(constructed)
+    sets = constructed[first]
     assert np.array_equal(sets, want) and np.array_equal(where, want_where.reshape(-1))
     assert len(sets) == {45: 9720, 36: 7776}[G.order]
     classes, keep = _projection_sieve(G, sets, K, munu)
     assert keep.shape == (images, images)
+    proj = quotient(G, K)[1]
+    counts = np.stack([np.bincount(row, minlength=9) for row in proj[sets]])
+    assert np.array_equal(classes, np.unique(counts, axis=0, return_inverse=True)[1].reshape(-1))
     sizes = np.bincount(classes)
     assert sizes.sum() == len(sets) and int(sizes @ keep @ sizes) == 0
 
@@ -391,6 +397,23 @@ def test_adjacency_masks_match_rows():
         assert _adjacency_masks(adj) == want
 
 
+def test_bent_clique_graph_matches_the_pairwise_loop(monkeypatch):
+    """bent_max_clique's table-lookup adjacency equals the pairwise rule
+    (f ~ g iff f + g is bent), built pair by pair over the 896 arity-4 bent
+    functions."""
+    from linkset import search
+    from linkset.bent import enumerate_bent
+
+    tables = [int.from_bytes(np.packbits(f.table, bitorder="little").tobytes(), "little")
+              for f in enumerate_bent(4)]
+    bent = set(tables)
+    want = [sum(1 << j for j, g in enumerate(tables) if f ^ g in bent) for f in tables]
+    seen = []
+    monkeypatch.setattr(search, "_max_clique", lambda masks: seen.append(masks) or 7)
+    assert search.bent_max_clique(1) == 8
+    assert seen == [want] and len(want) == 896
+
+
 def test_census_builds_masks_once(monkeypatch):
     from linkset import search
 
@@ -465,9 +488,10 @@ def test_wrong_graph_data_fails_reverification(z4z4_census):
 
 
 def test_pair_verdicts_match_verify_reduced(z4z4_census):
-    """The memo's per-pair verdicts equal verify_reduced on the 2-set system:
-    every edge and a sample of non-edges, each in both orientations."""
-    from linkset.search import _pair_verdicts
+    """The pair check's verdicts and witnesses (``_linked_block`` over all
+    n x n pairs) equal verify_reduced on the 2-set system: every edge and a
+    sample of non-edges, each in both orientations."""
+    from linkset.linking import _linked_block
 
     graph = z4z4_census.graph
     G, records, n = graph.group, graph.records, graph.num_vertices
@@ -477,17 +501,20 @@ def test_pair_verdicts_match_verify_reduced(z4z4_census):
     non_edges = np.argwhere(~graph.adjacency & upper)
     pairs = np.concatenate([edges, non_edges[rng.choice(len(non_edges), 300, replace=False)]])
     assert len(edges) == 6144
-    codes = np.concatenate([pairs[:, 0] * n + pairs[:, 1], pairs[:, 1] * n + pairs[:, 0]])
-    order = np.argsort(codes)
-    verdicts = np.empty(len(codes), dtype=bool)
     products = rg.RowProducts(G, rg.indicators(G, [r.elements for r in records]))
-    verdicts[order] = _pair_verdicts(G, products, codes[order], graph.munu, records[0].params)
-    forward, backward = verdicts[:len(pairs)], verdicts[len(pairs):]
-    for (i, j), fwd, bwd in zip(pairs.tolist(), forward.tolist(), backward.tolist()):
+    everyone = np.arange(n)
+    _, s, t, supports = _linked_block(G, products, everyone, everyone, graph.munu,
+                                      records[0].params)
+    found = np.full((n, n), -1)
+    found[s, t] = np.arange(len(s))
+    for i, j in pairs.tolist():
         system = verify_reduced(G, [records[i].elements, records[j].elements])
         linked = system is not None and system.munu == graph.munu
-        assert fwd == bwd == linked
-    assert forward.sum() == 6144
+        assert (found[i, j] >= 0) == (found[j, i] >= 0) == linked
+        if linked:
+            assert tuple(supports[found[i, j]].tolist()) == system.witnesses[(1, 2)].elements
+            assert tuple(supports[found[j, i]].tolist()) == system.witnesses[(2, 1)].elements
+    assert (found[pairs[:, 0], pairs[:, 1]] >= 0).sum() == 6144
 
 
 def test_two_valued_pairs_match_the_ring_product():
@@ -535,9 +562,10 @@ def test_linking_graph_matches_full_products(group, k, sample, two_valued, monke
     """The graph's adjacency, two-valued and linked counts against a full
     product row per pair (``_full_scan``), one difference-set check per
     mu-support and verify_reduced on sampled pairs: in one product block,
-    over two jobs and in blocks of two left rows.  Singletons (k = 1) link
-    with themselves too, so the diagonal must be dropped."""
-    from linkset import search
+    over two jobs and in blocks of two left rows; and the pair check on a
+    rectangle whose rows and columns overlap in part.  Singletons (k = 1)
+    link with themselves too, so the diagonal must be dropped."""
+    from linkset import linking
     from linkset.designs import difference_set_params
 
     G = {"Z4xZ4": make_abelian([4, 4]), "Z4xZ2xZ2": make_abelian([4, 2, 2]),
@@ -560,9 +588,23 @@ def test_linking_graph_matches_full_products(group, k, sample, two_valued, monke
         system = verify_reduced(G, [records[i].elements, records[j].elements])
         assert want[i, j] == (system is not None and system.munu == munu)
 
+    rows, cols = np.arange(2 * n // 3), np.arange(n // 3, n)
+    in_rect = [(i, j, support, ok) for (i, j, support), ok in zip(scan, linked)
+               if i < 2 * n // 3 and j >= n // 3]
+    want_rect = [(i, j - n // 3, support) for i, j, support, ok in in_rect if ok]
+    products = rg.RowProducts(G, rg.indicators(G, [r.elements for r in records]))
+
+    def check():
+        two_valued, s, t, supports = linking._linked_block(G, products, rows, cols, munu, params)
+        assert two_valued == len(in_rect)
+        assert [(a, b, tuple(c)) for a, b, c in zip(s.tolist(), t.tolist(),
+                                                    supports.tolist())] == want_rect
+
     graphs = [build_linking_graph(G, records, munu), build_linking_graph(G, records, munu, jobs=2)]
-    monkeypatch.setattr(search, "PRODUCT_BLOCK", 2 * n * G.order)
+    check()
+    monkeypatch.setattr(linking, "PRODUCT_BLOCK", 2 * n * G.order)
     graphs.append(build_linking_graph(G, records, munu))
+    check()
     for graph in graphs:
         assert np.array_equal(graph.adjacency, want)
         assert (graph.two_valued_pairs, graph.linked_pairs) == (len(scan), sum(linked))
@@ -611,36 +653,42 @@ def test_translation_classes_reject_rows_that_are_not_sets(rows):
 
 
 def test_set_keys_reject_orders_past_53_before_allocating():
-    """Past order 53 a key would need more than float64's 53 bits; both
-    key users raise before their first array (one float64 entry per id of
-    the 4,000 rows below already takes 192 kB)."""
+    """Past order 53 a translate key would need more than float64's 53
+    bits; _translation_classes raises before its first array (one float64
+    entry per id of the 4,000 rows below already takes 192 kB)."""
     import tracemalloc
 
-    from linkset.search import _distinct_rows, _translation_classes
+    from linkset.search import _translation_classes
 
     G = make_abelian([54])
     sets = np.sort(np.random.default_rng(5).permuted(np.tile(np.arange(54), (4000, 1)),
                                                      axis=1)[:, :6], axis=1)
-    for call in (lambda: _translation_classes(G, sets), lambda: _distinct_rows(54, sets)):
-        tracemalloc.start()
-        with pytest.raises(ValueError, match="order <= 53"):
-            call()
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-        assert peak < 50_000
+    tracemalloc.start()
+    with pytest.raises(ValueError, match="order <= 53"):
+        _translation_classes(G, sets)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 50_000
 
 
 def test_distinct_rows_match_numpy_unique_on_random_sets():
-    """The key-based dedup gives np.unique(axis=0)'s rows, in its order,
-    and its inverse on random 5-sets of an order-53 group, where id 0
-    carries the top key bit, duplicates included (the sweeps' own sets are
-    compared in test_projection_sieve_alone_decides_the_q3_sweeps)."""
-    from linkset.search import _distinct_rows
+    """The one row dedup gives np.unique(axis=0)'s first indices, in its
+    (lexicographic) order, and its inverse: for rows of 1 to 17 entries
+    (padding inside and past one 8-byte word) whose largest entry needs 1,
+    2 or 4 bytes, duplicates included, and for no rows at all (the sweeps'
+    own sets are compared in test_projection_sieve_alone_decides_the_q3_sweeps)."""
+    from linkset.linking import _distinct_rows
 
     rng = np.random.default_rng(53)
-    drawn = np.sort(rng.permuted(np.tile(np.arange(53), (300, 1)), axis=1)[:, :5], axis=1)
-    sets = drawn[rng.integers(0, 300, size=900)]
-    want, want_where = np.unique(sets, axis=0, return_inverse=True)
-    got, where = _distinct_rows(53, sets)
-    assert len(want) < len(sets) and (sets[:, 0] == 0).any()
-    assert np.array_equal(got, want) and np.array_equal(where, want_where.reshape(-1))
+    for width, top in itertools.product([1, 7, 8, 9, 17], [1, 255, 256, 65535, 65536]):
+        drawn = rng.integers(0, top + 1, size=(60, width))
+        drawn[1::2, 1:] = drawn[::2, 1:]  # rows that differ only in their first entry
+        rows = drawn[rng.integers(0, 60, size=180)]
+        rows[rng.integers(180), rng.integers(width)] = top
+        assert 0 < len(np.unique(rows, axis=0)) < len(rows) and rows.max() == top
+        for case in (rows, rows[:0]):
+            _, want_first, want_where = np.unique(case, axis=0, return_index=True,
+                                                  return_inverse=True)
+            first, where = _distinct_rows(case)
+            assert np.array_equal(first, want_first)
+            assert np.array_equal(where, want_where.reshape(-1))
