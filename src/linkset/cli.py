@@ -266,10 +266,10 @@ def _cmd_census(args) -> int:
 
 def _cmd_nonexist(args) -> int:
     jobs = _jobs(args)
-    mode = "full" if args.full else "pruned"
+    mode = args.mode
     reports = []
     if args.target == "z8z2":
-        if args.group is not None or args.full:
+        if args.group is not None or mode == "full":
             print("error: nonexist z8z2 takes neither --group nor --full", file=sys.stderr)
             return 2
         start = time.time()
@@ -385,10 +385,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group")
     p.add_argument("--jobs", help="census worker processes (default: LINKSET_JOBS or 1)")
     grp = p.add_mutually_exclusive_group()
-    grp.add_argument("--full", action="store_true")
-    grp.add_argument("--pruned", action="store_true", default=True)
+    grp.add_argument("--full", dest="mode", action="store_const", const="full")
+    grp.add_argument("--pruned", dest="mode", action="store_const", const="pruned")
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_nonexist)
+    p.set_defaults(func=_cmd_nonexist, mode="pruned")
 
     p = sub.add_parser("selftest", help="run the worked examples end to end")
     p.set_defaults(func=_cmd_selftest)

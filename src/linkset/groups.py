@@ -55,6 +55,8 @@ class FiniteGroup:
         seen[ids[:, None], self.table] = True
         if not seen.all():
             raise ValueError("a table row is not a permutation")
+        if self.abelian:
+            return  # the columns are the rows
         seen[:] = False
         seen[self.table, ids] = True
         if not seen.all():
@@ -148,15 +150,18 @@ class Subgroup:
         elems = tuple(sorted(set(self.elements)))
         object.__setattr__(self, "elements", elems)
         G = self.group
-        eset = set(elems)
-        if 0 not in eset:
+        if 0 not in elems:
             raise ValueError("subgroup must contain the identity")
-        for a in elems:
-            if G.inv(a) not in eset:
-                raise ValueError("subgroup not closed under inverses")
-            for b in elems:
-                if G.mul(a, b) not in eset:
-                    raise ValueError("subgroup not closed under products")
+        # the first element, in id order, with its inverse or a product
+        # outside the set names the failure
+        e = np.array(elems, dtype=np.int64)
+        inside = np.zeros(G.order, dtype=bool)
+        inside[e] = True
+        no_inverse = ~inside[G.inv_table[e]]
+        bad = np.flatnonzero(no_inverse | ~inside[G.table[np.ix_(e, e)]].all(axis=1))
+        if len(bad):
+            raise ValueError("subgroup not closed under inverses" if no_inverse[bad[0]]
+                             else "subgroup not closed under products")
         if G.order % len(elems) != 0:
             raise ValueError("subgroup order does not divide group order")
 
@@ -214,20 +219,27 @@ def make_abelian(invariant_factors: list[int] | tuple[int, ...]) -> FiniteGroup:
     for n in factors:
         v *= n
     _check_table_order(v)
-    exps = _abelian_exponents(factors, v)
+    table = np.zeros((1, 1), dtype=np.int32)
+    for n in factors:
+        cyclic = np.arange(n, dtype=np.int32)
+        table = _product_table(table, (cyclic[:, None] + cyclic) % n)
+    # the name parts of factor i are "", "xi", "xi^2", ...; itertools.product
+    # runs the last factor fastest, as the ids do
+    parts = [[""] + [f"x{i+1}" + (f"^{e}" if e > 1 else "") for e in range(1, n)]
+             for i, n in enumerate(factors)]
+    names = ["*".join(filter(None, word)) or "1" for word in itertools.product(*parts)]
     weights = _radix_weights(factors)
-    # one factor at a time, so the scratch memory is one v x v int32 array
-    table = np.zeros((v, v), dtype=np.int32)
-    for i, n in enumerate(factors):
-        e = exps[:, i].astype(np.int32)
-        digit = e[:, None] + e[None, :]
-        digit %= n
-        digit *= int(weights[i])
-        table += digit
-    gen_names = [f"x{i+1}" for i in range(len(factors))]
-    names = [_word_name(gen_names, e) for e in exps]
-    gens = [(gen_names[i], int(weights[i])) for i in range(len(factors))]
+    gens = [(f"x{i+1}", int(weights[i])) for i in range(len(factors))]
     return FiniteGroup(table, names, gens, {"abelian": list(factors)}, cyclic_factors=factors)
+
+
+def _product_table(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
+    """The table of the direct product of two tables, ids packed as
+    a * len(t2) + b: T[(a1,b1),(a2,b2)] = t1[a1,a2] v2 + t2[b1,b2], one int32
+    broadcast on the axes (a1, b1, a2, b2)."""
+    v1, v2 = len(t1), len(t2)
+    return (t1[:, None, :, None] * np.int32(v2)
+            + t2[None, :, None, :]).reshape(v1 * v2, v1 * v2)
 
 
 def _radix_weights(factors: tuple[int, ...]) -> np.ndarray:
@@ -306,9 +318,7 @@ def direct_product(G1: FiniteGroup, G2: FiniteGroup) -> FiniteGroup:
     """Componentwise product; ids are packed as a*|G2| + b, names concatenate."""
     v1, v2 = G1.order, G2.order
     _check_table_order(v1 * v2)
-    # T[(a1,b1),(a2,b2)] = t1[a1,a2] v2 + t2[b1,b2], on the axes (a1, b1, a2, b2)
-    table = (G1.table[:, None, :, None] * v2
-             + G2.table[None, :, None, :]).reshape(v1 * v2, v1 * v2)
+    table = _product_table(G1.table, G2.table)
     names, gens = _product_names(G1, G2)
     factors = None
     if G1.cyclic_factors is not None and G2.cyclic_factors is not None:

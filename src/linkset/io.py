@@ -87,16 +87,14 @@ def record_from_json(obj: dict) -> DifferenceSetRecord:
 
 def system_to_json(system: ReducedLinkingSystem) -> dict:
     G = system.group
-    witnesses = sorted(system.witnesses.items())
-    names = _sets_to_names(G, [r.elements for r in system.records]
-                           + [w.elements for _, w in witnesses])
+    keys = [f"({i},{j})" for i, j in system.pairs()]
     return {
         "group": G.spec,
         "params": list(system.params.as_tuple()),
         "mu": system.munu.mu,
         "nu": system.munu.nu,
-        "sets": names[:system.size],
-        "witnesses": {f"({i},{j})": w for ((i, j), _), w in zip(witnesses, names[system.size:])},
+        "sets": _sets_to_names(G, system.sets()),
+        "witnesses": dict(zip(keys, G.name_array[system.witness_ids].tolist())),
     }
 
 
@@ -115,19 +113,20 @@ def system_from_json(obj: dict) -> ReducedLinkingSystem:
     stored = obj.get("witnesses", {})
     if not isinstance(stored, dict):
         raise ValueError("witnesses must be an object")
-    canonical = dict(zip(system.witnesses, _sets_to_names(
-        G, [w.elements for w in system.witnesses.values()])))
+    ell = system.size
+    canonical = G.name_array[system.witness_ids].tolist()
     for key, names in stored.items():
         match = _WITNESS_KEY.fullmatch(key)
-        pair = (int(match[1]), int(match[2])) if match else None
-        if pair not in canonical:
+        i, j = (int(match[1]), int(match[2])) if match else (0, 0)
+        if not (1 <= i <= ell and 1 <= j <= ell and i != j):
             raise ValueError(f"witness key {key!r} is not (i,j) for distinct "
-                             f"i, j in 1..{system.size}")
+                             f"i, j in 1..{ell}")
+        row = system.pair_row(i, j)
         # the canonical names match at once; any other spelling of the same
         # set (another order, an equivalent generator word) is parsed
-        if names != canonical[pair] and (
-                names_to_set(G, _strings(names, f"witness {key}"))
-                != system.witnesses[pair].elements):
+        if names != canonical[row] and (
+                list(names_to_set(G, _strings(names, f"witness {key}")))
+                != system.witness_ids[row].tolist()):
             raise ValueError(f"witness {key} disagrees with the recomputed one")
     return system
 

@@ -5,7 +5,8 @@ interconversion, (mu, nu) arithmetic, and reversibility checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -55,12 +56,17 @@ def mu_nu_candidates(params: DSParams) -> list[MuNu]:
 class ReducedLinkingSystem:
     """Difference sets D_1..D_l with a common (mu, nu) and, for each ordered
     pair (i, j) of distinct 1-based indices, the witness set D(i, j) with
-    D_i D_j^(-1) = (mu - nu) D(i, j) + nu G."""
+    D_i D_j^(-1) = (mu - nu) D(i, j) + nu G.
+
+    The witnesses are held as one (l(l-1), k) int32 array of sorted element ids,
+    ``witness_ids``, one row per pair in the order (1,2), (1,3), ..., (l,l-1):
+    pair (i, j) is row ``pair_row(i, j)``.
+    """
 
     group: FiniteGroup
     records: tuple[DifferenceSetRecord, ...]
     munu: MuNu
-    witnesses: dict[tuple[int, int], DifferenceSetRecord]
+    witness_ids: np.ndarray = field(compare=False, repr=False)
 
     @property
     def size(self) -> int:
@@ -72,6 +78,23 @@ class ReducedLinkingSystem:
 
     def sets(self) -> list[tuple[int, ...]]:
         return [r.elements for r in self.records]
+
+    def pairs(self) -> list[tuple[int, int]]:
+        """The ordered pairs (i, j) in the row order of ``witness_ids``."""
+        ell = self.size
+        return [(i, j) for i in range(1, ell + 1) for j in range(1, ell + 1) if i != j]
+
+    def pair_row(self, i: int, j: int) -> int:
+        """The row of ``witness_ids`` that holds D(i, j)."""
+        return (i - 1) * (self.size - 1) + j - 1 - (j > i)
+
+    @cached_property
+    def witnesses(self) -> dict[tuple[int, int], DifferenceSetRecord]:
+        """The witness record of each ordered pair, in row order, built from
+        ``witness_ids`` on first use."""
+        G, params = self.group, self.params
+        return {pair: DifferenceSetRecord._of_sorted(G, tuple(ids), params)
+                for pair, ids in zip(self.pairs(), self.witness_ids.tolist())}
 
 
 @dataclass(frozen=True)
@@ -109,23 +132,24 @@ def verify_reduced(G: FiniteGroup, sets) -> ReducedLinkingSystem | None:
 
 
 def _pair_witnesses(G: FiniteGroup, products: rg.RowProducts, munu: MuNu, params: DSParams):
-    """Witness records of all ordered pairs under (mu, nu), or None.
+    """The witness ids of all ordered pairs under (mu, nu) as one
+    (l(l-1), k) array in pair order, or None.
 
     One left row at a time: the pair check of ``_linked_block`` on the
     row against its l-1 other sets, stopping at the first row with a pair
-    that does not link.
+    that does not link.  A row's rectangle (l-1 products) stays in cache,
+    which one rectangle over all rows would not.
     """
     ell = len(products.rows)
     everyone = np.arange(ell)
-    witnesses: dict[tuple[int, int], DifferenceSetRecord] = {}
+    rows = []
     for i in range(ell):
-        others = np.delete(everyone, i)
-        _, _, t, supports = _linked_block(G, products, everyone[i:i + 1], others, munu, params)
+        _, _, t, supports = _linked_block(G, products, everyone[i:i + 1],
+                                          np.delete(everyone, i), munu, params)
         if len(t) < ell - 1:
             return None
-        for j, support in zip(others[t].tolist(), supports.tolist()):
-            witnesses[(i + 1, j + 1)] = DifferenceSetRecord._of_sorted(G, tuple(support), params)
-    return witnesses
+        rows.append(supports.astype(np.int32))  # ids < MAX_TABLE_ORDER
+    return np.concatenate(rows)
 
 
 def _linked_block(G: FiniteGroup, products: rg.RowProducts, rows: np.ndarray, cols: np.ndarray,
@@ -247,14 +271,15 @@ def verify_full(full: LinkingSystem) -> bool:
     params = next(iter(full.entries.values())).params
     mu, nu = full.munu.as_tuple()
     records = list(full.entries.values())
-    if any(rec.params != params for rec in records):
+    if any(rec.params != params or len(rec.elements) != params.k for rec in records):
         return False
-    if any(p != params for p in difference_set_params(G, [rec.elements for rec in records])):
+    ids = np.array([rec.elements for rec in records], dtype=np.int64).reshape(len(records), params.k)
+    if not difference_set_mask(G, ids, params).all():
         return False
     # F[i, j] is the indicator of D_(i,j); the diagonal stays empty
     F = np.zeros((ell + 1, ell + 1, G.order), dtype=np.float32)
-    for (i, j), rec in full.entries.items():
-        F[i, j, list(rec.elements)] = 1
+    keys = np.array(list(full.entries), dtype=np.int64)
+    F[keys[:, :1], keys[:, 1:], ids] = 1
     # D_(i,j) = D_(j,i)^(-1): the coefficient of g on the right is D_(j,i)[g^-1]
     if not np.array_equal(F, F.transpose(1, 0, 2)[:, :, G.inv_table]):
         return False

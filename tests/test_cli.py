@@ -134,6 +134,20 @@ def test_nonexist_exit_codes():
     assert "0 linked pairs" in out
 
 
+def test_nonexist_mode_flags_set_one_mode():
+    """--full and --pruned choose one mode (pruned by default) and exclude
+    each other."""
+    from linkset.cli import build_parser
+
+    parser = build_parser()
+    for flags, mode in (([], "pruned"), (["--pruned"], "pruned"), (["--full"], "full")):
+        args = parser.parse_args(["nonexist", "mcfarland-q3", *flags])
+        assert args.mode == mode and not hasattr(args, "pruned")
+    with contextlib.redirect_stderr(io.StringIO()), pytest.raises(SystemExit) as exit_:
+        parser.parse_args(["nonexist", "mcfarland-q3", "--full", "--pruned"])
+    assert exit_.value.code == 2
+
+
 @pytest.mark.parametrize("extra", [["--group", '{"abelian": [4, 4]}'], ["--group", ""],
                                    ["--full"]])
 def test_nonexist_z8z2_rejects_group_and_full(monkeypatch, extra):

@@ -118,12 +118,58 @@ def test_subgroup_generated_and_central():
     assert not is_central(D4, subgroup_generated(D4, [D4.element("a")]))
 
 
+def _mixed_radix_reference(factors):
+    """make_abelian's group written out id by id: id a has exponents
+    e_1..e_r in mixed radix (factor 1 most significant), products add
+    exponents mod each factor, names are generator words."""
+    v = int(np.prod(factors, dtype=np.int64))
+    weights = [int(np.prod(factors[i + 1:], dtype=np.int64)) for i in range(len(factors))]
+    exps = np.array([[a // w % n for n, w in zip(factors, weights)] for a in range(v)],
+                    dtype=np.int64).reshape(v, len(factors))
+    ids = exps @ np.array(weights, dtype=np.int64)
+    assert (ids == np.arange(v)).all()
+    names = []
+    for row in exps.tolist():
+        word = [f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}" for i, e in enumerate(row) if e]
+        names.append("*".join(word) or "1")
+    inverse = ((-exps) % np.array(factors, dtype=np.int64)) @ np.array(weights, dtype=np.int64)
+    gens = [(f"x{i + 1}", w) for i, w in enumerate(weights)]
+    return v, exps, np.array(weights, dtype=np.int64), names, inverse, gens
+
+
+@pytest.mark.parametrize("factors", [[], [2], [8, 2], [3, 3, 5], [13, 4], [4] * 5, [64, 64]])
+def test_make_abelian_matches_a_mixed_radix_reference(factors):
+    v, exps, weights, names, inverse, gens = _mixed_radix_reference(factors)
+    G = make_abelian(factors)
+    assert G.order == v and G.table.dtype == np.int32
+    # the reference table a block of rows at a time (64 MB at order 4096 whole)
+    for start in range(0, v, 256):
+        block = exps[start:start + 256, None, :] + exps[None, :, :]
+        want = (block % np.array(factors, dtype=np.int64)) @ weights
+        assert np.array_equal(G.table[start:start + 256], want)
+    assert np.array_equal(G.inv_table, inverse)
+    assert G.names == names
+    assert G.generators == gens
+    assert G.spec == {"abelian": factors} and G.cyclic_factors == tuple(factors)
+    assert G.abelian
+
+
 def test_subgroup_validation():
     G = make_abelian([4, 4])
-    with pytest.raises(ValueError):
-        Subgroup(G, (0, G.element("x1")))  # not closed
-    with pytest.raises(ValueError):
-        Subgroup(G, (G.element("x1^2"),))  # no identity
+    with pytest.raises(ValueError, match="closed under inverses"):
+        Subgroup(G, (0, G.element("x1")))
+    with pytest.raises(ValueError, match="contain the identity"):
+        Subgroup(G, (G.element("x1^2"),))
+    with pytest.raises(ValueError, match="closed under products"):
+        Subgroup(G, (0, G.element("x1^2"), G.element("x2^2")))
+    Z8 = make_abelian([8])
+    # the first element in id order that fails names the failure: 2 * 2 = 4
+    # is missing before the inverse of 3 (5) is
+    with pytest.raises(ValueError, match="closed under products"):
+        Subgroup(Z8, (0, 2, 6, 3))
+    with pytest.raises(ValueError, match="closed under inverses"):
+        Subgroup(Z8, (0, 1, 2))
+    assert Subgroup(Z8, (6, 0, 4, 2)).elements == (0, 2, 4, 6)
 
 
 def test_quotients():
@@ -336,6 +382,8 @@ def test_names_by_table_with_the_parser_on_a_miss():
     ([[0, 1, 2], [1, 2, 3], [2, 0, 1]], "row is not a permutation"),
     ([[0, 1, 2], [1, -1, 0], [2, 0, 1]], "row is not a permutation"),
     ([[0, 1, 2], [1, 2, 0], [2, 1, 0]], "column is not a permutation"),
+    # symmetric, so its columns are its rows and only the rows are scanned
+    ([[0, 1, 2], [1, 1, 0], [2, 0, 2]], "row is not a permutation"),
 ])
 def test_table_validation(rows, message):
     with pytest.raises(ValueError, match=message):

@@ -325,3 +325,94 @@ def test_linked_rows_match_a_per_row_check():
     rows, found = _linked_rows(G, prods, MuNu(1, 3, True), params)
     assert rows.tolist() == want and 0 < len(want) < len(supports)
     assert [tuple(s) for s in found.tolist()] == [tuple(sorted(supports[t])) for t in want]
+
+
+def _witness_systems():
+    from linkset.bent import bent_linking, kerdock_bent_set
+    from linkset.diffmat import build_improved, build_tyken
+    from linkset.groups import make_abelian
+
+    yield build_improved(make_abelian([4] * 4)), None
+    yield bent_linking(kerdock_bent_set(3)), 60  # 16,002 pairs: a sample
+    yield build_tyken(2, make_abelian([2, 2, 2])), None
+
+
+def test_witness_ids_rows_are_the_pair_witnesses():
+    """Row n of ``witness_ids`` is the mu-support of D_i D_j^(-1) for the
+    n-th pair in the order (1,2), (1,3), ..., (l,l-1), computed here with
+    the plain convolution ``rg.mul``; the ``witnesses`` dict is built from
+    the rows on first use and agrees with them."""
+    import numpy as np
+
+    from linkset import group_ring as rg
+
+    for system, sample in _witness_systems():
+        G, ell, (mu, nu) = system.group, system.size, system.munu.as_tuple()
+        pairs = [(i, j) for i in range(1, ell + 1) for j in range(1, ell + 1) if i != j]
+        assert system.pairs() == pairs
+        ids = system.witness_ids
+        assert ids.shape == (ell * (ell - 1), system.params.k) and ids.dtype == np.int32
+        assert "witnesses" not in system.__dict__  # not built by verification
+        assert [system.pair_row(i, j) for i, j in pairs] == list(range(len(pairs)))
+        rows = range(len(pairs))
+        if sample is not None:
+            rows = np.random.default_rng(5).choice(len(pairs), sample, replace=False).tolist()
+        for n in rows:
+            i, j = pairs[n]
+            X = rg.from_subset(G, system.records[i - 1].elements)
+            Y = rg.involution(rg.from_subset(G, system.records[j - 1].elements))
+            assert tuple(ids[n].tolist()) == rg.decompose_two_valued(rg.mul(X, Y), mu, nu)
+        assert list(system.witnesses) == pairs
+        assert [w.elements for w in system.witnesses.values()] == [tuple(r) for r in ids.tolist()]
+
+
+def test_certificate_round_trip_builds_no_witness_records():
+    """A Z4^5 certificate is written and read from the id array alone."""
+    from linkset import io as lio
+    from linkset.diffmat import build_improved
+    from linkset.groups import make_abelian
+
+    system = build_improved(make_abelian([4] * 5))
+    obj = lio.system_to_json(system)
+    back = lio.system_from_json(obj)
+    assert "witnesses" not in system.__dict__ and "witnesses" not in back.__dict__
+    assert (back.witness_ids == system.witness_ids).all() and back.munu == system.munu
+    assert back.sets() == system.sets()
+    assert obj == lio.system_to_json(back)
+
+
+def test_verify_full_rejects_entries_of_different_sizes():
+    """Entries that claim the common parameters but hold sets of another
+    size fail verification instead of breaking the (n, k) id array."""
+    from linkset.designs import DifferenceSetRecord
+    from linkset.linking import LinkingSystem
+
+    G, sets = linked_triple_z4z4()
+    full = expand(verify_reduced(G, sets))
+    for key, cut in (((1, 2), 1), ((0, 3), 2), ((2, 0), -1)):
+        entries = dict(full.entries)
+        rec = entries[key]
+        elements = rec.elements[:-cut] if cut > 0 else rec.elements + (
+            next(a for a in G.elements() if a not in rec.elements),)
+        entries[key] = DifferenceSetRecord(G, elements, rec.params)
+        assert not verify_full(LinkingSystem(G, entries, full.munu))
+
+
+def test_expand_checks_its_entries_in_count_blocks(monkeypatch):
+    """``verify_full`` hands its 992 entries (bent d = 2, l = 31, v = 64, on
+    the counting route) to the kernel as one id array, so they are counted
+    in blocks of COUNT_BLOCK quotients, not one set at a time."""
+    from linkset import group_ring as rg
+    from linkset.bent import bent_linking, kerdock_bent_set
+
+    reduced = bent_linking(kerdock_bent_set(2))
+    v, k = reduced.group.order, reduced.params.k
+    assert rg._transform(reduced.group) is None
+    calls = []
+    count = rg._count_autocorrelations
+    monkeypatch.setattr(rg, "_count_autocorrelations",
+                        lambda G, sets: calls.append(len(sets)) or count(G, sets))
+    full = expand(reduced)
+    step = rg.COUNT_BLOCK // max(k * k, v)
+    assert len(full.entries) == 992 and sum(calls) == 992
+    assert len(calls) == math.ceil(992 / step) and calls[0] == step
