@@ -114,8 +114,10 @@ def complement(record: DifferenceSetRecord) -> DifferenceSetRecord:
 def is_reversible(record: DifferenceSetRecord) -> bool:
     """True iff the set is inverse-closed (D = D^(-1))."""
     G = record.group
-    eset = set(record.elements)
-    return all(G.inv(a) in eset for a in record.elements)
+    elements = list(record.elements)
+    inside = np.zeros(G.order, dtype=bool)
+    inside[elements] = True
+    return bool(inside[G.inv_table[elements]].all())
 
 
 def two_group_params(r: int) -> DSParams:
@@ -162,41 +164,34 @@ class HyperplaneFamily:
 
 
 def hyperplanes(E: Subgroup, p: int, basis) -> HyperplaneFamily:
+    """The hyperplanes of E over ``basis``.  Every element of E gets its
+    coordinate vector from ``_span_table`` (element i of the span has the
+    base-p digits of i), and the kernel of each functional is read off one
+    product of the coordinate matrix with the functionals, mod p."""
     G = E.group
     basis = tuple(int(b) for b in basis)
     d1 = len(basis)
     if p ** d1 != E.order:
         raise ValueError("basis size does not match the subgroup order")
-    for a in E.elements:
-        if a != 0 and G.element_order(a) != p:
-            raise ValueError("subgroup is not elementary abelian of exponent p")
-    coords = _coordinates(G, E, basis, p)
-    members = []
-    for func in _normalized_functionals(d1, p):
-        kernel = tuple(sorted(a for a in E.elements
-                              if sum(f * c for f, c in zip(func, coords[a])) % p == 0))
-        members.append(Subgroup(G, kernel))
+    elems = np.array(E.elements)
+    if np.any((G.element_orders[elems] != p) & (elems != 0)):
+        raise ValueError("subgroup is not elementary abelian of exponent p")
+    span = _span_table(G, basis, p)
+    inside = np.zeros(G.order, dtype=bool)
+    inside[span] = True
+    if np.count_nonzero(inside) != len(span):
+        raise ValueError("basis does not span the subgroup freely")
+    if not np.array_equal(np.flatnonzero(inside), elems):
+        raise ValueError("basis span does not equal the subgroup")
+    coords = np.array(list(itertools.product(range(p), repeat=d1)), dtype=np.int64)
+    # the functionals: the coordinate vectors whose first nonzero entry is 1
+    first_nonzero = (np.cumsum(coords != 0, axis=1) == 1) & (coords != 0)
+    functionals = coords[(coords * first_nonzero).sum(axis=1) == 1]
+    kernels = (coords @ functionals.T) % p == 0
+    members = [Subgroup(G, tuple(span[kernel].tolist())) for kernel in kernels.T]
     if len({m.elements for m in members}) != len(members):
         raise ValueError("hyperplane enumeration produced duplicates")
     return HyperplaneFamily(E, p, basis, tuple(members))
-
-
-def _coordinates(G: FiniteGroup, E: Subgroup, basis, p: int) -> dict[int, tuple[int, ...]]:
-    span = _span_table(G, list(basis), p)
-    if len(set(span)) != len(span):
-        raise ValueError("basis does not span the subgroup freely")
-    if set(span) != set(E.elements):
-        raise ValueError("basis span does not equal the subgroup")
-    return dict(zip(span, itertools.product(range(p), repeat=len(basis))))
-
-
-def _normalized_functionals(t: int, p: int):
-    out = []
-    for vec in itertools.product(range(p), repeat=t):
-        nz = next((x for x in vec if x != 0), None)
-        if nz == 1:
-            out.append(vec)
-    return out
 
 
 def _check_central_elementary(G: FiniteGroup, E: Subgroup, p: int, d: int) -> None:

@@ -12,15 +12,22 @@ at desk scale; the row-pair verifier is the sole arbiter.
 The search (``_backtrack_dm``) fills rows one at a time, column by column,
 trying values in increasing order, with forward checking on Python-int
 bitsets: each later column of the row keeps a mask of the values it still
-allows, and a value that empties one of them is dropped.  It drops only
+allows, and a value that empties one of them is dropped.  On the value
+side, a value is dropped too when some value not yet in the row fits no
+later column (every row is a permutation of G), which takes one AND over
+the later masks per placed value; values that only the next column allows
+then rule out every other value there without placing it.  It drops only
 partial rows that have no completion, so its first solution is the
 lexicographically first matrix of the symmetry-reduced space, and an
-exhausted space proves absence.  One budget node is one value placed.  The
+exhausted space proves absence.  One budget node is one value tried.  The
 search has three outcomes: FOUND, ABSENT (proved) and INCONCLUSIVE (the
 budget ran out); ``dm_auto`` returns the matrix, returns None, or raises
-SearchInconclusive.  A node costs about 4 us at |G| = 32, 17 us at
-|G| = 256 and 90 us at |G| = 1024, so DEFAULT_SEARCH_BUDGET keeps a
-budget-out under a minute up to |G| = 1024 (about 45 s there).
+SearchInconclusive.  The value side takes Z8 x Z2 with 4 rows from 13,375
+nodes to 8,547 and Z4^2 from 4,102 to 2,696.  Over a default budget-out a
+node costs about 4 us at |G| = 32, 1.3 us at |G| = 256 and 3 us at
+|G| = 1024 (most nodes of the larger searches are values ruled out without
+placing them; without the value side it was 4, 16-20 and 70-74 us), so
+DEFAULT_SEARCH_BUDGET ends a budget-out in about 2 s at |G| = 1024.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ import functools
 import itertools
 import json
 from dataclasses import dataclass
-from operator import or_
+from operator import and_, or_
 
 import numpy as np
 
@@ -137,7 +144,7 @@ def dm_galois_ring(e: int, t: int) -> DifferenceMatrix:
     ring = GaloisRing(e, t)
     G = make_abelian([2 ** e] * t)
     taus = ring.teichmueller()
-    products = np.array([ring.mul(tau, np.arange(ring.size)) for tau in taus])
+    products = ring.mul(taus[:, None], np.arange(ring.size))
     # ring digit i (the coefficient of X^i) is the exponent of factor i of G
     ids = _copy_exponents(G, G, list(range(t))[::-1])[products]
     M = DifferenceMatrix(G, 1, tuple(map(tuple, ids.tolist())))
@@ -229,7 +236,7 @@ class DMSearch:
     """What one run of ``_backtrack_dm`` settled: ``outcome`` is FOUND (with
     the m ``rows``), ABSENT (the search space is exhausted, so no (G, m, 1)
     difference matrix exists) or INCONCLUSIVE (the node budget ran out);
-    ``nodes`` counts the values placed."""
+    ``nodes`` counts the values tried."""
 
     outcome: str
     rows: tuple[tuple[int, ...], ...] | None
@@ -265,11 +272,18 @@ def _backtrack_dm(G: FiniteGroup, m: int, budget: int) -> DMSearch:
     being filled keeps a mask of the values it forbids.  Placing x at column
     j uses the difference x row_r[j]^(-1) against each earlier row r (row 0
     included, where the difference is x itself), so in each later column j'
-    the one value d row_r[j'] with that difference is forbidden.  A value
-    whose placement forbids every value of some later column is dropped: it
-    has no completion, so dropping it changes neither the first solution
-    nor the proof of absence when the space runs out.  One budget node is
-    one value placed, counted before its forward check.
+    the one value d row_r[j'] with that difference is forbidden.  A value is
+    dropped when its placement forbids every value of some later column, or
+    when some value not yet in the row is forbidden in every later column
+    (the value side: a row of a normalized matrix is a permutation of G,
+    after J.-C. Regin's all-different filtering, AAAI 1994).  Either way the
+    partial row has no completion, so dropping it changes neither the first
+    solution nor the proof of absence when the space runs out.  The value
+    side also names, for the next column, the values that no column after it
+    allows: they must all go there, so with one of them every other value
+    of that column is dropped without its placement, and with two every
+    value is.  One budget node is one value tried, counted before any
+    check, dropped or not.
 
     Before any node, Paige's sum argument settles abelian groups whose
     elements do not sum to the identity (those with exactly one involution,
@@ -311,18 +325,23 @@ def _backtrack_dm(G: FiniteGroup, m: int, budget: int) -> DMSearch:
         for kill, _ in prepared:
             forb = list(map(or_, forb, kill[0]))
         row = [0] * v
-        forbs, cands = [forb], [full ^ forb[-1]]
+        # per open column: the masks of the columns after it, its untried
+        # values, and the values it may take without leaving a forced one out
+        forbs, cands, onlys = [forb], [full ^ forb[-1]], [full]
         while cands:
             c = cands[-1]
             if not c:
                 forbs.pop()
                 cands.pop()
+                onlys.pop()
                 continue
             low = c & -c
             cands[-1] = c ^ low
             nodes += 1
             if nodes > budget:
                 raise _BudgetExhausted
+            if not low & onlys[-1]:
+                continue
             val = low.bit_length() - 1
             j = len(cands)
             nxt = forbs[-1]
@@ -333,8 +352,18 @@ def _backtrack_dm(G: FiniteGroup, m: int, budget: int) -> DMSearch:
                 continue
             row[j] = val
             if nxt:
+                # the values all columns after j+1 forbid; the j + 1 values of
+                # the row are among them through row 0's differences
+                rest = functools.reduce(and_, nxt[:-1], full)
+                if (rest & nxt[-1]).bit_count() > j + 1:
+                    continue  # a value outside the row fits no later column
+                forced = rest & ~nxt[-1]  # values only column j+1 allows
                 forbs.append(nxt)
                 cands.append(full ^ nxt[-1])
+                if not forced:
+                    onlys.append(full)
+                else:
+                    onlys.append(0 if forced & (forced - 1) else forced)
                 continue
             rows.append(row[:])
             prepared.append(prepare(rows[-1]))

@@ -4,6 +4,12 @@ Element id 0 is always the identity.  Every group carries a full v x v
 multiplication table (groups here are desk-scale, v <= 4096), an inverse
 table, and printable element names built from generator words such as
 ``x1^3*x2`` or ``a^2*b``.
+
+Work over many elements is a table gather, not a loop of scalar products:
+``FiniteGroup.element_orders`` caches the order of every element, which
+``element_order``, ``exponent``, ``abelian_invariants`` and the torsion
+filters read, and subgroup closures and spans grow by gathers into
+membership masks.
 """
 
 from __future__ import annotations
@@ -120,12 +126,24 @@ class FiniteGroup:
                 acc = self.mul(acc, g)
         return acc
 
-    def element_order(self, a: int) -> int:
-        k, x = 1, a
-        while x != 0:
-            x = self.mul(x, a)
+    @cached_property
+    def element_orders(self) -> np.ndarray:
+        """The order of every element as an int64 array, from one power
+        ladder: step k gathers a^k = a^(k-1) a for the elements whose order
+        is not yet known, so it ends after exp(G) steps."""
+        orders = np.ones(self.order, dtype=np.int64)
+        live = powers = np.arange(1, self.order)
+        k = 1
+        while live.size:
             k += 1
-        return k
+            powers = self.table[powers, live]
+            done = powers == 0
+            orders[live[done]] = k
+            live, powers = live[~done], powers[~done]
+        return orders
+
+    def element_order(self, a: int) -> int:
+        return int(self.element_orders[a])
 
     def power(self, a: int, e: int) -> int:
         e %= self.element_order(a)
@@ -400,16 +418,7 @@ def center(G: FiniteGroup) -> Subgroup:
 
 
 def exponent(G: FiniteGroup) -> int:
-    exp = 1
-    for a in G.elements():
-        exp = _lcm(exp, G.element_order(a))
-    return exp
-
-
-def _lcm(a: int, b: int) -> int:
-    import math
-
-    return a * b // math.gcd(a, b)
+    return int(np.lcm.reduce(G.element_orders))
 
 
 def abelian_invariants(G: FiniteGroup) -> tuple[int, ...]:
@@ -420,13 +429,13 @@ def abelian_invariants(G: FiniteGroup) -> tuple[int, ...]:
     """
     if not G.abelian:
         raise ValueError("abelian invariants require an abelian group")
-    orders = [G.element_order(a) for a in G.elements()]
+    orders = G.element_orders
     out: list[int] = []
     for p in _prime_factors(G.order):
         dims = [0]
         k = 1
         while True:
-            cnt = sum(1 for o in orders if (p ** k) % o == 0)
+            cnt = int(np.count_nonzero((p ** k) % orders == 0))
             dims.append(_ilog(cnt, p))
             if k > 1 and dims[-1] == dims[-2]:
                 break
@@ -466,21 +475,26 @@ def abelian_rank(G: FiniteGroup) -> int:
         raise ValueError("rank is defined here for abelian groups only")
     inv = abelian_invariants(G)
     primes = {_prime_factors(n)[0] for n in inv}
-    return max(sum(1 for n in inv if n % p == 0) for p in primes)
+    return max((sum(1 for n in inv if n % p == 0) for p in primes), default=0)
 
 
 def subgroup_generated(G: FiniteGroup, gens) -> Subgroup:
-    closure = {0}
-    frontier = [0]
-    gens = [int(g) for g in gens]
-    while frontier:
-        a = frontier.pop()
-        for g in gens:
-            for b in (G.mul(a, g), G.mul(g, a)):
-                if b not in closure:
-                    closure.add(b)
-                    frontier.append(b)
-    return Subgroup(G, tuple(sorted(closure)))
+    """The closure of the identity under left and right products with the
+    generators: each round gathers frontier x generator and generator x
+    frontier from the table and keeps the products not yet in the
+    membership mask as the next frontier."""
+    gens = np.array([int(g) for g in gens], dtype=np.int64)
+    inside = np.zeros(G.order, dtype=bool)
+    inside[0] = True
+    frontier = np.zeros(1, dtype=np.int64)
+    while frontier.size:
+        fresh = np.zeros(G.order, dtype=bool)
+        fresh[G.table[frontier[:, None], gens]] = True
+        fresh[G.table[gens[:, None], frontier]] = True
+        fresh &= ~inside
+        inside |= fresh
+        frontier = np.flatnonzero(fresh)
+    return Subgroup(G, tuple(np.flatnonzero(inside).tolist()))
 
 
 def is_central(G: FiniteGroup, S) -> bool:
@@ -537,8 +551,8 @@ def find_central_elementary_abelian(G: FiniteGroup, rank: int, p: int = 2) -> li
     """
     if rank < 1:
         raise ValueError("rank must be positive")
-    Z = center(G)
-    torsion = [a for a in Z.elements if G.power(a, p) == 0]
+    Z = np.array(center(G).elements)
+    torsion = Z[p % G.element_orders[Z] == 0].tolist()  # the a with a^p = 1
     basis = _independent_basis(G, torsion, p)
     t = len(basis)
     if t < rank:
@@ -553,25 +567,36 @@ def find_central_elementary_abelian(G: FiniteGroup, rank: int, p: int = 2) -> li
     return out
 
 
-def _independent_basis(G: FiniteGroup, torsion: list[int], p: int) -> list[int]:
+def _independent_basis(G: FiniteGroup, torsion, p: int) -> list[int]:
+    """The greedy basis of the span of ``torsion``: each element, in id
+    order, that the basis so far does not span joins it (the span mask is
+    refilled from ``_span_table``)."""
     basis: list[int] = []
-    spanned = {0}
-    for a in sorted(torsion):
-        if a not in spanned:
+    spanned = np.zeros(G.order, dtype=bool)
+    spanned[0] = True
+    for a in sorted(int(a) for a in torsion):
+        if not spanned[a]:
             basis.append(a)
-            spanned = {G.mul(x, G.power(a, e)) for x in spanned for e in range(p)}
+            spanned[_span_table(G, basis, p)] = True
     return basis
 
 
-def _span_table(G: FiniteGroup, basis: list[int], p: int) -> list[int]:
-    """The span element of each coefficient vector, in mixed-radix order."""
-    span = []
-    for vec in itertools.product(range(p), repeat=len(basis)):
-        x = 0
-        for b, e in zip(basis, vec):
-            x = G.mul(x, G.power(b, e))
-        span.append(x)
+def _span_table(G: FiniteGroup, basis, p: int) -> np.ndarray:
+    """The span element b_1^e_1 ... b_t^e_t of each coefficient vector
+    (e_1, ..., e_t), in mixed-radix order (e_1 most significant): one
+    gather of the span so far times the powers of each basis element."""
+    span = np.zeros(1, dtype=np.int64)
+    for b in basis:
+        span = G.table[span[:, None], _powers(G, int(b), p)].ravel()
     return span
+
+
+def _powers(G: FiniteGroup, a: int, n: int) -> np.ndarray:
+    """a^0, a^1, ..., a^(n-1) as an id array."""
+    out = np.zeros(n, dtype=np.int64)
+    for e in range(1, n):
+        out[e] = G.table[out[e - 1], a]
+    return out
 
 
 def _coord_to_index(vec: tuple[int, ...], p: int) -> int:

@@ -235,10 +235,11 @@ def expand(reduced: ReducedLinkingSystem) -> LinkingSystem:
     D_(i,j) the stored witness for nonzero i != j."""
     G = reduced.group
     entries: dict[tuple[int, int], DifferenceSetRecord] = {}
-    for i, rec in enumerate(reduced.records, start=1):
+    sets = np.array([rec.elements for rec in reduced.records], dtype=np.int64)
+    inverses = np.sort(G.inv_table[sets], axis=1).tolist()
+    for i, (rec, inv_set) in enumerate(zip(reduced.records, inverses), start=1):
         entries[(i, 0)] = rec
-        inv_set = tuple(G.inv(a) for a in rec.elements)
-        entries[(0, i)] = DifferenceSetRecord(G, inv_set, rec.params)
+        entries[(0, i)] = DifferenceSetRecord._of_sorted(G, tuple(inv_set), rec.params)
     for (i, j), w in reduced.witnesses.items():
         entries[(i, j)] = w
     full = LinkingSystem(G, entries, reduced.munu)

@@ -431,7 +431,7 @@ def _prime_to_3_subgroup(G: FiniteGroup) -> Subgroup:
 
     Raises ValueError unless K is a normal subgroup of order v/9.
     """
-    elements = [a for a in G.elements() if G.element_order(a) % 3]
+    elements = np.flatnonzero(G.element_orders % 3).tolist()
     if 9 * len(elements) != G.order:
         raise ValueError("the elements of order prime to 3 do not have index 9")
     K = Subgroup(G, tuple(elements))  # raises unless closed

@@ -55,6 +55,12 @@ def test_group_info_json():
     assert info["order"] == 16 and info["exponent"] == 8 and info["rank"] == 2
 
 
+def test_group_info_of_the_trivial_group():
+    code, out, err = run_capture(["group", '{"abelian": []}'])
+    assert code == 0 and err == ""
+    assert "rank: 0" in out.splitlines() and "exponent: 1" in out.splitlines()
+
+
 def test_ds_round_trip(tmp_path):
     G, sets = linked_triple_z4z4()
     from linkset.designs import make_record

@@ -1,10 +1,17 @@
+import itertools
+import math
+import random
+
 import numpy as np
 import pytest
 
+from linkset.designs import hyperplanes
 from linkset.groups import (
     CosetTransversal,
     FiniteGroup,
     Subgroup,
+    _independent_basis,
+    _span_table,
     abelian_invariants,
     abelian_rank,
     center,
@@ -390,3 +397,172 @@ def test_table_validation(rows, message):
         FiniteGroup(np.array(rows), ["1", "a", "b"], [], "bad")
     assert FiniteGroup(np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]]),
                        ["1", "a", "b"], [], "Z3").abelian
+
+
+# -- the table gathers against scalar references ----------------------------------
+#
+# element_orders, exponent, abelian_invariants, subgroup_generated, the span
+# helpers and hyperplanes are table gathers; the references below are the
+# element-by-element loops they replace, over scalar products.
+
+
+def _scalar_power(G, a, e):
+    x = 0
+    for _ in range(e):
+        x = G.mul(x, a)
+    return x
+
+
+def _scalar_order(G, a):
+    k, x = 1, a
+    while x != 0:
+        x = G.mul(x, a)
+        k += 1
+    return k
+
+
+def _cyclic_orders(factors):
+    """The order of every id of make_abelian(factors): the lcm over the
+    factors n of n / gcd(e, n), for the exponents e of the id."""
+    v = math.prod(factors)
+    out = []
+    for a in range(v):
+        exps = []
+        for n in reversed(factors):
+            a, e = divmod(a, n)
+            exps.append(e)
+        out.append(math.lcm(*(n // math.gcd(e, n) for n, e in zip(reversed(factors), exps))))
+    return out
+
+
+def _primary_parts(factors):
+    """The invariants of Z_n1 x ... x Z_nr: each n split into its prime
+    powers, sorted descending."""
+    out = []
+    for n in factors:
+        p = 2
+        while n > 1:
+            q = 1
+            while n % p == 0:
+                n //= p
+                q *= p
+            if q > 1:
+                out.append(q)
+            p += 1
+    return tuple(sorted(out, reverse=True))
+
+
+def _scalar_closure(G, gens):
+    closure, frontier = {0}, [0]
+    while frontier:
+        a = frontier.pop()
+        for g in gens:
+            for b in (G.mul(a, g), G.mul(g, a)):
+                if b not in closure:
+                    closure.add(b)
+                    frontier.append(b)
+    return tuple(sorted(closure))
+
+
+def _scalar_span(G, basis, p):
+    span = []
+    for vec in itertools.product(range(p), repeat=len(basis)):
+        x = 0
+        for b, e in zip(basis, vec):
+            x = G.mul(x, _scalar_power(G, b, e))
+        span.append(x)
+    return span
+
+
+def _scalar_basis(G, torsion, p):
+    basis, spanned = [], {0}
+    for a in sorted(torsion):
+        if a not in spanned:
+            basis.append(a)
+            spanned = {G.mul(x, _scalar_power(G, a, e)) for x in spanned for e in range(p)}
+    return basis
+
+
+def _scalar_hyperplanes(G, E, basis, p):
+    coords = dict(zip(_scalar_span(G, basis, p), itertools.product(range(p), repeat=len(basis))))
+    kernels = []
+    for func in itertools.product(range(p), repeat=len(basis)):
+        if next((f for f in func if f), None) == 1:
+            kernels.append(tuple(sorted(
+                a for a in E.elements if sum(f * c for f, c in zip(func, coords[a])) % p == 0)))
+    return kernels
+
+
+ABELIAN_REFERENCE = [[], [2], [4, 2], [8, 4, 2], [3, 3, 4], [12, 6], [9, 3, 5], [16, 16],
+                     [4] * 5, [64, 64], [2] * 12, [16, 16, 16], [4096]]
+
+
+def _quotient_group():
+    """(D4 x Z4) / <a^2>: abelian of type (4, 2, 2), not built from cyclic factors."""
+    G = direct_product(make_dihedral8(), make_abelian([4]))
+    return quotient(G, subgroup_generated(G, [G.element("a^2")]))[0]
+
+
+NONCYCLIC_REFERENCE = SMALL_GROUPS + [_quotient_group()]
+
+
+@pytest.mark.parametrize("factors", ABELIAN_REFERENCE, ids=str)
+def test_element_orders_of_abelian_groups_match_the_exponent_formula(factors):
+    G = make_abelian(factors)
+    orders = G.element_orders
+    assert orders.dtype == np.int64 and orders.tolist() == _cyclic_orders(factors)
+    assert exponent(G) == math.lcm(*factors)
+    assert abelian_invariants(G) == _primary_parts(factors)
+    assert G.element_order(G.order - 1) == orders[-1]
+
+
+@pytest.mark.parametrize("G", NONCYCLIC_REFERENCE, ids=repr)
+def test_element_orders_match_the_scalar_power_loop(G):
+    want = [_scalar_order(G, a) for a in G.elements()]
+    assert G.element_orders.tolist() == want
+    assert exponent(G) == math.lcm(*want)
+    assert [G.power(a, 3) for a in G.elements()] == [_scalar_power(G, a, 3) for a in G.elements()]
+
+
+def test_abelian_invariants_of_a_quotient():
+    Q = _quotient_group()
+    assert Q.cyclic_factors is None and abelian_invariants(Q) == (4, 2, 2)
+    assert abelian_rank(Q) == 3
+
+
+def test_trivial_group_has_rank_zero():
+    T = make_abelian([])
+    assert abelian_invariants(T) == () and abelian_rank(T) == 0 and exponent(T) == 1
+
+
+@pytest.mark.parametrize("G", NONCYCLIC_REFERENCE + [make_abelian([4, 2, 2, 2]),
+                                                     make_abelian([8, 4, 3])], ids=repr)
+def test_subgroup_generated_matches_the_scalar_closure(G):
+    rng = random.Random(G.order)
+    for size in (0, 1, 1, 2, 2, 3):
+        gens = rng.sample(range(G.order), size)
+        assert subgroup_generated(G, gens).elements == _scalar_closure(G, gens)
+
+
+SPAN_CASES = [(make_abelian([4, 4, 2]), 2), (make_abelian([2] * 6), 2),
+              (make_abelian([3, 3, 4]), 3), (make_abelian([9, 3, 3]), 3),
+              (direct_product(make_dihedral8(), make_abelian([2, 2])), 2),
+              (direct_product(make_quaternion8(), make_abelian([4])), 2)]
+
+
+@pytest.mark.parametrize("G, p", SPAN_CASES, ids=str)
+def test_span_helpers_and_hyperplanes_match_scalar_references(G, p):
+    torsion = [a for a in center(G).elements if _scalar_power(G, a, p) == 0]
+    basis = _independent_basis(G, torsion, p)
+    assert basis == _scalar_basis(G, torsion, p) and len(basis) >= 2
+    assert _span_table(G, basis, p).tolist() == _scalar_span(G, basis, p)
+    # a basis out of id order spans the same elements in another order
+    assert _span_table(G, basis[::-1], p).tolist() == _scalar_span(G, basis[::-1], p)
+    E = subgroup_generated(G, basis)
+    for order in (basis, basis[::-1]):
+        family = hyperplanes(E, p, order)
+        assert [H.elements for H in family.members] == _scalar_hyperplanes(G, E, order, p)
+    # every central Z_p^2: the distinct closures of two torsion elements that have order p^2
+    pairs = {_scalar_closure(G, pair) for pair in itertools.combinations(torsion, 2)}
+    assert [H.elements for H in find_central_elementary_abelian(G, 2, p=p)] == sorted(
+        H for H in pairs if len(H) == p * p)

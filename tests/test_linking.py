@@ -416,3 +416,25 @@ def test_expand_checks_its_entries_in_count_blocks(monkeypatch):
     step = rg.COUNT_BLOCK // max(k * k, v)
     assert len(full.entries) == 992 and sum(calls) == 992
     assert len(calls) == math.ceil(992 / step) and calls[0] == step
+
+
+def test_expand_inverts_the_sets_with_one_gather(monkeypatch):
+    """``expand`` builds every D_(0,i) from ``inv_table``: on bent d = 2
+    (l = 31, v = 64) it makes no scalar ``FiniteGroup.inv`` call."""
+    from linkset.bent import bent_linking, kerdock_bent_set
+    from linkset.designs import is_reversible
+    from linkset.groups import FiniteGroup
+
+    reduced = bent_linking(kerdock_bent_set(2))
+    G = reduced.group
+    calls = []
+    inv = FiniteGroup.inv
+    monkeypatch.setattr(FiniteGroup, "inv", lambda self, a: calls.append(a) or inv(self, a))
+    assert G.inv(1) == inv(G, 1) and calls == [1]  # the counter sees a call
+    calls.clear()
+    full = expand(reduced)
+    assert calls == [] and len(full.entries) == 992
+    for i, rec in enumerate(reduced.records, start=1):
+        assert full.entries[(0, i)].elements == tuple(sorted(inv(G, a) for a in rec.elements))
+    is_reversible(full.entries[(0, 1)])
+    assert calls == []

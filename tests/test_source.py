@@ -17,3 +17,51 @@ def test_no_private_helper_is_defined_in_two_modules():
                 where[node.name].append(path.name)
     assert len(where) > 50  # the scan sees the package's helpers
     assert {name: files for name, files in where.items() if len(files) > 1} == {}
+
+
+SCALAR_GROUP_METHODS = {"mul", "power", "inv", "element_order"}
+# the self-test spells out its small examples element by element on purpose
+SCALAR_LOOP_MODULES = {"selftest.py"}
+LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+         ast.GeneratorExp)
+
+
+def _scalar_calls_in_loops(tree: ast.Module) -> list[tuple[int, str]]:
+    """Calls ``x.mul(...)``, ``x.power(...)``, ``x.inv(...)`` or
+    ``x.element_order(...)`` that sit inside a loop or comprehension.  A
+    class calling one of its own methods on ``self`` (``FiniteGroup``'s word
+    parser, ``GaloisRing``'s squaring ladder) is the method's own business
+    and is not counted."""
+    found = []
+
+    def visit(node, in_loop: bool, own: frozenset):
+        if isinstance(node, ast.ClassDef):
+            own = frozenset(n.name for n in node.body if isinstance(n, ast.FunctionDef))
+        if (in_loop and isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in SCALAR_GROUP_METHODS
+                and not (isinstance(node.func.value, ast.Name) and node.func.value.id == "self"
+                         and node.func.attr in own)):
+            found.append((node.lineno, node.func.attr))
+        for child in ast.iter_child_nodes(node):
+            visit(child, in_loop or isinstance(node, LOOPS), own)
+
+    visit(tree, False, frozenset())
+    return found
+
+
+def test_scalar_group_calls_stay_out_of_loops():
+    """Per-element group work is a table gather (``G.table``,
+    ``G.inv_table``, ``G.element_orders``), not a Python loop of scalar
+    ``mul``/``power``/``inv``/``element_order`` calls."""
+    offenders = {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.name not in SCALAR_LOOP_MODULES:
+            calls = _scalar_calls_in_loops(ast.parse(path.read_text()))
+            if calls:
+                offenders[path.name] = calls
+    assert offenders == {}
+    # the scan sees such calls where they are: the exempt example module has them
+    assert _scalar_calls_in_loops(ast.parse((SRC / "selftest.py").read_text()))
+    assert _scalar_calls_in_loops(ast.parse("for a in s:\n    G.inv(a)\n")) == [(2, "inv")]
+    assert _scalar_calls_in_loops(ast.parse("[G.mul(a, b) for a in s]")) == [(1, "mul")]
+    assert _scalar_calls_in_loops(ast.parse("G.mul(a, b)")) == []
