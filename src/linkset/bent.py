@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .galois import GaloisRing
-from .groups import FiniteGroup, abelian_element
+from .groups import FiniteGroup, _radix_weights, _span_table
 from .linking import ReducedLinkingSystem, verify_reduced
 
 
@@ -118,15 +118,12 @@ def is_bent(f: BooleanFunction) -> bool:
 
 
 def subset_of(f: BooleanFunction, G: FiniteGroup) -> tuple[int, ...]:
-    """Support of f as elements x_1^{y_1} ... x_n^{y_n} of Z_2^n."""
-    n = f.arity
-    if G.cyclic_factors != (2,) * n:
+    """Support of f as elements x_1^{y_1} ... x_n^{y_n} of Z_2^n: one gather
+    of the span of x_n, ..., x_1, whose element i has the bits y of i."""
+    if G.cyclic_factors != (2,) * f.arity:
         raise ValueError("group must be Z_2^n built to match the arity")
-    out = []
-    for idx in np.nonzero(f.table)[0]:
-        bits = [(int(idx) >> i) & 1 for i in range(n)]
-        out.append(abelian_element(G, bits))
-    return tuple(sorted(out))
+    span = _span_table(G, _radix_weights(G.cyclic_factors)[::-1], 2)
+    return tuple(np.sort(span[np.flatnonzero(f.table)]).tolist())
 
 
 def is_bent_set(fns) -> bool:

@@ -173,15 +173,14 @@ def hyperplanes(E: Subgroup, p: int, basis) -> HyperplaneFamily:
     d1 = len(basis)
     if p ** d1 != E.order:
         raise ValueError("basis size does not match the subgroup order")
-    elems = np.array(E.elements)
-    if np.any((G.element_orders[elems] != p) & (elems != 0)):
+    if np.any(p % G.element_orders[list(E.elements)]):
         raise ValueError("subgroup is not elementary abelian of exponent p")
     span = _span_table(G, basis, p)
     inside = np.zeros(G.order, dtype=bool)
     inside[span] = True
     if np.count_nonzero(inside) != len(span):
         raise ValueError("basis does not span the subgroup freely")
-    if not np.array_equal(np.flatnonzero(inside), elems):
+    if not np.array_equal(np.flatnonzero(inside), E.elements):
         raise ValueError("basis span does not equal the subgroup")
     coords = np.array(list(itertools.product(range(p), repeat=d1)), dtype=np.int64)
     # the functionals: the coordinate vectors whose first nonzero entry is 1
@@ -201,11 +200,7 @@ def _check_central_elementary(G: FiniteGroup, E: Subgroup, p: int, d: int) -> No
         raise ValueError("subgroup must be central")
     if E.order != p ** (d + 1):
         raise ValueError(f"subgroup must have order {p ** (d + 1)}")
-    elems = np.array(E.elements)
-    power = elems
-    for _ in range(p - 1):
-        power = G.table[power, elems]
-    if power.any():
+    if np.any(p % G.element_orders[list(E.elements)]):
         raise ValueError("subgroup must be elementary abelian")
 
 

@@ -2,7 +2,12 @@
 difference matrix into a reduced linking system of difference sets.
 
 The four drivers at the bottom (general / improved / tyken / nonreversible)
-build the infinite families in abelian 2-groups, D4 x K, and Z_4^(d+1).
+build the infinite families in abelian 2-groups, D4 x K, and Z_4^(d+1) by
+one construction, ``_build_from_quotient_dm``, and differ only in the
+generators they name: those of a central E = Z_2^(d+1) (also the basis of
+its hyperplanes) and those of a section of G/E.  A difference matrix over
+an abelian model of G/E goes into G through ``groups._span_table``, the one
+map from exponent vectors to ids, then to coset unions over the hyperplanes.
 Difference matrices themselves come from a pipeline: one Galois-ring
 matrix per run of equal invariant factors (whole rows of ring products from
 the array ``GaloisRing.mul``), composed across the runs and mapped onto the
@@ -51,7 +56,6 @@ from .galois import GaloisRing
 from .groups import (
     FiniteGroup,
     Subgroup,
-    _abelian_exponents,
     _cosets,
     _independent_basis,
     _radix_weights,
@@ -146,7 +150,7 @@ def dm_galois_ring(e: int, t: int) -> DifferenceMatrix:
     taus = ring.teichmueller()
     products = ring.mul(taus[:, None], np.arange(ring.size))
     # ring digit i (the coefficient of X^i) is the exponent of factor i of G
-    ids = _copy_exponents(G, G, list(range(t))[::-1])[products]
+    ids = _span_table(G, _radix_weights(G.cyclic_factors)[::-1], 2 ** e)[products]
     M = DifferenceMatrix(G, 1, tuple(map(tuple, ids.tolist())))
     if not verify_dm(M):
         raise AssertionError("Galois-ring construction failed verification")
@@ -200,6 +204,8 @@ def dm_auto(G: FiniteGroup, target_rows: int,
     factors = G.cyclic_factors
     for n in factors:
         _factor_exponent(n)
+    if target_rows < 1:
+        raise ValueError(f"a difference matrix needs at least one row, got {target_rows}")
     v = G.order
     if target_rows > v:
         return None
@@ -212,7 +218,9 @@ def dm_auto(G: FiniteGroup, target_rows: int,
     if min(2 ** count for _, count in runs) >= target_rows:
         M = functools.reduce(dm_product, [dm_galois_ring(_factor_exponent(n), count)
                                           for n, count in runs])
-        rows = _copy_exponents(G, M.group, positions)[M.array()].tolist()
+        section = _span_table(G, _radix_weights(factors)[positions],
+                              [factors[p] for p in positions])
+        rows = section[M.array()].tolist()
     else:
         if budget is None:
             budget = DEFAULT_SEARCH_BUDGET
@@ -487,74 +495,51 @@ def _sorted_positions(factors: tuple[int, ...]) -> list[int]:
     return sorted(range(len(factors)), key=lambda i: (-factors[i], i))
 
 
-def _abelian_2group_data(G: FiniteGroup):
+def _abelian_2group_depth(G: FiniteGroup) -> int:
+    """d for an abelian group of order 2^(2d+2) built from cyclic factors
+    (which are then powers of 2)."""
     if not G.abelian or G.cyclic_factors is None:
         raise ValueError("driver needs an abelian group built from cyclic factors")
-    d = _infer_depth(G)
+    return _infer_depth(G)
+
+
+def _quotient_gens(G: FiniteGroup, d: int):
+    """(e_gens, q_gens, q_orders) for an abelian 2-group built from cyclic
+    factors.  E is generated by the involutions of the d+1 largest factors
+    (equal factors in factor order).  G/E has the halved orders of those
+    factors (where still above 1) and the orders of the others, listed by
+    decreasing order, ties keeping that sequence; q_gens are the
+    generators of G that map onto them."""
     factors = G.cyclic_factors
-    for n in factors:
-        _factor_exponent(n)
-    return d, factors
+    weights = _radix_weights(factors).tolist()
+    pos = _sorted_positions(factors)
+    e_gens = [weights[p] * (factors[p] // 2) for p in pos[:d + 1]]
+    quotient = [(factors[p] // 2, weights[p]) for p in pos[:d + 1] if factors[p] > 2]
+    quotient += [(factors[p], weights[p]) for p in pos[d + 1:]]
+    quotient.sort(key=lambda q: -q[0])
+    return e_gens, [g for _, g in quotient], [n for n, _ in quotient]
 
 
-def _build_from_quotient_dm(G: FiniteGroup, d: int, head_positions: list[int],
-                            tail_positions: list[int], m: int,
-                            reverse_basis: bool = False,
+def _build_from_quotient_dm(G: FiniteGroup, e_gens, q_gens, q_orders, m: int,
                             budget: int | None = None) -> ReducedLinkingSystem:
-    """Shared driver: E from head factor involutions, quotient-isomorphic
-    abelian model for G/E, dm_auto, section back into G, linked_from_dm.
+    """The construction every driver runs.  E = <e_gens> is central
+    elementary abelian, and e_gens is also the basis of its hyperplanes.
+    G/E is modelled by Q = make_abelian(q_orders): the element of Q with
+    exponents (e_1, ..., e_t) maps to q_gens[0]^e_1 ... q_gens[t-1]^e_t,
+    a section of G/E.  An m-row (Q, m, 1) difference matrix from dm_auto
+    goes through that section into linked_from_dm.
 
-    Raises ValueError when the quotient provably has no m-row difference
-    matrix and SearchInconclusive when dm_auto's search (``budget`` nodes,
-    default DEFAULT_SEARCH_BUDGET) runs out first."""
-    factors = G.cyclic_factors
-    assert factors is not None
-    e_gens = [_generator_power(G, p, factors[p] // 2) for p in head_positions]
+    Raises ValueError when Q provably has no m-row difference matrix and
+    SearchInconclusive when dm_auto's search (``budget`` nodes, default
+    DEFAULT_SEARCH_BUDGET) runs out first."""
     E = subgroup_generated(G, e_gens)
-    if E.order != 2 ** (d + 1):
-        raise AssertionError("central subgroup has wrong order")
-
-    q_factors: list[int] = []
-    q_positions: list[int] = []
-    for p in head_positions:
-        if factors[p] // 2 >= 2:
-            q_factors.append(factors[p] // 2)
-            q_positions.append(p)
-    for p in tail_positions:
-        q_factors.append(factors[p])
-        q_positions.append(p)
-    order = sorted(range(len(q_factors)), key=lambda i: (-q_factors[i], i))
-    q_factors = [q_factors[i] for i in order]
-    q_positions = [q_positions[i] for i in order]
-
-    if not q_factors:
-        raise ValueError("degenerate quotient G/E")
-    Q = make_abelian(q_factors)
+    Q = make_abelian(q_orders)
     M = dm_auto(Q, m, budget=budget)
     if M is None:
         raise ValueError(f"no difference matrix with {m} rows exists over the "
                          f"quotient {json.dumps(Q.spec)}")
-
-    section = _copy_exponents(G, Q, q_positions)
-    bmat = [[int(section[x]) for x in row] for row in M.rows[:m]]
-    basis = list(e_gens)
-    if reverse_basis:
-        basis.reverse()
-    family = hyperplanes(E, 2, tuple(basis))
-    return linked_from_dm(G, E, bmat, family=family)
-
-
-def _generator_power(G: FiniteGroup, position: int, power: int) -> int:
-    """x_position^power in a group built from cyclic factors."""
-    return power * int(_radix_weights(G.cyclic_factors)[position])
-
-
-def _copy_exponents(G: FiniteGroup, Q: FiniteGroup, positions: list[int]) -> np.ndarray:
-    """The id map Q -> G that copies exponent i of each element of Q onto
-    factor positions[i] of G (both groups built from cyclic factors)."""
-    exps = np.zeros((Q.order, len(G.cyclic_factors)), dtype=np.int64)
-    exps[:, positions] = _abelian_exponents(Q.cyclic_factors, Q.order)
-    return exps @ _radix_weights(G.cyclic_factors)
+    bmat = _span_table(G, q_gens, q_orders)[M.array()[:m]]
+    return linked_from_dm(G, E, bmat, family=hyperplanes(E, 2, e_gens))
 
 
 def build_general(G: FiniteGroup, budget: int | None = None) -> ReducedLinkingSystem:
@@ -563,7 +548,7 @@ def build_general(G: FiniteGroup, budget: int | None = None) -> ReducedLinkingSy
     (``budget`` as in dm_auto)."""
     from .groups import abelian_rank, exponent
 
-    d, factors = _abelian_2group_data(G)
+    d = _abelian_2group_depth(G)
     if d == 0:
         # the quotient would be Z2, and no 4-row difference matrix over Z2 exists
         raise ValueError("d must be at least 1 (order at least 16)")
@@ -571,8 +556,7 @@ def build_general(G: FiniteGroup, budget: int | None = None) -> ReducedLinkingSy
         raise ValueError(f"rank must be at least {d + 1}")
     if exponent(G) > 2 ** (d + 1):
         raise ValueError(f"exponent must be at most {2 ** (d + 1)}")
-    pos = _sorted_positions(factors)
-    return _build_from_quotient_dm(G, d, pos[:d + 1], pos[d + 1:], m=4, budget=budget)
+    return _build_from_quotient_dm(G, *_quotient_gens(G, d), 4, budget)
 
 
 def build_improved(G: FiniteGroup, budget: int | None = None) -> ReducedLinkingSystem:
@@ -581,15 +565,14 @@ def build_improved(G: FiniteGroup, budget: int | None = None) -> ReducedLinkingS
     as in dm_auto)."""
     from .groups import abelian_rank, exponent
 
-    d, factors = _abelian_2group_data(G)
+    d = _abelian_2group_depth(G)
     if abelian_rank(G) < d + 1:
         raise ValueError(f"rank must be at least {d + 1}")
     e = _factor_exponent(exponent(G))
     if not 2 <= e <= (d + 3) / 2:
         raise ValueError("exponent 2^e must satisfy 2 <= e <= (d+3)/2")
     m = 2 ** ((d + 1) // (e - 1))
-    pos = _sorted_positions(factors)
-    return _build_from_quotient_dm(G, d, pos[:d + 1], pos[d + 1:], m=m, budget=budget)
+    return _build_from_quotient_dm(G, *_quotient_gens(G, d), m, budget)
 
 
 def build_tyken(d: int, K: FiniteGroup) -> ReducedLinkingSystem:
@@ -607,29 +590,17 @@ def build_tyken(d: int, K: FiniteGroup) -> ReducedLinkingSystem:
         raise ValueError("K must have exponent at most 4")
     D4 = make_dihedral8()
     G = direct_product(D4, K)
-    vK = K.order
-
-    kfactors = K.cyclic_factors
-    four_pos = [i for i, n in enumerate(kfactors) if n == 4]
-    two_pos = [i for i, n in enumerate(kfactors) if n == 2]
-    c, r = len(four_pos), len(kfactors)
-    # E' = <squares of Z4 factors, first d-c of the Z2 factors>: K/E' = Z2^(d-1)
-    eprime = [_generator_power(K, p, 2) for p in four_pos]
-    eprime += [_generator_power(K, p, 1) for p in two_pos[:d - c]]
-    a_sq = D4.element("a^2")
-    e_gens = [a_sq * vK + 0] + [0 * vK + k for k in eprime]
-    E = subgroup_generated(G, e_gens)
-
-    # section Z2^(d+1) -> G: two bits for D4/<a^2>, the rest for K/E'
-    Q = make_abelian([2] * (d + 1))
-    quot_gens_K = [_generator_power(K, p, 1) for p in four_pos + two_pos[d - c:]]
-    section = _span_table(G, [D4.element("a") * vK, D4.element("b") * vK] + quot_gens_K, 2)
-    M = dm_auto(Q, 2 ** (d + 1))
-    if M is None:
-        raise AssertionError("field matrix pipeline failed")
-    bmat = [[int(section[x]) for x in row] for row in M.rows]
-    family = hyperplanes(E, 2, tuple(e_gens))
-    return linked_from_dm(G, E, bmat, family=family)
+    # K's generators are ids of G; D4's are multiples of |K|
+    a, b, a_sq = (D4.element(w) * K.order for w in ("a", "b", "a^2"))
+    kgens = _radix_weights(K.cyclic_factors).tolist()
+    fours = [g for g, n in zip(kgens, K.cyclic_factors) if n == 4]
+    twos = [g for g, n in zip(kgens, K.cyclic_factors) if n == 2]
+    c = len(fours)
+    # E = <a^2, squares of the Z4 factors, first d-c Z2 factors>, and
+    # G/E = Z2^(d+1) through a, b and the rest of K's generators
+    e_gens = [a_sq] + [2 * g for g in fours] + twos[:d - c]
+    q_gens = [a, b] + fours + twos[d - c:]
+    return _build_from_quotient_dm(G, e_gens, q_gens, [2] * (d + 1), 2 ** (d + 1))
 
 
 def build_nonreversible(d: int) -> ReducedLinkingSystem:
@@ -642,9 +613,8 @@ def build_nonreversible(d: int) -> ReducedLinkingSystem:
     if d < 1:
         raise ValueError("d must be a positive integer")
     G = make_abelian([4] * (d + 1))
-    positions = list(range(d + 1))
-    system = _build_from_quotient_dm(G, d, positions, [], m=2 ** (d + 1),
-                                     reverse_basis=True)
+    e_gens, q_gens, q_orders = _quotient_gens(G, d)
+    system = _build_from_quotient_dm(G, e_gens[::-1], q_gens, q_orders, 2 ** (d + 1))
     from .designs import is_reversible
 
     if is_reversible(system.records[0]):

@@ -112,18 +112,10 @@ class FiniteGroup:
         gens = dict(self.generators)
         acc = 0
         for token in name.split("*"):
-            token = token.strip()
-            if "^" in token:
-                base, _, exp = token.partition("^")
-                e = int(exp)
-            else:
-                base, e = token, 1
+            base, sep, exp = token.strip().partition("^")
             if base not in gens:
                 raise ValueError(f"unknown generator {base!r} in element name {name!r}")
-            g = gens[base]
-            e %= self.element_order(g)
-            for _ in range(e):
-                acc = self.mul(acc, g)
+            acc = int(self.table[acc, self.power(gens[base], int(exp) if sep else 1)])
         return acc
 
     @cached_property
@@ -146,11 +138,17 @@ class FiniteGroup:
         return int(self.element_orders[a])
 
     def power(self, a: int, e: int) -> int:
-        e %= self.element_order(a)
+        """a^e by square-and-multiply over the table, two lookups per bit of
+        |e|; a negative e powers a^(-1)."""
+        if e < 0:
+            a, e = self.inv_table[a], -e
         x = 0
-        for _ in range(e):
-            x = self.mul(x, a)
-        return x
+        while e:
+            if e & 1:
+                x = self.table[x, a]
+            a = self.table[a, a]
+            e >>= 1
+        return int(x)
 
     def __repr__(self) -> str:
         kind = "abelian" if self.abelian else "nonabelian"
@@ -267,15 +265,6 @@ def _radix_weights(factors: tuple[int, ...]) -> np.ndarray:
     return w
 
 
-def _abelian_exponents(factors: tuple[int, ...], v: int) -> np.ndarray:
-    exps = np.zeros((v, len(factors)), dtype=np.int64)
-    ids = np.arange(v)
-    for i in range(len(factors) - 1, -1, -1):
-        exps[:, i] = ids % factors[i]
-        ids //= factors[i]
-    return exps
-
-
 def _word_name(gen_names: list[str], exps) -> str:
     parts = []
     for g, e in zip(gen_names, exps):
@@ -389,12 +378,16 @@ def group_from_spec(spec: object) -> FiniteGroup:
 
     Accepted forms: ``{"abelian": [4,4]}`` (a list of plain integers;
     strings, floats and booleans are rejected, not coerced), ``"D4"``,
-    ``"Q8"``, and ``{"product": [spec1, spec2]}`` nesting any of these.
+    ``"Q8"``, and ``{"product": [spec1, spec2]}`` (a list of exactly two
+    specs) nesting any of these.  A spec object has its one form key and
+    no other.
     """
     if spec == "D4":
         return make_dihedral8()
     if spec == "Q8":
         return make_quaternion8()
+    if isinstance(spec, dict) and len(spec) != 1:
+        raise ValueError(f"a group spec object has exactly one key, got {list(spec)}")
     if isinstance(spec, dict) and "abelian" in spec:
         factors = spec["abelian"]
         if not isinstance(factors, list) or not all(
@@ -403,8 +396,8 @@ def group_from_spec(spec: object) -> FiniteGroup:
         return make_abelian(factors)
     if isinstance(spec, dict) and "product" in spec:
         parts = spec["product"]
-        if len(parts) != 2:
-            raise ValueError("product spec must have exactly two factors")
+        if not isinstance(parts, list) or len(parts) != 2:
+            raise ValueError(f"product spec must be a list of exactly two factors, got {parts!r}")
         return direct_product(group_from_spec(parts[0]), group_from_spec(parts[1]))
     raise ValueError(f"unrecognized group spec {spec!r}")
 
@@ -558,11 +551,9 @@ def find_central_elementary_abelian(G: FiniteGroup, rank: int, p: int = 2) -> li
     if t < rank:
         return []
     span = _span_table(G, basis, p)
-    out = []
-    for rows in _echelon_bases(t, rank, p):
-        gens = [span[_coord_to_index(r, p)] for r in rows]
-        sub = subgroup_generated(G, gens)
-        out.append(sub)
+    digits = p ** np.arange(t - 1, -1, -1)
+    out = [subgroup_generated(G, span[np.array(rows) @ digits])
+           for rows in _echelon_bases(t, rank, p)]
     out.sort(key=lambda s: s.elements)
     return out
 
@@ -581,13 +572,24 @@ def _independent_basis(G: FiniteGroup, torsion, p: int) -> list[int]:
     return basis
 
 
-def _span_table(G: FiniteGroup, basis, p: int) -> np.ndarray:
-    """The span element b_1^e_1 ... b_t^e_t of each coefficient vector
-    (e_1, ..., e_t), in mixed-radix order (e_1 most significant): one
-    gather of the span so far times the powers of each basis element."""
+def _span_table(G: FiniteGroup, gens, orders) -> np.ndarray:
+    """The element g_1^e_1 ... g_t^e_t of each exponent vector
+    (e_1, ..., e_t) with 0 <= e_i < orders[i], in mixed-radix order (e_1
+    most significant): one gather of the span so far times the powers of
+    each generator.  An int ``orders`` is the same order for every
+    generator.
+
+    This is the one map from exponent vectors to ids.  Over a GF(p) basis
+    it lists the span by coordinates.  Position i of the table is the id i
+    of make_abelian(orders), so the table maps that group's elements to
+    their words in ``gens``: over a group's own cyclic generators and
+    factors it is the identity, and over other generators it is the
+    section that puts a quotient's (or a product's) exponents on them."""
+    if isinstance(orders, int):
+        orders = [orders] * len(gens)
     span = np.zeros(1, dtype=np.int64)
-    for b in basis:
-        span = G.table[span[:, None], _powers(G, int(b), p)].ravel()
+    for g, n in zip(gens, orders, strict=True):
+        span = G.table[span[:, None], _powers(G, int(g), int(n))].ravel()
     return span
 
 
@@ -597,13 +599,6 @@ def _powers(G: FiniteGroup, a: int, n: int) -> np.ndarray:
     for e in range(1, n):
         out[e] = G.table[out[e - 1], a]
     return out
-
-
-def _coord_to_index(vec: tuple[int, ...], p: int) -> int:
-    idx = 0
-    for e in vec:
-        idx = idx * p + e
-    return idx
 
 
 def _echelon_bases(t: int, r: int, p: int):

@@ -199,6 +199,29 @@ def test_malformed_group_specs_are_usage_errors():
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("spec, message", [
+    ('{"product": 5}', "list of exactly two factors"),
+    ('{"product": null}', "list of exactly two factors"),
+    ('{"product": {"a": 1, "b": 2}}', "list of exactly two factors"),
+    ('{"product": ["D4"]}', "list of exactly two factors"),
+    ('{"abelian": [4, 4], "x": 1}', "exactly one key"),
+    ('{"product": ["D4", {"abelian": [2], "y": 0}]}', "exactly one key"),
+    ('{}', "exactly one key"),
+])
+def test_malformed_spec_objects_are_usage_errors(spec, message):
+    code, out, err = run_capture(["group", spec])
+    assert code == 2 and out == "" and message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("rows", ["0", "-3"])
+def test_dm_construct_rejects_fewer_than_one_row(rows):
+    code, out, err = run_capture(["dm", "construct", "--group", '{"abelian": [2, 2]}',
+                                  f"--rows={rows}"])
+    assert code == 2 and out == "" and "at least one row" in err
+    assert "Traceback" not in err
+
+
 def test_orders_past_the_table_limit_are_usage_errors():
     for spec in ['{"abelian": [8192]}', '{"product": [{"abelian": [64]}, {"abelian": [128]}]}',
                  '{"abelian": [1000000000000]}',

@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 from linkset import group_ring as rg
+from linkset import io as lio
 from linkset.designs import is_reversible
 from linkset.diffmat import (
     ABSENT,
@@ -145,6 +146,9 @@ def test_dm_auto():
         assert M is not None and M.num_rows == 2 ** t and verify_dm(M)
     assert dm_auto(make_abelian([4]), 3) is None  # cyclic: no third row exists
     assert dm_auto(make_abelian([2, 2]), 5) is None  # above the |G| ceiling
+    for rows in (0, -3):
+        with pytest.raises(ValueError, match="at least one row"):
+            dm_auto(make_abelian([2, 2]), rows)
     with pytest.raises(ValueError):
         dm_auto(make_abelian([3, 3]), 2)  # not a 2-group
 
@@ -382,6 +386,34 @@ def test_nonrev_first_set_contains_x1_not_cube():
     assert G.element("x1") in d1 and G.element("x1^3") not in d1
 
 
+# lio.digest(system_to_json) of builds that bench/golden.json does not pin,
+# recorded at 98d4e70
+BUILD_DIGESTS = [
+    ("tyken d=1 K=Z2", lambda: build_tyken(1, make_abelian([2])),
+     "27d35124e59d88b074cfc84ff72999b7438047075d34e4790072e7b01b8e7cc5"),
+    ("tyken d=3 K=Z4^2xZ2", lambda: build_tyken(3, make_abelian([4, 4, 2])),
+     "ad3dd1dd3e10abab4e8b6cce80b813a63166d80b1575c6022b12d97bca93bb51"),
+    ("tyken d=3 K=Z4xZ2^3", lambda: build_tyken(3, make_abelian([4, 2, 2, 2])),
+     "d5b90b936d66fade01866266ec0cb199cfee7fc3174be98b1e76f2ec785a5a05"),
+    ("tyken d=3 K=Z2^5", lambda: build_tyken(3, make_abelian([2] * 5)),
+     "1b55484fc4d230afe70566b59a11df4011947fc25f4f824c840d41853aac2773"),
+    ("nonrev d=3", lambda: build_nonreversible(3),
+     "ad63fec5c057defc39548e07858da52f0cd83e191577be30234f9d02e14963f3"),
+    ("improved Z4^3", lambda: build_improved(make_abelian([4, 4, 4])),
+     "e48843413adbaaf93388f920b63818c445adc3f99998546908d91b6c6da205a4"),
+    ("improved Z4^2xZ2^2", lambda: build_improved(make_abelian([4, 4, 2, 2])),
+     "96611c730bb9c1abbea17c73053d2b5e7a5b489ec48cf1412835b8844ec6d31f"),
+    ("improved Z4^4xZ2^2", lambda: build_improved(make_abelian([4, 4, 4, 4, 2, 2])),
+     "aa6d31611caa8c32a2a1d1cbb67071c162d0afd89216fcbd7983adbe27016d35"),
+]
+
+
+@pytest.mark.parametrize("build, digest", [case[1:] for case in BUILD_DIGESTS],
+                         ids=[case[0] for case in BUILD_DIGESTS])
+def test_build_digests_are_pinned(build, digest):
+    assert lio.digest(lio.system_to_json(build())) == digest
+
+
 def test_builders_make_no_scalar_group_products(monkeypatch):
     """The drivers close subgroups, spans, orders and hyperplanes with table
     gathers: a whole build makes no ``FiniteGroup.mul`` call."""
@@ -396,4 +428,5 @@ def test_builders_make_no_scalar_group_products(monkeypatch):
     build_general(make_abelian([16, 4, 2, 2]))  # quotient Z8 x Z2: the search
     build_improved(make_abelian([4] * 5))
     build_nonreversible(2)
+    build_tyken(2, make_abelian([4, 2]))
     assert calls == []

@@ -464,9 +464,11 @@ def _scalar_closure(G, gens):
     return tuple(sorted(closure))
 
 
-def _scalar_span(G, basis, p):
+def _scalar_span(G, basis, orders):
+    if isinstance(orders, int):
+        orders = [orders] * len(basis)
     span = []
-    for vec in itertools.product(range(p), repeat=len(basis)):
+    for vec in itertools.product(*map(range, orders)):
         x = 0
         for b, e in zip(basis, vec):
             x = G.mul(x, _scalar_power(G, b, e))
@@ -522,6 +524,35 @@ def test_element_orders_match_the_scalar_power_loop(G):
     assert G.element_orders.tolist() == want
     assert exponent(G) == math.lcm(*want)
     assert [G.power(a, 3) for a in G.elements()] == [_scalar_power(G, a, 3) for a in G.elements()]
+    # random exponents, negative ones included, against e mod ord(a) products
+    rng = random.Random(G.order)
+    for a, e in [(rng.randrange(G.order), rng.randint(-50, 50)) for _ in range(40)]:
+        assert G.power(a, e) == _scalar_power(G, a, e % want[a])
+
+
+class _CountingTable:
+    """A group table that counts its lookups."""
+
+    def __init__(self, table):
+        self.table, self.lookups = table, 0
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return self.table[key]
+
+
+def test_power_takes_two_lookups_per_bit():
+    """x1^4095 in Z4096 is 24 table lookups, a product and a squaring per
+    bit of 4095, where one product per unit of exponent took 4,095."""
+    G = make_abelian([4096])
+    G.table = _CountingTable(G.table)
+    assert G.power(1, 4095) == 4095 and G.table.lookups == 24
+    # a word the name dict does not hold goes through power: 26 lookups for
+    # the 13 bits of 8191, one for the product into the word
+    G.table.lookups = 0
+    assert G.element("x1^8191") == 4095 and G.table.lookups == 27
+    G.table.lookups = 0
+    assert G.element("x1^-1") == 4095 and G.table.lookups == 3
 
 
 def test_abelian_invariants_of_a_quotient():
@@ -558,6 +589,12 @@ def test_span_helpers_and_hyperplanes_match_scalar_references(G, p):
     assert _span_table(G, basis, p).tolist() == _scalar_span(G, basis, p)
     # a basis out of id order spans the same elements in another order
     assert _span_table(G, basis[::-1], p).tolist() == _scalar_span(G, basis[::-1], p)
+    # an order per generator: G's generators, last first, each with its own order
+    gens = [g for _, g in G.generators]
+    orders = G.element_orders[gens[::-1]].tolist()
+    assert _span_table(G, gens[::-1], orders).tolist() == _scalar_span(G, gens[::-1], orders)
+    if G.cyclic_factors is not None:  # over its factors the span is the id encoding
+        assert _span_table(G, gens, G.cyclic_factors).tolist() == list(range(G.order))
     E = subgroup_generated(G, basis)
     for order in (basis, basis[::-1]):
         family = hyperplanes(E, p, order)

@@ -5,18 +5,53 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "linkset"
 
 
+def _private_helpers(tree: ast.Module) -> list:
+    """The module-level functions and classes whose names start with one
+    underscore."""
+    return [node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")]
+
+
 def test_no_private_helper_is_defined_in_two_modules():
     """A private helper (a module-level function or class whose name starts
     with one underscore) lives in one module; two of the same name are two
     paths for one job."""
     where = defaultdict(list)
     for path in sorted(SRC.glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and node.name.startswith("_") and not node.name.startswith("__")):
-                where[node.name].append(path.name)
+        for node in _private_helpers(ast.parse(path.read_text())):
+            where[node.name].append(path.name)
     assert len(where) > 50  # the scan sees the package's helpers
     assert {name: files for name, files in where.items() if len(files) > 1} == {}
+
+
+def _unreferenced_helpers(trees: list[ast.Module]) -> list[str]:
+    """The private module-level helpers that no top-level statement other
+    than their own definition names (as a name or an attribute; an import
+    alone is no use)."""
+    used = defaultdict(set)  # name -> ids of the top-level statements using it
+    for tree in trees:
+        for stmt in tree.body:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    used[node.id].add(id(stmt))
+                elif isinstance(node, ast.Attribute):
+                    used[node.attr].add(id(stmt))
+    return sorted(node.name for tree in trees for node in _private_helpers(tree)
+                  if not used[node.name] - {id(node)})
+
+
+def test_every_private_helper_is_used():
+    """A private module-level helper that nothing in the package calls is
+    dead code."""
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    assert _unreferenced_helpers(trees) == []
+    # the scan sees a helper used only by itself or only imported, and
+    # counts a use in another module or inside a class
+    assert _unreferenced_helpers([ast.parse(
+        "from m import _b\ndef _a(n):\n    return _a(n - 1)\n"
+        "def _c():\n    pass\nclass K:\n    def f(self):\n        return _c()\n"),
+        ast.parse("def _b():\n    pass\n")]) == ["_a", "_b"]
 
 
 SCALAR_GROUP_METHODS = {"mul", "power", "inv", "element_order"}
