@@ -129,6 +129,14 @@ def two_group_params(r: int) -> DSParams:
                     2 ** d * (2 ** d - 1), 2 ** (2 * d))
 
 
+def _two_group_depth(G: FiniteGroup) -> int:
+    """d for a group of order 2^(2d+2), d >= 0; ValueError for any other order."""
+    r = G.order.bit_length() - 1
+    if 2 ** r != G.order or r % 2 != 0 or r < 2:
+        raise ValueError("group order must be 2^(2d+2) with d >= 0")
+    return (r - 2) // 2
+
+
 def kraemer_exists(G: FiniteGroup) -> bool:
     """Kraemer's criterion: an abelian group of order 2^(2d+2) contains a
     difference set iff its exponent is at most 2^(d+2)."""
@@ -136,12 +144,7 @@ def kraemer_exists(G: FiniteGroup) -> bool:
 
     if not G.abelian:
         raise ValueError("criterion applies to abelian groups")
-    v = G.order
-    r = v.bit_length() - 1
-    if 2 ** r != v or r % 2 != 0 or r < 2:
-        raise ValueError("group order must be 2^(2d+2) with d >= 0")
-    d = (r - 2) // 2
-    return exponent(G) <= 2 ** (d + 2)
+    return exponent(G) <= 2 ** (_two_group_depth(G) + 2)
 
 
 @dataclass(frozen=True)

@@ -49,6 +49,7 @@ from .designs import (
     HyperplaneFamily,
     _check_central_elementary,
     _coset_unions,
+    _two_group_depth,
     hyperplanes,
     two_group_params,
 )
@@ -78,6 +79,10 @@ class DifferenceMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if self.lam < 1:
+            raise ValueError(f"lam must be at least 1, got {self.lam}")
+        if not self.rows:
+            raise ValueError("a difference matrix needs at least one row")
         width = self.lam * self.group.order
         rows = tuple(tuple(int(x) for x in row) for row in self.rows)
         if any(len(row) != width for row in rows):
@@ -393,13 +398,6 @@ def _backtrack_dm(G: FiniteGroup, m: int, budget: int) -> DMSearch:
 # -- difference matrix -> linking system ---------------------------------------
 
 
-def _infer_depth(G: FiniteGroup) -> int:
-    r = G.order.bit_length() - 1
-    if 2 ** r != G.order or r % 2 != 0 or r < 2:
-        raise ValueError("group order must be 2^(2d+2)")
-    return (r - 2) // 2
-
-
 def default_hyperplanes(G: FiniteGroup, E: Subgroup) -> HyperplaneFamily:
     """Hyperplane family over the greedy minimal-id basis of E."""
     return hyperplanes(E, 2, _independent_basis(G, E.elements, 2))
@@ -416,7 +414,7 @@ def linked_from_dm(G: FiniteGroup, E: Subgroup, bmat, lifts=None,
     defaulting to all-identity.  Rows 1..m-1 and columns 1..s produce the
     system, which is re-verified before being returned.
     """
-    d = _infer_depth(G)
+    d = _two_group_depth(G)
     _check_central_elementary(G, E, 2, d)
     s = 2 ** (d + 1) - 1
     bmat = [[int(x) for x in row] for row in bmat]
@@ -500,7 +498,7 @@ def _abelian_2group_depth(G: FiniteGroup) -> int:
     (which are then powers of 2)."""
     if not G.abelian or G.cyclic_factors is None:
         raise ValueError("driver needs an abelian group built from cyclic factors")
-    return _infer_depth(G)
+    return _two_group_depth(G)
 
 
 def _quotient_gens(G: FiniteGroup, d: int):

@@ -4,17 +4,17 @@ and its clique census, and the McFarland/Spence nonexistence sweeps.
 All searches are exact.  The heavy inner loop, the products of one set
 against many, runs on ``group_ring.RowProducts``.  Each search checks and
 casts its sets to indicator rows once (``group_ring.indicators``).  Every
-linking decision, in the linking graph (``_linked_pairs``), the census
-re-verification and behind the sweeps' sieve, is the pair check of
-``linking._linked_block`` over a rectangle of left and right sets: full
-product rows, a two-valued test and one difference-set batch of the
-distinct witnesses.
+linking decision, in the census (``_linked_pairs``, which both builds the
+linking graph and re-verifies its cliques) and behind the sweeps' sieve, is
+the pair check of ``linking._linked_block`` over a rectangle of left and
+right sets: full product rows, a two-valued test and one difference-set
+batch of the distinct witnesses.
 
 The census runs on index arrays: the clique listing extends (m, t) arrays
 of vertex indices level by level (``_clique_indices``), the systems are a
 view over the records and those indices (``CensusSystems``), and the
-cliques are re-verified from memoized verdicts: the vertices once, each
-distinct directed pair once (``_reverify_cliques``).
+cliques are re-verified by one difference-set batch of their members and
+one pair scan of the members against each other (``_reverify_cliques``).
 
 The sweeps build their sets as rows of one array with
 ``designs.construction_sets`` (table gathers, no per-element loop) and key
@@ -70,8 +70,6 @@ CLASS_BLOCK = 1 << 17
 KEY_MAX_ORDER = 53
 # bool entries the clique listing ANDs at once (4 MB)
 LISTING_BLOCK = 1 << 22
-# Cliques re-verified per block by enumerate_systems
-CLIQUE_BLOCK = 1 << 14
 # Distinct Spence sets over which the slot-sharing pair counts are sampled
 SLOT_SAMPLE = 200
 
@@ -121,13 +119,16 @@ class LinkingGraph:
 
 
 def _linked_pairs(args) -> tuple[np.ndarray, np.ndarray, int]:
-    """The linking graph's pair scan of the left rows ``rows`` of the
-    indicator matrix ``members`` against every row (``linking._linked_block``):
+    """The census's pair scan of the left rows ``rows`` of the indicator
+    matrix ``members`` against every row (``linking._linked_block``):
     (left, right, two_valued), the directed pairs (left[t], right[t]) of
     distinct rows that link, in order of (i, j), and the number of ordered
     pairs i != j whose product is valued in {mu, nu}.
 
-    Module level so that the --jobs process pool can run it.
+    It builds the linking graph (``build_linking_graph``, one call per row
+    chunk) and re-verifies its cliques (``_reverify_cliques``, one call over
+    the clique members).  Module level so that the --jobs process pool can
+    run it.
     """
     G, members, munu, params, rows = args
     rows = np.asarray(rows, dtype=np.int64)
@@ -254,41 +255,34 @@ def _reverify_cliques(graph: LinkingGraph, cliques: np.ndarray) -> int:
     a reduced linking system under ``graph.munu``; returns the number of
     distinct directed pairs re-verified.
 
-    Exact, from memoized verdicts: for a fixed (mu, nu), verify_reduced
-    accepts S_1..S_l iff every S_i is a difference set with common
-    parameters and every ordered pair (i, j) has D_i D_j^(-1) valued in
-    {mu, nu} with a mu-support that is a difference set with the same
-    parameters.  So the vertices of the cliques are checked once, and a
-    clique passes iff all its l(l-1) pair verdicts do.  The cliques go
-    through in blocks of CLIQUE_BLOCK rows, their pairs found as i*n + j
-    codes; the pair check of ``linking._linked_block`` runs once per vertex,
-    on its row against every row, when a block first holds it, and the
-    verdicts it gives are kept in an n x n memo.
+    Exact: for a fixed (mu, nu), verify_reduced accepts S_1..S_l iff every
+    S_i is a difference set with common parameters and every ordered pair
+    (i, j) has D_i D_j^(-1) valued in {mu, nu} with a mu-support that is a
+    difference set with the same parameters.  So the m clique members are
+    checked once, the linking graph's own pair scan (``_linked_pairs``) runs
+    once over the members against each other, and a clique passes iff all
+    its l(l-1) ordered pairs are among the linked ones.  Only pairs of
+    members are ever asked, so scanning the members alone is exact.
     """
     if not len(cliques):
         return 0
-    G, n, ell = graph.group, graph.num_vertices, cliques.shape[1]
-    ids = graph.ids
-    vertices = ids[np.flatnonzero(np.bincount(cliques.ravel(), minlength=n))]
+    G = graph.group
+    present = np.bincount(cliques.ravel(), minlength=graph.num_vertices) > 0
+    local = (np.cumsum(present) - 1)[cliques]  # each member's row among the members
+    vertices = graph.ids[present]
     params = difference_set_params(G, vertices[:1])[0]
     if params is None or not difference_set_mask(G, vertices, params).all():
         raise AssertionError("clique failed re-verification")
-    products = rg.RowProducts(G, rg.indicators(G, ids))
-    everyone = np.arange(n)
-    done = np.zeros(n, dtype=bool)            # vertices whose row is in the memo
-    linked = np.zeros(n * n, dtype=bool)
-    asked = np.zeros(n * n, dtype=bool)
-    positions = [(a, b) for a in range(ell) for b in range(ell) if a != b]
-    for start in range(0, len(cliques), CLIQUE_BLOCK):
-        block = cliques[start:start + CLIQUE_BLOCK]
-        codes = np.stack([block[:, a] * n + block[:, b] for a, b in positions], axis=1)
-        asked[codes.ravel()] = True
-        lefts = np.flatnonzero((np.bincount(block.ravel(), minlength=n) > 0) & ~done)
-        _, s, t, _ = _linked_block(G, products, lefts, everyone, graph.munu, params)
-        linked[lefts[s] * n + t] = True
-        done[lefts] = True
-        if not linked[codes].all():
-            raise AssertionError("clique failed re-verification")
+    m = len(vertices)
+    left, right, _ = _linked_pairs((G, rg.indicators(G, vertices), graph.munu, params,
+                                    np.arange(m)))
+    linked = np.zeros((m, m), dtype=bool)
+    linked[left, right] = True
+    asked = np.zeros((m, m), dtype=bool)
+    for a, b in itertools.permutations(range(cliques.shape[1]), 2):
+        asked[local[:, a], local[:, b]] = True
+    if (asked & ~linked).any():
+        raise AssertionError("clique failed re-verification")
     return int(asked.sum())
 
 

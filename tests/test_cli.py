@@ -167,6 +167,24 @@ def test_nonexist_z8z2_rejects_group_and_full(monkeypatch, extra):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["build", "nonrev", "-d", "1", "--group", '{"abelian": [4]}'],
+    ["build", "nonrev", "-d", "1", "--group", ""],
+    ["build", "general", "--group", '{"abelian": [4, 4]}', "-d", "7"],
+    ["build", "improved", "--group", '{"abelian": [4, 4, 4]}', "-d", "1"],
+])
+def test_build_rejects_arguments_its_family_ignores(monkeypatch, argv):
+    """-d means nothing to general/improved and --group nothing to nonrev:
+    either would be ignored, so it is a usage error before any work."""
+    from linkset import cli
+
+    for builder in ("build_general", "build_improved", "build_tyken", "build_nonreversible"):
+        monkeypatch.setattr(cli, builder, None)  # no work may start
+    code, out, err = run_capture(argv)
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_selftest():
     code, out, _ = run_capture(["selftest"])
     assert code == 0 and "FAIL" not in out
@@ -422,6 +440,7 @@ def test_malformed_dm_ds_and_bent_certificates_fail_verification(tmp_path):
     cases = [
         ("dm", [1, 2]), ("dm", dm | {"rows": "x1"}), ("dm", dm | {"rows": ["x1"] + dm["rows"][1:]}),
         ("dm", dm | {"rows": [[1, 2]] + dm["rows"][1:]}), ("dm", dm | {"lambda": [1]}),
+        ("dm", dm | {"rows": []}), ("dm", dm | {"lambda": 0, "rows": [[], []]}),
         ("ds", [1, 2]), ("ds", ds | {"set": "x1"}), ("ds", ds | {"set": [1, 2]}),
         ("ds", ds | {"params": 4}),
         ("bent", [1, 2]), ("bent", bent | {"tables": "08"}), ("bent", bent | {"tables": [0, 8]}),

@@ -425,6 +425,20 @@ def test_census_builds_masks_once(monkeypatch):
     assert result.max_size == 3 and result.count > 0
 
 
+def test_census_reverifies_with_one_pair_scan(z4z4_census, monkeypatch):
+    """enumerate_systems re-verifies all 65,536 size-3 cliques of the Z4^2
+    census with one call of the pair check, over the clique members."""
+    from linkset import search
+
+    calls = []
+    real = search._linked_block
+    monkeypatch.setattr(search, "_linked_block",
+                        lambda *args: calls.append(len(args[2])) or real(*args))
+    systems = enumerate_systems(z4z4_census.graph, 3)
+    assert len(systems) == 65536 and systems.verified_pairs == 12288
+    assert calls == [192]
+
+
 def _edges_only(graph, edges):
     """The graph with only the given undirected edges."""
     from dataclasses import replace

@@ -25,20 +25,26 @@ def test_no_private_helper_is_defined_in_two_modules():
     assert {name: files for name, files in where.items() if len(files) > 1} == {}
 
 
-def _unreferenced_helpers(trees: list[ast.Module]) -> list[str]:
-    """The private module-level helpers that no top-level statement other
-    than their own definition names (as a name or an attribute; an import
-    alone is no use)."""
-    used = defaultdict(set)  # name -> ids of the top-level statements using it
+def _reads(trees: list[ast.Module]) -> defaultdict:
+    """name -> ids of the top-level statements that read it, as a name or an
+    attribute (an import or an assignment alone is no read)."""
+    read = defaultdict(set)
     for tree in trees:
         for stmt in tree.body:
             for node in ast.walk(stmt):
-                if isinstance(node, ast.Name):
-                    used[node.id].add(id(stmt))
-                elif isinstance(node, ast.Attribute):
-                    used[node.attr].add(id(stmt))
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read[node.id].add(id(stmt))
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    read[node.attr].add(id(stmt))
+    return read
+
+
+def _unreferenced_helpers(trees: list[ast.Module]) -> list[str]:
+    """The private module-level helpers that no top-level statement other
+    than their own definition reads."""
+    read = _reads(trees)
     return sorted(node.name for tree in trees for node in _private_helpers(tree)
-                  if not used[node.name] - {id(node)})
+                  if not read[node.name] - {id(node)})
 
 
 def test_every_private_helper_is_used():
@@ -52,6 +58,45 @@ def test_every_private_helper_is_used():
         "from m import _b\ndef _a(n):\n    return _a(n - 1)\n"
         "def _c():\n    pass\nclass K:\n    def f(self):\n        return _c()\n"),
         ast.parse("def _b():\n    pass\n")]) == ["_a", "_b"]
+
+
+def _module_constants(tree: ast.Module) -> list[tuple[str, ast.stmt]]:
+    """(name, statement) for each module-level UPPER_CASE name the module
+    assigns."""
+    found = []
+    for stmt in tree.body:
+        targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                   else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+        found += [(node.id, stmt) for target in targets for node in ast.walk(target)
+                  if isinstance(node, ast.Name) and node.id.lstrip("_").isupper()]
+    return found
+
+
+def _unread_constants(constants: list[ast.Module], readers: list[ast.Module]) -> list[str]:
+    """The module-level UPPER_CASE constants of the ``constants`` modules
+    that no top-level statement of the ``readers`` other than their own
+    assignment reads."""
+    read = _reads(readers)
+    return sorted(name for tree in constants for name, stmt in _module_constants(tree)
+                  if not read[name] - {id(stmt)})
+
+
+def test_every_module_constant_is_read():
+    """A module-level constant of the package that nothing in the package,
+    its tests or its demos reads is dead code."""
+    root = SRC.parent.parent
+    package = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    others = [ast.parse(path.read_text()) for folder in ("tests", "demos")
+              for path in sorted((root / folder).glob("*.py"))]
+    assert sum(len(_module_constants(tree)) for tree in package) > 30  # the scan sees them
+    assert _unread_constants(package, package + others) == []
+    # a constant set twice, set through an attribute or named only in a
+    # string is unread; one read in another module, as an attribute or
+    # inside a function is read
+    trees = [ast.parse("A = 1\nA = 2\nB: int = 3\nC = 4\n_D = 5\nm.B = 6\n"
+                       "x = 'C'\ndef f():\n    return _D\n"),
+             ast.parse("import m\ny = m.C\n")]
+    assert _unread_constants(trees[:1], trees) == ["A", "A", "B"]
 
 
 SCALAR_GROUP_METHODS = {"mul", "power", "inv", "element_order"}
