@@ -15,24 +15,29 @@ group's factor order, and a bounded search that closes the remaining gaps
 at desk scale; the row-pair verifier is the sole arbiter.
 
 The search (``_backtrack_dm``) fills rows one at a time, column by column,
-trying values in increasing order, with forward checking on Python-int
-bitsets: each later column of the row keeps a mask of the values it still
-allows, and a value that empties one of them is dropped.  On the value
-side, a value is dropped too when some value not yet in the row fits no
-later column (every row is a permutation of G), which takes one AND over
-the later masks per placed value; values that only the next column allows
-then rule out every other value there without placing it.  It drops only
-partial rows that have no completion, so its first solution is the
-lexicographically first matrix of the symmetry-reduced space, and an
-exhausted space proves absence.  One budget node is one value tried.  The
-search has three outcomes: FOUND, ABSENT (proved) and INCONCLUSIVE (the
+trying values in increasing order, with forward checking on one packed
+Python int per open column: the mask of values that column c forbids owns
+bits [c(v+1), c(v+1)+v), with a zero guard bit above it, and the int kept
+for column j holds the fields of the columns after it from bit 0 up.  A
+placement ORs in one kill row per earlier row, the bit of d row[c] in the
+field of every column c for the difference d the placed value makes with
+that row; row 0's is the low bit of every field shifted by d, and the
+others are packed on first use (one numpy scatter, ``np.packbits`` and
+``int.from_bytes``) and cached up to KILL_CACHE_BYTES, past which only the
+fields still open are packed, on each use.  A later column with no value
+left shows as one carry: adding 1 to every field carries into a guard bit.
+The value side takes the AND over the later fields by log2(v) shift-ANDs:
+a value is dropped too when some value not yet in the row fits no later
+column (every row is a permutation of G), and values that only the next
+column allows then rule out every other value there without placing it.
+The search drops only partial rows that have no completion, so its first
+solution is the lexicographically first matrix of the symmetry-reduced
+space, and an exhausted space proves absence.  One budget node is one value
+tried.  It has three outcomes: FOUND, ABSENT (proved) and INCONCLUSIVE (the
 budget ran out); ``dm_auto`` returns the matrix, returns None, or raises
 SearchInconclusive.  The value side takes Z8 x Z2 with 4 rows from 13,375
-nodes to 8,547 and Z4^2 from 4,102 to 2,696.  Over a default budget-out a
-node costs about 4 us at |G| = 32, 1.3 us at |G| = 256 and 3 us at
-|G| = 1024 (most nodes of the larger searches are values ruled out without
-placing them; without the value side it was 4, 16-20 and 70-74 us), so
-DEFAULT_SEARCH_BUDGET ends a budget-out in about 2 s at |G| = 1024.
+nodes to 8,547 and Z4^2 from 4,102 to 2,696.  The README gives the times of
+default-budget runs from |G| = 16 to 1024.
 """
 
 from __future__ import annotations
@@ -41,7 +46,6 @@ import functools
 import itertools
 import json
 from dataclasses import dataclass
-from operator import and_, or_
 
 import numpy as np
 
@@ -67,6 +71,9 @@ from .groups import (
 from .linking import ReducedLinkingSystem, mu_nu_candidates, verify_reduced
 
 DEFAULT_SEARCH_BUDGET = 5 * 10 ** 5
+# Bytes of packed kill rows the difference-matrix search caches at once
+# (32 MiB, 256 rows at |G| = 1024)
+KILL_CACHE_BYTES = 1 << 25
 
 
 @dataclass(frozen=True)
@@ -281,22 +288,31 @@ def _backtrack_dm(G: FiniteGroup, m: int, budget: int) -> DMSearch:
     the first solution is the lexicographically first matrix of the reduced
     space.
 
-    Forward checking on Python-int bitsets: every later column of the row
-    being filled keeps a mask of the values it forbids.  Placing x at column
-    j uses the difference x row_r[j]^(-1) against each earlier row r (row 0
-    included, where the difference is x itself), so in each later column j'
-    the one value d row_r[j'] with that difference is forbidden.  A value is
-    dropped when its placement forbids every value of some later column, or
-    when some value not yet in the row is forbidden in every later column
-    (the value side: a row of a normalized matrix is a permutation of G,
-    after J.-C. Regin's all-different filtering, AAAI 1994).  Either way the
+    Forward checking on packed Python ints: column c's mask of forbidden
+    values owns bits [c(v+1), c(v+1)+v) with a zero guard bit above it, and
+    each open column j of the row being filled keeps one int with the masks
+    of columns j+1.. from bit 0 up.  Placing x at column j uses the
+    difference d = x row_r[j]^(-1) against each earlier row r (row 0
+    included, where d is x itself), so in each later column c the one value
+    d row_r[c] with that difference is forbidden: the kill row of (r, d),
+    that bit in the field of every column, is OR-ed in.  A value is dropped
+    when its placement forbids every value of some later column (adding 1 to
+    every field carries into a guard bit), or when some value not yet in the
+    row is forbidden in every later column (the value side, an AND over the
+    later fields: a row of a normalized matrix is a permutation of G, after
+    J.-C. Regin's all-different filtering, AAAI 1994).  Either way the
     partial row has no completion, so dropping it changes neither the first
     solution nor the proof of absence when the space runs out.  The value
     side also names, for the next column, the values that no column after it
     allows: they must all go there, so with one of them every other value
     of that column is dropped without its placement, and with two every
-    value is.  One budget node is one value tried, counted before any
-    check, dropped or not.
+    value is.  One budget node is one value tried, counted before any check,
+    dropped or not.
+
+    Row 0's kill row of d is the low bit of every field shifted by d.  Those
+    of later rows are packed on first use and cached while they fit in
+    KILL_CACHE_BYTES; past that, each use packs only the fields of the
+    columns still open.  The table is read in place (no v x v Python list).
 
     Before any node, Paige's sum argument settles abelian groups whose
     elements do not sum to the identity (those with exactly one involution,
@@ -308,39 +324,67 @@ def _backtrack_dm(G: FiniteGroup, m: int, budget: int) -> DMSearch:
     first_rows = ((0,) * v, tuple(range(v)))
     if m <= 2:
         return DMSearch(FOUND, first_rows[:m], 0)
-    table = G.table.tolist()
-    if G.abelian and functools.reduce(lambda a, b: table[a][b], range(v)) != 0:
+    table = memoryview(G.table)  # scalar products without a v x v Python list
+    if G.abelian and functools.reduce(lambda a, b: table[a, b], range(v)) != 0:
         return DMSearch(ABSENT, None, 0)
-    inv = G.inv_table.tolist()
-    bit = [1 << x for x in range(v)]
+    width = v + 1  # bits per column field, the top one its guard bit
     full = (1 << v) - 1
+    offsets = np.arange(v) * width
+
+    def pack(positions: np.ndarray, fields: int = v) -> int:
+        bits = np.zeros(fields * width, dtype=bool)
+        bits[positions] = True
+        return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+    low = pack(offsets)  # bit 0 of every field; row 0's kill row of d is low << d
+    guard = low << v
+    # per column j, the shifts whose shift-ANDs fold fields 1..n of the int
+    # of columns j+1.. (n = v-2-j) into field 1: the last p onto the first p
+    # (p the largest power of 2 <= n; none when n = p), then halvings
+    folds = []
+    for n in range(v - 2, -1, -1):
+        p = 1 << max(n.bit_length() - 1, 0)
+        halvings = [(p >> k) * width for k in range(1, p.bit_length())]
+        folds.append([(n - p) * width] * (n > p) + halvings)
+    room = KILL_CACHE_BYTES * 8 // (v * width)  # kill rows still to be cached
     rows = [list(r) for r in first_rows]
+    earlier = []  # rows 1.. as (ids, kill rows by difference, entry inverses)
 
-    def prepare(row: list[int]):
-        """(kill, inverse row) for an earlier row: kill[d][k] is the bit of
-        d row[v-1-k], the value column v-1-k cannot take once difference d
-        is used against this row.  Columns run backwards so that the masks
-        of columns j+1..v-1, held in that order, line up with kill[d] from
-        its start."""
-        kill = [list(map(bit.__getitem__, xs)) for xs in G.table[:, row[::-1]].tolist()]
-        return kill, [inv[x] for x in row]
+    def open_row(row: list[int]) -> None:
+        earlier.append((np.array(row), [None] * v, G.inv_table[row].tolist()))
 
-    prepared = [prepare(r) for r in rows]
+    def close_row() -> None:
+        nonlocal room
+        room += sum(k is not None for k in earlier.pop()[1])
+
+    def kill(ids: np.ndarray, kills: list, d: int, j: int) -> int:
+        """The kill row of difference d against the row ``ids`` from column
+        j+1 on: the bit of d ids[c] in field c-j-1 for every column c > j.
+        While there is room, the whole row is packed and cached as kills[d];
+        without it, only the fields asked for are packed."""
+        nonlocal room
+        if room:
+            room -= 1
+            kills[d] = pack(offsets + G.table[d, ids])
+            return kills[d] >> (j + 1) * width
+        return pack(offsets[:v - 1 - j] + G.table[d, ids[j + 1:]], v - 1 - j)
+
+    open_row(rows[1])
     nodes = 0
 
     def fill() -> bool:
         nonlocal nodes
         if len(rows) == m:
             return True
-        # forbidden masks of columns v-1..1: column 0 used difference 0 (the
-        # identity) against every earlier row
-        forb = [0] * (v - 1)
-        for kill, _ in prepared:
-            forb = list(map(or_, forb, kill[0]))
+        # column 0 used difference 0 (the identity) against every earlier row
+        forb = low
+        for ids, kills, _ in earlier:
+            forb |= kills[0] or kill(ids, kills, 0, -1)
         row = [0] * v
-        # per open column: the masks of the columns after it, its untried
-        # values, and the values it may take without leaving a forced one out
-        forbs, cands, onlys = [forb], [full ^ forb[-1]], [full]
+        # per open column j: the masks of columns j+1.. (field i is column
+        # j+1+i), its untried values, and the values it may take without
+        # leaving a forced one out
+        forbs, cands, onlys = [forb >> 2 * width], [full ^ ((forb >> width) & full)], [full]
         while cands:
             c = cands[-1]
             if not c:
@@ -348,42 +392,51 @@ def _backtrack_dm(G: FiniteGroup, m: int, budget: int) -> DMSearch:
                 cands.pop()
                 onlys.pop()
                 continue
-            low = c & -c
-            cands[-1] = c ^ low
+            bit = c & -c
+            cands[-1] = c ^ bit
             nodes += 1
             if nodes > budget:
                 raise _BudgetExhausted
-            if not low & onlys[-1]:
+            if not bit & onlys[-1]:
                 continue
-            val = low.bit_length() - 1
+            val = bit.bit_length() - 1
             j = len(cands)
-            nxt = forbs[-1]
-            for kill, inv_row in prepared:
-                nxt = list(map(or_, nxt, kill[table[val][inv_row[j]]]))
-            nxt.pop()  # column j itself
-            if full in nxt:
-                continue
             row[j] = val
-            if nxt:
-                # the values all columns after j+1 forbid; the j + 1 values of
-                # the row are among them through row 0's differences
-                rest = functools.reduce(and_, nxt[:-1], full)
-                if (rest & nxt[-1]).bit_count() > j + 1:
-                    continue  # a value outside the row fits no later column
-                forced = rest & ~nxt[-1]  # values only column j+1 allows
-                forbs.append(nxt)
-                cands.append(full ^ nxt[-1])
-                if not forced:
-                    onlys.append(full)
-                else:
-                    onlys.append(0 if forced & (forced - 1) else forced)
+            if j == v - 1:
+                rows.append(row[:])
+                open_row(row)
+                if fill():
+                    return True
+                rows.pop()
+                close_row()
                 continue
-            rows.append(row[:])
-            prepared.append(prepare(rows[-1]))
-            if fill():
-                return True
-            rows.pop()
-            prepared.pop()
+            shift = (j + 1) * width
+            base = low >> shift  # bit 0 of the fields of columns j+1..
+            nxt = forbs[-1] | base << val
+            for ids, kills, inv_row in earlier:
+                d = table[val, inv_row[j]]
+                k = kills[d]
+                nxt |= (k >> shift) if k else kill(ids, kills, d, j)
+            if (nxt + base) & guard:
+                continue  # a later column allows no value
+            # the values that every column after j + 1 forbids; the j + 1
+            # values of the row are among them through row 0's differences
+            rest = full
+            if j < v - 2:
+                acc = nxt
+                for step in folds[j]:
+                    acc &= acc >> step
+                rest = (acc >> width) & full
+            col = nxt & full
+            if (rest & col).bit_count() > j + 1:
+                continue  # a value outside the row fits no later column
+            forced = rest & ~col  # values only column j+1 allows
+            forbs.append(nxt >> width)
+            cands.append(full ^ col)
+            if not forced:
+                onlys.append(full)
+            else:
+                onlys.append(0 if forced & (forced - 1) else forced)
         return False
 
     try:

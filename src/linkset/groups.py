@@ -120,18 +120,27 @@ class FiniteGroup:
 
     @cached_property
     def element_orders(self) -> np.ndarray:
-        """The order of every element as an int64 array, from one power
-        ladder: step k gathers a^k = a^(k-1) a for the elements whose order
-        is not yet known, so it ends after exp(G) steps."""
-        orders = np.ones(self.order, dtype=np.int64)
-        live = powers = np.arange(1, self.order)
-        k = 1
-        while live.size:
-            k += 1
-            powers = self.table[powers, live]
-            done = powers == 0
-            orders[live[done]] = k
-            live, powers = live[~done], powers[~done]
+        """The order of every element as an int64 array, one ladder per
+        prime p dividing |G|: with p^k the largest power of p dividing |G|,
+        b = a^(|G|/p^k) has order the p-part of a's order, p^i for the least
+        i with b^(p^i) = 1, so the ladder raises every b not yet at the
+        identity to the p-th power, at most k times.  Each power is a
+        square-and-multiply over all those elements at once: O(log |G|)
+        gathers per prime."""
+        v = self.order
+        orders = np.ones(v, dtype=np.int64)
+        for p in _prime_factors(v):
+            q = p
+            while v % (q * p) == 0:
+                q *= p
+            live = np.arange(v)
+            powers = _power_gather(self.table, live, v // q)
+            keep = powers != 0
+            while keep.any():
+                live, powers = live[keep], powers[keep]
+                orders[live] *= p
+                powers = _power_gather(self.table, powers, p)
+                keep = powers != 0
         return orders
 
     def element_order(self, a: int) -> int:
@@ -142,13 +151,7 @@ class FiniteGroup:
         |e|; a negative e powers a^(-1)."""
         if e < 0:
             a, e = self.inv_table[a], -e
-        x = 0
-        while e:
-            if e & 1:
-                x = self.table[x, a]
-            a = self.table[a, a]
-            e >>= 1
-        return int(x)
+        return int(_power_gather(self.table, a, e))
 
     def __repr__(self) -> str:
         kind = "abelian" if self.abelian else "nonabelian"
@@ -591,6 +594,18 @@ def _span_table(G: FiniteGroup, gens, orders) -> np.ndarray:
     for g, n in zip(gens, orders, strict=True):
         span = G.table[span[:, None], _powers(G, int(g), int(n))].ravel()
     return span
+
+
+def _power_gather(table, a, e: int):
+    """a^e for e >= 0 by square-and-multiply over ``table``, two gathers per
+    bit of e; ``a`` is one id or an array of ids."""
+    x = 0
+    while e:
+        if e & 1:
+            x = table[x, a]
+        a = table[a, a]
+        e >>= 1
+    return x
 
 
 def _powers(G: FiniteGroup, a: int, n: int) -> np.ndarray:

@@ -10,9 +10,10 @@ the pair check of ``linking._linked_block`` over a rectangle of left and
 right sets: full product rows, a two-valued test and one difference-set
 batch of the distinct witnesses.
 
-The census runs on index arrays: the clique listing extends (m, t) arrays
-of vertex indices level by level (``_clique_indices``), the systems are a
-view over the records and those indices (``CensusSystems``), and the
+The census runs on index arrays: the clique listing grows (m, t) arrays
+of vertex indices block by block, each clique carrying the AND row of its
+common neighbourhood (``_clique_indices``), the systems are a view over
+the records and those indices (``CensusSystems``), and the
 cliques are re-verified by one difference-set batch of their members and
 one pair scan of the members against each other (``_reverify_cliques``).
 
@@ -226,28 +227,37 @@ def _clique_indices(adjacency: np.ndarray, ell: int) -> np.ndarray:
     ``adjacency`` as a row of increasing vertex indices, shape (m, ell),
     rows in lexicographic order.
 
-    Level by level: each t-clique (a row of an (m, t) array) extends by
-    every vertex beyond its last member that is adjacent to all members,
-    the AND of the members' rows of the upper triangle.  ``np.flatnonzero``
-    lists the extensions row by row, each row's in increasing order, so
-    lexicographic order carries over.  The AND covers at most
-    LISTING_BLOCK entries at a time.
+    Each t-clique carries its common neighbourhood beyond its last member:
+    a row of the upper triangle for a vertex, and for a clique grown by
+    vertex j, its parent's row AND j's row.  ``np.flatnonzero`` over a
+    block of those rows lists the extensions row by row, each row's in
+    increasing order, and a block is grown to full size before the next, so
+    lexicographic order carries over.  No block of rows holds more than
+    LISTING_BLOCK entries.
     """
     n = len(adjacency)
     upper = np.triu(adjacency, 1)
-    columns = [np.arange(n, dtype=np.int64)]  # the cliques so far, one array per member
     step = max(1, LISTING_BLOCK // max(1, n))
-    for _ in range(1, ell):
-        parts = [[np.zeros(0, dtype=np.int64)] * (len(columns) + 1)]
-        for a in range(0, len(columns[0]), step):
-            block = [c[a:a + step] for c in columns]
-            common = upper[block[0]]
-            for c in block[1:]:
-                common &= upper[c]
-            s, j = np.divmod(np.flatnonzero(common), n)
-            parts.append([c[s] for c in block] + [j])
-        columns = [np.concatenate(part) for part in zip(*parts)]
-    return np.stack(columns, axis=1)
+    found = [np.zeros((0, ell), dtype=np.int64)]
+
+    def grow(cliques: np.ndarray, common: np.ndarray | None) -> None:
+        if cliques.shape[1] == ell:
+            found.append(cliques)
+            return
+        s, j = np.divmod(np.flatnonzero(common), n)
+        final = cliques.shape[1] + 1 == ell  # the grown cliques need no rows
+        for a in range(0, len(s), step):
+            parent, last = s[a:a + step], j[a:a + step]
+            rows = None
+            if not final:
+                rows = common[parent]
+                rows &= upper[last]
+            grown = np.column_stack([cliques[parent], last])
+            grow(grown, rows)
+
+    for a in range(0, n, step):
+        grow(np.arange(a, min(a + step, n), dtype=np.int64)[:, None], upper[a:a + step])
+    return np.concatenate(found)
 
 
 def _reverify_cliques(graph: LinkingGraph, cliques: np.ndarray) -> int:

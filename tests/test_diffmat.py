@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -11,7 +12,9 @@ from linkset.diffmat import (
     ABSENT,
     FOUND,
     INCONCLUSIVE,
+    KILL_CACHE_BYTES,
     DifferenceMatrix,
+    DMSearch,
     SearchInconclusive,
     _backtrack_dm,
     build_general,
@@ -29,8 +32,10 @@ from linkset.diffmat import (
 )
 from linkset.groups import (
     abelian_exponent_tuple,
+    direct_product,
     make_abelian,
     make_dihedral8,
+    make_quaternion8,
     subgroup_generated,
 )
 from linkset.worked_examples import (
@@ -213,6 +218,64 @@ def test_search_node_counts(factors):
     assert verify_dm(DifferenceMatrix(G, 1, search.rows))
     # one node short of the count is a budget-out
     assert _backtrack_dm(G, 4, search.nodes - 1).outcome == INCONCLUSIVE
+
+
+def test_every_budget_short_of_the_search_is_inconclusive():
+    G = make_abelian([4, 2, 2])
+    for budget in range(SEARCH_NODES[(4, 2, 2)]):
+        assert _backtrack_dm(G, 4, budget) == DMSearch(INCONCLUSIVE, None, budget)
+
+
+# The nonabelian searches that find a matrix: rows 2.. and nodes, recorded
+# at 57e2d57
+NONABELIAN_SEARCHES = {
+    "D4xZ2": (lambda: direct_product(make_dihedral8(), make_abelian([2])), 7486,
+              ((0, 2, 1, 5, 8, 10, 11, 14, 3, 7, 6, 15, 9, 12, 4, 13),
+               (0, 3, 5, 15, 11, 8, 2, 13, 14, 12, 9, 10, 7, 4, 6, 1))),
+    "Q8": (make_quaternion8, 18, ((0, 2, 4, 6, 1, 7, 5, 3),)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NONABELIAN_SEARCHES))
+def test_nonabelian_search_rows_and_node_counts(name):
+    make, nodes, rows = NONABELIAN_SEARCHES[name]
+    G = make()
+    v = G.order
+    search = _backtrack_dm(G, 2 + len(rows), 10 ** 6)
+    assert search == DMSearch(FOUND, ((0,) * v, tuple(range(v))) + rows, nodes)
+    assert verify_dm(DifferenceMatrix(G, 1, search.rows))
+
+
+def _traced_peak(call):
+    """(result, peak bytes traced by tracemalloc during the call)."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sum_argument_settles_before_any_copy_of_the_table():
+    """Z4096 has one involution, so Paige's sum proves at node 0 that no
+    third row exists, read off the group's own table: no v x v copy of it
+    (a Python list of the table took about 600 MiB)."""
+    G = make_abelian([4096])
+    search, peak = _traced_peak(lambda: _backtrack_dm(G, 3, 10))
+    assert search == DMSearch(ABSENT, None, 0)
+    assert peak < 2 * 2 ** 20
+
+
+def test_search_memory_stays_within_the_kill_row_cap():
+    """Z32 x Z16 x Z2 with 4 rows, 1,000 nodes: the third row gets about
+    530 columns deep, where the packed ints of its open columns take about
+    52 MB, and cached kill rows never take more than KILL_CACHE_BYTES.  An
+    unbounded cache (126 MiB here) or v x v Python lists of the table and
+    kill rows (102 MiB) would break the bound."""
+    G = make_abelian([32, 16, 2])
+    search, peak = _traced_peak(lambda: _backtrack_dm(G, 4, 1000))
+    assert search == DMSearch(INCONCLUSIVE, None, 1000)
+    assert peak < KILL_CACHE_BYTES + 64 * 2 ** 20
 
 
 @pytest.mark.parametrize("factors", [[4], [8], [16]])
