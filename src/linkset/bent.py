@@ -136,6 +136,8 @@ def is_bent_set(fns) -> bool:
     arity = fns[0].arity
     if any(f.arity != arity for f in fns):
         raise ValueError("arity mismatch in bent set")
+    if arity % 2 != 0:
+        raise ValueError("bent functions require even arity")
     tables = np.array([f.table for f in fns])
     return all(_bent_rows(tables[i] ^ tables[i + 1:], arity).all()
                for i in range(len(fns) - 1))

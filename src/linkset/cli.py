@@ -141,31 +141,32 @@ def _cmd_group(args) -> int:
     return 0
 
 
-def _cmd_ds_verify(args) -> int:
+def _verify(args, read, to_json, text_lines) -> int:
+    """The verify step of every ``verify`` command: ``read`` the certificate
+    payload in ``args.file`` and emit ``to_json`` or ``text_lines`` of what it
+    returns (exit 0), or print one ``verification failed: ...`` line when the
+    reader rejects it with ValueError (exit 1).  Malformed JSON is not
+    caught here, so it stays a usage error (exit 2)."""
     obj = _payload_of(_load_json(args.file))
     try:
-        record = lio.record_from_json(obj)
+        found = read(obj)
     except ValueError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
-    _emit(args, lambda: lio.record_to_json(record),
-          [f"difference set with parameters {record.params.as_tuple()}"])
+    _emit(args, lambda: to_json(found), text_lines(found))
     return 0
+
+
+def _cmd_ds_verify(args) -> int:
+    return _verify(args, lio.record_from_json, lio.record_to_json,
+                   lambda record: [f"difference set with parameters {record.params.as_tuple()}"])
 
 
 def _cmd_link_verify(args) -> int:
-    obj = _payload_of(_load_json(args.file))
-    try:
-        system = lio.system_from_json(obj)
-    except ValueError as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return 1
-    profile = reversibility_profile(system)
-    _emit(args, lambda: lio.system_to_json(system),
-          [f"reduced {system.params.as_tuple()} linking system of size {system.size}",
-           f"(mu, nu) = {system.munu.as_tuple()}",
-           f"reversibility profile: {profile}"])
-    return 0
+    return _verify(args, lio.system_from_json, lio.system_to_json, lambda system: [
+        f"reduced {system.params.as_tuple()} linking system of size {system.size}",
+        f"(mu, nu) = {system.munu.as_tuple()}",
+        f"reversibility profile: {reversibility_profile(system)}"])
 
 
 def _cmd_dm_construct(args) -> int:
@@ -182,15 +183,8 @@ def _cmd_dm_construct(args) -> int:
 
 
 def _cmd_dm_verify(args) -> int:
-    obj = _payload_of(_load_json(args.file))
-    try:
-        M = lio.dm_from_json(obj)
-    except ValueError as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return 1
-    _emit(args, lambda: lio.dm_to_json(M),
-          [f"verified ({M.group.spec}, {M.num_rows}, {M.lam})-difference matrix"])
-    return 0
+    return _verify(args, lio.dm_from_json, lio.dm_to_json, lambda M: [
+        f"verified ({M.group.spec}, {M.num_rows}, {M.lam})-difference matrix"])
 
 
 def _cmd_bent_kerdock(args) -> int:
@@ -202,15 +196,9 @@ def _cmd_bent_kerdock(args) -> int:
 
 
 def _cmd_bent_verify(args) -> int:
-    obj = _payload_of(_load_json(args.file))
-    try:
-        fns = lio.bent_set_from_json(obj)
-    except ValueError as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return 1
-    _emit(args, lambda: {"arity": fns[0].arity, "size": len(fns), "bent_set": True},
-          [f"verified bent set of size {len(fns)}"])
-    return 0
+    return _verify(args, lio.bent_set_from_json,
+                   lambda fns: {"arity": fns[0].arity, "size": len(fns), "bent_set": True},
+                   lambda fns: [f"verified bent set of size {len(fns)}"])
 
 
 def _cmd_build(args) -> int:

@@ -185,32 +185,20 @@ def digest(obj) -> str:
     return hashlib.sha256(canonical_dumps(obj).encode()).hexdigest()
 
 
-def census_payload(graph_group: FiniteGroup, systems, max_size: int, runtime: float) -> dict:
+def census_payload(graph_group: FiniteGroup, systems: CensusSystems, max_size: int,
+                   runtime: float) -> dict:
     """The census report.  Its digest is sha256 of canonical_dumps of
     {"count": m, "systems": canon}, canon the sorted list of the systems,
     each the sorted list of its sets' name lists.
 
-    ``systems`` is a ``CensusSystems`` view or a list of record tuples of
-    one size (mapped to vertex indices first).  The digest is streamed:
-    each vertex is ranked once by its name list (equal lists share a rank,
-    so comparing ranks compares name lists), each system's ranks are
-    sorted, the systems ordered by ``np.lexsort``, and the compact JSON
-    text, joined from one string per vertex, fed to sha256 in blocks of
-    PAYLOAD_BLOCK systems.
+    The digest is streamed: each vertex of the view is ranked once by its
+    name list (equal lists share a rank, so comparing ranks compares name
+    lists), each system's ranks are sorted, the systems ordered by
+    ``np.lexsort``, and the compact JSON text, joined from one string per
+    vertex, fed to sha256 in blocks of PAYLOAD_BLOCK systems.
     """
     G = graph_group
-    if isinstance(systems, CensusSystems):
-        vertices, cliques = [r.elements for r in systems.records], systems.cliques
-    else:
-        index: dict = {}
-        rows = [[index.setdefault(r.elements, len(index)) for r in members]
-                for members in systems]
-        sizes = {len(row) for row in rows}
-        if len(sizes) > 1 or 0 in sizes:
-            raise ValueError("census systems must be nonempty and share one size")
-        vertices = list(index)
-        cliques = np.array(rows, dtype=np.int64).reshape(len(rows), sizes.pop() if rows else 1)
-    names = _sets_to_names(G, vertices)
+    names = _sets_to_names(G, [r.elements for r in systems.records])
     rank = np.zeros(len(names), dtype=np.int64)
     texts: list[str] = []
     previous = None
@@ -219,7 +207,7 @@ def census_payload(graph_group: FiniteGroup, systems, max_size: int, runtime: fl
             texts.append(json.dumps(names[i], separators=(",", ":")))
             previous = names[i]
         rank[i] = len(texts) - 1
-    keys = np.sort(rank[cliques], axis=1)
+    keys = np.sort(rank[systems.cliques], axis=1)
     keys = keys[np.lexsort(keys.T[::-1])]
     count, size = keys.shape
     texts = np.array(texts, dtype=object)

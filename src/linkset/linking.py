@@ -1,5 +1,13 @@
 """Reduced and full linking systems of difference sets: verification,
 interconversion, (mu, nu) arithmetic, and reversibility checks.
+
+Every linking decision is one pair check, ``_linked_block``: over a
+rectangle of left and right sets it computes the full product rows
+X Y^(-1) in blocks, keeps the pairs valued in {mu, nu} whose mu-support has
+k elements, and checks the distinct supports with one difference-set batch.
+``verify_reduced`` is one call of it per (mu, nu) branch, all sets against
+all sets; the census and the sweeps (``search``) call it on their own
+rectangles.
 """
 
 from __future__ import annotations
@@ -22,8 +30,8 @@ from .designs import (
 )
 from .groups import FiniteGroup
 
-# float32 entries of full product rows that the pair check computes at once (4 MB)
-PRODUCT_BLOCK = 1 << 20
+# float32 entries of full product rows that the pair check computes at once (256 KB)
+PRODUCT_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -115,7 +123,9 @@ def verify_reduced(G: FiniteGroup, sets) -> ReducedLinkingSystem | None:
 
     Every set must be a difference set with common parameters, and a single
     (mu, nu) branch must make every ordered pair decompose two-valuedly with
-    a difference-set witness.  Returns the verified system or None.
+    a difference-set witness: one pair check of all sets against all sets
+    (``_linked_block``) per branch, whose supports come back in pair order.
+    Returns the verified system or None.
     """
     if len(sets) < 2:
         return None
@@ -124,32 +134,12 @@ def verify_reduced(G: FiniteGroup, sets) -> ReducedLinkingSystem | None:
         return None
     records = [DifferenceSetRecord(G, tuple(S), params) for S in sets]
     products = rg.RowProducts(G, rg.indicators(G, [r.elements for r in records]))
+    everyone = np.arange(len(records))
     for munu in mu_nu_candidates(params):
-        witnesses = _pair_witnesses(G, products, munu, params)
-        if witnesses is not None:
+        _, _, t, witnesses = _linked_block(G, products, everyone, everyone, munu, params)
+        if len(t) == len(records) * (len(records) - 1):
             return ReducedLinkingSystem(G, tuple(records), munu, witnesses)
     return None
-
-
-def _pair_witnesses(G: FiniteGroup, products: rg.RowProducts, munu: MuNu, params: DSParams):
-    """The witness ids of all ordered pairs under (mu, nu) as one
-    (l(l-1), k) array in pair order, or None.
-
-    One left row at a time: the pair check of ``_linked_block`` on the
-    row against its l-1 other sets, stopping at the first row with a pair
-    that does not link.  A row's rectangle (l-1 products) stays in cache,
-    which one rectangle over all rows would not.
-    """
-    ell = len(products.rows)
-    everyone = np.arange(ell)
-    rows = []
-    for i in range(ell):
-        _, _, t, supports = _linked_block(G, products, everyone[i:i + 1],
-                                          np.delete(everyone, i), munu, params)
-        if len(t) < ell - 1:
-            return None
-        rows.append(supports.astype(np.int32))  # ids < MAX_TABLE_ORDER
-    return np.concatenate(rows)
 
 
 def _linked_block(G: FiniteGroup, products: rg.RowProducts, rows: np.ndarray, cols: np.ndarray,
@@ -158,51 +148,38 @@ def _linked_block(G: FiniteGroup, products: rg.RowProducts, rows: np.ndarray, co
     int64 index arrays), pairs with rows[s] == cols[t] dropped:
     (two_valued, s, t, supports), the number of pairs whose product is
     valued in {mu, nu}, the positions (s, t) of the pairs that link, in
-    order of (s, t), and their mu-supports as one (len(s), k) id array.
+    order of (s, t), and their mu-supports as one (len(s), k) int32 id array
+    (ids < MAX_TABLE_ORDER).
 
     Per block of left rows (at most PRODUCT_BLOCK float32 entries), one
-    ``RowProducts`` call gives the full product rows and ``_linked_rows``
-    checks the two-valued ones; a block with none skips it.
-    """
-    mu, nu = munu.as_tuple()
-    step = max(1, PRODUCT_BLOCK // max(1, len(cols) * G.order))
-    two_valued, found = 0, []
-    for start in range(0, len(rows), step):
-        prods = products(rows[start:start + step], cols)
-        s, t = np.nonzero(((prods == mu) | (prods == nu)).all(axis=2))
-        off = rows[start + s] != cols[t]
-        s, t = s[off], t[off]
-        two_valued += len(s)
-        if len(s):
-            linked, supports = _linked_rows(G, prods[s, t], munu, params)
-            found.append((start + s[linked], t[linked], supports))
-    if len(found) == 1:
-        return (two_valued, *found[0])
-    empty = (np.zeros(0, dtype=np.int64),) * 2 + (np.zeros((0, params.k), dtype=np.int64),)
-    return (two_valued, *(np.concatenate(part) for part in zip(empty, *found)))
-
-
-def _linked_rows(G: FiniteGroup, prods: np.ndarray, munu: MuNu,
-                 params: DSParams) -> tuple[np.ndarray, np.ndarray]:
-    """The pair check on product rows ``prods`` (m x v, row t the
-    coefficients of some X Y^(-1)): (rows, supports), the indices of the rows
-    valued in {mu, nu} whose mu-support is a difference set with ``params``,
-    and those supports as one (len(rows), k) id array.
-
-    Only supports of params.k elements can have params, so they are cut out
-    as one (m', k) id batch, and one ``difference_set_mask`` checks its
-    distinct rows (``_distinct_rows`` of the packed mu-masks).
+    ``RowProducts`` call gives the full product rows and one comparison with
+    mu their mu-masks.  Only supports of params.k elements can have params,
+    so those of the two-valued pairs are cut out as one (m, k) id batch, and
+    one ``difference_set_mask`` checks its distinct rows (``_distinct_rows``
+    of the packed mu-masks).
     """
     mu, nu = munu.as_tuple()
     if mu == nu:
         raise ValueError("mu and nu must be distinct")
-    is_mu = prods == mu
-    cand = np.flatnonzero((is_mu | (prods == nu)).all(axis=1) & (is_mu.sum(axis=1) == params.k))
-    masks = is_mu[cand]
-    supports = np.nonzero(masks)[1].reshape(len(cand), params.k)
-    first, inverse = _distinct_rows(np.packbits(masks, axis=1))
-    ok = difference_set_mask(G, supports[first], params)[inverse]
-    return cand[ok], supports[ok]
+    k = params.k
+    step = max(1, PRODUCT_BLOCK // max(1, len(cols) * G.order))
+    two_valued = 0
+    found = [(np.zeros(0, dtype=np.int64),) * 2 + (np.zeros((0, k), dtype=np.int32),)]
+    for start in range(0, len(rows), step):
+        prods = products(rows[start:start + step], cols)
+        is_mu = prods == mu
+        s, t = np.nonzero((is_mu | (prods == nu)).all(axis=2))
+        off = rows[start + s] != cols[t]
+        s, t = s[off], t[off]
+        two_valued += len(s)
+        masks = is_mu[s, t]
+        sized = masks.sum(axis=1) == k
+        s, t, masks = s[sized], t[sized], masks[sized]
+        supports = np.nonzero(masks)[1].astype(np.int32).reshape(len(s), k)
+        first, inverse = _distinct_rows(np.packbits(masks, axis=1))
+        ok = difference_set_mask(G, supports[first], params)[inverse]
+        found.append((start + s[ok], t[ok], supports[ok]))
+    return (two_valued, *(np.concatenate(part) for part in zip(*found)))
 
 
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -7,7 +7,8 @@ casts its sets to indicator rows once (``group_ring.indicators``).  Every
 linking decision, in the census (``_linked_pairs``, which both builds the
 linking graph and re-verifies its cliques) and behind the sweeps' sieve, is
 the pair check of ``linking._linked_block`` over a rectangle of left and
-right sets: full product rows, a two-valued test and one difference-set
+right sets, the same call ``linking.verify_reduced`` makes over all pairs
+of a system: full product rows, one two-valued test and one difference-set
 batch of the distinct witnesses.
 
 The census runs on index arrays: the clique listing grows (m, t) arrays

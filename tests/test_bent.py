@@ -159,6 +159,15 @@ def test_is_bent_set():
         is_bent_set([zero_function(4), zero_function(2)])
 
 
+def test_is_bent_set_rejects_odd_arity_at_any_size():
+    """Bent functions have even arity, so a set of odd arity is rejected
+    also when it has no pair to test."""
+    for arity in (1, 3, 5):
+        for size in (1, 2):
+            with pytest.raises(ValueError, match="even arity"):
+                is_bent_set([zero_function(arity)] * size)
+
+
 def test_is_bent_set_matches_the_pairwise_definition():
     rng = np.random.default_rng(5)
     fns = kerdock_bent_set(2)

@@ -446,6 +446,7 @@ def test_malformed_dm_ds_and_bent_certificates_fail_verification(tmp_path):
         ("bent", [1, 2]), ("bent", bent | {"tables": "08"}), ("bent", bent | {"tables": [0, 8]}),
         ("bent", bent | {"tables": []}), ("bent", bent | {"arity": "2"}),
         ("bent", bent | {"tables": ["zz", "08"]}),
+        ("bent", {"arity": 3, "tables": ["00"]}), ("bent", {"arity": 5, "tables": ["00000000"]}),
     ]
     dropped = [("dm", dm, "group"), ("dm", dm, "rows"), ("ds", ds, "group"), ("ds", ds, "set"),
                ("bent", bent, "arity"), ("bent", bent, "tables")]

@@ -157,6 +157,7 @@ def _swap_one(G, elements, rng):
 
 def test_verify_reduced_batched_rejections_z4_4(monkeypatch):
     from linkset import group_ring as rg
+    from linkset import linking
     from linkset.designs import is_difference_set
     from linkset.diffmat import build_improved
     from linkset.groups import abelian_element, abelian_exponent_tuple, make_abelian
@@ -165,15 +166,20 @@ def test_verify_reduced_batched_rejections_z4_4(monkeypatch):
     sets = [r.elements for r in build_improved(G).records]
     assert len(sets) == 15
 
-    # the sets in one batch, then the witnesses of each row in one batch
-    # each, go through the transform path
-    calls = []
+    # the sets in one batch, then the distinct witnesses of all pairs in
+    # one batch (7 of the 210 repeat), go through the transform path, and
+    # one pair check covers every pair
+    calls, checks = [], []
     transform = rg._transform_autocorrelations
     monkeypatch.setattr(rg, "_transform_autocorrelations",
                         lambda G, block: calls.append(len(block)) or transform(G, block))
+    linked_block = linking._linked_block
+    monkeypatch.setattr(linking, "_linked_block",
+                        lambda *args: checks.append(args[2:4]) or linked_block(*args))
     system = verify_reduced(G, sets)
     assert system is not None and len(system.witnesses) == 15 * 14
-    assert calls == [15] + [14] * 15
+    assert calls == [15, 203] and len({tuple(r) for r in system.witness_ids.tolist()}) == 203
+    assert [(rows.tolist(), cols.tolist()) for rows, cols in checks] == [(list(range(15)),) * 2]
 
     rng = random.Random(41)
     for i in (0, 7, 14):
@@ -297,16 +303,18 @@ def test_verify_full_checks_the_transpose_identity_alone():
     assert not verify_full(LinkingSystem(G, {(1, 0): D, (0, 1): D}, system.munu))
 
 
-def test_linked_rows_match_a_per_row_check():
-    """The batched pair check on product rows (one difference-set check of
-    the distinct mu-supports) against is_difference_set row by row: rows
-    valued in {mu, nu} whose mu-support is or is not a difference set,
-    repeated supports, supports of the wrong size and rows with a third value."""
+def test_linked_block_matches_a_per_row_check(monkeypatch):
+    """The pair check over a rectangle of product rows, in blocks of left
+    rows with one difference-set check of each block's distinct
+    mu-supports, against is_difference_set row by row: rows valued in
+    {mu, nu} whose mu-support is or is not a difference set, repeated
+    supports, supports of the wrong size and rows with a third value."""
     import numpy as np
 
+    from linkset import linking
     from linkset.designs import is_difference_set
     from linkset.groups import make_abelian
-    from linkset.linking import MuNu, _linked_rows
+    from linkset.linking import MuNu
     from linkset.search import enumerate_difference_sets
 
     G = make_abelian([4, 4])
@@ -320,11 +328,20 @@ def test_linked_rows_match_a_per_row_check():
     for row, support in zip(prods, supports):
         row[list(support)] = 1
     prods[rng.integers(len(prods), size=10), rng.integers(16, size=10)] = 2
-    want = [t for t, (row, support) in enumerate(zip(prods, supports))
-            if set(row.tolist()) <= {1.0, 3.0} and is_difference_set(G, support) == params]
-    rows, found = _linked_rows(G, prods, MuNu(1, 3, True), params)
-    assert rows.tolist() == want and 0 < len(want) < len(supports)
-    assert [tuple(s) for s in found.tolist()] == [tuple(sorted(supports[t])) for t in want]
+    two = [t for t, row in enumerate(prods) if set(row.tolist()) <= {1.0, 3.0}]
+    want = [t for t in two if is_difference_set(G, supports[t]) == params]
+    # product t is the pair (left t // 15, right 10 + t % 15): no set meets itself
+    cube = prods.reshape(10, 15, 16)
+
+    def products(rows, cols):
+        return cube[rows[:, None], cols[None, :] - 10]
+
+    monkeypatch.setattr(linking, "PRODUCT_BLOCK", 3 * 15 * 16)  # blocks of 3 left rows
+    two_valued, s, t, found = linking._linked_block(G, products, np.arange(10), np.arange(10, 25),
+                                                    MuNu(1, 3, True), params)
+    assert two_valued == len(two) and found.dtype == np.int32
+    assert (15 * s + t).tolist() == want and 0 < len(want) < len(supports)
+    assert [tuple(x) for x in found.tolist()] == [tuple(sorted(supports[n])) for n in want]
 
 
 def _witness_systems():

@@ -145,3 +145,41 @@ def test_scalar_group_calls_stay_out_of_loops():
     assert _scalar_calls_in_loops(ast.parse("for a in s:\n    G.inv(a)\n")) == [(2, "inv")]
     assert _scalar_calls_in_loops(ast.parse("[G.mul(a, b) for a in s]")) == [(1, "mul")]
     assert _scalar_calls_in_loops(ast.parse("G.mul(a, b)")) == []
+
+
+def _functions_comparing_with(tree: ast.Module, module: str, names: set[str]) -> set[str]:
+    """The functions (``module.f``, ``module.Class.f``; ``module`` for a
+    statement outside any) that compare a value with a name, or an
+    attribute, in ``names``."""
+    found = set()
+
+    def visit(node, where: str):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}"
+        if isinstance(node, ast.Compare) and any(
+                (isinstance(x, ast.Name) and x.id in names)
+                or (isinstance(x, ast.Attribute) and x.attr in names)
+                for x in (node.left, *node.comparators)):
+            found.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, module)
+    return found
+
+
+def test_one_two_valued_test():
+    """Whether a product is valued in {mu, nu} is decided in one place, the
+    pair check ``linking._linked_block``, with
+    ``group_ring.decompose_two_valued`` as its one-element oracle; no other
+    function compares a value with mu or nu."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        found |= _functions_comparing_with(ast.parse(path.read_text()), path.stem, {"mu", "nu"})
+    assert found == {"linking._linked_block", "group_ring.decompose_two_valued"}
+    # the scan sees a comparison on either side, in a nested function, in a
+    # method, through an attribute and outside any function, and no arithmetic
+    tree = ast.parse("def f(x, mu):\n    def g():\n        return 1 < x == mu\n"
+                     "class K:\n    def h(self, c):\n        return self.nu < c\n"
+                     "def k(mu):\n    return mu - 1\nmu != 1\n")
+    assert _functions_comparing_with(tree, "m", {"mu", "nu"}) == {"m.f.g", "m.K.h", "m"}
