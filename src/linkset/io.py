@@ -102,13 +102,25 @@ _WITNESS_KEY = re.compile(r"\((\d+),(\d+)\)")
 
 
 def system_from_json(obj: dict) -> ReducedLinkingSystem:
+    """The re-verified system of a certificate payload: ValueError unless
+    params, mu and nu are ints (``type(x) is int``: no true, no 3.0) equal to
+    the recomputed ones, and every witness given equals the recomputed one."""
     G = group_from_spec(_field(obj, "group"))
+    params = _field(obj, "params")
+    if not (isinstance(params, list) and len(params) == 4
+            and all(type(x) is int for x in params)):
+        raise ValueError("params must be a list of four integers")
+    munu = (_field(obj, "mu"), _field(obj, "nu"))
+    if any(type(x) is not int for x in munu):
+        raise ValueError("mu and nu must be integers")
     sets = [names_to_set(G, _strings(names, "each entry of sets"))
             for names in _list_of(_field(obj, "sets"), "sets")]
     system = verify_reduced(G, sets)
     if system is None:
         raise ValueError("serialized sets do not form a reduced linking system")
-    if system.munu.as_tuple() != (_field(obj, "mu"), _field(obj, "nu")):
+    if params != list(system.params.as_tuple()):
+        raise ValueError("serialized parameters disagree with the verified ones")
+    if system.munu.as_tuple() != munu:
         raise ValueError("serialized (mu, nu) disagree with verification")
     stored = obj.get("witnesses", {})
     if not isinstance(stored, dict):

@@ -3,11 +3,11 @@ interconversion, (mu, nu) arithmetic, and reversibility checks.
 
 Every linking decision is one pair check, ``_linked_block``: over a
 rectangle of left and right sets it computes the full product rows
-X Y^(-1) in blocks, keeps the pairs valued in {mu, nu} whose mu-support has
-k elements, and checks the distinct supports with one difference-set batch.
-``verify_reduced`` is one call of it per (mu, nu) branch, all sets against
-all sets; the census and the sweeps (``search``) call it on their own
-rectangles.
+X Y^(-1) in blocks and keeps the pairs valued in {mu, nu}: those are the
+linked pairs, since their mu-supports are difference sets (the lemma in its
+docstring).  ``verify_reduced`` is one call of it per (mu, nu) branch, all
+sets against all sets; the census and the sweeps (``search``) call it on
+their own rectangles.
 """
 
 from __future__ import annotations
@@ -46,10 +46,11 @@ class MuNu:
 
 def mu_nu_candidates(params: DSParams) -> list[MuNu]:
     """Integer (mu, nu) branches allowed by nu = k(k +/- sqrt(n))/v and
-    mu = nu -/+ sqrt(n); empty when n is not a perfect square."""
+    mu = nu -/+ sqrt(n); empty when n is not a positive perfect square
+    (n = 0 would give mu = nu, which decomposes nothing)."""
     v, k, _, n = params.as_tuple()
     root = math.isqrt(n)
-    if root * root != n:
+    if root == 0 or root * root != n:
         return []
     out = []
     for upper, sign in ((True, 1), (False, -1)):
@@ -58,6 +59,12 @@ def mu_nu_candidates(params: DSParams) -> list[MuNu]:
             nu = num // v
             out.append(MuNu(nu - sign * root, nu, upper))
     return out
+
+
+def _is_branch(munu: MuNu, params: DSParams) -> bool:
+    """Whether (mu, nu) is one of ``mu_nu_candidates(params)``: the second
+    precondition of the lemma in ``_linked_block``."""
+    return munu.as_tuple() in [m.as_tuple() for m in mu_nu_candidates(params)]
 
 
 @dataclass(frozen=True)
@@ -125,7 +132,8 @@ def verify_reduced(G: FiniteGroup, sets) -> ReducedLinkingSystem | None:
     (mu, nu) branch must make every ordered pair decompose two-valuedly with
     a difference-set witness: one pair check of all sets against all sets
     (``_linked_block``) per branch, whose supports come back in pair order.
-    Returns the verified system or None.
+    The sets are checked here, so by the lemma there every two-valued pair
+    has a difference-set witness.  Returns the verified system or None.
     """
     if len(sets) < 2:
         return None
@@ -146,24 +154,49 @@ def _linked_block(G: FiniteGroup, products: rg.RowProducts, rows: np.ndarray, co
                   munu: MuNu, params: DSParams):
     """The pair check over the rectangle rows x cols of ``products`` (two
     int64 index arrays), pairs with rows[s] == cols[t] dropped:
-    (two_valued, s, t, supports), the number of pairs whose product is
-    valued in {mu, nu}, the positions (s, t) of the pairs that link, in
-    order of (s, t), and their mu-supports as one (len(s), k) int32 id array
-    (ids < MAX_TABLE_ORDER).
+    (linked, s, t, supports), the number len(s) of pairs that link, their
+    positions (s, t), in order of (s, t), and their mu-supports as one
+    (len(s), k) int32 id array (ids < MAX_TABLE_ORDER).  A pair links iff
+    its product is valued in {mu, nu}.
 
     Per block of left rows (at most PRODUCT_BLOCK float32 entries), one
     ``RowProducts`` call gives the full product rows and one comparison with
-    mu their mu-masks.  Only supports of params.k elements can have params,
-    so those of the two-valued pairs are cut out as one (m, k) id batch, and
-    one ``difference_set_mask`` checks its distinct rows (``_distinct_rows``
-    of the packed mu-masks).
+    mu their mu-masks, from which the supports of the two-valued pairs are
+    cut out as one (m, k) id batch.
+
+    Lemma.  Let D_i, D_j be (v, k, lambda) difference sets in a group G,
+    n = k - lambda, and (mu, nu) a branch of ``mu_nu_candidates``, so that
+    (mu - nu)^2 = n > 0 and mu k + nu (v - k) = k^2.  If X = D_i D_j^(-1)
+    has every coefficient in {mu, nu}, its mu-support W is a (v, k, lambda)
+    difference set.
+
+    Proof.  Write X = (mu - nu) W + nu G.  The coefficients of X sum to
+    k^2 = (mu - nu)|W| + nu v, and k^2 = (mu - nu) k + nu v, so |W| = k.
+    In any group D^(-1) D = n + lambda G holds with D D^(-1) = n + lambda G
+    (the dual of a symmetric design is one: Beth, Jungnickel, Lenz, Design
+    Theory, ch. VI), so X X^(-1) = D_i (n + lambda G) D_i^(-1)
+    = n^2 + (n lambda + lambda k^2) G, and X G = G X^(-1) = k^2 G.  Hence
+    n W W^(-1) = (X - nu G)(X^(-1) - nu G) = n^2 + c G for an integer c,
+    and W W^(-1) = n + c' G with c' = c / n an integer, the coefficient of
+    W W^(-1) at any g != 1.  So W is a difference set, and its coefficient
+    at 1, |W| = k = n + c', gives c' = lambda.
+
+    So the linked pairs are the two-valued pairs, provided that (1) every
+    set is a difference set with ``params`` and (2) (mu, nu) is a branch of
+    ``mu_nu_candidates(params)``.  Each caller ensures (1):
+    ``verify_reduced`` checks its sets, ``search.build_linking_graph`` its
+    vertex records, ``search._reverify_cliques`` the clique members, and the
+    sweeps (``search._sweep_report``) their constructed sets.  Each takes
+    (mu, nu) from ``mu_nu_candidates``, and this function raises ValueError
+    unless (2) holds.
     """
+    if not _is_branch(munu, params):
+        raise ValueError(f"(mu, nu) = {munu.as_tuple()} is not a branch of "
+                         f"mu_nu_candidates for {params.as_tuple()}")
     mu, nu = munu.as_tuple()
-    if mu == nu:
-        raise ValueError("mu and nu must be distinct")
     k = params.k
     step = max(1, PRODUCT_BLOCK // max(1, len(cols) * G.order))
-    two_valued = 0
+    ids = np.arange(G.order, dtype=np.int32)
     found = [(np.zeros(0, dtype=np.int64),) * 2 + (np.zeros((0, k), dtype=np.int32),)]
     for start in range(0, len(rows), step):
         prods = products(rows[start:start + step], cols)
@@ -171,15 +204,14 @@ def _linked_block(G: FiniteGroup, products: rg.RowProducts, rows: np.ndarray, co
         s, t = np.nonzero((is_mu | (prods == nu)).all(axis=2))
         off = rows[start + s] != cols[t]
         s, t = s[off], t[off]
-        two_valued += len(s)
+        # |W| = k by the lemma, so the supports fill an (m, k) array; int32
+        # ids gathered by the masks keep the Kerdock d = 4 peak ~110 MiB below
+        # cutting them out through np.nonzero's int64 positions
         masks = is_mu[s, t]
-        sized = masks.sum(axis=1) == k
-        s, t, masks = s[sized], t[sized], masks[sized]
-        supports = np.nonzero(masks)[1].astype(np.int32).reshape(len(s), k)
-        first, inverse = _distinct_rows(np.packbits(masks, axis=1))
-        ok = difference_set_mask(G, supports[first], params)[inverse]
-        found.append((start + s[ok], t[ok], supports[ok]))
-    return (two_valued, *(np.concatenate(part) for part in zip(*found)))
+        supports = np.broadcast_to(ids, masks.shape)[masks].reshape(len(s), k)
+        found.append((start + s, t, supports))
+    s, t, supports = (np.concatenate(part) for part in zip(*found))
+    return len(s), s, t, supports
 
 
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -239,7 +271,11 @@ def reduce_system(full: LinkingSystem) -> ReducedLinkingSystem:
 
 def verify_full(full: LinkingSystem) -> bool:
     """Exact check of the transpose-involution identity over all pairs and
-    the product identity over all index triples."""
+    the product identity over all index triples, for a (mu, nu) from
+    ``mu_nu_candidates`` (False for any other).  Only the sets D_(i,0) are
+    checked to be difference sets: then so is D_(0,i) = D_(i,0)^(-1), and
+    D_(h,j), the mu-support of D_(h,0) D_(j,0)^(-1), by the lemma in
+    ``_linked_block``."""
     G = full.group
     ell = full.top_index
     idx = range(ell + 1)
@@ -247,16 +283,18 @@ def verify_full(full: LinkingSystem) -> bool:
     if set(full.entries) != expected:
         raise ValueError("malformed system: wrong index set")
     params = next(iter(full.entries.values())).params
+    if not _is_branch(full.munu, params):
+        return False
     mu, nu = full.munu.as_tuple()
     records = list(full.entries.values())
     if any(rec.params != params or len(rec.elements) != params.k for rec in records):
         return False
     ids = np.array([rec.elements for rec in records], dtype=np.int64).reshape(len(records), params.k)
-    if not difference_set_mask(G, ids, params).all():
+    keys = np.array(list(full.entries), dtype=np.int64)
+    if not difference_set_mask(G, ids[keys[:, 1] == 0], params).all():
         return False
     # F[i, j] is the indicator of D_(i,j); the diagonal stays empty
     F = np.zeros((ell + 1, ell + 1, G.order), dtype=np.float32)
-    keys = np.array(list(full.entries), dtype=np.int64)
     F[keys[:, :1], keys[:, 1:], ids] = 1
     # D_(i,j) = D_(j,i)^(-1): the coefficient of g on the right is D_(j,i)[g^-1]
     if not np.array_equal(F, F.transpose(1, 0, 2)[:, :, G.inv_table]):

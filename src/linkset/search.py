@@ -8,15 +8,16 @@ linking decision, in the census (``_linked_pairs``, which both builds the
 linking graph and re-verifies its cliques) and behind the sweeps' sieve, is
 the pair check of ``linking._linked_block`` over a rectangle of left and
 right sets, the same call ``linking.verify_reduced`` makes over all pairs
-of a system: full product rows, one two-valued test and one difference-set
-batch of the distinct witnesses.
+of a system: full product rows and one two-valued test (a two-valued pair
+links: the lemma in ``linking._linked_block``).
 
 The census runs on index arrays: the clique listing grows (m, t) arrays
 of vertex indices block by block, each clique carrying the AND row of its
 common neighbourhood (``_clique_indices``), the systems are a view over
 the records and those indices (``CensusSystems``), and the
-cliques are re-verified by one difference-set batch of their members and
-one pair scan of the members against each other (``_reverify_cliques``).
+cliques are re-verified by one difference-set batch of their members, a
+check of (mu, nu), and one pair scan of the members against each other
+(``_reverify_cliques``).
 
 The sweeps build their sets as rows of one array with
 ``designs.construction_sets`` (table gathers, no per-element loop) and key
@@ -60,7 +61,7 @@ from .groups import (
     is_normal,
     quotient,
 )
-from .linking import MuNu, _distinct_rows, _linked_block, mu_nu_candidates
+from .linking import MuNu, _distinct_rows, _is_branch, _linked_block, mu_nu_candidates
 
 # k-subsets checked per autocorrelation batch by enumerate_difference_sets
 ENUMERATION_CHUNK = 1024
@@ -92,14 +93,15 @@ def enumerate_difference_sets(G: FiniteGroup, k: int) -> list[DifferenceSetRecor
 @dataclass(frozen=True)
 class LinkingGraph:
     """Vertices are difference sets; (i, j) is an edge iff both ordered
-    products decompose two-valuedly with difference-set witnesses."""
+    products are valued in {mu, nu}, which makes their mu-supports
+    difference-set witnesses (the lemma in ``linking._linked_block``)."""
 
     group: FiniteGroup
     records: tuple[DifferenceSetRecord, ...]
     munu: MuNu
     adjacency: np.ndarray
     two_valued_pairs: int = 0  # ordered pairs i != j with a product valued in {mu, nu}
-    linked_pairs: int = 0      # of those, the pairs whose mu-support has the parameters
+    linked_pairs: int = 0      # the same pairs: each mu-support is a difference set (lemma)
 
     @property
     def num_vertices(self) -> int:
@@ -120,12 +122,11 @@ class LinkingGraph:
         return _adjacency_masks(self.adjacency)
 
 
-def _linked_pairs(args) -> tuple[np.ndarray, np.ndarray, int]:
+def _linked_pairs(args) -> tuple[np.ndarray, np.ndarray]:
     """The census's pair scan of the left rows ``rows`` of the indicator
     matrix ``members`` against every row (``linking._linked_block``):
-    (left, right, two_valued), the directed pairs (left[t], right[t]) of
-    distinct rows that link, in order of (i, j), and the number of ordered
-    pairs i != j whose product is valued in {mu, nu}.
+    (left, right), the directed pairs (left[t], right[t]) of distinct rows
+    that link, in order of (i, j).
 
     It builds the linking graph (``build_linking_graph``, one call per row
     chunk) and re-verifies its cliques (``_reverify_cliques``, one call over
@@ -134,12 +135,15 @@ def _linked_pairs(args) -> tuple[np.ndarray, np.ndarray, int]:
     """
     G, members, munu, params, rows = args
     rows = np.asarray(rows, dtype=np.int64)
-    two_valued, s, t, _ = _linked_block(G, rg.RowProducts(G, members), rows,
-                                        np.arange(len(members)), munu, params)
-    return rows[s], t, two_valued
+    _, s, t, _ = _linked_block(G, rg.RowProducts(G, members), rows,
+                               np.arange(len(members)), munu, params)
+    return rows[s], t
 
 
 def build_linking_graph(G: FiniteGroup, records, munu: MuNu, jobs: int = 1) -> LinkingGraph:
+    """The linking graph of the records under (mu, nu); ValueError unless
+    every record is a difference set with its stated, common parameters and
+    (mu, nu) is one of their ``mu_nu_candidates`` (the pair check's lemma)."""
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     records = tuple(records)
@@ -149,7 +153,10 @@ def build_linking_graph(G: FiniteGroup, records, munu: MuNu, jobs: int = 1) -> L
     if any(r.params != params for r in records):
         raise ValueError("records must share parameters")
     n = len(records)
-    indicators = rg.indicators(G, np.array([r.elements for r in records], dtype=np.int64))
+    ids = np.array([r.elements for r in records], dtype=np.int64)
+    if not difference_set_mask(G, ids, params).all():
+        raise ValueError("every record must be a difference set with its stated parameters")
+    indicators = rg.indicators(G, ids)
     chunks = _row_chunks(n, jobs)
     args = [(G, indicators, munu, params, chunk) for chunk in chunks]
     if len(chunks) > 1:
@@ -160,12 +167,11 @@ def build_linking_graph(G: FiniteGroup, records, munu: MuNu, jobs: int = 1) -> L
     else:
         results = [_linked_pairs(a) for a in args]
 
-    left, right, two_valued = zip(*results)
-    left, right = np.concatenate(left), np.concatenate(right)
+    left, right = (np.concatenate(part) for part in zip(*results))
     directed = np.zeros((n, n), dtype=bool)
     directed[left, right] = True
     adjacency = directed & directed.T
-    return LinkingGraph(G, records, munu, adjacency, two_valued_pairs=sum(two_valued),
+    return LinkingGraph(G, records, munu, adjacency, two_valued_pairs=len(left),
                         linked_pairs=len(left))
 
 
@@ -269,11 +275,13 @@ def _reverify_cliques(graph: LinkingGraph, cliques: np.ndarray) -> int:
     Exact: for a fixed (mu, nu), verify_reduced accepts S_1..S_l iff every
     S_i is a difference set with common parameters and every ordered pair
     (i, j) has D_i D_j^(-1) valued in {mu, nu} with a mu-support that is a
-    difference set with the same parameters.  So the m clique members are
-    checked once, the linking graph's own pair scan (``_linked_pairs``) runs
-    once over the members against each other, and a clique passes iff all
-    its l(l-1) ordered pairs are among the linked ones.  Only pairs of
-    members are ever asked, so scanning the members alone is exact.
+    difference set with the same parameters, which for a (mu, nu) from
+    ``mu_nu_candidates`` it always is (the lemma in ``linking._linked_block``).
+    So the m clique members and (mu, nu) are checked once, the linking
+    graph's own pair scan (``_linked_pairs``) runs once over the members
+    against each other, and a clique passes iff all its l(l-1) ordered pairs
+    are among the linked ones.  Only pairs of members are ever asked, so
+    scanning the members alone is exact.
     """
     if not len(cliques):
         return 0
@@ -282,11 +290,12 @@ def _reverify_cliques(graph: LinkingGraph, cliques: np.ndarray) -> int:
     local = (np.cumsum(present) - 1)[cliques]  # each member's row among the members
     vertices = graph.ids[present]
     params = difference_set_params(G, vertices[:1])[0]
-    if params is None or not difference_set_mask(G, vertices, params).all():
+    if (params is None or not _is_branch(graph.munu, params)
+            or not difference_set_mask(G, vertices, params).all()):
         raise AssertionError("clique failed re-verification")
     m = len(vertices)
-    left, right, _ = _linked_pairs((G, rg.indicators(G, vertices), graph.munu, params,
-                                    np.arange(m)))
+    left, right = _linked_pairs((G, rg.indicators(G, vertices), graph.munu, params,
+                                 np.arange(m)))
     linked = np.zeros((m, m), dtype=bool)
     linked[left, right] = True
     asked = np.zeros((m, m), dtype=bool)

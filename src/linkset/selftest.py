@@ -1,5 +1,6 @@
-"""End-to-end selftest over the worked examples, plus a cross-check of the
-batched product kernels against the plain group-ring product."""
+"""End-to-end selftest over the worked examples, a cross-check of the
+batched product kernels against the plain group-ring product, and the
+witness filter the pair check leaves out, run as an oracle."""
 
 from __future__ import annotations
 
@@ -8,9 +9,11 @@ import random
 import numpy as np
 
 from . import group_ring as rg
+from .designs import DSParams, is_difference_set
 from .diffmat import linked_from_dm, normalize, verify_dm, witness_direct
-from .groups import direct_product, make_abelian, make_dihedral8
-from .linking import reversibility_profile, verify_reduced
+from .groups import FiniteGroup, direct_product, make_abelian, make_dihedral8
+from .linking import MuNu, _distinct_rows, mu_nu_candidates, reversibility_profile, verify_reduced
+from .search import enumerate_difference_sets
 from .worked_examples import (
     dm_z2z2,
     linked_triple_z4z4,
@@ -46,6 +49,29 @@ def _kernel_checks(verbose: bool, failures: list[str]) -> None:
            rg._transform(Z) is not None
            and np.array_equal(rg._transform_autocorrelations(Z, sets),
                               rg._count_autocorrelations(Z, sets)), verbose, failures)
+
+
+def witness_filter_oracle(G: FiniteGroup, sets, munu: MuNu,
+                          params: DSParams) -> tuple[int, int]:
+    """The witness filter that ``linking._linked_block`` leaves out, as an
+    oracle for the lemma in its docstring: (pairs, rejected), the ordered
+    pairs i != j of ``sets`` whose product D_i D_j^(-1) is valued in
+    {mu, nu}, and those of them whose mu-support is not a difference set
+    with ``params``.  Each distinct product with at most two values goes to
+    ``group_ring.decompose_two_valued``; all n^2 products are held at once.
+    """
+    rows = rg.indicators(G, sets)
+    prods = rg.pair_products(G, rows, rows)[~np.eye(len(sets), dtype=bool)]
+    values = np.sort(prods, axis=1)
+    prods = prods[(values[:, 1:] != values[:, :-1]).sum(axis=1) <= 1].astype(np.int64)
+    first, inverse = _distinct_rows(prods)
+    pairs = rejected = 0
+    for row, count in zip(prods[first], np.bincount(inverse, minlength=len(first)).tolist()):
+        support = rg.decompose_two_valued(rg.GroupRingElement(G, row), *munu.as_tuple())
+        if support is not None:
+            pairs += count
+            rejected += count * (is_difference_set(G, support) != params)
+    return pairs, rejected
 
 
 def run_selftest(verbose: bool = True) -> bool:
@@ -88,6 +114,13 @@ def run_selftest(verbose: bool = True) -> bool:
     g_reps = [G16.mul(b16[3][j], e16[2][j - 1]) for j in range(1, 4)]
     _check("direct witness formula agrees",
            witness_direct(G16, family16, f_reps, g_reps) == witness23, verbose, failures)
+
+    Z44 = make_abelian([4, 4])
+    census = [r.elements for r in enumerate_difference_sets(Z44, 6)]
+    params = DSParams(16, 6, 2, 4)
+    _check("every two-valued pair of the Z4xZ4 census sets has a difference-set witness",
+           witness_filter_oracle(Z44, census, mu_nu_candidates(params)[0], params) == (12288, 0),
+           verbose, failures)
 
     if verbose and not failures:
         print("all selftest checks passed")

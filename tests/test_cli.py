@@ -500,3 +500,44 @@ def test_linkset_jobs_only_defaults_the_jobs_flag(monkeypatch):
     assert run_capture(["group", "D4"])[0] == 0
     code, out, _ = run_capture(["nonexist", "z8z2", "--jobs", "1"])
     assert code == 1 and "size-2 systems: 0" in out
+
+
+@pytest.fixture(scope="module")
+def general_z42_certificate(tmp_path_factory):
+    path = tmp_path_factory.mktemp("general") / "cert.json"
+    code, _, _ = run_capture(["build", "general", "--group", '{"abelian": [4, 4]}',
+                              "--out", str(path)])
+    assert code == 0
+    return json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("field, value", [
+    ("params", [16, 7, 2, 4]), ("params", [16, 6, 2, 99]), ("params", "junk"),
+    ("params", [16, 6, 2]), ("params", [16.0, 6, 2, 4]), ("params", None),
+    ("mu", True), ("nu", 3.0)])
+def test_link_verify_checks_params_mu_and_nu(general_z42_certificate, tmp_path, field, value):
+    """A ``build general`` Z4^2 certificate with params, mu or nu of another
+    value or type (an equal float or bool included), or without params,
+    fails verification."""
+    cert = json.loads(json.dumps(general_z42_certificate))
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    assert run_capture(["link", "verify-reduced", str(path)])[0] == 0
+    assert (cert["payload"]["params"], cert["payload"]["mu"], cert["payload"]["nu"]) == (
+        [16, 6, 2, 4], 1, 3)
+    if value is None:
+        del cert["payload"][field]
+    else:
+        cert["payload"][field] = value
+    path.write_text(json.dumps(cert))
+    _assert_verification_failed(["link", "verify-reduced", str(path)])
+
+
+def test_selftest_fails_when_the_witness_filter_rejects(monkeypatch):
+    from linkset import selftest
+
+    monkeypatch.setattr(selftest, "is_difference_set", lambda G, S: None)
+    code, out, err = run_capture(["selftest"])
+    assert code == 1 and err == "" and "Traceback" not in out
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL  every two-valued pair of the Z4xZ4 census sets has a difference-set witness"]

@@ -166,9 +166,9 @@ def test_verify_reduced_batched_rejections_z4_4(monkeypatch):
     sets = [r.elements for r in build_improved(G).records]
     assert len(sets) == 15
 
-    # the sets in one batch, then the distinct witnesses of all pairs in
-    # one batch (7 of the 210 repeat), go through the transform path, and
-    # one pair check covers every pair
+    # the sets in one batch go through the transform path, the witnesses
+    # (203 distinct of 210) are not checked again, and one pair check
+    # covers every pair
     calls, checks = [], []
     transform = rg._transform_autocorrelations
     monkeypatch.setattr(rg, "_transform_autocorrelations",
@@ -178,7 +178,7 @@ def test_verify_reduced_batched_rejections_z4_4(monkeypatch):
                         lambda *args: checks.append(args[2:4]) or linked_block(*args))
     system = verify_reduced(G, sets)
     assert system is not None and len(system.witnesses) == 15 * 14
-    assert calls == [15, 203] and len({tuple(r) for r in system.witness_ids.tolist()}) == 203
+    assert calls == [15] and len({tuple(r) for r in system.witness_ids.tolist()}) == 203
     assert [(rows.tolist(), cols.tolist()) for rows, cols in checks] == [(list(range(15)),) * 2]
 
     rng = random.Random(41)
@@ -304,15 +304,15 @@ def test_verify_full_checks_the_transpose_identity_alone():
 
 
 def test_linked_block_matches_a_per_row_check(monkeypatch):
-    """The pair check over a rectangle of product rows, in blocks of left
-    rows with one difference-set check of each block's distinct
-    mu-supports, against is_difference_set row by row: rows valued in
-    {mu, nu} whose mu-support is or is not a difference set, repeated
-    supports, supports of the wrong size and rows with a third value."""
+    """The pair check over a rectangle of real product rows, in blocks of
+    left rows, against a per-row check: its verdicts are exactly the rows
+    valued in {mu, nu}, and each support is that row's mu-support.  The
+    rows are D_i D_j^(-1) for (16, 6, 2) difference sets of Z4^2, some
+    two-valued and most not, with the pairs i == j dropped."""
     import numpy as np
 
+    from linkset import group_ring as rg
     from linkset import linking
-    from linkset.designs import is_difference_set
     from linkset.groups import make_abelian
     from linkset.linking import MuNu
     from linkset.search import enumerate_difference_sets
@@ -321,27 +321,20 @@ def test_linked_block_matches_a_per_row_check(monkeypatch):
     params = DSParams(16, 6, 2, 4)
     rng = np.random.default_rng(91)
     good = [r.elements for r in enumerate_difference_sets(G, 6)]
-    supports = [good[i] for i in rng.integers(len(good), size=40)]
-    supports += [tuple(rng.choice(16, size, replace=False)) for size in (6,) * 40 + (5, 7) * 5]
-    supports = [supports[i] for i in rng.integers(len(supports), size=150)]
-    prods = np.full((len(supports), 16), 3.0, dtype=np.float32)
-    for row, support in zip(prods, supports):
-        row[list(support)] = 1
-    prods[rng.integers(len(prods), size=10), rng.integers(16, size=10)] = 2
-    two = [t for t, row in enumerate(prods) if set(row.tolist()) <= {1.0, 3.0}]
-    want = [t for t in two if is_difference_set(G, supports[t]) == params]
-    # product t is the pair (left t // 15, right 10 + t % 15): no set meets itself
-    cube = prods.reshape(10, 15, 16)
+    sets = [good[i] for i in rng.choice(len(good), 25, replace=False)]
+    products = rg.RowProducts(G, rg.indicators(G, sets))
+    rows, cols = np.arange(10), np.arange(5, 25)  # rows and columns overlap in 5 sets
+    prods = products(rows, cols)
+    want = [(a, b) for a in range(10) for b in range(20) if rows[a] != cols[b]
+            and set(prods[a, b].tolist()) <= {1.0, 3.0}]
+    assert 0 < len(want) < 10 * 20 - 5
 
-    def products(rows, cols):
-        return cube[rows[:, None], cols[None, :] - 10]
-
-    monkeypatch.setattr(linking, "PRODUCT_BLOCK", 3 * 15 * 16)  # blocks of 3 left rows
-    two_valued, s, t, found = linking._linked_block(G, products, np.arange(10), np.arange(10, 25),
-                                                    MuNu(1, 3, True), params)
-    assert two_valued == len(two) and found.dtype == np.int32
-    assert (15 * s + t).tolist() == want and 0 < len(want) < len(supports)
-    assert [tuple(x) for x in found.tolist()] == [tuple(sorted(supports[n])) for n in want]
+    monkeypatch.setattr(linking, "PRODUCT_BLOCK", 3 * 20 * 16)  # blocks of 3 left rows
+    linked, s, t, found = linking._linked_block(G, products, rows, cols, MuNu(1, 3, True), params)
+    assert linked == len(s) == len(want) and found.dtype == np.int32
+    assert list(zip(s.tolist(), t.tolist())) == want
+    assert [tuple(x) for x in found.tolist()] == [
+        tuple(np.flatnonzero(prods[a, b] == 1).tolist()) for a, b in want]
 
 
 def _witness_systems():
@@ -416,9 +409,10 @@ def test_verify_full_rejects_entries_of_different_sizes():
 
 
 def test_expand_checks_its_entries_in_count_blocks(monkeypatch):
-    """``verify_full`` hands its 992 entries (bent d = 2, l = 31, v = 64, on
-    the counting route) to the kernel as one id array, so they are counted
-    in blocks of COUNT_BLOCK quotients, not one set at a time."""
+    """``verify_full`` hands the 31 sets D_(i,0) of its 992 entries (bent
+    d = 2, l = 31, v = 64, on the counting route) to the kernel as one id
+    array, counted in one block, not one set at a time; the other entries
+    are difference sets by the lemma in ``linking._linked_block``."""
     from linkset import group_ring as rg
     from linkset.bent import bent_linking, kerdock_bent_set
 
@@ -431,8 +425,8 @@ def test_expand_checks_its_entries_in_count_blocks(monkeypatch):
                         lambda G, sets: calls.append(len(sets)) or count(G, sets))
     full = expand(reduced)
     step = rg.COUNT_BLOCK // max(k * k, v)
-    assert len(full.entries) == 992 and sum(calls) == 992
-    assert len(calls) == math.ceil(992 / step) and calls[0] == step
+    assert len(full.entries) == 992 and sum(calls) == 31
+    assert len(calls) == math.ceil(31 / step) == 1 and calls[0] == 31 < step
 
 
 def test_expand_inverts_the_sets_with_one_gather(monkeypatch):
@@ -455,3 +449,117 @@ def test_expand_inverts_the_sets_with_one_gather(monkeypatch):
         assert full.entries[(0, i)].elements == tuple(sorted(inv(G, a) for a in rec.elements))
     is_reversible(full.entries[(0, 1)])
     assert calls == []
+
+
+def _oracle_cases():
+    from linkset.bent import bent_linking, kerdock_bent_set
+    from linkset.diffmat import build_improved
+    from linkset.groups import direct_product, make_abelian, make_dihedral8, make_quaternion8
+    from linkset.search import enumerate_difference_sets
+
+    Z2 = make_abelian([2])
+    for G, supports in ((make_abelian([4, 4]), 12288), (make_abelian([4, 2, 2]), 36864),
+                        (make_abelian([2, 2, 2, 2]), 86016), (make_abelian([8, 2]), 0),
+                        (direct_product(make_dihedral8(), Z2), 12288),
+                        (direct_product(make_quaternion8(), Z2), 12288)):
+        records = enumerate_difference_sets(G, 6)
+        yield G, [r.elements for r in records], records[0].params, supports
+    for system, supports in ((build_improved(make_abelian([4] * 4)), 210),
+                             (bent_linking(kerdock_bent_set(2)), 930)):
+        yield system.group, system.sets(), system.params, supports
+
+
+def test_the_witness_filter_never_rejects():
+    """The filter the pair check no longer runs, as an oracle that does not
+    call it: on every k = 6 census graph of order 16, on build_improved(Z4^4)
+    and on bent d = 2, every ordered pair whose product is valued in
+    {mu, nu} has a mu-support of k elements that is a difference set with
+    the common parameters (the lemma in ``linking._linked_block``)."""
+    from linkset.selftest import witness_filter_oracle
+
+    for G, sets, params, supports in _oracle_cases():
+        (munu,) = mu_nu_candidates(params)
+        assert witness_filter_oracle(G, sets, munu, params) == (supports, 0)
+
+
+def test_the_witness_filter_oracle_rejects_supports_that_are_no_difference_sets():
+    """The oracle counts a two-valued pair whose mu-support is not a
+    difference set with the parameters: the Z4^2 census sets under the
+    swapped branch (3, 1), whose 3-supports have 10 elements, and under the
+    right branch against parameters of another order."""
+    from linkset.groups import make_abelian
+    from linkset.linking import MuNu
+    from linkset.search import enumerate_difference_sets
+    from linkset.selftest import witness_filter_oracle
+
+    G = make_abelian([4, 4])
+    sets = [r.elements for r in enumerate_difference_sets(G, 6)]
+    assert witness_filter_oracle(G, sets, MuNu(3, 1, False), DSParams(16, 6, 2, 4)) == (
+        12288, 12288)
+    assert witness_filter_oracle(G, sets, MuNu(1, 3, True), DSParams(31, 6, 1, 5)) == (
+        12288, 12288)
+
+
+def test_the_pair_check_rejects_a_mu_nu_that_is_no_branch():
+    """``_linked_block`` raises ValueError unless (mu, nu) is one of
+    ``mu_nu_candidates(params)``: the lemma needs it."""
+    import numpy as np
+    import pytest
+
+    from linkset import group_ring as rg
+    from linkset.linking import MuNu, _linked_block
+
+    G, sets = linked_triple_z4z4()
+    params = DSParams(16, 6, 2, 4)
+    products = rg.RowProducts(G, rg.indicators(G, sets))
+    everyone = np.arange(3)
+    for munu in (MuNu(3, 1, False), MuNu(1, 2, True)):
+        with pytest.raises(ValueError, match="branch"):
+            _linked_block(G, products, everyone, everyone, munu, params)
+    assert _linked_block(G, products, everyone, everyone, MuNu(1, 3, True), params)[0] == 6
+
+
+def test_mu_nu_needs_a_positive_n():
+    """n = 0 (the whole group, k = v, and the empty set, k = 0) would give
+    mu = nu: no branch, so such sets never verify."""
+    from linkset.groups import make_abelian
+
+    assert mu_nu_candidates(DSParams(16, 16, 16, 0)) == []
+    assert mu_nu_candidates(DSParams(16, 0, 0, 0)) == []
+    G = make_abelian([4])
+    assert verify_reduced(G, [[0, 1, 2, 3], [0, 1, 2, 3]]) is None
+    assert verify_reduced(G, [[], []]) is None
+
+
+def test_verify_full_rejects_a_mu_nu_that_is_no_branch():
+    """The expanded bent d = 2 system with (mu, nu) swapped fails, though
+    every entry is a difference set with the common parameters; so does a
+    system with l = 1, which has no index triple to catch it."""
+    from dataclasses import replace
+
+    from linkset.bent import bent_linking, kerdock_bent_set
+    from linkset.linking import LinkingSystem, MuNu
+
+    full = expand(bent_linking(kerdock_bent_set(2)))
+    mu, nu = full.munu.as_tuple()
+    assert verify_full(full)
+    assert not verify_full(replace(full, munu=MuNu(nu, mu, not full.munu.upper)))
+    one = LinkingSystem(full.group, {key: full.entries[key] for key in ((1, 0), (0, 1))},
+                        full.munu)
+    assert verify_full(one)
+    assert not verify_full(replace(one, munu=MuNu(nu, mu, not full.munu.upper)))
+
+
+def test_verify_full_checks_the_sets_d_i0():
+    """With l = 1 no product identity constrains D_(1,0): a 6-set that is
+    no difference set, with its inverse as D_(0,1), fails only by the
+    difference-set check of the sets D_(i,0)."""
+    from linkset.designs import DifferenceSetRecord
+    from linkset.linking import LinkingSystem
+
+    G, sets = linked_triple_z4z4()
+    system = verify_reduced(G, sets)
+    for elements, ok in ((sets[1], True), ((0, 1, 2, 3, 4, 5), False)):
+        D = DifferenceSetRecord(G, elements, system.params)
+        inverse = DifferenceSetRecord(G, tuple(G.inv(a) for a in D.elements), D.params)
+        assert verify_full(LinkingSystem(G, {(1, 0): D, (0, 1): inverse}, system.munu)) == ok

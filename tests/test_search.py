@@ -706,3 +706,20 @@ def test_distinct_rows_match_numpy_unique_on_random_sets():
             first, where = _distinct_rows(case)
             assert np.array_equal(first, want_first)
             assert np.array_equal(where, want_where.reshape(-1))
+
+
+def test_linking_graph_rejects_a_record_that_is_no_difference_set(z4z4_census):
+    """``build_linking_graph`` checks its vertex records once: a record
+    claiming (16, 6, 2) parameters that is no difference set raises
+    ValueError, and so does a (mu, nu) that is no branch of them."""
+    from linkset.designs import DifferenceSetRecord
+    from linkset.linking import MuNu
+
+    G, records = z4z4_census.graph.group, list(z4z4_census.records[:5])
+    munu = z4z4_census.graph.munu
+    bad = DifferenceSetRecord(G, (0, 1, 2, 3, 4, 5), records[0].params)
+    with pytest.raises(ValueError, match="difference set"):
+        build_linking_graph(G, records + [bad], munu)
+    with pytest.raises(ValueError, match="branch"):
+        build_linking_graph(G, records, MuNu(3, 1, False))
+    assert build_linking_graph(G, records, munu).num_vertices == 5
