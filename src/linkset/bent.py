@@ -64,9 +64,13 @@ class BooleanFunction:
 
     @classmethod
     def from_hex(cls, arity: int, hex_string: str) -> "BooleanFunction":
+        """The inverse of ``to_hex``: ValueError unless exactly its bytes, padding bits zero."""
         raw = np.frombuffer(bytes.fromhex(hex_string), dtype=np.uint8)
-        bits = np.unpackbits(raw, bitorder="little")[: 2 ** arity]
-        return cls(arity, bits)
+        bits = np.unpackbits(raw, bitorder="little")
+        if len(raw) != -(-2 ** arity // 8) or bits[2 ** arity:].any():
+            raise ValueError(f"a truth table of arity {arity} is {-(-2 ** arity // 8)} bytes "
+                             f"with zero padding bits, got {len(raw)} bytes")
+        return cls(arity, bits[:2 ** arity])
 
 
 def zero_function(arity: int) -> BooleanFunction:

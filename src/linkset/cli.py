@@ -68,10 +68,15 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
-def _payload_of(obj):
-    if isinstance(obj, dict) and "payload" in obj and "kind" in obj:
-        return obj["payload"]
-    return obj
+def _payload_of(obj, kind: str):
+    """The payload of a certificate of ``kind`` at ``io.FORMAT_VERSION``
+    (ValueError for another), or ``obj`` itself when it is a bare payload."""
+    if not (isinstance(obj, dict) and "payload" in obj and "kind" in obj):
+        return obj
+    if (obj["kind"], obj.get("version")) != (kind, lio.FORMAT_VERSION):
+        raise ValueError(f"certificate kind {obj['kind']!r}, version {obj.get('version')!r}: "
+                         f"expected {kind!r}, version {lio.FORMAT_VERSION!r}")
+    return obj["payload"]
 
 
 # The characters json.dumps writes as themselves inside a string's quotes.
@@ -141,15 +146,15 @@ def _cmd_group(args) -> int:
     return 0
 
 
-def _verify(args, read, to_json, text_lines) -> int:
-    """The verify step of every ``verify`` command: ``read`` the certificate
-    payload in ``args.file`` and emit ``to_json`` or ``text_lines`` of what it
-    returns (exit 0), or print one ``verification failed: ...`` line when the
-    reader rejects it with ValueError (exit 1).  Malformed JSON is not
+def _verify(args, kind, read, to_json, text_lines) -> int:
+    """The verify step of every ``verify`` command: ``read`` the payload of
+    the ``kind`` certificate in ``args.file`` and emit ``to_json`` or
+    ``text_lines`` of what it returns (exit 0), or print one ``verification
+    failed: ...`` line on a ValueError (exit 1).  Malformed JSON is not
     caught here, so it stays a usage error (exit 2)."""
-    obj = _payload_of(_load_json(args.file))
+    obj = _load_json(args.file)
     try:
-        found = read(obj)
+        found = read(_payload_of(obj, kind))
     except ValueError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
@@ -158,15 +163,15 @@ def _verify(args, read, to_json, text_lines) -> int:
 
 
 def _cmd_ds_verify(args) -> int:
-    return _verify(args, lio.record_from_json, lio.record_to_json,
+    return _verify(args, "difference-set", lio.record_from_json, lio.record_to_json,
                    lambda record: [f"difference set with parameters {record.params.as_tuple()}"])
 
 
 def _cmd_link_verify(args) -> int:
-    return _verify(args, lio.system_from_json, lio.system_to_json, lambda system: [
-        f"reduced {system.params.as_tuple()} linking system of size {system.size}",
-        f"(mu, nu) = {system.munu.as_tuple()}",
-        f"reversibility profile: {reversibility_profile(system)}"])
+    return _verify(args, "linking-system", lio.system_from_json, lio.system_to_json, lambda s: [
+        f"reduced {s.params.as_tuple()} linking system of size {s.size}",
+        f"(mu, nu) = {s.munu.as_tuple()}",
+        f"reversibility profile: {reversibility_profile(s)}"])
 
 
 def _cmd_dm_construct(args) -> int:
@@ -183,7 +188,7 @@ def _cmd_dm_construct(args) -> int:
 
 
 def _cmd_dm_verify(args) -> int:
-    return _verify(args, lio.dm_from_json, lio.dm_to_json, lambda M: [
+    return _verify(args, "difference-matrix", lio.dm_from_json, lio.dm_to_json, lambda M: [
         f"verified ({M.group.spec}, {M.num_rows}, {M.lam})-difference matrix"])
 
 
@@ -196,7 +201,7 @@ def _cmd_bent_kerdock(args) -> int:
 
 
 def _cmd_bent_verify(args) -> int:
-    return _verify(args, lio.bent_set_from_json,
+    return _verify(args, "bent-set", lio.bent_set_from_json,
                    lambda fns: {"arity": fns[0].arity, "size": len(fns), "bent_set": True},
                    lambda fns: [f"verified bent set of size {len(fns)}"])
 
@@ -247,8 +252,7 @@ def _cmd_census(args) -> int:
           [f"size-3 reduced linking systems in Z4^2: {result.count}",
            f"maximum system size: {result.max_size}",
            f"digest: {payload['digest']}",
-           f"vertices: {counts['vertices']}, two-valued pairs: {counts['two_valued_pairs']}, "
-           f"linked directed pairs: {counts['linked_pairs']}, "
+           f"vertices: {counts['vertices']}, linked directed pairs: {counts['linked_pairs']}, "
            f"pairs re-verified: {counts['verified_pairs']}, cliques: {counts['cliques']}",
            f"runtime: {result.runtime_seconds:.1f}s"])
     return 0 if result.count else 1

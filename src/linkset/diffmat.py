@@ -68,7 +68,7 @@ from .groups import (
     make_abelian,
     subgroup_generated,
 )
-from .linking import ReducedLinkingSystem, mu_nu_candidates, verify_reduced
+from .linking import ReducedLinkingSystem, verify_reduced
 
 DEFAULT_SEARCH_BUDGET = 5 * 10 ** 5
 # Bytes of packed kill rows the difference-matrix search caches at once
@@ -499,9 +499,8 @@ def linked_from_dm(G: FiniteGroup, E: Subgroup, bmat, lifts=None,
     system = verify_reduced(G, _coset_unions(G, slot_reps, parts).tolist())
     if system is None:
         raise AssertionError("difference-matrix construction failed verification")
-    expect = mu_nu_candidates(two_group_params(2 * d + 2))
-    if system.munu not in expect:
-        raise AssertionError("verified system has unexpected (mu, nu)")
+    if system.params != two_group_params(2 * d + 2):
+        raise AssertionError("verified system has unexpected parameters")
     return system
 
 

@@ -1,13 +1,13 @@
 """Reduced and full linking systems of difference sets: verification,
 interconversion, (mu, nu) arithmetic, and reversibility checks.
 
-Every linking decision is one pair check, ``_linked_block``: over a
-rectangle of left and right sets it computes the full product rows
-X Y^(-1) in blocks and keeps the pairs valued in {mu, nu}: those are the
-linked pairs, since their mu-supports are difference sets (the lemma in its
-docstring).  ``verify_reduced`` is one call of it per (mu, nu) branch, all
-sets against all sets; the census and the sweeps (``search``) call it on
-their own rectangles.
+Every linking decision is one pair check, ``PairCheck``: over one batch
+of difference sets with common parameters, bound to a (mu, nu) branch, it
+computes the full product rows X Y^(-1) of a rectangle of left and right
+sets in blocks and keeps the pairs valued in {mu, nu}: those are the
+linked pairs (the lemma in its docstring).  ``verify_reduced`` checks all
+sets against all sets under each branch; the census and the sweeps
+(``search``) check their own batches.
 """
 
 from __future__ import annotations
@@ -22,9 +22,8 @@ from . import group_ring as rg
 from .designs import (
     DifferenceSetRecord,
     DSParams,
+    _autocorrelation_params,
     complement,
-    difference_set_mask,
-    difference_set_params,
     is_difference_set,  # noqa: F401  bench/test_bench.py checks the tracer wraps it here
     is_reversible,
 )
@@ -59,12 +58,6 @@ def mu_nu_candidates(params: DSParams) -> list[MuNu]:
             nu = num // v
             out.append(MuNu(nu - sign * root, nu, upper))
     return out
-
-
-def _is_branch(munu: MuNu, params: DSParams) -> bool:
-    """Whether (mu, nu) is one of ``mu_nu_candidates(params)``: the second
-    precondition of the lemma in ``_linked_block``."""
-    return munu.as_tuple() in [m.as_tuple() for m in mu_nu_candidates(params)]
 
 
 @dataclass(frozen=True)
@@ -126,43 +119,33 @@ class LinkingSystem:
 
 
 def verify_reduced(G: FiniteGroup, sets) -> ReducedLinkingSystem | None:
-    """Check Definition-level linking of a list of element sets.
-
-    Every set must be a difference set with common parameters, and a single
-    (mu, nu) branch must make every ordered pair decompose two-valuedly with
-    a difference-set witness: one pair check of all sets against all sets
-    (``_linked_block``) per branch, whose supports come back in pair order.
-    The sets are checked here, so by the lemma there every two-valued pair
-    has a difference-set witness.  Returns the verified system or None.
-    """
+    """Check Definition-level linking of a list of element sets: every set
+    a difference set with common parameters, and under a single (mu, nu)
+    branch every ordered pair linked, by one ``PairCheck`` over all sets
+    against all sets, whose supports come back in pair order.  Returns the
+    verified system or None."""
     if len(sets) < 2:
         return None
-    params, *others = difference_set_params(G, sets)
-    if params is None or any(p != params for p in others):
+    check = PairCheck(G, sets)
+    if check.params is None:
         return None
-    records = [DifferenceSetRecord(G, tuple(S), params) for S in sets]
-    products = rg.RowProducts(G, rg.indicators(G, [r.elements for r in records]))
+    records = [DifferenceSetRecord(G, tuple(S), check.params) for S in sets]
     everyone = np.arange(len(records))
-    for munu in mu_nu_candidates(params):
-        _, _, t, witnesses = _linked_block(G, products, everyone, everyone, munu, params)
+    for munu in mu_nu_candidates(check.params):
+        _, t, witnesses = check.bind(munu).block(everyone, everyone)
         if len(t) == len(records) * (len(records) - 1):
             return ReducedLinkingSystem(G, tuple(records), munu, witnesses)
     return None
 
 
-def _linked_block(G: FiniteGroup, products: rg.RowProducts, rows: np.ndarray, cols: np.ndarray,
-                  munu: MuNu, params: DSParams):
-    """The pair check over the rectangle rows x cols of ``products`` (two
-    int64 index arrays), pairs with rows[s] == cols[t] dropped:
-    (linked, s, t, supports), the number len(s) of pairs that link, their
-    positions (s, t), in order of (s, t), and their mu-supports as one
-    (len(s), k) int32 id array (ids < MAX_TABLE_ORDER).  A pair links iff
-    its product is valued in {mu, nu}.
-
-    Per block of left rows (at most PRODUCT_BLOCK float32 entries), one
-    ``RowProducts`` call gives the full product rows and one comparison with
-    mu their mu-masks, from which the supports of the two-valued pairs are
-    cut out as one (m, k) id batch.
+class PairCheck:
+    """The pair check over one batch of sets (an (n, k) id array or a list
+    of sets; malformed ids raise ValueError): the ordered pairs of distinct
+    sets that link, and their mu-supports.  One autocorrelation batch gives
+    ``params``, the sets' common ``DSParams``, or None.  ``bind`` raises
+    ValueError unless it ``admits`` (mu, nu), so no pair is checked unless
+    both preconditions of the lemma below hold; a pair then links iff its
+    product is valued in {mu, nu}.
 
     Lemma.  Let D_i, D_j be (v, k, lambda) difference sets in a group G,
     n = k - lambda, and (mu, nu) a branch of ``mu_nu_candidates``, so that
@@ -180,38 +163,68 @@ def _linked_block(G: FiniteGroup, products: rg.RowProducts, rows: np.ndarray, co
     and W W^(-1) = n + c' G with c' = c / n an integer, the coefficient of
     W W^(-1) at any g != 1.  So W is a difference set, and its coefficient
     at 1, |W| = k = n + c', gives c' = lambda.
-
-    So the linked pairs are the two-valued pairs, provided that (1) every
-    set is a difference set with ``params`` and (2) (mu, nu) is a branch of
-    ``mu_nu_candidates(params)``.  Each caller ensures (1):
-    ``verify_reduced`` checks its sets, ``search.build_linking_graph`` its
-    vertex records, ``search._reverify_cliques`` the clique members, and the
-    sweeps (``search._sweep_report``) their constructed sets.  Each takes
-    (mu, nu) from ``mu_nu_candidates``, and this function raises ValueError
-    unless (2) holds.
     """
-    if not _is_branch(munu, params):
-        raise ValueError(f"(mu, nu) = {munu.as_tuple()} is not a branch of "
-                         f"mu_nu_candidates for {params.as_tuple()}")
-    mu, nu = munu.as_tuple()
-    k = params.k
-    step = max(1, PRODUCT_BLOCK // max(1, len(cols) * G.order))
-    ids = np.arange(G.order, dtype=np.int32)
-    found = [(np.zeros(0, dtype=np.int64),) * 2 + (np.zeros((0, k), dtype=np.int32),)]
-    for start in range(0, len(rows), step):
-        prods = products(rows[start:start + step], cols)
-        is_mu = prods == mu
-        s, t = np.nonzero((is_mu | (prods == nu)).all(axis=2))
-        off = rows[start + s] != cols[t]
-        s, t = s[off], t[off]
-        # |W| = k by the lemma, so the supports fill an (m, k) array; int32
-        # ids gathered by the masks keep the Kerdock d = 4 peak ~110 MiB below
-        # cutting them out through np.nonzero's int64 positions
-        masks = is_mu[s, t]
-        supports = np.broadcast_to(ids, masks.shape)[masks].reshape(len(s), k)
-        found.append((start + s, t, supports))
-    s, t, supports = (np.concatenate(part) for part in zip(*found))
-    return len(s), s, t, supports
+
+    def __init__(self, G: FiniteGroup, ids):
+        self.group, self.ids = G, ids
+        k, lam = _autocorrelation_params(G, ids)  # lambda -1 for a set that is no difference set
+        common = len(k) > 0 and lam[0] >= 0 and (k == k[0]).all() and (lam == lam[0]).all()
+        self.params = (DSParams(G.order, int(k[0]), int(lam[0]), int(k[0] - lam[0]))
+                       if common else None)
+        self.munu: MuNu | None = None
+        self._products: rg.RowProducts | None = None
+
+    def admits(self, munu: MuNu) -> bool:
+        """Whether ``params`` is set and (mu, nu) is one of its branches."""
+        return self.params is not None and munu.as_tuple() in [
+            m.as_tuple() for m in mu_nu_candidates(self.params)]
+
+    def bind(self, munu: MuNu) -> "PairCheck":
+        """Check pairs under (mu, nu) from now on; returns the check."""
+        if not self.admits(munu):
+            raise ValueError(f"(mu, nu) = {munu.as_tuple()} needs difference sets with common "
+                             f"parameters that it is a branch of, got {self.params}")
+        if self._products is None:
+            self._products = rg.RowProducts(self.group, rg.indicators(self.group, self.ids))
+        self.munu = munu
+        return self
+
+    def block(self, rows: np.ndarray, cols: np.ndarray):
+        """The pairs of the rectangle rows x cols (two int64 index arrays)
+        that link, rows[s] == cols[t] dropped: (s, t, supports), in order of
+        (s, t), the supports one (len(s), k) int32 id array.  Per block of
+        left rows (at most PRODUCT_BLOCK float32 entries), one ``RowProducts``
+        call and one comparison with mu give the mu-masks, from which the
+        supports of the two-valued pairs are cut out at once."""
+        if self.munu is None:
+            raise ValueError("bind a (mu, nu) branch before checking pairs")
+        G, k = self.group, self.params.k
+        mu, nu = self.munu.as_tuple()
+        step = max(1, PRODUCT_BLOCK // max(1, len(cols) * G.order))
+        ids = np.arange(G.order, dtype=np.int32)
+        found = [(np.zeros(0, dtype=np.int64),) * 2 + (np.zeros((0, k), dtype=np.int32),)]
+        for start in range(0, len(rows), step):
+            prods = self._products(rows[start:start + step], cols)
+            is_mu = prods == mu
+            s, t = np.nonzero((is_mu | (prods == nu)).all(axis=2))
+            off = rows[start + s] != cols[t]
+            s, t = s[off], t[off]
+            # |W| = k by the lemma, so the supports fill an (m, k) array; int32
+            # ids gathered by the masks keep the Kerdock d = 4 peak ~110 MiB below
+            # cutting them out through np.nonzero's int64 positions
+            masks = is_mu[s, t]
+            supports = np.broadcast_to(ids, masks.shape)[masks].reshape(len(s), k)
+            found.append((start + s, t, supports))
+        s, t, supports = (np.concatenate(part) for part in zip(*found))
+        return s, t, supports
+
+    def pairs(self, rows) -> tuple[np.ndarray, np.ndarray]:
+        """The linked pairs (left[t], right[t]) of the sets ``rows`` with
+        every other set, in order: the census's pair scan, which the --jobs
+        pool maps over ranges of rows."""
+        rows = np.asarray(rows, dtype=np.int64)
+        s, t, _ = self.block(rows, np.arange(len(self.ids)))
+        return rows[s], t
 
 
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -273,9 +286,9 @@ def verify_full(full: LinkingSystem) -> bool:
     """Exact check of the transpose-involution identity over all pairs and
     the product identity over all index triples, for a (mu, nu) from
     ``mu_nu_candidates`` (False for any other).  Only the sets D_(i,0) are
-    checked to be difference sets: then so is D_(0,i) = D_(i,0)^(-1), and
-    D_(h,j), the mu-support of D_(h,0) D_(j,0)^(-1), by the lemma in
-    ``_linked_block``."""
+    checked to be difference sets, by one ``PairCheck`` that also checks
+    (mu, nu): then so is D_(0,i) = D_(i,0)^(-1), and D_(h,j), the
+    mu-support of D_(h,0) D_(j,0)^(-1), by the lemma in ``PairCheck``."""
     G = full.group
     ell = full.top_index
     idx = range(ell + 1)
@@ -283,15 +296,14 @@ def verify_full(full: LinkingSystem) -> bool:
     if set(full.entries) != expected:
         raise ValueError("malformed system: wrong index set")
     params = next(iter(full.entries.values())).params
-    if not _is_branch(full.munu, params):
-        return False
     mu, nu = full.munu.as_tuple()
     records = list(full.entries.values())
     if any(rec.params != params or len(rec.elements) != params.k for rec in records):
         return False
     ids = np.array([rec.elements for rec in records], dtype=np.int64).reshape(len(records), params.k)
     keys = np.array(list(full.entries), dtype=np.int64)
-    if not difference_set_mask(G, ids[keys[:, 1] == 0], params).all():
+    check = PairCheck(G, ids[keys[:, 1] == 0])
+    if check.params != params or not check.admits(full.munu):
         return False
     # F[i, j] is the indicator of D_(i,j); the diagonal stays empty
     F = np.zeros((ell + 1, ell + 1, G.order), dtype=np.float32)

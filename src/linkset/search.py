@@ -2,21 +2,17 @@
 and its clique census, and the McFarland/Spence nonexistence sweeps.
 
 All searches are exact.  The heavy inner loop, the products of one set
-against many, runs on ``group_ring.RowProducts``.  Each search checks and
-casts its sets to indicator rows once (``group_ring.indicators``).  Every
-linking decision, in the census (``_linked_pairs``, which both builds the
-linking graph and re-verifies its cliques) and behind the sweeps' sieve, is
-the pair check of ``linking._linked_block`` over a rectangle of left and
-right sets, the same call ``linking.verify_reduced`` makes over all pairs
-of a system: full product rows and one two-valued test (a two-valued pair
-links: the lemma in ``linking._linked_block``).
+against many, runs on ``group_ring.RowProducts``.  Every linking decision,
+in the census (``PairCheck.pairs`` builds the linking graph and
+re-verifies its cliques) and behind the sweeps' sieve, is one
+``linking.PairCheck`` over the sets concerned, as in
+``linking.verify_reduced``: full product rows and one two-valued test.
 
 The census runs on index arrays: the clique listing grows (m, t) arrays
 of vertex indices block by block, each clique carrying the AND row of its
 common neighbourhood (``_clique_indices``), the systems are a view over
-the records and those indices (``CensusSystems``), and the
-cliques are re-verified by one difference-set batch of their members, a
-check of (mu, nu), and one pair scan of the members against each other
+the records and those indices (``CensusSystems``), and the cliques are
+re-verified by one pair check of their members against each other
 (``_reverify_cliques``).
 
 The sweeps build their sets as rows of one array with
@@ -30,7 +26,7 @@ v <= 53).  The sweeps decide their pairs with the projection argument
 of order prime to 3, and a pair whose projected product cannot be
 (mu - nu) W + nu |K| (G/K) with every coefficient of W in [0, |K|] is
 dropped exactly; none survive in the sweeps, and any that did would get
-the pair check of ``linking._linked_block``.
+the pair check (``_sweep_pairs``).
 """
 
 from __future__ import annotations
@@ -43,7 +39,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import group_ring as rg
 from .designs import (
     DifferenceSetRecord,
     DSParams,
@@ -61,7 +56,7 @@ from .groups import (
     is_normal,
     quotient,
 )
-from .linking import MuNu, _distinct_rows, _is_branch, _linked_block, mu_nu_candidates
+from .linking import MuNu, PairCheck, _distinct_rows, mu_nu_candidates
 
 # k-subsets checked per autocorrelation batch by enumerate_difference_sets
 ENUMERATION_CHUNK = 1024
@@ -94,14 +89,13 @@ def enumerate_difference_sets(G: FiniteGroup, k: int) -> list[DifferenceSetRecor
 class LinkingGraph:
     """Vertices are difference sets; (i, j) is an edge iff both ordered
     products are valued in {mu, nu}, which makes their mu-supports
-    difference-set witnesses (the lemma in ``linking._linked_block``)."""
+    difference-set witnesses (the lemma in ``linking.PairCheck``)."""
 
     group: FiniteGroup
     records: tuple[DifferenceSetRecord, ...]
     munu: MuNu
     adjacency: np.ndarray
-    two_valued_pairs: int = 0  # ordered pairs i != j with a product valued in {mu, nu}
-    linked_pairs: int = 0      # the same pairs: each mu-support is a difference set (lemma)
+    linked_pairs: int = 0  # ordered pairs i != j with a product valued in {mu, nu}
 
     @property
     def num_vertices(self) -> int:
@@ -122,57 +116,31 @@ class LinkingGraph:
         return _adjacency_masks(self.adjacency)
 
 
-def _linked_pairs(args) -> tuple[np.ndarray, np.ndarray]:
-    """The census's pair scan of the left rows ``rows`` of the indicator
-    matrix ``members`` against every row (``linking._linked_block``):
-    (left, right), the directed pairs (left[t], right[t]) of distinct rows
-    that link, in order of (i, j).
-
-    It builds the linking graph (``build_linking_graph``, one call per row
-    chunk) and re-verifies its cliques (``_reverify_cliques``, one call over
-    the clique members).  Module level so that the --jobs process pool can
-    run it.
-    """
-    G, members, munu, params, rows = args
-    rows = np.asarray(rows, dtype=np.int64)
-    _, s, t, _ = _linked_block(G, rg.RowProducts(G, members), rows,
-                               np.arange(len(members)), munu, params)
-    return rows[s], t
-
-
 def build_linking_graph(G: FiniteGroup, records, munu: MuNu, jobs: int = 1) -> LinkingGraph:
-    """The linking graph of the records under (mu, nu); ValueError unless
-    every record is a difference set with its stated, common parameters and
-    (mu, nu) is one of their ``mu_nu_candidates`` (the pair check's lemma)."""
+    """The linking graph of the records under (mu, nu); ``PairCheck.bind``
+    raises ValueError, before any worker process exists, unless the records
+    are difference sets with common parameters and (mu, nu) a branch."""
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     records = tuple(records)
     if not records:
         raise ValueError("no vertices")
-    params = records[0].params
-    if any(r.params != params for r in records):
-        raise ValueError("records must share parameters")
+    check = PairCheck(G, np.array([r.elements for r in records], dtype=np.int64)).bind(munu)
     n = len(records)
-    ids = np.array([r.elements for r in records], dtype=np.int64)
-    if not difference_set_mask(G, ids, params).all():
-        raise ValueError("every record must be a difference set with its stated parameters")
-    indicators = rg.indicators(G, ids)
     chunks = _row_chunks(n, jobs)
-    args = [(G, indicators, munu, params, chunk) for chunk in chunks]
     if len(chunks) > 1:
         import concurrent.futures
 
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_linked_pairs, args))
+            results = list(pool.map(check.pairs, chunks))
     else:
-        results = [_linked_pairs(a) for a in args]
+        results = [check.pairs(chunk) for chunk in chunks]
 
     left, right = (np.concatenate(part) for part in zip(*results))
     directed = np.zeros((n, n), dtype=bool)
     directed[left, right] = True
     adjacency = directed & directed.T
-    return LinkingGraph(G, records, munu, adjacency, two_valued_pairs=len(left),
-                        linked_pairs=len(left))
+    return LinkingGraph(G, records, munu, adjacency, linked_pairs=len(left))
 
 
 def _row_chunks(n: int, jobs: int) -> list[range]:
@@ -276,26 +244,22 @@ def _reverify_cliques(graph: LinkingGraph, cliques: np.ndarray) -> int:
     S_i is a difference set with common parameters and every ordered pair
     (i, j) has D_i D_j^(-1) valued in {mu, nu} with a mu-support that is a
     difference set with the same parameters, which for a (mu, nu) from
-    ``mu_nu_candidates`` it always is (the lemma in ``linking._linked_block``).
-    So the m clique members and (mu, nu) are checked once, the linking
-    graph's own pair scan (``_linked_pairs``) runs once over the members
-    against each other, and a clique passes iff all its l(l-1) ordered pairs
-    are among the linked ones.  Only pairs of members are ever asked, so
-    scanning the members alone is exact.
+    ``mu_nu_candidates`` it always is (the lemma in ``linking.PairCheck``).
+    So one ``PairCheck`` over the m clique members runs the linking graph's
+    pair scan once over the members against each other, and a clique
+    passes iff all its l(l-1) ordered pairs are among the linked ones.  Only
+    pairs of members are ever asked, so scanning the members alone is exact.
     """
     if not len(cliques):
         return 0
-    G = graph.group
     present = np.bincount(cliques.ravel(), minlength=graph.num_vertices) > 0
     local = (np.cumsum(present) - 1)[cliques]  # each member's row among the members
-    vertices = graph.ids[present]
-    params = difference_set_params(G, vertices[:1])[0]
-    if (params is None or not _is_branch(graph.munu, params)
-            or not difference_set_mask(G, vertices, params).all()):
-        raise AssertionError("clique failed re-verification")
-    m = len(vertices)
-    left, right = _linked_pairs((G, rg.indicators(G, vertices), graph.munu, params,
-                                 np.arange(m)))
+    try:
+        check = PairCheck(graph.group, graph.ids[present]).bind(graph.munu)
+    except ValueError as exc:
+        raise AssertionError("clique failed re-verification") from exc
+    m = len(check.ids)
+    left, right = check.pairs(np.arange(m))
     linked = np.zeros((m, m), dtype=bool)
     linked[left, right] = True
     asked = np.zeros((m, m), dtype=bool)
@@ -486,19 +450,17 @@ def _projection_sieve(G: FiniteGroup, sets, N: Subgroup,
     return classes, keep
 
 
-def _sweep_pairs(G: FiniteGroup, sets, munu: MuNu, params: DSParams,
-                 N: Subgroup) -> tuple[int, int]:
+def _sweep_pairs(G: FiniteGroup, sets, munu: MuNu, N: Subgroup) -> tuple[int, int]:
     """Decide every ordered pair of the sets (sorted (n, k) id rows) and
     count the linked pairs of distinct sets: the projection sieve on G/N
-    (``_projection_sieve``), then the pair check of
-    ``linking._linked_block`` on each set against the sets it keeps."""
+    (``_projection_sieve``), then one ``linking.PairCheck`` over the sets,
+    each set against the sets it keeps."""
     classes, keep = _projection_sieve(G, sets, N, munu)
     linked = 0
     if keep.any():
-        products = rg.RowProducts(G, rg.indicators(G, sets))
+        check = PairCheck(G, sets).bind(munu)
         for i, a in enumerate(classes.tolist()):
-            right = np.flatnonzero(keep[a, classes])
-            linked += len(_linked_block(G, products, np.array([i]), right, munu, params)[1])
+            linked += len(check.block(np.array([i]), np.flatnonzero(keep[a, classes]))[0])
     return len(sets) ** 2, linked
 
 
@@ -569,7 +531,7 @@ def _sweep_report(G: FiniteGroup, family: str, mode: str, constructed: int,
     verified = int(difference_set_mask(G, distinct, params).sum())
     if verified != len(distinct):
         raise AssertionError("a constructed set failed difference-set verification")
-    tested, linked = _sweep_pairs(G, distinct if mode == "full" else class_reps, munu, params, K)
+    tested, linked = _sweep_pairs(G, distinct if mode == "full" else class_reps, munu, K)
     return SweepReport(G.spec, family, mode, constructed, len(distinct), len(class_reps),
                        tested, linked, munu.as_tuple(), verified_sets=verified,
                        runtime_seconds=time.time() - start, **slot_pairs)
@@ -592,11 +554,9 @@ class CensusResult:
 
     @property
     def counts(self) -> dict[str, int]:
-        """What the census did: the graph's vertices, its two-valued and
-        linked directed pairs, the directed pairs re-verified and the
-        cliques listed."""
+        """What the census did: the graph's vertices, its linked directed
+        pairs, the directed pairs re-verified and the cliques listed."""
         return {"vertices": self.graph.num_vertices,
-                "two_valued_pairs": self.graph.two_valued_pairs,
                 "linked_pairs": self.graph.linked_pairs,
                 "verified_pairs": self.systems.verified_pairs,
                 "cliques": len(self.systems)}

@@ -53,7 +53,7 @@ def _kernel_checks(verbose: bool, failures: list[str]) -> None:
 
 def witness_filter_oracle(G: FiniteGroup, sets, munu: MuNu,
                           params: DSParams) -> tuple[int, int]:
-    """The witness filter that ``linking._linked_block`` leaves out, as an
+    """The witness filter that ``linking.PairCheck`` leaves out, as an
     oracle for the lemma in its docstring: (pairs, rejected), the ordered
     pairs i != j of ``sets`` whose product D_i D_j^(-1) is valued in
     {mu, nu}, and those of them whose mu-support is not a difference set

@@ -47,6 +47,24 @@ def from_anf(arity, monomials):
 QUAD44 = from_anf(4, [(1, 2), (3, 4)])  # x1 x2 + x3 x4
 
 
+def test_from_hex_reads_exactly_what_to_hex_writes():
+    """``from_hex`` inverts ``to_hex`` at every small arity and rejects a
+    table with a byte too many or too few, or a padding bit set past 2^n
+    (arity < 3)."""
+    rng = np.random.default_rng(5)
+    for arity in range(7):
+        f = BooleanFunction(arity, rng.integers(0, 2, 2 ** arity))
+        text = f.to_hex()
+        assert len(text) == 2 * max(1, 2 ** arity // 8)
+        assert BooleanFunction.from_hex(arity, text) == f
+        for wrong in (text + "00", text[2:]):
+            with pytest.raises(ValueError, match="bytes"):
+                BooleanFunction.from_hex(arity, wrong)
+    for arity, text in ((0, "02"), (1, "04"), (2, "f0"), (2, "10")):
+        with pytest.raises(ValueError, match="padding bit"):
+            BooleanFunction.from_hex(arity, text)
+
+
 def test_wht_zero_function():
     w = wht(zero_function(4))
     assert w[0] == 16 and np.all(w[1:] == 0)

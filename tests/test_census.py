@@ -93,10 +93,10 @@ def test_census_systems_view_behaves_as_a_list(z4z4_census):
 
 def test_census_counts():
     result = census_systems(make_abelian([4, 4]), 6, 2)
-    assert result.counts == {"vertices": 192, "two_valued_pairs": 12288, "linked_pairs": 12288,
+    assert result.counts == {"vertices": 192, "linked_pairs": 12288,
                              "verified_pairs": 12288, "cliques": 6144}
     empty = census_systems(make_abelian([8, 2]), 6, 2)
-    assert empty.counts == {"vertices": 192, "two_valued_pairs": 0, "linked_pairs": 0,
+    assert empty.counts == {"vertices": 192, "linked_pairs": 0,
                             "verified_pairs": 0, "cliques": 0}
 
 

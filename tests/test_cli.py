@@ -461,6 +461,43 @@ def test_malformed_dm_ds_and_bent_certificates_fail_verification(tmp_path):
     assert run_capture(["bent", "verify", str(path)])[0] == 0
 
 
+def test_bent_verify_takes_exactly_the_bytes_of_a_table(tmp_path):
+    """A Kerdock d = 1 certificate with "ff" appended to one table fails
+    verification (it was read as its first 2^n bits), and so does a table
+    of arity < 3 with a padding bit set."""
+    path = tmp_path / "bent.json"
+    assert run_capture(["bent", "kerdock", "-d", "1", "--out", str(path)])[0] == 0
+    cert = json.loads(path.read_text())
+    cert["payload"]["tables"][1] += "ff"
+    path.write_text(json.dumps(cert))
+    err = _assert_verification_failed(["bent", "verify", str(path)])
+    assert "is 2 bytes with zero padding bits, got 3" in err
+    path.write_text(json.dumps({"arity": 2, "tables": ["00", "18"]}))
+    assert "padding bit" in _assert_verification_failed(["bent", "verify", str(path)])
+
+
+def test_verify_reads_the_certificate_kind_and_version(tmp_path):
+    """A wrapped certificate verifies only under the command of its kind
+    and at this format version; a bare payload, with no kind or version,
+    is still accepted."""
+    path = tmp_path / "system.json"
+    argv = ["build", "general", "--group", '{"abelian": [4, 4]}', "--out", str(path)]
+    assert run_capture(argv)[0] == 0
+    cert = json.loads(path.read_text())
+    verify = ["link", "verify-reduced", str(path)]
+    assert run_capture(verify)[0] == 0
+    for field, value, says in (("kind", "bent-set", "kind 'bent-set'"),
+                               ("version", "9.9.9", "version '9.9.9'")):
+        path.write_text(json.dumps(cert | {field: value}))
+        assert says in _assert_verification_failed(verify)
+    path.write_text(json.dumps(_without(cert, "version")))
+    assert "version None" in _assert_verification_failed(verify)
+    path.write_text(json.dumps(cert))
+    assert "kind 'linking-system'" in _assert_verification_failed(["bent", "verify", str(path)])
+    path.write_text(json.dumps(cert["payload"]))
+    assert run_capture(verify)[0] == 0
+
+
 def test_verify_builds_its_json_payload_only_for_json_output(monkeypatch, triple_file):
     system_to_json = lio.system_to_json
     calls = []
@@ -475,7 +512,7 @@ def test_verify_builds_its_json_payload_only_for_json_output(monkeypatch, triple
 def test_census_z42_text_reports_its_counts():
     code, out, err = run_capture(["census", "z42", "--jobs", "1"])
     assert code == 0 and err == ""
-    assert ("vertices: 192, two-valued pairs: 12288, linked directed pairs: 12288, "
+    assert ("vertices: 192, linked directed pairs: 12288, "
             "pairs re-verified: 12288, cliques: 65536") in out.splitlines()
     assert "digest: e6b7c55e6a8ee1611257089732beb388db4429ef06e36c7989267e15b6fe496e" in out
 

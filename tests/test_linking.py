@@ -173,9 +173,9 @@ def test_verify_reduced_batched_rejections_z4_4(monkeypatch):
     transform = rg._transform_autocorrelations
     monkeypatch.setattr(rg, "_transform_autocorrelations",
                         lambda G, block: calls.append(len(block)) or transform(G, block))
-    linked_block = linking._linked_block
-    monkeypatch.setattr(linking, "_linked_block",
-                        lambda *args: checks.append(args[2:4]) or linked_block(*args))
+    block = linking.PairCheck.block
+    monkeypatch.setattr(linking.PairCheck, "block",
+                        lambda self, *args: checks.append(args) or block(self, *args))
     system = verify_reduced(G, sets)
     assert system is not None and len(system.witnesses) == 15 * 14
     assert calls == [15] and len({tuple(r) for r in system.witness_ids.tolist()}) == 203
@@ -330,8 +330,10 @@ def test_linked_block_matches_a_per_row_check(monkeypatch):
     assert 0 < len(want) < 10 * 20 - 5
 
     monkeypatch.setattr(linking, "PRODUCT_BLOCK", 3 * 20 * 16)  # blocks of 3 left rows
-    linked, s, t, found = linking._linked_block(G, products, rows, cols, MuNu(1, 3, True), params)
-    assert linked == len(s) == len(want) and found.dtype == np.int32
+    check = linking.PairCheck(G, np.array(sets)).bind(MuNu(1, 3, True))
+    assert check.params == params
+    s, t, found = check.block(rows, cols)
+    assert len(s) == len(want) and found.dtype == np.int32
     assert list(zip(s.tolist(), t.tolist())) == want
     assert [tuple(x) for x in found.tolist()] == [
         tuple(np.flatnonzero(prods[a, b] == 1).tolist()) for a, b in want]
@@ -412,7 +414,7 @@ def test_expand_checks_its_entries_in_count_blocks(monkeypatch):
     """``verify_full`` hands the 31 sets D_(i,0) of its 992 entries (bent
     d = 2, l = 31, v = 64, on the counting route) to the kernel as one id
     array, counted in one block, not one set at a time; the other entries
-    are difference sets by the lemma in ``linking._linked_block``."""
+    are difference sets by the lemma in ``linking.PairCheck``."""
     from linkset import group_ring as rg
     from linkset.bent import bent_linking, kerdock_bent_set
 
@@ -474,7 +476,7 @@ def test_the_witness_filter_never_rejects():
     call it: on every k = 6 census graph of order 16, on build_improved(Z4^4)
     and on bent d = 2, every ordered pair whose product is valued in
     {mu, nu} has a mu-support of k elements that is a difference set with
-    the common parameters (the lemma in ``linking._linked_block``)."""
+    the common parameters (the lemma in ``linking.PairCheck``)."""
     from linkset.selftest import witness_filter_oracle
 
     for G, sets, params, supports in _oracle_cases():
@@ -501,22 +503,100 @@ def test_the_witness_filter_oracle_rejects_supports_that_are_no_difference_sets(
 
 
 def test_the_pair_check_rejects_a_mu_nu_that_is_no_branch():
-    """``_linked_block`` raises ValueError unless (mu, nu) is one of
+    """``PairCheck.bind`` raises ValueError unless (mu, nu) is one of
     ``mu_nu_candidates(params)``: the lemma needs it."""
     import numpy as np
     import pytest
 
-    from linkset import group_ring as rg
-    from linkset.linking import MuNu, _linked_block
+    from linkset.linking import MuNu, PairCheck
 
     G, sets = linked_triple_z4z4()
-    params = DSParams(16, 6, 2, 4)
-    products = rg.RowProducts(G, rg.indicators(G, sets))
+    check = PairCheck(G, sets)
+    assert check.params == DSParams(16, 6, 2, 4)
     everyone = np.arange(3)
     for munu in (MuNu(3, 1, False), MuNu(1, 2, True)):
         with pytest.raises(ValueError, match="branch"):
-            _linked_block(G, products, everyone, everyone, munu, params)
-    assert _linked_block(G, products, everyone, everyone, MuNu(1, 3, True), params)[0] == 6
+            check.bind(munu)
+    assert len(check.bind(MuNu(1, 3, True)).block(everyone, everyone)[0]) == 6
+
+
+def test_binding_checks_the_lemma_before_any_product(monkeypatch):
+    """``PairCheck.bind`` raises ValueError for a (mu, nu) that is no
+    branch, and for sets that are not difference sets with common
+    parameters, before any ``RowProducts`` exists; an unbound check checks
+    no pair."""
+    import numpy as np
+    import pytest
+
+    from linkset import group_ring as rg
+    from linkset.linking import MuNu, PairCheck
+
+    G, sets = linked_triple_z4z4()
+    check = PairCheck(G, sets)
+    everyone = np.arange(3)
+    with pytest.raises(ValueError, match="bind"):
+        check.block(everyone, everyone)
+
+    def no_products(*args):
+        raise AssertionError("RowProducts built")
+
+    monkeypatch.setattr(rg, "RowProducts", no_products)
+    for munu in (MuNu(3, 1, False), MuNu(1, 2, True)):
+        with pytest.raises(ValueError, match="branch"):
+            check.bind(munu)
+    with pytest.raises(ValueError, match="difference sets"):
+        PairCheck(G, sets[:2] + [(0, 1, 2, 3, 4, 5)]).bind(MuNu(1, 3, True))
+    with pytest.raises(AssertionError, match="RowProducts"):  # the patch sees a bind
+        check.bind(MuNu(1, 3, True))
+
+
+def test_pair_check_params_need_every_set():
+    """``PairCheck.params`` is the common DSParams of the batch, and None
+    when one set is no difference set, when one has other parameters (its
+    complement) or other size; malformed ids raise ValueError, in a batch
+    of equal sizes or not."""
+    import numpy as np
+    import pytest
+
+    from linkset.designs import complement, make_record
+    from linkset.linking import PairCheck
+
+    G, sets = linked_triple_z4z4()
+    params = DSParams(16, 6, 2, 4)
+    assert PairCheck(G, sets).params == PairCheck(G, np.array(sets)).params == params
+    other = complement(make_record(G, sets[2])).elements
+    for third in ((0, 1, 2, 3, 4, 5), other, sets[2][:5]):
+        assert PairCheck(G, sets[:2] + [third]).params is None
+    assert PairCheck(G, np.array(sets[:2] + [(0, 1, 2, 3, 4, 5)])).params is None
+    assert PairCheck(G, sets[:0]).params is None
+    # lambda = 0 is the one value two sizes share: a singleton and the empty set
+    assert PairCheck(G, [(0,), (1,)]).params == DSParams(16, 1, 0, 1)
+    assert PairCheck(G, [(0,), ()]).params is None
+    for bad in ((0, 1, 16), (0, 1, 1), (0, 1, 1, 2, 3, 4, 5), (-1, 2)):
+        with pytest.raises(ValueError, match="out of range|repeated"):
+            PairCheck(G, sets[:2] + [bad])
+    with pytest.raises(ValueError, match="repeated"):
+        PairCheck(G, np.array(sets[:2] + [(0, 1, 1, 2, 3, 4)]))
+
+
+def test_verify_reduced_runs_one_autocorrelation_batch(monkeypatch):
+    """``verify_reduced`` checks its sets with one autocorrelation batch,
+    on the counting route (bent d = 2) and on the transform route (the
+    improved system in Z4^4)."""
+    from linkset import group_ring as rg
+    from linkset.bent import bent_linking, kerdock_bent_set
+    from linkset.diffmat import build_improved
+    from linkset.groups import make_abelian
+
+    systems = [bent_linking(kerdock_bent_set(2)), build_improved(make_abelian([4] * 4))]
+    batches = []
+    blocks = rg.autocorrelation_blocks
+    monkeypatch.setattr(rg, "autocorrelation_blocks",
+                        lambda G, sets: batches.append(len(sets)) or blocks(G, sets))
+    for system in systems:
+        batches.clear()
+        assert verify_reduced(system.group, system.sets()) == system
+        assert batches == [system.size]
 
 
 def test_mu_nu_needs_a_positive_n():
@@ -548,6 +628,19 @@ def test_verify_full_rejects_a_mu_nu_that_is_no_branch():
                         full.munu)
     assert verify_full(one)
     assert not verify_full(replace(one, munu=MuNu(nu, mu, not full.munu.upper)))
+
+
+def test_verify_full_checks_the_stated_parameters():
+    """A system whose records all state the parameters of another group
+    order, (31, 6, 1, 5), fails: its sets D_(i,0) are (16, 6, 2, 4)
+    difference sets, and (mu, nu) = (1, 3) is a branch of those."""
+    from dataclasses import replace
+
+    G, sets = linked_triple_z4z4()
+    full = expand(verify_reduced(G, sets))
+    other = DSParams(31, 6, 1, 5)
+    entries = {key: replace(rec, params=other) for key, rec in full.entries.items()}
+    assert verify_full(full) and not verify_full(replace(full, entries=entries))
 
 
 def test_verify_full_checks_the_sets_d_i0():

@@ -119,12 +119,48 @@ def test_jobs_below_one_are_rejected_before_any_work(z4z4, monkeypatch):
     records = enumerate_difference_sets(z4z4, 6)
     munu = mu_nu_candidates(records[0].params)[0]
     monkeypatch.setattr(search, "enumerate_difference_sets", None)
-    monkeypatch.setattr(search, "_linked_pairs", None)
+    monkeypatch.setattr(search, "PairCheck", None)
     for jobs in (0, -3):
         with pytest.raises(ValueError, match="jobs"):
             build_linking_graph(z4z4, records, munu, jobs=jobs)
         with pytest.raises(ValueError, match="jobs"):
             census_systems(z4z4, 6, 2, jobs=jobs)
+
+
+def test_a_mu_nu_that_is_no_branch_is_rejected_before_the_pool(z4z4_census, monkeypatch):
+    """``build_linking_graph`` binds (mu, nu) before it starts the --jobs
+    process pool, so a (mu, nu) that is no branch raises ValueError with no
+    worker process; the patched pool is reached with a branch."""
+    import concurrent.futures
+
+    from linkset.linking import MuNu
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("process pool started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    G, records = z4z4_census.graph.group, z4z4_census.records
+    with pytest.raises(ValueError, match="branch"):
+        build_linking_graph(G, records, MuNu(3, 1, False), jobs=2)
+    with pytest.raises(AssertionError, match="pool"):
+        build_linking_graph(G, records, z4z4_census.graph.munu, jobs=2)
+
+
+def test_the_census_checks_its_sets_with_one_batch_each(z4z4_census, monkeypatch):
+    """``build_linking_graph`` checks its 192 vertices, and the clique
+    re-verification its clique members, with one autocorrelation batch
+    each."""
+    batches = []
+    blocks = rg.autocorrelation_blocks
+    monkeypatch.setattr(rg, "autocorrelation_blocks",
+                        lambda G, sets: batches.append(len(sets)) or blocks(G, sets))
+    graph = z4z4_census.graph
+    build_linking_graph(graph.group, graph.records, graph.munu)
+    assert batches == [192]
+    batches.clear()
+    edges = [(i, int(np.flatnonzero(graph.adjacency[i])[-1])) for i in (0, 5)]
+    assert len(enumerate_systems(_edges_only(graph, edges), 2)) == 2
+    assert batches == [4]
 
 
 def test_translation_invariance(z4z4, z4z4_census):
@@ -304,7 +340,7 @@ def test_sweep_pairs_survivor_path_matches_the_exhaustive_scan():
         classes, keep = _projection_sieve(G, sets, N, munu)
         sizes = np.bincount(classes)
         assert int(sizes @ keep @ sizes) > want  # the full check rejects some survivors
-        assert _sweep_pairs(G, sets, munu, params, N) == (len(sets) ** 2, want)
+        assert _sweep_pairs(G, sets, munu, N) == (len(sets) ** 2, want)
 
 
 def test_sweeps_reject_a_group_without_a_normal_3_complement():
@@ -431,9 +467,9 @@ def test_census_reverifies_with_one_pair_scan(z4z4_census, monkeypatch):
     from linkset import search
 
     calls = []
-    real = search._linked_block
-    monkeypatch.setattr(search, "_linked_block",
-                        lambda *args: calls.append(len(args[2])) or real(*args))
+    real = search.PairCheck.block
+    monkeypatch.setattr(search.PairCheck, "block",
+                        lambda self, rows, cols: calls.append(len(rows)) or real(self, rows, cols))
     systems = enumerate_systems(z4z4_census.graph, 3)
     assert len(systems) == 65536 and systems.verified_pairs == 12288
     assert calls == [192]
@@ -502,10 +538,10 @@ def test_wrong_graph_data_fails_reverification(z4z4_census):
 
 
 def test_pair_verdicts_match_verify_reduced(z4z4_census):
-    """The pair check's verdicts and witnesses (``_linked_block`` over all
+    """The pair check's verdicts and witnesses (``PairCheck.block`` over all
     n x n pairs) equal verify_reduced on the 2-set system: every edge and a
     sample of non-edges, each in both orientations."""
-    from linkset.linking import _linked_block
+    from linkset.linking import PairCheck
 
     graph = z4z4_census.graph
     G, records, n = graph.group, graph.records, graph.num_vertices
@@ -515,10 +551,8 @@ def test_pair_verdicts_match_verify_reduced(z4z4_census):
     non_edges = np.argwhere(~graph.adjacency & upper)
     pairs = np.concatenate([edges, non_edges[rng.choice(len(non_edges), 300, replace=False)]])
     assert len(edges) == 6144
-    products = rg.RowProducts(G, rg.indicators(G, [r.elements for r in records]))
     everyone = np.arange(n)
-    _, s, t, supports = _linked_block(G, products, everyone, everyone, graph.munu,
-                                      records[0].params)
+    s, t, supports = PairCheck(G, graph.ids).bind(graph.munu).block(everyone, everyone)
     found = np.full((n, n), -1)
     found[s, t] = np.arange(len(s))
     for i, j in pairs.tolist():
@@ -546,8 +580,7 @@ def test_two_valued_pairs_match_the_ring_product():
             if support is not None:
                 two_valued += 1
                 directed[i, j] = is_difference_set(G, support) == params
-        assert graph.two_valued_pairs == two_valued > 0
-        assert graph.linked_pairs == int(directed.sum()) > 0
+        assert graph.linked_pairs == two_valued == int(directed.sum()) > 0
         assert np.array_equal(graph.adjacency, directed & directed.T)
 
 
@@ -573,7 +606,7 @@ def _full_scan(G, members, mu, nu):
     ("Z4xZ4", 6, None, 12288), ("Z4xZ2xZ2", 6, None, 36864), ("Z8xZ2", 6, None, 0),
     ("D4xZ2", 6, 70, None), ("Z4xZ4", 1, None, 240)])
 def test_linking_graph_matches_full_products(group, k, sample, two_valued, monkeypatch):
-    """The graph's adjacency, two-valued and linked counts against a full
+    """The graph's adjacency and linked count against a full
     product row per pair (``_full_scan``), one difference-set check per
     mu-support and verify_reduced on sampled pairs: in one product block,
     over two jobs and in blocks of two left rows; and the pair check on a
@@ -606,11 +639,11 @@ def test_linking_graph_matches_full_products(group, k, sample, two_valued, monke
     in_rect = [(i, j, support, ok) for (i, j, support), ok in zip(scan, linked)
                if i < 2 * n // 3 and j >= n // 3]
     want_rect = [(i, j - n // 3, support) for i, j, support, ok in in_rect if ok]
-    products = rg.RowProducts(G, rg.indicators(G, [r.elements for r in records]))
+    ids = np.array([r.elements for r in records])
 
     def check():
-        two_valued, s, t, supports = linking._linked_block(G, products, rows, cols, munu, params)
-        assert two_valued == len(in_rect)
+        s, t, supports = linking.PairCheck(G, ids).bind(munu).block(rows, cols)
+        assert len(s) == len(in_rect)
         assert [(a, b, tuple(c)) for a, b, c in zip(s.tolist(), t.tolist(),
                                                     supports.tolist())] == want_rect
 
@@ -621,7 +654,7 @@ def test_linking_graph_matches_full_products(group, k, sample, two_valued, monke
     check()
     for graph in graphs:
         assert np.array_equal(graph.adjacency, want)
-        assert (graph.two_valued_pairs, graph.linked_pairs) == (len(scan), sum(linked))
+        assert graph.linked_pairs == len(scan) == sum(linked)
 
 
 @pytest.mark.parametrize("block_sets", [None, 7])

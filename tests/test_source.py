@@ -147,19 +147,16 @@ def test_scalar_group_calls_stay_out_of_loops():
     assert _scalar_calls_in_loops(ast.parse("G.mul(a, b)")) == []
 
 
-def _functions_comparing_with(tree: ast.Module, module: str, names: set[str]) -> set[str]:
-    """The functions (``module.f``, ``module.Class.f``; ``module`` for a
-    statement outside any) that compare a value with a name, or an
-    attribute, in ``names``."""
+def _scopes_where(tree: ast.Module, module: str, hit) -> set[str]:
+    """The scopes (``module.f``, ``module.Class.f``; ``module`` for a
+    statement outside any function or class) that hold a node for which
+    ``hit(node)`` is true."""
     found = set()
 
     def visit(node, where: str):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             where = f"{where}.{node.name}"
-        if isinstance(node, ast.Compare) and any(
-                (isinstance(x, ast.Name) and x.id in names)
-                or (isinstance(x, ast.Attribute) and x.attr in names)
-                for x in (node.left, *node.comparators)):
+        if hit(node):
             found.add(where)
         for child in ast.iter_child_nodes(node):
             visit(child, where)
@@ -168,18 +165,89 @@ def _functions_comparing_with(tree: ast.Module, module: str, names: set[str]) ->
     return found
 
 
+def _named(node, names: set[str]) -> bool:
+    """Whether ``node`` is a name, or an attribute, in ``names``."""
+    return ((isinstance(node, ast.Name) and node.id in names)
+            or (isinstance(node, ast.Attribute) and node.attr in names))
+
+
+def _functions_comparing_with(tree: ast.Module, module: str, names: set[str]) -> set[str]:
+    """The scopes that compare a value with a name, or an attribute, in
+    ``names``."""
+    return _scopes_where(tree, module, lambda node: isinstance(node, ast.Compare) and any(
+        _named(x, names) for x in (node.left, *node.comparators)))
+
+
+def _calls_to(tree: ast.Module, module: str, names: set[str]) -> set[str]:
+    """The scopes that call a function named, or an attribute, in ``names``."""
+    return _scopes_where(tree, module,
+                         lambda node: isinstance(node, ast.Call) and _named(node.func, names))
+
+
+def _membership_tests_on_calls_to(tree: ast.Module, module: str, names: set[str]) -> set[str]:
+    """The scopes that test ``x in E`` or ``x not in E`` where E holds a
+    call to a function in ``names``."""
+    def hit(node) -> bool:
+        return (isinstance(node, ast.Compare)
+                and any(isinstance(op, (ast.In, ast.NotIn)) for op in node.ops)
+                and any(isinstance(sub, ast.Call) and _named(sub.func, names)
+                        for x in node.comparators for sub in ast.walk(x)))
+
+    return _scopes_where(tree, module, hit)
+
+
 def test_one_two_valued_test():
     """Whether a product is valued in {mu, nu} is decided in one place, the
-    pair check ``linking._linked_block``, with
+    pair check ``linking.PairCheck.block``, with
     ``group_ring.decompose_two_valued`` as its one-element oracle; no other
     function compares a value with mu or nu."""
     found = set()
     for path in sorted(SRC.glob("*.py")):
         found |= _functions_comparing_with(ast.parse(path.read_text()), path.stem, {"mu", "nu"})
-    assert found == {"linking._linked_block", "group_ring.decompose_two_valued"}
+    assert found == {"linking.PairCheck.block", "group_ring.decompose_two_valued"}
     # the scan sees a comparison on either side, in a nested function, in a
     # method, through an attribute and outside any function, and no arithmetic
     tree = ast.parse("def f(x, mu):\n    def g():\n        return 1 < x == mu\n"
                      "class K:\n    def h(self, c):\n        return self.nu < c\n"
                      "def k(mu):\n    return mu - 1\nmu != 1\n")
     assert _functions_comparing_with(tree, "m", {"mu", "nu"}) == {"m.f.g", "m.K.h", "m"}
+
+
+def test_one_guard_on_the_mu_nu_branch():
+    """Whether (mu, nu) is a branch of ``mu_nu_candidates`` is asked in one
+    place, ``linking.PairCheck.admits``, which every bind of the pair check
+    goes through."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        found |= _membership_tests_on_calls_to(ast.parse(path.read_text()), path.stem,
+                                               {"mu_nu_candidates"})
+    assert found == {"linking.PairCheck.admits"}
+    # the scan sees `in` and `not in`, through a comprehension or an
+    # attribute; iteration and `==` are no membership test
+    tree = ast.parse("def f(m, p):\n    return m in [x for x in mu_nu_candidates(p)]\n"
+                     "class K:\n    def g(self, m, p):\n"
+                     "        return m not in linking.mu_nu_candidates(p)\n"
+                     "def h(p):\n    return [m for m in mu_nu_candidates(p)]\n"
+                     "def i(m, p):\n    return m == mu_nu_candidates(p)\n")
+    assert _membership_tests_on_calls_to(tree, "m", {"mu_nu_candidates"}) == {"m.f", "m.K.g"}
+
+
+def test_sets_are_checked_for_the_pair_check_in_one_place():
+    """In ``linking`` and ``search`` the difference-set batch checks run only
+    in ``PairCheck`` (the first precondition of its lemma), in the sweeps'
+    ``verified_sets`` count and in the enumeration of difference sets."""
+    checks = {"difference_set_mask", "difference_set_params", "_autocorrelation_params",
+              "is_difference_set"}
+    found = set()
+    for name in ("linking", "search"):
+        found |= _calls_to(ast.parse((SRC / f"{name}.py").read_text()), name, checks)
+    assert found == {"linking.PairCheck.__init__", "search._sweep_report",
+                     "search.enumerate_difference_sets"}
+    # the scan sees a call by name, through a module and in a method; an
+    # import or a mention that is not a call is none
+    tree = ast.parse("from d import difference_set_mask\n"
+                     "def f(G, s, p):\n    return difference_set_mask(G, s, p)\n"
+                     "class K:\n    def g(self, G, s):\n"
+                     "        return designs._autocorrelation_params(G, s)\n"
+                     "def h():\n    return difference_set_params\n")
+    assert _calls_to(tree, "m", checks) == {"m.f", "m.K.g"}
