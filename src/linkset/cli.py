@@ -208,20 +208,15 @@ def _cmd_bent_verify(args) -> int:
 
 def _cmd_build(args) -> int:
     if args.family in ("general", "improved") and not args.group:
-        print("error: --group is required for this family", file=sys.stderr)
-        return 2
+        raise ValueError("--group is required for this family")
     if args.family in ("tyken", "nonrev") and args.d is None:
-        print("error: -d is required for this family", file=sys.stderr)
-        return 2
+        raise ValueError("-d is required for this family")
     if args.family == "tyken" and not args.group:
-        print("error: --group (the abelian factor K) is required for tyken", file=sys.stderr)
-        return 2
+        raise ValueError("--group (the abelian factor K) is required for tyken")
     if args.family in ("general", "improved") and args.d is not None:
-        print("error: -d does not apply to this family", file=sys.stderr)
-        return 2
+        raise ValueError("-d does not apply to this family")
     if args.family == "nonrev" and args.group is not None:
-        print("error: --group does not apply to nonrev", file=sys.stderr)
-        return 2
+        raise ValueError("--group does not apply to nonrev")
     if args.family == "general":
         system = build_general(_parse_group(args.group))
     elif args.family == "improved":
@@ -259,13 +254,14 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_nonexist(args) -> int:
+    if args.target != "z8z2" and args.jobs is not None:
+        raise ValueError(f"nonexist {args.target} takes no --jobs")
     jobs = _jobs(args)
     mode = args.mode
     reports = []
     if args.target == "z8z2":
         if args.group is not None or mode == "full":
-            print("error: nonexist z8z2 takes neither --group nor --full", file=sys.stderr)
-            return 2
+            raise ValueError("nonexist z8z2 takes neither --group nor --full")
         start = time.time()
         G = make_abelian([8, 2])
         result = census_systems(G, 6, 2, jobs=jobs)
@@ -375,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("nonexist", help="nonexistence sweeps (exit 1 = confirmed empty)")
     p.add_argument("target", choices=["z8z2", "mcfarland-q3", "spence-d1"])
     p.add_argument("--group")
-    p.add_argument("--jobs", help="census worker processes (default: LINKSET_JOBS or 1)")
+    p.add_argument("--jobs", help="z8z2 census worker processes (default: LINKSET_JOBS or 1)")
     grp = p.add_mutually_exclusive_group()
     grp.add_argument("--full", dest="mode", action="store_const", const="full")
     grp.add_argument("--pruned", dest="mode", action="store_const", const="pruned")

@@ -504,16 +504,14 @@ def linked_from_dm(G: FiniteGroup, E: Subgroup, bmat, lifts=None,
     return system
 
 
-def witness_direct(G: FiniteGroup, family: HyperplaneFamily, f_reps, g_reps,
-                   check: bool = True) -> tuple[int, ...]:
+def witness_direct(G: FiniteGroup, family: HyperplaneFamily, f_reps, g_reps) -> tuple[int, ...]:
     """The witness D = sum_i f_i g_i^(-1) (E - H_i) of the direct formula.
 
-    With ``check`` on (the default), {f_i}, {g_i}, {f_i g_i^(-1)} must each
-    occupy s distinct cosets of E and the implied index-0 cosets must close
-    up, so all three extend to full transversals; outside those conditions
-    the formula's output is not a linking witness (pass check=False to
-    evaluate it anyway, e.g. at f = g where the product has identity
-    coefficient k rather than a two-valued shape).
+    {f_i}, {g_i}, {f_i g_i^(-1)} must each occupy s distinct cosets of E and
+    the implied index-0 cosets must close up, so all three extend to full
+    transversals; outside those conditions the formula's output is not a
+    linking witness (at f = g the product has identity coefficient k rather
+    than a two-valued shape), and ValueError is raised.
     """
     E = family.subgroup
     s = family.count
@@ -523,16 +521,15 @@ def witness_direct(G: FiniteGroup, family: HyperplaneFamily, f_reps, g_reps,
         raise ValueError(f"expected {s} representatives per side")
     coset, coset_min = _cosets(G, E)
     prods = G.table[f, G.inv_table[g]].tolist()
-    if check:
-        missing = []
-        for seq in (f, g, prods):
-            ids = [int(coset[x]) for x in seq]
-            if len(set(ids)) != s:
-                raise ValueError("representatives do not occupy distinct cosets")
-            missing.append((set(range(s + 1)) - set(ids)).pop())
-        f0, g0 = coset_min[missing[0]], coset_min[missing[1]]
-        if int(coset[G.table[f0, G.inv_table[g0]]]) != missing[2]:
-            raise ValueError("transversal condition violated at the omitted coset")
+    missing = []
+    for seq in (f, g, prods):
+        ids = [int(coset[x]) for x in seq]
+        if len(set(ids)) != s:
+            raise ValueError("representatives do not occupy distinct cosets")
+        missing.append((set(range(s + 1)) - set(ids)).pop())
+    f0, g0 = coset_min[missing[0]], coset_min[missing[1]]
+    if int(coset[G.table[f0, G.inv_table[g0]]]) != missing[2]:
+        raise ValueError("transversal condition violated at the omitted coset")
     elems = np.array(E.elements)
     parts = [elems[~np.isin(elems, H.elements)] for H in family.members]
     return tuple(_coset_unions(G, [prods], parts)[0].tolist())

@@ -433,8 +433,8 @@ def autocorrelation_blocks(G: FiniteGroup, sets):
 
     On the transform route a block is at most NTT_ROWS entries of sets
     (``_transform_autocorrelations``); otherwise the sets are counted
-    (``_count_autocorrelations``), an id array in blocks of COUNT_BLOCK
-    quotients, a list of sets one set at a time.
+    (``_count_autocorrelations``), sets of one size in blocks of COUNT_BLOCK
+    quotients, a list of sets of several sizes one set at a time.
     """
     ids = _subset_rows(G, sets)
     if _transform(G) is not None:
@@ -482,14 +482,15 @@ def _count_autocorrelations(G: FiniteGroup, sets) -> np.ndarray:
 
 def _subset_rows(G: FiniteGroup, sets):
     """The checked ids of each subset: one (n, k) int64 array when ``sets``
-    is one, else a list of ``_subset_ids`` arrays."""
+    is one or holds sets of one size k, else a list of ``_subset_ids`` arrays."""
     if isinstance(sets, np.ndarray) and sets.ndim == 2:
         arr = _check_range(G, sets.astype(np.int64, copy=False))
         ordered = np.sort(arr, axis=1)
         if (ordered[:, 1:] == ordered[:, :-1]).any():
             raise ValueError("subset contains a repeated element")
         return arr
-    return [_subset_ids(G, S) for S in sets]
+    rows = [_subset_ids(G, S) for S in sets]
+    return np.stack(rows) if rows and len({len(S) for S in rows}) == 1 else rows
 
 
 def _subset_ids(G: FiniteGroup, S) -> np.ndarray:

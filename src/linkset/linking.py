@@ -6,8 +6,9 @@ of difference sets with common parameters, bound to a (mu, nu) branch, it
 computes the full product rows X Y^(-1) of a rectangle of left and right
 sets in blocks and keeps the pairs valued in {mu, nu}: those are the
 linked pairs (the lemma in its docstring).  ``verify_reduced`` checks all
-sets against all sets under each branch; the census and the sweeps
-(``search``) check their own batches.
+sets against all sets under each branch, ``verify_full`` the sets D_(i,0)
+(the theorem in its docstring); the census and the sweeps (``search``)
+check their own batches.  Nothing else here makes products.
 """
 
 from __future__ import annotations
@@ -262,8 +263,7 @@ def expand(reduced: ReducedLinkingSystem) -> LinkingSystem:
     for i, (rec, inv_set) in enumerate(zip(reduced.records, inverses), start=1):
         entries[(i, 0)] = rec
         entries[(0, i)] = DifferenceSetRecord._of_sorted(G, tuple(inv_set), rec.params)
-    for (i, j), w in reduced.witnesses.items():
-        entries[(i, j)] = w
+    entries.update(reduced.witnesses)
     full = LinkingSystem(G, entries, reduced.munu)
     if not verify_full(full):
         raise ValueError("expanded system failed full verification")
@@ -283,45 +283,48 @@ def reduce_system(full: LinkingSystem) -> ReducedLinkingSystem:
 
 
 def verify_full(full: LinkingSystem) -> bool:
-    """Exact check of the transpose-involution identity over all pairs and
-    the product identity over all index triples, for a (mu, nu) from
-    ``mu_nu_candidates`` (False for any other).  Only the sets D_(i,0) are
-    checked to be difference sets, by one ``PairCheck`` that also checks
-    (mu, nu): then so is D_(0,i) = D_(i,0)^(-1), and D_(h,j), the
-    mu-support of D_(h,0) D_(j,0)^(-1), by the lemma in ``PairCheck``."""
-    G = full.group
-    ell = full.top_index
+    """Whether ``full`` is a linking system: entries that state one set of
+    parameters, (mu, nu) a branch, D_(h,i) D_(i,j) = (mu - nu) D_(h,j) + nu G
+    for distinct h, i, j, and D_(i,j) = D_(j,i)^(-1).  By the theorem below,
+    one ``PairCheck`` over the sets D_(i,0) and a comparison decide it.
+
+    Theorem.  Let D_1..D_l be (v, k, lambda) difference sets and (mu, nu) a
+    branch.  The entries with D_(i,0) = D_i form a full system iff all pairs
+    link, D_(0,i) = D_i^(-1) and D_(i,j) = W_ij, the mu-support of D_i D_j^(-1).
+
+    Proof.  Let a = mu - nu, so a^2 = n and nu v = k(k - a) (``mu_nu_candidates``).
+    lambda (v - 1) = k(k - 1) gives k^2 - k + lambda = lambda v, so nu (k + a)
+    = k(k^2 - n)/v = k lambda.  Let all pairs link, a W_ij = D_i D_j^(-1) - nu G,
+    and use D^(-1) D = n + lambda G (the lemma in ``PairCheck``).  Through
+    the middle index 0 the identity is the definition of W_ij.  For h = 0,
+    a D_i^(-1) W_ij = n D_j^(-1) + k(lambda - nu) G, and k(lambda - nu) = a nu;
+    j = 0 is the same algebra: a W_hi D_i = n D_h + k(lambda - nu) G.  For h,
+    i, j >= 1, n W_hi W_ij = n D_h D_j^(-1) + (lambda k^2 - 2 nu k^2 + nu^2 v) G,
+    and the bracket is k(k lambda - nu (k + a)) = 0.  W_ji = W_ij^(-1), the
+    mu-support of (D_i D_j^(-1))^(-1): the transpose identity.  Conversely,
+    the identity through 0 with D_(0,j) = D_(j,0)^(-1) makes D_h D_j^(-1)
+    = a D_(h,j) + nu G, two-valued with mu-support D_(h,j).
+    """
+    G, ell = full.group, full.top_index
     idx = range(ell + 1)
-    expected = {(i, j) for i in idx for j in idx if i != j}
-    if set(full.entries) != expected:
+    if set(full.entries) != {(i, j) for i in idx for j in idx if i != j}:
         raise ValueError("malformed system: wrong index set")
     params = next(iter(full.entries.values())).params
-    mu, nu = full.munu.as_tuple()
     records = list(full.entries.values())
     if any(rec.params != params or len(rec.elements) != params.k for rec in records):
         return False
-    ids = np.array([rec.elements for rec in records], dtype=np.int64).reshape(len(records), params.k)
-    keys = np.array(list(full.entries), dtype=np.int64)
-    check = PairCheck(G, ids[keys[:, 1] == 0])
+    sets = np.array([full.entries[(i, 0)].elements for i in idx[1:]], dtype=np.int64)
+    check = PairCheck(G, sets)
     if check.params != params or not check.admits(full.munu):
         return False
-    # F[i, j] is the indicator of D_(i,j); the diagonal stays empty
-    F = np.zeros((ell + 1, ell + 1, G.order), dtype=np.float32)
-    F[keys[:, :1], keys[:, 1:], ids] = 1
-    # D_(i,j) = D_(j,i)^(-1): the coefficient of g on the right is D_(j,i)[g^-1]
-    if not np.array_equal(F, F.transpose(1, 0, 2)[:, :, G.inv_table]):
+    s, _, supports = check.bind(full.munu).block(np.arange(ell), np.arange(ell))
+    if len(s) != ell * (ell - 1):
         return False
-    # so D_(h,i) D_(i,j) = D_(h,i) D_(j,i)^(-1), and the products among the
-    # rows D_(h,i) give every product through the middle index i
-    diag = np.arange(ell)
-    for i in idx:
-        others = [h for h in idx if h != i]
-        prods = rg.RowProducts(G, F[others, i])(diag, diag)
-        want = (mu - nu) * F[np.ix_(others, others)] + nu
-        want[diag, diag] = prods[diag, diag]  # h = j is not a triple
-        if not np.array_equal(prods, want):
-            return False
-    return True
+    # the D_(0,i), then the D_(i,j) in block's pair order (1,2), (1,3), ..., (l,l-1)
+    stated = np.array([full.entries[(h, j)].elements for h in idx for j in idx[1:] if h != j],
+                      dtype=np.int32)
+    return (np.array_equal(stated[:ell], np.sort(G.inv_table[sets], axis=1))
+            and np.array_equal(stated[ell:], supports))
 
 
 def reversibility_profile(reduced: ReducedLinkingSystem) -> tuple[bool, ...]:

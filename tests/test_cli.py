@@ -539,6 +539,20 @@ def test_linkset_jobs_only_defaults_the_jobs_flag(monkeypatch):
     assert code == 1 and "size-2 systems: 0" in out
 
 
+@pytest.mark.parametrize("target", ["mcfarland-q3", "spence-d1"])
+@pytest.mark.parametrize("jobs", ["1", "4"])
+def test_sweep_targets_reject_jobs(monkeypatch, target, jobs):
+    """The sweeps run in one process, so ``--jobs`` on them is a usage
+    error before any work, as ``--group`` and ``--full`` are on z8z2."""
+    from linkset import cli
+
+    monkeypatch.setattr(cli, "mcfarland_pair_sweep", None)  # no work may start
+    monkeypatch.setattr(cli, "spence_pair_sweep", None)
+    code, out, err = run_capture(["nonexist", target, "--jobs", jobs])
+    assert code == 2 and out == ""
+    assert err == f"error: nonexist {target} takes no --jobs\n"
+
+
 @pytest.fixture(scope="module")
 def general_z42_certificate(tmp_path_factory):
     path = tmp_path_factory.mktemp("general") / "cert.json"

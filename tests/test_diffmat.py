@@ -386,15 +386,11 @@ def test_witness_direct_matches_decomposition():
 
 def test_witness_direct_degenerate():
     G, _ = linked_triple_z4z4()
-    E, family, _, _ = triple_dm_data(G)
+    _, family, _, _ = triple_dm_data(G)
     f = [G.element("x1"), G.element("x2"), G.element("x1*x2")]
     with pytest.raises(ValueError):
         witness_direct(G, family, f, f)  # products all land in E
-    raw = witness_direct(G, family, f, f, check=False)
-    counts = Counter(raw)
-    nonidentity = [a for a in E.elements if a != 0]
-    assert counts == Counter({a: 2 for a in nonidentity})
-    # and the corresponding product D1 D1^(-1) has identity coefficient k
+    # the corresponding product D1 D1^(-1) has identity coefficient k
     d1 = rg.from_subset(G, linked_triple_z4z4()[1][0])
     assert rg.mul(d1, rg.involution(d1)).coeffs[0] == 6
 

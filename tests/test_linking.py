@@ -656,3 +656,146 @@ def test_verify_full_checks_the_sets_d_i0():
         D = DifferenceSetRecord(G, elements, system.params)
         inverse = DifferenceSetRecord(G, tuple(G.inv(a) for a in D.elements), D.params)
         assert verify_full(LinkingSystem(G, {(1, 0): D, (0, 1): inverse}, system.munu)) == ok
+
+
+def _dense_verify_full(full) -> bool:
+    """``verify_full`` as it was before it became one pair check, kept as
+    its oracle: the same index-set, parameter and (mu, nu) checks, then the
+    entries scattered into a dense (l+1, l+1, v) array F, the transpose
+    identity on F, and for each middle index i the products D_(h,i)
+    D_(j,i)^(-1) = D_(h,i) D_(i,j) compared with (mu - nu) D_(h,j) + nu G."""
+    import numpy as np
+
+    from linkset import group_ring as rg
+    from linkset.designs import difference_set_params
+
+    G, ell = full.group, full.top_index
+    idx = range(ell + 1)
+    if set(full.entries) != {(i, j) for i in idx for j in idx if i != j}:
+        raise ValueError("malformed system: wrong index set")
+    params = next(iter(full.entries.values())).params
+    mu, nu = full.munu.as_tuple()
+    if any(rec.params != params or len(rec.elements) != params.k
+           for rec in full.entries.values()):
+        return False
+    firsts = [full.entries[(i, 0)].elements for i in range(1, ell + 1)]
+    if (any(p != params for p in difference_set_params(G, firsts))
+            or (mu, nu) not in [m.as_tuple() for m in mu_nu_candidates(params)]):
+        return False
+    F = np.zeros((ell + 1, ell + 1, G.order), dtype=np.float32)
+    for (i, j), rec in full.entries.items():
+        F[i, j, list(rec.elements)] = 1
+    if not np.array_equal(F, F.transpose(1, 0, 2)[:, :, G.inv_table]):
+        return False
+    diag = np.arange(ell)
+    for i in idx:
+        others = [h for h in idx if h != i]
+        prods = rg.pair_products(G, F[others, i], F[others, i])
+        want = (mu - nu) * F[np.ix_(others, others)] + nu
+        want[diag, diag] = prods[diag, diag]  # h = j is not a triple
+        if not np.array_equal(prods, want):
+            return False
+    return True
+
+
+def _mutations(full, rng, count):
+    """``count`` mutated copies of a full system, each by one of six moves:
+    one element swapped, an entry translated on the left, the same with its
+    transpose moved along, two entries exchanged, one row D_(m,j) translated
+    on the right, and row m translated on the left by g with column m on the
+    right by g^(-1) (which keeps a system valid in any group)."""
+    from linkset.designs import DifferenceSetRecord
+    from linkset.linking import LinkingSystem
+
+    G = full.group
+    keys = sorted(full.entries)
+
+    def moved(key, left, right):
+        rec = full.entries[key]
+        ids = G.table[G.table[left, list(rec.elements)], right].tolist()
+        return DifferenceSetRecord(G, tuple(ids), rec.params)
+
+    out = []
+    for _ in range(count):
+        entries = dict(full.entries)
+        key = rng.choice(keys)
+        i, j = key
+        g = rng.randrange(1, G.order)
+        kind = rng.randrange(6)
+        if kind == 0:
+            rec = entries[key]
+            entries[key] = DifferenceSetRecord(G, _swap_one(G, rec.elements, rng), rec.params)
+        elif kind in (1, 2):
+            entries[key] = moved(key, g, 0)
+            if kind == 2:
+                entries[(j, i)] = moved((j, i), 0, G.inv(g))
+        elif kind == 3:
+            other = rng.choice([x for x in keys if x != key])
+            entries[key], entries[other] = entries[other], entries[key]
+        else:
+            for x in (x for x in keys if x[0] == i):
+                entries[x] = moved(x, 0 if kind == 4 else g, g if kind == 4 else 0)
+            for x in (x for x in keys if x[1] == i and kind == 5):
+                entries[x] = moved(x, 0, G.inv(g))
+        out.append(LinkingSystem(G, entries, full.munu))
+    return out
+
+
+def test_verify_full_agrees_with_the_dense_identity_check():
+    """``verify_full`` (one pair check over the sets D_(i,0) and a
+    comparison of the other entries) gives the dense check's verdict on
+    expanded systems in abelian and nonabelian groups, on both kernel
+    routes, on their l = 1 subsystems, with (mu, nu) swapped, and on 100
+    mutants of each, valid and invalid ones."""
+    from dataclasses import replace
+
+    from linkset.bent import bent_linking, kerdock_bent_set
+    from linkset.diffmat import build_improved, build_nonreversible, build_tyken
+    from linkset.groups import make_abelian
+    from linkset.linking import LinkingSystem, MuNu
+
+    G, sets = linked_triple_z4z4()
+    systems = [expand(reduced) for reduced in (
+        verify_reduced(G, sets), bent_linking(kerdock_bent_set(2)),
+        build_tyken(1, make_abelian([2])), build_tyken(2, make_abelian([2, 2, 2])),
+        build_improved(make_abelian([4] * 4)), build_nonreversible(2))]
+    assert [full.top_index for full in systems] == [3, 31, 3, 7, 15, 7]
+    corpus = []
+    for full in systems:
+        mu, nu = full.munu.as_tuple()
+        ones = [LinkingSystem(full.group, {(1, 0): full.entries[(m, 0)],
+                                           (0, 1): full.entries[(0, m)]}, full.munu)
+                for m in (1, full.top_index)]
+        for system in [full] + ones:
+            corpus += [system, replace(system, munu=MuNu(nu, mu, not full.munu.upper))]
+        rng = random.Random(full.top_index * full.group.order)
+        for system in (full, ones[0]):
+            corpus += _mutations(system, rng, 100)
+    verdicts = [_dense_verify_full(system) for system in corpus]
+    disagree = [n for n, (system, ok) in enumerate(zip(corpus, verdicts))
+                if verify_full(system) != ok]
+    assert len(corpus) == 1236 and disagree == []
+    assert 100 < sum(verdicts) < len(corpus) - 100  # valid and invalid systems alike
+
+
+def test_verify_reduced_counts_a_list_of_sets_at_once(monkeypatch):
+    """A list of sets of one size (the 31 bent d = 2 sets, v = 64, on the
+    counting route) is checked as one (n, k) id array: one count of all 31
+    sets.  A list of sets of several sizes is counted one set at a time and
+    has no common parameters."""
+    from linkset import group_ring as rg
+    from linkset.bent import bent_linking, kerdock_bent_set
+    from linkset.linking import PairCheck
+
+    system = bent_linking(kerdock_bent_set(2))
+    G, sets = system.group, [list(S) for S in system.sets()]
+    assert rg._transform(G) is None
+    calls = []
+    count = rg._count_autocorrelations
+    monkeypatch.setattr(rg, "_count_autocorrelations",
+                        lambda G, sets: calls.append(len(sets)) or count(G, sets))
+    assert verify_reduced(G, sets) == system
+    assert calls == [31]
+    calls.clear()
+    assert PairCheck(G, sets[:2] + [sets[2][:-1]]).params is None
+    assert calls == [1, 1, 1]

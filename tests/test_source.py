@@ -251,3 +251,22 @@ def test_sets_are_checked_for_the_pair_check_in_one_place():
                      "        return designs._autocorrelation_params(G, s)\n"
                      "def h():\n    return difference_set_params\n")
     assert _calls_to(tree, "m", checks) == {"m.f", "m.K.g"}
+
+
+def test_one_product_path():
+    """Products of sets are made through ``group_ring.RowProducts``, which
+    is built only by the pair check's ``linking.PairCheck.bind`` and by the
+    public ``group_ring.pair_products``: ``verify_full`` and every other
+    caller makes no products of its own."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        found |= _calls_to(ast.parse(path.read_text()), path.stem, {"RowProducts"})
+    assert found == {"linking.PairCheck.bind", "group_ring.pair_products"}
+    # the scan sees a construction by name, through a module and in a
+    # method; an annotation, a mention or a class definition is none
+    tree = ast.parse("class RowProducts:\n    pass\n"
+                     "def f(G, rows):\n    return RowProducts(G, rows)(a, b)\n"
+                     "class K:\n    def g(self, G, rows):\n"
+                     "        self.p: rg.RowProducts = rg.RowProducts(G, rows)\n"
+                     "def h() -> rg.RowProducts:\n    return rg.RowProducts\n")
+    assert _calls_to(tree, "m", {"RowProducts"}) == {"m.f", "m.K.g"}
