@@ -11,6 +11,7 @@ improved``).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -64,8 +65,12 @@ def _emit(args, payload, text_lines: list[str]) -> None:
 
 
 def _load_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    """The JSON document in the file at ``path``, which must be UTF-8: its
+    bytes are decoded as such (a UnicodeDecodeError is a ValueError, so a
+    usage error) before ``json.loads``, which would take UTF-16 or UTF-32
+    bytes as well.  The bytes are dropped as soon as the text exists."""
+    with open(path, "rb") as fh:
+        return json.loads(fh.read().decode("utf-8"))
 
 
 def _payload_of(obj, kind: str):
@@ -383,10 +388,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built on the first ``run`` of the process and
+    reused: parsing keeps no state in the parser, and each ``parse_args``
+    returns a fresh namespace."""
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -66,7 +66,7 @@ def difference_set_params(G: FiniteGroup, sets) -> list:
     """is_difference_set for each of many sets, from one autocorrelation
     batch (``_autocorrelation_params``)."""
     v = G.order
-    k, lam = _autocorrelation_params(G, sets)
+    k, lam = _autocorrelation_params(G, rg._subset_rows(G, sets))
     return [DSParams(v, a, b, a - b) if b >= 0 else None
             for a, b in zip(k.tolist(), lam.tolist())]
 
@@ -74,13 +74,14 @@ def difference_set_params(G: FiniteGroup, sets) -> list:
 def difference_set_mask(G: FiniteGroup, sets, params: DSParams) -> np.ndarray:
     """Whether each set is a difference set with parameters ``params``: a
     bool array, from one autocorrelation batch and no per-set objects."""
-    k, lam = _autocorrelation_params(G, sets)
+    k, lam = _autocorrelation_params(G, rg._subset_rows(G, sets))
     return (k == params.k) & (lam == params.lam) & (G.order == params.v)
 
 
-def _autocorrelation_params(G: FiniteGroup, sets) -> tuple[np.ndarray, np.ndarray]:
-    """(k, lambda) of each set as int64 arrays, lambda -1 where the set is
-    no difference set.
+def _autocorrelation_params(G: FiniteGroup, ids) -> tuple[np.ndarray, np.ndarray]:
+    """(k, lambda) of each set of checked ids (as ``group_ring._subset_rows``
+    returns them) as int64 arrays, lambda -1 where the set is no difference
+    set.
 
     S S^(-1) has coefficient k = |S| at the identity, so S is a difference
     set iff the product is constant (lambda) off the identity.  Each block
@@ -88,7 +89,7 @@ def _autocorrelation_params(G: FiniteGroup, sets) -> tuple[np.ndarray, np.ndarra
     so the whole (n, v) array never exists.
     """
     ks, lams = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    for _, prods in rg.autocorrelation_blocks(G, sets):
+    for _, prods in rg.autocorrelation_blocks(G, ids):
         lam = prods[:, 1:2].sum(axis=1)  # 0 in the trivial group
         constant = (prods[:, 1:] == prods[:, 1:2]).all(axis=1)
         ks.append(prods[:, 0])

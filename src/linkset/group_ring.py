@@ -422,21 +422,21 @@ def autocorrelations(G: FiniteGroup, sets) -> np.ndarray:
     (n, k) array of id rows.
     """
     out = np.empty((len(sets), G.order), dtype=np.int64)
-    for start, block in autocorrelation_blocks(G, sets):
+    for start, block in autocorrelation_blocks(G, _subset_rows(G, sets)):
         out[start:start + len(block)] = block
     return out
 
 
-def autocorrelation_blocks(G: FiniteGroup, sets):
-    """``autocorrelations`` a block of sets at a time: yields (start, the
-    block's rows), so a caller can reduce each block as it comes out.
+def autocorrelation_blocks(G: FiniteGroup, ids):
+    """``autocorrelations`` a block of sets at a time, on the checked ids
+    that ``_subset_rows`` returns: yields (start, the block's rows), so a
+    caller can reduce each block as it comes out.
 
     On the transform route a block is at most NTT_ROWS entries of sets
     (``_transform_autocorrelations``); otherwise the sets are counted
     (``_count_autocorrelations``), sets of one size in blocks of COUNT_BLOCK
     quotients, a list of sets of several sizes one set at a time.
     """
-    ids = _subset_rows(G, sets)
     if _transform(G) is not None:
         step = max(1, NTT_ROWS // G.order)
         for start in range(0, len(ids), step):

@@ -41,7 +41,9 @@ class FiniteGroup:
         self.generators = list(generators)
         self.spec = spec
         self.cyclic_factors = cyclic_factors
-        self.inv_table = _invert_table(self.table)
+        # the inverse of a is the position of id 0 in row a; ``_validate``
+        # rejects a row that is not a permutation, so that position is unique
+        self.inv_table = self.table.argmin(axis=1).astype(np.int32)
         self.abelian = bool(np.array_equal(self.table, self.table.T))
         self._name_to_id = {n: i for i, n in enumerate(self.names)}
         self._validate()
@@ -54,17 +56,18 @@ class FiniteGroup:
         if not np.array_equal(self.table[:, 0], ids):
             raise ValueError("id 0 is not a right identity")
         # cancellation: each row and each column is a permutation, that is,
-        # its v entries lie in 0..v-1 and mark all v values
+        # its v entries lie in 0..v-1 and mark all v values; the marks go
+        # into one flat v*v mask at int64 positions, which index it directly
         if self.table.min() < 0 or self.table.max() >= v:
             raise ValueError("a table row is not a permutation")
-        seen = np.zeros((v, v), dtype=bool)
-        seen[ids[:, None], self.table] = True
+        seen = np.zeros(v * v, dtype=bool)
+        seen[self.table + (ids * v)[:, None]] = True  # row a marks a*v + table[a, b]
         if not seen.all():
             raise ValueError("a table row is not a permutation")
         if self.abelian:
             return  # the columns are the rows
         seen[:] = False
-        seen[self.table, ids] = True
+        seen[ids + self.table * v] = True  # column b marks table[a, b]*v + b
         if not seen.all():
             raise ValueError("a table column is not a permutation")
 
@@ -212,14 +215,6 @@ def _check_table_order(v: int) -> None:
     """Reject an order past MAX_TABLE_ORDER before its v x v table exists."""
     if v > MAX_TABLE_ORDER:
         raise ValueError(f"group order {v} exceeds table limit {MAX_TABLE_ORDER}")
-
-
-def _invert_table(table: np.ndarray) -> np.ndarray:
-    v = table.shape[0]
-    inv = np.empty(v, dtype=np.int32)
-    rows, cols = np.nonzero(table == 0)
-    inv[rows] = cols
-    return inv
 
 
 # -- constructors -------------------------------------------------------------

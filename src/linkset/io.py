@@ -66,6 +66,17 @@ def _list_of(value, what: str) -> list:
     return value
 
 
+def _params_field(obj) -> list:
+    """``obj``'s "params": ValueError unless it is a list of four ints
+    (``type(x) is int``: no true, no 16.0), which the caller compares with
+    the recomputed parameters."""
+    params = _field(obj, "params")
+    if not (isinstance(params, list) and len(params) == 4
+            and all(type(x) is int for x in params)):
+        raise ValueError("params must be a list of four integers")
+    return params
+
+
 def record_to_json(record: DifferenceSetRecord) -> dict:
     return {
         "group": record.group.spec,
@@ -75,12 +86,15 @@ def record_to_json(record: DifferenceSetRecord) -> dict:
 
 
 def record_from_json(obj: dict) -> DifferenceSetRecord:
+    """The re-verified record of a payload: ValueError unless the set is a
+    difference set and params are four ints equal to its recomputed ones."""
     G = group_from_spec(_field(obj, "group"))
     elems = names_to_set(G, _strings(_field(obj, "set"), "set"))
+    stated = _params_field(obj)
     params = is_difference_set(G, elems)
     if params is None:
         raise ValueError("serialized set is not a difference set")
-    if "params" in obj and list(params.as_tuple()) != obj["params"]:
+    if stated != list(params.as_tuple()):
         raise ValueError("serialized parameters disagree with the verified ones")
     return DifferenceSetRecord(G, elems, params)
 
@@ -106,10 +120,7 @@ def system_from_json(obj: dict) -> ReducedLinkingSystem:
     params, mu and nu are ints (``type(x) is int``: no true, no 3.0) equal to
     the recomputed ones, and every witness given equals the recomputed one."""
     G = group_from_spec(_field(obj, "group"))
-    params = _field(obj, "params")
-    if not (isinstance(params, list) and len(params) == 4
-            and all(type(x) is int for x in params)):
-        raise ValueError("params must be a list of four integers")
+    params = _params_field(obj)
     munu = (_field(obj, "mu"), _field(obj, "nu"))
     if any(type(x) is not int for x in munu):
         raise ValueError("mu and nu must be integers")
@@ -153,10 +164,13 @@ def dm_to_json(M: DifferenceMatrix) -> dict:
 
 
 def dm_from_json(obj: dict) -> DifferenceMatrix:
+    """The re-verified matrix of a payload: ValueError unless lambda, which
+    ``dm_to_json`` always writes, is an int and the rows are a difference
+    matrix for it."""
     G = group_from_spec(_field(obj, "group"))
     rows = tuple(tuple(G.element_ids(_strings(row, "each entry of rows")))
                  for row in _list_of(_field(obj, "rows"), "rows"))
-    lam = obj.get("lambda", 1)
+    lam = _field(obj, "lambda")
     if type(lam) is not int:
         raise ValueError("lambda must be an integer")
     M = DifferenceMatrix(G, lam, rows)

@@ -166,9 +166,10 @@ class PairCheck:
     at 1, |W| = k = n + c', gives c' = lambda.
     """
 
-    def __init__(self, G: FiniteGroup, ids):
-        self.group, self.ids = G, ids
-        k, lam = _autocorrelation_params(G, ids)  # lambda -1 for a set that is no difference set
+    def __init__(self, G: FiniteGroup, sets):
+        # checked and converted once: the autocorrelation batch and ``bind`` read ``ids``
+        self.group, self.ids = G, rg._subset_rows(G, sets)
+        k, lam = _autocorrelation_params(G, self.ids)  # lambda -1: no difference set
         common = len(k) > 0 and lam[0] >= 0 and (k == k[0]).all() and (lam == lam[0]).all()
         self.params = (DSParams(G.order, int(k[0]), int(lam[0]), int(k[0] - lam[0]))
                        if common else None)
@@ -186,7 +187,7 @@ class PairCheck:
             raise ValueError(f"(mu, nu) = {munu.as_tuple()} needs difference sets with common "
                              f"parameters that it is a branch of, got {self.params}")
         if self._products is None:
-            self._products = rg.RowProducts(self.group, rg.indicators(self.group, self.ids))
+            self._products = rg.RowProducts(self.group, rg._indicator_matrix(self.group, self.ids))
         self.munu = munu
         return self
 
@@ -271,14 +272,13 @@ def expand(reduced: ReducedLinkingSystem) -> LinkingSystem:
 
 
 def reduce_system(full: LinkingSystem) -> ReducedLinkingSystem:
-    """Reduced system D_i = D_(i,0); recomputes and verifies witnesses."""
-    if not verify_full(full):
-        raise ValueError("input system failed full verification")
-    ell = full.top_index
-    sets = [full.entries[(i, 0)].elements for i in range(1, ell + 1)]
-    reduced = verify_reduced(full.group, sets)
+    """Reduced system D_i = D_(i,0), whose witnesses are the supports that
+    ``verify_full``'s pair check recomputed and compared with the entries."""
+    reduced = _reduced_of(full)
     if reduced is None:
-        raise ValueError("reduction failed verification")
+        raise ValueError("input system failed full verification")
+    if reduced.size < 2:
+        raise ValueError("reduction failed verification: a reduced system has two or more sets")
     return reduced
 
 
@@ -305,6 +305,12 @@ def verify_full(full: LinkingSystem) -> bool:
     the identity through 0 with D_(0,j) = D_(j,0)^(-1) makes D_h D_j^(-1)
     = a D_(h,j) + nu G, two-valued with mu-support D_(h,j).
     """
+    return _reduced_of(full) is not None
+
+
+def _reduced_of(full: LinkingSystem) -> ReducedLinkingSystem | None:
+    """The reduced system D_i = D_(i,0) with witnesses D_(i,j) when ``full``
+    is a linking system (``verify_full``'s check), else None."""
     G, ell = full.group, full.top_index
     idx = range(ell + 1)
     if set(full.entries) != {(i, j) for i in idx for j in idx if i != j}:
@@ -312,19 +318,22 @@ def verify_full(full: LinkingSystem) -> bool:
     params = next(iter(full.entries.values())).params
     records = list(full.entries.values())
     if any(rec.params != params or len(rec.elements) != params.k for rec in records):
-        return False
-    sets = np.array([full.entries[(i, 0)].elements for i in idx[1:]], dtype=np.int64)
-    check = PairCheck(G, sets)
+        return None
+    firsts = tuple(full.entries[(i, 0)] for i in idx[1:])
+    check = PairCheck(G, np.array([rec.elements for rec in firsts], dtype=np.int64))
     if check.params != params or not check.admits(full.munu):
-        return False
+        return None
     s, _, supports = check.bind(full.munu).block(np.arange(ell), np.arange(ell))
     if len(s) != ell * (ell - 1):
-        return False
+        return None
     # the D_(0,i), then the D_(i,j) in block's pair order (1,2), (1,3), ..., (l,l-1)
     stated = np.array([full.entries[(h, j)].elements for h in idx for j in idx[1:] if h != j],
                       dtype=np.int32)
-    return (np.array_equal(stated[:ell], np.sort(G.inv_table[sets], axis=1))
-            and np.array_equal(stated[ell:], supports))
+    if not (np.array_equal(stated[:ell], np.sort(G.inv_table[check.ids], axis=1))
+            and np.array_equal(stated[ell:], supports)):
+        return None
+    munu = next(m for m in mu_nu_candidates(params) if m.as_tuple() == full.munu.as_tuple())
+    return ReducedLinkingSystem(G, firsts, munu, supports)
 
 
 def reversibility_profile(reduced: ReducedLinkingSystem) -> tuple[bool, ...]:

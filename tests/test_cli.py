@@ -61,6 +61,47 @@ def test_group_info_of_the_trivial_group():
     assert "rank: 0" in out.splitlines() and "exponent: 1" in out.splitlines()
 
 
+def test_run_builds_its_parser_once_and_keeps_no_state(monkeypatch):
+    """``run`` builds one parser per process and reuses it: an ``--output
+    json`` call leaves nothing behind, so the next default call prints text."""
+    from linkset import cli
+
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    group = ["group", '{"abelian": [8, 2]}']
+    for _ in range(3):
+        code, out, _ = run_capture(["--output", "json"] + group)
+        assert code == 0 and json.loads(out)["order"] == 16
+        code, out, _ = run_capture(group)
+        assert code == 0 and "order: 16" in out.splitlines()
+    assert run_capture(["nonexist", "z8z2", "--full"])[0] == 2
+    full = cli._parser().parse_args(["nonexist", "spence-d1", "--full"])
+    pruned = cli._parser().parse_args(["nonexist", "spence-d1"])
+    assert (full.mode, pruned.mode) == ("full", "pruned") and full is not pruned
+    assert built == [1]
+
+
+def test_certificates_are_read_as_utf8(tmp_path):
+    """A certificate file is UTF-8: in UTF-16 or UTF-32, with a UTF-8 byte
+    order mark, or with bytes that are no UTF-8, it is a usage error (exit 2,
+    one ``error:`` line); with CRLF line endings it still verifies."""
+    G, sets = linked_triple_z4z4()
+    from linkset.designs import make_record
+
+    text = json.dumps(lio.record_to_json(make_record(G, sets[0])), indent=2)
+    path = tmp_path / "ds.json"
+    for data in (text.encode("utf-16"), text.encode("utf-16-le"), text.encode("utf-32"),
+                 text.encode("utf-8-sig"), text.replace("x1", "x1\xff").encode("latin-1")):
+        path.write_bytes(data)
+        code, out, err = run_capture(["ds", "verify", str(path)])
+        assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+    path.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+    code, out, _ = run_capture(["ds", "verify", str(path)])
+    assert code == 0 and "(16, 6, 2, 4)" in out
+
+
 def test_ds_round_trip(tmp_path):
     G, sets = linked_triple_z4z4()
     from linkset.designs import make_record
@@ -459,6 +500,29 @@ def test_malformed_dm_ds_and_bent_certificates_fail_verification(tmp_path):
         assert f"no {key!r} field" in _assert_verification_failed([command, "verify", str(path)])
     path.write_text(json.dumps(bent))
     assert run_capture(["bent", "verify", str(path)])[0] == 0
+
+
+def test_ds_and_dm_verify_check_params_and_lambda(tmp_path):
+    """A difference-set certificate needs its params as four ints equal to
+    the recomputed ones, and a difference-matrix certificate the int lambda
+    that ``dm_to_json`` writes: another value or type, or none, fails."""
+    G, sets = linked_triple_z4z4()
+    from linkset.designs import make_record
+
+    ds = lio.record_to_json(make_record(G, sets[0]))
+    dm = lio.dm_to_json(dm_auto(make_abelian([4, 2]), 4))
+    assert (ds["params"], dm["lambda"]) == ([16, 6, 2, 4], 1)
+    path = tmp_path / "cert.json"
+    for command, payload in (("ds", ds), ("dm", dm)):
+        path.write_text(json.dumps(payload))
+        assert run_capture([command, "verify", str(path)])[0] == 0
+    cases = [("ds", ds | {"params": params}) for params in (
+        [16.0, 6, 2, 4], [16, 6, 2, 99], [16, 7, 2, 4], [16, 6, 2], [16, 6, 2, True], "junk")]
+    cases += [("ds", _without(ds, "params")), ("dm", _without(dm, "lambda"))]
+    cases += [("dm", dm | {"lambda": lam}) for lam in (1.0, True, 2, "1")]
+    for command, payload in cases:
+        path.write_text(json.dumps(payload))
+        _assert_verification_failed([command, "verify", str(path)])
 
 
 def test_bent_verify_takes_exactly_the_bytes_of_a_table(tmp_path):

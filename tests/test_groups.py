@@ -98,6 +98,17 @@ def test_inverse_antihomomorphism():
                 assert G.inv(G.mul(g, h)) == G.mul(G.inv(h), G.inv(g))
 
 
+@pytest.mark.parametrize("spec", ["D4", "Q8", {"product": ["D4", {"abelian": [4]}]},
+                                  {"product": ["Q8", {"abelian": [2]}]}])
+def test_inverse_table_agrees_with_brute_force(spec):
+    """The inverse table (the position of id 0 in each row) against a search
+    of every product, in nonabelian groups."""
+    G = group_from_spec(spec)
+    assert not G.abelian and G.inv_table.dtype == np.int32
+    for g in G.elements():
+        assert [h for h in G.elements() if G.mul(g, h) == 0 == G.mul(h, g)] == [G.inv(g)]
+
+
 def test_center_exponent_rank():
     assert exponent(make_abelian([4, 2, 2, 2, 2])) == 4
     G = direct_product(make_dihedral8(), make_abelian([2, 2]))

@@ -82,6 +82,62 @@ def test_expand_reduce_round_trip():
     assert len(expand(two).entries) == 6
 
 
+def test_reduce_system_reads_the_supports_of_its_one_pair_check(monkeypatch):
+    """``reduce_system(expand(r))`` gives back r, witnesses included, from
+    the one ``PairCheck`` that ``verify_full``'s check builds; a full system
+    of one set has no reduced system."""
+    import numpy as np
+    import pytest
+
+    from linkset import linking
+    from linkset.bent import bent_linking, kerdock_bent_set
+
+    G, sets = linked_triple_z4z4()
+    built = []
+
+    class CountedCheck(linking.PairCheck):
+        def __init__(self, G, sets):
+            built.append(len(sets))
+            super().__init__(G, sets)
+
+    for reduced in (verify_reduced(G, sets), bent_linking(kerdock_bent_set(2))):
+        full = expand(reduced)
+        monkeypatch.setattr(linking, "PairCheck", CountedCheck)
+        built.clear()
+        back = reduce_system(full)
+        monkeypatch.undo()
+        assert built == [reduced.size]
+        assert back == reduced and back.witness_ids.dtype == reduced.witness_ids.dtype
+        assert np.array_equal(back.witness_ids, reduced.witness_ids)
+    one = linking.LinkingSystem(full.group, {p: full.entries[p] for p in ((0, 1), (1, 0))},
+                                full.munu)
+    assert verify_full(one)
+    with pytest.raises(ValueError, match="two or more sets"):
+        reduce_system(one)
+
+
+def test_verify_reduced_checks_its_sets_once(monkeypatch):
+    """``verify_reduced`` checks and converts its sets with one
+    ``_subset_rows`` call, which its ``PairCheck`` keeps for the
+    autocorrelation batch and for the indicator rows of the products; on
+    the counting route (bent d = 2, a list of 31 sets) and on the transform
+    route (the improved system in Z4^4)."""
+    from linkset import group_ring as rg
+    from linkset.bent import bent_linking, kerdock_bent_set
+    from linkset.diffmat import build_improved
+    from linkset.groups import make_abelian
+
+    systems = [bent_linking(kerdock_bent_set(2)), build_improved(make_abelian([4] * 4))]
+    calls = []
+    subset_rows = rg._subset_rows
+    monkeypatch.setattr(rg, "_subset_rows",
+                        lambda G, sets: calls.append(len(sets)) or subset_rows(G, sets))
+    for system in systems:
+        calls.clear()
+        assert verify_reduced(system.group, system.sets()) == system
+        assert calls == [system.size]
+
+
 def test_verify_full_catches_mutations():
     from linkset.designs import DifferenceSetRecord
     from linkset.linking import LinkingSystem
