@@ -75,9 +75,11 @@ def _load_json(path: str) -> dict:
 
 def _payload_of(obj, kind: str):
     """The payload of a certificate of ``kind`` at ``io.FORMAT_VERSION``
-    (ValueError for another), or ``obj`` itself when it is a bare payload."""
+    (ValueError for another, or for an unknown field), or ``obj`` itself
+    when it is a bare payload."""
     if not (isinstance(obj, dict) and "payload" in obj and "kind" in obj):
         return obj
+    lio._known_fields(obj, {"kind", "version", "input", "payload"}, "certificate")
     if (obj["kind"], obj.get("version")) != (kind, lio.FORMAT_VERSION):
         raise ValueError(f"certificate kind {obj['kind']!r}, version {obj.get('version')!r}: "
                          f"expected {kind!r}, version {lio.FORMAT_VERSION!r}")

@@ -208,8 +208,9 @@ class _Transform:
         for M in self.matrices:
             M.setflags(write=False)
         # the written bound: one stage on products of two reduced values
-        # stays exact
-        assert self.half * self.half * NTT_BLOCK * (p // 2) < EXACT_LIMIT
+        # stays exact (a raise, not an assert, so ``python -O`` keeps it)
+        if self.half * self.half * NTT_BLOCK * (p // 2) >= EXACT_LIMIT:
+            raise ArithmeticError(f"transform of order {v} is past the exactness bound")
 
     def __call__(self, x: np.ndarray, bound: float, batch_first: bool) -> np.ndarray:
         """T of each vector of a batch, reduced (|entry| <= ``half``).
@@ -424,6 +425,17 @@ def autocorrelations(G: FiniteGroup, sets) -> np.ndarray:
     out = np.empty((len(sets), G.order), dtype=np.int64)
     for start, block in autocorrelation_blocks(G, _subset_rows(G, sets)):
         out[start:start + len(block)] = block
+    return out
+
+
+def coefficient_autocorrelations(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """C C^(-1) (int64, (n, w)) for each integer row C over the group with
+    table ``table``, a quotient's say: coefficient h is sum_y C[h y] C[y],
+    one gather and row-wise dot per h; exact in int64 for nonnegative rows,
+    whose w coefficients sum to (sum of C)^2."""
+    out = np.empty((len(rows), len(table)), dtype=np.int64)
+    for h, row in enumerate(table):
+        out[:, h] = np.einsum("ij,ij->i", rows[:, row], rows)
     return out
 
 

@@ -503,6 +503,28 @@ def is_normal(G: FiniteGroup, N: Subgroup) -> bool:
     return bool(inside[conjugates].all())
 
 
+def normal_series(G: FiniteGroup) -> list[Subgroup]:
+    """Normal subgroups 1 = N_0 < N_1 < ... < N_t = G, N_(i+1) the normal
+    closure of N_i and one g of prime order p mod N_i: central mod N_i for
+    the least such p if G/N_i has a nontrivial centre (index p, so prime in
+    nilpotent groups), else the g of least closure (a minimal normal subgroup
+    of G/N_i is the closure of any of its elements of prime order)."""
+    ids = np.arange(G.order)
+    series = [Subgroup(G, (0,))]
+    while series[-1].order < G.order:
+        N = series[-1]
+        proj = _cosets(G, N)[0]
+        central = (proj[G.table] == proj[G.table.T]).all(axis=1)
+        candidates = [g for p in _prime_factors(G.order // N.order)
+                      for g in np.flatnonzero(proj[_power_gather(G.table, ids, p)] == 0).tolist()
+                      if proj[g]]
+        picks = [g for g in candidates if central[g]][:1] or candidates
+        closures = (subgroup_generated(G, [*N.elements, *G.table[G.table[:, g], G.inv_table]])
+                    for g in picks)  # N and the conjugates x g x^(-1)
+        series.append(min(closures, key=lambda H: H.order))
+    return series
+
+
 def _cosets(G: FiniteGroup, H: Subgroup) -> tuple[np.ndarray, np.ndarray]:
     """The left coset id of every element of G and the minimal element of
     each left coset of H, ids numbered by increasing minimal element (the

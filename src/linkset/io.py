@@ -52,6 +52,14 @@ def _field(obj, key: str):
     return obj[key]
 
 
+def _known_fields(obj: dict, allowed: set, what: str = "certificate payload") -> None:
+    """ValueError if the JSON object ``obj`` has a field outside ``allowed``:
+    an unknown field is rejected, never ignored."""
+    unknown = sorted(set(obj) - allowed)
+    if unknown:
+        raise ValueError(f"{what} has unknown field {unknown[0]!r}")
+
+
 def _strings(value, what: str) -> list:
     """``value`` if it is a list of strings, else ValueError: a bare string
     would otherwise be read as a list of one-character names."""
@@ -89,6 +97,7 @@ def record_from_json(obj: dict) -> DifferenceSetRecord:
     """The re-verified record of a payload: ValueError unless the set is a
     difference set and params are four ints equal to its recomputed ones."""
     G = group_from_spec(_field(obj, "group"))
+    _known_fields(obj, {"group", "set", "params"})
     elems = names_to_set(G, _strings(_field(obj, "set"), "set"))
     stated = _params_field(obj)
     params = is_difference_set(G, elems)
@@ -120,6 +129,7 @@ def system_from_json(obj: dict) -> ReducedLinkingSystem:
     params, mu and nu are ints (``type(x) is int``: no true, no 3.0) equal to
     the recomputed ones, and every witness given equals the recomputed one."""
     G = group_from_spec(_field(obj, "group"))
+    _known_fields(obj, {"group", "params", "mu", "nu", "sets", "witnesses"})
     params = _params_field(obj)
     munu = (_field(obj, "mu"), _field(obj, "nu"))
     if any(type(x) is not int for x in munu):
@@ -168,6 +178,7 @@ def dm_from_json(obj: dict) -> DifferenceMatrix:
     ``dm_to_json`` always writes, is an int and the rows are a difference
     matrix for it."""
     G = group_from_spec(_field(obj, "group"))
+    _known_fields(obj, {"group", "lambda", "rows"})
     rows = tuple(tuple(G.element_ids(_strings(row, "each entry of rows")))
                  for row in _list_of(_field(obj, "rows"), "rows"))
     lam = _field(obj, "lambda")
@@ -185,6 +196,7 @@ def bent_set_to_json(fns) -> dict:
 
 def bent_set_from_json(obj: dict) -> list[BooleanFunction]:
     arity = _field(obj, "arity")
+    _known_fields(obj, {"arity", "tables"})
     if type(arity) is not int or arity < 0:
         raise ValueError("arity must be a nonnegative integer")
     tables = _strings(_field(obj, "tables"), "tables")

@@ -229,31 +229,6 @@ class PairCheck:
         return rows[s], t
 
 
-def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(first, inverse) for the rows of a 2-D array of nonnegative integers,
-    as ``np.unique(rows, axis=0, return_index=True, return_inverse=True)``
-    gives them (it imports ``numpy.ma``): the first occurrence of each
-    distinct row, in lexicographic order, and each row's position among those.
-
-    Entries are written as big-endian bytes of the narrowest width that holds
-    them and each zero-padded row is read as big-endian uint64 words, so the
-    words order the rows lexicographically; ``np.lexsort`` is stable, so a
-    first occurrence comes first among its equals.
-    """
-    n, c = rows.shape
-    width = next(b for b in (1, 2, 4, 8) if int(rows.max(initial=0)) < 1 << 8 * b)
-    data = np.zeros((n, max(1, -(-c * width // 8)) * 8), dtype=np.uint8)
-    data[:, :c * width] = rows.astype(f">u{width}").view(np.uint8).reshape(n, c * width)
-    words = data.view(">u8").astype(np.uint64)
-    order = np.lexsort(words.T[::-1])
-    ordered = words[order]
-    new = np.ones(n, dtype=bool)
-    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    inverse = np.empty(n, dtype=np.int64)
-    inverse[order] = np.cumsum(new) - 1
-    return order[new], inverse
-
-
 def expand(reduced: ReducedLinkingSystem) -> LinkingSystem:
     """Full system on indices 0..l: D_(i,0) = D_i, D_(0,i) = D_i^(-1), and
     D_(i,j) the stored witness for nonzero i != j."""

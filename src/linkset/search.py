@@ -1,12 +1,14 @@
 """Exhaustive search engines: difference-set enumeration, the linking graph
 and its clique census, and the McFarland/Spence nonexistence sweeps.
 
-All searches are exact.  The heavy inner loop, the products of one set
-against many, runs on ``group_ring.RowProducts``.  Every linking decision,
-in the census (``PairCheck.pairs`` builds the linking graph and
-re-verifies its cliques) and behind the sweeps' sieve, is one
-``linking.PairCheck`` over the sets concerned, as in
-``linking.verify_reduced``: full product rows and one two-valued test.
+All searches are exact.  Difference sets are enumerated by contraction
+down a normal series: coset counts over each quotient are split one level
+at a time and kept while their autocorrelation is n + lambda |N| (G/N)
+(``enumerate_difference_sets``).  Every linking decision, in the census
+(``PairCheck.pairs`` builds the linking graph and re-verifies its cliques)
+and behind the sweeps' sieve, is one ``linking.PairCheck`` over the sets
+concerned: full product rows (``group_ring.RowProducts``) and one
+two-valued test.
 
 The census runs on index arrays: the clique listing grows (m, t) arrays
 of vertex indices block by block, each clique carrying the AND row of its
@@ -16,17 +18,15 @@ re-verified by one pair check of their members against each other
 (``_reverify_cliques``).
 
 The sweeps build their sets as rows of one array with
-``designs.construction_sets`` (table gathers, no per-element loop) and key
-dedup them, and their projections, with ``linking._distinct_rows``.  The
-translation classes come from one GEMM that gives the keys of all v left
-translates of a block of sets, each key one exact integer, sum of
-2^(v-1-x) over the ids x, held in float64 (``_translation_classes``,
-v <= 53).  The sweeps decide their pairs with the projection argument
-(``_projection_sieve``): each set is projected onto Z[G/K], K the elements
-of order prime to 3, and a pair whose projected product cannot be
-(mu - nu) W + nu |K| (G/K) with every coefficient of W in [0, |K|] is
-dropped exactly; none survive in the sweeps, and any that did would get
-the pair check (``_sweep_pairs``).
+``designs.construction_sets`` and dedup them, and their projections, with
+``_distinct_rows``.  One GEMM gives the exact float64 keys, sum of
+2^(v-1-x) over the ids x, of all v left translates of a block of sets
+(``_translation_classes``, v <= 53).  Pairs are decided by the projection
+argument (``_projection_sieve``): a pair whose product projected onto
+Z[G/K], K the elements of order prime to 3, cannot be (mu - nu) W + nu
+|K| (G/K) with every coefficient of W in [0, |K|] is dropped exactly; none
+survive in the sweeps, and any that did would get the pair check
+(``_sweep_pairs``).
 """
 
 from __future__ import annotations
@@ -47,19 +47,22 @@ from .designs import (
     difference_set_params,
     hyperplanes,
 )
+from .group_ring import coefficient_autocorrelations
 from .groups import (
     FiniteGroup,
     Subgroup,
+    _cosets,
     _independent_basis,
     coset_transversal,
     find_central_elementary_abelian,
     is_normal,
+    normal_series,
     quotient,
 )
-from .linking import MuNu, PairCheck, _distinct_rows, mu_nu_candidates
+from .linking import MuNu, PairCheck, mu_nu_candidates
 
-# k-subsets checked per autocorrelation batch by enumerate_difference_sets
-ENUMERATION_CHUNK = 1024
+# candidate rows that enumerate_difference_sets holds at once per level
+CONTRACTION_BLOCK = 1 << 13
 # float64 entries of the indicator block, and of its translate keys, that
 # _translation_classes holds at once (1 MB each)
 CLASS_BLOCK = 1 << 17
@@ -73,16 +76,109 @@ SLOT_SAMPLE = 200
 
 
 def enumerate_difference_sets(G: FiniteGroup, k: int) -> list[DifferenceSetRecord]:
-    """Every k-subset of G that is a difference set, in lexicographic order."""
-    if k > G.order // 2:
-        raise ValueError("enumerate with k <= v/2; complements are mirrored")
-    out = []
-    combos = itertools.combinations(range(G.order), k)
-    while chunk := list(itertools.islice(combos, ENUMERATION_CHUNK)):
-        for combo, params in zip(chunk, difference_set_params(G, np.array(chunk))):
-            if params is not None:
-                out.append(DifferenceSetRecord(G, combo, params))
-    return out
+    """Every k-subset of G that is a difference set, in lexicographic order,
+    by contraction down ``groups.normal_series`` 1 = N_0 < ... < N_t = G.
+
+    For N normal and rho: Z[G] -> Z[G/N], the coefficients of rho(D) count
+    D in each coset of N, so lie in [0, |N|], and a (v, k, lambda)
+    difference set D has rho(D) rho(D)^(-1) = n + lambda |N| (G/N).  Level
+    t is the one row (k) over G/G.  Each row of level i + 1 is split over
+    the cosets of N_i in each coset of N_(i+1), parts in [0, |N_i|]
+    (``_splits``), and a split is kept if its autocorrelation over G/N_i
+    (``group_ring.coefficient_autocorrelations``) is n [h = 1] + lambda
+    |N_i|.  Summing rho_(N_i)(D) over those cosets gives rho_(N_(i+1))(D),
+    so the contraction of every difference set is a split of the one above
+    and passes every level: none is dropped.  The level-0 rows are the 0/1
+    rows of k-subsets, each once (a subset fixes its contractions), and
+    ``difference_set_params`` admits exactly the difference sets among
+    them.  Without an integer lambda = k(k-1)/(v-1) there is none.  Each
+    level holds at most CONTRACTION_BLOCK candidate rows at once.
+    """
+    if not 0 <= k <= G.order // 2:
+        raise ValueError("enumerate with 0 <= k <= v/2; complements are mirrored")
+    lam, rem = divmod(k * (k - 1), max(1, G.order - 1))
+    if rem:
+        return []
+    series = normal_series(G)
+    cosets = [_cosets(G, N) for N in series]
+    levels = [None]  # levels[i]: how a row of level i splits into level i - 1
+    for N, (proj, reps), (coarse, _) in zip(series, cosets, cosets[1:]):
+        target = lam * N.order + (k - lam) * (np.arange(len(reps)) == 0)
+        levels.append((_split_table(coarse[reps], N.order, k),
+                       proj[G.table[np.ix_(reps, reps)]], target))
+
+    def refine(i: int, rows: np.ndarray):
+        if i == 0:
+            yield np.nonzero(rows)[1].reshape(len(rows), k)
+            return
+        split, table, target = levels[i]
+        for fine in _splits(rows, *split):
+            if i > 1:
+                fine = fine[(coefficient_autocorrelations(table, fine) == target).all(axis=1)]
+            if len(fine):
+                yield from refine(i - 1, fine)
+
+    ids = np.concatenate([np.zeros((0, k), dtype=np.int64)] + [
+        block[[p is not None for p in difference_set_params(G, block)]]
+        for block in refine(len(series) - 1, np.array([[k]]))])
+    params = DSParams(G.order, k, lam, k - lam)
+    return [DifferenceSetRecord._of_sorted(G, row, params)
+            for row in map(tuple, ids[_distinct_rows(ids)[0]].tolist())]
+
+
+def _split_table(coarse: np.ndarray, bound: int, top: int):
+    """(parts, first, number, position), coarse[f] the coarse coset of fine
+    coset f: the splits of a count m <= top into p parts in [0, bound] are
+    parts[first[m]:first[m] + number[m]], and part j of coarse coset c goes
+    to the fine coset f with position[f] = p c + j."""
+    p = len(coarse) // (int(coarse.max()) + 1)
+    parts = np.array(sorted((c for c in itertools.product(range(bound + 1), repeat=p)
+                             if sum(c) <= top), key=sum), dtype=np.int64).reshape(-1, p)
+    number = np.bincount(parts.sum(axis=1), minlength=top + 1)
+    position = np.argsort(np.lexsort([coarse]))
+    return parts, np.cumsum(number) - number, number, position
+
+
+def _splits(rows: np.ndarray, parts, first, number, position):
+    """Every split (``_split_table``) of the count rows, in chunks of at most
+    CONTRACTION_BLOCK rows: a row's splits are mixed-radix numbers, digit c
+    picking a split of rows[:, c], decoded for a range of (row, number)
+    indices at once."""
+    choices = number[rows]
+    if np.prod(choices, axis=1, dtype=float).sum() >= 2.0 ** 62:
+        raise ValueError("too many splits to index in int64")
+    sizes = np.prod(choices, axis=1)
+    offsets = np.cumsum(sizes) - sizes
+    total = int(sizes.sum())
+    for start in range(0, total, CONTRACTION_BLOCK):
+        flat = np.arange(start, min(start + CONTRACTION_BLOCK, total))
+        row = np.searchsorted(offsets, flat, side="right") - 1
+        local = flat - offsets[row]
+        out = np.empty((len(flat), rows.shape[1], parts.shape[1]), dtype=np.int64)
+        for c in range(rows.shape[1]):
+            local, digit = np.divmod(local, choices[row, c])
+            out[:, c] = parts[first[rows[row, c]] + digit]
+        yield out.reshape(len(flat), -1)[:, position]
+
+
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, inverse) for the rows of a 2-D array of nonnegative integers,
+    as ``np.unique(rows, axis=0, return_index=True, return_inverse=True)``
+    gives them, without importing ``numpy.ma``: each row as big-endian bytes
+    of the narrowest width, read as big-endian uint64 words that order the
+    rows lexicographically, and a stable ``np.lexsort`` of the words."""
+    n, c = rows.shape
+    width = next(b for b in (1, 2, 4, 8) if int(rows.max(initial=0)) < 1 << 8 * b)
+    data = np.zeros((n, max(1, -(-c * width // 8)) * 8), dtype=np.uint8)
+    data[:, :c * width] = rows.astype(f">u{width}").view(np.uint8).reshape(n, c * width)
+    words = data.view(">u8").astype(np.uint64)
+    order = np.lexsort(words.T[::-1])
+    ordered = words[order]
+    new = np.ones(n, dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(n, dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,8 @@ from . import group_ring as rg
 from .designs import DSParams, is_difference_set
 from .diffmat import linked_from_dm, normalize, verify_dm, witness_direct
 from .groups import FiniteGroup, direct_product, make_abelian, make_dihedral8
-from .linking import MuNu, _distinct_rows, mu_nu_candidates, reversibility_profile, verify_reduced
-from .search import enumerate_difference_sets
+from .linking import MuNu, mu_nu_candidates, reversibility_profile, verify_reduced
+from .search import _distinct_rows, enumerate_difference_sets
 from .worked_examples import (
     dm_z2z2,
     linked_triple_z4z4,

@@ -562,6 +562,38 @@ def test_verify_reads_the_certificate_kind_and_version(tmp_path):
     assert run_capture(verify)[0] == 0
 
 
+def _valid_certificates():
+    """(verify argv, kind, payload) for one valid payload of each kind."""
+    from linkset.designs import make_record
+
+    G, sets = linked_triple_z4z4()
+    yield ["ds", "verify"], "difference-set", lio.record_to_json(make_record(G, sets[0]))
+    yield (["link", "verify-reduced"], "linking-system",
+           lio.system_to_json(verify_reduced(G, sets)))
+    yield ["dm", "verify"], "difference-matrix", lio.dm_to_json(dm_auto(make_abelian([4, 2]), 4))
+    yield ["bent", "verify"], "bent-set", {"arity": 2, "tables": ["00", "08"]}
+
+
+@pytest.mark.parametrize("argv, kind, payload", list(_valid_certificates()),
+                         ids=["ds", "linking-system", "dm", "bent-set"])
+def test_verify_rejects_unknown_fields(argv, kind, payload, tmp_path):
+    """An unknown field in a payload, bare or wrapped, or in the wrapper
+    (whose fields are kind, version, input and payload) fails verification
+    with one line naming it; the same certificate without it verifies."""
+    path = tmp_path / "cert.json"
+    wrapped = lio.certificate(kind, payload, {"target": "test"})
+    for good in (payload, wrapped, _without(wrapped, "input")):
+        path.write_text(json.dumps(good))
+        assert run_capture([*argv, str(path)])[0] == 0
+    cases = [(payload | {"note": 1}, "certificate payload has unknown field 'note'"),
+             (wrapped | {"payload": payload | {"extra": []}},
+              "certificate payload has unknown field 'extra'"),
+             (wrapped | {"comment": "x"}, "certificate has unknown field 'comment'")]
+    for bad, says in cases:
+        path.write_text(json.dumps(bad))
+        assert says in _assert_verification_failed([*argv, str(path)])
+
+
 def test_verify_builds_its_json_payload_only_for_json_output(monkeypatch, triple_file):
     system_to_json = lio.system_to_json
     calls = []

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -209,6 +213,21 @@ def test_autocorrelations_match_mul_in_any_group():
             assert np.array_equal(row, rg.mul(s, rg.involution(s)).coeffs)
 
 
+def test_coefficient_autocorrelations_match_mul_in_any_group():
+    """C C^(-1) of nonnegative integer rows over a group table, against
+    the plain product, in abelian and nonabelian groups; no rows give an
+    empty batch."""
+    rng = np.random.default_rng(41)
+    for G in _kernel_groups():
+        rows = rng.integers(0, 5, size=(6, G.order))
+        got = rg.coefficient_autocorrelations(G.table, rows)
+        for row, auto in zip(rows, got):
+            x = rg.GroupRingElement(G, row)
+            assert np.array_equal(auto, rg.mul(x, rg.involution(x)).coeffs)
+        assert got.sum(axis=1).tolist() == (rows.sum(axis=1) ** 2).tolist()
+        assert rg.coefficient_autocorrelations(G.table, rows[:0]).shape == (0, G.order)
+
+
 def test_autocorrelation_paths_agree_on_improved_witnesses():
     from linkset.diffmat import build_improved
 
@@ -292,6 +311,21 @@ def test_transform_exactness_bound():
     sets = [rng.sample(range(G.order), 2048 + d) for d in (-1, 0, 1)]
     assert rg._transform(G) is not None
     assert np.array_equal(rg.autocorrelations(G, sets), rg._count_autocorrelations(G, sets))
+
+
+def test_transform_bound_is_checked_under_python_O():
+    """The transform's exactness check is a raise, not an assert, so it
+    holds under ``python -O`` too: with the limit forced below the bound,
+    building a transform raises ArithmeticError."""
+    code = ("import linkset.group_ring as rg\n"
+            "assert False, 'asserts are stripped'\n"
+            "rg.EXACT_LIMIT = 1.0\n"
+            "try:\n    rg._Transform((4, 4))\n"
+            "except ArithmeticError as exc:\n    print('raised:', exc)\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+    assert done.returncode == 0 and done.stdout.startswith("raised: "), done.stderr
 
 
 def _routes(G, rows, monkeypatch):

@@ -9,8 +9,17 @@ import numpy as np
 import pytest
 
 from linkset import group_ring as rg
-from linkset.designs import is_difference_set
-from linkset.groups import Subgroup, make_abelian
+from linkset import search
+from linkset.designs import DifferenceSetRecord, difference_set_params, is_difference_set
+from linkset.groups import (
+    FiniteGroup,
+    Subgroup,
+    _prime_factors,
+    direct_product,
+    make_abelian,
+    make_dihedral8,
+    make_quaternion8,
+)
 from linkset.linking import mu_nu_candidates, verify_reduced
 from linkset.search import (
     build_linking_graph,
@@ -45,6 +54,126 @@ def test_enumerate_z8z2_nonempty():
     records = enumerate_difference_sets(G, 6)
     assert len(records) == 192  # derived constant, frozen
     assert all(r.params.as_tuple() == (16, 6, 2, 4) for r in records)
+
+
+def _subset_walk(G, k):
+    """The enumeration the contraction replaced, kept as its oracle: every
+    k-subset in lexicographic order, checked by ``difference_set_params``
+    in batches of 1024."""
+    out = []
+    combos = itertools.combinations(range(G.order), k)
+    while chunk := list(itertools.islice(combos, 1024)):
+        ids = np.array(chunk, dtype=np.int64).reshape(len(chunk), k)
+        out += [DifferenceSetRecord(G, combo, params)
+                for combo, params in zip(chunk, difference_set_params(G, ids))
+                if params is not None]
+    return out
+
+
+def _permutation_group(name, gens):
+    """The group generated by permutations of 0..n-1 (tuples), elements in
+    order of discovery from the identity (id 0), a*b = a after b."""
+    elements = [tuple(range(len(gens[0])))]
+    index = {elements[0]: 0}
+    for a in elements:  # grows while it is walked
+        for g in gens:
+            b = tuple(g[x] for x in a)
+            if b not in index:
+                index[b] = len(elements)
+                elements.append(b)
+    table = [[index[tuple(a[x] for x in b)] for b in elements] for a in elements]
+    names = ["1", *(f"{name.lower()}{i}" for i in range(1, len(elements)))]
+    return FiniteGroup(np.array(table), names, [], name)
+
+
+def _order16_groups():
+    Z2 = make_abelian([2])
+    return {"Z4xZ4": make_abelian([4, 4]), "Z8xZ2": make_abelian([8, 2]),
+            "Z4xZ2xZ2": make_abelian([4, 2, 2]), "Z2^4": make_abelian([2, 2, 2, 2]),
+            "D4xZ2": direct_product(make_dihedral8(), Z2),
+            "Q8xZ2": direct_product(make_quaternion8(), Z2)}
+
+
+# S3, A4 and the Frobenius group Z7 : Z3 of order 21 have trivial centres
+CENTRELESS = {"S3": [(1, 0, 2), (1, 2, 0)], "A4": [(1, 2, 0, 3), (0, 2, 3, 1)],
+              "F21": [(1, 2, 3, 4, 5, 6, 0), (0, 2, 4, 6, 1, 3, 5)]}
+
+
+def test_normal_series_steps_are_normal_of_least_index():
+    """Each step of ``normal_series`` is a normal subgroup containing the
+    one before; in nilpotent groups every index is prime, and a centreless
+    group steps through its least normal closure: A3 in S3, V4 in A4 (index
+    4) and Z7 in Z7 : Z3."""
+    from linkset.groups import is_normal, normal_series
+
+    groups = list(_order16_groups().values()) + [make_abelian([6, 6]), make_abelian([15])]
+    groups += [_permutation_group(name, gens) for name, gens in CENTRELESS.items()]
+    orders = []
+    for G in groups:
+        series = normal_series(G)
+        assert series[0].elements == (0,) and series[-1].elements == tuple(range(G.order))
+        for N, M in zip(series, series[1:]):
+            assert is_normal(G, M) and set(N.elements) < set(M.elements)
+        orders.append([N.order for N in series])
+    for chain in orders[:-3]:
+        assert all(_prime_factors(b // a) == [b // a] for a, b in zip(chain, chain[1:]))
+    assert orders[-4:] == [[1, 3, 15], [1, 3, 6], [1, 4, 12], [1, 7, 21]]
+    assert orders[-5] == [1, 2, 4, 12, 36]
+
+
+@pytest.mark.parametrize("name, k", [(name, k) for name in _order16_groups() for k in (0, 1, 6)])
+def test_enumeration_matches_the_subset_walk_on_order_16(name, k, monkeypatch):
+    """Elements, params and order as the subset walk gives them, with fewer
+    than C(16, 6) / 4 = 2002 rows reaching the final difference-set check."""
+    G = _order16_groups()[name]
+    checked = []
+
+    def counting(G, ids):
+        checked.append(len(ids))
+        return difference_set_params(G, ids)
+
+    monkeypatch.setattr(search, "difference_set_params", counting)
+    got = enumerate_difference_sets(G, k)
+    assert [(r.elements, r.params) for r in got] == [
+        (r.elements, r.params) for r in _subset_walk(G, k)]
+    assert len(got) == {0: 1, 1: 16}.get(k, len(got)) and len(got) <= sum(checked) < 2002
+
+
+def test_enumeration_in_small_blocks_and_its_index_bound(monkeypatch):
+    """Blocks of 5 candidate rows cut one row's splits across blocks and
+    give the same records; a row with 2^64 splits, past int64 indices, is
+    refused before any block is decoded."""
+    from linkset.search import _split_table, _splits
+
+    G = _order16_groups()["Q8xZ2"]
+    want = enumerate_difference_sets(G, 6)
+    monkeypatch.setattr(search, "CONTRACTION_BLOCK", 5)
+    assert enumerate_difference_sets(G, 6) == want
+    split = _split_table(np.repeat(np.arange(64), 2), 1, 2)  # a count 1 splits two ways
+    with pytest.raises(ValueError, match="too many splits"):
+        next(_splits(np.ones((1, 64), dtype=np.int64), *split))
+
+
+@pytest.mark.parametrize("group, k, count", [
+    ("Z7", 3, 14), ("Z13", 4, 52), ("Z11", 5, 22), ("Z15", 7, 30), ("Z15", 4, 0),
+    ("Z4xZ4", 5, 0), ("S3", 0, 1), ("S3", 1, 6), ("S3", 3, 0), ("A4", 1, 12), ("A4", 6, 0),
+    ("F21", 5, None), ("F21", 4, 0)])
+def test_enumeration_matches_the_subset_walk(group, k, count):
+    """Cyclic Singer and Paley parameters, k with no integer lambda (no
+    difference set, so nothing is searched), and centreless groups whose
+    series has a composite or noncentral step."""
+    G = (_permutation_group(group, CENTRELESS[group]) if group in CENTRELESS
+         else make_abelian([4, 4]) if group == "Z4xZ4" else make_abelian([int(group[1:])]))
+    got = enumerate_difference_sets(G, k)
+    assert [(r.elements, r.params) for r in got] == [
+        (r.elements, r.params) for r in _subset_walk(G, k)]
+    assert count in (None, len(got)) and (count is not None or len(got) > 0)
+
+
+@pytest.mark.parametrize("k", [-1, 9])
+def test_enumeration_rejects_k_outside_0_to_half_the_order(k):
+    with pytest.raises(ValueError, match="0 <= k <= v/2"):
+        enumerate_difference_sets(make_abelian([4, 4]), k)
 
 
 def test_graph_triple_adjacent(z4z4, z4z4_census):
@@ -114,8 +243,6 @@ def test_census_with_jobs_matches(z4z4, z4z4_census):
 
 
 def test_jobs_below_one_are_rejected_before_any_work(z4z4, monkeypatch):
-    from linkset import search
-
     records = enumerate_difference_sets(z4z4, 6)
     munu = mu_nu_candidates(records[0].params)[0]
     monkeypatch.setattr(search, "enumerate_difference_sets", None)
@@ -259,8 +386,7 @@ def test_projection_sieve_alone_decides_the_q3_sweeps(factors, images):
     order, and its inverse, on the constructed sets and on the projections."""
     from linkset.designs import DSParams, construction_sets
     from linkset.groups import quotient
-    from linkset.linking import _distinct_rows
-    from linkset.search import _projection_sieve, _sweep_setup
+    from linkset.search import _distinct_rows, _projection_sieve, _sweep_setup
 
     G = make_abelian(factors)
     params = DSParams(45, 12, 3, 9) if G.order == 45 else DSParams(36, 15, 6, 9)
@@ -398,7 +524,6 @@ def test_enumerate_systems_matches_brute_force(monkeypatch):
     """The clique listing behind enumerate_systems, on random graphs and the
     empty graph, for sizes 2..5: in one block, and ANDing 5 entries at a
     time (one clique a block)."""
-    from linkset import search
     from linkset.search import _clique_indices
 
     rng = random.Random(43)
@@ -437,7 +562,6 @@ def test_bent_clique_graph_matches_the_pairwise_loop(monkeypatch):
     """bent_max_clique's table-lookup adjacency equals the pairwise rule
     (f ~ g iff f + g is bent), built pair by pair over the 896 arity-4 bent
     functions."""
-    from linkset import search
     from linkset.bent import enumerate_bent
 
     tables = [int.from_bytes(np.packbits(f.table, bitorder="little").tobytes(), "little")
@@ -451,8 +575,6 @@ def test_bent_clique_graph_matches_the_pairwise_loop(monkeypatch):
 
 
 def test_census_builds_masks_once(monkeypatch):
-    from linkset import search
-
     calls = []
     real = search._adjacency_masks
     monkeypatch.setattr(search, "_adjacency_masks", lambda adj: calls.append(1) or real(adj))
@@ -464,7 +586,6 @@ def test_census_builds_masks_once(monkeypatch):
 def test_census_reverifies_with_one_pair_scan(z4z4_census, monkeypatch):
     """enumerate_systems re-verifies all 65,536 size-3 cliques of the Z4^2
     census with one call of the pair check, over the clique members."""
-    from linkset import search
 
     calls = []
     real = search.PairCheck.block
@@ -663,7 +784,6 @@ def test_translation_classes_match_brute_force(block_sets, monkeypatch):
     listed in order of first appearance, in abelian and nonabelian groups
     and at orders 52 and 53, where id 0 carries the top key bit 2^52 (in
     one block of sets, and in blocks of 7)."""
-    from linkset import search
     from linkset.groups import direct_product, make_dihedral8
     from linkset.search import _translation_classes
 
@@ -724,7 +844,7 @@ def test_distinct_rows_match_numpy_unique_on_random_sets():
     (padding inside and past one 8-byte word) whose largest entry needs 1,
     2 or 4 bytes, duplicates included, and for no rows at all (the sweeps'
     own sets are compared in test_projection_sieve_alone_decides_the_q3_sweeps)."""
-    from linkset.linking import _distinct_rows
+    from linkset.search import _distinct_rows
 
     rng = np.random.default_rng(53)
     for width, top in itertools.product([1, 7, 8, 9, 17], [1, 255, 256, 65535, 65536]):
