@@ -15,12 +15,16 @@ membership masks.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 MAX_TABLE_ORDER = 4096
+# Table entries the constructor's checks compare or mark at once: an
+# order-256 table is one block, and no check holds a v x v temporary.
+TABLE_BLOCK = 1 << 16
 
 
 class FiniteGroup:
@@ -44,7 +48,7 @@ class FiniteGroup:
         # the inverse of a is the position of id 0 in row a; ``_validate``
         # rejects a row that is not a permutation, so that position is unique
         self.inv_table = self.table.argmin(axis=1).astype(np.int32)
-        self.abelian = bool(np.array_equal(self.table, self.table.T))
+        self.abelian = _commutes(self.table)
         self._name_to_id = {n: i for i, n in enumerate(self.names)}
         self._validate()
 
@@ -55,20 +59,16 @@ class FiniteGroup:
             raise ValueError("id 0 is not a left identity")
         if not np.array_equal(self.table[:, 0], ids):
             raise ValueError("id 0 is not a right identity")
-        # cancellation: each row and each column is a permutation, that is,
-        # its v entries lie in 0..v-1 and mark all v values; the marks go
-        # into one flat v*v mask at int64 positions, which index it directly
+        # cancellation: each row and each column is a permutation, checked
+        # a block of at most TABLE_BLOCK entries at a time
         if self.table.min() < 0 or self.table.max() >= v:
             raise ValueError("a table row is not a permutation")
-        seen = np.zeros(v * v, dtype=bool)
-        seen[self.table + (ids * v)[:, None]] = True  # row a marks a*v + table[a, b]
-        if not seen.all():
+        step = max(1, TABLE_BLOCK // v)
+        if not all(_rows_permute(self.table[a:a + step]) for a in range(0, v, step)):
             raise ValueError("a table row is not a permutation")
         if self.abelian:
             return  # the columns are the rows
-        seen[:] = False
-        seen[ids + self.table * v] = True  # column b marks table[a, b]*v + b
-        if not seen.all():
+        if not all(_rows_permute(self.table[:, a:a + step].T) for a in range(0, v, step)):
             raise ValueError("a table column is not a permutation")
 
     # -- basic operations ----------------------------------------------------
@@ -209,6 +209,25 @@ class CosetTransversal:
             raise ValueError("coset representatives overlap")
         if len(taken) != len(reps):
             raise ValueError("coset representatives do not cover the group")
+
+
+def _commutes(table: np.ndarray) -> bool:
+    """Whether the table equals its transpose, compared one square tile of
+    at most TABLE_BLOCK entries at a time against its mirror tile, over
+    the tiles on and above the diagonal."""
+    v, side = len(table), math.isqrt(TABLE_BLOCK)
+    return all(np.array_equal(table[a:a + side, b:b + side], table[b:b + side, a:a + side].T)
+               for a in range(0, v, side) for b in range(a, v, side))
+
+
+def _rows_permute(block: np.ndarray) -> bool:
+    """Whether each row of an (r, v) block of entries in 0..v-1 is a
+    permutation: row i marks i*v + each of its entries in one flat mask of
+    r*v, and every mark must be hit."""
+    r, v = block.shape
+    seen = np.zeros(r * v, dtype=bool)
+    seen[block + (np.arange(r) * v)[:, None]] = True  # intp positions: int32 ones get a cast
+    return bool(seen.all())
 
 
 def _check_table_order(v: int) -> None:

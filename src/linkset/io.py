@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import re
 from operator import itemgetter
 
 import numpy as np
@@ -108,9 +107,15 @@ def record_from_json(obj: dict) -> DifferenceSetRecord:
     return DifferenceSetRecord(G, elems, params)
 
 
+def _witness_keys(system: ReducedLinkingSystem) -> list[str]:
+    """The canonical key "(i,j)" of each witness, in the row order of
+    ``witness_ids``."""
+    return [f"({i},{j})" for i, j in system.pairs()]
+
+
 def system_to_json(system: ReducedLinkingSystem) -> dict:
     G = system.group
-    keys = [f"({i},{j})" for i, j in system.pairs()]
+    keys = _witness_keys(system)
     return {
         "group": G.spec,
         "params": list(system.params.as_tuple()),
@@ -119,9 +124,6 @@ def system_to_json(system: ReducedLinkingSystem) -> dict:
         "sets": _sets_to_names(G, system.sets()),
         "witnesses": dict(zip(keys, G.name_array[system.witness_ids].tolist())),
     }
-
-
-_WITNESS_KEY = re.compile(r"\((\d+),(\d+)\)")
 
 
 def system_from_json(obj: dict) -> ReducedLinkingSystem:
@@ -146,15 +148,14 @@ def system_from_json(obj: dict) -> ReducedLinkingSystem:
     stored = obj.get("witnesses", {})
     if not isinstance(stored, dict):
         raise ValueError("witnesses must be an object")
-    ell = system.size
+    # only the canonical spelling of a pair names a witness: "(01,2)" is no key
+    rows = {key: row for row, key in enumerate(_witness_keys(system))}
     canonical = G.name_array[system.witness_ids].tolist()
     for key, names in stored.items():
-        match = _WITNESS_KEY.fullmatch(key)
-        i, j = (int(match[1]), int(match[2])) if match else (0, 0)
-        if not (1 <= i <= ell and 1 <= j <= ell and i != j):
+        row = rows.get(key)
+        if row is None:
             raise ValueError(f"witness key {key!r} is not (i,j) for distinct "
-                             f"i, j in 1..{ell}")
-        row = system.pair_row(i, j)
+                             f"i, j in 1..{system.size}")
         # the canonical names match at once; any other spelling of the same
         # set (another order, an equivalent generator word) is parsed
         if names != canonical[row] and (

@@ -5,10 +5,10 @@ All searches are exact.  Difference sets are enumerated by contraction
 down a normal series: coset counts over each quotient are split one level
 at a time and kept while their autocorrelation is n + lambda |N| (G/N)
 (``enumerate_difference_sets``).  Every linking decision, in the census
-(``PairCheck.pairs`` builds the linking graph and re-verifies its cliques)
-and behind the sweeps' sieve, is one ``linking.PairCheck`` over the sets
-concerned: full product rows (``group_ring.RowProducts``) and one
-two-valued test.
+(``PairCheck.square`` builds the linking graph and re-verifies its
+cliques, from the pairs i < j) and behind the sweeps' sieve, is one
+``linking.PairCheck`` over the sets concerned: full product rows
+(``group_ring.RowProducts``) and one two-valued test.
 
 The census runs on index arrays: the clique listing grows (m, t) arrays
 of vertex indices block by block, each clique carrying the AND row of its
@@ -229,10 +229,9 @@ def build_linking_graph(G: FiniteGroup, records, munu: MuNu, jobs: int = 1) -> L
 
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(check.pairs, chunks))
+        left, right = (np.concatenate(part) for part in zip(*results))
     else:
-        results = [check.pairs(chunk) for chunk in chunks]
-
-    left, right = (np.concatenate(part) for part in zip(*results))
+        left, right, _ = check.square(supports=False)
     directed = np.zeros((n, n), dtype=bool)
     directed[left, right] = True
     adjacency = directed & directed.T
@@ -355,7 +354,7 @@ def _reverify_cliques(graph: LinkingGraph, cliques: np.ndarray) -> int:
     except ValueError as exc:
         raise AssertionError("clique failed re-verification") from exc
     m = len(check.ids)
-    left, right = check.pairs(np.arange(m))
+    left, right, _ = check.square(supports=False)
     linked = np.zeros((m, m), dtype=bool)
     linked[left, right] = True
     asked = np.zeros((m, m), dtype=bool)

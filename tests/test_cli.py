@@ -445,6 +445,11 @@ def _malformed_triples(triple):
         obj = json.loads(json.dumps(triple))
         obj["witnesses"][key] = obj["witnesses"].pop("(1,2)")
         yield f"witness key {key!r}", obj
+    # a pair spelt with leading zeros, holding that pair's own witness
+    for key, pair in (("(01,2)", "(1,2)"), ("(2,001)", "(2,1)")):
+        obj = json.loads(json.dumps(triple))
+        obj["witnesses"][key] = obj["witnesses"].pop(pair)
+        yield f"witness key {key!r}", obj
     for key in ("group", "sets", "mu", "nu"):
         yield f"no {key}", _without(triple, key)
 

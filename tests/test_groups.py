@@ -410,6 +410,61 @@ def test_table_validation(rows, message):
                        ["1", "a", "b"], [], "Z3").abelian
 
 
+def _last_block_defects():
+    """(name, table, message) for order-512 tables, past one TABLE_BLOCK in
+    every scan, whose only defect lies in the last block of the scan that
+    must find it."""
+    from linkset.groups import TABLE_BLOCK
+
+    abelian = make_abelian([4, 4, 4, 4, 2]).table.copy()
+    nonabelian = direct_product(make_dihedral8(), make_abelian([4, 4, 4])).table.copy()
+    v = len(abelian)
+    assert v == 512 and v * v > TABLE_BLOCK
+    row = abelian.copy()
+    row[v - 1, v - 1] = row[v - 1, v - 2]  # a repeated entry in the last row
+    yield "row", row, "row is not a permutation"
+    column = nonabelian.copy()  # two entries of the last row swapped: the row
+    column[v - 1, [v - 2, v - 1]] = column[v - 1, [v - 1, v - 2]]  # stays a permutation
+    yield "column", column, "column is not a permutation"
+
+
+def test_table_checks_find_a_defect_in_the_last_block():
+    """The row and column scans run in blocks of at most TABLE_BLOCK
+    entries and still find a defect in the last block, with the same
+    messages; the abelian test compares tiles against their mirrors and
+    finds a single non-commuting pair in an off-diagonal tile."""
+    from linkset.groups import TABLE_BLOCK, _commutes
+
+    names = [str(a) for a in range(512)]
+    for name, table, message in _last_block_defects():
+        with pytest.raises(ValueError, match=message):
+            FiniteGroup(table, names, [], name)
+    table = make_abelian([4, 4, 4, 4, 2]).table.copy()
+    assert _commutes(table) and FiniteGroup(table, names, [], "Z4^4xZ2").abelian
+    side = math.isqrt(TABLE_BLOCK)
+    assert side < len(table)
+    for a, b in ((len(table) - 1, 1), (1, len(table) - 1), (side - 1, side)):
+        odd = table.copy()
+        odd[a, b] = odd[a, b - 1]  # table[a, b] != table[b, a], and nothing else
+        assert not _commutes(odd)
+    assert not direct_product(make_dihedral8(), make_abelian([4, 4, 4])).abelian
+
+
+def test_make_abelian_peaks_near_its_table():
+    """make_abelian([4]*6), a 64 MiB table, traces a peak below 1.5 times
+    its table: the checks hold no v x v temporary."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        G = make_abelian([4] * 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert G.order == 4096 and G.abelian
+    assert peak < 1.5 * G.table.nbytes
+
+
 # -- the table gathers against scalar references ----------------------------------
 #
 # element_orders, exponent, abelian_invariants, subgroup_generated, the span

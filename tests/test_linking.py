@@ -223,19 +223,24 @@ def test_verify_reduced_batched_rejections_z4_4(monkeypatch):
     assert len(sets) == 15
 
     # the sets in one batch go through the transform path, the witnesses
-    # (203 distinct of 210) are not checked again, and one pair check
-    # covers every pair
+    # (203 distinct of 210) are not checked again, and one pair check of
+    # the batch against itself covers every pair, with no rectangle
     calls, checks = [], []
     transform = rg._transform_autocorrelations
     monkeypatch.setattr(rg, "_transform_autocorrelations",
                         lambda G, block: calls.append(len(block)) or transform(G, block))
-    block = linking.PairCheck.block
-    monkeypatch.setattr(linking.PairCheck, "block",
-                        lambda self, *args: checks.append(args) or block(self, *args))
+    square = linking.PairCheck.square
+    monkeypatch.setattr(linking.PairCheck, "square",
+                        lambda self, **kw: checks.append(len(self.ids)) or square(self, **kw))
+
+    def no_rectangle(self, rows, cols):
+        raise AssertionError("verify_reduced checked a rectangle")
+
+    monkeypatch.setattr(linking.PairCheck, "block", no_rectangle)
     system = verify_reduced(G, sets)
     assert system is not None and len(system.witnesses) == 15 * 14
     assert calls == [15] and len({tuple(r) for r in system.witness_ids.tolist()}) == 203
-    assert [(rows.tolist(), cols.tolist()) for rows, cols in checks] == [(list(range(15)),) * 2]
+    assert checks == [15]
 
     rng = random.Random(41)
     for i in (0, 7, 14):
@@ -393,6 +398,94 @@ def test_linked_block_matches_a_per_row_check(monkeypatch):
     assert list(zip(s.tolist(), t.tolist())) == want
     assert [tuple(x) for x in found.tolist()] == [
         tuple(np.flatnonzero(prods[a, b] == 1).tolist()) for a, b in want]
+
+
+def _square_batches():
+    """(name, group, sets) batches for the symmetric pair check: on the
+    transform route, on the table route where most pairs do not link, in a
+    nonabelian group, and with one set replaced by its image under an
+    automorphism (x1 <-> x2), a difference set with the same parameters
+    that fails to link with most other sets, first and last in the batch."""
+    from linkset.diffmat import build_improved, build_tyken
+    from linkset.groups import abelian_element, abelian_exponent_tuple, make_abelian
+    from linkset.search import enumerate_difference_sets
+
+    G = make_abelian([4] * 5)
+    yield "Z4^5 improved", G, build_improved(G).sets()
+    G = make_abelian([4, 4])
+    yield "Z4^2 (16,6,2) sets", G, [r.elements for r in enumerate_difference_sets(G, 6)]
+    system = build_tyken(2, make_abelian([2, 2, 2]))
+    yield "tyken Z2^3", system.group, system.sets()
+    G = make_abelian([4] * 4)
+    sets = build_improved(G).sets()
+
+    def swap(a):
+        e = abelian_exponent_tuple(G, a)
+        return abelian_element(G, (e[1], e[0]) + e[2:])
+
+    for i in (0, len(sets) - 1):
+        mutated = list(sets)
+        mutated[i] = tuple(sorted(swap(a) for a in sets[i]))
+        assert mutated[i] != sets[i]
+        yield f"Z4^4 improved, set {i} moved", G, mutated
+
+
+def test_square_is_the_rectangle():
+    """``PairCheck.square``, which computes the pairs i < j and reads each
+    (j, i) from the involution, returns exactly the (s, t, supports) of
+    ``block`` over everyone against everyone, the verdicts alone without
+    supports, and under ``complete`` the same supports when every pair
+    links and None otherwise, whichever triangle the failing pairs lie in
+    for the rectangle; ``verify_reduced`` agrees."""
+    import numpy as np
+
+    from linkset.linking import PairCheck
+
+    linked = {}
+    for name, G, sets in _square_batches():
+        n = len(sets)
+        check = PairCheck(G, np.array(sets))
+        check.bind(mu_nu_candidates(check.params)[0])
+        everyone = np.arange(n)
+        want = check.block(everyone, everyone)
+        got = check.square()
+        assert [a.dtype for a in got] == [b.dtype for b in want], name
+        assert all(np.array_equal(a, b) for a, b in zip(got, want)), name
+        s, t, none = check.square(supports=False)
+        assert none is None and np.array_equal(s, want[0]) and np.array_equal(t, want[1])
+        complete = check.square(complete=True)
+        every = len(want[0]) == n * (n - 1)
+        assert (complete is not None) == every == (verify_reduced(G, sets) is not None), name
+        if every:
+            assert all(np.array_equal(a, b) for a, b in zip(complete, want)), name
+        linked[name] = len(want[0])
+        if not G.abelian:  # W_ji = W_ij^(-1) is a real inversion here
+            inverses = np.sort(G.inv_table[want[2]], axis=1)
+            assert (inverses != want[2]).any(axis=1).any()
+    assert linked == {"Z4^5 improved": 930, "Z4^2 (16,6,2) sets": 12288, "tyken Z2^3": 42,
+                      "Z4^4 improved, set 0 moved": 14 * 13 + 2 * 6,
+                      "Z4^4 improved, set 14 moved": 14 * 13 + 2 * 4}
+
+
+def test_verify_reduced_peak_is_its_witnesses():
+    """``verify_reduced`` on the Kerdock d = 3 sets (16,002 witnesses of 120
+    ids) writes each support once, into the array it returns: its traced
+    peak stays below 1.5 times that array plus one product block."""
+    import tracemalloc
+
+    from linkset.bent import bent_linking, kerdock_bent_set
+    from linkset.linking import PRODUCT_BLOCK
+
+    system = bent_linking(kerdock_bent_set(3))
+    G, sets = system.group, system.sets()
+    tracemalloc.start()
+    try:
+        again = verify_reduced(G, sets)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert again == system and again.witness_ids.shape == (16002, 120)
+    assert peak < 1.5 * again.witness_ids.nbytes + 4 * PRODUCT_BLOCK
 
 
 def _witness_systems():

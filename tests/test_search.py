@@ -585,12 +585,18 @@ def test_census_builds_masks_once(monkeypatch):
 
 def test_census_reverifies_with_one_pair_scan(z4z4_census, monkeypatch):
     """enumerate_systems re-verifies all 65,536 size-3 cliques of the Z4^2
-    census with one call of the pair check, over the clique members."""
+    census with one call of the pair check, over the clique members against
+    each other, and checks no rectangle."""
 
     calls = []
-    real = search.PairCheck.block
-    monkeypatch.setattr(search.PairCheck, "block",
-                        lambda self, rows, cols: calls.append(len(rows)) or real(self, rows, cols))
+    real = search.PairCheck.square
+    monkeypatch.setattr(search.PairCheck, "square",
+                        lambda self, **kw: calls.append(len(self.ids)) or real(self, **kw))
+
+    def no_rectangle(self, rows, cols):
+        raise AssertionError("the re-verification checked a rectangle")
+
+    monkeypatch.setattr(search.PairCheck, "block", no_rectangle)
     systems = enumerate_systems(z4z4_census.graph, 3)
     assert len(systems) == 65536 and systems.verified_pairs == 12288
     assert calls == [192]

@@ -198,13 +198,14 @@ def _membership_tests_on_calls_to(tree: ast.Module, module: str, names: set[str]
 
 def test_one_two_valued_test():
     """Whether a product is valued in {mu, nu} is decided in one place, the
-    pair check ``linking.PairCheck.block``, with
-    ``group_ring.decompose_two_valued`` as its one-element oracle; no other
-    function compares a value with mu or nu."""
+    pair check's product block ``linking.PairCheck._two_valued``, which
+    ``block`` and ``square`` share, with ``group_ring.decompose_two_valued``
+    as its one-element oracle; no other function compares a value with mu
+    or nu."""
     found = set()
     for path in sorted(SRC.glob("*.py")):
         found |= _functions_comparing_with(ast.parse(path.read_text()), path.stem, {"mu", "nu"})
-    assert found == {"linking.PairCheck.block", "group_ring.decompose_two_valued"}
+    assert found == {"linking.PairCheck._two_valued", "group_ring.decompose_two_valued"}
     # the scan sees a comparison on either side, in a nested function, in a
     # method, through an attribute and outside any function, and no arithmetic
     tree = ast.parse("def f(x, mu):\n    def g():\n        return 1 < x == mu\n"
