@@ -8,7 +8,10 @@ bit i of the table index and to generator x_{i+1} of Z_2^n.
 The Kerdock trace forms come from one multiplication table of GF(2^m),
 built by the array ``GaloisRing.mul``, by table gathers.  ``is_bent``,
 ``is_bent_set`` and ``enumerate_bent`` share one batched test on the
-Walsh-Hadamard spectra of stacked truth tables.
+Walsh-Hadamard spectra of stacked truth tables.  The spectra come from the
+verifiers' exact transform, ``group_ring._Transform`` on the factors
+(2,)*n, whose characters on Z_2^n are +/-1; arities run up to 12, the
+largest Z_2^n with a group table.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .galois import GaloisRing
-from .groups import FiniteGroup, _radix_weights, _span_table
+from .group_ring import _factor_transform
+from .groups import MAX_TABLE_ORDER, FiniteGroup, _radix_weights, _span_table
 from .linking import ReducedLinkingSystem, verify_reduced
 
 
@@ -78,47 +82,34 @@ def zero_function(arity: int) -> BooleanFunction:
 
 
 def wht(f: BooleanFunction) -> np.ndarray:
-    """Exact Walsh-Hadamard transform by in-place butterflies, O(n 2^n)."""
-    return wht_signs(np.where(f.table == 0, 1, -1).astype(np.int32))
+    """The Walsh-Hadamard transform W(u) = sum_x (-1)^(f(x) + u.x) (int64)."""
+    return _spectra(f.table[None], f.arity)[:, 0].astype(np.int64)
 
 
-def wht_signs(signs: np.ndarray) -> np.ndarray:
-    """The transform of each row (last axis, length 2^n) of an integer
-    array, in int32 (the callers pass +/-1 rows).
-
-    Exact: a transform value is a signed sum of the row's 2^n entries, so
-    every butterfly partial sum lies within 2^n * max|entry|, which is
-    2^n <= 4096 for +/-1 rows of every arity a group table allows.  Rows
-    whose bound would reach 2^31 are rejected.
-    """
-    n = signs.shape[-1]
-    if signs.size and n * max(int(signs.max()), -int(signs.min())) >= 2 ** 31:
-        raise ValueError("transform values would overflow int32")
-    w = signs.astype(np.int32, copy=True)
-    h = 1
-    while h < n:
-        w = w.reshape(*w.shape[:-1], -1, 2 * h)
-        a = w[..., :h].copy()
-        b = w[..., h:].copy()
-        w[..., :h] = a + b
-        w[..., h:] = a - b
-        w = w.reshape(*signs.shape)
-        h *= 2
-    return w
+def _spectra(tables: np.ndarray, arity: int) -> np.ndarray:
+    """The Walsh-Hadamard spectra of the rows of an (n, 2^arity) 0/1 array,
+    as the columns of a float64 (2^arity, n) array: ``group_ring``'s
+    transform of Z[Z_2^arity], whose characters are +/-1, on the rows
+    (-1)^f.  ValueError past arity 12 (2^arity > MAX_TABLE_ORDER, the
+    largest Z_2^n that ``bent_linking`` can use), before any transform."""
+    if 2 ** arity > MAX_TABLE_ORDER:
+        raise ValueError(f"arity {arity} is past 12 (2^{arity} > {MAX_TABLE_ORDER})")
+    return _factor_transform((2,) * arity)(1.0 - 2.0 * tables, 1, True)
 
 
 def _bent_rows(tables: np.ndarray, arity: int) -> np.ndarray:
-    """Whether each row of a 0/1 truth-table array is bent: every
-    transform value is +/- 2^(n/2) (even arity only)."""
+    """Whether each row of an (n, 2^arity) 0/1 array is bent: every
+    transform value is +/- 2^(n/2) (even arity only).  Exact: the rows
+    (-1)^f are +/-1 (bound 1), so |W| <= 2^arity < p/2 - 2 as the prime is
+    p > 2v + 4, and the residue ``_reduce`` returns is the value itself."""
     if arity % 2 != 0:
         raise ValueError("bent functions require even arity")
-    spectra = wht_signs(1 - 2 * tables.astype(np.int32))
-    return np.all(np.abs(spectra) == 2 ** (arity // 2), axis=-1)
+    return np.all(np.abs(_spectra(tables, arity)) == 2 ** (arity // 2), axis=0)
 
 
 def is_bent(f: BooleanFunction) -> bool:
     """All transform values equal +/- 2^(n/2) (even arity only)."""
-    return bool(_bent_rows(f.table, f.arity))
+    return bool(_bent_rows(f.table[None], f.arity)[0])
 
 
 def subset_of(f: BooleanFunction, G: FiniteGroup) -> tuple[int, ...]:
@@ -140,11 +131,10 @@ def is_bent_set(fns) -> bool:
     arity = fns[0].arity
     if any(f.arity != arity for f in fns):
         raise ValueError("arity mismatch in bent set")
-    if arity % 2 != 0:
-        raise ValueError("bent functions require even arity")
     tables = np.array([f.table for f in fns])
+    # a lone member is tested against no others, which still checks its arity
     return all(_bent_rows(tables[i] ^ tables[i + 1:], arity).all()
-               for i in range(len(fns) - 1))
+               for i in range(max(1, len(fns) - 1)))
 
 
 def translate_to_zero(fns) -> list[BooleanFunction]:

@@ -25,8 +25,8 @@ are tested against.
 
 from __future__ import annotations
 
+import functools
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -262,19 +262,20 @@ class _Transform:
         return self._reduce(spectra[inv_table] * self.vinv)
 
 
-_TRANSFORMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def _transform(G: FiniteGroup) -> _Transform | None:
-    """G's transform, built on first use, or None where G takes the table
-    route (nonabelian, below NTT_MIN_ORDER, or with a cyclic factor past
-    NTT_BLOCK)."""
+    """G's transform, or None where G takes the table route (nonabelian,
+    below NTT_MIN_ORDER, or with a cyclic factor past NTT_BLOCK)."""
     factors = G.cyclic_factors
     if factors is None or G.order < NTT_MIN_ORDER or max(factors, default=1) > NTT_BLOCK:
         return None
-    if G not in _TRANSFORMS:
-        _TRANSFORMS[G] = _Transform(factors)
-    return _TRANSFORMS[G]
+    return _factor_transform(factors)
+
+
+@functools.cache
+def _factor_transform(factors: tuple[int, ...]) -> _Transform:
+    """The transform of Z_n1 x ... x Z_nr, built once per factor tuple; it
+    serves ``_transform`` and the Walsh-Hadamard spectra of ``bent``."""
+    return _Transform(factors)
 
 
 def _ntt_prime(low: int, e: int) -> int:

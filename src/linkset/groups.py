@@ -268,11 +268,13 @@ def make_abelian(invariant_factors: list[int] | tuple[int, ...]) -> FiniteGroup:
 
 def _product_table(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
     """The table of the direct product of two tables, ids packed as
-    a * len(t2) + b: T[(a1,b1),(a2,b2)] = t1[a1,a2] v2 + t2[b1,b2], one int32
-    broadcast on the axes (a1, b1, a2, b2)."""
+    a * len(t2) + b: T[(a1,b1),(a2,b2)] = t1[a1,a2] v2 + t2[b1,b2], written
+    into one int32 array on the axes (a1, b1, a2, b2) with no temporary."""
     v1, v2 = len(t1), len(t2)
-    return (t1[:, None, :, None] * np.int32(v2)
-            + t2[None, :, None, :]).reshape(v1 * v2, v1 * v2)
+    out = np.empty((v1, v2, v1, v2), dtype=np.int32)
+    np.multiply(t1[:, None, :, None], np.int32(v2), out=out)
+    out += t2[None, :, None, :]
+    return out.reshape(v1 * v2, v1 * v2)
 
 
 def _radix_weights(factors: tuple[int, ...]) -> np.ndarray:

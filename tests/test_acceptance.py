@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from linkset import group_ring as rg
-from linkset.bent import bent_linking, is_bent_set, kerdock_bent_set, wht_signs
+from linkset.bent import _bent_rows, bent_linking, is_bent_set, kerdock_bent_set
 from linkset.designs import hyperplanes, is_reversible
 from linkset.diffmat import (
     DifferenceMatrix,
@@ -163,8 +163,7 @@ def test_criterion_10_dillon_equivalence():
     size = 16
     tables = np.arange(2 ** size, dtype=np.uint32)
     bits = ((tables[:, None] >> np.arange(size)[None, :]) & 1).astype(np.int8)
-    spectra = wht_signs(1 - 2 * bits)
-    bent_mask = np.all(np.abs(spectra) == 4, axis=1)
+    bent_mask = _bent_rows(bits, 4)
     B = bits.astype(np.int32)
     coeffs = np.empty((2 ** size, size), dtype=np.int32)
     for h in range(size):

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from linkset import bent
 from linkset.bent import (
     BooleanFunction,
     bent_linking,
@@ -78,23 +79,34 @@ def test_wht_matches_naive():
         assert np.array_equal(wht(f), naive_wht(f))
 
 
-def test_wht_signs_int32_matches_int64_reference():
-    """The int32 butterflies against an int64 Sylvester-Hadamard product on
-    random +/-1 batches of every arity up to 10 (|W| <= 2^n fits easily),
-    and rows whose bound reaches 2^31 are rejected."""
-    from linkset.bent import wht_signs
-
+def test_wht_matches_the_sylvester_hadamard_product():
+    """``wht`` (the transform of Z[Z_2^n]) against the int64 product with
+    the Sylvester-Hadamard matrix on random functions of every arity 0..12."""
     rng = np.random.default_rng(41)
     hadamard = np.ones((1, 1), dtype=np.int64)
-    for n in range(1, 11):
-        hadamard = np.kron(np.array([[1, 1], [1, -1]], dtype=np.int64), hadamard)
-        signs = 1 - 2 * rng.integers(0, 2, size=(7, 2 ** n), dtype=np.int8)
-        got = wht_signs(signs)
-        assert got.dtype == np.int32
-        assert np.array_equal(got, signs.astype(np.int64) @ hadamard)
-    assert np.array_equal(wht_signs(np.full(16, -3)), np.eye(16, dtype=np.int32)[0] * -48)
-    with pytest.raises(ValueError):
-        wht_signs(np.full(1024, 2 ** 21))
+    for n in range(13):
+        if n:
+            hadamard = np.kron(np.array([[1, 1], [1, -1]], dtype=np.int64), hadamard)
+        for table in rng.integers(0, 2, size=(3, 2 ** n)):
+            got = wht(BooleanFunction(n, table))
+            assert got.dtype == np.int64
+            assert np.array_equal(got, (1 - 2 * table.astype(np.int64)) @ hadamard)
+
+
+def test_transforms_past_arity_12_raise_before_any_work(monkeypatch):
+    """2^n past MAX_TABLE_ORDER (arity > 12, past the largest Z_2^n that
+    bent_linking can use) is a ValueError before any transform is built,
+    for a bent set also when it has no pair to test."""
+    monkeypatch.setattr(bent, "_factor_transform", None)  # no transform may start
+    for arity in (13, 14):
+        f = zero_function(arity)
+        with pytest.raises(ValueError, match="past 12"):
+            wht(f)
+        with pytest.raises(ValueError, match="even arity" if arity % 2 else "past 12"):
+            is_bent(f)
+    for members in ([zero_function(14)], [zero_function(14), zero_function(14).complement()]):
+        with pytest.raises(ValueError, match="past 12"):
+            is_bent_set(members)
 
 
 def test_parseval():
@@ -142,10 +154,7 @@ def test_dillon_equivalence_exhaustive():
     size = 16
     tables = np.arange(2 ** size, dtype=np.uint32)
     bits = ((tables[:, None] >> np.arange(size)[None, :]) & 1).astype(np.int8)
-    from linkset.bent import wht_signs
-
-    spectra = wht_signs(1 - 2 * bits)
-    bent_mask = np.all(np.abs(spectra) == 4, axis=1)
+    bent_mask = bent._bent_rows(bits, 4)
     assert int(bent_mask.sum()) == 896
 
     B = bits.astype(np.int32)
@@ -209,8 +218,6 @@ def test_is_bent_set_matches_the_pairwise_definition():
 
 @pytest.mark.parametrize("d", [-1, 5, 6])
 def test_kerdock_outside_its_domain_raises_before_any_work(monkeypatch, d):
-    import linkset.bent as bent
-
     monkeypatch.setattr(bent, "_kerdock_trace_family", None)
     with pytest.raises(ValueError, match="between 0 and 4"):
         kerdock_bent_set(d)

@@ -545,6 +545,17 @@ def test_bent_verify_takes_exactly_the_bytes_of_a_table(tmp_path):
     assert "padding bit" in _assert_verification_failed(["bent", "verify", str(path)])
 
 
+def test_bent_verify_past_arity_12_fails_verification(tmp_path):
+    """A two-member certificate of arity 14, valid hex, is past the arity
+    domain (2^n <= MAX_TABLE_ORDER): one ``verification failed:`` line, exit
+    1, no traceback."""
+    path = tmp_path / "bent.json"
+    size = 2 ** 14 // 8
+    path.write_text(json.dumps({"arity": 14, "tables": ["00" * size, "01" + "00" * (size - 1)]}))
+    err = _assert_verification_failed(["bent", "verify", str(path)])
+    assert "arity 14 is past 12" in err and "Traceback" not in err
+
+
 def test_verify_reads_the_certificate_kind_and_version(tmp_path):
     """A wrapped certificate verifies only under the command of its kind
     and at this format version; a bare payload, with no kind or version,

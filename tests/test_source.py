@@ -1,4 +1,5 @@
 import ast
+import re
 from collections import defaultdict
 from pathlib import Path
 
@@ -271,3 +272,42 @@ def test_one_product_path():
                      "        self.p: rg.RowProducts = rg.RowProducts(G, rows)\n"
                      "def h() -> rg.RowProducts:\n    return rg.RowProducts\n")
     assert _calls_to(tree, "m", {"RowProducts"}) == {"m.f", "m.K.g"}
+
+
+TRANSFORM_NAME = re.compile(r"transform|wht|walsh|hadamard|fourier|ntt|butterfl", re.IGNORECASE)
+
+
+def _transform_definitions(tree: ast.Module, module: str) -> set[str]:
+    """The scopes of the functions and classes whose names say they are a
+    transform (``transform``, ``wht``, ``walsh``, ``hadamard``, ...)."""
+    return _scopes_where(tree, module, lambda node: isinstance(
+        node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and TRANSFORM_NAME.search(node.name) is not None)
+
+
+def test_one_transform():
+    """Group-ring transforms are built in one place, the cache
+    ``group_ring._factor_transform`` keyed by the factor tuple, which
+    serves ``_transform(G)`` and the bent layer's Walsh-Hadamard spectra;
+    outside ``group_ring`` no module defines a transform but the public
+    one-line wrapper ``bent.wht``."""
+    built, defined = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        built |= _calls_to(tree, path.stem, {"_Transform"})
+        if path.stem != "group_ring":
+            defined |= _transform_definitions(tree, path.stem)
+    assert built == {"group_ring._factor_transform"}
+    assert defined == {"bent.wht"}
+    # the scan sees a construction by name, through a module and in a
+    # method, and a transform defined as a function, a method or a class;
+    # an annotation or another name is none
+    tree = ast.parse("class _Transform:\n    pass\n"
+                     "def cache(f):\n    return _Transform(f)\n"
+                     "class K:\n    def g(self, f):\n        return gr._Transform(f)\n"
+                     "    def fwht(self, x):\n        return x\n"
+                     "def wht_signs(x):\n    return x\nclass Walsh:\n    pass\n"
+                     "def h(x) -> gr._Transform:\n    return x\n")
+    assert _calls_to(tree, "m", {"_Transform"}) == {"m.cache", "m.K.g"}
+    assert _transform_definitions(tree, "m") == {"m._Transform", "m.K.fwht", "m.wht_signs",
+                                                 "m.Walsh"}
