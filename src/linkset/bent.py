@@ -87,14 +87,17 @@ def wht(f: BooleanFunction) -> np.ndarray:
 
 
 def _spectra(tables: np.ndarray, arity: int) -> np.ndarray:
-    """The Walsh-Hadamard spectra of the rows of an (n, 2^arity) 0/1 array,
-    as the columns of a float64 (2^arity, n) array: ``group_ring``'s
-    transform of Z[Z_2^arity], whose characters are +/-1, on the rows
-    (-1)^f.  ValueError past arity 12 (2^arity > MAX_TABLE_ORDER, the
-    largest Z_2^n that ``bent_linking`` can use), before any transform."""
+    """The Walsh-Hadamard spectra of the rows of an (n, 2^arity) 0/1 array
+    (integer or bool), as the columns of a float64 (2^arity, n) array:
+    ``group_ring``'s transform of Z[Z_2^arity], whose characters are +/-1,
+    on the rows (-1)^f = 1 - 2f, made in one float64 array in place.
+    ValueError past arity 12 (2^arity > MAX_TABLE_ORDER, the largest Z_2^n
+    that ``bent_linking`` can use), before any transform."""
     if 2 ** arity > MAX_TABLE_ORDER:
         raise ValueError(f"arity {arity} is past 12 (2^{arity} > {MAX_TABLE_ORDER})")
-    return _factor_transform((2,) * arity)(1.0 - 2.0 * tables, 1, True)
+    signs = np.multiply(tables, -2.0, dtype=np.float64)
+    signs += 1.0
+    return _factor_transform((2,) * arity)(signs, 1, True)
 
 
 def _bent_rows(tables: np.ndarray, arity: int) -> np.ndarray:

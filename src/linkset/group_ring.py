@@ -11,13 +11,13 @@ and ``autocorrelations`` gives S S^(-1) for many sets at once.  Each runs
 on one of two exact routes:
 
 * the transform route, in a group built from cyclic factors of order at
-  most NTT_BLOCK, of order at least NTT_MIN_ORDER: the number-theoretic
-  transform ``_Transform``, the discrete Fourier transform of Z[G] modulo
-  one prime p > 2v + 4, as float64 GEMMs whose every partial sum stays
-  below 2^53 by a written bound;
-* the table route, in every other group (nonabelian ones, small ones): a
-  table gather and a float32 GEMM for the pair products, and an exact
-  count of quotients for the autocorrelations.
+  most NTT_BLOCK (for the pair products, of order at least NTT_MIN_ORDER
+  too): the number-theoretic transform ``_Transform``, the discrete
+  Fourier transform of Z[G] modulo one prime p > 2v + 4, as float64 GEMMs
+  whose every partial sum stays below 2^53 by a written bound;
+* the table route, in every other group (nonabelian ones, and small ones
+  for the pair products): a table gather and a float32 GEMM for the pair
+  products, and an exact count of quotients for the autocorrelations.
 
 ``mul`` stays the general-coefficient product and the oracle both kernels
 are tested against.
@@ -43,12 +43,13 @@ COUNT_BLOCK = 1 << 17
 # Largest root-of-unity matrix of the transform: a group takes the
 # transform only if each cyclic factor fits in one block.
 NTT_BLOCK = 64
-# Smallest order that takes the transform; below it the table-gather GEMM
-# and the count are faster (see README, "Product kernels").
+# Smallest order whose pair products take the transform; below it the
+# table-gather GEMM is faster (see README, "Product kernels").
+# Autocorrelations take the transform at every order.
 NTT_MIN_ORDER = 128
-# Entries of one autocorrelation block on the transform route (1 MB of
-# float64 per array).
-NTT_ROWS = 1 << 17
+# Entries of one autocorrelation block on the transform route (128 KB of
+# float64 per array, no more scratch than a block of the count).
+NTT_ROWS = 1 << 14
 # The transform keeps every value and every partial sum below this bound:
 # float64 holds every integer below 2^53 exactly, and the margin keeps the
 # reduction's rounded quotient times p below 2^53 as well.
@@ -263,10 +264,10 @@ class _Transform:
 
 
 def _transform(G: FiniteGroup) -> _Transform | None:
-    """G's transform, or None where G takes the table route (nonabelian,
-    below NTT_MIN_ORDER, or with a cyclic factor past NTT_BLOCK)."""
+    """G's transform, or None where G has none (nonabelian, or with a
+    cyclic factor past NTT_BLOCK)."""
     factors = G.cyclic_factors
-    if factors is None or G.order < NTT_MIN_ORDER or max(factors, default=1) > NTT_BLOCK:
+    if factors is None or max(factors, default=1) > NTT_BLOCK:
         return None
     return _factor_transform(factors)
 
@@ -334,8 +335,9 @@ class RowProducts:
     of shape (a, b, v), P[s, t] the coefficients of X_left[s]
     X_right[t]^(-1).  Entries are exact integers in [0, v] held as float32.
 
-    On the transform route each left row is one pointwise product with the
-    right rows' spectra and one transform.  On the table route the
+    On the transform route (groups with a transform, of order at least
+    NTT_MIN_ORDER) each left row is one pointwise product with the right
+    rows' spectra and one transform.  On the table route the
     coefficient of h is sum_z Y[z] X[h z], so one table gather X[table]
     (v x v) and one float32 GEMM against the right rows give a whole row,
     in any group.  The gather runs in blocks of at most GATHER_BLOCK
@@ -348,7 +350,7 @@ class RowProducts:
     def __init__(self, G: FiniteGroup, rows: np.ndarray):
         self.group = G
         self.rows = rows
-        self._transform = _transform(G)
+        self._transform = _transform(G) if G.order >= NTT_MIN_ORDER else None
         if self._transform is not None:
             self._spectra = self._transform(rows, 1, True)
 
@@ -358,10 +360,12 @@ class RowProducts:
         out = np.empty((len(left), len(right), v), dtype=np.float32)
         tr = self._transform
         if tr is not None:
-            spectra = self._spectra[:, right]
-            lefts = tr.left(self._spectra[:, left], G.inv_table)
+            spectra = self._spectra[:, _span(right)]
+            lefts = tr.left(self._spectra[:, _span(left)], G.inv_table)
+            pointwise = np.empty_like(spectra)
             for s in range(len(left)):
-                out[s] = tr(spectra * lefts[:, s:s + 1], tr.half ** 2, False)
+                np.multiply(spectra, lefts[:, s:s + 1], out=pointwise)
+                out[s] = tr(pointwise, tr.half ** 2, False)
             return out
         R = self.rows[right]
         # blocks of c left rows times hc values of h, with c * hc * v <= GATHER_BLOCK
@@ -375,6 +379,14 @@ class RowProducts:
                 else:
                     out[s:s + c, :, h:h + hc] = np.matmul(R, gathered.transpose(0, 2, 1))
         return out
+
+
+def _span(ids: np.ndarray):
+    """``ids`` as a slice when they run consecutively (so that indexing by
+    them takes a view, not a copy), else ``ids`` itself."""
+    if len(ids) and (np.diff(ids) == 1).all():
+        return slice(int(ids[0]), int(ids[-1]) + 1)
+    return ids
 
 
 def pair_products(G: FiniteGroup, left, right) -> np.ndarray:

@@ -526,22 +526,28 @@ def _projection_sieve(G: FiniteGroup, sets, N: Subgroup,
     lies in [0, |N|].  A pair of projections whose product breaks that
     congruence or that range cannot link, so dropping it is exact, and sets
     with equal projections get equal verdicts.  The coefficient of c in
-    rho(X) rho(Y)^(-1) is sum_b rho(Y)[b] rho(X)[c b]: one int64 matmul of
-    the distinct projections per coset c, exact since it is at most k^2.
+    rho(X) rho(Y)^(-1) is sum_b rho(Y)[b] rho(X)[c b]: one float64 GEMM of
+    the distinct projections per coset c.  Exactness bound: every addend is
+    a product of two coset counts and the counts of a projection sum to k,
+    so every partial sum is an integer of at most k^2 < 2^53, exact in
+    float64 in any order of summation.  The allowed coefficients, nu |N| +
+    (mu - nu) t for t = 0..|N|, are one bool table over 0..k^2, and each
+    coefficient is one lookup in it.
     """
     Q, proj = quotient(G, N)
     ids = np.asarray(sets, dtype=np.int64)
-    n, w = len(ids), Q.order
+    n, k, w = len(ids), ids.shape[-1], Q.order
     counts = np.bincount((proj[ids] + w * np.arange(n)[:, None]).ravel(),
                          minlength=n * w).reshape(n, w)
     first, classes = _distinct_rows(counts)
-    images = counts[first]
+    images = counts[first].astype(np.float64)
     mu, nu = munu.as_tuple()
+    values = nu * N.order + (mu - nu) * np.arange(N.order + 1)
+    allowed = np.zeros(k * k + 1, dtype=bool)
+    allowed[values[(values >= 0) & (values <= k * k)]] = True
     keep = np.ones((len(images), len(images)), dtype=bool)
     for c in range(w):
-        excess = images[:, Q.table[c]] @ images.T - nu * N.order
-        witness = excess // (mu - nu)
-        keep &= (excess % (mu - nu) == 0) & (witness >= 0) & (witness <= N.order)
+        keep &= allowed[(images[:, Q.table[c]] @ images.T).astype(np.intp)]
     return classes, keep
 
 

@@ -44,11 +44,14 @@ def _kernel_checks(verbose: bool, failures: list[str]) -> None:
         _check(f"pair_products agrees with mul on {label}",
                all(np.array_equal(prods[a, b], rg.mul(ring[a], rg.involution(ring[b])).coeffs)
                    for a in range(6) for b in range(6)), verbose, failures)
-    sets = [rng.sample(range(Z.order), rng.randint(1, Z.order)) for _ in range(6)]
-    _check("autocorrelations: transform and count paths agree on Z8xZ4xZ4",
-           rg._transform(Z) is not None
-           and np.array_equal(rg._transform_autocorrelations(Z, sets),
-                              rg._count_autocorrelations(Z, sets)), verbose, failures)
+    # one group above NTT_MIN_ORDER and one below it: autocorrelations take
+    # the transform at every order
+    for label, G in (("Z8xZ4xZ4", Z), ("Z3xZ3xZ2xZ2", make_abelian([3, 3, 2, 2]))):
+        sets = [rng.sample(range(G.order), rng.randint(1, G.order)) for _ in range(6)]
+        _check(f"autocorrelations: transform and count paths agree on {label}",
+               rg._transform(G) is not None
+               and np.array_equal(rg._transform_autocorrelations(G, sets),
+                                  rg._count_autocorrelations(G, sets)), verbose, failures)
 
 
 def witness_filter_oracle(G: FiniteGroup, sets, munu: MuNu,

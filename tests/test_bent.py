@@ -93,6 +93,27 @@ def test_wht_matches_the_sylvester_hadamard_product():
             assert np.array_equal(got, (1 - 2 * table.astype(np.int64)) @ hadamard)
 
 
+def test_spectra_read_bool_and_integer_tables_alike():
+    """The +/-1 rows come from the table's bits whatever its dtype: bool,
+    uint8 and int8 tables give the same spectra (a bool array is not taken
+    for a mask), equal to the Sylvester-Hadamard product, and the same
+    bent verdicts."""
+    rng = np.random.default_rng(43)
+    for n in (2, 4, 6):
+        hadamard = np.ones((1, 1), dtype=np.int64)
+        for _ in range(n):
+            hadamard = np.kron(np.array([[1, 1], [1, -1]], dtype=np.int64), hadamard)
+        tables = rng.integers(0, 2, size=(5, 2 ** n)).astype(np.uint8)
+        tables[0] = 0
+        tables[1] = 1
+        want = ((1 - 2 * tables.astype(np.int64)) @ hadamard).T
+        for dtype in (np.bool_, np.uint8, np.int8):
+            got = bent._spectra(tables.astype(dtype), n)
+            assert got.dtype == np.float64 and np.array_equal(got, want)
+            assert np.array_equal(bent._bent_rows(tables.astype(dtype), n),
+                                  np.all(np.abs(want) == 2 ** (n // 2), axis=0))
+
+
 def test_transforms_past_arity_12_raise_before_any_work(monkeypatch):
     """2^n past MAX_TABLE_ORDER (arity > 12, past the largest Z_2^n that
     bent_linking can use) is a ValueError before any transform is built,

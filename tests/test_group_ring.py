@@ -258,6 +258,35 @@ def test_autocorrelation_paths_agree_on_mixed_radix_sets():
         assert np.array_equal(row, rg.mul(s, rg.involution(s)).coeffs)
 
 
+@pytest.mark.parametrize("factors", [[2], [3], [2, 2], [4, 4], [8, 2], [3, 3, 2, 2], [3, 3, 5],
+                                     [6, 6], [2] * 6])
+def test_transform_autocorrelations_agree_with_the_count_at_small_orders(factors, monkeypatch):
+    """Autocorrelations take the transform in every abelian group with
+    cyclic factors up to NTT_BLOCK, below NTT_MIN_ORDER too: there the
+    transform and the count agree on the empty set, every singleton, the
+    full group, and a list of sets of mixed sizes, and ``autocorrelations``
+    (a list, and one array of equal-size id rows) counts nothing."""
+    G = make_abelian(factors)
+    assert G.order < rg.NTT_MIN_ORDER and rg._transform(G) is not None
+    rng = random.Random(G.order)
+    sets = [[], list(range(G.order))] + [[a] for a in range(G.order)]
+    # the pair products stay on the table route below NTT_MIN_ORDER
+    assert rg.RowProducts(G, rg.indicators(G, sets[:2]))._transform is None
+    sets += [rng.sample(range(G.order), rng.randint(0, G.order)) for _ in range(20)]
+    got = rg._transform_autocorrelations(G, sets)
+    assert np.array_equal(got, rg._count_autocorrelations(G, sets))
+    assert not got[0].any() and (got[1] == G.order).all()
+    assert (got[2:2 + G.order] == np.eye(1, G.order, dtype=np.int64)).all()
+    for S, row in zip(sets[-3:], got[-3:]):
+        s = rg.from_subset(G, S)
+        assert np.array_equal(row, rg.mul(s, rg.involution(s)).coeffs)
+    rows = np.array([sorted(rng.sample(range(G.order), G.order // 2)) for _ in range(9)])
+    want = rg._count_autocorrelations(G, rows)
+    monkeypatch.setattr(rg, "_count_autocorrelations", None)  # no count may start
+    assert np.array_equal(rg.autocorrelations(G, sets), got)
+    assert np.array_equal(rg.autocorrelations(G, rows), want)
+
+
 def test_autocorrelations_reject_malformed_sets():
     G = make_abelian([4, 4])
     with pytest.raises(ValueError):
@@ -334,7 +363,9 @@ def _routes(G, rows, monkeypatch):
     everything = range(len(rows))
     monkeypatch.setattr(rg, "NTT_MIN_ORDER", 1)
     assert rg._transform(G) is not None
-    transform = rg.RowProducts(G, rows)(everything, everything)
+    products = rg.RowProducts(G, rows)
+    assert products._transform is not None
+    transform = products(everything, everything)
     monkeypatch.setattr(rg, "_transform", lambda G: None)
     table = rg.RowProducts(G, rows)(everything, everything)
     monkeypatch.undo()
@@ -356,6 +387,25 @@ def test_transform_pair_products_match_the_table_route(monkeypatch):
         assert np.array_equal(transform, table)
         x, y = rg.from_subset(G, sets[0]), rg.from_subset(G, sets[1])
         assert np.array_equal(transform[0, 1], rg.mul(x, rg.involution(y)).coeffs)
+
+
+def test_row_products_index_consecutive_rows_by_a_view():
+    """``_span`` turns consecutive ids (``PairCheck.square``'s rows and
+    columns) into a slice, so the transform route reads those spectra
+    through a view, and leaves other ids as they are; both give the same
+    products as the full square."""
+    assert rg._span(np.arange(3, 7)) == slice(3, 7)
+    for ids in (np.array([2, 4]), np.array([5, 4]), np.zeros(0, dtype=np.int64)):
+        assert rg._span(ids) is ids
+    G = make_abelian([4] * 4)
+    rng = random.Random(53)
+    products = rg.RowProducts(G, rg.indicators(G, [rng.sample(range(G.order), 100)
+                                                    for _ in range(7)]))
+    assert products._transform is not None
+    assert np.shares_memory(products._spectra[:, rg._span(np.arange(2, 5))], products._spectra)
+    square = products(range(7), range(7))
+    assert np.array_equal(products(range(2, 5), range(1, 7)), square[2:5, 1:])
+    assert np.array_equal(products([4, 1], [0, 5, 2]), square[[4, 1]][:, [0, 5, 2]])
 
 
 def test_nonabelian_groups_never_reach_the_transform(monkeypatch):

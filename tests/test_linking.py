@@ -560,14 +560,16 @@ def test_verify_full_rejects_entries_of_different_sizes():
 
 
 def test_expand_checks_its_entries_in_count_blocks(monkeypatch):
-    """``verify_full`` hands the 31 sets D_(i,0) of its 992 entries (bent
-    d = 2, l = 31, v = 64, on the counting route) to the kernel as one id
-    array, counted in one block, not one set at a time; the other entries
-    are difference sets by the lemma in ``linking.PairCheck``."""
+    """``verify_full`` hands the 7 sets D_(i,0) of its 56 entries (the
+    Tyken system in D4 x Z2^3, l = 7, v = 64, nonabelian and so on the
+    counting route) to the kernel as one id array, counted in one block,
+    not one set at a time; the other entries are difference sets by the
+    lemma in ``linking.PairCheck``."""
     from linkset import group_ring as rg
-    from linkset.bent import bent_linking, kerdock_bent_set
+    from linkset.diffmat import build_tyken
+    from linkset.groups import make_abelian
 
-    reduced = bent_linking(kerdock_bent_set(2))
+    reduced = build_tyken(2, make_abelian([2, 2, 2]))
     v, k = reduced.group.order, reduced.params.k
     assert rg._transform(reduced.group) is None
     calls = []
@@ -576,8 +578,29 @@ def test_expand_checks_its_entries_in_count_blocks(monkeypatch):
                         lambda G, sets: calls.append(len(sets)) or count(G, sets))
     full = expand(reduced)
     step = rg.COUNT_BLOCK // max(k * k, v)
-    assert len(full.entries) == 992 and sum(calls) == 31
-    assert len(calls) == math.ceil(31 / step) == 1 and calls[0] == 31 < step
+    assert len(full.entries) == 56 and sum(calls) == 7
+    assert len(calls) == math.ceil(7 / step) == 1 and calls[0] == 7 < step
+
+
+def test_expand_checks_its_entries_in_one_transform_block(monkeypatch):
+    """The transform twin of the count-block test: ``verify_full`` on bent
+    d = 2 (l = 31, v = 64, abelian, so on the transform route) hands the
+    31 sets D_(i,0) of its 992 entries to one ``_transform_autocorrelations``
+    block, and never counts."""
+    from linkset import group_ring as rg
+    from linkset.bent import bent_linking, kerdock_bent_set
+
+    reduced = bent_linking(kerdock_bent_set(2))
+    v = reduced.group.order
+    assert rg._transform(reduced.group) is not None
+    calls = []
+    transform = rg._transform_autocorrelations
+    monkeypatch.setattr(rg, "_transform_autocorrelations",
+                        lambda G, sets: calls.append(len(sets)) or transform(G, sets))
+    monkeypatch.setattr(rg, "_count_autocorrelations", None)  # no count may start
+    full = expand(reduced)
+    assert len(full.entries) == 992
+    assert calls == [31] and 31 < rg.NTT_ROWS // v
 
 
 def test_expand_inverts_the_sets_with_one_gather(monkeypatch):
@@ -928,15 +951,16 @@ def test_verify_full_agrees_with_the_dense_identity_check():
 
 
 def test_verify_reduced_counts_a_list_of_sets_at_once(monkeypatch):
-    """A list of sets of one size (the 31 bent d = 2 sets, v = 64, on the
-    counting route) is checked as one (n, k) id array: one count of all 31
-    sets.  A list of sets of several sizes is counted one set at a time and
-    has no common parameters."""
+    """A list of sets of one size (the 7 Tyken sets in D4 x Z2^3, v = 64,
+    nonabelian and so on the counting route) is checked as one (n, k) id
+    array: one count of all 7 sets.  A list of sets of several sizes is
+    counted one set at a time and has no common parameters."""
     from linkset import group_ring as rg
-    from linkset.bent import bent_linking, kerdock_bent_set
+    from linkset.diffmat import build_tyken
+    from linkset.groups import make_abelian
     from linkset.linking import PairCheck
 
-    system = bent_linking(kerdock_bent_set(2))
+    system = build_tyken(2, make_abelian([2, 2, 2]))
     G, sets = system.group, [list(S) for S in system.sets()]
     assert rg._transform(G) is None
     calls = []
@@ -944,7 +968,31 @@ def test_verify_reduced_counts_a_list_of_sets_at_once(monkeypatch):
     monkeypatch.setattr(rg, "_count_autocorrelations",
                         lambda G, sets: calls.append(len(sets)) or count(G, sets))
     assert verify_reduced(G, sets) == system
-    assert calls == [31]
+    assert calls == [7]
     calls.clear()
     assert PairCheck(G, sets[:2] + [sets[2][:-1]]).params is None
     assert calls == [1, 1, 1]
+
+
+def test_verify_reduced_transforms_a_list_of_sets_at_once(monkeypatch):
+    """The transform twin: the 31 bent d = 2 sets (v = 64, abelian, on the
+    transform route) given as a list are one ``_transform_autocorrelations``
+    block, and so is a list of sets of several sizes, which has no common
+    parameters; nothing is counted."""
+    from linkset import group_ring as rg
+    from linkset.bent import bent_linking, kerdock_bent_set
+    from linkset.linking import PairCheck
+
+    system = bent_linking(kerdock_bent_set(2))
+    G, sets = system.group, [list(S) for S in system.sets()]
+    assert rg._transform(G) is not None
+    calls = []
+    transform = rg._transform_autocorrelations
+    monkeypatch.setattr(rg, "_transform_autocorrelations",
+                        lambda G, sets: calls.append(len(sets)) or transform(G, sets))
+    monkeypatch.setattr(rg, "_count_autocorrelations", None)  # no count may start
+    assert verify_reduced(G, sets) == system
+    assert calls == [31]
+    calls.clear()
+    assert PairCheck(G, sets[:2] + [sets[2][:-1]]).params is None
+    assert calls == [3]

@@ -407,6 +407,75 @@ def test_projection_sieve_alone_decides_the_q3_sweeps(factors, images):
     assert sizes.sum() == len(sets) and int(sizes @ keep @ sizes) == 0
 
 
+def _sieve_oracle(G, sets, N, munu):
+    """The projection sieve in integers, as it ran before the float64 GEMM
+    and the allowed-value table: (classes, keep) from one int64 matmul per
+    coset and the congruence and range of the witness count by // and %."""
+    from linkset.groups import quotient
+
+    Q, proj = quotient(G, N)
+    counts = np.stack([np.bincount(row, minlength=Q.order) for row in proj[np.asarray(sets)]])
+    images, classes = np.unique(counts, axis=0, return_inverse=True)
+    mu, nu = munu.as_tuple()
+    keep = np.ones((len(images), len(images)), dtype=bool)
+    for c in range(Q.order):
+        excess = images[:, Q.table[c]] @ images.T - nu * N.order
+        witness = excess // (mu - nu)
+        keep &= (excess % (mu - nu) == 0) & (witness >= 0) & (witness <= N.order)
+    return classes.reshape(-1), keep
+
+
+@pytest.mark.parametrize("factors, k, munu", [([3, 3, 2, 2], 15, (8, 5)),
+                                              ([3, 3, 5], 12, (1, 4)),
+                                              ([3, 3, 2, 2], 15, (60, 3))])
+def test_projection_sieve_matches_its_integer_oracle(factors, k, munu):
+    """The allowed-value lookup against the // and % test on random count
+    matrices (the projections of random k-sets onto G/K, K the elements of
+    order prime to 3, next to the constructed sets) for both signs of
+    mu - nu: the Spence branch (8, 5) and the McFarland branch (1, 4).
+    The branch (60, 3) puts allowed values past k^2, off the table."""
+    from linkset.designs import DSParams, construction_sets
+    from linkset.linking import MuNu
+    from linkset.search import _projection_sieve, _sweep_setup
+
+    G = make_abelian(factors)
+    params = DSParams(45, 12, 3, 9) if G.order == 45 else DSParams(36, 15, 6, 9)
+    family, reps, _, K = _sweep_setup(G, "full", params)
+    rng = np.random.default_rng(sum(factors) + munu[0])
+    random_sets = np.sort(np.argsort(rng.random((400, G.order)), axis=1)[:, :k], axis=1)
+    branch = MuNu(*munu, munu[0] < munu[1])
+    kept = []
+    for sets in (random_sets, construction_sets(family, reps, 0)[:400]):
+        classes, keep = _projection_sieve(G, sets, K, branch)
+        want_classes, want_keep = _sieve_oracle(G, sets, K, branch)
+        assert np.array_equal(classes, want_classes) and np.array_equal(keep, want_keep)
+        kept.append(int(keep.sum()))
+    # the random matrices give kept and dropped pairs on the real branches
+    assert (kept[0] > 0) == (munu != (60, 3)) and kept[1] == 0
+
+
+@pytest.mark.parametrize("complemented", [False, True])
+def test_projection_sieve_matches_its_integer_oracle_on_every_subgroup(complemented):
+    """The same comparison where the sieve keeps pairs and drops others:
+    the Z4^2 (16, 6, 2) census sets on the branch (1, 3), and their
+    complements on (7, 5), projected onto every proper nontrivial subgroup."""
+    from linkset.designs import complement
+    from linkset.search import _projection_sieve
+
+    G = make_abelian([4, 4])
+    records = enumerate_difference_sets(G, 6)
+    if complemented:
+        records = [complement(r) for r in records]
+    munu = mu_nu_candidates(records[0].params)[0]
+    assert munu.as_tuple() == ((7, 5) if complemented else (1, 3))
+    sets = np.array([r.elements for r in records])
+    for N in [N for N in _subgroups(G) if 1 < N.order < G.order]:
+        classes, keep = _projection_sieve(G, sets, N, munu)
+        want_classes, want_keep = _sieve_oracle(G, sets, N, munu)
+        assert np.array_equal(classes, want_classes) and np.array_equal(keep, want_keep)
+        assert keep[classes].any()
+
+
 def _subgroups(G):
     """Every subgroup of G, by closing each one found under one more element."""
     from linkset.groups import subgroup_generated
