@@ -11,8 +11,10 @@ map from exponent vectors to ids, then to coset unions over the hyperplanes.
 Difference matrices themselves come from a pipeline: one Galois-ring
 matrix per run of equal invariant factors (whole rows of ring products from
 the array ``GaloisRing.mul``), composed across the runs and mapped onto the
-group's factor order, and a bounded search that closes the remaining gaps
-at desk scale; the row-pair verifier is the sole arbiter.
+group's factor order, then a checked-in library of matrices that neither
+gives (``data/difference_matrices.json``), then a bounded search that
+closes the remaining gaps at desk scale; the row-pair verifier is the sole
+arbiter.
 
 The search (``_backtrack_dm``) fills rows one at a time, column by column,
 trying values in increasing order, with forward checking on one packed
@@ -46,6 +48,7 @@ import functools
 import itertools
 import json
 from dataclasses import dataclass
+from importlib.resources import files
 
 import numpy as np
 
@@ -203,11 +206,17 @@ def dm_auto(G: FiniteGroup, target_rows: int,
 
     Pipeline: one Galois-ring matrix per run of equal invariant factors,
     composed by ``dm_product`` (a homogeneous group is a single run) and
-    mapped onto G's factor order, then the exact forward-checking search
-    ``_backtrack_dm`` within ``budget`` nodes (default
-    DEFAULT_SEARCH_BUDGET).  None means absence is proved: the search
-    exhausted its space, or target_rows > |G|.  A search that runs out of
-    budget raises SearchInconclusive instead.
+    mapped onto G's factor order; then the library entry over
+    G.cyclic_factors, if it has at least target_rows rows (``_dm_library``;
+    all its rows are returned, as the Galois route returns all of its);
+    then the exact forward-checking search ``_backtrack_dm`` within
+    ``budget`` nodes (default DEFAULT_SEARCH_BUDGET).  A library hit takes
+    no nodes, so ``budget`` bounds the search only.  None means absence is
+    proved: the search exhausted its space, or target_rows > |G|.  A search
+    that runs out of budget raises SearchInconclusive instead.  Whatever
+    the route, the matrix passes ``verify_dm`` before it is returned, and a
+    library entry that fails it, names an element G lacks or has a row of
+    the wrong length raises AssertionError.
     """
     if G.cyclic_factors is None:
         raise ValueError("dm_auto needs a group built from cyclic factors")
@@ -233,6 +242,8 @@ def dm_auto(G: FiniteGroup, target_rows: int,
         section = _span_table(G, _radix_weights(factors)[positions],
                               [factors[p] for p in positions])
         rows = section[M.array()].tolist()
+    elif len(names := _dm_library().get(factors, ())) >= target_rows:
+        rows = _library_rows(G, names)
     else:
         if budget is None:
             budget = DEFAULT_SEARCH_BUDGET
@@ -246,6 +257,50 @@ def dm_auto(G: FiniteGroup, target_rows: int,
     if not verify_dm(M):
         raise AssertionError("difference matrix failed verification")
     return M
+
+
+_DM_LIBRARY_FILE = "difference_matrices.json"
+
+
+@functools.cache
+def _dm_library() -> dict[tuple[int, ...], list[list[str]]]:
+    """The checked-in difference matrices, ``data/difference_matrices.json``,
+    as element-name rows keyed by cyclic factors, read on the first lookup,
+    not at import (``_read_dm_library``)."""
+    return _read_dm_library((files(__package__) / "data" / _DM_LIBRARY_FILE)
+                            .read_text(encoding="utf-8"))
+
+
+def _read_dm_library(text: str) -> dict[tuple[int, ...], list[list[str]]]:
+    """Parse the library: a list of ``dm_to_json`` payloads of abelian
+    groups, each with a ``made`` recipe ("search": the first solution of
+    ``_backtrack_dm`` at the default budget; {"product": parts}: the
+    ``dm_product`` of the named parts), one per group.  A file that does
+    not parse, an entry without ``group`` or ``rows`` or a group with two
+    entries raises AssertionError naming the file.  ``dm_auto`` verifies each
+    entry it serves, and tests/test_diffmat.py rebuilds every entry from
+    its recipe."""
+    try:
+        entries = [(tuple(entry["group"]["abelian"]), entry["rows"]) for entry in json.loads(text)]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise AssertionError(f"{_DM_LIBRARY_FILE} is malformed: {exc!r}") from exc
+    library = dict(entries)
+    if len(library) != len(entries):
+        raise AssertionError(f"{_DM_LIBRARY_FILE} has two entries over one group")
+    return library
+
+
+def _library_rows(G: FiniteGroup, names: list[list[str]]) -> list[list[int]]:
+    """The ids over G of a library entry's element names."""
+    try:
+        rows = [G.element_ids(row) for row in names]
+    except (TypeError, ValueError) as exc:
+        raise AssertionError(f"{_DM_LIBRARY_FILE}: the entry over {list(G.cyclic_factors)} "
+                             f"names an element outside the group: {exc}") from exc
+    if any(len(row) != G.order for row in rows):
+        raise AssertionError(f"{_DM_LIBRARY_FILE}: the entry over {list(G.cyclic_factors)} "
+                             f"has a row without |G| = {G.order} entries")
+    return rows
 
 
 FOUND, ABSENT, INCONCLUSIVE = "found", "absent", "inconclusive"

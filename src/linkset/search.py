@@ -491,8 +491,9 @@ def _translation_classes(G: FiniteGroup, sets: np.ndarray) -> np.ndarray:
         indicator = np.zeros((len(rows), v))
         indicator[np.arange(len(rows))[:, None], rows] = 1.0
         keys = indicator @ P                      # [s, a] = key(a S_s)
-        best[start:start + block] = keys.argmax(axis=1)
-        canon[start:start + block] = keys.max(axis=1)
+        top = keys.argmax(axis=1)
+        best[start:start + block] = top
+        canon[start:start + block] = keys[np.arange(len(keys)), top]
     _, first = np.unique(canon, return_index=True)
     first.sort()
     return np.sort(G.table[best[first, None], sets[first]], axis=1)

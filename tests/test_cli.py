@@ -136,6 +136,17 @@ def test_dm_round_trip(tmp_path):
     assert code == 0
 
 
+def test_dm_construct_from_the_library_product(tmp_path):
+    # Z4 x Z2^3 with four rows: no Galois ring gives it and the search runs
+    # out of budget (exit 3), so the library's product entry serves it
+    path = tmp_path / "dm.json"
+    code, out, _ = run_capture(["dm", "construct", "--group", '{"abelian": [4, 2, 2, 2]}',
+                                "--rows", "4", "--out", str(path)])
+    assert code == 0 and "verified" in out
+    code, _, _ = run_capture(["dm", "verify", str(path)])
+    assert code == 0
+
+
 def test_dm_absent():
     code, _, err = run_capture(["dm", "construct", "--group", '{"abelian": [4]}',
                                 "--rows", "3"])
@@ -144,7 +155,7 @@ def test_dm_absent():
 
 @pytest.mark.parametrize("argv", [
     ["dm", "construct", "--group", '{"abelian": [8, 4]}', "--rows", "4"],
-    ["build", "general", "--group", '{"abelian": [16, 4, 2, 2]}'],  # quotient Z8 x Z2
+    ["build", "general", "--group", '{"abelian": [32, 4, 2, 2, 2]}'],  # quotient Z16 x Z2
     ["build", "improved", "--group", '{"abelian": [8, 8, 4, 2, 2]}'],  # quotient Z4^2 x Z2
 ])
 def test_budget_out_is_inconclusive_exit_code(monkeypatch, argv):

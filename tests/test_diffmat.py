@@ -1,15 +1,26 @@
+import copy
+import functools
+import json
+import os
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
 from collections import Counter
+from importlib.resources import files
+from pathlib import Path
 
 import pytest
 
+from linkset import diffmat
 from linkset import group_ring as rg
 from linkset import io as lio
+from linkset.cli import run
 from linkset.designs import is_reversible
 from linkset.diffmat import (
     ABSENT,
+    DEFAULT_SEARCH_BUDGET,
     FOUND,
     INCONCLUSIVE,
     KILL_CACHE_BYTES,
@@ -38,6 +49,7 @@ from linkset.groups import (
     make_quaternion8,
     subgroup_generated,
 )
+from linkset.linking import verify_reduced
 from linkset.worked_examples import (
     dm_z2z2,
     linked_triple_z4z4,
@@ -193,14 +205,18 @@ FIRST_ROWS = {
 
 
 @pytest.mark.parametrize("factors", sorted(FIRST_ROWS))
-def test_search_returns_the_lexicographically_first_matrix(factors):
+def test_search_returns_the_lexicographically_first_matrix(monkeypatch, factors):
     G = make_abelian(list(factors))
     v = G.order
     search = _backtrack_dm(G, 4, 10 ** 6)
     assert search.outcome == FOUND
     assert search.rows == ((0,) * v, tuple(range(v))) + FIRST_ROWS[factors]
     assert verify_dm(DifferenceMatrix(G, 1, search.rows))
-    # neither Galois ring nor product gives four rows here, so dm_auto searches
+    # neither Galois ring nor product gives four rows here: dm_auto serves
+    # the search's matrix from the library, and without the library it
+    # runs the search itself
+    assert dm_auto(G, 4).rows == search.rows
+    monkeypatch.setattr(diffmat, "_dm_library", dict)
     assert dm_auto(G, 4).rows == search.rows
 
 
@@ -302,11 +318,144 @@ def test_budget_out_is_inconclusive():
         dm_auto(G, 4, budget=100)
     assert info.value.budget == 100 and info.value.rows == 4
     with pytest.raises(SearchInconclusive):
-        build_general(make_abelian([16, 4, 2, 2]), budget=100)  # quotient Z8 x Z2
+        build_general(make_abelian([32, 4, 2, 2, 2]), budget=100)  # quotient Z16 x Z2
+
+
+def test_library_hit_takes_no_search_nodes():
+    # quotient Z8 x Z2: its matrix comes from the library, so a budget far
+    # short of the search's 8,547 nodes still builds
+    assert build_general(make_abelian([16, 4, 2, 2]), budget=100).size == 3
+
+
+LIBRARY = json.loads((files("linkset") / "data" / "difference_matrices.json")
+                     .read_text(encoding="utf-8"))
+
+
+def _made(recipe, factors, m):
+    """The m rows that a library recipe makes over make_abelian(factors):
+    the search's first solution at the default budget, or the dm_product of
+    the named parts."""
+    if recipe == "search":
+        return _backtrack_dm(make_abelian(factors), m, DEFAULT_SEARCH_BUDGET).rows
+    parts = []
+    for part in recipe["product"]:
+        (kind, arg), = part.items()
+        if kind == "search":
+            parts.append(DifferenceMatrix(make_abelian(arg), 1, _made(kind, arg, m)))
+        else:
+            assert kind == "galois_ring"
+            parts.append(dm_galois_ring(*arg))
+    return functools.reduce(dm_product, parts).rows[:m]
+
+
+@pytest.mark.parametrize("entry", LIBRARY, ids=lambda entry: str(entry["group"]["abelian"]))
+def test_library_entry_is_what_its_recipe_makes(entry):
+    factors, m = entry["group"]["abelian"], len(entry["rows"])
+    rows = _made(entry["made"], factors, m)
+    assert rows is not None and len(rows) == m
+    payload = {key: entry[key] for key in ("group", "lambda", "rows")}
+    assert lio.dm_from_json(payload).rows == rows  # re-verified on load
+    assert dm_auto(make_abelian(factors), m).rows == rows
+
+
+def test_library_keys():
+    # one entry per group, with four rows each
+    library = diffmat._dm_library()
+    assert sorted(library) == [(4, 2), (4, 2, 2), (4, 2, 2, 2), (8, 2)]
+    assert {len(rows) for rows in library.values()} == {4} and len(LIBRARY) == 4
+
+
+def test_library_serves_an_entry_with_more_rows_than_asked(monkeypatch):
+    # dm_auto promises at least target_rows rows; the 4-row entry over
+    # Z4 x Z2^3 answers a 3-row request without a search
+    monkeypatch.setattr(diffmat, "_backtrack_dm", None)
+    G = make_abelian([4, 2, 2, 2])
+    M = dm_auto(G, 3)
+    assert M.num_rows == 4 and M.rows == dm_auto(G, 4).rows
+
+
+def _library_with(monkeypatch, factors, edit):
+    """Serve the library with edit(rows) applied to the entry over factors."""
+    library = {key: [list(row) for row in rows] for key, rows in diffmat._dm_library().items()}
+    edit(library[factors])
+    monkeypatch.setattr(diffmat, "_dm_library", lambda: library)
+
+
+def test_corrupt_library_entry_raises(monkeypatch):
+    def swap(rows):
+        rows[2][3], rows[2][4] = rows[2][4], rows[2][3]
+
+    _library_with(monkeypatch, (8, 2), swap)
+    with pytest.raises(AssertionError, match="failed verification"):
+        dm_auto(make_abelian([8, 2]), 4)
+    with pytest.raises(AssertionError, match="failed verification"):
+        build_general(make_abelian([16, 4, 2, 2]))
+
+
+@pytest.mark.parametrize("edit", [lambda rows: rows[1].__setitem__(5, "x3"),
+                                  lambda rows: rows[1].pop()],
+                         ids=["foreign-name", "short-row"])
+def test_library_entry_that_does_not_fit_its_group_raises(monkeypatch, edit):
+    # an error in the file, not in the caller's input: AssertionError naming
+    # the file, which cli.run does not report as a usage error
+    _library_with(monkeypatch, (8, 2), edit)
+    with pytest.raises(AssertionError, match="difference_matrices.json"):
+        dm_auto(make_abelian([8, 2]), 4)
+    with pytest.raises(AssertionError, match="difference_matrices.json"):
+        run(["dm", "construct", "--group", '{"abelian": [8, 2]}', "--rows", "4"])
+
+
+@pytest.mark.parametrize("edit", [lambda entries: entries[2].pop("group"),
+                                  lambda entries: entries[2].pop("rows"),
+                                  lambda entries: entries.append(entries[0])],
+                         ids=["no-group", "no-rows", "repeated-group"])
+def test_malformed_library_file_raises(edit):
+    entries = copy.deepcopy(LIBRARY)
+    edit(entries)
+    with pytest.raises(AssertionError, match="difference_matrices.json"):
+        diffmat._read_dm_library(json.dumps(entries))
+    with pytest.raises(AssertionError, match="difference_matrices.json"):
+        diffmat._read_dm_library("[{")
+
+
+def test_import_does_not_read_the_library():
+    """The library file is opened on the first lookup, once per process,
+    and not by ``import linkset``."""
+    code = ("import sys\n"
+            "opened = []\n"
+            "sys.addaudithook(lambda event, args: event == 'open' and opened.append(str(args[0])))\n"
+            "import linkset\n"
+            "reads = lambda: sum(p.endswith('difference_matrices.json') for p in opened)\n"
+            "at_import = reads()\n"
+            "for _ in range(2):\n"
+            "    linkset.dm_auto(linkset.make_abelian([8, 2]), 4)\n"
+            "print(at_import, reads())\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "1"]
+
+
+# The order-1024 groups in build_general's and build_improved's domains whose
+# quotient is Z4 x Z2^3 (four rows for both): the library's product entry
+# builds them, where the search ran out of budget.
+@pytest.mark.parametrize("build", [build_general, build_improved], ids=lambda b: b.__name__)
+@pytest.mark.parametrize("factors", ([8, 4, 4, 4, 2], [8, 4, 4, 2, 2, 2], [8, 4, 2, 2, 2, 2, 2],
+                                     [8] + [2] * 7), ids=str)
+def test_order_1024_builds_over_the_library_product(monkeypatch, build, factors):
+    monkeypatch.setattr(diffmat, "_backtrack_dm", None)  # no search may run
+    G = make_abelian(factors)
+    system = build(G)
+    assert system.size == 3 and G.order == 1024
+    again = verify_reduced(G, [record.elements for record in system.records])
+    assert again.records == system.records and again.munu == system.munu
 
 
 # Every abelian group of order 256 in build_general's domain (rank >= 4,
-# exponent <= 16); the first two have quotient Z8 x Z2 and use the search.
+# exponent <= 16).  The first two have quotient Z8 x Z2 and [8, 4, 4, 2]
+# has Z4 x Z2^2: the library serves their matrices, and
+# test_build_general_order_256_by_the_search builds them without it.
 GENERAL_256 = ([16, 4, 2, 2], [16, 2, 2, 2, 2], [8, 8, 2, 2], [8, 4, 4, 2],
                [8, 4, 2, 2, 2], [8, 2, 2, 2, 2, 2], [4, 4, 4, 4], [4, 4, 4, 2, 2],
                [4, 4, 2, 2, 2, 2], [4, 2, 2, 2, 2, 2, 2], [2] * 8)
@@ -318,6 +467,14 @@ def test_build_general_order_256_domain(factors):
     system = build_general(make_abelian(factors))
     assert time.perf_counter() - start < 1.0
     assert system.size == 3 and system.group.order == 256
+
+
+@pytest.mark.parametrize("factors", GENERAL_256[:2] + GENERAL_256[3:4], ids=str)
+def test_build_general_order_256_by_the_search(monkeypatch, factors):
+    # the cases the library serves, with the library emptied: the search
+    # finds their quotient matrices within the same bound
+    monkeypatch.setattr(diffmat, "_dm_library", dict)
+    test_build_general_order_256_domain(factors)
 
 
 def test_linked_from_dm_reproduces_triple():
@@ -484,7 +641,10 @@ def test_builders_make_no_scalar_group_products(monkeypatch):
     assert make_abelian([2]).mul(1, 1) == 0 and calls == [1]  # the counter sees a call
     calls.clear()
     build_general(make_abelian([8, 2, 2, 2]))
-    build_general(make_abelian([16, 4, 2, 2]))  # quotient Z8 x Z2: the search
+    build_general(make_abelian([16, 4, 2, 2]))  # quotient Z8 x Z2: the library
+    with monkeypatch.context() as patch:
+        patch.setattr(diffmat, "_dm_library", dict)
+        build_general(make_abelian([16, 4, 2, 2]))  # the same quotient by the search
     build_improved(make_abelian([4] * 5))
     build_nonreversible(2)
     build_tyken(2, make_abelian([4, 2]))
