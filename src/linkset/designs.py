@@ -10,7 +10,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import group_ring as rg
-from .groups import FiniteGroup, Subgroup, _cosets, _ilog, _span_table, is_central
+from .groups import (
+    FiniteGroup,
+    Subgroup,
+    _cosets,
+    _ilog,
+    _independent_basis,
+    _span_table,
+    is_central,
+)
 
 
 @dataclass(frozen=True)
@@ -167,12 +175,16 @@ class HyperplaneFamily:
         return len(self.members)
 
 
-def hyperplanes(E: Subgroup, p: int, basis) -> HyperplaneFamily:
-    """The hyperplanes of E over ``basis``.  Every element of E gets its
-    coordinate vector from ``_span_table`` (element i of the span has the
-    base-p digits of i), and the kernel of each functional is read off one
-    product of the coordinate matrix with the functionals, mod p."""
+def hyperplanes(E: Subgroup, p: int, basis=None) -> HyperplaneFamily:
+    """The hyperplanes of E over ``basis``, by default the greedy
+    minimal-id basis of E (``groups._independent_basis``).  Every element
+    of E gets its coordinate vector from ``_span_table`` (element i of the
+    span has the base-p digits of i), and the kernel of each functional is
+    read off one product of the coordinate matrix with the functionals,
+    mod p."""
     G = E.group
+    if basis is None:
+        basis = _independent_basis(G, E.elements, p)
     basis = tuple(int(b) for b in basis)
     d1 = len(basis)
     if p ** d1 != E.order:

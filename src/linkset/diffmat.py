@@ -65,7 +65,6 @@ from .groups import (
     FiniteGroup,
     Subgroup,
     _cosets,
-    _independent_basis,
     _radix_weights,
     _span_table,
     make_abelian,
@@ -506,11 +505,6 @@ def _backtrack_dm(G: FiniteGroup, m: int, budget: int) -> DMSearch:
 # -- difference matrix -> linking system ---------------------------------------
 
 
-def default_hyperplanes(G: FiniteGroup, E: Subgroup) -> HyperplaneFamily:
-    """Hyperplane family over the greedy minimal-id basis of E."""
-    return hyperplanes(E, 2, _independent_basis(G, E.elements, 2))
-
-
 def linked_from_dm(G: FiniteGroup, E: Subgroup, bmat, lifts=None,
                    family: HyperplaneFamily | None = None) -> ReducedLinkingSystem:
     """Difference sets D_i = sum_j b_{i,j} e_{i,j} H_j from matrix rows.
@@ -537,7 +531,7 @@ def linked_from_dm(G: FiniteGroup, E: Subgroup, bmat, lifts=None,
     if not _row_pairs_cover(G, np.array(bmat), coset, 1):
         raise ValueError("matrix does not project to a (G/E, m, 1)-difference matrix")
     if family is None:
-        family = default_hyperplanes(G, E)
+        family = hyperplanes(E, 2)
     if family.subgroup.elements != E.elements:
         raise ValueError("hyperplane family does not belong to E")
     if lifts is None:

@@ -3,14 +3,14 @@ interconversion, (mu, nu) arithmetic, and reversibility checks.
 
 Every linking decision is one pair check, ``PairCheck``: over one batch
 of difference sets with common parameters, bound to a (mu, nu) branch, it
-computes the full product rows X Y^(-1) of left and right sets in blocks
-and keeps the pairs valued in {mu, nu}: those are the linked pairs (the
-lemma in its docstring).  A batch against itself (``square``) computes
-the pairs i < j only and reads each (j, i) from the involution.
-``verify_reduced`` checks all sets against all sets under each branch,
-``verify_full`` the sets D_(i,0) (the theorem in its docstring); the
-census and the sweeps (``search``) check their own batches.  Nothing else
-here makes products.
+computes the full product rows D_i D_j^(-1) of the pairs i < j in blocks
+(``PairCheck._upper``) and keeps the pairs valued in {mu, nu}: those are
+the linked pairs (the lemma in its docstring), and each (j, i) follows from
+(i, j) by the involution.  Two results read that one pass: ``links``, the
+linked pairs, for the census and the sweeps (``search``), and
+``witness_ids``, every pair's mu-support or None, for ``verify_reduced``
+and ``verify_full`` (the theorem in its docstring).  Nothing else here
+makes products.
 """
 
 from __future__ import annotations
@@ -124,7 +124,7 @@ class LinkingSystem:
 def verify_reduced(G: FiniteGroup, sets) -> ReducedLinkingSystem | None:
     """Check Definition-level linking of a list of element sets: every set
     a difference set with common parameters, and under a single (mu, nu)
-    branch every ordered pair linked, by one ``PairCheck.square`` over the
+    branch every ordered pair linked, by ``PairCheck.witness_ids`` over the
     sets, which stops at the first pair that does not link and otherwise
     writes the supports in pair order.  Returns the verified system or None."""
     if len(sets) < 2:
@@ -133,10 +133,10 @@ def verify_reduced(G: FiniteGroup, sets) -> ReducedLinkingSystem | None:
     if check.params is None:
         return None
     for munu in mu_nu_candidates(check.params):
-        found = check.bind(munu).square(complete=True)
+        found = check.bind(munu).witness_ids()
         if found is not None:
             records = tuple(DifferenceSetRecord(G, tuple(S), check.params) for S in sets)
-            return ReducedLinkingSystem(G, records, munu, found[2])
+            return ReducedLinkingSystem(G, records, munu, found)
     return None
 
 
@@ -192,79 +192,62 @@ class PairCheck:
         self.munu = munu
         return self
 
-    def block(self, rows: np.ndarray, cols: np.ndarray):
-        """The pairs of the rectangle rows x cols (two int64 index arrays)
-        that link, rows[s] == cols[t] dropped: (s, t, supports), in order of
-        (s, t), the supports one (len(s), k) int32 id array.  Per block of
-        left rows (at most PRODUCT_BLOCK float32 entries), one ``RowProducts``
-        call and one comparison with mu give the mu-masks, from which the
-        supports of the two-valued pairs are cut out at once.  The --jobs
-        row chunks and the sweeps' one-row checks take this rectangle; a
-        batch against itself takes ``square``."""
-        k = self.params.k
-        step = self._step(len(cols))
-        found = [(np.zeros(0, dtype=np.int64),) * 2 + (np.zeros((0, k), dtype=np.int32),)]
-        for start in range(0, len(rows), step):
-            two_valued, is_mu = self._two_valued(rows[start:start + step], cols)
-            s, t = np.nonzero(two_valued)
-            off = rows[start + s] != cols[t]
-            s, t = s[off], t[off]
-            found.append((start + s, t, self._supports(is_mu, s, t)))
-        s, t, supports = (np.concatenate(part) for part in zip(*found))
-        return s, t, supports
+    def links(self, rows: range | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """The linked pairs (i, j), i < j, with i in ``rows`` (by default
+        every set), as two int64 arrays in order of (i, j); (j, i) links
+        too (the involution in ``_upper``).  The --jobs pool maps this over
+        ranges of rows."""
+        found = [(np.zeros(0, dtype=np.int64),) * 2]
+        for block, cols, linked, _ in self._upper(rows):
+            s, t = np.nonzero(linked)
+            found.append((block[s], cols[t]))
+        i, j = (np.concatenate(part) for part in zip(*found))
+        return i, j
 
-    def square(self, supports: bool = True, complete: bool = False):
-        """``block(everyone, everyone)`` from the pairs i < j alone: the same
-        (s, t, supports) over every ordered pair of distinct sets of the
-        batch, in order of (s, t), with the products of half the pairs.
+    def witness_ids(self) -> np.ndarray | None:
+        """The mu-supports of every ordered pair of distinct sets, one
+        (n(n-1), k) int32 id array in ``ReducedLinkingSystem.pair_row``
+        order, or None from the first pair that does not link.  Each support
+        is written once, as its block comes out, with W_ji = W_ij^(-1)."""
+        n, k, v = len(self.ids), self.params.k, self.group.order
+        out = np.empty((n * (n - 1), k), dtype=np.int32)
+        for block, cols, linked, is_mu in self._upper():
+            s, t = np.nonzero(linked)
+            if len(s) < (n - 1 - block).sum():  # row i holds the n-1-i pairs (i, j > i)
+                return None
+            i, j = block[s], cols[t]
+            found = (np.flatnonzero(is_mu[s, t]) % v).astype(np.int32).reshape(len(s), k)
+            out[i * (n - 1) + j - 1] = found  # |W| = k by the lemma
+            out[j * (n - 1) + i] = np.sort(self.group.inv_table[found], axis=1)
+        return out
+
+    def _upper(self, rows: range | None = None):
+        """The pair pass over the pairs i < j with i in ``rows`` (by default
+        every set): per block of those left rows against every later set
+        (at most PRODUCT_BLOCK float32 entries, or one row), one
+        ``RowProducts`` call and one comparison with mu yield (block, cols,
+        linked, is_mu): the block's left rows and the later sets as int64
+        arrays, the (len(block), len(cols)) bool mask of the pairs i < j
+        valued in {mu, nu}, and the mu-masks of the block's product rows.
 
         Involution.  The map x -> x^(-1) of Z[G], the coefficient of g moved
         to g^(-1), reverses products in any group: (XY)^(-1) = Y^(-1) X^(-1).
         So D_j D_i^(-1) = (D_i D_j^(-1))^(-1), whose coefficient at g is that
         of D_i D_j^(-1) at g^(-1).  Hence (j, i) is valued in {mu, nu} iff
         (i, j) is, and its mu-support is W_ji = W_ij^(-1), the sorted
-        ``inv_table[W_ij]``.
-
-        Per block of rows a..b-1 against the columns a+1..n-1 (at most
-        PRODUCT_BLOCK float32 entries, or one row), the pairs i < j are
-        kept.  Their supports go, as each block comes out, into one
-        preallocated (n(n-1), k) int32 array at the rows they have when
-        every pair links (``ReducedLinkingSystem.pair_row``): that array is
-        returned as it is when every pair links, else its linked rows.
-        Without ``supports`` the third entry is None (the census needs only
-        verdicts).  With ``complete`` the result is None from the first
-        pair that does not link (``verify_reduced``'s early stop).
+        ``inv_table[W_ij]``: the pairs i < j decide every ordered pair.
         """
-        n, k = len(self.ids), self.params.k
-        linked = np.zeros((n, n), dtype=bool)
-        out = np.empty((n * (n - 1), k), dtype=np.int32) if supports else None
-        inv_table = self.group.inv_table
-        start = 0
-        while start < n - 1:
-            cols = np.arange(start + 1, n)
-            rows = np.arange(start, min(n - 1, start + self._step(len(cols))))
-            two_valued, is_mu = self._two_valued(rows, cols)
-            upper = cols > rows[:, None]
-            if complete and (upper & ~two_valued).any():
-                return None
-            s, t = np.nonzero(two_valued & upper)
-            i, j = rows[s], cols[t]
-            linked[i, j] = linked[j, i] = True
-            if supports:
-                found = self._supports(is_mu, s, t)
-                out[i * (n - 1) + j - 1] = found
-                out[j * (n - 1) + i] = np.sort(inv_table[found], axis=1)
-            start = int(rows[-1]) + 1
-        s, t = np.nonzero(linked)
-        if supports and len(s) < len(out):
-            out = out[linked[~np.eye(n, dtype=bool)]]
-        return s, t, out
-
-    def _step(self, cols: int) -> int:
-        """Left rows per product block against ``cols`` right rows."""
         if self.munu is None:
             raise ValueError("bind a (mu, nu) branch before checking pairs")
-        return max(1, PRODUCT_BLOCK // max(1, cols * self.group.order))
+        n, v = len(self.ids), self.group.order
+        rows = range(n) if rows is None else rows
+        start, stop = rows.start, min(rows.stop, n - 1)
+        while start < stop:
+            cols = np.arange(start + 1, n)
+            block = np.arange(start, min(stop, start + max(1, PRODUCT_BLOCK // (len(cols) * v))))
+            two_valued, is_mu = self._two_valued(block, cols)
+            yield block, cols, two_valued & (cols > block[:, None]), is_mu
+            start = int(block[-1]) + 1
 
     def _two_valued(self, rows: np.ndarray, cols: np.ndarray):
         """One product block: the (len(rows), len(cols)) bool array of the
@@ -272,21 +255,6 @@ class PairCheck:
         prods = self._products(rows, cols)
         is_mu = prods == self.munu.mu
         return (is_mu | (prods == self.munu.nu)).all(axis=2), is_mu
-
-    def _supports(self, is_mu: np.ndarray, s: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """The mu-supports of the pairs (s, t) of one block, one (len(s), k)
-        int32 id array (|W| = k by the lemma): the flat positions of the
-        block's mu-masks modulo v."""
-        ids = np.flatnonzero(is_mu[s, t]) % self.group.order
-        return ids.astype(np.int32).reshape(len(s), self.params.k)
-
-    def pairs(self, rows) -> tuple[np.ndarray, np.ndarray]:
-        """The linked pairs (left[t], right[t]) of the sets ``rows`` with
-        every other set, in order: the linking graph's pair scan over one
-        range of rows, which the --jobs pool maps."""
-        rows = np.asarray(rows, dtype=np.int64)
-        s, t, _ = self.block(rows, np.arange(len(self.ids)))
-        return rows[s], t
 
 
 def expand(reduced: ReducedLinkingSystem) -> LinkingSystem:
@@ -358,11 +326,10 @@ def _reduced_of(full: LinkingSystem) -> ReducedLinkingSystem | None:
     check = PairCheck(G, np.array([rec.elements for rec in firsts], dtype=np.int64))
     if check.params != params or not check.admits(full.munu):
         return None
-    found = check.bind(full.munu).square(complete=True)
-    if found is None:
+    supports = check.bind(full.munu).witness_ids()
+    if supports is None:
         return None
-    supports = found[2]
-    # the D_(0,i), then the D_(i,j) in square's pair order (1,2), (1,3), ..., (l,l-1)
+    # the D_(0,i), then the D_(i,j) in witness_ids' pair order (1,2), (1,3), ..., (l,l-1)
     stated = np.array([full.entries[(h, j)].elements for h in idx for j in idx[1:] if h != j],
                       dtype=np.int32)
     if not (np.array_equal(stated[:ell], np.sort(G.inv_table[check.ids], axis=1))

@@ -5,10 +5,10 @@ All searches are exact.  Difference sets are enumerated by contraction
 down a normal series: coset counts over each quotient are split one level
 at a time and kept while their autocorrelation is n + lambda |N| (G/N)
 (``enumerate_difference_sets``).  Every linking decision, in the census
-(``PairCheck.square`` builds the linking graph and re-verifies its
-cliques, from the pairs i < j) and behind the sweeps' sieve, is one
-``linking.PairCheck`` over the sets concerned: full product rows
-(``group_ring.RowProducts``) and one two-valued test.
+(the linking graph and the re-verification of its cliques) and behind the
+sweeps' sieve, is one ``linking.PairCheck.links`` over the sets
+concerned: full product rows (``group_ring.RowProducts``) of the pairs
+i < j and one two-valued test, each (j, i) mirrored by the involution.
 
 The census runs on index arrays: the clique listing grows (m, t) arrays
 of vertex indices block by block, each clique carrying the AND row of its
@@ -52,7 +52,6 @@ from .groups import (
     FiniteGroup,
     Subgroup,
     _cosets,
-    _independent_basis,
     coset_transversal,
     find_central_elementary_abelian,
     is_normal,
@@ -228,20 +227,22 @@ def build_linking_graph(G: FiniteGroup, records, munu: MuNu, jobs: int = 1) -> L
         import concurrent.futures
 
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(check.pairs, chunks))
-        left, right = (np.concatenate(part) for part in zip(*results))
+            found = list(pool.map(check.links, chunks))
     else:
-        left, right, _ = check.square(supports=False)
-    directed = np.zeros((n, n), dtype=bool)
-    directed[left, right] = True
-    adjacency = directed & directed.T
-    return LinkingGraph(G, records, munu, adjacency, linked_pairs=len(left))
+        found = [check.links()]
+    i, j = (np.concatenate(part) for part in zip(*found))
+    adjacency = np.zeros((n, n), dtype=bool)
+    adjacency[i, j] = adjacency[j, i] = True  # (j, i) links iff (i, j) does
+    return LinkingGraph(G, records, munu, adjacency, linked_pairs=2 * len(i))
 
 
 def _row_chunks(n: int, jobs: int) -> list[range]:
-    """jobs (at most n) consecutive row ranges covering 0..n-1."""
-    bounds = np.linspace(0, n, min(jobs, n) + 1, dtype=int)
-    return [range(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
+    """At most jobs consecutive row ranges covering 0..n-1, each with about
+    the same share of the n(n-1)/2 pairs i < j (row i has n-1-i of them)."""
+    area = np.cumsum(np.arange(n - 1, -1, -1))  # the pairs of rows 0..r
+    cuts = np.searchsorted(area, area[-1] * np.arange(1, jobs) / jobs) + 1
+    bounds = [0, *cuts.tolist(), n]
+    return [range(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
 
 
 class CensusSystems(Sequence):
@@ -354,9 +355,9 @@ def _reverify_cliques(graph: LinkingGraph, cliques: np.ndarray) -> int:
     except ValueError as exc:
         raise AssertionError("clique failed re-verification") from exc
     m = len(check.ids)
-    left, right, _ = check.square(supports=False)
+    i, j = check.links()
     linked = np.zeros((m, m), dtype=bool)
-    linked[left, right] = True
+    linked[i, j] = linked[j, i] = True
     asked = np.zeros((m, m), dtype=bool)
     for a, b in itertools.permutations(range(cliques.shape[1]), 2):
         asked[local[:, a], local[:, b]] = True
@@ -555,14 +556,14 @@ def _projection_sieve(G: FiniteGroup, sets, N: Subgroup,
 def _sweep_pairs(G: FiniteGroup, sets, munu: MuNu, N: Subgroup) -> tuple[int, int]:
     """Decide every ordered pair of the sets (sorted (n, k) id rows) and
     count the linked pairs of distinct sets: the projection sieve on G/N
-    (``_projection_sieve``), then one ``linking.PairCheck`` over the sets,
-    each set against the sets it keeps."""
+    (``_projection_sieve``), then one ``linking.PairCheck`` over the sets
+    whose projection has a kept partner.  Both projections of a linked pair
+    are kept, so the pairs outside that check link with nothing."""
     classes, keep = _projection_sieve(G, sets, N, munu)
+    kept = sets[keep.any(axis=1)[classes]]
     linked = 0
-    if keep.any():
-        check = PairCheck(G, sets).bind(munu)
-        for i, a in enumerate(classes.tolist()):
-            linked += len(check.block(np.array([i]), np.flatnonzero(keep[a, classes]))[0])
+    if len(kept):
+        linked = 2 * len(PairCheck(G, kept).bind(munu).links()[0])
     return len(sets) ** 2, linked
 
 
@@ -617,7 +618,7 @@ def _sweep_setup(G: FiniteGroup, mode: str, params: DSParams):
         raise ValueError(f"expected a group of order {params.v}")
     E = _central_e(G, 2, 3)
     K = _prime_to_3_subgroup(G)
-    family = hyperplanes(E, 3, _independent_basis(G, E.elements, 3))
+    family = hyperplanes(E, 3)
     branches = mu_nu_candidates(params)
     if len(branches) != 1:
         raise AssertionError("expected a unique integer (mu, nu) branch")

@@ -717,6 +717,7 @@ def test_span_helpers_and_hyperplanes_match_scalar_references(G, p):
     for order in (basis, basis[::-1]):
         family = hyperplanes(E, p, order)
         assert [H.elements for H in family.members] == _scalar_hyperplanes(G, E, order, p)
+    assert hyperplanes(E, p).basis == tuple(basis)  # E is the torsion: the same greedy basis
     # every central Z_p^2: the distinct closures of two torsion elements that have order p^2
     pairs = {_scalar_closure(G, pair) for pair in itertools.combinations(torsion, 2)}
     assert [H.elements for H in find_central_elementary_abelian(G, 2, p=p)] == sorted(

@@ -223,20 +223,20 @@ def test_verify_reduced_batched_rejections_z4_4(monkeypatch):
     assert len(sets) == 15
 
     # the sets in one batch go through the transform path, the witnesses
-    # (203 distinct of 210) are not checked again, and one pair check of
-    # the batch against itself covers every pair, with no rectangle
+    # (203 distinct of 210) are not checked again, and one pair pass of
+    # the batch against itself covers every pair, with no scan for links
     calls, checks = [], []
     transform = rg._transform_autocorrelations
     monkeypatch.setattr(rg, "_transform_autocorrelations",
                         lambda G, block: calls.append(len(block)) or transform(G, block))
-    square = linking.PairCheck.square
-    monkeypatch.setattr(linking.PairCheck, "square",
-                        lambda self, **kw: checks.append(len(self.ids)) or square(self, **kw))
+    upper = linking.PairCheck._upper
+    monkeypatch.setattr(linking.PairCheck, "_upper",
+                        lambda self, rows=None: checks.append(len(self.ids)) or upper(self, rows))
 
-    def no_rectangle(self, rows, cols):
-        raise AssertionError("verify_reduced checked a rectangle")
+    def no_links(self, rows=None):
+        raise AssertionError("verify_reduced scanned for links")
 
-    monkeypatch.setattr(linking.PairCheck, "block", no_rectangle)
+    monkeypatch.setattr(linking.PairCheck, "links", no_links)
     system = verify_reduced(G, sets)
     assert system is not None and len(system.witnesses) == 15 * 14
     assert calls == [15] and len({tuple(r) for r in system.witness_ids.tolist()}) == 203
@@ -365,11 +365,12 @@ def test_verify_full_checks_the_transpose_identity_alone():
 
 
 def test_linked_block_matches_a_per_row_check(monkeypatch):
-    """The pair check over a rectangle of real product rows, in blocks of
-    left rows, against a per-row check: its verdicts are exactly the rows
-    valued in {mu, nu}, and each support is that row's mu-support.  The
-    rows are D_i D_j^(-1) for (16, 6, 2) difference sets of Z4^2, some
-    two-valued and most not, with the pairs i == j dropped."""
+    """The pair pass over the first rows of a batch, in blocks of left
+    rows, against a per-row check: its verdicts are exactly the pairs i < j
+    valued in {mu, nu}, each mu-mask is that row's, and ``links`` keeps the
+    two-valued pairs.  The rows are D_i D_j^(-1) for (16, 6, 2) difference
+    sets of Z4^2, some two-valued and most not, with the pairs i >= j
+    masked out."""
     import numpy as np
 
     from linkset import group_ring as rg
@@ -384,20 +385,26 @@ def test_linked_block_matches_a_per_row_check(monkeypatch):
     good = [r.elements for r in enumerate_difference_sets(G, 6)]
     sets = [good[i] for i in rng.choice(len(good), 25, replace=False)]
     products = rg.RowProducts(G, rg.indicators(G, sets))
-    rows, cols = np.arange(10), np.arange(5, 25)  # rows and columns overlap in 5 sets
-    prods = products(rows, cols)
-    want = [(a, b) for a in range(10) for b in range(20) if rows[a] != cols[b]
-            and set(prods[a, b].tolist()) <= {1.0, 3.0}]
-    assert 0 < len(want) < 10 * 20 - 5
+    rows = range(10)
+    prods = products(np.arange(10), np.arange(25))
+    upper = [(a, b) for a in rows for b in range(a + 1, 25)]
+    want = [(a, b) for a, b in upper if set(prods[a, b].tolist()) <= {1.0, 3.0}]
+    assert 0 < len(want) < len(upper)
 
-    monkeypatch.setattr(linking, "PRODUCT_BLOCK", 3 * 20 * 16)  # blocks of 3 left rows
+    # blocks of 3 left rows against 24 and 21 later sets, then 4 against 18
+    monkeypatch.setattr(linking, "PRODUCT_BLOCK", 3 * 24 * 16)
     check = linking.PairCheck(G, np.array(sets)).bind(MuNu(1, 3, True))
     assert check.params == params
-    s, t, found = check.block(rows, cols)
-    assert len(s) == len(want) and found.dtype == np.int32
-    assert list(zip(s.tolist(), t.tolist())) == want
-    assert [tuple(x) for x in found.tolist()] == [
-        tuple(np.flatnonzero(prods[a, b] == 1).tolist()) for a, b in want]
+    blocks = list(check._upper(rows))
+    assert [block.tolist() for block, _, _, _ in blocks] == [[0, 1, 2], [3, 4, 5], [6, 7, 8, 9]]
+    assert all(cols.tolist() == list(range(block[0] + 1, 25)) for block, cols, _, _ in blocks)
+    found = [(int(block[a]), int(cols[b])) for block, cols, linked, _ in blocks
+             for a, b in zip(*np.nonzero(linked))]
+    masks = np.concatenate([is_mu[linked] for _, _, linked, is_mu in blocks])
+    assert found == want and masks.dtype == bool
+    assert np.array_equal(masks, np.array([prods[a, b] == 1 for a, b in want]))
+    i, j = check.links(rows)
+    assert list(zip(i.tolist(), j.tolist())) == want
 
 
 def _square_batches():
@@ -430,13 +437,14 @@ def _square_batches():
         yield f"Z4^4 improved, set {i} moved", G, mutated
 
 
-def test_square_is_the_rectangle():
-    """``PairCheck.square``, which computes the pairs i < j and reads each
-    (j, i) from the involution, returns exactly the (s, t, supports) of
-    ``block`` over everyone against everyone, the verdicts alone without
-    supports, and under ``complete`` the same supports when every pair
-    links and None otherwise, whichever triangle the failing pairs lie in
-    for the rectangle; ``verify_reduced`` agrees."""
+def test_square_is_the_rectangle(rectangle):
+    """The pair pass over the batch against itself, which computes the
+    pairs i < j and reads each (j, i) from the involution, gives exactly
+    the rectangle of every set against every set (the ``rectangle``
+    oracle): ``links`` and their mirror images are the rectangle's pairs,
+    and ``witness_ids`` are its supports when every pair links and None
+    otherwise, whichever triangle the failing pairs lie in for the
+    rectangle; ``verify_reduced`` agrees."""
     import numpy as np
 
     from linkset.linking import PairCheck
@@ -446,18 +454,16 @@ def test_square_is_the_rectangle():
         n = len(sets)
         check = PairCheck(G, np.array(sets))
         check.bind(mu_nu_candidates(check.params)[0])
-        everyone = np.arange(n)
-        want = check.block(everyone, everyone)
-        got = check.square()
-        assert [a.dtype for a in got] == [b.dtype for b in want], name
-        assert all(np.array_equal(a, b) for a, b in zip(got, want)), name
-        s, t, none = check.square(supports=False)
-        assert none is None and np.array_equal(s, want[0]) and np.array_equal(t, want[1])
-        complete = check.square(complete=True)
+        want = rectangle(G, sets, check.munu)
+        i, j = check.links()
+        assert i.dtype == j.dtype == np.int64 and (i < j).all(), name
+        got = sorted(zip(i.tolist(), j.tolist())) + sorted(zip(j.tolist(), i.tolist()))
+        assert sorted(got) == list(zip(want[0].tolist(), want[1].tolist())), name
+        complete = check.witness_ids()
         every = len(want[0]) == n * (n - 1)
         assert (complete is not None) == every == (verify_reduced(G, sets) is not None), name
         if every:
-            assert all(np.array_equal(a, b) for a, b in zip(complete, want)), name
+            assert complete.dtype == np.int32 and np.array_equal(complete, want[2]), name
         linked[name] = len(want[0])
         if not G.abelian:  # W_ji = W_ij^(-1) is a real inversion here
             inverses = np.sort(G.inv_table[want[2]], axis=1)
@@ -465,6 +471,30 @@ def test_square_is_the_rectangle():
     assert linked == {"Z4^5 improved": 930, "Z4^2 (16,6,2) sets": 12288, "tyken Z2^3": 42,
                       "Z4^4 improved, set 0 moved": 14 * 13 + 2 * 6,
                       "Z4^4 improved, set 14 moved": 14 * 13 + 2 * 4}
+
+
+def test_witness_ids_stop_at_a_failing_pair_in_the_last_block(monkeypatch, rectangle):
+    """``witness_ids`` is None when the only pair that does not link lies in
+    the last block of the pass: the Kerdock d = 1 system with its first set
+    moved to the end and repeated there, so that only the repeated pair
+    (n-2, n-1) fails, in blocks of one left row."""
+    import numpy as np
+
+    from linkset import linking
+    from linkset.bent import bent_linking, kerdock_bent_set
+
+    system = bent_linking(kerdock_bent_set(1))
+    G, sets = system.group, system.sets()
+    sets = sets[1:] + [sets[0], sets[0]]
+    n = len(sets)
+    want = rectangle(G, sets, system.munu)
+    assert len(want[0]) == n * (n - 1) - 2  # only (n-2, n-1) and (n-1, n-2) fail
+    monkeypatch.setattr(linking, "PRODUCT_BLOCK", 1)
+    check = linking.PairCheck(G, sets).bind(system.munu)
+    blocks = [block.tolist() for block, _, _, _ in check._upper()]
+    assert blocks == [[i] for i in range(n - 1)]
+    assert check.witness_ids() is None and verify_reduced(G, sets) is None
+    assert check.links()[0].tolist().count(n - 2) == 0
 
 
 def test_verify_reduced_peak_is_its_witnesses():
@@ -677,7 +707,6 @@ def test_the_witness_filter_oracle_rejects_supports_that_are_no_difference_sets(
 def test_the_pair_check_rejects_a_mu_nu_that_is_no_branch():
     """``PairCheck.bind`` raises ValueError unless (mu, nu) is one of
     ``mu_nu_candidates(params)``: the lemma needs it."""
-    import numpy as np
     import pytest
 
     from linkset.linking import MuNu, PairCheck
@@ -685,11 +714,10 @@ def test_the_pair_check_rejects_a_mu_nu_that_is_no_branch():
     G, sets = linked_triple_z4z4()
     check = PairCheck(G, sets)
     assert check.params == DSParams(16, 6, 2, 4)
-    everyone = np.arange(3)
     for munu in (MuNu(3, 1, False), MuNu(1, 2, True)):
         with pytest.raises(ValueError, match="branch"):
             check.bind(munu)
-    assert len(check.bind(MuNu(1, 3, True)).block(everyone, everyone)[0]) == 6
+    assert 2 * len(check.bind(MuNu(1, 3, True)).links()[0]) == 6
 
 
 def test_binding_checks_the_lemma_before_any_product(monkeypatch):
@@ -697,7 +725,6 @@ def test_binding_checks_the_lemma_before_any_product(monkeypatch):
     branch, and for sets that are not difference sets with common
     parameters, before any ``RowProducts`` exists; an unbound check checks
     no pair."""
-    import numpy as np
     import pytest
 
     from linkset import group_ring as rg
@@ -705,9 +732,9 @@ def test_binding_checks_the_lemma_before_any_product(monkeypatch):
 
     G, sets = linked_triple_z4z4()
     check = PairCheck(G, sets)
-    everyone = np.arange(3)
-    with pytest.raises(ValueError, match="bind"):
-        check.block(everyone, everyone)
+    for unbound in (check.links, check.witness_ids):
+        with pytest.raises(ValueError, match="bind"):
+            unbound()
 
     def no_products(*args):
         raise AssertionError("RowProducts built")

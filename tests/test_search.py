@@ -654,18 +654,18 @@ def test_census_builds_masks_once(monkeypatch):
 
 def test_census_reverifies_with_one_pair_scan(z4z4_census, monkeypatch):
     """enumerate_systems re-verifies all 65,536 size-3 cliques of the Z4^2
-    census with one call of the pair check, over the clique members against
-    each other, and checks no rectangle."""
+    census with one pair pass, over the clique members against each other,
+    and asks for no witnesses."""
 
     calls = []
-    real = search.PairCheck.square
-    monkeypatch.setattr(search.PairCheck, "square",
-                        lambda self, **kw: calls.append(len(self.ids)) or real(self, **kw))
+    real = search.PairCheck._upper
+    monkeypatch.setattr(search.PairCheck, "_upper",
+                        lambda self, rows=None: calls.append(len(self.ids)) or real(self, rows))
 
-    def no_rectangle(self, rows, cols):
-        raise AssertionError("the re-verification checked a rectangle")
+    def no_witnesses(self):
+        raise AssertionError("the re-verification asked for witnesses")
 
-    monkeypatch.setattr(search.PairCheck, "block", no_rectangle)
+    monkeypatch.setattr(search.PairCheck, "witness_ids", no_witnesses)
     systems = enumerate_systems(z4z4_census.graph, 3)
     assert len(systems) == 65536 and systems.verified_pairs == 12288
     assert calls == [192]
@@ -733,10 +733,11 @@ def test_wrong_graph_data_fails_reverification(z4z4_census):
         enumerate_systems(replace(graph, records=tuple(records)), 2)
 
 
-def test_pair_verdicts_match_verify_reduced(z4z4_census):
-    """The pair check's verdicts and witnesses (``PairCheck.block`` over all
-    n x n pairs) equal verify_reduced on the 2-set system: every edge and a
-    sample of non-edges, each in both orientations."""
+def test_pair_verdicts_match_verify_reduced(z4z4_census, rectangle):
+    """The pair check's verdicts (``PairCheck.links`` and their mirror
+    images) and the witnesses of the full n x n product rectangle (the
+    ``rectangle`` oracle) equal verify_reduced on the 2-set system: every
+    edge and a sample of non-edges, each in both orientations."""
     from linkset.linking import PairCheck
 
     graph = z4z4_census.graph
@@ -747,8 +748,11 @@ def test_pair_verdicts_match_verify_reduced(z4z4_census):
     non_edges = np.argwhere(~graph.adjacency & upper)
     pairs = np.concatenate([edges, non_edges[rng.choice(len(non_edges), 300, replace=False)]])
     assert len(edges) == 6144
-    everyone = np.arange(n)
-    s, t, supports = PairCheck(G, graph.ids).bind(graph.munu).block(everyone, everyone)
+    i, j = PairCheck(G, graph.ids).bind(graph.munu).links()
+    linked_pairs = np.zeros((n, n), dtype=bool)
+    linked_pairs[i, j] = linked_pairs[j, i] = True
+    s, t, supports = rectangle(G, graph.ids, graph.munu)
+    assert np.array_equal(np.argwhere(linked_pairs), np.column_stack([s, t]))
     found = np.full((n, n), -1)
     found[s, t] = np.arange(len(s))
     for i, j in pairs.tolist():
@@ -802,12 +806,13 @@ def _full_scan(G, members, mu, nu):
     ("Z4xZ4", 6, None, 12288), ("Z4xZ2xZ2", 6, None, 36864), ("Z8xZ2", 6, None, 0),
     ("D4xZ2", 6, 70, None), ("Z4xZ4", 1, None, 240)])
 def test_linking_graph_matches_full_products(group, k, sample, two_valued, monkeypatch):
-    """The graph's adjacency and linked count against a full
-    product row per pair (``_full_scan``), one difference-set check per
-    mu-support and verify_reduced on sampled pairs: in one product block,
-    over two jobs and in blocks of two left rows; and the pair check on a
-    rectangle whose rows and columns overlap in part.  Singletons (k = 1)
-    link with themselves too, so the diagonal must be dropped."""
+    """The graph's adjacency and linked count against a full product row
+    per pair (``_full_scan``), one difference-set check per mu-support and
+    verify_reduced on sampled pairs: in one product block, over 2, 3 and 5
+    jobs and in blocks of two left rows; and the pair pass over the first
+    two thirds of the rows, whose pairs i < j reach into the rest.
+    Singletons (k = 1) link with themselves too, so the diagonal must be
+    dropped."""
     from linkset import linking
     from linkset.designs import difference_set_params
 
@@ -831,19 +836,22 @@ def test_linking_graph_matches_full_products(group, k, sample, two_valued, monke
         system = verify_reduced(G, [records[i].elements, records[j].elements])
         assert want[i, j] == (system is not None and system.munu == munu)
 
-    rows, cols = np.arange(2 * n // 3), np.arange(n // 3, n)
-    in_rect = [(i, j, support, ok) for (i, j, support), ok in zip(scan, linked)
-               if i < 2 * n // 3 and j >= n // 3]
-    want_rect = [(i, j - n // 3, support) for i, j, support, ok in in_rect if ok]
+    rows = range(2 * n // 3)
+    in_rows = [(i, j, support, ok) for (i, j, support), ok in zip(scan, linked)
+               if i in rows and i < j]
+    want_rows = [(i, j, support) for i, j, support, ok in in_rows if ok]
     ids = np.array([r.elements for r in records])
 
     def check():
-        s, t, supports = linking.PairCheck(G, ids).bind(munu).block(rows, cols)
-        assert len(s) == len(in_rect)
-        assert [(a, b, tuple(c)) for a, b, c in zip(s.tolist(), t.tolist(),
-                                                    supports.tolist())] == want_rect
+        pass_check = linking.PairCheck(G, ids).bind(munu)
+        found = [(int(block[a]), int(cols[b]), tuple(np.flatnonzero(is_mu[a, b]).tolist()))
+                 for block, cols, linked, is_mu in pass_check._upper(rows)
+                 for a, b in zip(*np.nonzero(linked))]
+        assert len(found) == len(in_rows) and found == want_rows
+        i, j = pass_check.links(rows)
+        assert list(zip(i.tolist(), j.tolist())) == [(a, b) for a, b, _ in want_rows]
 
-    graphs = [build_linking_graph(G, records, munu), build_linking_graph(G, records, munu, jobs=2)]
+    graphs = [build_linking_graph(G, records, munu, jobs=jobs) for jobs in (1, 2, 3, 5)]
     check()
     monkeypatch.setattr(linking, "PRODUCT_BLOCK", 2 * n * G.order)
     graphs.append(build_linking_graph(G, records, munu))
@@ -851,6 +859,20 @@ def test_linking_graph_matches_full_products(group, k, sample, two_valued, monke
     for graph in graphs:
         assert np.array_equal(graph.adjacency, want)
         assert graph.linked_pairs == len(scan) == sum(linked)
+
+
+def test_row_chunks_cover_every_row_once():
+    """``_row_chunks`` splits 0..n-1 into at most min(jobs, n) consecutive
+    nonempty ranges, n = 1 and jobs > n included, each within one row of
+    an equal share of the pairs i < j."""
+    for n in (1, 2, 3, 10, 31, 448):
+        for jobs in (1, 2, 3, 5, 64):
+            chunks = search._row_chunks(n, jobs)
+            assert [r for chunk in chunks for r in chunk] == list(range(n))
+            assert 1 <= len(chunks) <= min(jobs, n) and all(len(c) for c in chunks)
+            area = [sum(n - 1 - i for i in chunk) for chunk in chunks]
+            assert max(area) <= n * (n - 1) / 2 / len(chunks) + n - 1
+    assert [(c.start, c.stop) for c in search._row_chunks(10, 3)] == [(0, 2), (2, 4), (4, 10)]
 
 
 @pytest.mark.parametrize("block_sets", [None, 7])

@@ -199,10 +199,10 @@ def _membership_tests_on_calls_to(tree: ast.Module, module: str, names: set[str]
 
 def test_one_two_valued_test():
     """Whether a product is valued in {mu, nu} is decided in one place, the
-    pair check's product block ``linking.PairCheck._two_valued``, which
-    ``block`` and ``square`` share, with ``group_ring.decompose_two_valued``
-    as its one-element oracle; no other function compares a value with mu
-    or nu."""
+    pair check's product block ``linking.PairCheck._two_valued``, which the
+    pair pass ``_upper`` calls, with ``group_ring.decompose_two_valued`` as
+    its one-element oracle; no other function compares a value with mu or
+    nu."""
     found = set()
     for path in sorted(SRC.glob("*.py")):
         found |= _functions_comparing_with(ast.parse(path.read_text()), path.stem, {"mu", "nu"})
@@ -213,6 +213,29 @@ def test_one_two_valued_test():
                      "class K:\n    def h(self, c):\n        return self.nu < c\n"
                      "def k(mu):\n    return mu - 1\nmu != 1\n")
     assert _functions_comparing_with(tree, "m", {"mu", "nu"}) == {"m.f.g", "m.K.h", "m"}
+
+
+def test_one_pair_pass():
+    """Every pair check is one pass over the pairs i < j: only
+    ``linking.PairCheck._upper`` calls ``_two_valued``, ``PairCheck`` has
+    no ``block``, ``square`` or ``pairs`` method and no method with a
+    boolean flag, and the only ``pairs`` method called in the package is
+    ``ReducedLinkingSystem.pairs``, the pair order of its witnesses."""
+    from linkset.linking import PairCheck
+
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    found = set().union(*(_calls_to(tree, stem, {"_two_valued"}) for stem, tree in trees.items()))
+    assert found == {"linking.PairCheck._upper"}
+    assert not any(hasattr(PairCheck, name) for name in ("block", "square", "pairs"))
+    calls = {name: set().union(*(_calls_to(tree, stem, {name}) for stem, tree in trees.items()))
+             for name in ("block", "square", "pairs")}
+    assert calls == {"block": set(), "square": set(),
+                     "pairs": {"io._witness_keys", "linking.ReducedLinkingSystem.witnesses"}}
+    check = next(node for node in trees["linking"].body
+                 if isinstance(node, ast.ClassDef) and node.name == "PairCheck")
+    defaults = [d for f in check.body if isinstance(f, ast.FunctionDef)
+                for d in f.args.defaults + f.args.kw_defaults]
+    assert not any(isinstance(d, ast.Constant) and isinstance(d.value, bool) for d in defaults)
 
 
 def test_one_guard_on_the_mu_nu_branch():
