@@ -16,7 +16,6 @@ import json
 import os
 import sys
 import time
-from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from . import io as lio
@@ -37,9 +36,28 @@ from .search import census_systems, mcfarland_pair_sweep, spence_pair_sweep
 EXIT_INCONCLUSIVE = 3
 
 
+def _unique_keys(pairs: list) -> dict:
+    """``_load_json``'s ``object_pairs_hook``: an object with a key twice is
+    a ValueError (a usage error), never read as its last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"JSON object has duplicate key {key!r}")
+            seen.add(key)
+    return obj
+
+
+def _load_json(text: str):
+    """The JSON document ``text`` (a certificate or a ``--group`` spec),
+    where a duplicate key is malformed JSON."""
+    return json.loads(text, object_pairs_hook=_unique_keys)
+
+
 def _parse_group(text: str):
     try:
-        spec = json.loads(text)
+        spec = _load_json(text)
     except json.JSONDecodeError:
         spec = text.strip('"')
     return group_from_spec(spec)
@@ -64,13 +82,13 @@ def _emit(args, payload, text_lines: list[str]) -> None:
             print(line)
 
 
-def _load_json(path: str) -> dict:
-    """The JSON document in the file at ``path``, which must be UTF-8: its
-    bytes are decoded as such (a UnicodeDecodeError is a ValueError, so a
-    usage error) before ``json.loads``, which would take UTF-16 or UTF-32
-    bytes as well.  The bytes are dropped as soon as the text exists."""
+def _read_text(path: str) -> str:
+    """The text of the file at ``path``, which must be UTF-8: its bytes are
+    decoded as such (a UnicodeDecodeError is a ValueError, so a usage
+    error), where ``json.loads`` would take UTF-16 or UTF-32 bytes as well.
+    The bytes are dropped as soon as the text exists."""
     with open(path, "rb") as fh:
-        return json.loads(fh.read().decode("utf-8"))
+        return fh.read().decode("utf-8")
 
 
 def _payload_of(obj, kind: str):
@@ -86,49 +104,10 @@ def _payload_of(obj, kind: str):
     return obj["payload"]
 
 
-# The characters json.dumps writes as themselves inside a string's quotes.
-_PLAIN = bytes(c for c in range(0x20, 0x7F) if c not in b'"\\')
-
-
-def _json_pieces(obj, indent: str = ""):
-    """The text of ``json.dumps(obj, indent=2, sort_keys=True)``, in pieces.
-
-    A list of plain strings (only ``_PLAIN`` characters, so each encodes as
-    itself in quotes) is one joined piece; dicts with string keys and other
-    lists recurse; every other value is ``json.dumps``'s own text, its
-    continuation lines shifted to this depth.
-    """
-    if isinstance(obj, (list, tuple)) and obj:
-        inner = indent + "  "
-        try:
-            plain = not "".join(obj).encode("ascii").translate(None, _PLAIN)
-        except (TypeError, UnicodeEncodeError):  # a non-string, or a non-ASCII one
-            plain = False
-        if plain:
-            yield "[\n" + inner + '"' + ('",\n' + inner + '"').join(obj) + '"\n' + indent + "]"
-            return
-        yield "[\n" + inner
-        for n, item in enumerate(obj):
-            if n:
-                yield ",\n" + inner
-            yield from _json_pieces(item, inner)
-        yield "\n" + indent + "]"
-    elif isinstance(obj, dict) and obj and all(isinstance(key, str) for key in obj):
-        inner = indent + "  "
-        for n, key in enumerate(sorted(obj)):
-            yield ("{\n" if n == 0 else ",\n") + inner + encode_basestring_ascii(key) + ": "
-            yield from _json_pieces(obj[key], inner)
-        yield "\n" + indent + "}"
-    elif isinstance(obj, str):
-        yield encode_basestring_ascii(obj)
-    else:
-        yield json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + indent)
-
-
 def _write_json(fh, obj) -> None:
     """Write ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"`` to ``fh``,
     streamed, so a large certificate is never one string in memory."""
-    fh.writelines(_json_pieces(obj))
+    fh.writelines(lio._json_pieces(obj))
     fh.write("\n")
 
 
@@ -153,18 +132,24 @@ def _cmd_group(args) -> int:
     return 0
 
 
-def _verify(args, kind, read, to_json, text_lines) -> int:
+def _verify(args, kind, read, to_json, text_lines, canonical=None) -> int:
     """The verify step of every ``verify`` command: ``read`` the payload of
     the ``kind`` certificate in ``args.file`` and emit ``to_json`` or
     ``text_lines`` of what it returns (exit 0), or print one ``verification
     failed: ...`` line on a ValueError (exit 1).  Malformed JSON is not
-    caught here, so it stays a usage error (exit 2)."""
-    obj = _load_json(args.file)
-    try:
-        found = read(_payload_of(obj, kind))
-    except ValueError as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return 1
+    caught here, so it stays a usage error (exit 2).  When ``canonical`` of
+    the file's text returns an object, that object is what the file holds
+    and the file is not parsed; when it returns None, the file is."""
+    text = _read_text(args.file)
+    found = canonical(text) if canonical else None
+    if found is None:
+        obj = _load_json(text)
+        del text  # only the parsed document is kept while it is read
+        try:
+            found = read(_payload_of(obj, kind))
+        except ValueError as exc:
+            print(f"verification failed: {exc}", file=sys.stderr)
+            return 1
     _emit(args, lambda: to_json(found), text_lines(found))
     return 0
 
@@ -178,7 +163,7 @@ def _cmd_link_verify(args) -> int:
     return _verify(args, "linking-system", lio.system_from_json, lio.system_to_json, lambda s: [
         f"reduced {s.params.as_tuple()} linking system of size {s.size}",
         f"(mu, nu) = {s.munu.as_tuple()}",
-        f"reversibility profile: {reversibility_profile(s)}"])
+        f"reversibility profile: {reversibility_profile(s)}"], canonical=lio.canonical_system)
 
 
 def _cmd_dm_construct(args) -> int:

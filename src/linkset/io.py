@@ -2,13 +2,21 @@
 difference matrices, linking-system certificates, and search reports.
 
 Element sets serialize as lists of generator-word names ordered by element
-id, so output is canonical and digests are stable across runs.
+id, so output is canonical and digests are stable across runs.  Every
+certificate file is the text of ``json.dumps(cert, indent=2,
+sort_keys=True)`` plus a newline, rendered in pieces by ``_json_pieces``;
+the same renderer lets ``canonical_system`` accept a linking-system file
+that is exactly those bytes by re-rendering it, with no JSON parse of its
+witnesses.  Every other file is parsed and read field by field by the
+``*_from_json`` readers.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
 import numpy as np
@@ -71,6 +79,13 @@ def _list_of(value, what: str) -> list:
     if not isinstance(value, list):
         raise ValueError(f"{what} must be a list")
     return value
+
+
+def _sets_field(G: FiniteGroup, value) -> list[tuple[int, ...]]:
+    """The id sets of a payload's "sets": ValueError unless it is a list of
+    lists of names of elements of ``G``."""
+    return [names_to_set(G, _strings(names, "each entry of sets"))
+            for names in _list_of(value, "sets")]
 
 
 def _params_field(obj) -> list:
@@ -136,9 +151,7 @@ def system_from_json(obj: dict) -> ReducedLinkingSystem:
     munu = (_field(obj, "mu"), _field(obj, "nu"))
     if any(type(x) is not int for x in munu):
         raise ValueError("mu and nu must be integers")
-    sets = [names_to_set(G, _strings(names, "each entry of sets"))
-            for names in _list_of(_field(obj, "sets"), "sets")]
-    system = verify_reduced(G, sets)
+    system = verify_reduced(G, _sets_field(G, _field(obj, "sets")))
     if system is None:
         raise ValueError("serialized sets do not form a reduced linking system")
     if params != list(system.params.as_tuple()):
@@ -214,6 +227,96 @@ def certificate(kind: str, payload: dict, input_echo=None) -> dict:
         "input": input_echo,
         "payload": payload,
     }
+
+
+# The characters json.dumps writes as themselves inside a string's quotes.
+_PLAIN = bytes(c for c in range(0x20, 0x7F) if c not in b'"\\')
+
+
+def _json_pieces(obj, indent: str = ""):
+    """The text of ``json.dumps(obj, indent=2, sort_keys=True)``, in pieces.
+
+    A list of plain strings (only ``_PLAIN`` characters, so each encodes as
+    itself in quotes) is one joined piece; dicts with string keys and other
+    lists recurse; every other value is ``json.dumps``'s own text, its
+    continuation lines shifted to this depth.
+    """
+    if isinstance(obj, (list, tuple)) and obj:
+        inner = indent + "  "
+        try:
+            plain = not "".join(obj).encode("ascii").translate(None, _PLAIN)
+        except (TypeError, UnicodeEncodeError):  # a non-string, or a non-ASCII one
+            plain = False
+        if plain:
+            yield "[\n" + inner + '"' + ('",\n' + inner + '"').join(obj) + '"\n' + indent + "]"
+            return
+        yield "[\n" + inner
+        for n, item in enumerate(obj):
+            if n:
+                yield ",\n" + inner
+            yield from _json_pieces(item, inner)
+        yield "\n" + indent + "]"
+    elif isinstance(obj, dict) and obj and all(isinstance(key, str) for key in obj):
+        inner = indent + "  "
+        for n, key in enumerate(sorted(obj)):
+            yield ("{\n" if n == 0 else ",\n") + inner + encode_basestring_ascii(key) + ": "
+            yield from _json_pieces(obj[key], inner)
+        yield "\n" + indent + "}"
+    elif isinstance(obj, str):
+        yield encode_basestring_ascii(obj)
+    else:
+        yield json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + indent)
+
+
+# Where the writer's layout of a linking-system certificate puts the values
+# that canonical_system reads: "input" right after the opening brace, then
+# "kind" and the payload's "group", and later the payload's "sets".
+_CERT_HEAD = '{\n  "input": '
+_GROUP_HEAD = ',\n  "kind": "linking-system",\n  "payload": {\n    "group": '
+_SETS_HEAD = '\n    "sets": '
+_DECODER = json.JSONDecoder()
+
+
+def canonical_system(text: str) -> ReducedLinkingSystem | None:
+    """The system of a linking-system certificate whose text is byte for
+    byte the one the writer emits for that system, or None.
+
+    Only ``input``, the payload's ``group`` and its ``sets`` are read, by
+    ``raw_decode`` at the offsets the writer's layout puts them; the sets
+    are verified in full by ``verify_reduced``; and ``text`` is compared,
+    piece by piece and with no second copy of it, with the writer's pieces
+    of ``certificate("linking-system", system_to_json(system), input)``
+    plus a newline.  The system is returned only if they are equal.  None
+    means "read it with the general reader", never "invalid".
+
+    Soundness: the writer's bytes are ``json.dumps(cert, indent=2,
+    sort_keys=True) + "\\n"`` (pinned by the tests), so equality means that
+    ``json.loads(text)`` is that certificate, on which the general reader
+    (``system_from_json`` of the payload) verifies the same sets and returns
+    the same params, (mu, nu) and ``witness_ids``.  That holds whatever the
+    first step read: a misread can only make the comparison fail.
+    """
+    if not text.startswith(_CERT_HEAD):
+        return None
+    try:
+        input_echo, end = _DECODER.raw_decode(text, len(_CERT_HEAD))
+        if not text.startswith(_GROUP_HEAD, end):
+            return None
+        spec, end = _DECODER.raw_decode(text, end + len(_GROUP_HEAD))
+        sets, _ = _DECODER.raw_decode(text, text.index(_SETS_HEAD, end) + len(_SETS_HEAD))
+        G = group_from_spec(spec)
+        system = verify_reduced(G, _sets_field(G, sets))
+    except ValueError:
+        return None
+    if system is None:
+        return None
+    cert = certificate("linking-system", system_to_json(system), input_echo)
+    pos = 0
+    for piece in itertools.chain(_json_pieces(cert), ["\n"]):
+        if not text.startswith(piece, pos):
+            return None
+        pos += len(piece)
+    return system if pos == len(text) else None
 
 
 def canonical_dumps(obj) -> str:

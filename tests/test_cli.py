@@ -277,6 +277,8 @@ def test_malformed_group_specs_are_usage_errors():
     ('{"abelian": [4, 4], "x": 1}', "exactly one key"),
     ('{"product": ["D4", {"abelian": [2], "y": 0}]}', "exactly one key"),
     ('{}', "exactly one key"),
+    ('{"abelian": [4], "abelian": [4, 4]}', "duplicate key 'abelian'"),
+    ('{"product": ["D4", {"abelian": [2], "abelian": [2]}]}', "duplicate key 'abelian'"),
 ])
 def test_malformed_spec_objects_are_usage_errors(spec, message):
     code, out, err = run_capture(["group", spec])

@@ -297,6 +297,39 @@ def test_one_product_path():
     assert _calls_to(tree, "m", {"RowProducts"}) == {"m.f", "m.K.g"}
 
 
+def _indented_dumps(tree: ast.Module, module: str) -> set[str]:
+    """The scopes that call ``json.dumps`` (or ``dumps``) with an ``indent``."""
+    return _scopes_where(tree, module, lambda node: isinstance(node, ast.Call)
+                         and _named(node.func, {"dumps"})
+                         and any(kw.arg == "indent" for kw in node.keywords))
+
+
+def test_one_json_renderer():
+    """Certificate text is rendered in one place, ``io._json_pieces``: it is
+    defined only there, the only indented ``json.dumps`` is its own fallback,
+    and both the certificate writer ``cli._write_json`` and the fast reader
+    ``io.canonical_system``, which compares a file with the writer's bytes,
+    call it."""
+    defined, calls, dumps = set(), set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defined |= _scopes_where(tree, path.stem, lambda node: isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "_json_pieces")
+        calls |= _calls_to(tree, path.stem, {"_json_pieces"})
+        dumps |= _indented_dumps(tree, path.stem)
+    assert defined == {"io._json_pieces"}
+    assert calls == {"io._json_pieces", "io.canonical_system", "cli._write_json"}
+    assert dumps == {"io._json_pieces"}
+    # the scan sees a call by name and through a module, and an indented
+    # dumps by name or through json; a compact dumps is none
+    tree = ast.parse("def f(x):\n    return lio._json_pieces(x)\n"
+                     "def g(x):\n    return json.dumps(x, indent=2)\n"
+                     "def h(x):\n    return dumps(x, sort_keys=True, indent=None)\n"
+                     "def k(x):\n    return json.dumps(x, separators=(',', ':'))\n")
+    assert _calls_to(tree, "m", {"_json_pieces"}) == {"m.f"}
+    assert _indented_dumps(tree, "m") == {"m.g", "m.h"}
+
+
 TRANSFORM_NAME = re.compile(r"transform|wht|walsh|hadamard|fourier|ntt|butterfl", re.IGNORECASE)
 
 
