@@ -22,7 +22,7 @@ import numpy as np
 
 from .galois import GaloisRing
 from .group_ring import _factor_transform
-from .groups import MAX_TABLE_ORDER, FiniteGroup, _radix_weights, _span_table
+from .groups import MAX_TABLE_ORDER, FiniteGroup, _radix_weights, _span_table, make_abelian
 from .linking import ReducedLinkingSystem, verify_reduced
 
 
@@ -204,9 +204,9 @@ def kerdock_bent_set(d: int) -> list[BooleanFunction]:
     raise AssertionError("trace-form bent set failed verification")
 
 
-def bent_linking(fns, G: FiniteGroup | None = None) -> ReducedLinkingSystem:
-    """Reduced linking system {S(f_1), ..., S(f_l)} from a bent set that
-    contains the zero function.
+def bent_linking(fns) -> ReducedLinkingSystem:
+    """Reduced linking system {S(f_1), ..., S(f_l)} in Z_2^arity from a bent
+    set that contains the zero function.
 
     Members heavier than half are complemented first so every subset lands
     on the k <= v/2 parameter branch (complementation preserves the bent-set
@@ -221,10 +221,7 @@ def bent_linking(fns, G: FiniteGroup | None = None) -> ReducedLinkingSystem:
         raise ValueError("need at least two nonzero members (system size >= 2)")
     if any(f.is_zero() for f in nonzero):
         raise ValueError("bent set contains the constant-one function")
-    if G is None:
-        from .groups import make_abelian
-
-        G = make_abelian([2] * arity)
+    G = make_abelian([2] * arity)
     sets = [subset_of(f, G) for f in nonzero]
     system = verify_reduced(G, sets)
     if system is None:

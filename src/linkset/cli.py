@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 import time
 
@@ -51,8 +50,12 @@ def _unique_keys(pairs: list) -> dict:
 
 def _load_json(text: str):
     """The JSON document ``text`` (a certificate or a ``--group`` spec),
-    where a duplicate key is malformed JSON."""
-    return json.loads(text, object_pairs_hook=_unique_keys)
+    where a duplicate key or nesting too deep for the decoder's recursion
+    is malformed JSON (a ValueError)."""
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except RecursionError:
+        raise ValueError("JSON document is nested too deeply") from None
 
 
 def _parse_group(text: str):
@@ -64,11 +67,11 @@ def _parse_group(text: str):
 
 
 def _jobs(args) -> int:
-    """The census worker count: ``--jobs``, else LINKSET_JOBS, else 1.
-    Anything but a positive integer is a usage error (ValueError)."""
-    text = args.jobs if args.jobs is not None else os.environ.get("LINKSET_JOBS", "1")
+    """The census worker count: ``--jobs``, default 1.  Anything but a
+    positive integer is a usage error (ValueError)."""
+    text = "1" if args.jobs is None else args.jobs
     if not text.isdecimal() or int(text) < 1:
-        raise ValueError(f"--jobs (or LINKSET_JOBS) must be a positive integer, got {text!r}")
+        raise ValueError(f"--jobs must be a positive integer, got {text!r}")
     return int(text)
 
 
@@ -295,7 +298,7 @@ def _cmd_nonexist(args) -> int:
 def _cmd_selftest(args) -> int:
     from .selftest import run_selftest
 
-    ok = run_selftest(verbose=True)
+    ok = run_selftest()
     return 0 if ok else 1
 
 
@@ -356,14 +359,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("census", help="exhaustive linking-system census")
     p.add_argument("target", choices=["z42"])
-    p.add_argument("--jobs", help="census worker processes (default: LINKSET_JOBS or 1)")
+    p.add_argument("--jobs", help="census worker processes (default 1)")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_census)
 
     p = sub.add_parser("nonexist", help="nonexistence sweeps (exit 1 = confirmed empty)")
     p.add_argument("target", choices=["z8z2", "mcfarland-q3", "spence-d1"])
     p.add_argument("--group")
-    p.add_argument("--jobs", help="z8z2 census worker processes (default: LINKSET_JOBS or 1)")
+    p.add_argument("--jobs", help="z8z2 census worker processes (default 1)")
     grp = p.add_mutually_exclusive_group()
     grp.add_argument("--full", dest="mode", action="store_const", const="full")
     grp.add_argument("--pruned", dest="mode", action="store_const", const="pruned")

@@ -61,9 +61,6 @@ class DifferenceSetRecord:
     def ring_element(self) -> rg.GroupRingElement:
         return rg.from_subset(self.group, self.elements)
 
-    def names(self) -> list[str]:
-        return self.group.name_array[list(self.elements)].tolist()
-
 
 def is_difference_set(G: FiniteGroup, S):
     """DSParams of S if S S^(-1) = n*1 + lambda*G in Z[G], else None."""

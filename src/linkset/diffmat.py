@@ -35,11 +35,12 @@ column allows then rule out every other value there without placing it.
 The search drops only partial rows that have no completion, so its first
 solution is the lexicographically first matrix of the symmetry-reduced
 space, and an exhausted space proves absence.  One budget node is one value
-tried.  It has three outcomes: FOUND, ABSENT (proved) and INCONCLUSIVE (the
-budget ran out); ``dm_auto`` returns the matrix, returns None, or raises
-SearchInconclusive.  The value side takes Z8 x Z2 with 4 rows from 13,375
-nodes to 8,547 and Z4^2 from 4,102 to 2,696.  The README gives the times of
-default-budget runs from |G| = 16 to 1024.
+tried.  The search has two answers, the rows it found or None when its
+space is exhausted (absence proved), and raises SearchInconclusive at the
+node where the budget runs out; ``dm_auto`` passes each of the three on.
+The value side takes Z8 x Z2 with 4 rows from 13,375 nodes to 8,547 and
+Z4^2 from 4,102 to 2,696.  The README gives the times of default-budget
+runs from |G| = 16 to 1024.
 """
 
 from __future__ import annotations
@@ -203,7 +204,8 @@ def dm_auto(G: FiniteGroup, target_rows: int,
     """A (G, m, 1)-difference matrix with m >= target_rows, or None when
     none exists.
 
-    Pipeline: one Galois-ring matrix per run of equal invariant factors,
+    Pipeline: for target_rows <= 2 the identity row and the elements in id
+    order; else one Galois-ring matrix per run of equal invariant factors,
     composed by ``dm_product`` (a homogeneous group is a single run) and
     mapped onto G's factor order; then the library entry over
     G.cyclic_factors, if it has at least target_rows rows (``_dm_library``;
@@ -212,10 +214,10 @@ def dm_auto(G: FiniteGroup, target_rows: int,
     ``budget`` nodes (default DEFAULT_SEARCH_BUDGET).  A library hit takes
     no nodes, so ``budget`` bounds the search only.  None means absence is
     proved: the search exhausted its space, or target_rows > |G|.  A search
-    that runs out of budget raises SearchInconclusive instead.  Whatever
-    the route, the matrix passes ``verify_dm`` before it is returned, and a
-    library entry that fails it, names an element G lacks or has a row of
-    the wrong length raises AssertionError.
+    that runs out of budget raises SearchInconclusive.  Whatever the route,
+    the matrix passes ``verify_dm`` before it is returned, and a library
+    entry that fails it, names an element G lacks or has a row of the wrong
+    length raises AssertionError.
     """
     if G.cyclic_factors is None:
         raise ValueError("dm_auto needs a group built from cyclic factors")
@@ -229,13 +231,11 @@ def dm_auto(G: FiniteGroup, target_rows: int,
     v = G.order
     if target_rows > v:
         return None
-    if target_rows <= 2:
-        rows = (tuple([0] * v), tuple(range(v)))
-        return DifferenceMatrix(G, 1, rows)
-
     positions = _sorted_positions(factors)
     runs = [(n, len(list(run))) for n, run in itertools.groupby(factors[p] for p in positions)]
-    if min(2 ** count for _, count in runs) >= target_rows:
+    if target_rows <= 2:
+        rows = [[0] * v, list(range(v))]
+    elif min(2 ** count for _, count in runs) >= target_rows:
         M = functools.reduce(dm_product, [dm_galois_ring(_factor_exponent(n), count)
                                           for n, count in runs])
         section = _span_table(G, _radix_weights(factors)[positions],
@@ -244,14 +244,10 @@ def dm_auto(G: FiniteGroup, target_rows: int,
     elif len(names := _dm_library().get(factors, ())) >= target_rows:
         rows = _library_rows(G, names)
     else:
-        if budget is None:
-            budget = DEFAULT_SEARCH_BUDGET
-        search = _backtrack_dm(G, target_rows, budget)
-        if search.outcome == INCONCLUSIVE:
-            raise SearchInconclusive(G, target_rows, budget)
-        if search.outcome == ABSENT:
+        rows = _backtrack_dm(G, target_rows,
+                             DEFAULT_SEARCH_BUDGET if budget is None else budget).rows
+        if rows is None:
             return None
-        rows = search.rows
     M = DifferenceMatrix(G, 1, tuple(map(tuple, rows)))
     if not verify_dm(M):
         raise AssertionError("difference matrix failed verification")
@@ -302,17 +298,13 @@ def _library_rows(G: FiniteGroup, names: list[list[str]]) -> list[list[int]]:
     return rows
 
 
-FOUND, ABSENT, INCONCLUSIVE = "found", "absent", "inconclusive"
-
-
 @dataclass(frozen=True)
 class DMSearch:
-    """What one run of ``_backtrack_dm`` settled: ``outcome`` is FOUND (with
-    the m ``rows``), ABSENT (the search space is exhausted, so no (G, m, 1)
-    difference matrix exists) or INCONCLUSIVE (the node budget ran out);
-    ``nodes`` counts the values tried."""
+    """What one run of ``_backtrack_dm`` settled: the m ``rows`` it found,
+    or None when the search space is exhausted, so no (G, m, 1) difference
+    matrix exists; ``nodes`` counts the values tried.  A search whose budget
+    runs out returns nothing: it raises SearchInconclusive."""
 
-    outcome: str
     rows: tuple[tuple[int, ...], ...] | None
     nodes: int
 
@@ -326,10 +318,6 @@ class SearchInconclusive(Exception):
                          f"rows over {json.dumps(group.spec)} used its budget of "
                          f"{budget} nodes")
         self.group, self.rows, self.budget = group, rows, budget
-
-
-class _BudgetExhausted(Exception):
-    pass
 
 
 def _backtrack_dm(G: FiniteGroup, m: int, budget: int) -> DMSearch:
@@ -361,7 +349,8 @@ def _backtrack_dm(G: FiniteGroup, m: int, budget: int) -> DMSearch:
     allows: they must all go there, so with one of them every other value
     of that column is dropped without its placement, and with two every
     value is.  One budget node is one value tried, counted before any check,
-    dropped or not.
+    dropped or not, and the first node past ``budget`` raises
+    SearchInconclusive.
 
     Row 0's kill row of d is the low bit of every field shifted by d.  Those
     of later rows are packed on first use and cached while they fit in
@@ -377,10 +366,10 @@ def _backtrack_dm(G: FiniteGroup, m: int, budget: int) -> DMSearch:
     v = G.order
     first_rows = ((0,) * v, tuple(range(v)))
     if m <= 2:
-        return DMSearch(FOUND, first_rows[:m], 0)
+        return DMSearch(first_rows[:m], 0)
     table = memoryview(G.table)  # scalar products without a v x v Python list
     if G.abelian and functools.reduce(lambda a, b: table[a, b], range(v)) != 0:
-        return DMSearch(ABSENT, None, 0)
+        return DMSearch(None, 0)
     width = v + 1  # bits per column field, the top one its guard bit
     full = (1 << v) - 1
     offsets = np.arange(v) * width
@@ -450,7 +439,7 @@ def _backtrack_dm(G: FiniteGroup, m: int, budget: int) -> DMSearch:
             cands[-1] = c ^ bit
             nodes += 1
             if nodes > budget:
-                raise _BudgetExhausted
+                raise SearchInconclusive(G, m, budget)
             if not bit & onlys[-1]:
                 continue
             val = bit.bit_length() - 1
@@ -493,13 +482,8 @@ def _backtrack_dm(G: FiniteGroup, m: int, budget: int) -> DMSearch:
                 onlys.append(0 if forced & (forced - 1) else forced)
         return False
 
-    try:
-        found = fill()
-    except _BudgetExhausted:
-        return DMSearch(INCONCLUSIVE, None, budget)
-    if not found:
-        return DMSearch(ABSENT, None, nodes)
-    return DMSearch(FOUND, tuple(map(tuple, rows)), nodes)
+    found = fill()
+    return DMSearch(tuple(map(tuple, rows)) if found else None, nodes)
 
 
 # -- difference matrix -> linking system ---------------------------------------

@@ -295,26 +295,6 @@ def _word_name(gen_names: list[str], exps) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def abelian_exponent_tuple(G: FiniteGroup, a: int) -> tuple[int, ...]:
-    """Exponent tuple of element a w.r.t. the cyclic factors of make_abelian."""
-    if G.cyclic_factors is None:
-        raise ValueError("group was not built from cyclic factors")
-    exps = []
-    for n in reversed(G.cyclic_factors):
-        exps.append(a % n)
-        a //= n
-    return tuple(reversed(exps))
-
-
-def abelian_element(G: FiniteGroup, exps) -> int:
-    if G.cyclic_factors is None:
-        raise ValueError("group was not built from cyclic factors")
-    a = 0
-    for n, e in zip(G.cyclic_factors, exps):
-        a = a * n + (int(e) % n)
-    return a
-
-
 def _presentation_order8(twist: int, name: str) -> FiniteGroup:
     """Order-8 group <a,b> with a^4=1, b a b^-1 = a^-1, b^2 = a^twist."""
     ids = [(i, j) for j in range(2) for i in range(4)]  # id = i + 4j

@@ -306,7 +306,7 @@ def canonical_system(text: str) -> ReducedLinkingSystem | None:
         sets, _ = _DECODER.raw_decode(text, text.index(_SETS_HEAD, end) + len(_SETS_HEAD))
         G = group_from_spec(spec)
         system = verify_reduced(G, _sets_field(G, sets))
-    except ValueError:
+    except (ValueError, RecursionError):  # nesting too deep for the decoder
         return None
     if system is None:
         return None

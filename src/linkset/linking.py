@@ -40,7 +40,6 @@ PRODUCT_BLOCK = 1 << 16
 class MuNu:
     mu: int
     nu: int
-    upper: bool  # True for the nu = k(k + sqrt(n))/v branch
 
     def as_tuple(self) -> tuple[int, int]:
         return (self.mu, self.nu)
@@ -55,11 +54,11 @@ def mu_nu_candidates(params: DSParams) -> list[MuNu]:
     if root == 0 or root * root != n:
         return []
     out = []
-    for upper, sign in ((True, 1), (False, -1)):
+    for sign in (1, -1):
         num = k * (k + sign * root)
         if num % v == 0:
             nu = num // v
-            out.append(MuNu(nu - sign * root, nu, upper))
+            out.append(MuNu(nu - sign * root, nu))
     return out
 
 
@@ -179,8 +178,7 @@ class PairCheck:
 
     def admits(self, munu: MuNu) -> bool:
         """Whether ``params`` is set and (mu, nu) is one of its branches."""
-        return self.params is not None and munu.as_tuple() in [
-            m.as_tuple() for m in mu_nu_candidates(self.params)]
+        return self.params is not None and munu in mu_nu_candidates(self.params)
 
     def bind(self, munu: MuNu) -> "PairCheck":
         """Check pairs under (mu, nu) from now on; returns the check."""
@@ -335,8 +333,7 @@ def _reduced_of(full: LinkingSystem) -> ReducedLinkingSystem | None:
     if not (np.array_equal(stated[:ell], np.sort(G.inv_table[check.ids], axis=1))
             and np.array_equal(stated[ell:], supports)):
         return None
-    munu = next(m for m in mu_nu_candidates(params) if m.as_tuple() == full.munu.as_tuple())
-    return ReducedLinkingSystem(G, firsts, munu, supports)
+    return ReducedLinkingSystem(G, firsts, full.munu, supports)
 
 
 def reversibility_profile(reduced: ReducedLinkingSystem) -> tuple[bool, ...]:

@@ -190,14 +190,18 @@ class LinkingGraph:
     records: tuple[DifferenceSetRecord, ...]
     munu: MuNu
     adjacency: np.ndarray
-    linked_pairs: int = 0  # ordered pairs i != j with a product valued in {mu, nu}
 
     @property
     def num_vertices(self) -> int:
         return len(self.records)
 
+    @property
+    def linked_pairs(self) -> int:
+        """Ordered pairs i != j with a product valued in {mu, nu}."""
+        return int(np.count_nonzero(self.adjacency))
+
     def num_edges(self) -> int:
-        return int(np.count_nonzero(self.adjacency)) // 2
+        return self.linked_pairs // 2
 
     @cached_property
     def ids(self) -> np.ndarray:
@@ -233,7 +237,7 @@ def build_linking_graph(G: FiniteGroup, records, munu: MuNu, jobs: int = 1) -> L
     i, j = (np.concatenate(part) for part in zip(*found))
     adjacency = np.zeros((n, n), dtype=bool)
     adjacency[i, j] = adjacency[j, i] = True  # (j, i) links iff (i, j) does
-    return LinkingGraph(G, records, munu, adjacency, linked_pairs=2 * len(i))
+    return LinkingGraph(G, records, munu, adjacency)
 
 
 def _row_chunks(n: int, jobs: int) -> list[range]:
@@ -672,7 +676,7 @@ def census_systems(G: FiniteGroup, k: int, ell: int, jobs: int = 1) -> CensusRes
     start = time.time()
     records = enumerate_difference_sets(G, k)
     if not records:
-        return CensusResult(G, LinkingGraph(G, (), MuNu(0, 1, True), np.zeros((0, 0), dtype=bool)),
+        return CensusResult(G, LinkingGraph(G, (), MuNu(0, 1), np.zeros((0, 0), dtype=bool)),
                             CensusSystems((), np.zeros((0, ell), dtype=np.int64)), 0,
                             time.time() - start)
     branches = mu_nu_candidates(records[0].params)
@@ -687,11 +691,9 @@ def census_systems(G: FiniteGroup, k: int, ell: int, jobs: int = 1) -> CensusRes
 # -- bent clique bound -----------------------------------------------------------
 
 
-def bent_max_clique(d: int = 1) -> int:
-    """Maximum size of a bent set on arity 2d+2 including the adjoined zero
-    function; exact branch-and-bound over all bent functions (d = 1 only)."""
-    if d != 1:
-        raise ValueError("exhaustive bent clique supported only at d = 1")
+def bent_max_clique() -> int:
+    """Maximum size of a bent set on arity 4 (d = 1) including the adjoined
+    zero function; exact branch-and-bound over all bent functions."""
     from .bent import enumerate_bent
 
     # each truth table as one 16-bit int; f + g is bent iff bent[f ^ g]

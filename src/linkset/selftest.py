@@ -23,14 +23,13 @@ from .worked_examples import (
 )
 
 
-def _check(name: str, ok: bool, verbose: bool, failures: list[str]) -> None:
-    if verbose:
-        print(f"{'PASS' if ok else 'FAIL'}  {name}")
+def _check(name: str, ok: bool, failures: list[str]) -> None:
+    print(f"{'PASS' if ok else 'FAIL'}  {name}")
     if not ok:
         failures.append(name)
 
 
-def _kernel_checks(verbose: bool, failures: list[str]) -> None:
+def _kernel_checks(failures: list[str]) -> None:
     """pair_products against mul on a nonabelian group (table route) and on
     an abelian one (transform route), and the transform's autocorrelations
     against the exact count."""
@@ -43,7 +42,7 @@ def _kernel_checks(verbose: bool, failures: list[str]) -> None:
         prods = rg.pair_products(G, rg.indicators(G, sets), rg.indicators(G, sets))
         _check(f"pair_products agrees with mul on {label}",
                all(np.array_equal(prods[a, b], rg.mul(ring[a], rg.involution(ring[b])).coeffs)
-                   for a in range(6) for b in range(6)), verbose, failures)
+                   for a in range(6) for b in range(6)), failures)
     # one group above NTT_MIN_ORDER and one below it: autocorrelations take
     # the transform at every order
     for label, G in (("Z8xZ4xZ4", Z), ("Z3xZ3xZ2xZ2", make_abelian([3, 3, 2, 2]))):
@@ -51,7 +50,7 @@ def _kernel_checks(verbose: bool, failures: list[str]) -> None:
         _check(f"autocorrelations: transform and count paths agree on {label}",
                rg._transform(G) is not None
                and np.array_equal(rg._transform_autocorrelations(G, sets),
-                                  rg._count_autocorrelations(G, sets)), verbose, failures)
+                                  rg._count_autocorrelations(G, sets)), failures)
 
 
 def witness_filter_oracle(G: FiniteGroup, sets, munu: MuNu,
@@ -77,54 +76,51 @@ def witness_filter_oracle(G: FiniteGroup, sets, munu: MuNu,
     return pairs, rejected
 
 
-def run_selftest(verbose: bool = True) -> bool:
+def run_selftest() -> bool:
     failures: list[str] = []
 
     # the worked examples below run on these kernels
-    _kernel_checks(verbose, failures)
+    _kernel_checks(failures)
     if failures:
         return False
 
     G, sets = linked_triple_z4z4()
     system = verify_reduced(G, sets)
-    _check("linked triple in Z4xZ4 verifies", system is not None, verbose, failures)
+    _check("linked triple in Z4xZ4 verifies", system is not None, failures)
     if system is not None:
-        _check("triple has (mu, nu) = (1, 3)", system.munu.as_tuple() == (1, 3),
-               verbose, failures)
+        _check("triple has (mu, nu) = (1, 3)", system.munu.as_tuple() == (1, 3), failures)
         _check("triple witness (2,1) matches",
-               system.witnesses[(2, 1)].elements == witness_21_z4z4(G), verbose, failures)
+               system.witnesses[(2, 1)].elements == witness_21_z4z4(G), failures)
         _check("triple reversibility profile (T, F, F)",
-               reversibility_profile(system) == (True, False, False), verbose, failures)
+               reversibility_profile(system) == (True, False, False), failures)
 
     E, family, bmat, emat = triple_dm_data(G)
     rebuilt = linked_from_dm(G, E, bmat, emat, family=family)
     _check("matrix data reproduces the triple",
-           {r.elements for r in rebuilt.records} == {tuple(s) for s in sets},
-           verbose, failures)
+           {r.elements for r in rebuilt.records} == {tuple(s) for s in sets}, failures)
 
     M = dm_z2z2()
-    _check("(Z2^2, 4, 1) matrix verifies", verify_dm(M), verbose, failures)
-    _check("matrix is normalization fixed point", normalize(M).rows == M.rows,
-           verbose, failures)
+    _check("(Z2^2, 4, 1) matrix verifies", verify_dm(M), failures)
+    _check("matrix is normalization fixed point", normalize(M).rows == M.rows, failures)
 
     G16, E16, family16, b16, e16, expected, witness23 = order16_worked_example()
     system16 = linked_from_dm(G16, E16, b16, e16, family=family16)
     _check("order-16 worked example reproduces its three sets",
-           [r.elements for r in system16.records] == expected, verbose, failures)
+           [r.elements for r in system16.records] == expected, failures)
     _check("order-16 witness (2,3) matches",
-           system16.witnesses[(2, 3)].elements == witness23, verbose, failures)
+           system16.witnesses[(2, 3)].elements == witness23, failures)
     f_reps = [G16.mul(b16[2][j], e16[1][j - 1]) for j in range(1, 4)]
     g_reps = [G16.mul(b16[3][j], e16[2][j - 1]) for j in range(1, 4)]
     _check("direct witness formula agrees",
-           witness_direct(G16, family16, f_reps, g_reps) == witness23, verbose, failures)
+           witness_direct(G16, family16, f_reps, g_reps) == witness23, failures)
 
     Z44 = make_abelian([4, 4])
     census = [r.elements for r in enumerate_difference_sets(Z44, 6)]
     params = DSParams(16, 6, 2, 4)
     _check("every two-valued pair of the Z4xZ4 census sets has a difference-set witness",
            witness_filter_oracle(Z44, census, mu_nu_candidates(params)[0], params) == (12288, 0),
-           verbose, failures)
+           failures)
 
-    if verbose and not failures:
+    if not failures:
         print("all selftest checks passed")
     return not failures

@@ -271,6 +271,6 @@ def test_criterion_12_property_suites():
 
 def test_criterion_13_bent_max_clique():
     start = time.time()
-    result = bent_max_clique(d=1)
+    result = bent_max_clique()
     elapsed = time.time() - start
     report(13, result == 8, f"max bent set size {result}, {elapsed:.1f}s")

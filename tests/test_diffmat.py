@@ -11,6 +11,7 @@ from collections import Counter
 from importlib.resources import files
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from linkset import diffmat
@@ -19,10 +20,7 @@ from linkset import io as lio
 from linkset.cli import run
 from linkset.designs import is_reversible
 from linkset.diffmat import (
-    ABSENT,
     DEFAULT_SEARCH_BUDGET,
-    FOUND,
-    INCONCLUSIVE,
     KILL_CACHE_BYTES,
     DifferenceMatrix,
     DMSearch,
@@ -42,7 +40,6 @@ from linkset.diffmat import (
     witness_direct,
 )
 from linkset.groups import (
-    abelian_exponent_tuple,
     direct_product,
     make_abelian,
     make_dihedral8,
@@ -183,8 +180,18 @@ def test_dm_auto_maps_the_galois_ring_product_onto_any_factor_order(factors, m):
     order = sorted(range(len(factors)), key=lambda i: (-factors[i], i))
     for row, srow in zip(M.rows, MS.rows):
         for x, y in zip(row, srow):
-            exps = abelian_exponent_tuple(G, x)
-            assert tuple(exps[p] for p in order) == abelian_exponent_tuple(S, y)
+            exps = np.unravel_index(x, G.cyclic_factors)
+            assert tuple(exps[p] for p in order) == np.unravel_index(y, S.cyclic_factors)
+
+
+@pytest.mark.parametrize("factors, m", [([4, 2], 2), ([2, 2], 4)], ids=["two-rows", "galois-ring"])
+def test_dm_auto_verifies_every_route(monkeypatch, factors, m):
+    """Whatever the route, dm_auto returns no matrix that fails verify_dm:
+    the two-row route (all-identity and id order) raises as the Galois
+    route does."""
+    monkeypatch.setattr(diffmat, "verify_dm", lambda M: False)
+    with pytest.raises(AssertionError, match="failed verification"):
+        dm_auto(make_abelian(factors), m)
 
 
 def test_dm_auto_row_ceiling():
@@ -209,7 +216,6 @@ def test_search_returns_the_lexicographically_first_matrix(monkeypatch, factors)
     G = make_abelian(list(factors))
     v = G.order
     search = _backtrack_dm(G, 4, 10 ** 6)
-    assert search.outcome == FOUND
     assert search.rows == ((0,) * v, tuple(range(v))) + FIRST_ROWS[factors]
     assert verify_dm(DifferenceMatrix(G, 1, search.rows))
     # neither Galois ring nor product gives four rows here: dm_auto serves
@@ -230,16 +236,19 @@ SEARCH_NODES = {(8, 2): 8547, (4, 4): 2696, (4, 2, 2): 75}
 def test_search_node_counts(factors):
     G = make_abelian(list(factors))
     search = _backtrack_dm(G, 4, 10 ** 6)
-    assert search.outcome == FOUND and search.nodes == SEARCH_NODES[factors]
+    assert search.rows is not None and search.nodes == SEARCH_NODES[factors]
     assert verify_dm(DifferenceMatrix(G, 1, search.rows))
     # one node short of the count is a budget-out
-    assert _backtrack_dm(G, 4, search.nodes - 1).outcome == INCONCLUSIVE
+    with pytest.raises(SearchInconclusive):
+        _backtrack_dm(G, 4, search.nodes - 1)
 
 
 def test_every_budget_short_of_the_search_is_inconclusive():
     G = make_abelian([4, 2, 2])
     for budget in range(SEARCH_NODES[(4, 2, 2)]):
-        assert _backtrack_dm(G, 4, budget) == DMSearch(INCONCLUSIVE, None, budget)
+        with pytest.raises(SearchInconclusive) as info:
+            _backtrack_dm(G, 4, budget)
+        assert (info.value.group, info.value.rows, info.value.budget) == (G, 4, budget)
 
 
 # The nonabelian searches that find a matrix: rows 2.. and nodes, recorded
@@ -258,7 +267,7 @@ def test_nonabelian_search_rows_and_node_counts(name):
     G = make()
     v = G.order
     search = _backtrack_dm(G, 2 + len(rows), 10 ** 6)
-    assert search == DMSearch(FOUND, ((0,) * v, tuple(range(v))) + rows, nodes)
+    assert search == DMSearch(((0,) * v, tuple(range(v))) + rows, nodes)
     assert verify_dm(DifferenceMatrix(G, 1, search.rows))
 
 
@@ -278,7 +287,7 @@ def test_sum_argument_settles_before_any_copy_of_the_table():
     (a Python list of the table took about 600 MiB)."""
     G = make_abelian([4096])
     search, peak = _traced_peak(lambda: _backtrack_dm(G, 3, 10))
-    assert search == DMSearch(ABSENT, None, 0)
+    assert search == DMSearch(None, 0)
     assert peak < 2 * 2 ** 20
 
 
@@ -289,15 +298,15 @@ def test_search_memory_stays_within_the_kill_row_cap():
     unbounded cache (126 MiB here) or v x v Python lists of the table and
     kill rows (102 MiB) would break the bound."""
     G = make_abelian([32, 16, 2])
-    search, peak = _traced_peak(lambda: _backtrack_dm(G, 4, 1000))
-    assert search == DMSearch(INCONCLUSIVE, None, 1000)
+    info, peak = _traced_peak(lambda: pytest.raises(SearchInconclusive, _backtrack_dm, G, 4, 1000))
+    assert info.value.budget == 1000
     assert peak < KILL_CACHE_BYTES + 64 * 2 ** 20
 
 
 @pytest.mark.parametrize("factors", [[4], [8], [16]])
 def test_search_proves_absence_on_cyclic_groups(factors):
     search = _backtrack_dm(make_abelian(factors), 3, 10 ** 6)
-    assert search.outcome == ABSENT and search.rows is None
+    assert search.rows is None
     assert dm_auto(make_abelian(factors), 3, budget=10 ** 6) is None
 
 
@@ -307,13 +316,14 @@ def test_search_exhausts_to_prove_absence(G, m):
     in 3,350 nodes on Z4 x Z2 (m = 5) and 2,472 on D4 (m = 4); 3,796 and
     2,800 without the value-side check."""
     search = _backtrack_dm(G, m, 10 ** 6)
-    assert search.outcome == ABSENT and search.nodes == {5: 3350, 4: 2472}[m]
+    assert search == DMSearch(None, {5: 3350, 4: 2472}[m])
 
 
 def test_budget_out_is_inconclusive():
     G = make_abelian([8, 4])
-    search = _backtrack_dm(G, 4, 100)
-    assert search.outcome == INCONCLUSIVE and search.rows is None and search.nodes == 100
+    with pytest.raises(SearchInconclusive, match="inconclusive") as info:
+        _backtrack_dm(G, 4, 100)
+    assert info.value.budget == 100 and info.value.rows == 4
     with pytest.raises(SearchInconclusive, match="inconclusive") as info:
         dm_auto(G, 4, budget=100)
     assert info.value.budget == 100 and info.value.rows == 4

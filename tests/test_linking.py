@@ -212,11 +212,13 @@ def _swap_one(G, elements, rng):
 
 
 def test_verify_reduced_batched_rejections_z4_4(monkeypatch):
+    import numpy as np
+
     from linkset import group_ring as rg
     from linkset import linking
     from linkset.designs import is_difference_set
     from linkset.diffmat import build_improved
-    from linkset.groups import abelian_element, abelian_exponent_tuple, make_abelian
+    from linkset.groups import make_abelian
 
     G = make_abelian([4] * 4)
     sets = [r.elements for r in build_improved(G).records]
@@ -250,8 +252,8 @@ def test_verify_reduced_batched_rejections_z4_4(monkeypatch):
     # an image under an automorphism (x1 <-> x2) is still a difference set
     # with the same parameters, but it no longer links with the others
     def swap(a):
-        e = abelian_exponent_tuple(G, a)
-        return abelian_element(G, (e[1], e[0]) + e[2:])
+        e = np.unravel_index(a, G.cyclic_factors)
+        return int(np.ravel_multi_index((e[1], e[0]) + e[2:], G.cyclic_factors))
 
     image = tuple(sorted(swap(a) for a in sets[3]))
     assert image != sets[3]
@@ -393,7 +395,7 @@ def test_linked_block_matches_a_per_row_check(monkeypatch):
 
     # blocks of 3 left rows against 24 and 21 later sets, then 4 against 18
     monkeypatch.setattr(linking, "PRODUCT_BLOCK", 3 * 24 * 16)
-    check = linking.PairCheck(G, np.array(sets)).bind(MuNu(1, 3, True))
+    check = linking.PairCheck(G, np.array(sets)).bind(MuNu(1, 3))
     assert check.params == params
     blocks = list(check._upper(rows))
     assert [block.tolist() for block, _, _, _ in blocks] == [[0, 1, 2], [3, 4, 5], [6, 7, 8, 9]]
@@ -413,8 +415,10 @@ def _square_batches():
     nonabelian group, and with one set replaced by its image under an
     automorphism (x1 <-> x2), a difference set with the same parameters
     that fails to link with most other sets, first and last in the batch."""
+    import numpy as np
+
     from linkset.diffmat import build_improved, build_tyken
-    from linkset.groups import abelian_element, abelian_exponent_tuple, make_abelian
+    from linkset.groups import make_abelian
     from linkset.search import enumerate_difference_sets
 
     G = make_abelian([4] * 5)
@@ -427,8 +431,8 @@ def _square_batches():
     sets = build_improved(G).sets()
 
     def swap(a):
-        e = abelian_exponent_tuple(G, a)
-        return abelian_element(G, (e[1], e[0]) + e[2:])
+        e = np.unravel_index(a, G.cyclic_factors)
+        return int(np.ravel_multi_index((e[1], e[0]) + e[2:], G.cyclic_factors))
 
     for i in (0, len(sets) - 1):
         mutated = list(sets)
@@ -698,9 +702,9 @@ def test_the_witness_filter_oracle_rejects_supports_that_are_no_difference_sets(
 
     G = make_abelian([4, 4])
     sets = [r.elements for r in enumerate_difference_sets(G, 6)]
-    assert witness_filter_oracle(G, sets, MuNu(3, 1, False), DSParams(16, 6, 2, 4)) == (
+    assert witness_filter_oracle(G, sets, MuNu(3, 1), DSParams(16, 6, 2, 4)) == (
         12288, 12288)
-    assert witness_filter_oracle(G, sets, MuNu(1, 3, True), DSParams(31, 6, 1, 5)) == (
+    assert witness_filter_oracle(G, sets, MuNu(1, 3), DSParams(31, 6, 1, 5)) == (
         12288, 12288)
 
 
@@ -714,10 +718,10 @@ def test_the_pair_check_rejects_a_mu_nu_that_is_no_branch():
     G, sets = linked_triple_z4z4()
     check = PairCheck(G, sets)
     assert check.params == DSParams(16, 6, 2, 4)
-    for munu in (MuNu(3, 1, False), MuNu(1, 2, True)):
+    for munu in (MuNu(3, 1), MuNu(1, 2)):
         with pytest.raises(ValueError, match="branch"):
             check.bind(munu)
-    assert 2 * len(check.bind(MuNu(1, 3, True)).links()[0]) == 6
+    assert 2 * len(check.bind(MuNu(1, 3)).links()[0]) == 6
 
 
 def test_binding_checks_the_lemma_before_any_product(monkeypatch):
@@ -740,13 +744,13 @@ def test_binding_checks_the_lemma_before_any_product(monkeypatch):
         raise AssertionError("RowProducts built")
 
     monkeypatch.setattr(rg, "RowProducts", no_products)
-    for munu in (MuNu(3, 1, False), MuNu(1, 2, True)):
+    for munu in (MuNu(3, 1), MuNu(1, 2)):
         with pytest.raises(ValueError, match="branch"):
             check.bind(munu)
     with pytest.raises(ValueError, match="difference sets"):
-        PairCheck(G, sets[:2] + [(0, 1, 2, 3, 4, 5)]).bind(MuNu(1, 3, True))
+        PairCheck(G, sets[:2] + [(0, 1, 2, 3, 4, 5)]).bind(MuNu(1, 3))
     with pytest.raises(AssertionError, match="RowProducts"):  # the patch sees a bind
-        check.bind(MuNu(1, 3, True))
+        check.bind(MuNu(1, 3))
 
 
 def test_pair_check_params_need_every_set():
@@ -822,11 +826,11 @@ def test_verify_full_rejects_a_mu_nu_that_is_no_branch():
     full = expand(bent_linking(kerdock_bent_set(2)))
     mu, nu = full.munu.as_tuple()
     assert verify_full(full)
-    assert not verify_full(replace(full, munu=MuNu(nu, mu, not full.munu.upper)))
+    assert not verify_full(replace(full, munu=MuNu(nu, mu)))
     one = LinkingSystem(full.group, {key: full.entries[key] for key in ((1, 0), (0, 1))},
                         full.munu)
     assert verify_full(one)
-    assert not verify_full(replace(one, munu=MuNu(nu, mu, not full.munu.upper)))
+    assert not verify_full(replace(one, munu=MuNu(nu, mu)))
 
 
 def test_verify_full_checks_the_stated_parameters():
@@ -966,7 +970,7 @@ def test_verify_full_agrees_with_the_dense_identity_check():
                                            (0, 1): full.entries[(0, m)]}, full.munu)
                 for m in (1, full.top_index)]
         for system in [full] + ones:
-            corpus += [system, replace(system, munu=MuNu(nu, mu, not full.munu.upper))]
+            corpus += [system, replace(system, munu=MuNu(nu, mu))]
         rng = random.Random(full.top_index * full.group.order)
         for system in (full, ones[0]):
             corpus += _mutations(system, rng, 100)

@@ -268,7 +268,7 @@ def test_a_mu_nu_that_is_no_branch_is_rejected_before_the_pool(z4z4_census, monk
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     G, records = z4z4_census.graph.group, z4z4_census.records
     with pytest.raises(ValueError, match="branch"):
-        build_linking_graph(G, records, MuNu(3, 1, False), jobs=2)
+        build_linking_graph(G, records, MuNu(3, 1), jobs=2)
     with pytest.raises(AssertionError, match="pool"):
         build_linking_graph(G, records, z4z4_census.graph.munu, jobs=2)
 
@@ -443,7 +443,7 @@ def test_projection_sieve_matches_its_integer_oracle(factors, k, munu):
     family, reps, _, K = _sweep_setup(G, "full", params)
     rng = np.random.default_rng(sum(factors) + munu[0])
     random_sets = np.sort(np.argsort(rng.random((400, G.order)), axis=1)[:, :k], axis=1)
-    branch = MuNu(*munu, munu[0] < munu[1])
+    branch = MuNu(*munu)
     kept = []
     for sets in (random_sets, construction_sets(family, reps, 0)[:400]):
         classes, keep = _projection_sieve(G, sets, K, branch)
@@ -572,12 +572,16 @@ def test_max_system_size_matches_brute_force():
     for _ in range(20):
         n = rng.randint(3, 11)
         adj = np.zeros((n, n), dtype=bool)
+        edges = 0
         for i in range(n):
             for j in range(i + 1, n):
                 if rng.random() < 0.5:
                     adj[i, j] = adj[j, i] = True
-        graph = LinkingGraph(make_abelian([2]), tuple(range(n)), MuNu(1, 3, True), adj)
+                    edges += 1
+        graph = LinkingGraph(make_abelian([2]), tuple(range(n)), MuNu(1, 3), adj)
         assert max_system_size(graph) == brute_max_clique(adj.tolist())
+        # the linked pairs are read off the adjacency: both orders of each edge
+        assert graph.linked_pairs == 2 * edges and graph.num_edges() == edges
 
 
 @pytest.mark.parametrize("factors, size", [([2, 2, 2, 2], 7), ([4, 2, 2], 3)])
@@ -639,7 +643,7 @@ def test_bent_clique_graph_matches_the_pairwise_loop(monkeypatch):
     want = [sum(1 << j for j, g in enumerate(tables) if f ^ g in bent) for f in tables]
     seen = []
     monkeypatch.setattr(search, "_max_clique", lambda masks: seen.append(masks) or 7)
-    assert search.bent_max_clique(1) == 8
+    assert search.bent_max_clique() == 8
     assert seen == [want] and len(want) == 896
 
 
@@ -722,7 +726,7 @@ def test_wrong_graph_data_fails_reverification(z4z4_census):
     assert graph.munu.as_tuple() == (1, 3)
     # every edge product is valued in {3, 1} too, but its 3-support has 10
     # elements and is no (16, 6, 2) difference set
-    for munu in (MuNu(3, 1, False), MuNu(1, 2, True)):
+    for munu in (MuNu(3, 1), MuNu(1, 2)):
         with pytest.raises(AssertionError, match="re-verification"):
             enumerate_systems(replace(graph, munu=munu), 2)
     i = int(np.flatnonzero(graph.adjacency.any(axis=1))[0])
@@ -971,5 +975,5 @@ def test_linking_graph_rejects_a_record_that_is_no_difference_set(z4z4_census):
     with pytest.raises(ValueError, match="difference set"):
         build_linking_graph(G, records + [bad], munu)
     with pytest.raises(ValueError, match="branch"):
-        build_linking_graph(G, records, MuNu(3, 1, False))
+        build_linking_graph(G, records, MuNu(3, 1))
     assert build_linking_graph(G, records, munu).num_vertices == 5

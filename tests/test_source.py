@@ -367,3 +367,66 @@ def test_one_transform():
     assert _calls_to(tree, "m", {"_Transform"}) == {"m.cache", "m.K.g"}
     assert _transform_definitions(tree, "m") == {"m._Transform", "m.K.fwht", "m.wht_signs",
                                                  "m.Walsh"}
+
+
+OUTCOME_WORDS = {"found", "absent", "inconclusive"}
+
+
+def _outcome_constants(tree: ast.Module) -> list[str]:
+    """The module-level UPPER_CASE names assigned by a statement that holds
+    a string naming a search outcome (found, absent or inconclusive)."""
+    return [name for name, stmt in _module_constants(tree)
+            if any(isinstance(node, ast.Constant) and isinstance(node.value, str)
+                   and node.value.lower() in OUTCOME_WORDS for node in ast.walk(stmt))]
+
+
+def test_search_outcomes_are_values_not_strings():
+    """A difference-matrix search answers with its rows, None (absence
+    proved) or the SearchInconclusive it raises: no module defines an
+    outcome-string constant, and SearchInconclusive is constructed only at
+    the node where ``diffmat._backtrack_dm`` runs out of budget."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert [name for tree in trees.values() for name in _outcome_constants(tree)] == []
+    raised = set().union(*(_calls_to(tree, stem, {"SearchInconclusive"})
+                           for stem, tree in trees.items()))
+    assert raised == {"diffmat._backtrack_dm.fill"}
+    # the scan sees outcome strings unpacked or annotated, in any case; an
+    # exit code or another string is none
+    tree = ast.parse("FOUND, ABSENT = 'found', 'absent'\nX: str = 'Inconclusive'\n"
+                     "EXIT_INCONCLUSIVE = 3\nNAME = 'file.json'\nfound = 'found'\n")
+    assert _outcome_constants(tree) == ["FOUND", "ABSENT", "X"]
+
+
+ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb"}
+
+
+def _environment_reads(tree: ast.Module, module: str) -> set[str]:
+    """The scopes that name ``os.environ`` or ``os.getenv``, or import them."""
+    return _scopes_where(tree, module, lambda node: _named(node, ENVIRONMENT_NAMES) or (
+        isinstance(node, ast.alias) and node.name in ENVIRONMENT_NAMES))
+
+
+def test_no_module_reads_the_environment():
+    """Every setting comes from a function argument or a command-line flag:
+    no module of the package reads an environment variable."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        found |= _environment_reads(ast.parse(path.read_text()), path.stem)
+    assert found == set()
+    # the scan sees a read through os, an imported name and a getenv call
+    tree = ast.parse("import os\ndef f():\n    return os.environ.get('X', '1')\n"
+                     "from os import environ\nclass K:\n    def g(self):\n"
+                     "        return os.getenv('Y')\n")
+    assert _environment_reads(tree, "m") == {"m.f", "m", "m.K.g"}
+
+
+def test_each_fact_is_held_once():
+    """A (mu, nu) branch is its two values: which branch it is follows from
+    mu < nu.  A linking graph's linked pairs are read off its adjacency."""
+    from dataclasses import fields
+
+    from linkset.linking import MuNu
+    from linkset.search import LinkingGraph
+
+    assert [f.name for f in fields(MuNu)] == ["mu", "nu"]
+    assert [f.name for f in fields(LinkingGraph)] == ["group", "records", "munu", "adjacency"]
