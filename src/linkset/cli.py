@@ -14,7 +14,6 @@ import argparse
 import functools
 import json
 import sys
-import time
 
 from . import __version__
 from . import io as lio
@@ -257,7 +256,6 @@ def _cmd_nonexist(args) -> int:
     if args.target == "z8z2":
         if args.group is not None or mode == "full":
             raise ValueError("nonexist z8z2 takes neither --group nor --full")
-        start = time.time()
         G = make_abelian([8, 2])
         result = census_systems(G, 6, 2, jobs=jobs)
         payload = {
@@ -265,7 +263,7 @@ def _cmd_nonexist(args) -> int:
             "difference_sets": len(result.graph.records),
             "size2_systems": result.count,
             "max_system_size": result.max_size,
-            "runtime_seconds": time.time() - start,
+            "runtime_seconds": result.runtime_seconds,
         }
         empty = result.count == 0
         cert = lio.certificate("nonexistence-report", payload, {"target": args.target})

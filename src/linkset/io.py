@@ -17,7 +17,6 @@ import hashlib
 import itertools
 import json
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 
 import numpy as np
 
@@ -39,15 +38,6 @@ def set_to_names(G: FiniteGroup, elems) -> list[str]:
 
 def names_to_set(G: FiniteGroup, names) -> tuple[int, ...]:
     return tuple(sorted(G.element_ids(names)))
-
-
-def _sets_to_names(G: FiniteGroup, sets) -> list[list[str]]:
-    """``set_to_names`` of each of many sets whose ids are already sorted
-    (records and witness supports): one ``itemgetter`` per set, which
-    returns a bare name, not a tuple, for a single id."""
-    names = G.names
-    return [list(itemgetter(*ids)(names)) if len(ids) > 1 else [names[i] for i in ids]
-            for ids in sets]
 
 
 def _field(obj, key: str):
@@ -136,7 +126,7 @@ def system_to_json(system: ReducedLinkingSystem) -> dict:
         "params": list(system.params.as_tuple()),
         "mu": system.munu.mu,
         "nu": system.munu.nu,
-        "sets": _sets_to_names(G, system.sets()),
+        "sets": G.name_array[np.asarray(system.sets(), dtype=np.int64)].tolist(),
         "witnesses": dict(zip(keys, G.name_array[system.witness_ids].tolist())),
     }
 
@@ -340,7 +330,8 @@ def census_payload(graph_group: FiniteGroup, systems: CensusSystems, max_size: i
     vertex, fed to sha256 in blocks of PAYLOAD_BLOCK systems.
     """
     G = graph_group
-    names = _sets_to_names(G, [r.elements for r in systems.records])
+    ids = np.asarray([r.elements for r in systems.records], dtype=np.int64)
+    names = G.name_array[ids].tolist()
     rank = np.zeros(len(names), dtype=np.int64)
     texts: list[str] = []
     previous = None

@@ -2,15 +2,15 @@
 interconversion, (mu, nu) arithmetic, and reversibility checks.
 
 Every linking decision is one pair check, ``PairCheck``: over one batch
-of difference sets with common parameters, bound to a (mu, nu) branch, it
-computes the full product rows D_i D_j^(-1) of the pairs i < j in blocks
-(``PairCheck._upper``) and keeps the pairs valued in {mu, nu}: those are
-the linked pairs (the lemma in its docstring), and each (j, i) follows from
-(i, j) by the involution.  Two results read that one pass: ``links``, the
-linked pairs, for the census and the sweeps (``search``), and
-``witness_ids``, every pair's mu-support or None, for ``verify_reduced``
-and ``verify_full`` (the theorem in its docstring).  Nothing else here
-makes products.
+of difference sets with common parameters, under the (mu, nu) branch that
+each call names, it computes the full product rows D_i D_j^(-1) of the
+pairs i < j in blocks (``PairCheck._upper``) and keeps the pairs valued in
+{mu, nu}: those are the linked pairs (the lemma in its docstring), and each
+(j, i) follows from (i, j) by the involution.  Two results read that one
+pass: ``links``, the linked pairs, for the census and the sweeps
+(``search``), and ``witness_ids``, every pair's mu-support or None, for
+``verify_reduced`` and ``verify_full`` (the theorem in its docstring).
+Nothing else here makes products.
 """
 
 from __future__ import annotations
@@ -132,7 +132,7 @@ def verify_reduced(G: FiniteGroup, sets) -> ReducedLinkingSystem | None:
     if check.params is None:
         return None
     for munu in mu_nu_candidates(check.params):
-        found = check.bind(munu).witness_ids()
+        found = check.witness_ids(munu)
         if found is not None:
             records = tuple(DifferenceSetRecord(G, tuple(S), check.params) for S in sets)
             return ReducedLinkingSystem(G, records, munu, found)
@@ -142,11 +142,12 @@ def verify_reduced(G: FiniteGroup, sets) -> ReducedLinkingSystem | None:
 class PairCheck:
     """The pair check over one batch of sets (an (n, k) id array or a list
     of sets; malformed ids raise ValueError): the ordered pairs of distinct
-    sets that link, and their mu-supports.  One autocorrelation batch gives
-    ``params``, the sets' common ``DSParams``, or None.  ``bind`` raises
-    ValueError unless it ``admits`` (mu, nu), so no pair is checked unless
-    both preconditions of the lemma below hold; a pair then links iff its
-    product is valued in {mu, nu}.
+    sets that link under a (mu, nu) branch, and their mu-supports.  One
+    autocorrelation batch gives ``params``, the sets' common ``DSParams``,
+    or None.  Every call names its (mu, nu), and ``check_branch`` raises
+    ValueError before any product unless it is a branch of ``params``, so
+    no pair is checked unless both preconditions of the lemma below hold;
+    a pair then links iff its product is valued in {mu, nu}.
 
     Lemma.  Let D_i, D_j be (v, k, lambda) difference sets in a group G,
     n = k - lambda, and (mu, nu) a branch of ``mu_nu_candidates``, so that
@@ -167,49 +168,46 @@ class PairCheck:
     """
 
     def __init__(self, G: FiniteGroup, sets):
-        # checked and converted once: the autocorrelation batch and ``bind`` read ``ids``
+        # checked and converted once: the autocorrelation batch and the products read ``ids``
         self.group, self.ids = G, rg._subset_rows(G, sets)
         k, lam = _autocorrelation_params(G, self.ids)  # lambda -1: no difference set
         common = len(k) > 0 and lam[0] >= 0 and (k == k[0]).all() and (lam == lam[0]).all()
         self.params = (DSParams(G.order, int(k[0]), int(lam[0]), int(k[0] - lam[0]))
                        if common else None)
-        self.munu: MuNu | None = None
-        self._products: rg.RowProducts | None = None
 
-    def admits(self, munu: MuNu) -> bool:
-        """Whether ``params`` is set and (mu, nu) is one of its branches."""
-        return self.params is not None and munu in mu_nu_candidates(self.params)
-
-    def bind(self, munu: MuNu) -> "PairCheck":
-        """Check pairs under (mu, nu) from now on; returns the check."""
-        if not self.admits(munu):
+    def check_branch(self, munu: MuNu) -> None:
+        """Raise ValueError unless ``params`` is set and (mu, nu) one of its branches."""
+        if self.params is None or munu not in mu_nu_candidates(self.params):
             raise ValueError(f"(mu, nu) = {munu.as_tuple()} needs difference sets with common "
                              f"parameters that it is a branch of, got {self.params}")
-        if self._products is None:
-            self._products = rg.RowProducts(self.group, rg._indicator_matrix(self.group, self.ids))
-        self.munu = munu
-        return self
 
-    def links(self, rows: range | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """The linked pairs (i, j), i < j, with i in ``rows`` (by default
-        every set), as two int64 arrays in order of (i, j); (j, i) links
-        too (the involution in ``_upper``).  The --jobs pool maps this over
-        ranges of rows."""
-        found = [(np.zeros(0, dtype=np.int64),) * 2]
-        for block, cols, linked, _ in self._upper(rows):
+    @cached_property
+    def _products(self) -> rg.RowProducts:
+        """The product rows of the batch, built on first use for every branch."""
+        return rg.RowProducts(self.group, rg._indicator_matrix(self.group, self.ids))
+
+    def links(self, munu: MuNu, rows: range | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """The pairs (i, j), i < j, with i in ``rows`` (by default every
+        set) that link under (mu, nu), as two int64 arrays in order of
+        (i, j); (j, i) links too (the involution in ``_upper``).  The
+        --jobs pool maps this over ranges of rows."""
+        found = []
+        for block, cols, linked, _ in self._upper(munu, rows):
             s, t = np.nonzero(linked)
             found.append((block[s], cols[t]))
-        i, j = (np.concatenate(part) for part in zip(*found))
+        i, j = (np.concatenate(part) for part in zip((np.zeros(0, dtype=np.int64),) * 2, *found))
         return i, j
 
-    def witness_ids(self) -> np.ndarray | None:
-        """The mu-supports of every ordered pair of distinct sets, one
-        (n(n-1), k) int32 id array in ``ReducedLinkingSystem.pair_row``
-        order, or None from the first pair that does not link.  Each support
-        is written once, as its block comes out, with W_ji = W_ij^(-1)."""
+    def witness_ids(self, munu: MuNu) -> np.ndarray | None:
+        """The mu-supports under (mu, nu) of every ordered pair of distinct
+        sets, one (n(n-1), k) int32 id array in
+        ``ReducedLinkingSystem.pair_row`` order, or None from the first pair
+        that does not link.  Each support is written once, as its block
+        comes out, with W_ji = W_ij^(-1)."""
+        self.check_branch(munu)
         n, k, v = len(self.ids), self.params.k, self.group.order
         out = np.empty((n * (n - 1), k), dtype=np.int32)
-        for block, cols, linked, is_mu in self._upper():
+        for block, cols, linked, is_mu in self._upper(munu):
             s, t = np.nonzero(linked)
             if len(s) < (n - 1 - block).sum():  # row i holds the n-1-i pairs (i, j > i)
                 return None
@@ -219,14 +217,15 @@ class PairCheck:
             out[j * (n - 1) + i] = np.sort(self.group.inv_table[found], axis=1)
         return out
 
-    def _upper(self, rows: range | None = None):
-        """The pair pass over the pairs i < j with i in ``rows`` (by default
-        every set): per block of those left rows against every later set
-        (at most PRODUCT_BLOCK float32 entries, or one row), one
-        ``RowProducts`` call and one comparison with mu yield (block, cols,
-        linked, is_mu): the block's left rows and the later sets as int64
-        arrays, the (len(block), len(cols)) bool mask of the pairs i < j
-        valued in {mu, nu}, and the mu-masks of the block's product rows.
+    def _upper(self, munu: MuNu, rows: range | None = None):
+        """The pair pass under (mu, nu) over the pairs i < j with i in
+        ``rows`` (by default every set): per block of those left rows
+        against every later set (at most PRODUCT_BLOCK float32 entries, or
+        one row), one ``RowProducts`` call and one comparison with mu yield
+        (block, cols, linked, is_mu): the block's left rows and the later
+        sets as int64 arrays, the (len(block), len(cols)) bool mask of the
+        pairs i < j valued in {mu, nu}, and the mu-masks of the block's
+        product rows.  ``check_branch`` runs before the first product.
 
         Involution.  The map x -> x^(-1) of Z[G], the coefficient of g moved
         to g^(-1), reverses products in any group: (XY)^(-1) = Y^(-1) X^(-1).
@@ -235,24 +234,19 @@ class PairCheck:
         (i, j) is, and its mu-support is W_ji = W_ij^(-1), the sorted
         ``inv_table[W_ij]``: the pairs i < j decide every ordered pair.
         """
-        if self.munu is None:
-            raise ValueError("bind a (mu, nu) branch before checking pairs")
+        self.check_branch(munu)
         n, v = len(self.ids), self.group.order
         rows = range(n) if rows is None else rows
         start, stop = rows.start, min(rows.stop, n - 1)
         while start < stop:
             cols = np.arange(start + 1, n)
             block = np.arange(start, min(stop, start + max(1, PRODUCT_BLOCK // (len(cols) * v))))
-            two_valued, is_mu = self._two_valued(block, cols)
-            yield block, cols, two_valued & (cols > block[:, None]), is_mu
+            prods = self._products(block, cols)
+            is_mu = prods == munu.mu
+            linked = (is_mu | (prods == munu.nu)).all(axis=2) & (cols > block[:, None])
+            del prods  # the float32 block does not outlive the yield
+            yield block, cols, linked, is_mu
             start = int(block[-1]) + 1
-
-    def _two_valued(self, rows: np.ndarray, cols: np.ndarray):
-        """One product block: the (len(rows), len(cols)) bool array of the
-        pairs valued in {mu, nu}, and the mu-masks of their product rows."""
-        prods = self._products(rows, cols)
-        is_mu = prods == self.munu.mu
-        return (is_mu | (prods == self.munu.nu)).all(axis=2), is_mu
 
 
 def expand(reduced: ReducedLinkingSystem) -> LinkingSystem:
@@ -322,9 +316,13 @@ def _reduced_of(full: LinkingSystem) -> ReducedLinkingSystem | None:
         return None
     firsts = tuple(full.entries[(i, 0)] for i in idx[1:])
     check = PairCheck(G, np.array([rec.elements for rec in firsts], dtype=np.int64))
-    if check.params != params or not check.admits(full.munu):
+    if check.params != params:
         return None
-    supports = check.bind(full.munu).witness_ids()
+    try:
+        check.check_branch(full.munu)
+    except ValueError:  # the stated (mu, nu) is no branch of the parameters
+        return None
+    supports = check.witness_ids(full.munu)
     if supports is None:
         return None
     # the D_(0,i), then the D_(i,j) in witness_ids' pair order (1,2), (1,3), ..., (l,l-1)

@@ -90,14 +90,14 @@ def enumerate_difference_sets(G: FiniteGroup, k: int) -> list[DifferenceSetRecor
     and passes every level: none is dropped.  The level-0 rows are the 0/1
     rows of k-subsets, each once (a subset fixes its contractions), and
     ``difference_set_params`` admits exactly the difference sets among
-    them.  Without an integer lambda = k(k-1)/(v-1) there is none.  Each
-    level holds at most CONTRACTION_BLOCK candidate rows at once.
+    them.  Without an integer lambda = k(k-1)/(v-1) there is none
+    (``_size_params``).  Each level holds at most CONTRACTION_BLOCK
+    candidate rows at once.
     """
-    if not 0 <= k <= G.order // 2:
-        raise ValueError("enumerate with 0 <= k <= v/2; complements are mirrored")
-    lam, rem = divmod(k * (k - 1), max(1, G.order - 1))
-    if rem:
+    params = _size_params(G, k)
+    if params is None:
         return []
+    lam = params.lam
     series = normal_series(G)
     cosets = [_cosets(G, N) for N in series]
     levels = [None]  # levels[i]: how a row of level i splits into level i - 1
@@ -120,9 +120,18 @@ def enumerate_difference_sets(G: FiniteGroup, k: int) -> list[DifferenceSetRecor
     ids = np.concatenate([np.zeros((0, k), dtype=np.int64)] + [
         block[[p is not None for p in difference_set_params(G, block)]]
         for block in refine(len(series) - 1, np.array([[k]]))])
-    params = DSParams(G.order, k, lam, k - lam)
     return [DifferenceSetRecord._of_sorted(G, row, params)
             for row in map(tuple, ids[_distinct_rows(ids)[0]].tolist())]
+
+
+def _size_params(G: FiniteGroup, k: int) -> DSParams | None:
+    """The parameters of every k-subset of G that is a difference set, or
+    None when lambda = k(k-1)/(v-1) is no integer; ValueError unless
+    0 <= k <= v/2."""
+    if not 0 <= k <= G.order // 2:
+        raise ValueError("enumerate with 0 <= k <= v/2; complements are mirrored")
+    lam, rem = divmod(k * (k - 1), max(1, G.order - 1))
+    return None if rem else DSParams(G.order, k, lam, k - lam)
 
 
 def _split_table(coarse: np.ndarray, bound: int, top: int):
@@ -216,24 +225,24 @@ class LinkingGraph:
 
 
 def build_linking_graph(G: FiniteGroup, records, munu: MuNu, jobs: int = 1) -> LinkingGraph:
-    """The linking graph of the records under (mu, nu); ``PairCheck.bind``
-    raises ValueError, before any worker process exists, unless the records
-    are difference sets with common parameters and (mu, nu) a branch."""
+    """The linking graph of the records under (mu, nu), from a pool of one
+    process per row range (``_row_chunks``) when there are several; unless
+    the records (one at least) are difference sets with common parameters
+    and (mu, nu) a branch, ValueError before any worker process exists."""
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     records = tuple(records)
-    if not records:
-        raise ValueError("no vertices")
-    check = PairCheck(G, np.array([r.elements for r in records], dtype=np.int64)).bind(munu)
+    check = PairCheck(G, np.array([r.elements for r in records], dtype=np.int64))
+    check.check_branch(munu)
     n = len(records)
     chunks = _row_chunks(n, jobs)
     if len(chunks) > 1:
         import concurrent.futures
 
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            found = list(pool.map(check.links, chunks))
+        with concurrent.futures.ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+            found = list(pool.map(check.links, [munu] * len(chunks), chunks))
     else:
-        found = [check.links()]
+        found = [check.links(munu)]
     i, j = (np.concatenate(part) for part in zip(*found))
     adjacency = np.zeros((n, n), dtype=bool)
     adjacency[i, j] = adjacency[j, i] = True  # (j, i) links iff (i, j) does
@@ -241,10 +250,12 @@ def build_linking_graph(G: FiniteGroup, records, munu: MuNu, jobs: int = 1) -> L
 
 
 def _row_chunks(n: int, jobs: int) -> list[range]:
-    """At most jobs consecutive row ranges covering 0..n-1, each with about
-    the same share of the n(n-1)/2 pairs i < j (row i has n-1-i of them)."""
+    """At most jobs consecutive row ranges covering 0..n-1, one for each of
+    at most n-1 equal shares of the n(n-1)/2 pairs i < j (row i has n-1-i
+    of them), so that every range has pairs when n > 1."""
+    parts = max(1, min(jobs, n - 1))
     area = np.cumsum(np.arange(n - 1, -1, -1))  # the pairs of rows 0..r
-    cuts = np.searchsorted(area, area[-1] * np.arange(1, jobs) / jobs) + 1
+    cuts = np.searchsorted(area, area[-1] * np.arange(1, parts) / parts) + 1
     bounds = [0, *cuts.tolist(), n]
     return [range(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
 
@@ -355,11 +366,11 @@ def _reverify_cliques(graph: LinkingGraph, cliques: np.ndarray) -> int:
     present = np.bincount(cliques.ravel(), minlength=graph.num_vertices) > 0
     local = (np.cumsum(present) - 1)[cliques]  # each member's row among the members
     try:
-        check = PairCheck(graph.group, graph.ids[present]).bind(graph.munu)
+        check = PairCheck(graph.group, graph.ids[present])
+        i, j = check.links(graph.munu)
     except ValueError as exc:
         raise AssertionError("clique failed re-verification") from exc
     m = len(check.ids)
-    i, j = check.links()
     linked = np.zeros((m, m), dtype=bool)
     linked[i, j] = linked[j, i] = True
     asked = np.zeros((m, m), dtype=bool)
@@ -567,7 +578,7 @@ def _sweep_pairs(G: FiniteGroup, sets, munu: MuNu, N: Subgroup) -> tuple[int, in
     kept = sets[keep.any(axis=1)[classes]]
     linked = 0
     if len(kept):
-        linked = 2 * len(PairCheck(G, kept).bind(munu).links()[0])
+        linked = 2 * len(PairCheck(G, kept).links(munu)[0])
     return len(sets) ** 2, linked
 
 
@@ -670,19 +681,20 @@ class CensusResult:
 
 
 def census_systems(G: FiniteGroup, k: int, ell: int, jobs: int = 1) -> CensusResult:
-    """Exhaustive census of size-ell reduced linking systems of k-subsets."""
+    """Exhaustive census of size-ell reduced linking systems of k-subsets
+    under the first (mu, nu) branch of the parameters that (v, k) fixes:
+    ValueError before any work unless lambda and a branch are integers."""
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     start = time.time()
-    records = enumerate_difference_sets(G, k)
-    if not records:
-        return CensusResult(G, LinkingGraph(G, (), MuNu(0, 1), np.zeros((0, 0), dtype=bool)),
-                            CensusSystems((), np.zeros((0, ell), dtype=np.int64)), 0,
-                            time.time() - start)
-    branches = mu_nu_candidates(records[0].params)
+    params = _size_params(G, k)
+    branches = mu_nu_candidates(params) if params else []
     if not branches:
-        raise ValueError("parameters admit no integer (mu, nu)")
-    graph = build_linking_graph(G, records, branches[0], jobs=jobs)
+        raise ValueError(f"(v, k) = ({G.order}, {k}) has no integer lambda with an "
+                         "integer (mu, nu) branch")
+    records = enumerate_difference_sets(G, k)
+    graph = (build_linking_graph(G, records, branches[0], jobs=jobs) if records
+             else LinkingGraph(G, (), branches[0], np.zeros((0, 0), dtype=bool)))
     systems = enumerate_systems(graph, ell)
     max_size = max_system_size(graph)
     return CensusResult(G, graph, systems, max_size, time.time() - start)

@@ -661,6 +661,43 @@ def test_census_z42_text_reports_its_counts():
     assert "digest: e6b7c55e6a8ee1611257089732beb388db4429ef06e36c7989267e15b6fe496e" in out
 
 
+@pytest.mark.parametrize("jobs, workers", [("3", 3), ("10000000000000", 144)])
+def test_jobs_start_no_more_workers_than_row_ranges(monkeypatch, jobs, workers):
+    """``census z42 --jobs N`` asks its pool for one worker per row range,
+    at most N and at most the 191 rows of its 192 vertices that have pairs
+    i < j (144 ranges once equal shares of the pairs merge the short last
+    rows): with a fake pool that records its size and maps in process, it
+    prints what ``--jobs 1`` prints, timing apart."""
+    import concurrent.futures
+
+    pools = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            self.max_workers, self.ranges = max_workers, 0
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            calls = list(zip(*iterables))
+            self.ranges += len(calls)
+            return [fn(*args) for args in calls]
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    code, want, err = run_capture(["census", "z42", "--jobs", "1"])
+    assert code == 0 and err == "" and pools == []
+    code, out, err = run_capture(["census", "z42", "--jobs", jobs])
+    assert code == 0 and err == ""
+    assert [(pool.max_workers, pool.ranges) for pool in pools] == [(workers, workers)]
+    assert out.splitlines()[-1].startswith("runtime: ")
+    assert out.splitlines()[:-1] == want.splitlines()[:-1]
+
+
 @pytest.mark.parametrize("argv", [["census", "z42", "--jobs", "0"],
                                   ["census", "z42", "--jobs", "-2"],
                                   ["nonexist", "z8z2", "--jobs", "two"]])

@@ -232,10 +232,10 @@ def test_verify_reduced_batched_rejections_z4_4(monkeypatch):
     monkeypatch.setattr(rg, "_transform_autocorrelations",
                         lambda G, block: calls.append(len(block)) or transform(G, block))
     upper = linking.PairCheck._upper
-    monkeypatch.setattr(linking.PairCheck, "_upper",
-                        lambda self, rows=None: checks.append(len(self.ids)) or upper(self, rows))
+    monkeypatch.setattr(linking.PairCheck, "_upper", lambda self, munu, rows=None:
+                        checks.append(len(self.ids)) or upper(self, munu, rows))
 
-    def no_links(self, rows=None):
+    def no_links(self, munu, rows=None):
         raise AssertionError("verify_reduced scanned for links")
 
     monkeypatch.setattr(linking.PairCheck, "links", no_links)
@@ -395,9 +395,9 @@ def test_linked_block_matches_a_per_row_check(monkeypatch):
 
     # blocks of 3 left rows against 24 and 21 later sets, then 4 against 18
     monkeypatch.setattr(linking, "PRODUCT_BLOCK", 3 * 24 * 16)
-    check = linking.PairCheck(G, np.array(sets)).bind(MuNu(1, 3))
+    check = linking.PairCheck(G, np.array(sets))
     assert check.params == params
-    blocks = list(check._upper(rows))
+    blocks = list(check._upper(MuNu(1, 3), rows))
     assert [block.tolist() for block, _, _, _ in blocks] == [[0, 1, 2], [3, 4, 5], [6, 7, 8, 9]]
     assert all(cols.tolist() == list(range(block[0] + 1, 25)) for block, cols, _, _ in blocks)
     found = [(int(block[a]), int(cols[b])) for block, cols, linked, _ in blocks
@@ -405,7 +405,7 @@ def test_linked_block_matches_a_per_row_check(monkeypatch):
     masks = np.concatenate([is_mu[linked] for _, _, linked, is_mu in blocks])
     assert found == want and masks.dtype == bool
     assert np.array_equal(masks, np.array([prods[a, b] == 1 for a, b in want]))
-    i, j = check.links(rows)
+    i, j = check.links(MuNu(1, 3), rows)
     assert list(zip(i.tolist(), j.tolist())) == want
 
 
@@ -457,13 +457,13 @@ def test_square_is_the_rectangle(rectangle):
     for name, G, sets in _square_batches():
         n = len(sets)
         check = PairCheck(G, np.array(sets))
-        check.bind(mu_nu_candidates(check.params)[0])
-        want = rectangle(G, sets, check.munu)
-        i, j = check.links()
+        munu = mu_nu_candidates(check.params)[0]
+        want = rectangle(G, sets, munu)
+        i, j = check.links(munu)
         assert i.dtype == j.dtype == np.int64 and (i < j).all(), name
         got = sorted(zip(i.tolist(), j.tolist())) + sorted(zip(j.tolist(), i.tolist()))
         assert sorted(got) == list(zip(want[0].tolist(), want[1].tolist())), name
-        complete = check.witness_ids()
+        complete = check.witness_ids(munu)
         every = len(want[0]) == n * (n - 1)
         assert (complete is not None) == every == (verify_reduced(G, sets) is not None), name
         if every:
@@ -494,11 +494,11 @@ def test_witness_ids_stop_at_a_failing_pair_in_the_last_block(monkeypatch, recta
     want = rectangle(G, sets, system.munu)
     assert len(want[0]) == n * (n - 1) - 2  # only (n-2, n-1) and (n-1, n-2) fail
     monkeypatch.setattr(linking, "PRODUCT_BLOCK", 1)
-    check = linking.PairCheck(G, sets).bind(system.munu)
-    blocks = [block.tolist() for block, _, _, _ in check._upper()]
+    check = linking.PairCheck(G, sets)
+    blocks = [block.tolist() for block, _, _, _ in check._upper(system.munu)]
     assert blocks == [[i] for i in range(n - 1)]
-    assert check.witness_ids() is None and verify_reduced(G, sets) is None
-    assert check.links()[0].tolist().count(n - 2) == 0
+    assert check.witness_ids(system.munu) is None and verify_reduced(G, sets) is None
+    assert check.links(system.munu)[0].tolist().count(n - 2) == 0
 
 
 def test_verify_reduced_peak_is_its_witnesses():
@@ -709,8 +709,9 @@ def test_the_witness_filter_oracle_rejects_supports_that_are_no_difference_sets(
 
 
 def test_the_pair_check_rejects_a_mu_nu_that_is_no_branch():
-    """``PairCheck.bind`` raises ValueError unless (mu, nu) is one of
-    ``mu_nu_candidates(params)``: the lemma needs it."""
+    """``PairCheck.check_branch``, and so ``links`` and ``witness_ids``,
+    raise ValueError unless (mu, nu) is one of ``mu_nu_candidates(params)``:
+    the lemma needs it."""
     import pytest
 
     from linkset.linking import MuNu, PairCheck
@@ -719,16 +720,20 @@ def test_the_pair_check_rejects_a_mu_nu_that_is_no_branch():
     check = PairCheck(G, sets)
     assert check.params == DSParams(16, 6, 2, 4)
     for munu in (MuNu(3, 1), MuNu(1, 2)):
-        with pytest.raises(ValueError, match="branch"):
-            check.bind(munu)
-    assert 2 * len(check.bind(MuNu(1, 3)).links()[0]) == 6
+        for question in (check.check_branch, check.links, check.witness_ids):
+            with pytest.raises(ValueError, match="branch"):
+                question(munu)
+    check.check_branch(MuNu(1, 3))
+    assert 2 * len(check.links(MuNu(1, 3))[0]) == 6
 
 
 def test_binding_checks_the_lemma_before_any_product(monkeypatch):
-    """``PairCheck.bind`` raises ValueError for a (mu, nu) that is no
-    branch, and for sets that are not difference sets with common
-    parameters, before any ``RowProducts`` exists; an unbound check checks
-    no pair."""
+    """``links``, ``witness_ids`` and the pair pass ``_upper`` raise
+    ValueError for a (mu, nu) that is no branch, and for sets that are not
+    difference sets with common parameters (``params`` None, which
+    ``witness_ids`` never reads), before any ``RowProducts`` exists; one
+    check, and so ``verify_reduced``, builds one ``RowProducts``, on its
+    first pair pass, for every branch."""
     import pytest
 
     from linkset import group_ring as rg
@@ -736,21 +741,28 @@ def test_binding_checks_the_lemma_before_any_product(monkeypatch):
 
     G, sets = linked_triple_z4z4()
     check = PairCheck(G, sets)
-    for unbound in (check.links, check.witness_ids):
-        with pytest.raises(ValueError, match="bind"):
-            unbound()
+    mixed = PairCheck(G, sets[:2] + [(0, 1, 2, 3, 4, 5)])
+    assert mixed.params is None
+    built = []
+    products = rg.RowProducts
 
     def no_products(*args):
         raise AssertionError("RowProducts built")
 
     monkeypatch.setattr(rg, "RowProducts", no_products)
-    for munu in (MuNu(3, 1), MuNu(1, 2)):
-        with pytest.raises(ValueError, match="branch"):
-            check.bind(munu)
-    with pytest.raises(ValueError, match="difference sets"):
-        PairCheck(G, sets[:2] + [(0, 1, 2, 3, 4, 5)]).bind(MuNu(1, 3))
-    with pytest.raises(AssertionError, match="RowProducts"):  # the patch sees a bind
-        check.bind(MuNu(1, 3))
+    for question in (check.links, check.witness_ids, lambda munu: next(check._upper(munu))):
+        for munu in (MuNu(3, 1), MuNu(1, 2)):
+            with pytest.raises(ValueError, match="branch"):
+                question(munu)
+    for question in (mixed.links, mixed.witness_ids, lambda munu: next(mixed._upper(munu))):
+        with pytest.raises(ValueError, match="difference sets"):
+            question(MuNu(1, 3))
+    with pytest.raises(AssertionError, match="RowProducts"):  # the patch sees a product
+        check.links(MuNu(1, 3))
+    monkeypatch.setattr(rg, "RowProducts", lambda *args: built.append(1) or products(*args))
+    assert check.witness_ids(MuNu(1, 3)) is not None and len(check.links(MuNu(1, 3))[0]) == 3
+    assert built == [1]
+    assert verify_reduced(G, sets) is not None and built == [1, 1]
 
 
 def test_pair_check_params_need_every_set():

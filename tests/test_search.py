@@ -254,8 +254,33 @@ def test_jobs_below_one_are_rejected_before_any_work(z4z4, monkeypatch):
             census_systems(z4z4, 6, 2, jobs=jobs)
 
 
+@pytest.mark.parametrize("factors", [[36], [2, 2, 9]])
+def test_a_census_without_sets_reports_its_branch(factors):
+    """A group with no (36, 15, 6) difference set gives an empty census
+    under the one branch of those parameters, (mu, nu) = (8, 5), through
+    the graph and clique listing that every census takes."""
+    import linkset.io as lio
+    from linkset.linking import MuNu
+
+    G = make_abelian(factors)
+    result = census_systems(G, 15, 2)
+    assert result.graph.munu == MuNu(8, 5)
+    assert (result.graph.num_vertices, result.count, result.max_size) == (0, 0, 0)
+    assert lio.census_payload(G, result.systems, result.max_size, 0.0)["digest"] == (
+        "c6857f826116dc1ba14d4ce10125efcae1156a0961ebcb4cef8688fd7ceb9850")
+
+
+def test_a_census_without_integer_parameters_is_rejected_before_any_work(z4z4, monkeypatch):
+    """k = 5 in Z4^2 gives no integer lambda = 20/15, and k = 0 no branch:
+    ValueError before the enumeration starts."""
+    monkeypatch.setattr(search, "enumerate_difference_sets", None)
+    for k in (5, 0):
+        with pytest.raises(ValueError, match="integer lambda"):
+            census_systems(z4z4, k, 2)
+
+
 def test_a_mu_nu_that_is_no_branch_is_rejected_before_the_pool(z4z4_census, monkeypatch):
-    """``build_linking_graph`` binds (mu, nu) before it starts the --jobs
+    """``build_linking_graph`` checks (mu, nu) before it starts the --jobs
     process pool, so a (mu, nu) that is no branch raises ValueError with no
     worker process; the patched pool is reached with a branch."""
     import concurrent.futures
@@ -663,10 +688,10 @@ def test_census_reverifies_with_one_pair_scan(z4z4_census, monkeypatch):
 
     calls = []
     real = search.PairCheck._upper
-    monkeypatch.setattr(search.PairCheck, "_upper",
-                        lambda self, rows=None: calls.append(len(self.ids)) or real(self, rows))
+    monkeypatch.setattr(search.PairCheck, "_upper", lambda self, munu, rows=None:
+                        calls.append(len(self.ids)) or real(self, munu, rows))
 
-    def no_witnesses(self):
+    def no_witnesses(self, munu):
         raise AssertionError("the re-verification asked for witnesses")
 
     monkeypatch.setattr(search.PairCheck, "witness_ids", no_witnesses)
@@ -752,7 +777,7 @@ def test_pair_verdicts_match_verify_reduced(z4z4_census, rectangle):
     non_edges = np.argwhere(~graph.adjacency & upper)
     pairs = np.concatenate([edges, non_edges[rng.choice(len(non_edges), 300, replace=False)]])
     assert len(edges) == 6144
-    i, j = PairCheck(G, graph.ids).bind(graph.munu).links()
+    i, j = PairCheck(G, graph.ids).links(graph.munu)
     linked_pairs = np.zeros((n, n), dtype=bool)
     linked_pairs[i, j] = linked_pairs[j, i] = True
     s, t, supports = rectangle(G, graph.ids, graph.munu)
@@ -847,12 +872,12 @@ def test_linking_graph_matches_full_products(group, k, sample, two_valued, monke
     ids = np.array([r.elements for r in records])
 
     def check():
-        pass_check = linking.PairCheck(G, ids).bind(munu)
+        pass_check = linking.PairCheck(G, ids)
         found = [(int(block[a]), int(cols[b]), tuple(np.flatnonzero(is_mu[a, b]).tolist()))
-                 for block, cols, linked, is_mu in pass_check._upper(rows)
+                 for block, cols, linked, is_mu in pass_check._upper(munu, rows)
                  for a, b in zip(*np.nonzero(linked))]
         assert len(found) == len(in_rows) and found == want_rows
-        i, j = pass_check.links(rows)
+        i, j = pass_check.links(munu, rows)
         assert list(zip(i.tolist(), j.tolist())) == [(a, b) for a, b, _ in want_rows]
 
     graphs = [build_linking_graph(G, records, munu, jobs=jobs) for jobs in (1, 2, 3, 5)]
@@ -866,14 +891,16 @@ def test_linking_graph_matches_full_products(group, k, sample, two_valued, monke
 
 
 def test_row_chunks_cover_every_row_once():
-    """``_row_chunks`` splits 0..n-1 into at most min(jobs, n) consecutive
-    nonempty ranges, n = 1 and jobs > n included, each within one row of
-    an equal share of the pairs i < j."""
+    """``_row_chunks`` splits 0..n-1 into at most min(jobs, n - 1)
+    consecutive nonempty ranges (one for n = 1), each holding a row with
+    pairs i < j, n = 1 and jobs > n included, each within one row of an
+    equal share of the pairs i < j."""
     for n in (1, 2, 3, 10, 31, 448):
-        for jobs in (1, 2, 3, 5, 64):
+        for jobs in (1, 2, 3, 5, 64, 10 ** 13):
             chunks = search._row_chunks(n, jobs)
             assert [r for chunk in chunks for r in chunk] == list(range(n))
-            assert 1 <= len(chunks) <= min(jobs, n) and all(len(c) for c in chunks)
+            assert 1 <= len(chunks) <= min(jobs, max(1, n - 1)) and all(len(c) for c in chunks)
+            assert n == 1 or all(chunk.start < n - 1 for chunk in chunks)  # each has pairs
             area = [sum(n - 1 - i for i in chunk) for chunk in chunks]
             assert max(area) <= n * (n - 1) / 2 / len(chunks) + n - 1
     assert [(c.start, c.stop) for c in search._row_chunks(10, 3)] == [(0, 2), (2, 4), (4, 10)]
@@ -965,7 +992,8 @@ def test_distinct_rows_match_numpy_unique_on_random_sets():
 def test_linking_graph_rejects_a_record_that_is_no_difference_set(z4z4_census):
     """``build_linking_graph`` checks its vertex records once: a record
     claiming (16, 6, 2) parameters that is no difference set raises
-    ValueError, and so does a (mu, nu) that is no branch of them."""
+    ValueError, and so do a (mu, nu) that is no branch of them and no
+    records at all."""
     from linkset.designs import DifferenceSetRecord
     from linkset.linking import MuNu
 
@@ -976,4 +1004,6 @@ def test_linking_graph_rejects_a_record_that_is_no_difference_set(z4z4_census):
         build_linking_graph(G, records + [bad], munu)
     with pytest.raises(ValueError, match="branch"):
         build_linking_graph(G, records, MuNu(3, 1))
+    with pytest.raises(ValueError, match="difference sets"):
+        build_linking_graph(G, [], munu)
     assert build_linking_graph(G, records, munu).num_vertices == 5

@@ -199,14 +199,13 @@ def _membership_tests_on_calls_to(tree: ast.Module, module: str, names: set[str]
 
 def test_one_two_valued_test():
     """Whether a product is valued in {mu, nu} is decided in one place, the
-    pair check's product block ``linking.PairCheck._two_valued``, which the
-    pair pass ``_upper`` calls, with ``group_ring.decompose_two_valued`` as
-    its one-element oracle; no other function compares a value with mu or
-    nu."""
+    pair check's pair pass ``linking.PairCheck._upper``, with
+    ``group_ring.decompose_two_valued`` as its one-element oracle; no other
+    function compares a value with mu or nu."""
     found = set()
     for path in sorted(SRC.glob("*.py")):
         found |= _functions_comparing_with(ast.parse(path.read_text()), path.stem, {"mu", "nu"})
-    assert found == {"linking.PairCheck._two_valued", "group_ring.decompose_two_valued"}
+    assert found == {"linking.PairCheck._upper", "group_ring.decompose_two_valued"}
     # the scan sees a comparison on either side, in a nested function, in a
     # method, through an attribute and outside any function, and no arithmetic
     tree = ast.parse("def f(x, mu):\n    def g():\n        return 1 < x == mu\n"
@@ -217,14 +216,15 @@ def test_one_two_valued_test():
 
 def test_one_pair_pass():
     """Every pair check is one pass over the pairs i < j: only
-    ``linking.PairCheck._upper`` calls ``_two_valued``, ``PairCheck`` has
-    no ``block``, ``square`` or ``pairs`` method and no method with a
-    boolean flag, and the only ``pairs`` method called in the package is
-    ``ReducedLinkingSystem.pairs``, the pair order of its witnesses."""
+    ``linking.PairCheck._upper`` calls the product kernel ``_products``,
+    ``PairCheck`` has no ``block``, ``square`` or ``pairs`` method and no
+    method with a boolean flag, and the only ``pairs`` method called in the
+    package is ``ReducedLinkingSystem.pairs``, the pair order of its
+    witnesses."""
     from linkset.linking import PairCheck
 
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    found = set().union(*(_calls_to(tree, stem, {"_two_valued"}) for stem, tree in trees.items()))
+    found = set().union(*(_calls_to(tree, stem, {"_products"}) for stem, tree in trees.items()))
     assert found == {"linking.PairCheck._upper"}
     assert not any(hasattr(PairCheck, name) for name in ("block", "square", "pairs"))
     calls = {name: set().union(*(_calls_to(tree, stem, {name}) for stem, tree in trees.items()))
@@ -240,13 +240,13 @@ def test_one_pair_pass():
 
 def test_one_guard_on_the_mu_nu_branch():
     """Whether (mu, nu) is a branch of ``mu_nu_candidates`` is asked in one
-    place, ``linking.PairCheck.admits``, which every bind of the pair check
-    goes through."""
+    place, ``linking.PairCheck.check_branch``, which every pair pass of the
+    pair check goes through."""
     found = set()
     for path in sorted(SRC.glob("*.py")):
         found |= _membership_tests_on_calls_to(ast.parse(path.read_text()), path.stem,
                                                {"mu_nu_candidates"})
-    assert found == {"linking.PairCheck.admits"}
+    assert found == {"linking.PairCheck.check_branch"}
     # the scan sees `in` and `not in`, through a comprehension or an
     # attribute; iteration and `==` are no membership test
     tree = ast.parse("def f(m, p):\n    return m in [x for x in mu_nu_candidates(p)]\n"
@@ -280,13 +280,14 @@ def test_sets_are_checked_for_the_pair_check_in_one_place():
 
 def test_one_product_path():
     """Products of sets are made through ``group_ring.RowProducts``, which
-    is built only by the pair check's ``linking.PairCheck.bind`` and by the
-    public ``group_ring.pair_products``: ``verify_full`` and every other
-    caller makes no products of its own."""
+    is built only by the pair check's product kernel
+    ``linking.PairCheck._products`` and by the public
+    ``group_ring.pair_products``: ``verify_full`` and every other caller
+    makes no products of its own."""
     found = set()
     for path in sorted(SRC.glob("*.py")):
         found |= _calls_to(ast.parse(path.read_text()), path.stem, {"RowProducts"})
-    assert found == {"linking.PairCheck.bind", "group_ring.pair_products"}
+    assert found == {"linking.PairCheck._products", "group_ring.pair_products"}
     # the scan sees a construction by name, through a module and in a
     # method; an annotation, a mention or a class definition is none
     tree = ast.parse("class RowProducts:\n    pass\n"
@@ -420,13 +421,37 @@ def test_no_module_reads_the_environment():
     assert _environment_reads(tree, "m") == {"m.f", "m", "m.K.g"}
 
 
+def _attribute_stores(tree: ast.Module, module: str) -> set[str]:
+    """The scopes that assign to an attribute (``x.a = ...``, ``x.a += ...``)."""
+    return _scopes_where(tree, module, lambda node: isinstance(node, ast.Attribute)
+                         and isinstance(node.ctx, ast.Store))
+
+
 def test_each_fact_is_held_once():
     """A (mu, nu) branch is its two values: which branch it is follows from
-    mu < nu.  A linking graph's linked pairs are read off its adjacency."""
+    mu < nu, and only ``linking.mu_nu_candidates`` makes one, so every
+    branch in the package is a branch of some parameters.  A linking
+    graph's linked pairs are read off its adjacency.  The pair check holds
+    its sets, their parameters and its product kernel, set once: the branch
+    is an argument of each question, never state, so ``PairCheck`` has no
+    ``bind`` and assigns no attribute outside ``__init__``."""
     from dataclasses import fields
 
-    from linkset.linking import MuNu
+    from linkset.linking import MuNu, PairCheck
     from linkset.search import LinkingGraph
 
     assert [f.name for f in fields(MuNu)] == ["mu", "nu"]
     assert [f.name for f in fields(LinkingGraph)] == ["group", "records", "munu", "adjacency"]
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    made = set().union(*(_calls_to(tree, stem, {"MuNu"}) for stem, tree in trees.items()))
+    assert made == {"linking.mu_nu_candidates"}
+    check = next(node for node in trees["linking"].body
+                 if isinstance(node, ast.ClassDef) and node.name == "PairCheck")
+    assert _attribute_stores(check, "linking") == {"linking.PairCheck.__init__"}
+    assert not any(hasattr(PairCheck, name) for name in ("bind", "munu"))
+    # the scan sees a plain, a tuple and an augmented store in a method; a
+    # read or a store to a name is none
+    tree = ast.parse("class K:\n    def __init__(self):\n        self.a, self.b = 1, 2\n"
+                     "    def f(self):\n        self.n += 1\n        return self.a\n"
+                     "    def g(self):\n        x = self.a\n")
+    assert _attribute_stores(tree, "m") == {"m.K.__init__", "m.K.f"}
