@@ -108,7 +108,9 @@ def _payload_of(obj, kind: str):
 
 def _write_json(fh, obj) -> None:
     """Write ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"`` to ``fh``,
-    streamed, so a large certificate is never one string in memory."""
+    where ``obj`` may hold ``io._NameRows`` in place of lists of names.
+    It is streamed: no piece written is longer than one row of names and
+    its key, so a large certificate is never one string in memory."""
     fh.writelines(lio._json_pieces(obj))
     fh.write("\n")
 
@@ -162,7 +164,7 @@ def _cmd_ds_verify(args) -> int:
 
 
 def _cmd_link_verify(args) -> int:
-    return _verify(args, "linking-system", lio.system_from_json, lio.system_to_json, lambda s: [
+    return _verify(args, "linking-system", lio.system_from_json, lio._system_payload, lambda s: [
         f"reduced {s.params.as_tuple()} linking system of size {s.size}",
         f"(mu, nu) = {s.munu.as_tuple()}",
         f"reversibility profile: {reversibility_profile(s)}"], canonical=lio.canonical_system)
@@ -219,10 +221,11 @@ def _cmd_build(args) -> int:
         system = build_tyken(args.d, _parse_group(args.group))
     else:
         system = build_nonreversible(args.d)
-    cert = lio.certificate("linking-system", lio.system_to_json(system),
-                           {"family": args.family})
-    _write_out(args, cert)
-    _emit(args, lambda: cert,
+    cert = functools.cache(lambda: lio.certificate(
+        "linking-system", lio._system_payload(system), {"family": args.family}))
+    if args.out:
+        _write_out(args, cert())
+    _emit(args, cert,
           [f"verified reduced {system.params.as_tuple()} linking system of size {system.size}",
            f"reversibility profile: {reversibility_profile(system)}"])
     return 0

@@ -4,9 +4,12 @@ difference matrices, linking-system certificates, and search reports.
 Element sets serialize as lists of generator-word names ordered by element
 id, so output is canonical and digests are stable across runs.  Every
 certificate file is the text of ``json.dumps(cert, indent=2,
-sort_keys=True)`` plus a newline, rendered in pieces by ``_json_pieces``;
-the same renderer lets ``canonical_system`` accept a linking-system file
-that is exactly those bytes by re-rendering it, with no JSON parse of its
+sort_keys=True)`` plus a newline, rendered in pieces by ``_json_pieces``.
+A linking-system certificate's sets and witnesses reach it as
+``_NameRows``: the system's id rows and one table of quoted names, so each
+row is one gather and one join and no list of names is built.  The same
+renderer lets ``canonical_system`` accept a linking-system file that is
+exactly those bytes by re-rendering it, with no JSON parse of its
 witnesses.  Every other file is parsed and read field by field by the
 ``*_from_json`` readers.
 """
@@ -16,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -118,17 +122,64 @@ def _witness_keys(system: ReducedLinkingSystem) -> list[str]:
     return [f"({i},{j})" for i, j in system.pairs()]
 
 
-def system_to_json(system: ReducedLinkingSystem) -> dict:
-    G = system.group
-    keys = _witness_keys(system)
+def _system_fields(system: ReducedLinkingSystem, sets, witnesses) -> dict:
     return {
-        "group": G.spec,
+        "group": system.group.spec,
         "params": list(system.params.as_tuple()),
         "mu": system.munu.mu,
         "nu": system.munu.nu,
-        "sets": G.name_array[np.asarray(system.sets(), dtype=np.int64)].tolist(),
-        "witnesses": dict(zip(keys, G.name_array[system.witness_ids].tolist())),
+        "sets": sets,
+        "witnesses": witnesses,
     }
+
+
+def system_to_json(system: ReducedLinkingSystem) -> dict:
+    names = system.group.name_array
+    return _system_fields(
+        system, names[np.asarray(system.sets(), dtype=np.int64)].tolist(),
+        dict(zip(_witness_keys(system), names[system.witness_ids].tolist())))
+
+
+@dataclass(frozen=True)
+class _NameRows:
+    """Rows of element ids that ``_json_pieces`` renders as JSON lists of
+    their names: a list of the rows or, with one key per row, an object.
+    ``quoted[id]`` is the name as ``json.dumps`` writes it, quotes and all."""
+
+    quoted: np.ndarray
+    ids: np.ndarray
+    keys: list[str] | None = None
+
+    def pieces(self, indent: str):
+        """The text of ``json.dumps(value, indent=2, sort_keys=True)`` at
+        depth ``indent``, one piece per row: each row is one gather from
+        ``quoted`` and one join, and keyed rows come in sorted key order."""
+        inner, item = indent + "  ", indent + "    "
+        sep = ",\n" + item
+        if self.keys is None:
+            brackets, order = "[]", range(len(self.ids))
+            heads = itertools.repeat(inner)
+        else:
+            brackets, order = "{}", sorted(range(len(self.keys)), key=self.keys.__getitem__)
+            heads = (inner + encode_basestring_ascii(self.keys[n]) + ": " for n in order)
+        if not order:
+            yield brackets
+            return
+        quoted, ids, lead = self.quoted, self.ids, brackets[0] + "\n"
+        for n, head in zip(order, heads):
+            row = quoted[ids[n]].tolist()
+            yield f"{lead}{head}[\n{item}{sep.join(row)}\n{inner}]" if row else f"{lead}{head}[]"
+            lead = ",\n"
+        yield "\n" + indent + brackets[1]
+
+
+def _system_payload(system: ReducedLinkingSystem) -> dict:
+    """``system_to_json(system)`` with its sets and witnesses as
+    ``_NameRows`` over one table of quoted names: the same text under
+    ``_json_pieces``, with no list of names built."""
+    quoted = np.array(list(map(encode_basestring_ascii, system.group.names)), dtype=object)
+    return _system_fields(system, _NameRows(quoted, np.asarray(system.sets(), dtype=np.int64)),
+                          _NameRows(quoted, system.witness_ids, _witness_keys(system)))
 
 
 def system_from_json(obj: dict) -> ReducedLinkingSystem:
@@ -219,27 +270,17 @@ def certificate(kind: str, payload: dict, input_echo=None) -> dict:
     }
 
 
-# The characters json.dumps writes as themselves inside a string's quotes.
-_PLAIN = bytes(c for c in range(0x20, 0x7F) if c not in b'"\\')
-
-
 def _json_pieces(obj, indent: str = ""):
     """The text of ``json.dumps(obj, indent=2, sort_keys=True)``, in pieces.
 
-    A list of plain strings (only ``_PLAIN`` characters, so each encodes as
-    itself in quotes) is one joined piece; dicts with string keys and other
-    lists recurse; every other value is ``json.dumps``'s own text, its
+    ``_NameRows`` render themselves, one piece a row; dicts with string keys
+    and lists recurse; every other value is ``json.dumps``'s own text, its
     continuation lines shifted to this depth.
     """
-    if isinstance(obj, (list, tuple)) and obj:
+    if isinstance(obj, _NameRows):
+        yield from obj.pieces(indent)
+    elif isinstance(obj, (list, tuple)) and obj:
         inner = indent + "  "
-        try:
-            plain = not "".join(obj).encode("ascii").translate(None, _PLAIN)
-        except (TypeError, UnicodeEncodeError):  # a non-string, or a non-ASCII one
-            plain = False
-        if plain:
-            yield "[\n" + inner + '"' + ('",\n' + inner + '"').join(obj) + '"\n' + indent + "]"
-            return
         yield "[\n" + inner
         for n, item in enumerate(obj):
             if n:
@@ -275,16 +316,18 @@ def canonical_system(text: str) -> ReducedLinkingSystem | None:
     ``raw_decode`` at the offsets the writer's layout puts them; the sets
     are verified in full by ``verify_reduced``; and ``text`` is compared,
     piece by piece and with no second copy of it, with the writer's pieces
-    of ``certificate("linking-system", system_to_json(system), input)``
+    of ``certificate("linking-system", _system_payload(system), input)``
     plus a newline.  The system is returned only if they are equal.  None
     means "read it with the general reader", never "invalid".
 
     Soundness: the writer's bytes are ``json.dumps(cert, indent=2,
-    sort_keys=True) + "\\n"`` (pinned by the tests), so equality means that
-    ``json.loads(text)`` is that certificate, on which the general reader
-    (``system_from_json`` of the payload) verifies the same sets and returns
-    the same params, (mu, nu) and ``witness_ids``.  That holds whatever the
-    first step read: a misread can only make the comparison fail.
+    sort_keys=True) + "\\n"`` for ``cert`` the same certificate with
+    ``system_to_json(system)`` as its payload (pinned by the tests), so
+    equality means that ``json.loads(text)`` is that certificate, on which
+    the general reader (``system_from_json`` of the payload) verifies the
+    same sets and returns the same params, (mu, nu) and ``witness_ids``.
+    That holds whatever the first step read: a misread can only make the
+    comparison fail.
     """
     if not text.startswith(_CERT_HEAD):
         return None
@@ -300,7 +343,7 @@ def canonical_system(text: str) -> ReducedLinkingSystem | None:
         return None
     if system is None:
         return None
-    cert = certificate("linking-system", system_to_json(system), input_echo)
+    cert = certificate("linking-system", _system_payload(system), input_echo)
     pos = 0
     for piece in itertools.chain(_json_pieces(cert), ["\n"]):
         if not text.startswith(piece, pos):

@@ -660,7 +660,6 @@ def _sweep_report(G: FiniteGroup, family: str, mode: str, constructed: int,
 
 @dataclass(frozen=True)
 class CensusResult:
-    group: FiniteGroup
     graph: LinkingGraph
     systems: CensusSystems
     max_size: int
@@ -697,7 +696,7 @@ def census_systems(G: FiniteGroup, k: int, ell: int, jobs: int = 1) -> CensusRes
              else LinkingGraph(G, (), branches[0], np.zeros((0, 0), dtype=bool)))
     systems = enumerate_systems(graph, ell)
     max_size = max_system_size(graph)
-    return CensusResult(G, graph, systems, max_size, time.time() - start)
+    return CensusResult(graph, systems, max_size, time.time() - start)
 
 
 # -- bent clique bound -----------------------------------------------------------

@@ -1,7 +1,8 @@
-"""Certificate files as bytes: ``link verify-reduced`` on the writer's own
-bytes (``io.canonical_system``) against the general reader, and the same
-command on layout variants and single-field corruptions of a
-linking-system certificate."""
+"""Certificate files as bytes: the writer's rendering of a linking system
+from its id rows against json.dumps of its name lists, ``link
+verify-reduced`` on the writer's own bytes (``io.canonical_system``)
+against the general reader, and the same command on layout variants and
+single-field corruptions of a linking-system certificate."""
 
 import io
 import json
@@ -12,6 +13,10 @@ from test_cli import run_capture
 from linkset import io as lio
 from linkset.bent import bent_linking, kerdock_bent_set
 from linkset.cli import _write_json
+from linkset.diffmat import build_improved, build_tyken
+from linkset.groups import FiniteGroup, make_abelian
+from linkset.linking import verify_reduced
+from linkset.worked_examples import linked_triple_z4z4
 
 BUILDS = {
     "improved Z4^3": ["build", "improved", "--group", '{"abelian": [4, 4, 4]}'],
@@ -83,6 +88,75 @@ def test_canonical_system_equals_the_general_reader(canonical, monkeypatch, tmp_
     runs = _verify(monkeypatch, path, general=True)
     assert [code for code, _, _ in runs] == [0, 0]
     assert _verify(monkeypatch, path, general=False) == runs
+
+
+def _dumps(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _oddly_named_triple():
+    """The linked triple of Z4^2 in a copy of the group whose every element
+    name holds a character json.dumps escapes: '"', '\\', a control
+    character or a non-ASCII letter."""
+    G, sets = linked_triple_z4z4()
+    odd = ['a"b', "back\\slash", "tab\there", "nul\x00", "del\x7f", "élément", "\U0001d400",
+           "\u2028"]
+    names = [f"{odd[i % len(odd)]}{i}" for i in range(G.order)]
+    return verify_reduced(FiniteGroup(G.table, names, G.generators, G.spec), sets)
+
+
+# Systems whose rows must render as json.dumps of their name lists.  The
+# bent system has l = 31, so its witness keys sort apart from their rows:
+# "(1,10)" comes before "(1,2)".
+ROW_SYSTEMS = {
+    "bent_linking kerdock d=2": lambda: bent_linking(kerdock_bent_set(2)),
+    "improved Z4^4": lambda: build_improved(make_abelian([4, 4, 4, 4])),
+    "tyken d=2 over Z2^3 (nonabelian)": lambda: build_tyken(2, make_abelian([2, 2, 2])),
+    "Z4^2 triple with escaped names": _oddly_named_triple,
+}
+
+
+@pytest.mark.parametrize("name", ROW_SYSTEMS)
+def test_rows_render_the_bytes_of_json_dumps(name):
+    """The writer's bytes of the row payload ``io._system_payload``, in a
+    certificate and bare, are json.dumps of ``system_to_json``'s name lists
+    in the same place."""
+    system = ROW_SYSTEMS[name]()
+    rows, names = lio._system_payload(system), lio.system_to_json(system)
+    echo = {"family": name}
+    assert (_render(lio.certificate("linking-system", rows, echo))
+            == _dumps(lio.certificate("linking-system", names, echo)))
+    assert _render(rows) == _dumps(names)
+
+
+def test_output_json_prints_json_dumps_of_the_named_payload(canonical, tmp_path):
+    """``--output json`` of ``build`` prints json.dumps of its certificate,
+    and of ``link verify-reduced`` on that file the bare payload, each with
+    ``system_to_json``'s name lists."""
+    system = build_improved(make_abelian([4, 4, 4, 4]))
+    code, out, _ = run_capture(["--output", "json", *BUILDS["improved Z4^4"]])
+    assert code == 0 and out == canonical["improved Z4^4"] == _dumps(
+        lio.certificate("linking-system", lio.system_to_json(system), {"family": "improved"}))
+    path = tmp_path / "cert.json"
+    path.write_text(out)
+    code, out, _ = run_capture(["--output", "json", "link", "verify-reduced", str(path)])
+    assert code == 0 and out == _dumps(lio.system_to_json(system))
+
+
+def test_the_writer_yields_no_piece_longer_than_one_row_and_its_key():
+    """The writer streams: its longest piece is one row of names at its
+    depth in the certificate, with the separator before it and its key."""
+    system = bent_linking(kerdock_bent_set(2))
+    names = lio.system_to_json(system)
+    pieces = list(lio._json_pieces(
+        lio.certificate("linking-system", lio._system_payload(system), None)))
+    depth = " " * 6  # the rows' depth: certificate, payload, sets or witnesses
+    rows = ([("", row) for row in names["sets"]]
+            + [(json.dumps(key) + ": ", row) for key, row in names["witnesses"].items()])
+    longest = max(len(",\n" + depth + key + json.dumps(row, indent=2).replace("\n", "\n" + depth))
+                  for key, row in rows)
+    assert len(pieces) > len(rows) and max(map(len, pieces)) == longest
+    assert "".join(pieces) + "\n" == _dumps(lio.certificate("linking-system", names, None))
 
 
 def _variants(cert):

@@ -373,21 +373,33 @@ def test_dm_json_round_trip():
 ])
 def test_certificate_bytes_equal_json_dumps(monkeypatch, tmp_path, argv, kind):
     """The bytes written to --out are json.dumps(indent=2, sort_keys=True)
-    of the object the command handed to the writer, plus a newline."""
+    of the object the command handed to the writer, plus a newline.  A
+    linking system's payload reaches the writer as rows of ids
+    (``io._system_payload``), which json.dumps cannot take: the bytes are
+    those of the same certificate with ``system_to_json`` of the system as
+    its payload."""
     from linkset import cli
     from linkset.search import census_systems
 
     # the size-2 census of Z4^2 writes the same report shape as size 3, faster
     monkeypatch.setattr(cli, "census_systems",
                         lambda G, k, ell, jobs: census_systems(G, k, 2, jobs=jobs))
-    written = []
-    write_json = cli._write_json
+    written, systems = [], []
+    write_json, system_payload = cli._write_json, lio._system_payload
     monkeypatch.setattr(cli, "_write_json",
                         lambda fh, obj: written.append(obj) or write_json(fh, obj))
+    monkeypatch.setattr(lio, "_system_payload",
+                        lambda system: systems.append(system) or system_payload(system))
     path = tmp_path / "cert.json"
     code, _, _ = run_capture(argv + ["--out", str(path)])
     assert code in (0, 1) and len(written) == 1 and written[0]["kind"] == kind
-    expected = json.dumps(written[0], indent=2, sort_keys=True) + "\n"
+    cert = written[0]
+    if kind == "linking-system":
+        (system,) = systems
+        cert = cert | {"payload": lio.system_to_json(system)}
+    else:
+        assert systems == []
+    expected = json.dumps(cert, indent=2, sort_keys=True) + "\n"
     assert path.read_bytes() == expected.encode()
 
 
@@ -643,14 +655,36 @@ def test_verify_rejects_unknown_fields(argv, kind, payload, tmp_path):
 
 
 def test_verify_builds_its_json_payload_only_for_json_output(monkeypatch, triple_file):
-    system_to_json = lio.system_to_json
+    system_payload = lio._system_payload
     calls = []
-    monkeypatch.setattr(lio, "system_to_json", lambda s: calls.append(s) or system_to_json(s))
+    monkeypatch.setattr(lio, "_system_payload", lambda s: calls.append(s) or system_payload(s))
     code, out, _ = run_capture(["link", "verify-reduced", str(triple_file)])
     assert code == 0 and calls == []
     code, out, _ = run_capture(["--output", "json", "link", "verify-reduced", str(triple_file)])
     assert code == 0 and len(calls) == 1
     assert out == json.dumps(json.loads(triple_file.read_text()), indent=2, sort_keys=True) + "\n"
+
+
+def test_build_builds_its_json_payload_only_for_json_output(monkeypatch, tmp_path):
+    """``build`` makes its certificate only to write it: not at all under
+    text output with no --out, once for --out or --output json, and once
+    for both, which then print and write the same bytes."""
+    system_payload = lio._system_payload
+    calls = []
+    monkeypatch.setattr(lio, "_system_payload", lambda s: calls.append(s) or system_payload(s))
+    argv = ["build", "nonrev", "-d", "1"]
+    path = tmp_path / "cert.json"
+    code, out, _ = run_capture(argv)
+    assert code == 0 and calls == [] and "linking system of size 3" in out
+    assert run_capture(argv + ["--out", str(path)])[0] == 0 and len(calls) == 1
+    written = path.read_text()
+    code, out, _ = run_capture(["--output", "json", *argv])
+    assert code == 0 and len(calls) == 2 and out == written
+    path.unlink()
+    code, out, _ = run_capture(["--output", "json", *argv, "--out", str(path)])
+    assert code == 0 and len(calls) == 3 and out == path.read_text() == written
+    expected = lio.certificate("linking-system", lio.system_to_json(calls[0]), {"family": "nonrev"})
+    assert written == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
 
 def test_census_z42_text_reports_its_counts():

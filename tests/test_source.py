@@ -431,17 +431,20 @@ def test_each_fact_is_held_once():
     """A (mu, nu) branch is its two values: which branch it is follows from
     mu < nu, and only ``linking.mu_nu_candidates`` makes one, so every
     branch in the package is a branch of some parameters.  A linking
-    graph's linked pairs are read off its adjacency.  The pair check holds
+    graph's linked pairs are read off its adjacency, and a census result's
+    group is its graph's.  The pair check holds
     its sets, their parameters and its product kernel, set once: the branch
     is an argument of each question, never state, so ``PairCheck`` has no
     ``bind`` and assigns no attribute outside ``__init__``."""
     from dataclasses import fields
 
     from linkset.linking import MuNu, PairCheck
-    from linkset.search import LinkingGraph
+    from linkset.search import CensusResult, LinkingGraph
 
     assert [f.name for f in fields(MuNu)] == ["mu", "nu"]
     assert [f.name for f in fields(LinkingGraph)] == ["group", "records", "munu", "adjacency"]
+    assert [f.name for f in fields(CensusResult)] == ["graph", "systems", "max_size",
+                                                      "runtime_seconds"]
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     made = set().union(*(_calls_to(tree, stem, {"MuNu"}) for stem, tree in trees.items()))
     assert made == {"linking.mu_nu_candidates"}
