@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 
 from . import __version__
@@ -26,7 +27,7 @@ from .diffmat import (
     build_tyken,
     dm_auto,
 )
-from .groups import abelian_rank, center, exponent, group_from_spec, make_abelian
+from .groups import SCRATCH_BYTES, abelian_rank, center, exponent, group_from_spec, make_abelian
 from .linking import reversibility_profile
 from .search import census_systems, mcfarland_pair_sweep, spence_pair_sweep
 
@@ -58,20 +59,22 @@ def _load_json(text: str):
 
 
 def _parse_group(text: str):
+    """The group of a ``--group`` text: its JSON value, else the text as it is."""
     try:
         spec = _load_json(text)
     except json.JSONDecodeError:
-        spec = text.strip('"')
+        spec = text
     return group_from_spec(spec)
 
 
-def _jobs(args) -> int:
-    """The census worker count: ``--jobs``, default 1.  Anything but a
-    positive integer is a usage error (ValueError)."""
-    text = "1" if args.jobs is None else args.jobs
-    if not text.isdecimal() or int(text) < 1:
-        raise ValueError(f"--jobs must be a positive integer, got {text!r}")
-    return int(text)
+def _integer(text: str, flag: str, positive: bool = False) -> int:
+    """The value of the integer flag ``flag``: an optional minus sign and ASCII
+    digits (``int`` alone takes "0_4" or other scripts' digits), above 0 when
+    ``positive``; anything else is a usage error (ValueError)."""
+    if re.fullmatch(r"-?[0-9]+", text) and (not positive or int(text) > 0):
+        return int(text)
+    kind = "a positive integer" if positive else "an integer"
+    raise ValueError(f"{flag} must be {kind}, got {text!r}")
 
 
 def _emit(args, payload, text_lines: list[str]) -> None:
@@ -116,8 +119,9 @@ def _write_json(fh, obj) -> None:
 
 
 def _write_out(args, obj: dict) -> None:
+    """Write ``obj`` to ``--out``, if given, one system call per SCRATCH_BYTES."""
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with open(args.out, "w", encoding="utf-8", buffering=SCRATCH_BYTES) as fh:
             _write_json(fh, obj)
 
 
@@ -171,13 +175,14 @@ def _cmd_link_verify(args) -> int:
 
 
 def _cmd_dm_construct(args) -> int:
+    rows = _integer(args.rows, "--rows")
     G = _parse_group(args.group)
-    M = dm_auto(G, args.rows)
+    M = dm_auto(G, rows)
     if M is None:
-        print(f"no difference matrix with {args.rows} rows exists over {json.dumps(G.spec)}",
+        print(f"no difference matrix with {rows} rows exists over {json.dumps(G.spec)}",
               file=sys.stderr)
         return 1
-    cert = lio.certificate("difference-matrix", lio.dm_to_json(M), {"rows": args.rows})
+    cert = lio.certificate("difference-matrix", lio.dm_to_json(M), {"rows": rows})
     _write_out(args, cert)
     _emit(args, lambda: cert, [f"({G.spec}, {M.num_rows}, 1)-difference matrix; verified"])
     return 0
@@ -189,8 +194,9 @@ def _cmd_dm_verify(args) -> int:
 
 
 def _cmd_bent_kerdock(args) -> int:
-    fns = kerdock_bent_set(args.d)
-    cert = lio.certificate("bent-set", lio.bent_set_to_json(fns), {"d": args.d})
+    d = _integer(args.d, "-d")
+    fns = kerdock_bent_set(d)
+    cert = lio.certificate("bent-set", lio.bent_set_to_json(fns), {"d": d})
     _write_out(args, cert)
     _emit(args, lambda: cert, [f"verified bent set of size {len(fns)} on arity {fns[0].arity}"])
     return 0
@@ -213,14 +219,15 @@ def _cmd_build(args) -> int:
         raise ValueError("-d does not apply to this family")
     if args.family == "nonrev" and args.group is not None:
         raise ValueError("--group does not apply to nonrev")
+    d = None if args.d is None else _integer(args.d, "-d")
     if args.family == "general":
         system = build_general(_parse_group(args.group))
     elif args.family == "improved":
         system = build_improved(_parse_group(args.group))
     elif args.family == "tyken":
-        system = build_tyken(args.d, _parse_group(args.group))
+        system = build_tyken(d, _parse_group(args.group))
     else:
-        system = build_nonreversible(args.d)
+        system = build_nonreversible(d)
     cert = functools.cache(lambda: lio.certificate(
         "linking-system", lio._system_payload(system), {"family": args.family}))
     if args.out:
@@ -232,7 +239,7 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    jobs = _jobs(args)
+    jobs = _integer("1" if args.jobs is None else args.jobs, "--jobs", positive=True)
     G = make_abelian([4, 4])
     result = census_systems(G, 6, 3, jobs=jobs)
     payload = lio.census_payload(G, result.systems, result.max_size,
@@ -253,7 +260,7 @@ def _cmd_census(args) -> int:
 def _cmd_nonexist(args) -> int:
     if args.target != "z8z2" and args.jobs is not None:
         raise ValueError(f"nonexist {args.target} takes no --jobs")
-    jobs = _jobs(args)
+    jobs = _integer("1" if args.jobs is None else args.jobs, "--jobs", positive=True)
     mode = args.mode
     reports = []
     if args.target == "z8z2":
@@ -334,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     dm_sub = p.add_subparsers(dest="subcommand", required=True)
     q = dm_sub.add_parser("construct")
     q.add_argument("--group", required=True)
-    q.add_argument("--rows", type=int, required=True)
+    q.add_argument("--rows", required=True)
     q.add_argument("--out")
     q.set_defaults(func=_cmd_dm_construct)
     q = dm_sub.add_parser("verify")
@@ -344,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bent", help="bent sets")
     bent_sub = p.add_subparsers(dest="subcommand", required=True)
     q = bent_sub.add_parser("kerdock")
-    q.add_argument("-d", type=int, required=True)
+    q.add_argument("-d", required=True)
     q.add_argument("--out")
     q.set_defaults(func=_cmd_bent_kerdock)
     q = bent_sub.add_parser("verify")
@@ -354,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="construct a linking system")
     p.add_argument("family", choices=["general", "improved", "tyken", "nonrev"])
     p.add_argument("--group", help="target group (or K for tyken)")
-    p.add_argument("-d", type=int, help="depth parameter for tyken/nonrev")
+    p.add_argument("-d", help="depth parameter for tyken/nonrev")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_build)
 

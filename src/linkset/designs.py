@@ -17,6 +17,7 @@ from .groups import (
     _ilog,
     _independent_basis,
     _span_table,
+    exponent,
     is_central,
 )
 
@@ -146,8 +147,6 @@ def _two_group_depth(G: FiniteGroup) -> int:
 def kraemer_exists(G: FiniteGroup) -> bool:
     """Kraemer's criterion: an abelian group of order 2^(2d+2) contains a
     difference set iff its exponent is at most 2^(d+2)."""
-    from .groups import exponent
-
     if not G.abelian:
         raise ValueError("criterion applies to abelian groups")
     return exponent(G) <= 2 ** (_two_group_depth(G) + 2)

@@ -59,6 +59,7 @@ from .designs import (
     _coset_unions,
     _two_group_depth,
     hyperplanes,
+    is_reversible,
     two_group_params,
 )
 from .galois import GaloisRing
@@ -68,14 +69,19 @@ from .groups import (
     _cosets,
     _radix_weights,
     _span_table,
+    abelian_rank,
+    direct_product,
+    exponent,
     make_abelian,
+    make_dihedral8,
     subgroup_generated,
 )
 from .linking import ReducedLinkingSystem, verify_reduced
 
 DEFAULT_SEARCH_BUDGET = 5 * 10 ** 5
 # Bytes of packed kill rows the difference-matrix search caches at once
-# (32 MiB, 256 rows at |G| = 1024)
+# (32 MiB, 256 rows at |G| = 1024).  A cache, not scratch: rows kept here
+# are not packed again, so it trades memory for search time.
 KILL_CACHE_BYTES = 1 << 25
 
 
@@ -181,8 +187,6 @@ def dm_product(M1: DifferenceMatrix, M2: DifferenceMatrix) -> DifferenceMatrix:
     """Componentwise composition over G1 x G2 with min(m1, m2) rows."""
     if M1.lam != 1 or M2.lam != 1:
         raise ValueError("product composition requires lambda = 1")
-    from .groups import direct_product
-
     G = direct_product(M1.group, M2.group)
     m = min(M1.num_rows, M2.num_rows)
     rows = M1.array()[:m, :, None] * M2.group.order + M2.array()[:m, None, :]
@@ -626,8 +630,6 @@ def build_general(G: FiniteGroup, budget: int | None = None) -> ReducedLinkingSy
     """Size-3 system in an abelian group of order 2^(2d+2) with d >= 1,
     rank >= d+1, exponent <= 2^(d+1), via a 4-row quotient difference matrix
     (``budget`` as in dm_auto)."""
-    from .groups import abelian_rank, exponent
-
     d = _abelian_2group_depth(G)
     if d == 0:
         # the quotient would be Z2, and no 4-row difference matrix over Z2 exists
@@ -643,8 +645,6 @@ def build_improved(G: FiniteGroup, budget: int | None = None) -> ReducedLinkingS
     """Size 2^floor((d+1)/(e-1)) - 1 system for exponent 2^e with
     2 <= e <= (d+3)/2, via a larger quotient difference matrix (``budget``
     as in dm_auto)."""
-    from .groups import abelian_rank, exponent
-
     d = _abelian_2group_depth(G)
     if abelian_rank(G) < d + 1:
         raise ValueError(f"rank must be at least {d + 1}")
@@ -658,8 +658,6 @@ def build_improved(G: FiniteGroup, budget: int | None = None) -> ReducedLinkingS
 def build_tyken(d: int, K: FiniteGroup) -> ReducedLinkingSystem:
     """Size 2^(d+1)-1 system in D4 x K for abelian K of order 2^(2d-1) and
     exponent at most 4."""
-    from .groups import direct_product, exponent, make_dihedral8
-
     if d < 1:
         raise ValueError("d must be a positive integer")
     if not K.abelian or K.cyclic_factors is None:
@@ -695,8 +693,6 @@ def build_nonreversible(d: int) -> ReducedLinkingSystem:
     G = make_abelian([4] * (d + 1))
     e_gens, q_gens, q_orders = _quotient_gens(G, d)
     system = _build_from_quotient_dm(G, e_gens[::-1], q_gens, q_orders, 2 ** (d + 1))
-    from .designs import is_reversible
-
     if is_reversible(system.records[0]):
         raise AssertionError("first difference set is unexpectedly reversible")
     return system

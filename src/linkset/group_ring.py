@@ -31,25 +31,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import FiniteGroup, _prime_factors
+from .groups import FiniteGroup, _prime_factors, _scratch_rows
 
-# Largest block of gathered table entries the table route holds at once
-# (float32): it caps that route's scratch memory at a few MB whatever the
-# batch size or order.
-GATHER_BLOCK = 1 << 16
-# Quotients (and counts) _count_autocorrelations holds at once: about 1 MB
-# of int64 each.
-COUNT_BLOCK = 1 << 17
 # Largest root-of-unity matrix of the transform: a group takes the
-# transform only if each cyclic factor fits in one block.
+# transform only if each cyclic factor fits in one block.  It sets the
+# transform's stages and exactness bound, not a scratch size.
 NTT_BLOCK = 64
 # Smallest order whose pair products take the transform; below it the
 # table-gather GEMM is faster (see README, "Product kernels").
 # Autocorrelations take the transform at every order.
 NTT_MIN_ORDER = 128
-# Entries of one autocorrelation block on the transform route (128 KB of
-# float64 per array, no more scratch than a block of the count).
-NTT_ROWS = 1 << 14
 # The transform keeps every value and every partial sum below this bound:
 # float64 holds every integer below 2^53 exactly, and the margin keeps the
 # reduction's rounded quotient times p below 2^53 as well.
@@ -340,8 +331,8 @@ class RowProducts:
     rows' spectra and one transform.  On the table route the
     coefficient of h is sum_z Y[z] X[h z], so one table gather X[table]
     (v x v) and one float32 GEMM against the right rows give a whole row,
-    in any group.  The gather runs in blocks of at most GATHER_BLOCK
-    entries (several left rows at small v, slices of one row's table at
+    in any group.  The gather runs in blocks of at most SCRATCH_BYTES of
+    float32 (several left rows at small v, slices of one row's table at
     large v).
     float32 is exact: every addend is 0 or 1, so every partial sum is an
     integer in [0, v] with v <= MAX_TABLE_ORDER = 4096 < 2^24.
@@ -368,9 +359,9 @@ class RowProducts:
                 out[s] = tr(pointwise, tr.half ** 2, False)
             return out
         R = self.rows[right]
-        # blocks of c left rows times hc values of h, with c * hc * v <= GATHER_BLOCK
-        hc = min(v, max(1, GATHER_BLOCK // v))
-        c = max(1, GATHER_BLOCK // (hc * v))
+        # blocks of c left rows times hc values of h: c * hc * v float32 entries
+        hc = min(v, _scratch_rows(4 * v))
+        c = _scratch_rows(4 * hc * v)
         for s in range(0, len(left), c):
             for h in range(0, v, hc):
                 gathered = self.rows[left[s:s + c]][:, G.table[h:h + hc]]  # [s, h, z] = X_s[h z]
@@ -457,17 +448,19 @@ def autocorrelation_blocks(G: FiniteGroup, ids):
     that ``_subset_rows`` returns: yields (start, the block's rows), so a
     caller can reduce each block as it comes out.
 
-    On the transform route a block is at most NTT_ROWS entries of sets
+    Every block holds at most SCRATCH_BYTES of any one array.  On the
+    transform route a block is the sets' float64 rows
     (``_transform_autocorrelations``); otherwise the sets are counted
-    (``_count_autocorrelations``), sets of one size in blocks of COUNT_BLOCK
-    quotients, a list of sets of several sizes one set at a time.
+    (``_count_autocorrelations``), sets of one size in blocks of their
+    quotients and counts, 8 bytes each as ``np.bincount`` takes and gives
+    them, and a list of sets of several sizes one set at a time.
     """
     if _transform(G) is not None:
-        step = max(1, NTT_ROWS // G.order)
+        step = _scratch_rows(8 * G.order)
         for start in range(0, len(ids), step):
             yield start, _transform_autocorrelations(G, ids[start:start + step])
     elif isinstance(ids, np.ndarray):
-        step = max(1, COUNT_BLOCK // max(ids.shape[1] ** 2, G.order))
+        step = _scratch_rows(8 * max(ids.shape[1] ** 2, G.order))
         for start in range(0, len(ids), step):
             yield start, _count_autocorrelations(G, ids[start:start + step])
     else:
@@ -490,7 +483,7 @@ def _count_autocorrelations(G: FiniteGroup, sets) -> np.ndarray:
     An (n, k) array of id rows is counted at once: table[S[:, :, None],
     inv[S[:, None, :]]] gives every quotient of each set, offset by v times
     its row, and one bincount counts them all (``autocorrelation_blocks``
-    keeps a block to COUNT_BLOCK quotients).  A list of sets is counted one
+    keeps a block within the scratch bound).  A list of sets is counted one
     set at a time.
     """
     v = G.order

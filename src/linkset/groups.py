@@ -22,9 +22,16 @@ from functools import cached_property
 import numpy as np
 
 MAX_TABLE_ORDER = 4096
-# Table entries the constructor's checks compare or mark at once: an
-# order-256 table is one block, and no check holds a v x v temporary.
-TABLE_BLOCK = 1 << 16
+# Bytes of scratch that any batched loop of the package holds at once, read
+# at call time through ``_scratch_rows``: each loop takes as many rows of its
+# own dtype as fit, so no temporary grows with the batch or the order.
+SCRATCH_BYTES = 1 << 18
+
+
+def _scratch_rows(row_bytes: int) -> int:
+    """How many rows of ``row_bytes`` bytes fit in SCRATCH_BYTES: the step
+    of a batched loop, at least one row."""
+    return max(1, SCRATCH_BYTES // max(1, row_bytes))
 
 
 class FiniteGroup:
@@ -60,10 +67,10 @@ class FiniteGroup:
         if not np.array_equal(self.table[:, 0], ids):
             raise ValueError("id 0 is not a right identity")
         # cancellation: each row and each column is a permutation, checked
-        # a block of at most TABLE_BLOCK entries at a time
+        # a block of table rows (or columns) at a time
         if self.table.min() < 0 or self.table.max() >= v:
             raise ValueError("a table row is not a permutation")
-        step = max(1, TABLE_BLOCK // v)
+        step = _scratch_rows(v * self.table.itemsize)
         if not all(_rows_permute(self.table[a:a + step]) for a in range(0, v, step)):
             raise ValueError("a table row is not a permutation")
         if self.abelian:
@@ -213,9 +220,9 @@ class CosetTransversal:
 
 def _commutes(table: np.ndarray) -> bool:
     """Whether the table equals its transpose, compared one square tile of
-    at most TABLE_BLOCK entries at a time against its mirror tile, over
-    the tiles on and above the diagonal."""
-    v, side = len(table), math.isqrt(TABLE_BLOCK)
+    at most SCRATCH_BYTES (and at least one entry) at a time against its
+    mirror tile, over the tiles on and above the diagonal."""
+    v, side = len(table), math.isqrt(_scratch_rows(table.itemsize))
     return all(np.array_equal(table[a:a + side, b:b + side], table[b:b + side, a:a + side].T)
                for a in range(0, v, side) for b in range(a, v, side))
 

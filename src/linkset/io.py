@@ -27,13 +27,11 @@ import numpy as np
 from .bent import BooleanFunction, is_bent_set
 from .designs import DifferenceSetRecord, is_difference_set
 from .diffmat import DifferenceMatrix, verify_dm
-from .groups import FiniteGroup, group_from_spec
+from .groups import FiniteGroup, _scratch_rows, group_from_spec
 from .linking import ReducedLinkingSystem, verify_reduced
 from .search import CensusSystems
 
 FORMAT_VERSION = "0.1.0"
-# Systems whose JSON text census_payload hashes at once
-PAYLOAD_BLOCK = 1 << 13
 
 
 def set_to_names(G: FiniteGroup, elems) -> list[str]:
@@ -370,7 +368,8 @@ def census_payload(graph_group: FiniteGroup, systems: CensusSystems, max_size: i
     name list (equal lists share a rank, so comparing ranks compares name
     lists), each system's ranks are sorted, the systems ordered by
     ``np.lexsort``, and the compact JSON text, joined from one string per
-    vertex, fed to sha256 in blocks of PAYLOAD_BLOCK systems.
+    vertex, fed to sha256 a block of systems at a time, each block's
+    token array within SCRATCH_BYTES.
     """
     G = graph_group
     ids = np.asarray([r.elements for r in systems.records], dtype=np.int64)
@@ -388,9 +387,10 @@ def census_payload(graph_group: FiniteGroup, systems: CensusSystems, max_size: i
     count, size = keys.shape
     texts = np.array(texts, dtype=object)
     h = hashlib.sha256(f'{{"count":{count},"systems":['.encode())
-    for start in range(0, count, PAYLOAD_BLOCK):
+    step = _scratch_rows(texts.itemsize * (2 * size + 1))
+    for start in range(0, count, step):
         # the tokens ",[" t_1 "," t_2 ... "," t_size "]" of each system, one join a block
-        block = keys[start:start + PAYLOAD_BLOCK]
+        block = keys[start:start + step]
         tokens = np.full((len(block), 2 * size + 1), ",", dtype=object)
         tokens[:, 0] = ",["
         tokens[:, -1] = "]"

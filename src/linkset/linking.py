@@ -30,10 +30,7 @@ from .designs import (
     is_difference_set,  # noqa: F401  bench/test_bench.py checks the tracer wraps it here
     is_reversible,
 )
-from .groups import FiniteGroup
-
-# float32 entries of full product rows that the pair check computes at once (256 KB)
-PRODUCT_BLOCK = 1 << 16
+from .groups import FiniteGroup, _scratch_rows
 
 
 @dataclass(frozen=True)
@@ -220,8 +217,8 @@ class PairCheck:
     def _upper(self, munu: MuNu, rows: range | None = None):
         """The pair pass under (mu, nu) over the pairs i < j with i in
         ``rows`` (by default every set): per block of those left rows
-        against every later set (at most PRODUCT_BLOCK float32 entries, or
-        one row), one ``RowProducts`` call and one comparison with mu yield
+        against every later set (float32 product rows within SCRATCH_BYTES,
+        or one row), one ``RowProducts`` call and one comparison with mu yield
         (block, cols, linked, is_mu): the block's left rows and the later
         sets as int64 arrays, the (len(block), len(cols)) bool mask of the
         pairs i < j valued in {mu, nu}, and the mu-masks of the block's
@@ -240,7 +237,7 @@ class PairCheck:
         start, stop = rows.start, min(rows.stop, n - 1)
         while start < stop:
             cols = np.arange(start + 1, n)
-            block = np.arange(start, min(stop, start + max(1, PRODUCT_BLOCK // (len(cols) * v))))
+            block = np.arange(start, min(stop, start + _scratch_rows(4 * len(cols) * v)))
             prods = self._products(block, cols)
             is_mu = prods == munu.mu
             linked = (is_mu | (prods == munu.nu)).all(axis=2) & (cols > block[:, None])

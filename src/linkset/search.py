@@ -39,6 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .bent import enumerate_bent
 from .designs import (
     DifferenceSetRecord,
     DSParams,
@@ -52,6 +53,7 @@ from .groups import (
     FiniteGroup,
     Subgroup,
     _cosets,
+    _scratch_rows,
     coset_transversal,
     find_central_elementary_abelian,
     is_normal,
@@ -60,16 +62,13 @@ from .groups import (
 )
 from .linking import MuNu, PairCheck, mu_nu_candidates
 
-# candidate rows that enumerate_difference_sets holds at once per level
+# Candidate rows that enumerate_difference_sets holds at once per level: not
+# a scratch bound but the rows that share one loop over the quotient's
+# elements (``coefficient_autocorrelations``), and fewer rows slow it.
 CONTRACTION_BLOCK = 1 << 13
-# float64 entries of the indicator block, and of its translate keys, that
-# _translation_classes holds at once (1 MB each)
-CLASS_BLOCK = 1 << 17
 # Largest group order whose translate keys are exact in float64
 # (_set_weights, used by _translation_classes)
 KEY_MAX_ORDER = 53
-# bool entries the clique listing ANDs at once (4 MB)
-LISTING_BLOCK = 1 << 22
 # Distinct Spence sets over which the slot-sharing pair counts are sampled
 SLOT_SAMPLE = 200
 
@@ -318,12 +317,12 @@ def _clique_indices(adjacency: np.ndarray, ell: int) -> np.ndarray:
     vertex j, its parent's row AND j's row.  ``np.flatnonzero`` over a
     block of those rows lists the extensions row by row, each row's in
     increasing order, and a block is grown to full size before the next, so
-    lexicographic order carries over.  No block of rows holds more than
-    LISTING_BLOCK entries.
+    lexicographic order carries over.  No block of bool rows holds more
+    than SCRATCH_BYTES.
     """
     n = len(adjacency)
     upper = np.triu(adjacency, 1)
-    step = max(1, LISTING_BLOCK // max(1, n))
+    step = _scratch_rows(n)
     found = [np.zeros((0, ell), dtype=np.int64)]
 
     def grow(cliques: np.ndarray, common: np.ndarray | None) -> None:
@@ -499,7 +498,7 @@ def _translation_classes(G: FiniteGroup, sets: np.ndarray) -> np.ndarray:
                       or sets[:, 0].min() < 0 or sets[:, -1].max() >= v):
         raise ValueError("rows must be strictly increasing lists of element ids")
     P = weights[G.table.T]
-    block = max(1, CLASS_BLOCK // v)
+    block = _scratch_rows(8 * v)  # float64 indicator rows and translate keys
     best = np.empty(len(sets), dtype=np.intp)
     canon = np.empty(len(sets))
     for start in range(0, len(sets), block):
@@ -705,8 +704,6 @@ def census_systems(G: FiniteGroup, k: int, ell: int, jobs: int = 1) -> CensusRes
 def bent_max_clique() -> int:
     """Maximum size of a bent set on arity 4 (d = 1) including the adjoined
     zero function; exact branch-and-bound over all bent functions."""
-    from .bent import enumerate_bent
-
     # each truth table as one 16-bit int; f + g is bent iff bent[f ^ g]
     tables = np.packbits([f.table for f in enumerate_bent(4)], axis=1,
                          bitorder="little").view("<u2")[:, 0]

@@ -8,6 +8,8 @@ an order-16 worked example over Z_4 x Z_2 x Z_2.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .designs import _coset_unions, hyperplanes
@@ -101,8 +103,6 @@ def census_b_matrices(G: FiniteGroup):
 def construction_side_systems(G: FiniteGroup) -> set[frozenset[frozenset[int]]]:
     """All 2^16 maximum-size systems in Z4 x Z4 built from the two base
     matrices, the 4^3 row multiples, and the 2^9 effective lift choices."""
-    import itertools
-
     E = subgroup_generated(G, [G.element("x1^2"), G.element("x2^2")])
     family = hyperplanes(E, 2, (G.element("x1^2"), G.element("x2^2")))
     lift_options = []

@@ -52,8 +52,33 @@ def test_census_payload_matches_the_oracle(factors, ell, count, monkeypatch):
     assert lio.census_payload(G, systems, result.max_size, 1.5) == want
     shuffled = CensusSystems(systems.records, systems.cliques[::-1, ::-1])
     assert lio.census_payload(G, shuffled, result.max_size, 1.5) == want
-    monkeypatch.setattr(lio, "PAYLOAD_BLOCK", 1000)
+    # 1000 systems of 2 ell + 1 object tokens a block
+    monkeypatch.setattr("linkset.groups.SCRATCH_BYTES",
+                        1000 * np.dtype(object).itemsize * (2 * ell + 1))
     assert lio.census_payload(G, systems, result.max_size, 1.5) == want
+
+
+def test_one_byte_of_scratch_changes_no_answer(monkeypatch):
+    """With ``groups.SCRATCH_BYTES`` = 1 every batched loop steps one row at
+    a time (the abelian test one 1 x 1 tile), and every answer is that of
+    the default bound: the Z4^2 size-2 census and its digest (table checks,
+    enumeration, pair pass, clique listing, digest), the Tyken system in
+    D4 x Z2^3 (the counting route and the table-route products) and the
+    pruned McFarland sweep (its translation classes)."""
+    from linkset.diffmat import build_tyken
+    from linkset.search import mcfarland_pair_sweep
+
+    def answers():
+        G = make_abelian([4, 4])
+        result = census_systems(G, 6, 2)
+        tyken = build_tyken(2, make_abelian([2, 2, 2]))
+        sweep = mcfarland_pair_sweep(make_abelian([3, 3, 5]))
+        return (lio.census_payload(G, result.systems, result.max_size, 0.0), result.counts,
+                lio.system_to_json(tyken), vars(sweep) | {"runtime_seconds": 0})
+
+    want = answers()
+    monkeypatch.setattr("linkset.groups.SCRATCH_BYTES", 1)
+    assert answers() == want and want[0]["count"] == 6144
 
 
 def test_census_payload_size3_matches_the_oracle(z4z4, z4z4_census):

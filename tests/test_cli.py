@@ -286,6 +286,52 @@ def test_malformed_spec_objects_are_usage_errors(spec, message):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("text", ['D4"', '"D4', '""D4""', '"D4"x'])
+def test_group_texts_that_are_not_json_are_used_as_they_are(text):
+    """A --group text that is not JSON is the spec as it stands: no quote
+    is stripped from it, so none of these names D4.  The JSON string "D4"
+    and the bare name D4 both do."""
+    assert run_capture(["group", text]) == (
+        2, "", f"error: unrecognized group spec {text!r}\n")
+    for good in ('"D4"', "D4"):
+        code, out, _ = run_capture(["group", good])
+        assert code == 0 and out.startswith("spec: D4\norder: 8\n")
+
+
+Z4Z2 = '{"abelian": [4, 2]}'
+
+
+@pytest.mark.parametrize("argv, flag, text", [
+    (["dm", "construct", "--group", Z4Z2, "--rows", "0_4"], "--rows", "0_4"),
+    (["dm", "construct", "--group", Z4Z2, "--rows", "+4"], "--rows", "+4"),
+    (["dm", "construct", "--group", Z4Z2, "--rows", " 4"], "--rows", " 4"),
+    (["dm", "construct", "--group", Z4Z2, "--rows", "4.0"], "--rows", "4.0"),
+    (["dm", "construct", "--group", Z4Z2, "--rows", ""], "--rows", ""),
+    (["bent", "kerdock", "-d", "١"], "-d", "١"),
+    (["bent", "kerdock", "-d", "1\n"], "-d", "1\n"),
+    (["build", "nonrev", "-d", "1_0"], "-d", "1_0"),
+    (["build", "tyken", "-d", "２", "--group", '{"abelian": [2]}'], "-d", "２"),
+    (["census", "z42", "--jobs", "1_0"], "--jobs", "1_0"),
+    (["census", "z42", "--jobs", "٢"], "--jobs", "٢"),
+    (["nonexist", "z8z2", "--jobs", "１"], "--jobs", "１"),
+])
+def test_integer_flags_take_only_ascii_digits(monkeypatch, argv, flag, text):
+    """--rows, -d and --jobs take an optional minus sign and ASCII decimal
+    digits, and nothing that ``int`` would coerce: an underscore, a sign
+    or space around the digits, a decimal point, or the digits of another
+    script (Arabic-Indic, full-width).  Each is one ``error:`` line naming
+    the flag and its text, exit 2, before any work; --jobs says "positive
+    integer" as it does for 0."""
+    from linkset import cli
+
+    for name in ("dm_auto", "kerdock_bent_set", "build_nonreversible", "build_tyken",
+                 "census_systems"):
+        monkeypatch.setattr(cli, name, None)  # no work may start
+    kind = "a positive integer" if flag == "--jobs" else "an integer"
+    assert run_capture(argv) == (
+        2, "", f"error: {flag} must be {kind}, got {text!r}\n")
+
+
 DEEP = "[" * 10 ** 5 + "]" * 10 ** 5  # nested past the decoder's recursion
 
 

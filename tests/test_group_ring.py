@@ -436,7 +436,8 @@ def test_count_autocorrelations_in_blocks(block_sets, monkeypatch):
     rng = random.Random(71)
     rows = np.array([sorted(rng.sample(range(G.order), 5)) for _ in range(50)])
     if block_sets:
-        monkeypatch.setattr(rg, "COUNT_BLOCK", block_sets * 5 * 5)
+        # 8-byte quotients: block_sets sets of 5 * 5 (more than v = 16) a block
+        monkeypatch.setattr("linkset.groups.SCRATCH_BYTES", 8 * block_sets * 5 * 5)
     blocks = [len(block) for _, block in rg.autocorrelation_blocks(G, rows)]
     assert blocks == ([block_sets] * 7 + [1] if block_sets else [50])
     got = rg.autocorrelations(G, rows)

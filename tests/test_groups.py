@@ -411,15 +411,15 @@ def test_table_validation(rows, message):
 
 
 def _last_block_defects():
-    """(name, table, message) for order-512 tables, past one TABLE_BLOCK in
-    every scan, whose only defect lies in the last block of the scan that
-    must find it."""
-    from linkset.groups import TABLE_BLOCK
+    """(name, table, message) for order-512 tables, past one block of
+    SCRATCH_BYTES in every scan, whose only defect lies in the last block
+    of the scan that must find it."""
+    from linkset.groups import SCRATCH_BYTES
 
     abelian = make_abelian([4, 4, 4, 4, 2]).table.copy()
     nonabelian = direct_product(make_dihedral8(), make_abelian([4, 4, 4])).table.copy()
     v = len(abelian)
-    assert v == 512 and v * v > TABLE_BLOCK
+    assert v == 512 and abelian.nbytes > SCRATCH_BYTES
     row = abelian.copy()
     row[v - 1, v - 1] = row[v - 1, v - 2]  # a repeated entry in the last row
     yield "row", row, "row is not a permutation"
@@ -429,11 +429,11 @@ def _last_block_defects():
 
 
 def test_table_checks_find_a_defect_in_the_last_block():
-    """The row and column scans run in blocks of at most TABLE_BLOCK
-    entries and still find a defect in the last block, with the same
-    messages; the abelian test compares tiles against their mirrors and
-    finds a single non-commuting pair in an off-diagonal tile."""
-    from linkset.groups import TABLE_BLOCK, _commutes
+    """The row and column scans run in blocks of at most SCRATCH_BYTES and
+    still find a defect in the last block, with the same messages; the
+    abelian test compares tiles against their mirrors and finds a single
+    non-commuting pair in an off-diagonal tile."""
+    from linkset.groups import SCRATCH_BYTES, _commutes
 
     names = [str(a) for a in range(512)]
     for name, table, message in _last_block_defects():
@@ -441,7 +441,7 @@ def test_table_checks_find_a_defect_in_the_last_block():
             FiniteGroup(table, names, [], name)
     table = make_abelian([4, 4, 4, 4, 2]).table.copy()
     assert _commutes(table) and FiniteGroup(table, names, [], "Z4^4xZ2").abelian
-    side = math.isqrt(TABLE_BLOCK)
+    side = math.isqrt(SCRATCH_BYTES // table.itemsize)
     assert side < len(table)
     for a, b in ((len(table) - 1, 1), (1, len(table) - 1), (side - 1, side)):
         odd = table.copy()

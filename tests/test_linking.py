@@ -394,7 +394,7 @@ def test_linked_block_matches_a_per_row_check(monkeypatch):
     assert 0 < len(want) < len(upper)
 
     # blocks of 3 left rows against 24 and 21 later sets, then 4 against 18
-    monkeypatch.setattr(linking, "PRODUCT_BLOCK", 3 * 24 * 16)
+    monkeypatch.setattr("linkset.groups.SCRATCH_BYTES", 4 * 3 * 24 * 16)  # float32 rows
     check = linking.PairCheck(G, np.array(sets))
     assert check.params == params
     blocks = list(check._upper(MuNu(1, 3), rows))
@@ -493,7 +493,7 @@ def test_witness_ids_stop_at_a_failing_pair_in_the_last_block(monkeypatch, recta
     n = len(sets)
     want = rectangle(G, sets, system.munu)
     assert len(want[0]) == n * (n - 1) - 2  # only (n-2, n-1) and (n-1, n-2) fail
-    monkeypatch.setattr(linking, "PRODUCT_BLOCK", 1)
+    monkeypatch.setattr("linkset.groups.SCRATCH_BYTES", 1)
     check = linking.PairCheck(G, sets)
     blocks = [block.tolist() for block, _, _, _ in check._upper(system.munu)]
     assert blocks == [[i] for i in range(n - 1)]
@@ -508,7 +508,7 @@ def test_verify_reduced_peak_is_its_witnesses():
     import tracemalloc
 
     from linkset.bent import bent_linking, kerdock_bent_set
-    from linkset.linking import PRODUCT_BLOCK
+    from linkset.groups import SCRATCH_BYTES
 
     system = bent_linking(kerdock_bent_set(3))
     G, sets = system.group, system.sets()
@@ -519,7 +519,7 @@ def test_verify_reduced_peak_is_its_witnesses():
     finally:
         tracemalloc.stop()
     assert again == system and again.witness_ids.shape == (16002, 120)
-    assert peak < 1.5 * again.witness_ids.nbytes + 4 * PRODUCT_BLOCK
+    assert peak < 1.5 * again.witness_ids.nbytes + SCRATCH_BYTES
 
 
 def _witness_systems():
@@ -601,7 +601,7 @@ def test_expand_checks_its_entries_in_count_blocks(monkeypatch):
     lemma in ``linking.PairCheck``."""
     from linkset import group_ring as rg
     from linkset.diffmat import build_tyken
-    from linkset.groups import make_abelian
+    from linkset.groups import SCRATCH_BYTES, make_abelian
 
     reduced = build_tyken(2, make_abelian([2, 2, 2]))
     v, k = reduced.group.order, reduced.params.k
@@ -611,7 +611,7 @@ def test_expand_checks_its_entries_in_count_blocks(monkeypatch):
     monkeypatch.setattr(rg, "_count_autocorrelations",
                         lambda G, sets: calls.append(len(sets)) or count(G, sets))
     full = expand(reduced)
-    step = rg.COUNT_BLOCK // max(k * k, v)
+    step = SCRATCH_BYTES // (8 * max(k * k, v))  # 8-byte quotients and counts
     assert len(full.entries) == 56 and sum(calls) == 7
     assert len(calls) == math.ceil(7 / step) == 1 and calls[0] == 7 < step
 
@@ -623,6 +623,7 @@ def test_expand_checks_its_entries_in_one_transform_block(monkeypatch):
     block, and never counts."""
     from linkset import group_ring as rg
     from linkset.bent import bent_linking, kerdock_bent_set
+    from linkset.groups import SCRATCH_BYTES
 
     reduced = bent_linking(kerdock_bent_set(2))
     v = reduced.group.order
@@ -634,7 +635,7 @@ def test_expand_checks_its_entries_in_one_transform_block(monkeypatch):
     monkeypatch.setattr(rg, "_count_autocorrelations", None)  # no count may start
     full = expand(reduced)
     assert len(full.entries) == 992
-    assert calls == [31] and 31 < rg.NTT_ROWS // v
+    assert calls == [31] and 31 < SCRATCH_BYTES // (8 * v)  # float64 rows
 
 
 def test_expand_inverts_the_sets_with_one_gather(monkeypatch):

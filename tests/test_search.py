@@ -620,8 +620,9 @@ def test_max_system_size_order16(factors, size):
 
 def test_enumerate_systems_matches_brute_force(monkeypatch):
     """The clique listing behind enumerate_systems, on random graphs and the
-    empty graph, for sizes 2..5: in one block, and ANDing 5 entries at a
-    time (one clique a block)."""
+    empty graph, for sizes 2..5: in one block, and with 5 bytes of scratch,
+    so ANDing 5 bool entries at a time (one clique a block)."""
+    from linkset.groups import SCRATCH_BYTES
     from linkset.search import _clique_indices
 
     rng = random.Random(43)
@@ -634,8 +635,8 @@ def test_enumerate_systems_matches_brute_force(monkeypatch):
                 if rng.random() < 0.6:
                     adj[i, j] = adj[j, i] = True
         graphs.append(adj)
-    for block in (search.LISTING_BLOCK, 5):
-        monkeypatch.setattr(search, "LISTING_BLOCK", block)
+    for scratch in (SCRATCH_BYTES, 5):
+        monkeypatch.setattr("linkset.groups.SCRATCH_BYTES", scratch)
         for adj in graphs:
             n = len(adj)
             for ell in range(2, 6):
@@ -882,7 +883,7 @@ def test_linking_graph_matches_full_products(group, k, sample, two_valued, monke
 
     graphs = [build_linking_graph(G, records, munu, jobs=jobs) for jobs in (1, 2, 3, 5)]
     check()
-    monkeypatch.setattr(linking, "PRODUCT_BLOCK", 2 * n * G.order)
+    monkeypatch.setattr("linkset.groups.SCRATCH_BYTES", 4 * 2 * n * G.order)  # float32 rows
     graphs.append(build_linking_graph(G, records, munu))
     check()
     for graph in graphs:
@@ -925,7 +926,8 @@ def test_translation_classes_match_brute_force(block_sets, monkeypatch):
             sets.append(sorted(G.mul(a, x) for x in rng.choice(base)))
         assert all(len(set(S)) == 7 for S in sets)
         if block_sets:
-            monkeypatch.setattr(search, "CLASS_BLOCK", block_sets * G.order)
+            # float64 indicator rows and keys: block_sets rows of v a block
+            monkeypatch.setattr("linkset.groups.SCRATCH_BYTES", 8 * block_sets * G.order)
         got = _translation_classes(G, np.array(sets))
 
         def canon(S, side):

@@ -89,7 +89,7 @@ def test_every_module_constant_is_read():
     package = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
     others = [ast.parse(path.read_text()) for folder in ("tests", "demos")
               for path in sorted((root / folder).glob("*.py"))]
-    assert sum(len(_module_constants(tree)) for tree in package) > 30  # the scan sees them
+    assert sum(len(_module_constants(tree)) for tree in package) >= 30  # the scan sees them
     assert _unread_constants(package, package + others) == []
     # a constant set twice, set through an attribute or named only in a
     # string is unread; one read in another module, as an attribute or
@@ -98,6 +98,70 @@ def test_every_module_constant_is_read():
                        "x = 'C'\ndef f():\n    return _D\n"),
              ast.parse("import m\ny = m.C\n")]
     assert _unread_constants(trees[:1], trees) == ["A", "A", "B"]
+
+
+SIZE_NAME = re.compile(r"BLOCK|ROWS|BYTES|CHUNK|BATCH|TILE|STEP")
+# module constants that size something other than a loop's scratch, each
+# with its reason beside it in its module: the rows that share one loop
+# over a quotient, the transform's block order, and a cache
+NOT_SCRATCH = {"search.CONTRACTION_BLOCK", "group_ring.NTT_BLOCK", "diffmat.KILL_CACHE_BYTES"}
+
+
+def _size_constants(tree: ast.Module, module: str) -> set[str]:
+    """``module.NAME`` for each module constant that looks like a size: its
+    name says block, rows, bytes, chunk, batch, tile or step, or its value
+    is a shift ``1 << n``."""
+    return {f"{module}.{name}" for name, stmt in _module_constants(tree)
+            if SIZE_NAME.search(name) or any(
+                isinstance(node, ast.BinOp) and isinstance(node.op, ast.LShift)
+                for node in ast.walk(stmt))}
+
+
+def test_one_scratch_bound():
+    """Every batched loop sizes its blocks from one byte bound,
+    ``groups.SCRATCH_BYTES``, through ``groups._scratch_rows``: no other
+    module constant sizes a scratch block, and nothing but
+    ``_scratch_rows`` and the ``--out`` writer's buffer reads the bound."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    sizes = set().union(*(_size_constants(tree, stem) for stem, tree in trees.items()))
+    assert sizes - NOT_SCRATCH == {"groups.SCRATCH_BYTES"} and NOT_SCRATCH <= sizes
+    readers = set().union(*(_scopes_where(tree, stem, lambda node: _named(
+        node, {"SCRATCH_BYTES"}) and isinstance(node.ctx, ast.Load))
+        for stem, tree in trees.items()))
+    assert readers == {"groups._scratch_rows", "cli._write_out"}
+    # the scan sees a size by its name or by a shift, annotated or not; an
+    # order, a limit or a power written as ** is none
+    tree = ast.parse("SET_BLOCK = 64\nN: int = 1 << 16\nMAX_ORDER = 53\n"
+                     "LIMIT = 2.0 ** 52\nKEY_ROWS, Y = 5, 6\nx_block = 1 << 4\n")
+    assert _size_constants(tree, "m") == {"m.SET_BLOCK", "m.N", "m.KEY_ROWS"}
+
+
+# the command line imports the self-test's module only when it runs, and the
+# census imports its worker pool only when it starts one
+LAZY_IMPORTS = {"cli._cmd_selftest", "search.build_linking_graph"}
+
+
+def _local_imports(tree: ast.Module, module: str) -> set[str]:
+    """The scopes other than the module's own that hold an import."""
+    return _scopes_where(tree, module, lambda node: isinstance(
+        node, (ast.Import, ast.ImportFrom))) - {module}
+
+
+def test_imports_are_at_module_tops():
+    """Every import of the package sits at the top of its module, where a
+    reader sees what the module needs, apart from the two lazy imports in
+    LAZY_IMPORTS; none of the moved ones broke an import cycle."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        found |= _local_imports(ast.parse(path.read_text()), path.stem)
+    assert found == LAZY_IMPORTS
+    # the scan sees an import and a from-import in a function, a nested
+    # function and a method; a module-level or conditional top import is none
+    tree = ast.parse("import os\nif os:\n    from x import y\n"
+                     "def f():\n    import json\n"
+                     "def g():\n    def h():\n        from . import io\n"
+                     "class K:\n    def k(self):\n        from .a import b\n")
+    assert _local_imports(tree, "m") == {"m.f", "m.g.h", "m.K.k"}
 
 
 SCALAR_GROUP_METHODS = {"mul", "power", "inv", "element_order"}
