@@ -112,17 +112,29 @@ def _payload_of(obj, kind: str):
 def _write_json(fh, obj) -> None:
     """Write ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"`` to ``fh``,
     where ``obj`` may hold ``io._NameRows`` in place of lists of names.
-    It is streamed: no piece written is longer than one row of names and
-    its key, so a large certificate is never one string in memory."""
+    Those rows are streamed, one piece a row, so a linking-system
+    certificate is never one string in memory; any other value is one piece."""
     fh.writelines(lio._json_pieces(obj))
     fh.write("\n")
 
 
-def _write_out(args, obj: dict) -> None:
-    """Write ``obj`` to ``--out``, if given, one system call per SCRATCH_BYTES."""
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8", buffering=SCRATCH_BYTES) as fh:
-            _write_json(fh, obj)
+def _write_out(path: str, obj: dict) -> None:
+    """Write ``obj`` to the file at ``path``, one system call per SCRATCH_BYTES."""
+    with open(path, "w", encoding="utf-8", buffering=SCRATCH_BYTES) as fh:
+        _write_json(fh, obj)
+
+
+def _report(args, kind: str, payload, input_echo: dict, text_lines: list[str],
+            code: int) -> int:
+    """Report a result as a ``kind`` certificate of ``payload()`` with
+    ``input_echo``: write it to ``--out``, if given, and emit it or the
+    text lines; return ``code``.  Every certificate a command makes is made
+    here, at most once, and only when ``--out`` or ``--output json`` needs it."""
+    cert = functools.cache(lambda: lio.certificate(kind, payload(), input_echo))
+    if args.out:
+        _write_out(args.out, cert())
+    _emit(args, cert, text_lines)
+    return code
 
 
 def _cmd_group(args) -> int:
@@ -182,10 +194,8 @@ def _cmd_dm_construct(args) -> int:
         print(f"no difference matrix with {rows} rows exists over {json.dumps(G.spec)}",
               file=sys.stderr)
         return 1
-    cert = lio.certificate("difference-matrix", lio.dm_to_json(M), {"rows": rows})
-    _write_out(args, cert)
-    _emit(args, lambda: cert, [f"({G.spec}, {M.num_rows}, 1)-difference matrix; verified"])
-    return 0
+    return _report(args, "difference-matrix", lambda: lio.dm_to_json(M), {"rows": rows},
+                   [f"({G.spec}, {M.num_rows}, 1)-difference matrix; verified"], 0)
 
 
 def _cmd_dm_verify(args) -> int:
@@ -196,10 +206,8 @@ def _cmd_dm_verify(args) -> int:
 def _cmd_bent_kerdock(args) -> int:
     d = _integer(args.d, "-d")
     fns = kerdock_bent_set(d)
-    cert = lio.certificate("bent-set", lio.bent_set_to_json(fns), {"d": d})
-    _write_out(args, cert)
-    _emit(args, lambda: cert, [f"verified bent set of size {len(fns)} on arity {fns[0].arity}"])
-    return 0
+    return _report(args, "bent-set", lambda: lio.bent_set_to_json(fns), {"d": d},
+                   [f"verified bent set of size {len(fns)} on arity {fns[0].arity}"], 0)
 
 
 def _cmd_bent_verify(args) -> int:
@@ -228,60 +236,49 @@ def _cmd_build(args) -> int:
         system = build_tyken(d, _parse_group(args.group))
     else:
         system = build_nonreversible(d)
-    cert = functools.cache(lambda: lio.certificate(
-        "linking-system", lio._system_payload(system), {"family": args.family}))
-    if args.out:
-        _write_out(args, cert())
-    _emit(args, cert,
-          [f"verified reduced {system.params.as_tuple()} linking system of size {system.size}",
-           f"reversibility profile: {reversibility_profile(system)}"])
-    return 0
+    lines = [f"verified reduced {system.params.as_tuple()} linking system of size {system.size}",
+             f"reversibility profile: {reversibility_profile(system)}"]
+    return _report(args, "linking-system", lambda: lio._system_payload(system),
+                   {"family": args.family}, lines, 0)
+
+
+def _census(args, factors: list[int], ell: int):
+    """The census of size-``ell`` systems of (16, 6, 2) difference sets in
+    the abelian group of ``factors``, on ``--jobs`` worker processes."""
+    jobs = _integer("1" if args.jobs is None else args.jobs, "--jobs", positive=True)
+    return census_systems(make_abelian(factors), 6, ell, jobs=jobs)
 
 
 def _cmd_census(args) -> int:
-    jobs = _integer("1" if args.jobs is None else args.jobs, "--jobs", positive=True)
-    G = make_abelian([4, 4])
-    result = census_systems(G, 6, 3, jobs=jobs)
-    payload = lio.census_payload(G, result.systems, result.max_size,
+    result = _census(args, [4, 4], 3)
+    payload = lio.census_payload(result.graph.group, result.systems, result.max_size,
                                  result.runtime_seconds)
-    cert = lio.certificate("census-report", payload, {"target": "z42"})
-    _write_out(args, cert)
     counts = result.counts
-    _emit(args, lambda: cert,
-          [f"size-3 reduced linking systems in Z4^2: {result.count}",
-           f"maximum system size: {result.max_size}",
-           f"digest: {payload['digest']}",
-           f"vertices: {counts['vertices']}, linked directed pairs: {counts['linked_pairs']}, "
-           f"pairs re-verified: {counts['verified_pairs']}, cliques: {counts['cliques']}",
-           f"runtime: {result.runtime_seconds:.1f}s"])
-    return 0 if result.count else 1
+    return _report(args, "census-report", lambda: payload, {"target": "z42"},
+                   [f"size-3 reduced linking systems in Z4^2: {result.count}",
+                    f"maximum system size: {result.max_size}",
+                    f"digest: {payload['digest']}",
+                    f"vertices: {counts['vertices']}, linked directed pairs: "
+                    f"{counts['linked_pairs']}, pairs re-verified: {counts['verified_pairs']}, "
+                    f"cliques: {counts['cliques']}",
+                    f"runtime: {result.runtime_seconds:.1f}s"], 0 if result.count else 1)
 
 
 def _cmd_nonexist(args) -> int:
-    if args.target != "z8z2" and args.jobs is not None:
-        raise ValueError(f"nonexist {args.target} takes no --jobs")
-    jobs = _integer("1" if args.jobs is None else args.jobs, "--jobs", positive=True)
-    mode = args.mode
-    reports = []
     if args.target == "z8z2":
-        if args.group is not None or mode == "full":
-            raise ValueError("nonexist z8z2 takes neither --group nor --full")
-        G = make_abelian([8, 2])
-        result = census_systems(G, 6, 2, jobs=jobs)
-        payload = {
-            "group": G.spec,
-            "difference_sets": len(result.graph.records),
-            "size2_systems": result.count,
-            "max_system_size": result.max_size,
-            "runtime_seconds": result.runtime_seconds,
-        }
-        empty = result.count == 0
-        cert = lio.certificate("nonexistence-report", payload, {"target": args.target})
-        _write_out(args, cert)
-        _emit(args, lambda: cert,
-              [f"difference sets found: {payload['difference_sets']}",
-               f"size-2 systems: {result.count} (expected 0)"])
-        return 1 if empty else 0
+        if args.group is not None or args.mode is not None:
+            raise ValueError("nonexist z8z2 takes no --group, --full or --pruned")
+        result = _census(args, [8, 2], 2)
+        payload = {"group": result.graph.group.spec, "difference_sets": len(result.graph.records),
+                   "size2_systems": result.count, "max_system_size": result.max_size,
+                   "runtime_seconds": result.runtime_seconds}
+        return _report(args, "nonexistence-report", lambda: payload, {"target": args.target},
+                       [f"difference sets found: {payload['difference_sets']}",
+                        f"size-2 systems: {result.count} (expected 0)"],
+                       0 if result.count else 1)
+    if args.jobs is not None:
+        raise ValueError(f"nonexist {args.target} takes no --jobs")
+    mode = args.mode or "pruned"
     if args.target == "mcfarland-q3":
         groups = [args.group] if args.group else ['{"abelian": [3, 3, 5]}']
         sweep = mcfarland_pair_sweep
@@ -289,18 +286,12 @@ def _cmd_nonexist(args) -> int:
         groups = ([args.group] if args.group
                   else ['{"abelian": [3, 3, 2, 2]}', '{"abelian": [3, 3, 4]}'])
         sweep = spence_pair_sweep
-    all_empty = True
-    for gtext in groups:
-        report = sweep(_parse_group(gtext), mode=mode)
-        reports.append(report)
-        all_empty &= report.all_pairs_fail
-    payload = {"reports": [vars(r) | {"group_spec": r.group_spec} for r in reports]}
-    cert = lio.certificate("nonexistence-report", payload, {"target": args.target, "mode": mode})
-    _write_out(args, cert)
-    lines = [f"{r.family} over {r.group_spec}: {r.linked_pairs} linked pairs "
-             f"of {r.pairs_tested} tested ({r.mode})" for r in reports]
-    _emit(args, lambda: cert, lines)
-    return 1 if all_empty else 0
+    reports = [sweep(_parse_group(gtext), mode=mode) for gtext in groups]
+    return _report(args, "nonexistence-report", lambda: {"reports": list(map(vars, reports))},
+                   {"target": args.target, "mode": mode},
+                   [f"{r.family} over {r.group_spec}: {r.linked_pairs} linked pairs "
+                    f"of {r.pairs_tested} tested ({r.mode})" for r in reports],
+                   1 if all(r.all_pairs_fail for r in reports) else 0)
 
 
 def _cmd_selftest(args) -> int:
@@ -379,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     grp.add_argument("--full", dest="mode", action="store_const", const="full")
     grp.add_argument("--pruned", dest="mode", action="store_const", const="pruned")
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_nonexist, mode="pruned")
+    p.set_defaults(func=_cmd_nonexist, mode=None)
 
     p = sub.add_parser("selftest", help="run the worked examples end to end")
     p.set_defaults(func=_cmd_selftest)

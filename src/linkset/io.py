@@ -268,31 +268,27 @@ def certificate(kind: str, payload: dict, input_echo=None) -> dict:
     }
 
 
+def _holds_rows(obj) -> bool:
+    """Whether ``obj`` is ``_NameRows`` or a dict that holds some at any depth."""
+    return isinstance(obj, _NameRows) or (
+        isinstance(obj, dict) and any(map(_holds_rows, obj.values())))
+
+
 def _json_pieces(obj, indent: str = ""):
     """The text of ``json.dumps(obj, indent=2, sort_keys=True)``, in pieces.
 
-    ``_NameRows`` render themselves, one piece a row; dicts with string keys
-    and lists recurse; every other value is ``json.dumps``'s own text, its
+    ``_NameRows`` render themselves, one piece a row, and the dicts that
+    hold them recurse; every other value is one ``json.dumps``, its
     continuation lines shifted to this depth.
     """
     if isinstance(obj, _NameRows):
         yield from obj.pieces(indent)
-    elif isinstance(obj, (list, tuple)) and obj:
-        inner = indent + "  "
-        yield "[\n" + inner
-        for n, item in enumerate(obj):
-            if n:
-                yield ",\n" + inner
-            yield from _json_pieces(item, inner)
-        yield "\n" + indent + "]"
-    elif isinstance(obj, dict) and obj and all(isinstance(key, str) for key in obj):
+    elif _holds_rows(obj):
         inner = indent + "  "
         for n, key in enumerate(sorted(obj)):
             yield ("{\n" if n == 0 else ",\n") + inner + encode_basestring_ascii(key) + ": "
             yield from _json_pieces(obj[key], inner)
         yield "\n" + indent + "}"
-    elif isinstance(obj, str):
-        yield encode_basestring_ascii(obj)
     else:
         yield json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + indent)
 

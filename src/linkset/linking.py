@@ -28,7 +28,6 @@ from .designs import (
     _autocorrelation_params,
     complement,
     is_difference_set,  # noqa: F401  bench/test_bench.py checks the tracer wraps it here
-    is_reversible,
 )
 from .groups import FiniteGroup, _scratch_rows
 
@@ -331,14 +330,23 @@ def _reduced_of(full: LinkingSystem) -> ReducedLinkingSystem | None:
     return ReducedLinkingSystem(G, firsts, full.munu, supports)
 
 
+def _inverse_closed(G: FiniteGroup, rows) -> np.ndarray:
+    """Whether each row of sorted distinct ids is reversible (D = D^(-1))."""
+    rows = np.asarray(rows, dtype=np.int64)
+    return (np.sort(G.inv_table[rows], axis=1) == rows).all(axis=1)
+
+
 def reversibility_profile(reduced: ReducedLinkingSystem) -> tuple[bool, ...]:
-    return tuple(is_reversible(r) for r in reduced.records)
+    return tuple(_inverse_closed(reduced.group, reduced.sets()).tolist())
 
 
 def is_reversible_system(reduced: ReducedLinkingSystem) -> bool:
-    """True iff every difference set of the expanded full system is reversible."""
-    full = expand(reduced)
-    return all(is_reversible(rec) for rec in full.entries.values())
+    """True iff every difference set of the expanded full system is
+    reversible.  By ``verify_full``'s theorem those sets are the D_i, their
+    inverses (reversible iff D_i is) and the witnesses W_ij, so the rows of
+    ``sets()`` and ``witness_ids`` decide it and nothing is expanded."""
+    rows = np.concatenate([np.asarray(reduced.sets(), dtype=np.int64), reduced.witness_ids])
+    return bool(_inverse_closed(reduced.group, rows).all())
 
 
 def complement_system(reduced: ReducedLinkingSystem) -> ReducedLinkingSystem:

@@ -45,7 +45,6 @@ from .designs import (
     DSParams,
     construction_sets,
     difference_set_mask,
-    difference_set_params,
     hyperplanes,
 )
 from .group_ring import coefficient_autocorrelations
@@ -88,10 +87,10 @@ def enumerate_difference_sets(G: FiniteGroup, k: int) -> list[DifferenceSetRecor
     so the contraction of every difference set is a split of the one above
     and passes every level: none is dropped.  The level-0 rows are the 0/1
     rows of k-subsets, each once (a subset fixes its contractions), and
-    ``difference_set_params`` admits exactly the difference sets among
-    them.  Without an integer lambda = k(k-1)/(v-1) there is none
-    (``_size_params``).  Each level holds at most CONTRACTION_BLOCK
-    candidate rows at once.
+    ``difference_set_mask`` admits exactly the difference sets among them,
+    since a k-subset that is one has lambda = k(k-1)/(v-1).  Without an
+    integer lambda there is none (``_size_params``).  Each level holds at
+    most CONTRACTION_BLOCK candidate rows at once.
     """
     params = _size_params(G, k)
     if params is None:
@@ -117,8 +116,9 @@ def enumerate_difference_sets(G: FiniteGroup, k: int) -> list[DifferenceSetRecor
                 yield from refine(i - 1, fine)
 
     ids = np.concatenate([np.zeros((0, k), dtype=np.int64)] + [
-        block[[p is not None for p in difference_set_params(G, block)]]
+        block[difference_set_mask(G, block, params)]
         for block in refine(len(series) - 1, np.array([[k]]))])
+    del refine  # it refers to itself: free its levels now, not at the next full gc
     return [DifferenceSetRecord._of_sorted(G, row, params)
             for row in map(tuple, ids[_distinct_rows(ids)[0]].tolist())]
 
@@ -342,6 +342,7 @@ def _clique_indices(adjacency: np.ndarray, ell: int) -> np.ndarray:
 
     for a in range(0, n, step):
         grow(np.arange(a, min(a + step, n), dtype=np.int64)[:, None], upper[a:a + step])
+    del grow  # it refers to itself: free found and upper now, not at the next full gc
     return np.concatenate(found)
 
 

@@ -138,3 +138,24 @@ def test_census_leaves_numpy_ma_unimported():
                             text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+def test_the_census_leaves_no_reference_cycles_behind():
+    """The recursive helpers of the enumeration and the clique listing are
+    unbound when they return, so no reference cycle keeps their arrays
+    alive until the next full collection."""
+    import gc
+
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        census_systems(make_abelian([4, 4]), 6, 2)
+        gc.collect()
+        names = {getattr(obj, "__qualname__", "") for obj in gc.garbage}
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert not [name for name in names
+                if name.startswith(("enumerate_difference_sets.", "_clique_indices."))]

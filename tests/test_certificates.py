@@ -13,7 +13,7 @@ from test_cli import run_capture
 from linkset import io as lio
 from linkset.bent import bent_linking, kerdock_bent_set
 from linkset.cli import _write_json
-from linkset.diffmat import build_improved, build_tyken
+from linkset.diffmat import build_improved, build_tyken, dm_auto
 from linkset.groups import FiniteGroup, make_abelian
 from linkset.linking import verify_reduced
 from linkset.worked_examples import linked_triple_z4z4
@@ -157,6 +157,20 @@ def test_the_writer_yields_no_piece_longer_than_one_row_and_its_key():
                   for key, row in rows)
     assert len(pieces) > len(rows) and max(map(len, pieces)) == longest
     assert "".join(pieces) + "\n" == _dumps(lio.certificate("linking-system", names, None))
+
+
+def test_the_writer_renders_every_value_but_id_rows_in_one_piece():
+    """Only ``_NameRows`` and the dicts that hold them are rendered piece by
+    piece: a difference-matrix certificate is one ``json.dumps``, and so is
+    each value beside a linking system's rows."""
+    M = dm_auto(make_abelian([4, 2]), 4)
+    cert = lio.certificate("difference-matrix", lio.dm_to_json(M), {"rows": 4})
+    assert list(lio._json_pieces(cert)) == [json.dumps(cert, indent=2, sort_keys=True)]
+    system = build_improved(make_abelian([4, 4, 4]))
+    pieces = list(lio._json_pieces(
+        lio.certificate("linking-system", lio._system_payload(system), {"family": "improved"})))
+    for value, depth in ((system.group.spec, "    "), ({"family": "improved"}, "  ")):
+        assert json.dumps(value, indent=2).replace("\n", "\n" + depth) in pieces
 
 
 def _variants(cert):

@@ -78,8 +78,8 @@ def test_run_builds_its_parser_once_and_keeps_no_state(monkeypatch):
         assert code == 0 and "order: 16" in out.splitlines()
     assert run_capture(["nonexist", "z8z2", "--full"])[0] == 2
     full = cli._parser().parse_args(["nonexist", "spence-d1", "--full"])
-    pruned = cli._parser().parse_args(["nonexist", "spence-d1"])
-    assert (full.mode, pruned.mode) == ("full", "pruned") and full is not pruned
+    flagless = cli._parser().parse_args(["nonexist", "spence-d1"])
+    assert (full.mode, flagless.mode) == ("full", None) and full is not flagless
     assert built == [1]
 
 
@@ -193,24 +193,28 @@ def test_nonexist_exit_codes():
 
 
 def test_nonexist_mode_flags_set_one_mode():
-    """--full and --pruned choose one mode (pruned by default) and exclude
-    each other."""
+    """--full and --pruned choose one mode and exclude each other; with
+    neither the parser leaves the mode unset, and a sweep runs pruned."""
     from linkset.cli import build_parser
 
     parser = build_parser()
-    for flags, mode in (([], "pruned"), (["--pruned"], "pruned"), (["--full"], "full")):
+    for flags, mode in (([], None), (["--pruned"], "pruned"), (["--full"], "full")):
         args = parser.parse_args(["nonexist", "mcfarland-q3", *flags])
         assert args.mode == mode and not hasattr(args, "pruned")
     with contextlib.redirect_stderr(io.StringIO()), pytest.raises(SystemExit) as exit_:
         parser.parse_args(["nonexist", "mcfarland-q3", "--full", "--pruned"])
     assert exit_.value.code == 2
+    code, out, _ = run_capture(["--output", "json", "nonexist", "mcfarland-q3"])
+    cert = json.loads(out)
+    assert code == 1 and cert["input"]["mode"] == "pruned"
+    assert [r["mode"] for r in cert["payload"]["reports"]] == ["pruned"]
 
 
 @pytest.mark.parametrize("extra", [["--group", '{"abelian": [4, 4]}'], ["--group", ""],
-                                   ["--full"]])
+                                   ["--full"], ["--pruned"]])
 def test_nonexist_z8z2_rejects_group_and_full(monkeypatch, extra):
-    """z8z2 names its group and has one mode: --group or --full would be
-    ignored, so either is a usage error before any work."""
+    """z8z2 names its group and has no mode: --group, --full or --pruned
+    would be ignored, so each is a usage error before any work."""
     from linkset import cli
 
     monkeypatch.setattr(cli, "census_systems", None)  # no work may start

@@ -180,6 +180,43 @@ def test_is_reversible_system():
     assert not is_reversible_system(system)
 
 
+def test_reversibility_reads_the_rows_as_the_expanded_system_does():
+    """``is_reversible_system`` and ``reversibility_profile`` read the rows of
+    the sets and witnesses; they agree with ``is_reversible`` over every
+    entry of the expanded full system and over each D_i, on systems whose
+    answer is true and false.  In an abelian group reversible D_i make every
+    witness reversible; in D4 x Z2 two reversible sets link with witnesses
+    that are not, so the witness rows decide."""
+    from linkset.designs import is_reversible
+    from linkset.diffmat import build_general, build_improved, build_nonreversible
+    from linkset.groups import direct_product, make_abelian, make_dihedral8
+    from linkset.search import enumerate_difference_sets
+
+    D4Z2 = direct_product(make_dihedral8(), make_abelian([2]))
+    reversible = [r.elements for r in enumerate_difference_sets(D4Z2, 6) if is_reversible(r)]
+    nonabelian = verify_reduced(D4Z2, [reversible[0], reversible[8]])
+    assert reversibility_profile(nonabelian) == (True, True)
+    assert not is_reversible_system(nonabelian)
+
+    G, sets = linked_triple_z4z4()
+    E = subgroup_generated(G, [G.element("x1^2"), G.element("x2^2")])
+    fam = hyperplanes(E, 2, (G.element("x1^2"), G.element("x2^2")))
+    rng = random.Random(5)
+    steered = [linked_from_dm(G, E, [[G.element(w) for w in row] for row in words],
+                              [[rng.choice(E.elements) for _ in range(3)] for _ in range(3)],
+                              family=fam)
+               for words in (ALL_REVERSIBLE_B_WORDS, NONE_REVERSIBLE_B_WORDS)]
+    systems = [verify_reduced(G, sets), *steered, build_general(make_abelian([2, 2, 2, 2])),
+               build_improved(make_abelian([4, 4, 4])), build_nonreversible(1), nonabelian]
+    answers = []
+    for system in systems:
+        full = expand(system)
+        answers.append(is_reversible_system(system))
+        assert answers[-1] == all(is_reversible(rec) for rec in full.entries.values())
+        assert reversibility_profile(system) == tuple(map(is_reversible, system.records))
+    assert True in answers and False in answers
+
+
 def test_complement_system():
     G, sets = linked_triple_z4z4()
     system = verify_reduced(G, sets)

@@ -10,7 +10,12 @@ import pytest
 
 from linkset import group_ring as rg
 from linkset import search
-from linkset.designs import DifferenceSetRecord, difference_set_params, is_difference_set
+from linkset.designs import (
+    DifferenceSetRecord,
+    difference_set_mask,
+    difference_set_params,
+    is_difference_set,
+)
 from linkset.groups import (
     FiniteGroup,
     Subgroup,
@@ -128,11 +133,11 @@ def test_enumeration_matches_the_subset_walk_on_order_16(name, k, monkeypatch):
     G = _order16_groups()[name]
     checked = []
 
-    def counting(G, ids):
+    def counting(G, ids, params):
         checked.append(len(ids))
-        return difference_set_params(G, ids)
+        return difference_set_mask(G, ids, params)
 
-    monkeypatch.setattr(search, "difference_set_params", counting)
+    monkeypatch.setattr(search, "difference_set_mask", counting)
     got = enumerate_difference_sets(G, k)
     assert [(r.elements, r.params) for r in got] == [
         (r.elements, r.params) for r in _subset_walk(G, k)]

@@ -395,6 +395,21 @@ def test_one_json_renderer():
     assert _indented_dumps(tree, "m") == {"m.g", "m.h"}
 
 
+def test_one_way_out_for_certificates():
+    """Every command that makes a certificate reports through ``cli._report``:
+    in ``cli`` only it builds one (``io.certificate``) and writes ``--out``
+    (``_write_out``)."""
+    tree = ast.parse((SRC / "cli.py").read_text())
+    assert _calls_to(tree, "cli", {"certificate"}) == {"cli._report"}
+    assert _calls_to(tree, "cli", {"_write_out"}) == {"cli._report"}
+    assert _calls_to(tree, "cli", {"_report"}) == {
+        "cli._cmd_dm_construct", "cli._cmd_bent_kerdock", "cli._cmd_build", "cli._cmd_census",
+        "cli._cmd_nonexist"}
+    # the scan counts a call inside a lambda for the function that holds it
+    tree = ast.parse("def f(x):\n    return g(lambda: lio.certificate(x))\n")
+    assert _calls_to(tree, "m", {"certificate"}) == {"m.f"}
+
+
 TRANSFORM_NAME = re.compile(r"transform|wht|walsh|hadamard|fourier|ntt|butterfl", re.IGNORECASE)
 
 
