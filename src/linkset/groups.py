@@ -260,9 +260,9 @@ def make_abelian(invariant_factors: list[int] | tuple[int, ...]) -> FiniteGroup:
         v *= n
     _check_table_order(v)
     table = np.zeros((1, 1), dtype=np.int32)
-    for n in factors:
+    for n in reversed(factors):  # the long axes, the table so far, innermost
         cyclic = np.arange(n, dtype=np.int32)
-        table = _product_table(table, (cyclic[:, None] + cyclic) % n)
+        table = _product_table((cyclic[:, None] + cyclic) % n, table)
     # the name parts of factor i are "", "xi", "xi^2", ...; itertools.product
     # runs the last factor fastest, as the ids do
     parts = [[""] + [f"x{i+1}" + (f"^{e}" if e > 1 else "") for e in range(1, n)]

@@ -399,28 +399,42 @@ def max_system_size(graph: LinkingGraph) -> int:
 
 def _max_clique(masks: list[int]) -> int:
     """Size of a maximum clique of the graph with neighbour bitmasks
-    ``masks``: branch and bound, pruned by a greedy colouring of the
-    candidates (each colour class is an independent set, so a clique takes
-    at most one vertex from each)."""
-    best = [0]
-
-    def expand(candidates: int, size: int) -> None:
-        if candidates == 0:
-            if size > best[0]:
-                best[0] = size
-            return
-        bound = size + _greedy_color_bound(candidates, masks)
-        if bound <= best[0]:
-            return
-        while candidates:
-            if size + bin(candidates).count("1") <= best[0]:
-                return
-            v = (candidates & -candidates).bit_length() - 1
-            candidates &= candidates - 1
-            expand(candidates & masks[v], size + 1)
-
-    expand((1 << len(masks)) - 1, 0)
-    return best[0]
+    ``masks``, 0 for none, by Tomita and Seki's MCQ branch and bound.  A node
+    (a clique of ``size`` vertices and the candidates adjacent to all of
+    them, one entry of an explicit stack) colours its candidates greedily
+    once, each colour class an independent set grown from the lowest vertex
+    left, and branches on them in nondecreasing colour from the last down,
+    dropping each after its branch: at v the candidates left have colours
+    1..colour(v) and a clique takes at most one of each, so once size +
+    colour(v) is no more than the best found, the node is done."""
+    best = 0
+    stack = [[(1 << len(masks)) - 1, 0, None, None]]  # candidates, size, order, colours
+    while stack:
+        node = stack[-1]
+        candidates, size, order, colours = node
+        if order is None:
+            order, colours = node[2], node[3] = [], []
+            remaining, colour = candidates, 0
+            while remaining:
+                colour += 1
+                cls = remaining
+                while cls:
+                    low = cls & -cls
+                    v = low.bit_length() - 1
+                    order.append(v)
+                    colours.append(colour)
+                    remaining ^= low
+                    cls = (cls ^ low) & ~masks[v]
+        if not order or size + colours.pop() <= best:
+            stack.pop()
+            continue
+        v = order.pop()
+        node[0] = candidates = candidates ^ (1 << v)
+        if candidates & masks[v]:
+            stack.append([candidates & masks[v], size + 1, None, None])
+        else:
+            best = max(best, size + 1)
+    return best
 
 
 # -- nonexistence sweeps ---------------------------------------------------------
@@ -704,7 +718,7 @@ def census_systems(G: FiniteGroup, k: int, ell: int, jobs: int = 1) -> CensusRes
 
 def bent_max_clique() -> int:
     """Maximum size of a bent set on arity 4 (d = 1) including the adjoined
-    zero function; exact branch-and-bound over all bent functions."""
+    zero function: an exact colour-ordered maximum clique (``_max_clique``)."""
     # each truth table as one 16-bit int; f + g is bent iff bent[f ^ g]
     tables = np.packbits([f.table for f in enumerate_bent(4)], axis=1,
                          bitorder="little").view("<u2")[:, 0]
@@ -713,17 +727,3 @@ def bent_max_clique() -> int:
     masks = _adjacency_masks(bent[tables[:, None] ^ tables[None, :]])
     # zero function is adjacent to every bent function (0 + f = f is bent)
     return _max_clique(masks) + 1
-
-
-def _greedy_color_bound(candidates: int, masks: list[int]) -> int:
-    colors = 0
-    remaining = candidates
-    while remaining:
-        colors += 1
-        cls = remaining
-        while cls:
-            v = (cls & -cls).bit_length() - 1
-            cls &= cls - 1
-            remaining &= ~(1 << v)
-            cls &= ~masks[v]
-    return colors

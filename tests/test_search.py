@@ -614,6 +614,41 @@ def test_max_system_size_matches_brute_force():
         assert graph.linked_pairs == 2 * edges and graph.num_edges() == edges
 
 
+def clique_union_masks(sizes):
+    """Neighbour bitmasks of the disjoint union of cliques of these sizes."""
+    masks, start = [], 0
+    for s in sizes:
+        block = ((1 << s) - 1) << start
+        masks += [block ^ (1 << (start + i)) for i in range(s)]
+        start += s
+    return masks
+
+
+@pytest.mark.parametrize("masks, size", [
+    ([], 0),                                 # no vertices
+    ([0] * 6, 1),                            # no edges
+    (clique_union_masks([9]), 9),            # K_9
+    (clique_union_masks([3, 6, 1, 5]), 6),   # the largest of a disjoint union
+    (clique_union_masks([4, 2, 2]), 4),      # the largest first
+])
+def test_max_clique_edge_cases(masks, size):
+    assert search._max_clique(masks) == size
+
+
+@pytest.mark.parametrize("density", [0.3, 0.7, 0.9])
+def test_max_clique_matches_brute_force_across_densities(density):
+    """The colour-ordered search against the subset walk on sparse to dense
+    graphs (the density-0.5 case is test_max_system_size_matches_brute_force)."""
+    rng = random.Random(int(density * 10))
+    for _ in range(25):
+        n = rng.randint(1, 13)
+        adj = [[False] * n for _ in range(n)]
+        for i, j in itertools.combinations(range(n), 2):
+            adj[i][j] = adj[j][i] = rng.random() < density
+        masks = [sum(1 << j for j in range(n) if adj[i][j]) for i in range(n)]
+        assert search._max_clique(masks) == brute_max_clique(adj)
+
+
 @pytest.mark.parametrize("factors, size", [([2, 2, 2, 2], 7), ([4, 2, 2], 3)])
 def test_max_system_size_order16(factors, size):
     """The (16,6,2,4) linking graphs of Z2^4 (448 vertices) and Z4 x Z2^2."""
