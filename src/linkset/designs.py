@@ -14,6 +14,8 @@ from .groups import (
     FiniteGroup,
     Subgroup,
     _cosets,
+    _distinct_cosets,
+    _id_array,
     _ilog,
     _independent_basis,
     _span_table,
@@ -181,12 +183,11 @@ def hyperplanes(E: Subgroup, p: int, basis=None) -> HyperplaneFamily:
     G = E.group
     if basis is None:
         basis = _independent_basis(G, E.elements, p)
-    basis = tuple(int(b) for b in basis)
+    basis = tuple(_id_array(G, basis).tolist())
     d1 = len(basis)
     if p ** d1 != E.order:
         raise ValueError("basis size does not match the subgroup order")
-    if np.any(p % G.element_orders[list(E.elements)]):
-        raise ValueError("subgroup is not elementary abelian of exponent p")
+    _check_elementary(E, p)
     span = _span_table(G, basis, p)
     inside = np.zeros(G.order, dtype=bool)
     inside[span] = True
@@ -199,10 +200,16 @@ def hyperplanes(E: Subgroup, p: int, basis=None) -> HyperplaneFamily:
     first_nonzero = (np.cumsum(coords != 0, axis=1) == 1) & (coords != 0)
     functionals = coords[(coords * first_nonzero).sum(axis=1) == 1]
     kernels = (coords @ functionals.T) % p == 0
-    members = [Subgroup(G, tuple(span[kernel].tolist())) for kernel in kernels.T]
+    members = [Subgroup(G, span[kernel]) for kernel in kernels.T]
     if len({m.elements for m in members}) != len(members):
         raise ValueError("hyperplane enumeration produced duplicates")
     return HyperplaneFamily(E, p, basis, tuple(members))
+
+
+def _check_elementary(E: Subgroup, p: int) -> None:
+    """E is elementary abelian of exponent p: every element has a^p = 1."""
+    if np.any(p % E.group.element_orders[list(E.elements)]):
+        raise ValueError(f"subgroup is not elementary abelian of exponent {p}")
 
 
 def _check_central_elementary(G: FiniteGroup, E: Subgroup, p: int, d: int) -> None:
@@ -212,8 +219,7 @@ def _check_central_elementary(G: FiniteGroup, E: Subgroup, p: int, d: int) -> No
         raise ValueError("subgroup must be central")
     if E.order != p ** (d + 1):
         raise ValueError(f"subgroup must have order {p ** (d + 1)}")
-    if np.any(p % G.element_orders[list(E.elements)]):
-        raise ValueError("subgroup must be elementary abelian")
+    _check_elementary(E, p)
 
 
 def mcfarland_construct(G: FiniteGroup, family: HyperplaneFamily,
@@ -224,53 +230,48 @@ def mcfarland_construct(G: FiniteGroup, family: HyperplaneFamily,
     them); ``assignment`` maps slot i (0-based over the s hyperplanes) to an
     index into that list, injectively, leaving exactly one coset unused.
     """
-    E = family.subgroup
-    p = family.prime
     s = family.count
-    d = _ilog(E.order, p) - 1
-    _check_central_elementary(G, E, p, d)
-    if G.order != E.order * (s + 1):
-        raise ValueError("subgroup index must be s + 1")
-    reps = [int(r) for r in transversal_reps]
-    if len(reps) != s + 1:
-        raise ValueError(f"expected {s + 1} coset representatives, got {len(reps)}")
-    _check_transversal(G, E, reps)
     assignment = [int(a) for a in assignment]
     if len(assignment) != s or len(set(assignment)) != s or not all(0 <= a <= s for a in assignment):
         raise ValueError("assignment must injectively map the s slots into the s+1 cosets")
-    slot_reps = [[reps[a] for a in assignment]]
-    record = make_record(G, _coset_unions(G, slot_reps, _slot_parts(family, None))[0].tolist())
-    q = p
-    expect = DSParams(q ** (d + 1) * (s + 1), q ** d * s,
-                      q ** d * (s - q ** d), q ** (2 * d))
-    if record.params != expect:
-        raise ValueError("constructed set does not have McFarland parameters")
-    return record
+    return _hyperplane_construct(G, family, transversal_reps, s + 1, assignment, None, "McFarland")
 
 
 def spence_construct(G: FiniteGroup, family: HyperplaneFamily,
                      transversal_reps, complemented_slot: int) -> DifferenceSetRecord:
     """Coset of E minus H_m at one slot plus cosets of the other hyperplanes."""
-    E = family.subgroup
     if family.prime != 3:
         raise ValueError("the Spence construction works over GF(3)")
-    s = family.count
-    d = _ilog(E.order, 3) - 1
-    _check_central_elementary(G, E, 3, d)
-    if G.order != E.order * s:
-        raise ValueError("subgroup index must be s")
-    reps = [int(r) for r in transversal_reps]
-    if len(reps) != s:
-        raise ValueError(f"expected {s} coset representatives, got {len(reps)}")
-    _check_transversal(G, E, reps)
     m = int(complemented_slot)
-    if not 0 <= m < s:
+    if not 0 <= m < family.count:
         raise ValueError("complemented slot out of range")
-    record = make_record(G, _coset_unions(G, [reps], _slot_parts(family, m))[0].tolist())
-    expect = DSParams(3 ** (d + 1) * s, 3 ** d * (s + 1),
-                      3 ** d * (s + 1 - 3 ** d), 3 ** (2 * d))
-    if record.params != expect:
-        raise ValueError("constructed set does not have Spence parameters")
+    return _hyperplane_construct(G, family, transversal_reps, family.count,
+                                 list(range(family.count)), m, "Spence")
+
+
+def _hyperplane_construct(G: FiniteGroup, family: HyperplaneFamily, transversal_reps,
+                          cosets: int, assignment: list[int], complemented_slot: int | None,
+                          name: str) -> DifferenceSetRecord:
+    """The builder behind ``mcfarland_construct`` (``cosets`` = s + 1) and
+    ``spence_construct`` (``cosets`` = s): E central elementary abelian of
+    index ``cosets``, one representative per coset of E, and slot i the
+    coset reps[assignment[i]] P_i (``_slot_parts``).  Both constructions
+    give v = |G|, n = p^(2d) and k the sum of the slot sizes (p^d s for
+    McFarland, 3^d (s + 1) for Spence)."""
+    E, p = family.subgroup, family.prime
+    d = _ilog(E.order, p) - 1
+    _check_central_elementary(G, E, p, d)
+    if G.order != E.order * cosets:
+        raise ValueError(f"subgroup index must be {'s + 1' if cosets > family.count else 's'}")
+    reps = _id_array(G, transversal_reps)
+    if len(reps) != cosets:
+        raise ValueError(f"expected {cosets} coset representatives, got {len(reps)}")
+    _distinct_cosets(G, E, reps)
+    parts = _slot_parts(family, complemented_slot)
+    record = make_record(G, _coset_unions(G, [reps[assignment]], parts)[0].tolist())
+    k, n = sum(map(len, parts)), p ** (2 * d)
+    if record.params != DSParams(G.order, k, k - n, n):
+        raise ValueError(f"constructed set does not have {name} parameters")
     return record
 
 
@@ -290,9 +291,9 @@ def construction_sets(family: HyperplaneFamily, reps,
     """
     G = family.subgroup.group
     s = family.count
-    _check_transversal(G, family.subgroup, reps)
+    reps = _id_array(G, reps)
+    _distinct_cosets(G, family.subgroup, reps)
     parts = _slot_parts(family, complemented_slot)
-    reps = np.asarray(reps, dtype=np.int64)
     perms = np.array(list(itertools.permutations(range(len(reps)), s)), dtype=np.int64)
     translates = []
     for H in family.members:
@@ -325,9 +326,3 @@ def _coset_unions(G: FiniteGroup, slot_reps, parts) -> np.ndarray:
                            for i, part in enumerate(parts)], axis=1).astype(np.int64)
     rows.sort(axis=1)
     return rows
-
-
-def _check_transversal(G: FiniteGroup, E: Subgroup, reps) -> None:
-    ids = _cosets(G, E)[0][list(reps)]
-    if np.bincount(ids, minlength=1).max() > 1:
-        raise ValueError("representatives do not lie in distinct cosets")

@@ -64,9 +64,12 @@ from .designs import (
 )
 from .galois import GaloisRing
 from .groups import (
+    MAX_TABLE_ORDER,
     FiniteGroup,
     Subgroup,
     _cosets,
+    _distinct_cosets,
+    _id_array,
     _radix_weights,
     _span_table,
     abelian_rank,
@@ -88,7 +91,8 @@ KILL_CACHE_BYTES = 1 << 25
 @dataclass(frozen=True)
 class DifferenceMatrix:
     """An m x (lam*|G|) array of element ids whose row-pair quotients cover
-    the group exactly lam times."""
+    the group exactly lam times.  ``rows`` may be given as any rows of ids
+    (an int array, say); they pass the id door and are held as tuples."""
 
     group: FiniteGroup
     lam: int
@@ -97,13 +101,13 @@ class DifferenceMatrix:
     def __post_init__(self):
         if self.lam < 1:
             raise ValueError(f"lam must be at least 1, got {self.lam}")
-        if not self.rows:
+        if not len(self.rows):
             raise ValueError("a difference matrix needs at least one row")
         width = self.lam * self.group.order
-        rows = tuple(tuple(int(x) for x in row) for row in self.rows)
-        if any(len(row) != width for row in rows):
+        if any(len(row) != width for row in self.rows):
             raise ValueError(f"every row must have lam*|G| = {width} entries")
-        object.__setattr__(self, "rows", rows)
+        rows = _id_array(self.group, self.rows)
+        object.__setattr__(self, "rows", tuple(map(tuple, rows.tolist())))
 
     @property
     def num_rows(self) -> int:
@@ -149,7 +153,7 @@ def normalize(M: DifferenceMatrix) -> DifferenceMatrix:
     arr = G.table[arr, np.broadcast_to(G.inv_table[arr[0]], arr.shape)]
     first = G.inv_table[arr[:, 0]]
     arr = G.table[first[:, None], arr]
-    out = DifferenceMatrix(G, M.lam, tuple(tuple(int(x) for x in row) for row in arr))
+    out = DifferenceMatrix(G, M.lam, arr)
     if not verify_dm(out):
         raise AssertionError("normalization broke the difference property")
     return out
@@ -172,7 +176,7 @@ def dm_galois_ring(e: int, t: int) -> DifferenceMatrix:
     products = ring.mul(taus[:, None], np.arange(ring.size))
     # ring digit i (the coefficient of X^i) is the exponent of factor i of G
     ids = _span_table(G, _radix_weights(G.cyclic_factors)[::-1], 2 ** e)[products]
-    M = DifferenceMatrix(G, 1, tuple(map(tuple, ids.tolist())))
+    M = DifferenceMatrix(G, 1, ids)
     if not verify_dm(M):
         raise AssertionError("Galois-ring construction failed verification")
     return M
@@ -190,7 +194,7 @@ def dm_product(M1: DifferenceMatrix, M2: DifferenceMatrix) -> DifferenceMatrix:
     G = direct_product(M1.group, M2.group)
     m = min(M1.num_rows, M2.num_rows)
     rows = M1.array()[:m, :, None] * M2.group.order + M2.array()[:m, None, :]
-    M = DifferenceMatrix(G, 1, tuple(map(tuple, rows.reshape(m, -1).tolist())))
+    M = DifferenceMatrix(G, 1, rows.reshape(m, -1))
     if not verify_dm(M):
         raise AssertionError("product composition failed verification")
     return M
@@ -244,7 +248,7 @@ def dm_auto(G: FiniteGroup, target_rows: int,
                                           for n, count in runs])
         section = _span_table(G, _radix_weights(factors)[positions],
                               [factors[p] for p in positions])
-        rows = section[M.array()].tolist()
+        rows = section[M.array()]
     elif len(names := _dm_library().get(factors, ())) >= target_rows:
         rows = _library_rows(G, names)
     else:
@@ -252,7 +256,7 @@ def dm_auto(G: FiniteGroup, target_rows: int,
                              DEFAULT_SEARCH_BUDGET if budget is None else budget).rows
         if rows is None:
             return None
-    M = DifferenceMatrix(G, 1, tuple(map(tuple, rows)))
+    M = DifferenceMatrix(G, 1, rows)
     if not verify_dm(M):
         raise AssertionError("difference matrix failed verification")
     return M
@@ -486,7 +490,10 @@ def _backtrack_dm(G: FiniteGroup, m: int, budget: int) -> DMSearch:
                 onlys.append(0 if forced & (forced - 1) else forced)
         return False
 
-    found = fill()
+    try:
+        found = fill()
+    finally:
+        del fill  # it refers to itself: free it and the kill rows now, not at the next full gc
     return DMSearch(tuple(map(tuple, rows)) if found else None, nodes)
 
 
@@ -507,31 +514,30 @@ def linked_from_dm(G: FiniteGroup, E: Subgroup, bmat, lifts=None,
     d = _two_group_depth(G)
     _check_central_elementary(G, E, 2, d)
     s = 2 ** (d + 1) - 1
-    bmat = [[int(x) for x in row] for row in bmat]
     m = len(bmat)
     if m < 3:
         raise ValueError("need at least 3 matrix rows (system size m-1 >= 2)")
     if any(len(row) != s + 1 for row in bmat):
         raise ValueError(f"matrix must have {s + 1} columns")
+    bmat = _id_array(G, bmat)
     coset = _cosets(G, E)[0]
-    if any(coset[x] != 0 for x in bmat[0]):
+    if coset[bmat[0]].any():
         raise ValueError("row 0 must project to the identity coset")
-    if not _row_pairs_cover(G, np.array(bmat), coset, 1):
+    if not _row_pairs_cover(G, bmat, coset, 1):
         raise ValueError("matrix does not project to a (G/E, m, 1)-difference matrix")
     if family is None:
         family = hyperplanes(E, 2)
     if family.subgroup.elements != E.elements:
         raise ValueError("hyperplane family does not belong to E")
     if lifts is None:
-        lifts = [[0] * s for _ in range(m - 1)]
-    lifts = [[int(x) for x in row] for row in lifts]
+        lifts = np.zeros((m - 1, s), dtype=np.int64)
     if len(lifts) != m - 1 or any(len(row) != s for row in lifts):
         raise ValueError(f"lift choice must be {(m - 1)} x {s}")
-    eset = set(E.elements)
-    if any(x not in eset for row in lifts for x in row):
+    lifts = _id_array(G, lifts)
+    if coset[lifts].any():
         raise ValueError("lift entries must lie in E")
 
-    slot_reps = G.table[np.array(bmat)[1:, 1:], np.array(lifts)]
+    slot_reps = G.table[bmat[1:, 1:], lifts]
     parts = [np.array(H.elements) for H in family.members]
     system = verify_reduced(G, _coset_unions(G, slot_reps, parts).tolist())
     if system is None:
@@ -552,20 +558,15 @@ def witness_direct(G: FiniteGroup, family: HyperplaneFamily, f_reps, g_reps) -> 
     """
     E = family.subgroup
     s = family.count
-    f = [int(x) for x in f_reps]
-    g = [int(x) for x in g_reps]
+    f, g = _id_array(G, f_reps), _id_array(G, g_reps)
     if len(f) != s or len(g) != s:
         raise ValueError(f"expected {s} representatives per side")
+    prods = G.table[f, G.inv_table[g]]
+    missing = [(set(range(s + 1)) - set(_distinct_cosets(G, E, seq).tolist())).pop()
+               for seq in (f, g, prods)]
     coset, coset_min = _cosets(G, E)
-    prods = G.table[f, G.inv_table[g]].tolist()
-    missing = []
-    for seq in (f, g, prods):
-        ids = [int(coset[x]) for x in seq]
-        if len(set(ids)) != s:
-            raise ValueError("representatives do not occupy distinct cosets")
-        missing.append((set(range(s + 1)) - set(ids)).pop())
     f0, g0 = coset_min[missing[0]], coset_min[missing[1]]
-    if int(coset[G.table[f0, G.inv_table[g0]]]) != missing[2]:
+    if coset[G.table[f0, G.inv_table[g0]]] != missing[2]:
         raise ValueError("transversal condition violated at the omitted coset")
     elems = np.array(E.elements)
     parts = [elems[~np.isin(elems, H.elements)] for H in family.members]
@@ -581,10 +582,14 @@ def _sorted_positions(factors: tuple[int, ...]) -> list[int]:
 
 def _abelian_2group_depth(G: FiniteGroup) -> int:
     """d for an abelian group of order 2^(2d+2) built from cyclic factors
-    (which are then powers of 2)."""
+    (which are then powers of 2) of rank at least d + 1, the rank that the
+    central E = Z_2^(d+1) of both abelian drivers needs."""
     if not G.abelian or G.cyclic_factors is None:
         raise ValueError("driver needs an abelian group built from cyclic factors")
-    return _two_group_depth(G)
+    d = _two_group_depth(G)
+    if abelian_rank(G) < d + 1:
+        raise ValueError(f"rank must be at least {d + 1}")
+    return d
 
 
 def _quotient_gens(G: FiniteGroup, d: int):
@@ -634,8 +639,6 @@ def build_general(G: FiniteGroup, budget: int | None = None) -> ReducedLinkingSy
     if d == 0:
         # the quotient would be Z2, and no 4-row difference matrix over Z2 exists
         raise ValueError("d must be at least 1 (order at least 16)")
-    if abelian_rank(G) < d + 1:
-        raise ValueError(f"rank must be at least {d + 1}")
     if exponent(G) > 2 ** (d + 1):
         raise ValueError(f"exponent must be at most {2 ** (d + 1)}")
     return _build_from_quotient_dm(G, *_quotient_gens(G, d), 4, budget)
@@ -646,8 +649,6 @@ def build_improved(G: FiniteGroup, budget: int | None = None) -> ReducedLinkingS
     2 <= e <= (d+3)/2, via a larger quotient difference matrix (``budget``
     as in dm_auto)."""
     d = _abelian_2group_depth(G)
-    if abelian_rank(G) < d + 1:
-        raise ValueError(f"rank must be at least {d + 1}")
     e = _factor_exponent(exponent(G))
     if not 2 <= e <= (d + 3) / 2:
         raise ValueError("exponent 2^e must satisfy 2 <= e <= (d+3)/2")
@@ -655,11 +656,19 @@ def build_improved(G: FiniteGroup, budget: int | None = None) -> ReducedLinkingS
     return _build_from_quotient_dm(G, *_quotient_gens(G, d), m, budget)
 
 
+def _check_depth(d: int) -> None:
+    """Reject d < 1, or a d whose groups of order 2^(2d+2) are past the table
+    limit, from the exponent alone, before any power of 2 is formed."""
+    if d < 1:
+        raise ValueError("d must be a positive integer")
+    if 2 * d + 2 > MAX_TABLE_ORDER.bit_length() - 1:
+        raise ValueError(f"group order 2^{2 * d + 2} exceeds table limit {MAX_TABLE_ORDER}")
+
+
 def build_tyken(d: int, K: FiniteGroup) -> ReducedLinkingSystem:
     """Size 2^(d+1)-1 system in D4 x K for abelian K of order 2^(2d-1) and
     exponent at most 4."""
-    if d < 1:
-        raise ValueError("d must be a positive integer")
+    _check_depth(d)
     if not K.abelian or K.cyclic_factors is None:
         raise ValueError("K must be an abelian group built from cyclic factors")
     if K.order != 2 ** (2 * d - 1):
@@ -688,8 +697,7 @@ def build_nonreversible(d: int) -> ReducedLinkingSystem:
     to x_1, and the lift e_{1,1} is the identity, so D_1 contains x_1 but
     not x_1^3.
     """
-    if d < 1:
-        raise ValueError("d must be a positive integer")
+    _check_depth(d)
     G = make_abelian([4] * (d + 1))
     e_gens, q_gens, q_orders = _quotient_gens(G, d)
     system = _build_from_quotient_dm(G, e_gens[::-1], q_gens, q_orders, 2 ** (d + 1))

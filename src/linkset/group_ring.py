@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import FiniteGroup, _prime_factors, _scratch_rows
+from .groups import FiniteGroup, _id_array, _prime_factors, _scratch_rows
 
 # Largest root-of-unity matrix of the transform: a group takes the
 # transform only if each cyclic factor fits in one block.  It sets the
@@ -90,7 +90,7 @@ def all_ones(G: FiniteGroup) -> GroupRingElement:
 
 def from_subset(G: FiniteGroup, S) -> GroupRingElement:
     c = np.zeros(G.order, dtype=np.int64)
-    c[_subset_ids(G, S)] = 1
+    c[_subset_rows(G, [S])[0]] = 1
     return GroupRingElement(G, c)
 
 
@@ -499,29 +499,17 @@ def _count_autocorrelations(G: FiniteGroup, sets) -> np.ndarray:
 
 
 def _subset_rows(G: FiniteGroup, sets):
-    """The checked ids of each subset: one (n, k) int64 array when ``sets``
-    is one or holds sets of one size k, else a list of ``_subset_ids`` arrays."""
+    """The ids of each subset, through the id door ``groups._id_array``: one
+    (n, k) int64 array when ``sets`` is one or holds sets of one size k,
+    else a list of int64 arrays.  Rejects a set with a repeated id."""
     if isinstance(sets, np.ndarray) and sets.ndim == 2:
-        arr = _check_range(G, sets.astype(np.int64, copy=False))
-        ordered = np.sort(arr, axis=1)
-        if (ordered[:, 1:] == ordered[:, :-1]).any():
+        rows = _id_array(G, sets)
+    else:
+        rows = [_id_array(G, S) for S in sets]
+        if rows and len({len(S) for S in rows}) == 1:
+            rows = np.stack(rows)
+    for S in [rows] if isinstance(rows, np.ndarray) else rows:
+        S = np.sort(S, axis=-1)
+        if (S[..., 1:] == S[..., :-1]).any():
             raise ValueError("subset contains a repeated element")
-        return arr
-    rows = [_subset_ids(G, S) for S in sets]
-    return np.stack(rows) if rows and len({len(S) for S in rows}) == 1 else rows
-
-
-def _subset_ids(G: FiniteGroup, S) -> np.ndarray:
-    """The ids of S as an int64 array; rejects out-of-range and repeated ids."""
-    arr = _check_range(G, np.asarray(S if isinstance(S, np.ndarray) else list(S),
-                                     dtype=np.int64).reshape(-1))
-    if arr.size and np.bincount(arr).max() > 1:
-        raise ValueError("subset contains a repeated element")
-    return arr
-
-
-def _check_range(G: FiniteGroup, arr: np.ndarray) -> np.ndarray:
-    if arr.size and (arr.min() < 0 or arr.max() >= G.order):
-        bad = arr[(arr < 0) | (arr >= G.order)][0]
-        raise ValueError(f"element id {bad} out of range")
-    return arr
+    return rows

@@ -176,22 +176,21 @@ class Subgroup:
     elements: tuple[int, ...]
 
     def __post_init__(self):
-        elems = tuple(sorted(set(self.elements)))
-        object.__setattr__(self, "elements", elems)
         G = self.group
-        if 0 not in elems:
+        inside = np.zeros(G.order, dtype=bool)
+        inside[_id_array(G, self.elements)] = True
+        e = np.flatnonzero(inside)
+        object.__setattr__(self, "elements", tuple(e.tolist()))
+        if not inside[0]:
             raise ValueError("subgroup must contain the identity")
         # the first element, in id order, with its inverse or a product
         # outside the set names the failure
-        e = np.array(elems, dtype=np.int64)
-        inside = np.zeros(G.order, dtype=bool)
-        inside[e] = True
         no_inverse = ~inside[G.inv_table[e]]
         bad = np.flatnonzero(no_inverse | ~inside[G.table[np.ix_(e, e)]].all(axis=1))
         if len(bad):
             raise ValueError("subgroup not closed under inverses" if no_inverse[bad[0]]
                              else "subgroup not closed under products")
-        if G.order % len(elems) != 0:
+        if G.order % len(e) != 0:
             raise ValueError("subgroup order does not divide group order")
 
     @property
@@ -210,11 +209,8 @@ class CosetTransversal:
     reps: tuple[int, ...]
 
     def __post_init__(self):
-        ids, reps = _cosets(self.subgroup.group, self.subgroup)
-        taken = ids[list(self.reps)]
-        if np.bincount(taken, minlength=1).max() > 1:
-            raise ValueError("coset representatives overlap")
-        if len(taken) != len(reps):
+        H = self.subgroup
+        if len(_distinct_cosets(H.group, H, self.reps)) != H.group.order // H.order:
             raise ValueError("coset representatives do not cover the group")
 
 
@@ -235,6 +231,28 @@ def _rows_permute(block: np.ndarray) -> bool:
     seen = np.zeros(r * v, dtype=bool)
     seen[block + (np.arange(r) * v)[:, None]] = True  # intp positions: int32 ones get a cast
     return bool(seen.all())
+
+
+def _id_array(G: FiniteGroup, ids) -> np.ndarray:
+    """The element ids ``ids`` (an array, or a sequence of ids or of rows of
+    ids) as an int64 array of their shape: the one door through which every
+    public entry lets ids in.  ValueError names the first value that is no
+    integer (a float, a bool, a string: numpy reads True and 1.5 as 1) or
+    no id of G (outside 0..|G|-1: numpy wraps -1 round to |G|-1)."""
+    arr = ids
+    if not isinstance(ids, np.ndarray):
+        arr = np.asarray(ids := list(ids))
+        if arr.dtype.kind not in "iu" or not {bool, np.bool_}.isdisjoint(map(
+                type, ids if arr.ndim == 1 else np.asarray(ids, dtype=object).flat)):
+            arr = np.asarray(ids, dtype=object)  # the values as given, for the scan below
+    if arr.dtype.kind not in "iu":
+        for x in arr.flat:
+            if isinstance(x, (bool, np.bool_)) or not isinstance(x, (int, np.integer)):
+                raise ValueError(f"element id {x!r} is not an integer")
+    if arr.size and (arr.min() < 0 or arr.max() >= G.order):
+        bad = arr[(arr < 0) | (arr >= G.order)].flat[0]
+        raise ValueError(f"element id {bad} out of range for a group of order {G.order}")
+    return arr.astype(np.int64, copy=False)
 
 
 def _check_table_order(v: int) -> None:
@@ -258,7 +276,7 @@ def make_abelian(invariant_factors: list[int] | tuple[int, ...]) -> FiniteGroup:
     v = 1
     for n in factors:
         v *= n
-    _check_table_order(v)
+        _check_table_order(v)  # stop at the first partial product past the limit
     table = np.zeros((1, 1), dtype=np.int32)
     for n in reversed(factors):  # the long axes, the table so far, innermost
         cyclic = np.arange(n, dtype=np.int32)
@@ -413,7 +431,7 @@ def group_from_spec(spec: object) -> FiniteGroup:
 
 def center(G: FiniteGroup) -> Subgroup:
     mask = np.all(G.table == G.table.T, axis=1)
-    return Subgroup(G, tuple(int(i) for i in np.nonzero(mask)[0]))
+    return Subgroup(G, np.flatnonzero(mask))
 
 
 def exponent(G: FiniteGroup) -> int:
@@ -482,7 +500,7 @@ def subgroup_generated(G: FiniteGroup, gens) -> Subgroup:
     generators: each round gathers frontier x generator and generator x
     frontier from the table and keeps the products not yet in the
     membership mask as the next frontier."""
-    gens = np.array([int(g) for g in gens], dtype=np.int64)
+    gens = _id_array(G, gens)
     inside = np.zeros(G.order, dtype=bool)
     inside[0] = True
     frontier = np.zeros(1, dtype=np.int64)
@@ -493,13 +511,12 @@ def subgroup_generated(G: FiniteGroup, gens) -> Subgroup:
         fresh &= ~inside
         inside |= fresh
         frontier = np.flatnonzero(fresh)
-    return Subgroup(G, tuple(np.flatnonzero(inside).tolist()))
+    return Subgroup(G, np.flatnonzero(inside))
 
 
 def is_central(G: FiniteGroup, S) -> bool:
-    elems = S.elements if isinstance(S, Subgroup) else S
-    sub = G.table[:, list(elems)]
-    return bool(np.array_equal(sub, G.table[list(elems), :].T))
+    elems = _id_array(G, S.elements if isinstance(S, Subgroup) else S)
+    return bool(np.array_equal(G.table[:, elems], G.table[elems, :].T))
 
 
 def is_normal(G: FiniteGroup, N: Subgroup) -> bool:
@@ -541,6 +558,16 @@ def _cosets(G: FiniteGroup, H: Subgroup) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("subgroup belongs to a different group")
     reps, ids = np.unique(G.table[:, list(H.elements)].min(axis=1), return_inverse=True)
     return ids, reps
+
+
+def _distinct_cosets(G: FiniteGroup, H: Subgroup, reps) -> np.ndarray:
+    """The left coset id (numbered as ``_cosets`` numbers them) of each of
+    the representatives ``reps``; ValueError when two of them lie in one
+    coset of H."""
+    ids = _cosets(G, H)[0][_id_array(G, reps)]
+    if np.bincount(ids, minlength=1).max() > 1:
+        raise ValueError("representatives do not lie in distinct cosets")
+    return ids
 
 
 def quotient(G: FiniteGroup, N: Subgroup):

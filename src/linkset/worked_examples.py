@@ -18,11 +18,11 @@ from .groups import FiniteGroup, make_abelian, subgroup_generated
 
 
 def _ids(G: FiniteGroup, words: list[str]) -> tuple[int, ...]:
-    return tuple(sorted(G.element(w) for w in words))
+    return tuple(sorted(G.element_ids(words)))
 
 
 def _matrix_ids(G: FiniteGroup, rows: list[list[str]]) -> list[list[int]]:
-    return [[G.element(w) for w in row] for row in rows]
+    return [G.element_ids(row) for row in rows]
 
 
 # -- the linked triple in Z4 x Z4 ------------------------------------------------
@@ -62,32 +62,31 @@ TRIPLE_E_WORDS = [
 
 
 def triple_dm_data(G: FiniteGroup):
-    E = subgroup_generated(G, [G.element("x1^2"), G.element("x2^2")])
-    family = hyperplanes(E, 2, (G.element("x1^2"), G.element("x2^2")))
-    bmat = _matrix_ids(G, TRIPLE_B_WORDS)
-    emat = _matrix_ids(G, TRIPLE_E_WORDS)
-    return E, family, bmat, emat
+    basis = G.element_ids(["x1^2", "x2^2"])
+    E = subgroup_generated(G, basis)
+    return (E, hyperplanes(E, 2, basis), _matrix_ids(G, TRIPLE_B_WORDS),
+            _matrix_ids(G, TRIPLE_E_WORDS))
 
 
-# the two base matrices whose row multiples and lift choices generate every
+# a (Z2^2, 4, 1)-difference matrix in the words x1, x2: the (Z2^2, 4, 1)
+# example, the matrix of the order-16 worked example, and the first of the
+# two base matrices whose row multiples and lift choices generate every
 # maximum-size reduced linking system in Z4 x Z4
-CENSUS_B1_WORDS = [
+DM_Z2Z2_WORDS = [
     ["1", "1", "1", "1"],
     ["1", "x1", "x2", "x1*x2"],
     ["1", "x2", "x1*x2", "x1"],
     ["1", "x1*x2", "x1", "x2"],
 ]
-CENSUS_B2_WORDS = [
+# the second base matrix: with it no member of the resulting system is
+# reversible (for any lift choice); with the matrix after it all three
+# members are reversible
+NONE_REVERSIBLE_B_WORDS = [
     ["1", "1", "1", "1"],
     ["1", "x1", "x1*x2", "x2"],
     ["1", "x2", "x1", "x1*x2"],
     ["1", "x1*x2", "x2", "x1"],
 ]
-
-# steering reversibility: with the first matrix below no member of the
-# resulting system is reversible (for any lift choice); with the second all
-# three members are reversible
-NONE_REVERSIBLE_B_WORDS = CENSUS_B2_WORDS
 ALL_REVERSIBLE_B_WORDS = [
     ["1", "1", "1", "1"],
     ["x1", "1", "x2", "x1*x2"],
@@ -96,28 +95,21 @@ ALL_REVERSIBLE_B_WORDS = [
 ]
 
 
-def census_b_matrices(G: FiniteGroup):
-    return _matrix_ids(G, CENSUS_B1_WORDS), _matrix_ids(G, CENSUS_B2_WORDS)
-
-
 def construction_side_systems(G: FiniteGroup) -> set[frozenset[frozenset[int]]]:
     """All 2^16 maximum-size systems in Z4 x Z4 built from the two base
     matrices, the 4^3 row multiples, and the 2^9 effective lift choices."""
-    E = subgroup_generated(G, [G.element("x1^2"), G.element("x2^2")])
-    family = hyperplanes(E, 2, (G.element("x1^2"), G.element("x2^2")))
-    lift_options = []
-    for H in family.members:
-        outside = next(h for h in E.elements if h not in set(H.elements))
-        lift_options.append((0, outside))
-    coset_reps = [G.element(w) for w in ("1", "x1", "x2", "x1*x2")]
+    E, family = triple_dm_data(G)[:2]
+    lift_options = [(0, next(h for h in E.elements if h not in H.elements))
+                    for H in family.members]
+    coset_reps = G.element_ids(["1", "x1", "x2", "x1*x2"])
 
     row_mults = np.array(list(itertools.product(coset_reps, repeat=3)))
     lifts = np.array(list(itertools.product(*(lift_options[j % 3] for j in range(9)))))
     parts = [np.array(H.elements) for H in family.members]
     out: set[frozenset[frozenset[int]]] = set()
-    for bmat in census_b_matrices(G):
+    for words in (DM_Z2Z2_WORDS, NONE_REVERSIBLE_B_WORDS):
         # slot_reps[r, l, i, j] = b_ij * row_mults[r, i] * lifts[l, i, j], members i, j = 1..3
-        b = G.table[np.array(bmat)[None, 1:, 1:], row_mults[:, :, None]]
+        b = G.table[np.array(_matrix_ids(G, words))[None, 1:, 1:], row_mults[:, :, None]]
         slot_reps = G.table[b[:, None], lifts.reshape(1, -1, 3, 3)]
         members = _coset_unions(G, slot_reps.reshape(-1, 3), parts).reshape(-1, 3, 6)
         out |= {frozenset(map(frozenset, system)) for system in members.tolist()}
@@ -126,27 +118,14 @@ def construction_side_systems(G: FiniteGroup) -> set[frozenset[frozenset[int]]]:
 
 # -- a (Z2^2, 4, 1)-difference matrix --------------------------------------------
 
-DM_Z2Z2_WORDS = [
-    ["1", "1", "1", "1"],
-    ["1", "x1", "x2", "x1*x2"],
-    ["1", "x2", "x1*x2", "x1"],
-    ["1", "x1*x2", "x1", "x2"],
-]
-
 
 def dm_z2z2() -> DifferenceMatrix:
     G = make_abelian([2, 2])
-    return DifferenceMatrix(G, 1, tuple(tuple(row) for row in _matrix_ids(G, DM_Z2Z2_WORDS)))
+    return DifferenceMatrix(G, 1, _matrix_ids(G, DM_Z2Z2_WORDS))
 
 
 # -- the order-16 worked example over Z4 x Z2 x Z2 -------------------------------
 
-ORDER16_B_WORDS = [
-    ["1", "1", "1", "1"],
-    ["1", "x1", "x2", "x1*x2"],
-    ["1", "x2", "x1*x2", "x1"],
-    ["1", "x1*x2", "x1", "x2"],
-]
 ORDER16_E_WORDS = [
     ["1", "1", "1"],
     ["x3", "x1^2", "x1^2"],
@@ -163,10 +142,8 @@ ORDER16_WITNESS_23 = ["x1*x3", "x1^3*x3", "x2", "x2*x3", "x1*x2", "x1^3*x2*x3"]
 def order16_worked_example():
     """Group, central subgroup, hyperplane family, matrices, expected sets."""
     G = make_abelian([4, 2, 2])
-    E = subgroup_generated(G, [G.element("x1^2"), G.element("x3")])
-    family = hyperplanes(E, 2, (G.element("x1^2"), G.element("x3")))
-    bmat = _matrix_ids(G, ORDER16_B_WORDS)
-    emat = _matrix_ids(G, ORDER16_E_WORDS)
-    expected = [_ids(G, words) for words in ORDER16_EXPECTED_SETS]
-    witness23 = _ids(G, ORDER16_WITNESS_23)
-    return G, E, family, bmat, emat, expected, witness23
+    basis = G.element_ids(["x1^2", "x3"])
+    E = subgroup_generated(G, basis)
+    return (G, E, hyperplanes(E, 2, basis), _matrix_ids(G, DM_Z2Z2_WORDS),
+            _matrix_ids(G, ORDER16_E_WORDS), [_ids(G, words) for words in ORDER16_EXPECTED_SETS],
+            _ids(G, ORDER16_WITNESS_23))

@@ -372,6 +372,28 @@ def test_orders_past_the_table_limit_are_usage_errors():
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["build", "nonrev", "-d", "6"],
+    ["build", "nonrev", "-d", "100000"],
+    ["build", "nonrev", "-d", "1000000"],
+    ["build", "tyken", "-d", "1000000", "--group", '{"abelian": [2]}'],
+])
+def test_depths_past_the_table_limit_are_usage_errors(monkeypatch, argv):
+    """A depth whose groups, of order 2^(2d+2), are past the table limit is
+    rejected from d alone, before any group is built: one error line that
+    names the order as a power of 2, not its thousands of digits."""
+    from linkset import diffmat
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("builder work ran")
+
+    for name in ("make_abelian", "direct_product", "make_dihedral8", "_build_from_quotient_dm"):
+        monkeypatch.setattr(diffmat, name, no_build)
+    d = int(argv[3])
+    assert run_capture(argv) == (
+        2, "", f"error: group order 2^{2 * d + 2} exceeds table limit 4096\n")
+
+
 def test_build_general_rejects_order_4():
     code, out, err = run_capture(["build", "general", "--group", '{"abelian": [2, 2]}'])
     assert code == 2 and out == "" and "d must be at least 1" in err

@@ -303,6 +303,30 @@ def test_search_memory_stays_within_the_kill_row_cap():
     assert peak < KILL_CACHE_BYTES + 64 * 2 ** 20
 
 
+def test_the_search_leaves_no_reference_cycles_behind():
+    """The search's recursive ``fill`` is unbound on every way out, so no
+    reference cycle keeps its closures and the kill-row cache alive until
+    the next full collection: after a found search (Z4 x Z2 x Z2), an
+    absent one (Z4 x Z2, 5 rows) and an inconclusive one (Z8 x Z4)."""
+    import gc
+
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert _backtrack_dm(make_abelian([4, 2, 2]), 4, 10 ** 6).rows is not None
+        assert _backtrack_dm(make_abelian([4, 2]), 5, 10 ** 6).rows is None
+        with pytest.raises(SearchInconclusive):
+            _backtrack_dm(make_abelian([8, 4]), 4, 100)
+        gc.collect()
+        names = {getattr(obj, "__qualname__", "") for obj in gc.garbage}
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert not [name for name in names if name.startswith("_backtrack_dm.")]
+
+
 @pytest.mark.parametrize("factors", [[4], [8], [16]])
 def test_search_proves_absence_on_cyclic_groups(factors):
     search = _backtrack_dm(make_abelian(factors), 3, 10 ** 6)

@@ -367,6 +367,14 @@ def test_orders_past_the_table_limit_are_rejected_before_allocating(spec):
     assert peak < 32 * 2 ** 20
 
 
+def test_make_abelian_stops_its_product_past_the_table_limit():
+    """A million factors of 2 stop at the first partial product past the
+    limit, 8192, and the message names that order: the product of them all
+    is never formed, so neither is a number too long to print."""
+    with pytest.raises(ValueError, match="^group order 8192 exceeds table limit 4096$"):
+        make_abelian([2] * 10 ** 6)
+
+
 def test_element_name_round_trip():
     for G in SMALL_GROUPS:
         for a in G.elements():
@@ -722,3 +730,104 @@ def test_span_helpers_and_hyperplanes_match_scalar_references(G, p):
     pairs = {_scalar_closure(G, pair) for pair in itertools.combinations(torsion, 2)}
     assert [H.elements for H in find_central_elementary_abelian(G, 2, p=p)] == sorted(
         H for H in pairs if len(H) == p * p)
+
+
+def _id_entries():
+    """Each public entry that takes element ids, as (G, the id x that makes
+    its input valid, a call with x in one place of an id): the sets of the
+    group ring, designs and linking layers, the subgroup layer, the
+    hyperplane constructions and the difference-matrix layer."""
+    from linkset import group_ring as rg
+    from linkset.designs import (
+        construction_sets,
+        is_difference_set,
+        mcfarland_construct,
+        spence_construct,
+    )
+    from linkset.diffmat import DifferenceMatrix, linked_from_dm, witness_direct
+    from linkset.linking import verify_reduced
+    from linkset.worked_examples import linked_triple_z4z4, triple_dm_data
+
+    G, sets = linked_triple_z4z4()
+    E, family, bmat, lifts = triple_dm_data(G)
+    reps = list(coset_transversal(G, E).reps)
+    G3 = make_abelian([3, 3, 2, 2])
+    E3 = find_central_elementary_abelian(G3, 2, p=3)[0]
+    family3 = hyperplanes(E3, 3)
+    reps3 = list(coset_transversal(G3, E3).reps)
+    V4 = make_abelian([2, 2])
+
+    def put(rows, x, i=1, j=1):
+        """``rows`` with row i, column j replaced by ``x``."""
+        out = [list(row) for row in rows]
+        out[i][j] = x
+        return out
+
+    f = [G.mul(bmat[1][c], lifts[0][c - 1]) for c in range(1, 4)]
+    g = [G.mul(bmat[2][c], lifts[1][c - 1]) for c in range(1, 4)]
+    return {
+        "from_subset": (G, 1, lambda x: rg.from_subset(G, [0, x])),
+        "autocorrelations": (G, 1, lambda x: rg.autocorrelations(G, [[0, x]])),
+        "indicators": (G, 1, lambda x: rg.indicators(G, [[0, x], [1, 2]])),
+        "is_difference_set": (G, sets[0][-1],
+                              lambda x: is_difference_set(G, [*sets[0][:-1], x])),
+        "verify_reduced": (G, sets[0][0], lambda x: verify_reduced(G, put(sets, x, 0, 0))),
+        "Subgroup": (G, 0, lambda x: Subgroup(G, (0, x))),
+        "CosetTransversal": (G, reps[-1], lambda x: CosetTransversal(E, (*reps[:-1], x))),
+        "subgroup_generated": (G, 1, lambda x: subgroup_generated(G, [x])),
+        "is_central": (G, 0, lambda x: is_central(G, [0, x])),
+        "hyperplanes": (G, family.basis[1],
+                        lambda x: hyperplanes(E, 2, (family.basis[0], x))),
+        "mcfarland_construct": (G, reps[-1], lambda x: mcfarland_construct(
+            G, family, [*reps[:-1], x], [1, 2, 3])),
+        "spence_construct": (G3, reps3[-1], lambda x: spence_construct(
+            G3, family3, [*reps3[:-1], x], 0)),
+        "construction_sets": (G, reps[-1], lambda x: construction_sets(family, [*reps[:-1], x])),
+        "DifferenceMatrix": (V4, 1, lambda x: DifferenceMatrix(V4, 1, put([[0] * 4, range(4)], x))),
+        "linked_from_dm bmat": (G, bmat[1][1], lambda x: linked_from_dm(
+            G, E, put(bmat, x), lifts, family=family)),
+        "linked_from_dm lifts": (G, lifts[0][0], lambda x: linked_from_dm(
+            G, E, bmat, put(lifts, x, 0, 0), family=family)),
+        "witness_direct": (G, f[-1], lambda x: witness_direct(G, family, [*f[:-1], x], g)),
+    }
+
+
+ID_ENTRIES = sorted(_id_entries())
+
+
+@pytest.mark.parametrize("bad", [-1, "|G|", 1.5, True, "1"], ids=str)
+@pytest.mark.parametrize("entry", ID_ENTRIES)
+def test_every_id_entry_rejects_what_is_no_id(entry, bad):
+    """Every public entry that takes element ids lets them in through one
+    door, ``groups._id_array``: an id outside 0..|G|-1 (-1 and |G|, which
+    numpy would wrap round or index past) and a value that is no integer
+    (a float, a bool, a string, which numpy would read as 1) raise
+    ValueError naming the value, never a silent result or an IndexError."""
+    G, _, call = _id_entries()[entry]
+    with pytest.raises(ValueError, match=r"^element id .+ (out of range|is not an integer)"):
+        call(G.order if bad == "|G|" else bad)
+
+
+def test_the_id_entries_accept_their_valid_input():
+    """With the valid id in the bad value's place every call of the test
+    above goes through, so each rejection there is the bad value's."""
+    for _, good, call in _id_entries().values():
+        call(good)
+
+
+def test_ids_pass_through_the_door_unchanged():
+    """Good ids come out as int64 arrays of their shape, from lists, tuples,
+    rows, generators and numpy arrays of any integer type; a -1 in an
+    unsigned array and an int past int64 are out of range too."""
+    from linkset.groups import _id_array
+
+    G = make_abelian([4, 4])
+    for ids, want in [([3, 0, 15], [3, 0, 15]), ((np.int32(2), 5), [2, 5]), ([], []),
+                      ((x for x in (1, 2)), [1, 2]), ([[0, 1], (2, 3)], [[0, 1], [2, 3]]),
+                      (np.array([7, 8], dtype=np.uint8), [7, 8])]:
+        out = _id_array(G, ids)
+        assert out.dtype == np.int64 and out.tolist() == want
+    for ids in (np.array([2 ** 64 - 1], dtype=np.uint64), [2 ** 70], [[0, 1], [2, True]],
+                np.array([1.0]), np.array([True])):
+        with pytest.raises(ValueError, match="element id"):
+            _id_array(G, ids)

@@ -89,7 +89,7 @@ def test_every_module_constant_is_read():
     package = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
     others = [ast.parse(path.read_text()) for folder in ("tests", "demos")
               for path in sorted((root / folder).glob("*.py"))]
-    assert sum(len(_module_constants(tree)) for tree in package) >= 30  # the scan sees them
+    assert sum(len(_module_constants(tree)) for tree in package) >= 27  # the scan sees them
     assert _unread_constants(package, package + others) == []
     # a constant set twice, set through an attribute or named only in a
     # string is unread; one read in another module, as an attribute or
@@ -537,3 +537,85 @@ def test_each_fact_is_held_once():
                      "    def f(self):\n        self.n += 1\n        return self.a\n"
                      "    def g(self):\n        x = self.a\n")
     assert _attribute_stores(tree, "m") == {"m.K.__init__", "m.K.f"}
+
+
+def _raises_with(tree: ast.Module, module: str, text: str) -> set[str]:
+    """The scopes that raise with a message, or a piece of an f-string
+    message, containing ``text``."""
+    return _scopes_where(tree, module, lambda node: isinstance(node, ast.Raise) and any(
+        isinstance(sub, ast.Constant) and isinstance(sub.value, str) and text in sub.value
+        for sub in ast.walk(node)))
+
+
+ORDERINGS = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+
+
+def _order_comparisons(tree: ast.Module, module: str) -> set[str]:
+    """The scopes that compare a value with a group order (an attribute
+    ``order``) by <, <=, > or >=, other than two orders or an order and
+    an UPPER_CASE module constant: the shape of an id range test."""
+    def sizes(x) -> bool:
+        return _named(x, {"order"}) or (isinstance(x, ast.Name) and x.id.isupper())
+
+    return _scopes_where(tree, module, lambda node: isinstance(node, ast.Compare)
+                         and any(isinstance(op, ORDERINGS) for op in node.ops)
+                         and sum(_named(x, {"order"}) for x in (node.left, *node.comparators)) == 1
+                         and sum(sizes(x) for x in (node.left, *node.comparators)) == 1)
+
+
+def _modulo_element_orders(tree: ast.Module, module: str) -> set[str]:
+    """The scopes that take a value modulo ``element_orders[...]``: the shape
+    of an exponent test, whether a^p = 1."""
+    return _scopes_where(tree, module, lambda node: isinstance(node, ast.BinOp)
+                         and isinstance(node.op, ast.Mod) and isinstance(node.right, ast.Subscript)
+                         and _named(node.right.value, {"element_orders"}))
+
+
+def test_one_check_per_precondition():
+    """Each precondition of the constructions is checked in one scope.
+    Element ids are let in through one door, ``groups._id_array``, the only
+    scope that compares a value with a group's order; the one other message
+    on ids is the enumeration's own check that the rows it keys are
+    strictly increasing (``search._translation_classes``).  That
+    representatives lie in distinct cosets is ``groups._distinct_cosets``,
+    called by the transversal, both hyperplane constructions and the
+    direct witness.  That E is elementary
+    abelian of exponent p is ``designs._check_elementary``, which
+    ``hyperplanes`` and ``_check_central_elementary`` call; the only other
+    exponent test is the torsion filter of ``find_central_elementary_abelian``,
+    which selects the elements with a^p = 1 and checks nothing.  McFarland
+    and Spence are built by one ``designs._hyperplane_construct``."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+    def scan(shape, *args) -> set[str]:
+        return set().union(*(shape(tree, stem, *args) for stem, tree in trees.items()))
+
+    assert scan(_order_comparisons) == {"groups._id_array"}
+    assert scan(_raises_with, "element id") == {"groups._id_array", "search._translation_classes"}
+    assert scan(_raises_with, "distinct cosets") == {"groups._distinct_cosets"}
+    assert scan(_calls_to, {"_distinct_cosets"}) == {
+        "groups.CosetTransversal.__post_init__", "designs._hyperplane_construct",
+        "designs.construction_sets", "diffmat.witness_direct"}
+    assert scan(_raises_with, "elementary abelian of") == {"designs._check_elementary"}
+    assert scan(_modulo_element_orders) == {"designs._check_elementary",
+                                           "groups.find_central_elementary_abelian"}
+    assert scan(_calls_to, {"_check_elementary"}) == {"designs.hyperplanes",
+                                                      "designs._check_central_elementary"}
+    assert scan(_calls_to, {"_hyperplane_construct"}) == {"designs.mcfarland_construct",
+                                                          "designs.spence_construct"}
+    assert scan(_raises_with, "constructed set does not have") == {
+        "designs._hyperplane_construct"}
+    # the scans see a range test on either side and in a method, an exponent
+    # test on element_orders, and a message in an f-string; a comparison of
+    # two orders or with a limit, a modulo by anything else and a docstring
+    # are none
+    tree = ast.parse("def f(G, a):\n    return a.max() >= G.order\n"
+                     "class K:\n    def g(self, x):\n        return self.G.order > x\n"
+                     "def h(G, H):\n    return H.order < G.order or G.order <= MAX_ORDER\n"
+                     "def k(G, p, e):\n    return p % G.element_orders[e]\n"
+                     "def m(p, e):\n    return p % orders[e]\n"
+                     "def n(x):\n    raise ValueError(f'element id {x} out of range')\n"
+                     "def q(x):\n    'an element id'\n    return x\n")
+    assert _order_comparisons(tree, "m") == {"m.f", "m.K.g"}
+    assert _modulo_element_orders(tree, "m") == {"m.k"}
+    assert _raises_with(tree, "m", "element id") == {"m.n"}
