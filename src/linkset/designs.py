@@ -122,11 +122,13 @@ def complement(record: DifferenceSetRecord) -> DifferenceSetRecord:
 
 def is_reversible(record: DifferenceSetRecord) -> bool:
     """True iff the set is inverse-closed (D = D^(-1))."""
-    G = record.group
-    elements = list(record.elements)
-    inside = np.zeros(G.order, dtype=bool)
-    inside[elements] = True
-    return bool(inside[G.inv_table[elements]].all())
+    return bool(_inverse_closed(record.group, [record.elements])[0])
+
+
+def _inverse_closed(G: FiniteGroup, rows) -> np.ndarray:
+    """Whether each row of sorted distinct ids is reversible (D = D^(-1))."""
+    rows = np.asarray(rows, dtype=np.int64)
+    return (np.sort(G.inv_table[rows], axis=1) == rows).all(axis=1)
 
 
 def two_group_params(r: int) -> DSParams:
@@ -230,91 +232,87 @@ def mcfarland_construct(G: FiniteGroup, family: HyperplaneFamily,
     them); ``assignment`` maps slot i (0-based over the s hyperplanes) to an
     index into that list, injectively, leaving exactly one coset unused.
     """
-    s = family.count
-    assignment = [int(a) for a in assignment]
-    if len(assignment) != s or len(set(assignment)) != s or not all(0 <= a <= s for a in assignment):
-        raise ValueError("assignment must injectively map the s slots into the s+1 cosets")
-    return _hyperplane_construct(G, family, transversal_reps, s + 1, assignment, None, "McFarland")
+    return make_record(G, _hyperplane_sets(G, family, transversal_reps, None,
+                                           assignment)[0].tolist())
 
 
 def spence_construct(G: FiniteGroup, family: HyperplaneFamily,
                      transversal_reps, complemented_slot: int) -> DifferenceSetRecord:
     """Coset of E minus H_m at one slot plus cosets of the other hyperplanes."""
-    if family.prime != 3:
-        raise ValueError("the Spence construction works over GF(3)")
-    m = int(complemented_slot)
-    if not 0 <= m < family.count:
-        raise ValueError("complemented slot out of range")
-    return _hyperplane_construct(G, family, transversal_reps, family.count,
-                                 list(range(family.count)), m, "Spence")
-
-
-def _hyperplane_construct(G: FiniteGroup, family: HyperplaneFamily, transversal_reps,
-                          cosets: int, assignment: list[int], complemented_slot: int | None,
-                          name: str) -> DifferenceSetRecord:
-    """The builder behind ``mcfarland_construct`` (``cosets`` = s + 1) and
-    ``spence_construct`` (``cosets`` = s): E central elementary abelian of
-    index ``cosets``, one representative per coset of E, and slot i the
-    coset reps[assignment[i]] P_i (``_slot_parts``).  Both constructions
-    give v = |G|, n = p^(2d) and k the sum of the slot sizes (p^d s for
-    McFarland, 3^d (s + 1) for Spence)."""
-    E, p = family.subgroup, family.prime
-    d = _ilog(E.order, p) - 1
-    _check_central_elementary(G, E, p, d)
-    if G.order != E.order * cosets:
-        raise ValueError(f"subgroup index must be {'s + 1' if cosets > family.count else 's'}")
-    reps = _id_array(G, transversal_reps)
-    if len(reps) != cosets:
-        raise ValueError(f"expected {cosets} coset representatives, got {len(reps)}")
-    _distinct_cosets(G, E, reps)
-    parts = _slot_parts(family, complemented_slot)
-    record = make_record(G, _coset_unions(G, [reps[assignment]], parts)[0].tolist())
-    k, n = sum(map(len, parts)), p ** (2 * d)
-    if record.params != DSParams(G.order, k, k - n, n):
-        raise ValueError(f"constructed set does not have {name} parameters")
-    return record
+    return make_record(G, _hyperplane_sets(G, family, transversal_reps, complemented_slot,
+                                           range(family.count))[0].tolist())
 
 
 def construction_sets(family: HyperplaneFamily, reps,
                       complemented_slot: int | None = None) -> np.ndarray:
     """Every set the McFarland construction (``complemented_slot`` None) or
-    the Spence construction (complemented slot m) gives over ``family``.
+    the Spence construction (slot m) gives over ``family`` (``_hyperplane_sets``):
+    an (N, k) int64 array, one sorted row per choice, duplicates kept."""
+    return _hyperplane_sets(family.subgroup.group, family, reps, complemented_slot)
 
-    Slot i of a set is the coset c_a(i) t_i P_i, where a runs over the
-    injective maps from the s slots into the coset representatives ``reps``
-    (``itertools.permutations`` order), t_i over the minimal-id transversal
-    of H_i in E (``itertools.product`` order, inner), and P_i is H_i, or
-    E minus H_m at the complemented slot.  With s + 1 representatives the
-    maps leave one coset of E unused (McFarland); with s they are the
-    orderings of the cosets (Spence).  Returns one row per choice, an
-    (N, k) int64 array with each row sorted; duplicates are kept.
-    """
-    G = family.subgroup.group
-    s = family.count
+
+def _hyperplane_sets(G: FiniteGroup, family: HyperplaneFamily, reps,
+                     complemented_slot: int | None, assignment=None) -> np.ndarray:
+    """The one builder behind the three fronts, and the one scope that
+    checks their preconditions: E central elementary abelian of order
+    p^(d+1) and of index s + 1 (McFarland, no ``complemented_slot``) or s
+    (Spence: p = 3 and a slot m in 0..s-1), one representative per coset
+    of E, and plain integers, no floats or bools, for m and ``assignment``.
+
+    Slot i of a set is the coset c_a(i) t_i P_i, P_i being H_i, or E minus
+    H_m at slot m.  An ``assignment`` (an injective map from the slots to
+    ``reps``) gives one set, with a = assignment and t_i = 1.  Without one,
+    a runs over the injective maps (``itertools.permutations`` order) and
+    t_i over the minimal-id transversal of H_i in E (``itertools.product``
+    order, inner).  Both constructions give v = |G|, n = p^(2d) and k the
+    sum of the slot sizes; as v and k fix lambda and n of any difference
+    set, a row that ``make_record`` accepts has these parameters."""
+    E, p, s, m = family.subgroup, family.prime, family.count, complemented_slot
+
+    def index(x, n: int) -> bool:
+        return (type(x) is int or isinstance(x, np.integer)) and 0 <= x < n
+
+    if m is not None and p != 3:
+        raise ValueError("the Spence construction works over GF(3)")
+    if m is not None and not index(m, s):
+        raise ValueError("complemented slot out of range")
+    cosets = s + 1 if m is None else s
+    d = _ilog(E.order, p) - 1
+    _check_central_elementary(G, E, p, d)
+    if G.order != E.order * cosets:
+        raise ValueError(f"subgroup index must be {'s + 1' if m is None else 's'}")
     reps = _id_array(G, reps)
-    _distinct_cosets(G, family.subgroup, reps)
-    parts = _slot_parts(family, complemented_slot)
-    perms = np.array(list(itertools.permutations(range(len(reps)), s)), dtype=np.int64)
-    translates = []
-    for H in family.members:
+    if len(reps) != cosets:
+        raise ValueError(f"expected {cosets} coset representatives, got {len(reps)}")
+    _distinct_cosets(G, E, reps)
+    parts = _slot_parts(family, m)
+    k, n = sum(map(len, parts)), p ** (2 * d)
+    DSParams(G.order, k, k - n, n)  # ValueError unless v and k give n = p^(2d)
+    if assignment is None:
+        maps = np.array(list(itertools.permutations(range(cosets), s)), dtype=np.int64)
         # the cosets of H_i inside E are the ones whose minimal element is in E
-        minima = _cosets(G, H)[1]
-        translates.append(minima[np.isin(minima, family.subgroup.elements)])
+        translates = [minima[np.isin(minima, E.elements)]
+                      for minima in (_cosets(G, H)[1] for H in family.members)]
+    else:
+        maps = list(assignment)
+        if len(maps) != s or not all(index(a, cosets) for a in maps) or len(set(maps)) != s:
+            raise ValueError("assignment must injectively map the s slots into the s+1 cosets")
+        maps = np.array([maps], dtype=np.int64)
+        translates = [np.zeros(1, dtype=np.int64)] * s
     picks = np.array(list(itertools.product(*(range(len(t)) for t in translates))),
                      dtype=np.int64)
-    slot_reps = np.empty((len(perms), len(picks), s), dtype=np.int64)
+    slot_reps = np.empty((len(maps), len(picks), s), dtype=np.int64)
     for i in range(s):
         # table[coset, translate]: the coset representative of slot i
-        slot_reps[:, :, i] = G.table[reps[perms[:, i]][:, None], translates[i][picks[:, i]]]
+        slot_reps[:, :, i] = G.table[reps[maps[:, i]][:, None], translates[i][picks[:, i]]]
     return _coset_unions(G, slot_reps.reshape(-1, s), parts)
 
 
-def _slot_parts(family: HyperplaneFamily, complemented_slot: int | None) -> list[np.ndarray]:
+def _slot_parts(family: HyperplaneFamily, m: int | None) -> list[np.ndarray]:
     """H_i per slot, or E minus H_m at the complemented slot m."""
     parts = [np.array(H.elements, dtype=np.int64) for H in family.members]
-    if complemented_slot is not None:
+    if m is not None:
         E = np.array(family.subgroup.elements, dtype=np.int64)
-        m = complemented_slot
         parts[m] = E[~np.isin(E, parts[m])]
     return parts
 

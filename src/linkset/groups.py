@@ -85,16 +85,16 @@ class FiniteGroup:
         return 0
 
     def mul(self, a: int, b: int) -> int:
-        return int(self.table[a, b])
+        return int(self.table[_id_array(self, a), _id_array(self, b)])
 
     def inv(self, a: int) -> int:
-        return int(self.inv_table[a])
+        return int(self.inv_table[_id_array(self, a)])
 
     def elements(self) -> range:
         return range(self.order)
 
     def name(self, a: int) -> str:
-        return self.names[a]
+        return self.names[_id_array(self, a)]
 
     @cached_property
     def name_array(self) -> np.ndarray:
@@ -154,14 +154,13 @@ class FiniteGroup:
         return orders
 
     def element_order(self, a: int) -> int:
-        return int(self.element_orders[a])
+        return int(self.element_orders[_id_array(self, a)])
 
     def power(self, a: int, e: int) -> int:
         """a^e by square-and-multiply over the table, two lookups per bit of
         |e|; a negative e powers a^(-1)."""
-        if e < 0:
-            a, e = self.inv_table[a], -e
-        return int(_power_gather(self.table, a, e))
+        a = _id_array(self, a)
+        return int(_power_gather(self.table, self.inv_table[a] if e < 0 else a, abs(e)))
 
     def __repr__(self) -> str:
         kind = "abelian" if self.abelian else "nonabelian"
@@ -235,24 +234,31 @@ def _rows_permute(block: np.ndarray) -> bool:
 
 def _id_array(G: FiniteGroup, ids) -> np.ndarray:
     """The element ids ``ids`` (an array, or a sequence of ids or of rows of
-    ids) as an int64 array of their shape: the one door through which every
-    public entry lets ids in.  ValueError names the first value that is no
-    integer (a float, a bool, a string: numpy reads True and 1.5 as 1) or
-    no id of G (outside 0..|G|-1: numpy wraps -1 round to |G|-1)."""
-    arr = ids
-    if not isinstance(ids, np.ndarray):
-        arr = np.asarray(ids := list(ids))
-        if arr.dtype.kind not in "iu" or not {bool, np.bool_}.isdisjoint(map(
-                type, ids if arr.ndim == 1 else np.asarray(ids, dtype=object).flat)):
-            arr = np.asarray(ids, dtype=object)  # the values as given, for the scan below
-    if arr.dtype.kind not in "iu":
-        for x in arr.flat:
-            if isinstance(x, (bool, np.bool_)) or not isinstance(x, (int, np.integer)):
-                raise ValueError(f"element id {x!r} is not an integer")
-    if arr.size and (arr.min() < 0 or arr.max() >= G.order):
-        bad = arr[(arr < 0) | (arr >= G.order)].flat[0]
+    ids) as an int64 array of their shape, and one id (an int or a numpy
+    integer, from a scalar accessor) as an int: the one door through which
+    every public entry lets ids in.  ValueError names the first value that
+    is no integer (a float, a bool, a string: numpy reads True and 1.5 as 1)
+    or no id of G (outside 0..|G|-1: numpy wraps -1 round to |G|-1)."""
+    if one := type(ids) is int or isinstance(ids, np.integer):
+        arr = lo = hi = int(ids)
+    else:
+        arr = ids
+        if not isinstance(ids, np.ndarray):
+            if isinstance(ids, str) or not hasattr(ids, "__iter__"):
+                ids = [ids]  # one value that is no id (1.5, True, "1"), for the scan below
+            arr = np.asarray(ids := list(ids))
+            if arr.dtype.kind not in "iu" or not {bool, np.bool_}.isdisjoint(map(
+                    type, ids if arr.ndim == 1 else np.asarray(ids, dtype=object).flat)):
+                arr = np.asarray(ids, dtype=object)  # the values as given, for the scan below
+        if arr.dtype.kind not in "iu":
+            for x in arr.flat:
+                if isinstance(x, (bool, np.bool_)) or not isinstance(x, (int, np.integer)):
+                    raise ValueError(f"element id {x!r} is not an integer")
+        lo, hi = (arr.min(), arr.max()) if arr.size else (0, 0)
+    if lo < 0 or hi >= G.order:
+        bad = arr if one else arr[(arr < 0) | (arr >= G.order)].flat[0]
         raise ValueError(f"element id {bad} out of range for a group of order {G.order}")
-    return arr.astype(np.int64, copy=False)
+    return arr if one else arr.astype(np.int64, copy=False)
 
 
 def _check_table_order(v: int) -> None:

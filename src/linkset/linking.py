@@ -26,6 +26,7 @@ from .designs import (
     DifferenceSetRecord,
     DSParams,
     _autocorrelation_params,
+    _inverse_closed,
     complement,
     is_difference_set,  # noqa: F401  bench/test_bench.py checks the tracer wraps it here
 )
@@ -328,12 +329,6 @@ def _reduced_of(full: LinkingSystem) -> ReducedLinkingSystem | None:
             and np.array_equal(stated[ell:], supports)):
         return None
     return ReducedLinkingSystem(G, firsts, full.munu, supports)
-
-
-def _inverse_closed(G: FiniteGroup, rows) -> np.ndarray:
-    """Whether each row of sorted distinct ids is reversible (D = D^(-1))."""
-    rows = np.asarray(rows, dtype=np.int64)
-    return (np.sort(G.inv_table[rows], axis=1) == rows).all(axis=1)
 
 
 def reversibility_profile(reduced: ReducedLinkingSystem) -> tuple[bool, ...]:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from collections import Counter
@@ -266,6 +267,88 @@ def test_construction_sets_match_the_constructions():
                 slot_reps = [G.mul(reps[perm[i]], translates[i]) for i in range(s)]
                 want = spence_construct(G, fam, slot_reps, m)
             assert tuple(rows[r].tolist()) == want.elements
+
+
+def _sweep_inputs(factors):
+    """G, the hyperplane family and the coset representatives that the
+    sweeps build: McFarland's over Z3^2 x Z5, Spence's in order 36."""
+    from linkset.search import _sweep_setup
+
+    G = make_abelian(factors)
+    params = DSParams(45, 12, 3, 9) if G.order == 45 else DSParams(36, 15, 6, 9)
+    family, reps = _sweep_setup(G, "full", params)[:2]
+    return G, family, list(reps)
+
+
+def _front_calls():
+    """Each front of the McFarland/Spence builder on valid input, with the
+    output it gave before the fronts shared the builder: the set's ids, or
+    the shape and the SHA-256 of the little-endian int64 rows."""
+    G45, fam45, reps45 = _sweep_inputs([3, 3, 5])
+    G36, fam36, reps36 = _sweep_inputs([3, 3, 2, 2])
+
+    def rows(family, reps, m):
+        out = construction_sets(family, reps, m)
+        return out.shape, hashlib.sha256(out.astype("<i8").tobytes()).hexdigest()
+
+    return {
+        "mcfarland_construct": (
+            lambda: mcfarland_construct(G45, fam45, reps45, [4, 0, 2, 1]).elements,
+            (0, 1, 2, 4, 9, 14, 15, 21, 27, 30, 37, 41)),
+        "spence_construct": (
+            lambda: spence_construct(G36, fam36, reps36, 1).elements,
+            (0, 2, 3, 4, 5, 8, 9, 17, 19, 21, 22, 29, 30, 33, 35)),
+        "construction_sets": (lambda: [rows(fam45, reps45, None), rows(fam36, reps36, 2)], [
+            ((9720, 12), "70b4dae163ae8913dc5b45e56f4c873f719f46eb5856c03638c99099bf24f7ef"),
+            ((1944, 15), "bd2855d3bf43e8033f4e803a57b93d0e75983fe2d73579caabe9b5932aac611e")]),
+    }
+
+
+@pytest.mark.parametrize("front", sorted(_front_calls()))
+def test_each_front_keeps_its_output(front):
+    call, want = _front_calls()[front]
+    assert call() == want
+
+
+def _builder_rejections():
+    """Input that each front of the McFarland/Spence builder once took,
+    building sets from it (or failing with an IndexError or TypeError), as
+    (call, the ValueError message it now raises): McFarland over an E of
+    index s (it needs s + 1) and Spence over index s + 1, a Spence slot
+    over p = 2, a slot or an assignment entry that is out of range or no
+    plain integer (True read as 1, 1.5 cut to 1 by int(), -1 as the last
+    slot)."""
+    G45, fam45, reps45 = _sweep_inputs([3, 3, 5])
+    G36, fam36, reps36 = _sweep_inputs([3, 3, 2, 2])
+    G16 = make_abelian([4, 4])
+    E16 = subgroup_generated(G16, G16.element_ids(["x1^2", "x2^2"]))
+    fam16, reps16 = hyperplanes(E16, 2), coset_transversal(G16, E16).reps
+    slot = "complemented slot out of range"
+    return {
+        "construction_sets McFarland, index s": (
+            lambda: construction_sets(fam36, reps36), r"subgroup index must be s \+ 1"),
+        "construction_sets Spence, index s + 1": (
+            lambda: construction_sets(fam45, reps45, 0), "subgroup index must be s$"),
+        "construction_sets Spence, p = 2": (
+            lambda: construction_sets(fam16, reps16, 0), r"works over GF\(3\)"),
+        **{f"construction_sets slot {m!r}": (lambda m=m: construction_sets(fam36, reps36, m), slot)
+           for m in (-1, 4, 1.5, True)},
+        **{f"spence_construct slot {m!r}": (lambda m=m: spence_construct(G36, fam36, reps36, m),
+                                            slot) for m in (1.5, True)},
+        **{f"mcfarland_construct assignment {a}": (
+            lambda a=a: mcfarland_construct(G45, fam45, reps45, a), "assignment must injectively")
+           for a in ([1.5, 2, 3, 4], [True, 2, 3, 4])},
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_builder_rejections()))
+def test_the_builder_rejects_what_its_fronts_once_took(case):
+    """Every front checks its slot, index and assignment in the builder's
+    one scope, and raises ValueError: never a silent set of the wrong
+    construction, an IndexError or a TypeError."""
+    call, message = _builder_rejections()[case]
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_construction_sets_in_z4z4(z4z4):

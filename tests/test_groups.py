@@ -734,9 +734,10 @@ def test_span_helpers_and_hyperplanes_match_scalar_references(G, p):
 
 def _id_entries():
     """Each public entry that takes element ids, as (G, the id x that makes
-    its input valid, a call with x in one place of an id): the sets of the
-    group ring, designs and linking layers, the subgroup layer, the
-    hyperplane constructions and the difference-matrix layer."""
+    its input valid, a call with x in one place of an id): the scalar
+    accessors of a group, the sets of the group ring, designs and linking
+    layers, the subgroup layer, the hyperplane constructions and the
+    difference-matrix layer."""
     from linkset import group_ring as rg
     from linkset.designs import (
         construction_sets,
@@ -766,6 +767,12 @@ def _id_entries():
     f = [G.mul(bmat[1][c], lifts[0][c - 1]) for c in range(1, 4)]
     g = [G.mul(bmat[2][c], lifts[1][c - 1]) for c in range(1, 4)]
     return {
+        "FiniteGroup.mul left": (G, 1, lambda x: G.mul(x, 1)),
+        "FiniteGroup.mul right": (G, 1, lambda x: G.mul(1, x)),
+        "FiniteGroup.inv": (G, 1, G.inv),
+        "FiniteGroup.power": (G, 1, lambda x: G.power(x, 2)),
+        "FiniteGroup.name": (G, 1, G.name),
+        "FiniteGroup.element_order": (G, 1, G.element_order),
         "from_subset": (G, 1, lambda x: rg.from_subset(G, [0, x])),
         "autocorrelations": (G, 1, lambda x: rg.autocorrelations(G, [[0, x]])),
         "indicators": (G, 1, lambda x: rg.indicators(G, [[0, x], [1, 2]])),
@@ -817,8 +824,9 @@ def test_the_id_entries_accept_their_valid_input():
 
 def test_ids_pass_through_the_door_unchanged():
     """Good ids come out as int64 arrays of their shape, from lists, tuples,
-    rows, generators and numpy arrays of any integer type; a -1 in an
-    unsigned array and an int past int64 are out of range too."""
+    rows, generators and numpy arrays of any integer type, and one id (an
+    int or a numpy integer) as an int; a -1 in an unsigned array and an int
+    past int64 are out of range too."""
     from linkset.groups import _id_array
 
     G = make_abelian([4, 4])
@@ -827,7 +835,11 @@ def test_ids_pass_through_the_door_unchanged():
                       (np.array([7, 8], dtype=np.uint8), [7, 8])]:
         out = _id_array(G, ids)
         assert out.dtype == np.int64 and out.tolist() == want
+    for one in (15, np.int32(3), np.uint8(0)):
+        out = _id_array(G, one)
+        assert type(out) is int and out == one
     for ids in (np.array([2 ** 64 - 1], dtype=np.uint64), [2 ** 70], [[0, 1], [2, True]],
-                np.array([1.0]), np.array([True])):
+                np.array([1.0]), np.array([True]), 2 ** 70, np.uint64(16), np.float64(1.0),
+                np.True_, None):
         with pytest.raises(ValueError, match="element id"):
             _id_array(G, ids)

@@ -463,7 +463,9 @@ def test_projection_sieve_matches_its_integer_oracle(factors, k, munu):
     matrices (the projections of random k-sets onto G/K, K the elements of
     order prime to 3, next to the constructed sets) for both signs of
     mu - nu: the Spence branch (8, 5) and the McFarland branch (1, 4).
-    The branch (60, 3) puts allowed values past k^2, off the table."""
+    The branch (60, 3) puts allowed values past k^2, off the table.  The
+    constructed sets are McFarland's in order 45 and Spence's (slot 0) in
+    order 36, as the sweeps build them."""
     from linkset.designs import DSParams, construction_sets
     from linkset.linking import MuNu
     from linkset.search import _projection_sieve, _sweep_setup
@@ -475,7 +477,8 @@ def test_projection_sieve_matches_its_integer_oracle(factors, k, munu):
     random_sets = np.sort(np.argsort(rng.random((400, G.order)), axis=1)[:, :k], axis=1)
     branch = MuNu(*munu)
     kept = []
-    for sets in (random_sets, construction_sets(family, reps, 0)[:400]):
+    slot = None if G.order == 45 else 0
+    for sets in (random_sets, construction_sets(family, reps, slot)[:400]):
         classes, keep = _projection_sieve(G, sets, K, branch)
         want_classes, want_keep = _sieve_oracle(G, sets, K, branch)
         assert np.array_equal(classes, want_classes) and np.array_equal(keep, want_keep)

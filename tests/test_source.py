@@ -578,33 +578,46 @@ def test_one_check_per_precondition():
     on ids is the enumeration's own check that the rows it keys are
     strictly increasing (``search._translation_classes``).  That
     representatives lie in distinct cosets is ``groups._distinct_cosets``,
-    called by the transversal, both hyperplane constructions and the
-    direct witness.  That E is elementary
+    called by the transversal, the hyperplane constructions and the direct
+    witness.  That E is elementary
     abelian of exponent p is ``designs._check_elementary``, which
     ``hyperplanes`` and ``_check_central_elementary`` call; the only other
     exponent test is the torsion filter of ``find_central_elementary_abelian``,
-    which selects the elements with a^p = 1 and checks nothing.  McFarland
-    and Spence are built by one ``designs._hyperplane_construct``."""
+    which selects the elements with a^p = 1 and checks nothing.  Every
+    McFarland and Spence set, one or all, is built by one
+    ``designs._hyperplane_sets``: the three fronts call it, it alone checks
+    their slot, index, representatives and assignment, and it is the one
+    caller of ``_slot_parts`` and the one McFarland/Spence caller of
+    ``_coset_unions`` (the others build the difference-matrix systems)."""
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
 
     def scan(shape, *args) -> set[str]:
         return set().union(*(shape(tree, stem, *args) for stem, tree in trees.items()))
 
+    builder = {"designs._hyperplane_sets"}
     assert scan(_order_comparisons) == {"groups._id_array"}
     assert scan(_raises_with, "element id") == {"groups._id_array", "search._translation_classes"}
     assert scan(_raises_with, "distinct cosets") == {"groups._distinct_cosets"}
     assert scan(_calls_to, {"_distinct_cosets"}) == {
-        "groups.CosetTransversal.__post_init__", "designs._hyperplane_construct",
-        "designs.construction_sets", "diffmat.witness_direct"}
+        "groups.CosetTransversal.__post_init__", *builder, "diffmat.witness_direct"}
     assert scan(_raises_with, "elementary abelian of") == {"designs._check_elementary"}
     assert scan(_modulo_element_orders) == {"designs._check_elementary",
                                            "groups.find_central_elementary_abelian"}
     assert scan(_calls_to, {"_check_elementary"}) == {"designs.hyperplanes",
                                                       "designs._check_central_elementary"}
-    assert scan(_calls_to, {"_hyperplane_construct"}) == {"designs.mcfarland_construct",
-                                                          "designs.spence_construct"}
-    assert scan(_raises_with, "constructed set does not have") == {
-        "designs._hyperplane_construct"}
+    assert scan(_calls_to, {"_check_central_elementary"}) == {*builder, "diffmat.linked_from_dm"}
+    assert scan(_calls_to, {"_hyperplane_sets"}) == {
+        "designs.mcfarland_construct", "designs.spence_construct", "designs.construction_sets"}
+    for message in ("works over GF(3)", "complemented slot out of range",
+                    "subgroup index must be", "coset representatives, got",
+                    "assignment must injectively"):
+        assert scan(_raises_with, message) == builder, message
+    assert scan(_calls_to, {"_slot_parts"}) == builder
+    assert scan(_calls_to, {"_coset_unions"}) == {
+        *builder, "diffmat.linked_from_dm", "diffmat.witness_direct",
+        "worked_examples.construction_side_systems"}
+    assert not scan(_scopes_where, lambda node: isinstance(node, ast.FunctionDef)
+                    and node.name == "_hyperplane_construct")
     # the scans see a range test on either side and in a method, an exponent
     # test on element_orders, and a message in an f-string; a comparison of
     # two orders or with a limit, a modulo by anything else and a docstring
