@@ -13,6 +13,7 @@ from . import group_ring as rg
 from .groups import (
     FiniteGroup,
     Subgroup,
+    _check_subgroup_of,
     _cosets,
     _distinct_cosets,
     _id_array,
@@ -71,8 +72,8 @@ def is_difference_set(G: FiniteGroup, S):
 
 
 def difference_set_params(G: FiniteGroup, sets) -> list:
-    """is_difference_set for each of many sets, from one autocorrelation
-    batch (``_autocorrelation_params``)."""
+    """is_difference_set for each of many sets, from one batch of
+    ``_autocorrelation_params``."""
     v = G.order
     k, lam = _autocorrelation_params(G, rg._subset_rows(G, sets))
     return [DSParams(v, a, b, a - b) if b >= 0 else None
@@ -81,7 +82,8 @@ def difference_set_params(G: FiniteGroup, sets) -> list:
 
 def difference_set_mask(G: FiniteGroup, sets, params: DSParams) -> np.ndarray:
     """Whether each set is a difference set with parameters ``params``: a
-    bool array, from one autocorrelation batch and no per-set objects."""
+    bool array, from one batch of ``_autocorrelation_params`` and no
+    per-set objects."""
     k, lam = _autocorrelation_params(G, rg._subset_rows(G, sets))
     return (k == params.k) & (lam == params.lam) & (G.order == params.v)
 
@@ -89,20 +91,54 @@ def difference_set_mask(G: FiniteGroup, sets, params: DSParams) -> np.ndarray:
 def _autocorrelation_params(G: FiniteGroup, ids) -> tuple[np.ndarray, np.ndarray]:
     """(k, lambda) of each set of checked ids (as ``group_ring._subset_rows``
     returns them) as int64 arrays, lambda -1 where the set is no difference
-    set.
+    set.  S is a (v, k, lambda) difference set iff S S^(-1) = n + lambda G,
+    n = k - lambda.
 
-    S S^(-1) has coefficient k = |S| at the identity, so S is a difference
-    set iff the product is constant (lambda) off the identity.  Each block
-    of products is cut down to (k, lambda) as it comes out of the kernel,
-    so the whole (n, v) array never exists.
+    In a group with a transform (``group_ring._Transform``, modulo a prime
+    p > 2v + 4) other than the trivial one, the test is on the spectrum
+    (Turyn: S is a difference set iff |chi(S)|^2 = n at every nontrivial
+    character chi).  lambda is k(k - 1)/(v - 1) where that is an integer,
+    and S is accepted iff the reduced P = T(S) . T(S) o neg
+    (``group_ring._character_norms``, one forward transform of each block
+    and no inverse) is n at every j != 0.  The test is exact:
+
+    * the coefficients of S S^(-1) and of n + lambda G lie in [0, v], so
+      those of their difference lie in [-v, v], and p > 2v + 4: the
+      difference is 0 iff it is 0 mod p;
+    * T is invertible mod p and T(S S^(-1)) = T(S) . T(S) o neg, while
+      T(n + lambda G) is n + lambda v at j = 0 and n elsewhere; so S S^(-1)
+      = n + lambda G iff P = T(n + lambda G) mod p at every j;
+    * every value in [0, v] has one residue r with |r| <= p // 2 + 2 (the
+      bound ``_reduce`` keeps), itself, so P[j] = n mod p iff P[j] == n;
+    * at j = 0, P = k^2 = n + lambda v holds iff lambda (v - 1) = k(k - 1),
+      which the choice of lambda settles.
+
+    Elsewhere (nonabelian groups, or a cyclic factor past NTT_BLOCK) and in
+    the trivial group, which has no lambda to solve for, S S^(-1) itself
+    is computed (``group_ring.autocorrelation_blocks``): k is its
+    coefficient at the identity, and S is a difference set iff it is
+    constant (lambda) off the identity.  On either route each block is cut
+    down to (k, lambda) as it comes out of the kernel, so no (n, v) array
+    of the whole batch ever exists.
     """
-    ks, lams = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    for _, prods in rg.autocorrelation_blocks(G, ids):
-        lam = prods[:, 1:2].sum(axis=1)  # 0 in the trivial group
-        constant = (prods[:, 1:] == prods[:, 1:2]).all(axis=1)
-        ks.append(prods[:, 0])
-        lams.append(np.where(constant, lam, -1))
-    return np.concatenate(ks), np.concatenate(lams)
+    v = G.order
+    if rg._transform(G) is None or v == 1:
+        ks, lams = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+        for _, prods in rg.autocorrelation_blocks(G, ids):
+            lam = prods[:, 1:2].sum(axis=1)  # 0 in the trivial group
+            constant = (prods[:, 1:] == prods[:, 1:2]).all(axis=1)
+            ks.append(prods[:, 0])
+            lams.append(np.where(constant, lam, -1))
+        return np.concatenate(ks), np.concatenate(lams)
+    k = (np.full(len(ids), ids.shape[1], dtype=np.int64) if isinstance(ids, np.ndarray)
+         else np.array([len(S) for S in ids], dtype=np.int64))
+    lam, rest = np.divmod(k * (k - 1), v - 1)
+    lam[rest != 0] = -1
+    n = k - lam
+    for start, norms in rg.character_norm_blocks(G, ids):
+        block = slice(start, start + norms.shape[1])
+        lam[block] = np.where((norms[1:] == n[block]).all(axis=0), lam[block], -1)
+    return k, lam
 
 
 def make_record(G: FiniteGroup, S) -> DifferenceSetRecord:
@@ -215,8 +251,7 @@ def _check_elementary(E: Subgroup, p: int) -> None:
 
 
 def _check_central_elementary(G: FiniteGroup, E: Subgroup, p: int, d: int) -> None:
-    if E.group is not G:
-        raise ValueError("subgroup belongs to a different group")
+    _check_subgroup_of(G, E)
     if not is_central(G, E):
         raise ValueError("subgroup must be central")
     if E.order != p ** (d + 1):

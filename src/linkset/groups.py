@@ -158,8 +158,12 @@ class FiniteGroup:
 
     def power(self, a: int, e: int) -> int:
         """a^e by square-and-multiply over the table, two lookups per bit of
-        |e|; a negative e powers a^(-1)."""
+        |e|; a negative e powers a^(-1).  ValueError unless e is an int or
+        a numpy integer (a bool, a float or a string is none)."""
         a = _id_array(self, a)
+        if type(e) is not int and not isinstance(e, np.integer):
+            raise ValueError(f"exponent {e!r} is not an integer")
+        e = int(e)
         return int(_power_gather(self.table, self.inv_table[a] if e < 0 else a, abs(e)))
 
     def __repr__(self) -> str:
@@ -556,12 +560,17 @@ def normal_series(G: FiniteGroup) -> list[Subgroup]:
     return series
 
 
+def _check_subgroup_of(G: FiniteGroup, H: Subgroup) -> None:
+    """ValueError unless H is a subgroup of G itself (not of a copy)."""
+    if H.group is not G:
+        raise ValueError("subgroup belongs to a different group")
+
+
 def _cosets(G: FiniteGroup, H: Subgroup) -> tuple[np.ndarray, np.ndarray]:
     """The left coset id of every element of G and the minimal element of
     each left coset of H, ids numbered by increasing minimal element (the
     identity's coset is 0, and the minima come out sorted)."""
-    if H.group is not G:
-        raise ValueError("subgroup belongs to a different group")
+    _check_subgroup_of(G, H)
     reps, ids = np.unique(G.table[:, list(H.elements)].min(axis=1), return_inverse=True)
     return ids, reps
 

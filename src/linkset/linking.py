@@ -140,8 +140,9 @@ class PairCheck:
     """The pair check over one batch of sets (an (n, k) id array or a list
     of sets; malformed ids raise ValueError): the ordered pairs of distinct
     sets that link under a (mu, nu) branch, and their mu-supports.  One
-    autocorrelation batch gives ``params``, the sets' common ``DSParams``,
-    or None.  Every call names its (mu, nu), and ``check_branch`` raises
+    batch of ``designs._autocorrelation_params`` (on the spectrum, where
+    the group has a transform) gives ``params``, the sets' common
+    ``DSParams``, or None.  Every call names its (mu, nu), and ``check_branch`` raises
     ValueError before any product unless it is a branch of ``params``, so
     no pair is checked unless both preconditions of the lemma below hold;
     a pair then links iff its product is valued in {mu, nu}.
@@ -165,7 +166,7 @@ class PairCheck:
     """
 
     def __init__(self, G: FiniteGroup, sets):
-        # checked and converted once: the autocorrelation batch and the products read ``ids``
+        # checked and converted once: the difference-set batch and the products read ``ids``
         self.group, self.ids = G, rg._subset_rows(G, sets)
         k, lam = _autocorrelation_params(G, self.ids)  # lambda -1: no difference set
         common = len(k) > 0 and lam[0] >= 0 and (k == k[0]).all() and (lam == lam[0]).all()

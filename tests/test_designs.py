@@ -9,6 +9,7 @@ import pytest
 from linkset import group_ring as rg
 from linkset.designs import (
     DSParams,
+    _autocorrelation_params,
     complement,
     construction_sets,
     difference_set_mask,
@@ -26,6 +27,7 @@ from linkset.groups import (
     coset_transversal,
     find_central_elementary_abelian,
     make_abelian,
+    quotient,
     subgroup_generated,
 )
 from linkset.worked_examples import linked_triple_z4z4
@@ -76,8 +78,8 @@ def test_difference_set_mask_matches_difference_set_params():
     """The bool parameter check against difference_set_params on random
     rows: difference sets, the same sets with one element moved, random
     subsets, asked for the right and for wrong parameters, as one id array
-    and as a list of sets of mixed sizes, on the counting route (Z4^2) and
-    the transform route (Z4^4)."""
+    and as a list of sets of mixed sizes, in Z4^2 and Z4^4 (both on the
+    spectral route)."""
     from linkset.diffmat import build_improved
     from linkset.search import enumerate_difference_sets
 
@@ -108,6 +110,122 @@ def test_difference_set_mask_matches_difference_set_params():
             assert 0 < difference_set_mask(G, sets, right).sum() < len(sets)
         assert difference_set_mask(G, good, right).all()
     assert difference_set_mask(Z44, np.zeros((0, 6), dtype=np.int64), right).shape == (0,)
+
+
+def _counted_params(G, sets):
+    """(k, lambda) of each set from the table route's exact count
+    (``group_ring._count_autocorrelations``), lambda -1 where S S^(-1) is
+    not constant off the identity.  A set of more than v/2 elements is
+    counted through its complement C, as C C^(-1) = S S^(-1) + (v - 2k) G,
+    so no count holds more than (v/2)^2 quotients."""
+    v, ks, lams = G.order, [], []
+    for S in sets:
+        k = len(S)
+        if 2 * k > v:
+            prods = rg._count_autocorrelations(G, [np.setdiff1d(np.arange(v), S)])[0] - (v - 2 * k)
+        else:
+            prods = rg._count_autocorrelations(G, [S])[0]
+        ks.append(int(prods[0]))
+        lams.append(int(prods[1:2].sum()) if (prods[1:] == prods[1:2]).all() else -1)
+    return ks, lams
+
+
+def _planted_sets(G):
+    """Nontrivial difference sets of G where a construction gives them
+    cheaply: the linked triple in Z4^2, McFarland sets in Z3^2 x Z5 and
+    Spence sets in Z3^2 x Z2^2."""
+    if G.cyclic_factors == (4, 4):
+        return [list(S) for S in linked_triple_z4z4()[1]]
+    if G.cyclic_factors in ((3, 3, 5), (3, 3, 2, 2)):
+        E = find_central_elementary_abelian(G, 2, p=3)[0]
+        family = hyperplanes(E, 3, _basis3(G, E))
+        slot = 0 if G.order == 36 else None
+        return construction_sets(family, coset_transversal(G, E).reps, slot)[:12].tolist()
+    return []
+
+
+@pytest.mark.parametrize("factors", [[2], [4, 4], [3, 3, 5], [3, 3, 2, 2], [4] * 5, [64, 64]],
+                         ids=lambda f: "x".join(map(str, f)))
+def test_spectral_params_match_the_count(factors, monkeypatch):
+    """The spectral route's (k, lambda) equal the count's on random rows:
+    at every k up to v = 64, and at the edges, the middle and the
+    difference-set size above (order 1024, and Z64^2, whose prime 8513 is
+    the largest of the order-4096 transforms); on planted difference sets
+    and their one-element moves; as one id array per size and as one list
+    of sets of mixed sizes."""
+    G = make_abelian(factors)
+    v = G.order
+    rng = np.random.default_rng(v)
+    if v <= 64:
+        sizes = range(v + 1)
+    else:
+        edges = [0, 1, 2, 3, v // 2 - 1, v // 2, v // 2 + 1, v - 3, v - 2, v - 1, v]
+        sizes = edges + [two_group_params(v.bit_length() - 1).k]
+    by_size = [np.sort([rng.choice(v, k, replace=False) for _ in range(3)], axis=1)
+               .astype(np.int64).reshape(3, k) for k in sizes]
+    planted = _planted_sets(G)
+    moved = []
+    for S in planted:
+        S = list(S)
+        S[rng.integers(len(S))] = int(rng.choice(np.setdiff1d(np.arange(v), S)))
+        moved.append(S)
+    mixed = [list(map(int, row)) for rows in by_size for row in rows] + planted + moved
+    mixed = [mixed[i] for i in rng.permutation(len(mixed))]
+    want = [_counted_params(G, rows) for rows in by_size]
+    mixed_want = _counted_params(G, mixed)
+    assert [lam >= 0 for lam in _counted_params(G, planted)[1]] == [True] * len(planted)
+    assert rg._transform(G).p == 8513 if v == 4096 else rg._transform(G) is not None
+    monkeypatch.setattr(rg, "autocorrelation_blocks", None)  # nothing is counted or inverted
+    for rows, counted in zip(by_size, want):
+        k, lam = _autocorrelation_params(G, rg._subset_rows(G, rows))
+        assert (k.tolist(), lam.tolist()) == counted
+    k, lam = _autocorrelation_params(G, rg._subset_rows(G, mixed))
+    assert (k.tolist(), lam.tolist()) == mixed_want
+    assert difference_set_params(G, mixed) == [
+        DSParams(v, a, b, a - b) if b >= 0 else None for a, b in zip(*mixed_want)]
+    # k = 0, 1, v - 1 and v are difference sets in every group
+    edge = difference_set_params(G, [[], [0], list(range(1, v)), list(range(v))])
+    assert [p.as_tuple() for p in edge] == [(v, 0, 0, 0), (v, 1, 0, 1),
+                                            (v, v - 1, v - 2, 1), (v, v, v, 0)]
+
+
+def test_the_trivial_group_keeps_the_autocorrelation_route(monkeypatch):
+    """v = 1 has no lambda to solve for (v - 1 = 0): its sets take the
+    autocorrelations, and {1} is a (1, 1, 0, 1) difference set."""
+    T = make_abelian([])
+    monkeypatch.setattr(rg, "character_norm_blocks", None)
+    assert is_difference_set(T, [0]) == DSParams(1, 1, 0, 1)
+    assert difference_set_params(T, [[0], []]) == [DSParams(1, 1, 0, 1), DSParams(1, 0, 0, 0)]
+
+
+def test_the_spectral_route_takes_one_forward_transform_per_block(monkeypatch):
+    """Each block of sets is one ``_Transform.__call__``, forward (batch
+    first, on 0/1 rows) and never an inverse, and nothing else of the
+    transform runs: 70 sets of Z4^5 (v = 1024) are three blocks of at most
+    SCRATCH_BYTES of float64 rows, through ``difference_set_params``,
+    ``difference_set_mask`` and ``PairCheck`` alike."""
+    from linkset.groups import SCRATCH_BYTES
+    from linkset.linking import PairCheck
+
+    G = make_abelian([4] * 5)
+    v, step = G.order, SCRATCH_BYTES // (8 * G.order)
+    rng = np.random.default_rng(3)
+    rows = np.sort([rng.choice(v, 496, replace=False) for _ in range(70)], axis=1)
+    calls = []
+    forward = rg._Transform.__call__
+    monkeypatch.setattr(rg._Transform, "__call__", lambda self, x, bound, batch_first: calls.append(
+        (len(x), bound, batch_first)) or forward(self, x, bound, batch_first))
+    monkeypatch.setattr(rg._Transform, "left", None)
+    monkeypatch.setattr(rg, "_transform_autocorrelations", None)
+    monkeypatch.setattr(rg, "_count_autocorrelations", None)
+    blocks = [(min(step, 70 - a), 1, True) for a in range(0, 70, step)]
+    assert step == 32 and len(blocks) == 3
+    for check in (lambda: difference_set_params(G, rows),
+                  lambda: difference_set_mask(G, list(rows), two_group_params(10)),
+                  lambda: PairCheck(G, [*rows[:40], rows[40, :-1], *rows[41:]])):
+        calls.clear()
+        check()
+        assert calls == blocks
 
 
 def test_complement():
@@ -222,6 +340,13 @@ def test_mcfarland_errors(z4z4):
         mcfarland_construct(G, fam, reps[:3], [1, 2, 3])  # wrong transversal size
     with pytest.raises(ValueError, match="distinct cosets"):
         mcfarland_construct(G, fam, [*reps[:3], G.element("x1^3")], [1, 2, 3])  # x1^3 in x1's coset
+    # E of another group object (an equal copy): one check, the same message,
+    # from the builder and from the coset numbering
+    other = make_abelian([4, 4])
+    with pytest.raises(ValueError, match="subgroup belongs to a different group"):
+        mcfarland_construct(other, fam, reps, [1, 2, 3])
+    with pytest.raises(ValueError, match="subgroup belongs to a different group"):
+        quotient(other, E)
 
 
 @pytest.mark.parametrize("factors", [[3, 3, 2, 2], [3, 3, 4]])

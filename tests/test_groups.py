@@ -647,6 +647,25 @@ def test_power_takes_two_lookups_per_bit():
     assert G.element("x1^-1") == 4095 and G.table.lookups == 3
 
 
+@pytest.mark.parametrize("e", [True, False, np.True_, 1.5, 2.0, "2", None, [2], np.float64(2)])
+def test_power_rejects_an_exponent_that_is_no_integer(e):
+    """``power`` takes an int or a numpy integer exponent; a bool (read as
+    1 or 0), a float or a string raises ValueError, not a silent power or
+    a TypeError from the ladder."""
+    G = make_abelian([4, 4])
+    with pytest.raises(ValueError, match="exponent"):
+        G.power(1, e)
+
+
+def test_power_takes_int_and_numpy_integer_exponents():
+    G = make_abelian([4, 4])
+    x1 = G.element("x1")
+    assert [G.power(x1, e) for e in (0, 1, 2, 3, 4, -1)] == [0, x1, *(G.element(w) for w in (
+        "x1^2", "x1^3")), 0, G.element("x1^3")]
+    assert [G.power(x1, e) for e in (np.int64(-3), np.uint8(6), np.int32(2**31 - 1))] == [
+        x1, G.element("x1^2"), G.element("x1^3")]
+
+
 def _ladder_orders(G):
     """Element orders by the step-by-step power ladder: step k gathers
     a^k = a^(k-1) a for the elements whose order is not yet known."""

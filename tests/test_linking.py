@@ -119,9 +119,8 @@ def test_reduce_system_reads_the_supports_of_its_one_pair_check(monkeypatch):
 def test_verify_reduced_checks_its_sets_once(monkeypatch):
     """``verify_reduced`` checks and converts its sets with one
     ``_subset_rows`` call, which its ``PairCheck`` keeps for the
-    autocorrelation batch and for the indicator rows of the products; on
-    the counting route (bent d = 2, a list of 31 sets) and on the transform
-    route (the improved system in Z4^4)."""
+    difference-set batch and for the indicator rows of the products; on
+    bent d = 2 (a list of 31 sets) and on the improved system in Z4^4."""
     from linkset import group_ring as rg
     from linkset.bent import bent_linking, kerdock_bent_set
     from linkset.diffmat import build_improved
@@ -265,9 +264,9 @@ def test_verify_reduced_batched_rejections_z4_4(monkeypatch):
     # (203 distinct of 210) are not checked again, and one pair pass of
     # the batch against itself covers every pair, with no scan for links
     calls, checks = [], []
-    transform = rg._transform_autocorrelations
-    monkeypatch.setattr(rg, "_transform_autocorrelations",
-                        lambda G, block: calls.append(len(block)) or transform(G, block))
+    norms = rg._character_norms
+    monkeypatch.setattr(rg, "_character_norms",
+                        lambda G, block: calls.append(len(block)) or norms(G, block))
     upper = linking.PairCheck._upper
     monkeypatch.setattr(linking.PairCheck, "_upper", lambda self, munu, rows=None:
                         checks.append(len(self.ids)) or upper(self, munu, rows))
@@ -656,8 +655,8 @@ def test_expand_checks_its_entries_in_count_blocks(monkeypatch):
 def test_expand_checks_its_entries_in_one_transform_block(monkeypatch):
     """The transform twin of the count-block test: ``verify_full`` on bent
     d = 2 (l = 31, v = 64, abelian, so on the transform route) hands the
-    31 sets D_(i,0) of its 992 entries to one ``_transform_autocorrelations``
-    block, and never counts."""
+    31 sets D_(i,0) of its 992 entries to one ``_character_norms`` block,
+    and never counts."""
     from linkset import group_ring as rg
     from linkset.bent import bent_linking, kerdock_bent_set
     from linkset.groups import SCRATCH_BYTES
@@ -666,9 +665,9 @@ def test_expand_checks_its_entries_in_one_transform_block(monkeypatch):
     v = reduced.group.order
     assert rg._transform(reduced.group) is not None
     calls = []
-    transform = rg._transform_autocorrelations
-    monkeypatch.setattr(rg, "_transform_autocorrelations",
-                        lambda G, sets: calls.append(len(sets)) or transform(G, sets))
+    norms = rg._character_norms
+    monkeypatch.setattr(rg, "_character_norms",
+                        lambda G, sets: calls.append(len(sets)) or norms(G, sets))
     monkeypatch.setattr(rg, "_count_autocorrelations", None)  # no count may start
     full = expand(reduced)
     assert len(full.entries) == 992
@@ -833,19 +832,21 @@ def test_pair_check_params_need_every_set():
 
 
 def test_verify_reduced_runs_one_autocorrelation_batch(monkeypatch):
-    """``verify_reduced`` checks its sets with one autocorrelation batch,
-    on the counting route (bent d = 2) and on the transform route (the
-    improved system in Z4^4)."""
+    """``verify_reduced`` checks its sets with one batch, on the spectral
+    route (bent d = 2 in Z2^6 and the improved system in Z4^4) and on the
+    counting route (Tyken in D4 x Z2^3, nonabelian)."""
     from linkset import group_ring as rg
     from linkset.bent import bent_linking, kerdock_bent_set
-    from linkset.diffmat import build_improved
+    from linkset.diffmat import build_improved, build_tyken
     from linkset.groups import make_abelian
 
-    systems = [bent_linking(kerdock_bent_set(2)), build_improved(make_abelian([4] * 4))]
+    systems = [bent_linking(kerdock_bent_set(2)), build_improved(make_abelian([4] * 4)),
+               build_tyken(2, make_abelian([2, 2, 2]))]
+    assert [rg._transform(s.group) is None for s in systems] == [False, False, True]
     batches = []
-    blocks = rg.autocorrelation_blocks
-    monkeypatch.setattr(rg, "autocorrelation_blocks",
-                        lambda G, sets: batches.append(len(sets)) or blocks(G, sets))
+    for name in ("character_norm_blocks", "autocorrelation_blocks"):
+        monkeypatch.setattr(rg, name, lambda G, sets, blocks=getattr(rg, name):
+                            batches.append(len(sets)) or blocks(G, sets))
     for system in systems:
         batches.clear()
         assert verify_reduced(system.group, system.sets()) == system
@@ -1057,8 +1058,8 @@ def test_verify_reduced_counts_a_list_of_sets_at_once(monkeypatch):
 
 def test_verify_reduced_transforms_a_list_of_sets_at_once(monkeypatch):
     """The transform twin: the 31 bent d = 2 sets (v = 64, abelian, on the
-    transform route) given as a list are one ``_transform_autocorrelations``
-    block, and so is a list of sets of several sizes, which has no common
+    transform route) given as a list are one ``_character_norms`` block,
+    and so is a list of sets of several sizes, which has no common
     parameters; nothing is counted."""
     from linkset import group_ring as rg
     from linkset.bent import bent_linking, kerdock_bent_set
@@ -1068,9 +1069,9 @@ def test_verify_reduced_transforms_a_list_of_sets_at_once(monkeypatch):
     G, sets = system.group, [list(S) for S in system.sets()]
     assert rg._transform(G) is not None
     calls = []
-    transform = rg._transform_autocorrelations
-    monkeypatch.setattr(rg, "_transform_autocorrelations",
-                        lambda G, sets: calls.append(len(sets)) or transform(G, sets))
+    norms = rg._character_norms
+    monkeypatch.setattr(rg, "_character_norms",
+                        lambda G, sets: calls.append(len(sets)) or norms(G, sets))
     monkeypatch.setattr(rg, "_count_autocorrelations", None)  # no count may start
     assert verify_reduced(G, sets) == system
     assert calls == [31]

@@ -305,11 +305,11 @@ def test_a_mu_nu_that_is_no_branch_is_rejected_before_the_pool(z4z4_census, monk
 
 def test_the_census_checks_its_sets_with_one_batch_each(z4z4_census, monkeypatch):
     """``build_linking_graph`` checks its 192 vertices, and the clique
-    re-verification its clique members, with one autocorrelation batch
-    each."""
+    re-verification its clique members, with one batch of character
+    norms each (Z4^2 is on the spectral route)."""
     batches = []
-    blocks = rg.autocorrelation_blocks
-    monkeypatch.setattr(rg, "autocorrelation_blocks",
+    blocks = rg.character_norm_blocks
+    monkeypatch.setattr(rg, "character_norm_blocks",
                         lambda G, sets: batches.append(len(sets)) or blocks(G, sets))
     graph = z4z4_census.graph
     build_linking_graph(graph.group, graph.records, graph.munu)

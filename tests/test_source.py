@@ -588,7 +588,10 @@ def test_one_check_per_precondition():
     ``designs._hyperplane_sets``: the three fronts call it, it alone checks
     their slot, index, representatives and assignment, and it is the one
     caller of ``_slot_parts`` and the one McFarland/Spence caller of
-    ``_coset_unions`` (the others build the difference-matrix systems)."""
+    ``_coset_unions`` (the others build the difference-matrix systems).
+    That a subgroup belongs to the group it is used in is
+    ``groups._check_subgroup_of``, called by the coset numbering and by
+    ``designs._check_central_elementary``."""
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
 
     def scan(shape, *args) -> set[str]:
@@ -613,6 +616,9 @@ def test_one_check_per_precondition():
                     "assignment must injectively"):
         assert scan(_raises_with, message) == builder, message
     assert scan(_calls_to, {"_slot_parts"}) == builder
+    assert scan(_raises_with, "belongs to a different group") == {"groups._check_subgroup_of"}
+    assert scan(_calls_to, {"_check_subgroup_of"}) == {"groups._cosets",
+                                                       "designs._check_central_elementary"}
     assert scan(_calls_to, {"_coset_unions"}) == {
         *builder, "diffmat.linked_from_dm", "diffmat.witness_direct",
         "worked_examples.construction_side_systems"}
