@@ -95,12 +95,12 @@ def _autocorrelation_params(G: FiniteGroup, ids) -> tuple[np.ndarray, np.ndarray
     n = k - lambda.
 
     In a group with a transform (``group_ring._Transform``, modulo a prime
-    p > 2v + 4) other than the trivial one, the test is on the spectrum
-    (Turyn: S is a difference set iff |chi(S)|^2 = n at every nontrivial
-    character chi).  lambda is k(k - 1)/(v - 1) where that is an integer,
-    and S is accepted iff the reduced P = T(S) . T(S) o neg
-    (``group_ring._character_norms``, one forward transform of each block
-    and no inverse) is n at every j != 0.  The test is exact:
+    p > 2v + 4) the test is on the spectrum (Turyn: S is a difference set
+    iff |chi(S)|^2 = n at every nontrivial character chi).  lambda is
+    k(k - 1)/(v - 1) where that is an integer, and S is accepted iff the
+    reduced P = T(S) . T(S) o neg (``group_ring._character_norms``, one
+    forward transform of each block and no inverse) is n at every j != 0.
+    The test is exact:
 
     * the coefficients of S S^(-1) and of n + lambda G lie in [0, v], so
       those of their difference lie in [-v, v], and p > 2v + 4: the
@@ -111,28 +111,31 @@ def _autocorrelation_params(G: FiniteGroup, ids) -> tuple[np.ndarray, np.ndarray
     * every value in [0, v] has one residue r with |r| <= p // 2 + 2 (the
       bound ``_reduce`` keeps), itself, so P[j] = n mod p iff P[j] == n;
     * at j = 0, P = k^2 = n + lambda v holds iff lambda (v - 1) = k(k - 1),
-      which the choice of lambda settles.
+      which the choice of lambda settles;
+    * in the trivial group (v = 1, p = 7) k is 0 or 1, so k(k - 1) = 0 and
+      lambda = 0 (the division is by max(v - 1, 1)); there is no j != 0,
+      and S S^(-1) = k = n + lambda G: every set is accepted, as
+      (1, k, 0, k).
 
-    Elsewhere (nonabelian groups, or a cyclic factor past NTT_BLOCK) and in
-    the trivial group, which has no lambda to solve for, S S^(-1) itself
-    is computed (``group_ring.autocorrelation_blocks``): k is its
-    coefficient at the identity, and S is a difference set iff it is
+    Elsewhere (nonabelian groups, or a cyclic factor past NTT_BLOCK) S
+    S^(-1) itself is counted (``group_ring.autocorrelation_blocks``): k is
+    its coefficient at the identity, and S is a difference set iff it is
     constant (lambda) off the identity.  On either route each block is cut
     down to (k, lambda) as it comes out of the kernel, so no (n, v) array
     of the whole batch ever exists.
     """
     v = G.order
-    if rg._transform(G) is None or v == 1:
+    if rg._transform(G) is None:
         ks, lams = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
         for _, prods in rg.autocorrelation_blocks(G, ids):
-            lam = prods[:, 1:2].sum(axis=1)  # 0 in the trivial group
+            lam = prods[:, 1:2].sum(axis=1)  # 0 in a trivial group built from a table
             constant = (prods[:, 1:] == prods[:, 1:2]).all(axis=1)
             ks.append(prods[:, 0])
             lams.append(np.where(constant, lam, -1))
         return np.concatenate(ks), np.concatenate(lams)
     k = (np.full(len(ids), ids.shape[1], dtype=np.int64) if isinstance(ids, np.ndarray)
          else np.array([len(S) for S in ids], dtype=np.int64))
-    lam, rest = np.divmod(k * (k - 1), v - 1)
+    lam, rest = np.divmod(k * (k - 1), max(v - 1, 1))
     lam[rest != 0] = -1
     n = k - lam
     for start, norms in rg.character_norm_blocks(G, ids):

@@ -4,29 +4,23 @@ A ring element is an int64 coefficient vector indexed by element id.  All
 operations are pure; products respect the group's multiplication order, so
 nonabelian groups are handled correctly.
 
-Two batched kernels serve the verifiers and searches, whose operands are
-subsets (0/1 coefficient vectors): ``RowProducts`` (and ``pair_products``
-on top of it) gives the products X Y^(-1) of left sets against right sets,
-and ``autocorrelations`` gives S S^(-1) for many sets at once.  Each runs
-on one of two exact routes:
+Each product of subsets (0/1 coefficient vectors) that the verifiers and
+searches need has one exact route per group:
 
-* the transform route, in a group built from cyclic factors of order at
-  most NTT_BLOCK (for the pair products, of order at least NTT_MIN_ORDER
-  too): the number-theoretic transform ``_Transform``, the discrete
-  Fourier transform of Z[G] modulo one prime p > 2v + 4, as float64 GEMMs
-  whose every partial sum stays below 2^53 by a written bound;
-* the table route, in every other group (nonabelian ones, and small ones
-  for the pair products): a table gather and a float32 GEMM for the pair
-  products, and an exact count of quotients for the autocorrelations.
+* the pair products X Y^(-1) (``RowProducts``, ``pair_products``) take the
+  transform ``_Transform`` in a group built from cyclic factors of order
+  at most NTT_BLOCK, from order NTT_MIN_ORDER up: the discrete Fourier
+  transform of Z[G] modulo one prime p > 2v + 4, as float64 GEMMs whose
+  every partial sum stays below 2^53 by a written bound; elsewhere, a
+  table gather and a float32 GEMM;
+* the difference-set checks (``designs._autocorrelation_params``) read
+  |chi(S)|^2 = T(S S^(-1)) mod p at every character off one forward
+  transform per block of sets (``character_norm_blocks``) in a group with
+  a transform, and count S S^(-1) (``autocorrelation_blocks``) elsewhere.
 
-The difference-set checks (``designs._autocorrelation_params``) need no
-coefficients on the transform route: ``character_norm_blocks`` gives
-|chi(S)|^2 = T(S S^(-1)) mod p at every character, one forward transform
-per block of sets and no inverse, and ``designs`` reads (k, lambda) off
-it.
-
-``mul`` stays the general-coefficient product and the oracle both kernels
-are tested against.
+``autocorrelations`` is that exact count in every group, the oracle of the
+spectral test, with which it shares no code; ``mul`` stays the
+general-coefficient product and the oracle the kernels are tested against.
 """
 
 from __future__ import annotations
@@ -37,15 +31,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import FiniteGroup, _id_array, _prime_factors, _scratch_rows
+from .groups import FiniteGroup, _id_array, _int_scalar, _prime_factors, _scratch_rows
 
 # Largest root-of-unity matrix of the transform: a group takes the
 # transform only if each cyclic factor fits in one block.  It sets the
 # transform's stages and exactness bound, not a scratch size.
 NTT_BLOCK = 64
 # Smallest order whose pair products take the transform; below it the
-# table-gather GEMM is faster (see README, "Product kernels").
-# Autocorrelations take the transform at every order.
+# table-gather GEMM is faster (see README, "Product kernels").  The
+# difference-set checks take the transform's spectrum at every order.
 NTT_MIN_ORDER = 128
 # The transform keeps every value and every partial sum below this bound:
 # float64 holds every integer below 2^53 exactly, and the margin keeps the
@@ -59,10 +53,18 @@ class GroupRingElement:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.coeffs, dtype=np.int64)
-        if arr.shape != (self.group.order,):
+        """Takes numeric coefficients of integral value; rejects any other (a
+        bool, a string, a fraction, past int64) rather than coerce it."""
+        given = np.asarray(self.coeffs)
+        if given.shape != (self.group.order,):
             raise ValueError("coefficient vector length must equal the group order")
-        arr = arr.copy()
+        kind = given.dtype.kind
+        # signed integers convert exactly; an unsigned or a float value must
+        # be a whole number below 2^63 (nan and inf fail the bound)
+        if not (kind == "i" or kind in "uf" and (abs(given) < 2.0 ** 63).all()
+                and (given == np.round(given)).all()):
+            raise ValueError(f"coefficients must be integers, got {given.dtype} values")
+        arr = given.astype(np.int64)
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
 
@@ -123,7 +125,8 @@ def sub(x: GroupRingElement, y: GroupRingElement) -> GroupRingElement:
 
 
 def scale(k: int, x: GroupRingElement) -> GroupRingElement:
-    return GroupRingElement(x.group, int(k) * x.coeffs)
+    """k x for an int or a numpy integer k (a float or a bool is rejected)."""
+    return GroupRingElement(x.group, _int_scalar(k, "scalar") * x.coeffs)
 
 
 def mul(x: GroupRingElement, y: GroupRingElement) -> GroupRingElement:
@@ -428,7 +431,8 @@ def _indicator_rows(G: FiniteGroup, rows, name: str) -> np.ndarray:
 
 
 def autocorrelations(G: FiniteGroup, sets) -> np.ndarray:
-    """Coefficients of S S^(-1) for each subset S (int64, shape (n, v)).
+    """Coefficients of S S^(-1) for each subset S (int64, shape (n, v)),
+    counted exactly in every group (``_count_autocorrelations``).
 
     Each S is an iterable of distinct element ids, or ``sets`` is one
     (n, k) array of id rows.
@@ -455,38 +459,28 @@ def autocorrelation_blocks(G: FiniteGroup, ids):
     that ``_subset_rows`` returns: yields (start, the block's rows), so a
     caller can reduce each block as it comes out.
 
-    Every block holds at most SCRATCH_BYTES of any one array.  On the
-    transform route a block is the sets' float64 rows
-    (``_transform_autocorrelations``, ``_transform_blocks``); otherwise the
-    sets are counted (``_count_autocorrelations``), sets of one size in
-    blocks of their quotients and counts, 8 bytes each as ``np.bincount``
-    takes and gives them, and a list of sets of several sizes one set at a
-    time.
+    Sets of one size are counted in blocks of their quotients and counts,
+    at most SCRATCH_BYTES of 8-byte values each, as ``np.bincount`` takes
+    and gives them; a list of sets of several sizes is counted one set at
+    a time.
     """
-    if _transform(G) is not None:
-        yield from _transform_blocks(G, ids, _transform_autocorrelations)
-    elif isinstance(ids, np.ndarray):
+    if isinstance(ids, np.ndarray):
         step = _scratch_rows(8 * max(ids.shape[1] ** 2, G.order))
         for start in range(0, len(ids), step):
             yield start, _count_autocorrelations(G, ids[start:start + step])
     else:
         for start, S in enumerate(ids):
-            yield start, _count_autocorrelations(G, [S])
+            yield start, _count_autocorrelations(G, S[None])
 
 
 def character_norm_blocks(G: FiniteGroup, ids):
     """``_character_norms`` a block of sets at a time, on the checked ids
     that ``_subset_rows`` returns, in a group with a transform: yields
-    (start, the block's norms), in the transform route's blocks."""
-    yield from _transform_blocks(G, ids, _character_norms)
-
-
-def _transform_blocks(G: FiniteGroup, ids, kernel):
-    """(start, ``kernel(G, block)``) over blocks of the sets, each at most
-    SCRATCH_BYTES of float64 rows."""
+    (start, the block's norms), each block at most SCRATCH_BYTES of float64
+    rows."""
     step = _scratch_rows(8 * G.order)
     for start in range(0, len(ids), step):
-        yield start, kernel(G, ids[start:start + step])
+        yield start, _character_norms(G, ids[start:start + step])
 
 
 def _character_norms(G: FiniteGroup, sets) -> np.ndarray:
@@ -500,45 +494,31 @@ def _character_norms(G: FiniteGroup, sets) -> np.ndarray:
     return tr._reduce(spectra[G.inv_table] * spectra)
 
 
-def _transform_autocorrelations(G: FiniteGroup, sets) -> np.ndarray:
-    """S S^(-1) = T(v^(-1) T(S) o neg . T(S)) for each set (see
-    ``_Transform``), on the sets' 0/1 indicator rows."""
-    tr = _transform(G)
-    spectra = tr(_indicator_matrix(G, sets), 1, True)
-    return tr(tr.left(spectra, G.inv_table) * spectra, tr.half ** 2, False).astype(np.int64)
-
-
-def _count_autocorrelations(G: FiniteGroup, sets) -> np.ndarray:
-    """S S^(-1) for each set of distinct ids: an exact integer count of the
-    quotients s t^(-1) over all pairs of S.
-
-    An (n, k) array of id rows is counted at once: table[S[:, :, None],
-    inv[S[:, None, :]]] gives every quotient of each set, offset by v times
-    its row, and one bincount counts them all (``autocorrelation_blocks``
-    keeps a block within the scratch bound).  A list of sets is counted one
-    set at a time.
-    """
+def _count_autocorrelations(G: FiniteGroup, sets: np.ndarray) -> np.ndarray:
+    """S S^(-1) for each row of an (n, k) array of distinct ids: an exact
+    integer count of the quotients s t^(-1) over all pairs of S.
+    table[S[:, :, None], inv[S[:, None, :]]] gives every quotient of each
+    set, offset by v times its row, and one bincount counts them all
+    (``autocorrelation_blocks`` keeps a block within the scratch bound)."""
     v = G.order
-    if isinstance(sets, np.ndarray):
-        quot = G.table[sets[:, :, None], G.inv_table[sets][:, None, :]]
-        quot += (v * np.arange(len(sets), dtype=np.int32))[:, None, None]
-        return np.bincount(quot.ravel(), minlength=len(sets) * v).reshape(-1, v)
-    out = np.empty((len(sets), v), dtype=np.int64)
-    for t, S in enumerate(sets):
-        S = np.asarray(S, dtype=np.int64)
-        out[t] = np.bincount(G.table[S[:, None], G.inv_table[S]].ravel(), minlength=v)
-    return out
+    quot = G.table[sets[:, :, None], G.inv_table[sets][:, None, :]]
+    quot += (v * np.arange(len(sets), dtype=np.int32))[:, None, None]
+    return np.bincount(quot.ravel(), minlength=len(sets) * v).reshape(-1, v)
 
 
 def _subset_rows(G: FiniteGroup, sets):
     """The ids of each subset, through the id door ``groups._id_array``: one
     (n, k) int64 array when ``sets`` is one or holds sets of one size k,
-    else a list of int64 arrays.  Rejects a set with a repeated id."""
+    else a list of int64 arrays.  Rejects a set that is no flat sequence of
+    ids (one id, or a nested one) and a set with a repeated id."""
     if isinstance(sets, np.ndarray) and sets.ndim == 2:
         rows = _id_array(G, sets)
     else:
         rows = [_id_array(G, S) for S in sets]
-        if rows and len({len(S) for S in rows}) == 1:
+        shapes = {np.shape(S) for S in rows}
+        if any(len(shape) != 1 for shape in shapes):
+            raise ValueError("each set must be a flat sequence of ids, not one id or nested rows")
+        if len(shapes) == 1:
             rows = np.stack(rows)
     for S in [rows] if isinstance(rows, np.ndarray) else rows:
         S = np.sort(S, axis=-1)

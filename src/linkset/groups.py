@@ -161,9 +161,7 @@ class FiniteGroup:
         |e|; a negative e powers a^(-1).  ValueError unless e is an int or
         a numpy integer (a bool, a float or a string is none)."""
         a = _id_array(self, a)
-        if type(e) is not int and not isinstance(e, np.integer):
-            raise ValueError(f"exponent {e!r} is not an integer")
-        e = int(e)
+        e = _int_scalar(e, "exponent")
         return int(_power_gather(self.table, self.inv_table[a] if e < 0 else a, abs(e)))
 
     def __repr__(self) -> str:
@@ -263,6 +261,14 @@ def _id_array(G: FiniteGroup, ids) -> np.ndarray:
         bad = arr if one else arr[(arr < 0) | (arr >= G.order)].flat[0]
         raise ValueError(f"element id {bad} out of range for a group of order {G.order}")
     return arr if one else arr.astype(np.int64, copy=False)
+
+
+def _int_scalar(x, what: str) -> int:
+    """x as an int if it is an int or a numpy integer; ValueError naming it
+    as ``what`` for any other value (a bool, a float, a string)."""
+    if type(x) is not int and not isinstance(x, np.integer):
+        raise ValueError(f"{what} {x!r} is not an integer")
+    return int(x)
 
 
 def _check_table_order(v: int) -> None:

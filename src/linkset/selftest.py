@@ -1,6 +1,7 @@
 """End-to-end selftest over the worked examples, a cross-check of the
-batched product kernels against the plain group-ring product, and the
-witness filter the pair check leaves out, run as an oracle."""
+pair products against the plain group-ring product and of the spectral
+difference-set test against the exact count, and the witness filter the
+pair check leaves out, run as an oracle."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import random
 import numpy as np
 
 from . import group_ring as rg
-from .designs import DSParams, is_difference_set
+from .designs import DSParams, difference_set_params, is_difference_set
 from .diffmat import linked_from_dm, normalize, verify_dm, witness_direct
 from .groups import FiniteGroup, direct_product, make_abelian, make_dihedral8
 from .linking import MuNu, mu_nu_candidates, reversibility_profile, verify_reduced
@@ -31,8 +32,8 @@ def _check(name: str, ok: bool, failures: list[str]) -> None:
 
 def _kernel_checks(failures: list[str]) -> None:
     """pair_products against mul on a nonabelian group (table route) and on
-    an abelian one (transform route), and the transform's autocorrelations
-    against the exact count."""
+    an abelian one (transform route), and the spectral difference-set test
+    against the exact count of S S^(-1)."""
     rng = random.Random(0)
     Z = make_abelian([8, 4, 4])
     for label, G in (("D4xZ2", direct_product(make_dihedral8(), make_abelian([2]))),
@@ -43,14 +44,18 @@ def _kernel_checks(failures: list[str]) -> None:
         _check(f"pair_products agrees with mul on {label}",
                all(np.array_equal(prods[a, b], rg.mul(ring[a], rg.involution(ring[b])).coeffs)
                    for a in range(6) for b in range(6)), failures)
-    # one group above NTT_MIN_ORDER and one below it: autocorrelations take
-    # the transform at every order
+    # one group above NTT_MIN_ORDER and one below it: the difference-set
+    # checks take the spectrum at every order; the sets of 0, 1, v - 1 and
+    # v elements are difference sets in every group
     for label, G in (("Z8xZ4xZ4", Z), ("Z3xZ3xZ2xZ2", make_abelian([3, 3, 2, 2]))):
-        sets = [rng.sample(range(G.order), rng.randint(1, G.order)) for _ in range(6)]
-        _check(f"autocorrelations: transform and count paths agree on {label}",
-               rg._transform(G) is not None
-               and np.array_equal(rg._transform_autocorrelations(G, sets),
-                                  rg._count_autocorrelations(G, sets)), failures)
+        v = G.order
+        sets = [[], [0], list(range(1, v)), list(range(v))]
+        sets += [rng.sample(range(v), rng.randint(1, v)) for _ in range(6)]
+        counted = [DSParams(v, int(c[0]), int(c[1]), int(c[0] - c[1]))
+                   if (c[1:] == c[1]).all() else None for c in rg.autocorrelations(G, sets)]
+        _check(f"difference-set params: spectrum and count agree on {label}",
+               rg._transform(G) is not None and difference_set_params(G, sets) == counted,
+               failures)
 
 
 def witness_filter_oracle(G: FiniteGroup, sets, munu: MuNu,

@@ -252,7 +252,7 @@ def test_selftest_fails_on_a_broken_kernel(monkeypatch):
     transform = rg._Transform.__call__
     monkeypatch.setattr(rg._Transform, "__call__", lambda *a: transform(*a) + 1)
     code, out, _ = run_capture(["selftest"])
-    assert code == 1 and "FAIL  autocorrelations" in out
+    assert code == 1 and "FAIL  difference-set params: spectrum and count agree" in out
     monkeypatch.undo()
 
     pair_products = rg.pair_products

@@ -113,18 +113,18 @@ def test_difference_set_mask_matches_difference_set_params():
 
 
 def _counted_params(G, sets):
-    """(k, lambda) of each set from the table route's exact count
-    (``group_ring._count_autocorrelations``), lambda -1 where S S^(-1) is
-    not constant off the identity.  A set of more than v/2 elements is
-    counted through its complement C, as C C^(-1) = S S^(-1) + (v - 2k) G,
-    so no count holds more than (v/2)^2 quotients."""
+    """(k, lambda) of each set from the exact count
+    (``group_ring.autocorrelations``), lambda -1 where S S^(-1) is not
+    constant off the identity.  A set of more than v/2 elements is counted
+    through its complement C, as C C^(-1) = S S^(-1) + (v - 2k) G, so no
+    count holds more than (v/2)^2 quotients."""
     v, ks, lams = G.order, [], []
     for S in sets:
         k = len(S)
         if 2 * k > v:
-            prods = rg._count_autocorrelations(G, [np.setdiff1d(np.arange(v), S)])[0] - (v - 2 * k)
+            prods = rg.autocorrelations(G, [np.setdiff1d(np.arange(v), S)])[0] - (v - 2 * k)
         else:
-            prods = rg._count_autocorrelations(G, [S])[0]
+            prods = rg.autocorrelations(G, [S])[0]
         ks.append(int(prods[0]))
         lams.append(int(prods[1:2].sum()) if (prods[1:] == prods[1:2]).all() else -1)
     return ks, lams
@@ -144,7 +144,8 @@ def _planted_sets(G):
     return []
 
 
-@pytest.mark.parametrize("factors", [[2], [4, 4], [3, 3, 5], [3, 3, 2, 2], [4] * 5, [64, 64]],
+@pytest.mark.parametrize("factors", [[2], [3], [2, 2], [4, 4], [8, 2], [3, 3, 2, 2], [6, 6],
+                                     [3, 3, 5], [2] * 6, [4] * 5, [64, 64]],
                          ids=lambda f: "x".join(map(str, f)))
 def test_spectral_params_match_the_count(factors, monkeypatch):
     """The spectral route's (k, lambda) equal the count's on random rows:
@@ -175,7 +176,7 @@ def test_spectral_params_match_the_count(factors, monkeypatch):
     mixed_want = _counted_params(G, mixed)
     assert [lam >= 0 for lam in _counted_params(G, planted)[1]] == [True] * len(planted)
     assert rg._transform(G).p == 8513 if v == 4096 else rg._transform(G) is not None
-    monkeypatch.setattr(rg, "autocorrelation_blocks", None)  # nothing is counted or inverted
+    monkeypatch.setattr(rg, "autocorrelation_blocks", None)  # nothing is counted
     for rows, counted in zip(by_size, want):
         k, lam = _autocorrelation_params(G, rg._subset_rows(G, rows))
         assert (k.tolist(), lam.tolist()) == counted
@@ -189,11 +190,14 @@ def test_spectral_params_match_the_count(factors, monkeypatch):
                                             (v, v - 1, v - 2, 1), (v, v, v, 0)]
 
 
-def test_the_trivial_group_keeps_the_autocorrelation_route(monkeypatch):
-    """v = 1 has no lambda to solve for (v - 1 = 0): its sets take the
-    autocorrelations, and {1} is a (1, 1, 0, 1) difference set."""
+def test_the_trivial_group_takes_the_spectral_route(monkeypatch):
+    """v = 1 has a transform (p = 7, no stages) and takes the spectral
+    route like every group with one: lambda = k(k - 1) / max(v - 1, 1) = 0
+    for k in {0, 1}, there is no nontrivial character, and {1} is a
+    (1, 1, 0, 1) difference set; nothing is counted."""
     T = make_abelian([])
-    monkeypatch.setattr(rg, "character_norm_blocks", None)
+    assert rg._transform(T).p == 7
+    monkeypatch.setattr(rg, "autocorrelation_blocks", None)
     assert is_difference_set(T, [0]) == DSParams(1, 1, 0, 1)
     assert difference_set_params(T, [[0], []]) == [DSParams(1, 1, 0, 1), DSParams(1, 0, 0, 0)]
 
@@ -216,7 +220,6 @@ def test_the_spectral_route_takes_one_forward_transform_per_block(monkeypatch):
     monkeypatch.setattr(rg._Transform, "__call__", lambda self, x, bound, batch_first: calls.append(
         (len(x), bound, batch_first)) or forward(self, x, bound, batch_first))
     monkeypatch.setattr(rg._Transform, "left", None)
-    monkeypatch.setattr(rg, "_transform_autocorrelations", None)
     monkeypatch.setattr(rg, "_count_autocorrelations", None)
     blocks = [(min(step, 70 - a), 1, True) for a in range(0, 70, step)]
     assert step == 32 and len(blocks) == 3

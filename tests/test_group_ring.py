@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from linkset import group_ring as rg
+from linkset.designs import DSParams, difference_set_params
 from linkset.groups import (
     direct_product,
     make_abelian,
@@ -39,6 +40,41 @@ def test_from_subset_and_is_subset():
     assert rg.is_subset(rg.scale(2, rg.one(G))) is None
     with pytest.raises(ValueError):
         rg.from_subset(G, [1, 1])
+
+
+@pytest.mark.parametrize("coeffs", [[0.5] * 16, ["3"] * 16, [True] * 16, [1] * 15 + [1.5],
+                                    [np.inf] * 16, [np.nan] * 16, np.full(16, 2.0 ** 63),
+                                    [1j] * 16],
+                         ids=["half", "string", "bool", "one-fraction", "inf", "nan", "2^63",
+                              "complex"])
+def test_group_ring_elements_reject_coefficients_that_are_no_integers(coeffs):
+    """A coefficient that is no integer raises ValueError rather than being
+    coerced (0.5 to 0, '3' to 3, True to 1)."""
+    with pytest.raises(ValueError, match="coefficients must be integers"):
+        rg.GroupRingElement(make_abelian([4, 4]), coeffs)
+
+
+def test_group_ring_elements_take_integral_numeric_coefficients():
+    G = make_abelian([4, 4])
+    want = np.arange(-8, 8)
+    for coeffs in (want, want.tolist(), want.astype(np.int8), want.astype(np.float32),
+                   [float(c) for c in want]):
+        x = rg.GroupRingElement(G, coeffs)
+        assert x.coeffs.dtype == np.int64 and np.array_equal(x.coeffs, want)
+    assert rg.GroupRingElement(G, np.arange(16, dtype=np.uint8)).coeffs.tolist() == list(range(16))
+
+
+def test_scale_takes_integer_scalars_only():
+    """``scale`` takes an int or a numpy integer k, as ``FiniteGroup.power``
+    takes its exponent; a float (even an integral one), a bool or a string
+    raises ValueError instead of being truncated."""
+    G = make_abelian([4, 4])
+    x = rg.from_subset(G, [1, 5])
+    for k in (1.5, 2.0, np.float64(2), True, np.bool_(True), "2", None):
+        with pytest.raises(ValueError, match="scalar"):
+            rg.scale(k, x)
+    for k in (3, -2, np.int64(3), np.uint8(3), np.int32(-2)):
+        assert rg.scale(k, x).coeffs.tolist() == (int(k) * x.coeffs).tolist()
 
 
 def test_mul_matches_multiset_oracle():
@@ -171,6 +207,9 @@ def test_pair_products_match_mul():
     for G in _kernel_groups():
         sets = [rng.sample(range(G.order), rng.randint(0, G.order)) for _ in range(5)]
         ring = [rg.from_subset(G, S) for S in sets]
+        # below NTT_MIN_ORDER the pair products stay on the table route
+        assert G.order < rg.NTT_MIN_ORDER
+        assert rg.RowProducts(G, rg.indicators(G, sets))._transform is None
         P = rg.pair_products(G, rg.indicators(G, sets[:3]), rg.indicators(G, sets))
         assert P.shape == (3, 5, G.order)
         noncommuting = False
@@ -228,7 +267,18 @@ def test_coefficient_autocorrelations_match_mul_in_any_group():
         assert rg.coefficient_autocorrelations(G.table, rows[:0]).shape == (0, G.order)
 
 
+def _counted_params(G, counts):
+    """is_difference_set's answers read off the exact counts of S S^(-1):
+    DSParams where the row is constant off the identity, else None."""
+    v = G.order
+    return [DSParams(v, int(c[0]), int(c[1]), int(c[0] - c[1])) if (c[1:] == c[1]).all()
+            else None for c in counts]
+
+
 def test_autocorrelation_paths_agree_on_improved_witnesses():
+    """The 930 witnesses of the improved system in Z4^5: the count, mul
+    and the spectral test all make each a (1024, 496, 240, 256)
+    difference set."""
     from linkset.diffmat import build_improved
 
     G = make_abelian([4] * 5)
@@ -236,55 +286,53 @@ def test_autocorrelation_paths_agree_on_improved_witnesses():
     witnesses = [w.elements for w in system.witnesses.values()]
     assert len(witnesses) == 31 * 30
     k = len(witnesses[0])
-    assert rg._transform(G) is not None  # the default takes the transform here
-    got = rg._transform_autocorrelations(G, witnesses)
-    assert np.array_equal(got, rg._count_autocorrelations(G, witnesses))
-    assert np.array_equal(got, rg.autocorrelations(G, witnesses))
+    got = rg.autocorrelations(G, witnesses)
     s = rg.from_subset(G, witnesses[0])
     assert np.array_equal(got[0], rg.mul(s, rg.involution(s)).coeffs)
-    # every witness is a (1024, 496, 240, 256) difference set
     assert np.all(got[:, 0] == k) and np.all(got[:, 1:] == 240)
+    assert rg._transform(G) is not None  # the difference-set checks read the spectrum here
+    assert difference_set_params(G, witnesses) == [DSParams(1024, k, 240, 256)] * len(witnesses)
 
 
 def test_autocorrelation_paths_agree_on_mixed_radix_sets():
+    """Random sets and the sets of 0, 1, v - 1 and v elements of Z16 x Z4 x
+    Z2^2: the spectral test's parameters are the count's, and the count is
+    mul's."""
     G = make_abelian([16, 4, 2, 2])
+    v = G.order
     rng = random.Random(29)
-    sets = [rng.sample(range(G.order), rng.randint(0, G.order)) for _ in range(70)]
-    assert rg._transform(G) is not None
-    got = rg._transform_autocorrelations(G, sets)
-    assert np.array_equal(got, rg._count_autocorrelations(G, sets))
-    for S, row in zip(sets[:3], got):
+    sets = [[], [0], list(range(1, v)), list(range(v))]
+    sets += [rng.sample(range(v), rng.randint(0, v)) for _ in range(70)]
+    got = rg.autocorrelations(G, sets)
+    for S, row in zip(sets[:7], got):
         s = rg.from_subset(G, S)
         assert np.array_equal(row, rg.mul(s, rg.involution(s)).coeffs)
+    assert rg._transform(G) is not None
+    counted = _counted_params(G, got)
+    assert counted[:4] == [DSParams(v, 0, 0, 0), DSParams(v, 1, 0, 1),
+                           DSParams(v, v - 1, v - 2, 1), DSParams(v, v, v, 0)]
+    assert difference_set_params(G, sets) == counted
 
 
 @pytest.mark.parametrize("factors", [[2], [3], [2, 2], [4, 4], [8, 2], [3, 3, 2, 2], [3, 3, 5],
                                      [6, 6], [2] * 6])
-def test_transform_autocorrelations_agree_with_the_count_at_small_orders(factors, monkeypatch):
-    """Autocorrelations take the transform in every abelian group with
-    cyclic factors up to NTT_BLOCK, below NTT_MIN_ORDER too: there the
-    transform and the count agree on the empty set, every singleton, the
-    full group, and a list of sets of mixed sizes, and ``autocorrelations``
-    (a list, and one array of equal-size id rows) counts nothing."""
+def test_transform_autocorrelations_agree_with_the_count_at_small_orders(factors):
+    """The spectral route's values are the transform of S S^(-1) as the
+    count gives it, below NTT_MIN_ORDER too: ``_character_norms`` (staged
+    GEMMs on the indicator rows, then T(S) . T(S) o neg) equals, mod p, one
+    dense root-of-unity matrix over all factors times the counted
+    coefficients, at every character, on the empty set, every singleton,
+    the full group and random sets of mixed sizes."""
     G = make_abelian(factors)
-    assert G.order < rg.NTT_MIN_ORDER and rg._transform(G) is not None
-    rng = random.Random(G.order)
-    sets = [[], list(range(G.order))] + [[a] for a in range(G.order)]
-    # the pair products stay on the table route below NTT_MIN_ORDER
-    assert rg.RowProducts(G, rg.indicators(G, sets[:2]))._transform is None
-    sets += [rng.sample(range(G.order), rng.randint(0, G.order)) for _ in range(20)]
-    got = rg._transform_autocorrelations(G, sets)
-    assert np.array_equal(got, rg._count_autocorrelations(G, sets))
-    assert not got[0].any() and (got[1] == G.order).all()
-    assert (got[2:2 + G.order] == np.eye(1, G.order, dtype=np.int64)).all()
-    for S, row in zip(sets[-3:], got[-3:]):
-        s = rg.from_subset(G, S)
-        assert np.array_equal(row, rg.mul(s, rg.involution(s)).coeffs)
-    rows = np.array([sorted(rng.sample(range(G.order), G.order // 2)) for _ in range(9)])
-    want = rg._count_autocorrelations(G, rows)
-    monkeypatch.setattr(rg, "_count_autocorrelations", None)  # no count may start
-    assert np.array_equal(rg.autocorrelations(G, sets), got)
-    assert np.array_equal(rg.autocorrelations(G, rows), want)
+    v, tr = G.order, rg._transform(G)
+    assert v < rg.NTT_MIN_ORDER and tr is not None
+    rng = random.Random(v)
+    sets = [[], list(range(v))] + [[a] for a in range(v)]
+    sets += [rng.sample(range(v), rng.randint(0, v)) for _ in range(20)]
+    dft = rg._block_matrix(tuple(factors), tr.p, rg._primitive_root(tr.p)).astype(np.int64)
+    want = rg.autocorrelations(G, sets) @ dft.T % tr.p
+    norms = rg._character_norms(G, rg._subset_rows(G, sets))
+    assert np.array_equal(norms.T.astype(np.int64) % tr.p, want)
 
 
 def test_autocorrelations_reject_malformed_sets():
@@ -303,6 +351,18 @@ def test_autocorrelations_reject_malformed_sets():
     rows = np.array([[0, 1, 5], [2, 7, 9]])
     assert np.array_equal(rg.autocorrelations(G, rows), rg.autocorrelations(G, rows.tolist()))
     assert np.array_equal(rg.indicators(G, rows), rg.indicators(G, rows.tolist()))
+
+
+@pytest.mark.parametrize("check, sets", [
+    (rg.autocorrelations, [[[0, 1], [2, 3]]]),  # one set nested in two rows
+    (difference_set_params, np.zeros((1, 1, 1), dtype=np.int64)),  # a 3-D id array
+    (rg.autocorrelations, np.array([0, 1, 2])),  # one set where the list of sets belongs
+], ids=["nested-set", "3d-array", "1d-array"])
+def test_sets_that_are_not_flat_are_rejected(check, sets):
+    """The subset door ``_subset_rows`` takes sets only as flat sequences
+    of ids: a nested set is not flattened, and a bare id is no set."""
+    with pytest.raises(ValueError, match="flat sequence"):
+        check(make_abelian([4, 4]), sets)
 
 
 def _partitions(n, largest):
@@ -334,12 +394,15 @@ def test_transform_exactness_bound():
         assert tr.p == p and [len(M) for M in tr.matrices] == sizes
         assert [sum(reduce for _, reduce, _ in tr.stages(bound, batch_first))
                 for bound, batch_first in ((1, True), (tr.half ** 2, False))] == reductions
-    # near-half-size sets on an order-4096 group, against the count
+    # near-half-size sets on an order-4096 group: the pair products' forward
+    # and inverse transforms give X X^(-1) on the diagonal, against the count
     G = make_abelian([4] * 6)
     rng = random.Random(31)
     sets = [rng.sample(range(G.order), 2048 + d) for d in (-1, 0, 1)]
-    assert rg._transform(G) is not None
-    assert np.array_equal(rg.autocorrelations(G, sets), rg._count_autocorrelations(G, sets))
+    products = rg.RowProducts(G, rg.indicators(G, sets))
+    assert products._transform is not None
+    diagonal = products(range(3), range(3))[range(3), range(3)]
+    assert np.array_equal(diagonal, rg.autocorrelations(G, sets))
 
 
 def test_transform_bound_is_checked_under_python_O():

@@ -362,6 +362,22 @@ def test_one_product_path():
     assert _calls_to(tree, "m", {"RowProducts"}) == {"m.f", "m.K.g"}
 
 
+def test_each_product_kernel_has_one_caller():
+    """Each group has one S S^(-1) route: the spectral difference-set test
+    ``_character_norms`` is reached only through its block loop
+    ``character_norm_blocks``, the exact count ``_count_autocorrelations``
+    only through ``autocorrelation_blocks``, and the left factor of the
+    transform's products, ``_Transform.left``, only from the pair products
+    ``RowProducts.__call__``."""
+    kernels = {"_character_norms": {"group_ring.character_norm_blocks"},
+               "_count_autocorrelations": {"group_ring.autocorrelation_blocks"},
+               "left": {"group_ring.RowProducts.__call__"}}
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    for name, callers in kernels.items():
+        assert set().union(*(_calls_to(tree, stem, {name}) for stem, tree in trees.items())) \
+            == callers, name
+
+
 def _indented_dumps(tree: ast.Module, module: str) -> set[str]:
     """The scopes that call ``json.dumps`` (or ``dumps``) with an ``indent``."""
     return _scopes_where(tree, module, lambda node: isinstance(node, ast.Call)
