@@ -22,7 +22,8 @@ import numpy as np
 
 from .galois import GaloisRing
 from .group_ring import _factor_transform
-from .groups import MAX_TABLE_ORDER, FiniteGroup, _radix_weights, _span_table, make_abelian
+from .groups import (MAX_TABLE_ORDER, FiniteGroup, _int_scalar, _radix_weights, _span_table,
+                     make_abelian)
 from .linking import ReducedLinkingSystem, verify_reduced
 
 
@@ -32,6 +33,7 @@ class BooleanFunction:
     table: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "arity", _int_scalar(self.arity, "arity", 0))
         arr = np.asarray(self.table, dtype=np.uint8)
         if arr.shape != (2 ** self.arity,):
             raise ValueError("truth table length must be 2^arity")
@@ -191,15 +193,15 @@ def kerdock_bent_set(d: int) -> list[BooleanFunction]:
     The domain is 0 <= d <= 4: the field table has 4^(2d+1) entries and
     the check tests 4^(2d+1)/2 pairs, so d = 4 takes seconds and d = 5
     would not finish at desk scale.  The trace-form family is not trusted:
-    is_bent_set gates the output, and a family that fails it raises
+    the gate (the zero function among them, 2^(2d+1) distinct members and
+    is_bent_set) checks the output, and a family that fails it raises
     AssertionError.
     """
-    if not 0 <= d <= 4:
+    if not 0 <= _int_scalar(d, "d") <= 4:
         raise ValueError(f"d must be between 0 and 4, got {d}")
     fns = _normalize_light(_kerdock_trace_family(d))
-    if not any(f.is_zero() for f in fns):
-        fns = translate_to_zero(fns)
-    if len(set(fns)) == 2 ** (2 * d + 1) and is_bent_set(fns):
+    if (any(f.is_zero() for f in fns) and len(set(fns)) == 2 ** (2 * d + 1)
+            and is_bent_set(fns)):
         return fns
     raise AssertionError("trace-form bent set failed verification")
 

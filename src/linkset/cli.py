@@ -67,14 +67,14 @@ def _parse_group(text: str):
     return group_from_spec(spec)
 
 
-def _integer(text: str, flag: str, positive: bool = False) -> int:
+def _integer(text: str, flag: str) -> int:
     """The value of the integer flag ``flag``: an optional minus sign and ASCII
-    digits (``int`` alone takes "0_4" or other scripts' digits), above 0 when
-    ``positive``; anything else is a usage error (ValueError)."""
-    if re.fullmatch(r"-?[0-9]+", text) and (not positive or int(text) > 0):
+    digits (``int`` alone takes "0_4" or other scripts' digits); anything
+    else is a usage error (ValueError).  Its range is checked where the
+    value comes in, by ``groups._int_scalar``."""
+    if re.fullmatch(r"-?[0-9]+", text):
         return int(text)
-    kind = "a positive integer" if positive else "an integer"
-    raise ValueError(f"{flag} must be {kind}, got {text!r}")
+    raise ValueError(f"{flag} must be an integer, got {text!r}")
 
 
 def _emit(args, payload, text_lines: list[str]) -> None:
@@ -245,7 +245,7 @@ def _cmd_build(args) -> int:
 def _census(args, factors: list[int], ell: int):
     """The census of size-``ell`` systems of (16, 6, 2) difference sets in
     the abelian group of ``factors``, on ``--jobs`` worker processes."""
-    jobs = _integer("1" if args.jobs is None else args.jobs, "--jobs", positive=True)
+    jobs = _integer("1" if args.jobs is None else args.jobs, "--jobs")
     return census_systems(make_abelian(factors), 6, ell, jobs=jobs)
 
 

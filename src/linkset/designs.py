@@ -19,6 +19,8 @@ from .groups import (
     _id_array,
     _ilog,
     _independent_basis,
+    _int_scalar,
+    _prime,
     _span_table,
     exponent,
     is_central,
@@ -172,6 +174,7 @@ def _inverse_closed(G: FiniteGroup, rows) -> np.ndarray:
 
 def two_group_params(r: int) -> DSParams:
     """Parameters forced on any nontrivial difference set in a group of order 2^r."""
+    r = _int_scalar(r, "r")
     if r % 2 != 0 or r < 2:
         raise ValueError(f"no valid difference-set parameters in order 2^{r}")
     d = (r - 2) // 2
@@ -221,7 +224,7 @@ def hyperplanes(E: Subgroup, p: int, basis=None) -> HyperplaneFamily:
     span has the base-p digits of i), and the kernel of each functional is
     read off one product of the coordinate matrix with the functionals,
     mod p."""
-    G = E.group
+    G, p = E.group, _prime(p)
     if basis is None:
         basis = _independent_basis(G, E.elements, p)
     basis = tuple(_id_array(G, basis).tolist())
@@ -295,7 +298,7 @@ def _hyperplane_sets(G: FiniteGroup, family: HyperplaneFamily, reps,
     checks their preconditions: E central elementary abelian of order
     p^(d+1) and of index s + 1 (McFarland, no ``complemented_slot``) or s
     (Spence: p = 3 and a slot m in 0..s-1), one representative per coset
-    of E, and plain integers, no floats or bools, for m and ``assignment``.
+    of E, and integers (``groups._int_scalar``) for m and ``assignment``.
 
     Slot i of a set is the coset c_a(i) t_i P_i, P_i being H_i, or E minus
     H_m at slot m.  An ``assignment`` (an injective map from the slots to
@@ -306,13 +309,9 @@ def _hyperplane_sets(G: FiniteGroup, family: HyperplaneFamily, reps,
     sum of the slot sizes; as v and k fix lambda and n of any difference
     set, a row that ``make_record`` accepts has these parameters."""
     E, p, s, m = family.subgroup, family.prime, family.count, complemented_slot
-
-    def index(x, n: int) -> bool:
-        return (type(x) is int or isinstance(x, np.integer)) and 0 <= x < n
-
     if m is not None and p != 3:
         raise ValueError("the Spence construction works over GF(3)")
-    if m is not None and not index(m, s):
+    if m is not None and not 0 <= _int_scalar(m, "complemented slot") < s:
         raise ValueError("complemented slot out of range")
     cosets = s + 1 if m is None else s
     d = _ilog(E.order, p) - 1
@@ -332,8 +331,8 @@ def _hyperplane_sets(G: FiniteGroup, family: HyperplaneFamily, reps,
         translates = [minima[np.isin(minima, E.elements)]
                       for minima in (_cosets(G, H)[1] for H in family.members)]
     else:
-        maps = list(assignment)
-        if len(maps) != s or not all(index(a, cosets) for a in maps) or len(set(maps)) != s:
+        maps = [_int_scalar(a, "assignment entry") for a in assignment]
+        if len(maps) != s or not all(0 <= a < cosets for a in maps) or len(set(maps)) != s:
             raise ValueError("assignment must injectively map the s slots into the s+1 cosets")
         maps = np.array([maps], dtype=np.int64)
         translates = [np.zeros(1, dtype=np.int64)] * s

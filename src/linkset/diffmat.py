@@ -70,6 +70,7 @@ from .groups import (
     _cosets,
     _distinct_cosets,
     _id_array,
+    _int_scalar,
     _radix_weights,
     _span_table,
     abelian_rank,
@@ -99,8 +100,7 @@ class DifferenceMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.lam < 1:
-            raise ValueError(f"lam must be at least 1, got {self.lam}")
+        object.__setattr__(self, "lam", _int_scalar(self.lam, "lam", 1))
         if not len(self.rows):
             raise ValueError("a difference matrix needs at least one row")
         width = self.lam * self.group.order
@@ -222,20 +222,19 @@ def dm_auto(G: FiniteGroup, target_rows: int,
     ``budget`` nodes (default DEFAULT_SEARCH_BUDGET).  A library hit takes
     no nodes, so ``budget`` bounds the search only.  None means absence is
     proved: the search exhausted its space, or target_rows > |G|.  A search
-    that runs out of budget raises SearchInconclusive.  Whatever the route,
-    the matrix passes ``verify_dm`` before it is returned, and a library
-    entry that fails it, names an element G lacks or has a row of the wrong
-    length raises AssertionError.
+    that runs out of budget raises SearchInconclusive.  target_rows (at
+    least 1) and budget (at least 0) pass ``groups._int_scalar`` first.
+    Whatever the route, the matrix passes ``verify_dm`` before it is
+    returned, and a library entry that fails it, names an element G lacks
+    or has a row of the wrong length raises AssertionError.
     """
     if G.cyclic_factors is None:
         raise ValueError("dm_auto needs a group built from cyclic factors")
-    if not G.abelian:
-        raise ValueError("dm_auto handles abelian 2-groups only")
     factors = G.cyclic_factors
     for n in factors:
         _factor_exponent(n)
-    if target_rows < 1:
-        raise ValueError(f"a difference matrix needs at least one row, got {target_rows}")
+    target_rows = _int_scalar(target_rows, "rows", 1)
+    budget = DEFAULT_SEARCH_BUDGET if budget is None else _int_scalar(budget, "budget", 0)
     v = G.order
     if target_rows > v:
         return None
@@ -252,8 +251,7 @@ def dm_auto(G: FiniteGroup, target_rows: int,
     elif len(names := _dm_library().get(factors, ())) >= target_rows:
         rows = _library_rows(G, names)
     else:
-        rows = _backtrack_dm(G, target_rows,
-                             DEFAULT_SEARCH_BUDGET if budget is None else budget).rows
+        rows = _backtrack_dm(G, target_rows, budget).rows
         if rows is None:
             return None
     M = DifferenceMatrix(G, 1, rows)
@@ -329,7 +327,8 @@ class SearchInconclusive(Exception):
 
 
 def _backtrack_dm(G: FiniteGroup, m: int, budget: int) -> DMSearch:
-    """Exact forward-checking search for an m-row (G, m, 1) difference matrix.
+    """Exact forward-checking search for an m-row (G, m, 1) difference
+    matrix, m >= 3 (``dm_auto`` answers fewer rows itself).
 
     Symmetry reduction: row 0 is the identity row, row 1 is the elements in
     id order (valid because columns of a difference matrix may be permuted
@@ -372,9 +371,6 @@ def _backtrack_dm(G: FiniteGroup, m: int, budget: int) -> DMSearch:
     with m >= 3 rows exists.
     """
     v = G.order
-    first_rows = ((0,) * v, tuple(range(v)))
-    if m <= 2:
-        return DMSearch(first_rows[:m], 0)
     table = memoryview(G.table)  # scalar products without a v x v Python list
     if G.abelian and functools.reduce(lambda a, b: table[a, b], range(v)) != 0:
         return DMSearch(None, 0)
@@ -398,7 +394,7 @@ def _backtrack_dm(G: FiniteGroup, m: int, budget: int) -> DMSearch:
         halvings = [(p >> k) * width for k in range(1, p.bit_length())]
         folds.append([(n - p) * width] * (n > p) + halvings)
     room = KILL_CACHE_BYTES * 8 // (v * width)  # kill rows still to be cached
-    rows = [list(r) for r in first_rows]
+    rows = [[0] * v, list(range(v))]
     earlier = []  # rows 1.. as (ids, kill rows by difference, entry inverses)
 
     def open_row(row: list[int]) -> None:
@@ -584,7 +580,7 @@ def _abelian_2group_depth(G: FiniteGroup) -> int:
     """d for an abelian group of order 2^(2d+2) built from cyclic factors
     (which are then powers of 2) of rank at least d + 1, the rank that the
     central E = Z_2^(d+1) of both abelian drivers needs."""
-    if not G.abelian or G.cyclic_factors is None:
+    if G.cyclic_factors is None:
         raise ValueError("driver needs an abelian group built from cyclic factors")
     d = _two_group_depth(G)
     if abelian_rank(G) < d + 1:
@@ -656,20 +652,21 @@ def build_improved(G: FiniteGroup, budget: int | None = None) -> ReducedLinkingS
     return _build_from_quotient_dm(G, *_quotient_gens(G, d), m, budget)
 
 
-def _check_depth(d: int) -> None:
-    """Reject d < 1, or a d whose groups of order 2^(2d+2) are past the table
-    limit, from the exponent alone, before any power of 2 is formed."""
-    if d < 1:
-        raise ValueError("d must be a positive integer")
+def _check_depth(d: int) -> int:
+    """d through the integer door, rejecting d < 1, or a d whose groups of
+    order 2^(2d+2) are past the table limit, from the exponent alone,
+    before any power of 2 is formed."""
+    d = _int_scalar(d, "d", 1)
     if 2 * d + 2 > MAX_TABLE_ORDER.bit_length() - 1:
         raise ValueError(f"group order 2^{2 * d + 2} exceeds table limit {MAX_TABLE_ORDER}")
+    return d
 
 
 def build_tyken(d: int, K: FiniteGroup) -> ReducedLinkingSystem:
     """Size 2^(d+1)-1 system in D4 x K for abelian K of order 2^(2d-1) and
     exponent at most 4."""
-    _check_depth(d)
-    if not K.abelian or K.cyclic_factors is None:
+    d = _check_depth(d)
+    if K.cyclic_factors is None:
         raise ValueError("K must be an abelian group built from cyclic factors")
     if K.order != 2 ** (2 * d - 1):
         raise ValueError(f"K must have order {2 ** (2 * d - 1)}")
@@ -697,7 +694,7 @@ def build_nonreversible(d: int) -> ReducedLinkingSystem:
     to x_1, and the lift e_{1,1} is the identity, so D_1 contains x_1 but
     not x_1^3.
     """
-    _check_depth(d)
+    d = _check_depth(d)
     G = make_abelian([4] * (d + 1))
     e_gens, q_gens, q_orders = _quotient_gens(G, d)
     system = _build_from_quotient_dm(G, e_gens[::-1], q_gens, q_orders, 2 ** (d + 1))

@@ -35,23 +35,23 @@ def _scratch_rows(row_bytes: int) -> int:
 
 
 class FiniteGroup:
-    """A finite group with elements 0..order-1 and id 0 the identity."""
+    """A finite group with elements 0..order-1 and id 0 the identity.
 
-    def __init__(
-        self,
-        table: np.ndarray,
-        names: list[str],
-        generators: list[tuple[str, int]],
-        spec: object,
-        cyclic_factors: tuple[int, ...] | None = None,
-    ):
+    ``cyclic_factors`` is a fact this module establishes, not an argument:
+    ``make_abelian`` and ``direct_product`` of two such groups set it to
+    the n_1, ..., n_r whose mixed-radix exponent tuples (n_1 most
+    significant) are the ids, so it implies abelian.  Any other group, one
+    built here from a table included, has None."""
+
+    def __init__(self, table: np.ndarray, names: list[str],
+                 generators: list[tuple[str, int]], spec: object):
         _check_table_order(len(table))
         self.table = np.ascontiguousarray(table, dtype=np.int32)
         self.order = int(self.table.shape[0])
         self.names = list(names)
         self.generators = list(generators)
         self.spec = spec
-        self.cyclic_factors = cyclic_factors
+        self.cyclic_factors: tuple[int, ...] | None = None
         # the inverse of a is the position of id 0 in row a; ``_validate``
         # rejects a row that is not a permutation, so that position is unique
         self.inv_table = self.table.argmin(axis=1).astype(np.int32)
@@ -263,12 +263,27 @@ def _id_array(G: FiniteGroup, ids) -> np.ndarray:
     return arr if one else arr.astype(np.int64, copy=False)
 
 
-def _int_scalar(x, what: str) -> int:
-    """x as an int if it is an int or a numpy integer; ValueError naming it
-    as ``what`` for any other value (a bool, a float, a string)."""
+def _int_scalar(x, what: str, low: int | None = None) -> int:
+    """x as an int if it is an int or a numpy integer, at least ``low`` when
+    a bound is given: the one door through which every public count,
+    depth, size, prime and exponent comes in, as ``_id_array`` is for ids.
+    ValueError naming it as ``what`` for any other value (a bool, a float,
+    4.0 included, a string: none is coerced) or for one below ``low``."""
     if type(x) is not int and not isinstance(x, np.integer):
         raise ValueError(f"{what} {x!r} is not an integer")
+    if low is not None and x < low:
+        raise ValueError(f"{what} must be at least {low}, got {x}")
     return int(x)
+
+
+def _prime(p) -> int:
+    """p as an int if it is a prime, through ``_int_scalar``; ValueError
+    otherwise.  A prime past MAX_TABLE_ORDER divides the order of no group
+    with a table, and the bound keeps the trial division short."""
+    p = _int_scalar(p, "p")
+    if not 2 <= p <= MAX_TABLE_ORDER or _prime_factors(p) != [p]:
+        raise ValueError(f"p must be a prime at most {MAX_TABLE_ORDER}, got {p}")
+    return p
 
 
 def _check_table_order(v: int) -> None:
@@ -286,9 +301,7 @@ def make_abelian(invariant_factors: list[int] | tuple[int, ...]) -> FiniteGroup:
     Generators are named x1, x2, ...; factor i is most significant in the id
     encoding, so the identity (all exponents zero) is id 0.
     """
-    factors = tuple(int(n) for n in invariant_factors)
-    if any(n < 2 for n in factors):
-        raise ValueError("cyclic factors must be >= 2")
+    factors = tuple(_int_scalar(n, "cyclic factor", 2) for n in invariant_factors)
     v = 1
     for n in factors:
         v *= n
@@ -304,7 +317,9 @@ def make_abelian(invariant_factors: list[int] | tuple[int, ...]) -> FiniteGroup:
     names = ["*".join(filter(None, word)) or "1" for word in itertools.product(*parts)]
     weights = _radix_weights(factors)
     gens = [(f"x{i+1}", int(weights[i])) for i in range(len(factors))]
-    return FiniteGroup(table, names, gens, {"abelian": list(factors)}, cyclic_factors=factors)
+    G = FiniteGroup(table, names, gens, {"abelian": list(factors)})
+    G.cyclic_factors = factors
+    return G
 
 
 def _product_table(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
@@ -367,11 +382,10 @@ def direct_product(G1: FiniteGroup, G2: FiniteGroup) -> FiniteGroup:
     _check_table_order(v1 * v2)
     table = _product_table(G1.table, G2.table)
     names, gens = _product_names(G1, G2)
-    factors = None
+    G = FiniteGroup(table, names, gens, {"product": [G1.spec, G2.spec]})
     if G1.cyclic_factors is not None and G2.cyclic_factors is not None:
-        factors = G1.cyclic_factors + G2.cyclic_factors
-    return FiniteGroup(table, names, gens, {"product": [G1.spec, G2.spec]},
-                       cyclic_factors=factors)
+        G.cyclic_factors = G1.cyclic_factors + G2.cyclic_factors
+    return G
 
 
 def _product_names(G1: FiniteGroup, G2: FiniteGroup) -> tuple[list[str], list[tuple[str, int]]]:
@@ -416,11 +430,11 @@ def _rename_word(word: str, rename: dict[str, str]) -> str:
 def group_from_spec(spec: object) -> FiniteGroup:
     """Build a group from its JSON description.
 
-    Accepted forms: ``{"abelian": [4,4]}`` (a list of plain integers;
-    strings, floats and booleans are rejected, not coerced), ``"D4"``,
-    ``"Q8"``, and ``{"product": [spec1, spec2]}`` (a list of exactly two
-    specs) nesting any of these.  A spec object has its one form key and
-    no other.
+    Accepted forms: ``{"abelian": [4,4]}`` (a list of integers, each let in
+    by ``make_abelian``'s door: strings, floats and booleans are rejected,
+    not coerced), ``"D4"``, ``"Q8"``, and ``{"product": [spec1, spec2]}``
+    (a list of exactly two specs) nesting any of these.  A spec object has
+    its one form key and no other.
     """
     if spec == "D4":
         return make_dihedral8()
@@ -430,8 +444,7 @@ def group_from_spec(spec: object) -> FiniteGroup:
         raise ValueError(f"a group spec object has exactly one key, got {list(spec)}")
     if isinstance(spec, dict) and "abelian" in spec:
         factors = spec["abelian"]
-        if not isinstance(factors, list) or not all(
-                isinstance(n, int) and not isinstance(n, bool) for n in factors):
+        if not isinstance(factors, list):
             raise ValueError(f"abelian factors must be a list of integers, got {factors!r}")
         return make_abelian(factors)
     if isinstance(spec, dict) and "product" in spec:
@@ -618,8 +631,7 @@ def find_central_elementary_abelian(G: FiniteGroup, rank: int, p: int = 2) -> li
     Enumerates within the elements of order dividing p inside the center,
     viewing them as a GF(p) vector space and walking echelon-form bases.
     """
-    if rank < 1:
-        raise ValueError("rank must be positive")
+    rank, p = _int_scalar(rank, "rank", 1), _prime(p)
     Z = np.array(center(G).elements)
     torsion = Z[p % G.element_orders[Z] == 0].tolist()  # the a with a^p = 1
     basis = _independent_basis(G, torsion, p)
@@ -661,10 +673,8 @@ def _span_table(G: FiniteGroup, gens, orders) -> np.ndarray:
     their words in ``gens``: over a group's own cyclic generators and
     factors it is the identity, and over other generators it is the
     section that puts a quotient's (or a product's) exponents on them."""
-    if isinstance(orders, int):
-        orders = [orders] * len(gens)
     span = np.zeros(1, dtype=np.int64)
-    for g, n in zip(gens, orders, strict=True):
+    for g, n in zip(gens, np.broadcast_to(orders, len(gens))):
         span = G.table[span[:, None], _powers(G, int(g), int(n))].ravel()
     return span
 

@@ -27,7 +27,7 @@ import numpy as np
 from .bent import BooleanFunction, is_bent_set
 from .designs import DifferenceSetRecord, is_difference_set
 from .diffmat import DifferenceMatrix, verify_dm
-from .groups import FiniteGroup, _scratch_rows, group_from_spec
+from .groups import FiniteGroup, _int_scalar, _scratch_rows, group_from_spec
 from .linking import ReducedLinkingSystem, verify_reduced
 from .search import CensusSystems
 
@@ -81,14 +81,13 @@ def _sets_field(G: FiniteGroup, value) -> list[tuple[int, ...]]:
 
 
 def _params_field(obj) -> list:
-    """``obj``'s "params": ValueError unless it is a list of four ints
-    (``type(x) is int``: no true, no 16.0), which the caller compares with
-    the recomputed parameters."""
+    """``obj``'s "params": ValueError unless it is a list of four integers
+    (``groups._int_scalar``: no true, no 16.0), which the caller compares
+    with the recomputed parameters."""
     params = _field(obj, "params")
-    if not (isinstance(params, list) and len(params) == 4
-            and all(type(x) is int for x in params)):
+    if not (isinstance(params, list) and len(params) == 4):
         raise ValueError("params must be a list of four integers")
-    return params
+    return [_int_scalar(x, "a params entry") for x in params]
 
 
 def record_to_json(record: DifferenceSetRecord) -> dict:
@@ -151,7 +150,9 @@ class _NameRows:
     def pieces(self, indent: str):
         """The text of ``json.dumps(value, indent=2, sort_keys=True)`` at
         depth ``indent``, one piece per row: each row is one gather from
-        ``quoted`` and one join, and keyed rows come in sorted key order."""
+        ``quoted`` and one join, and keyed rows come in sorted key order.
+        There is a row at least: a reduced system has two sets and two
+        witnesses."""
         inner, item = indent + "  ", indent + "    "
         sep = ",\n" + item
         if self.keys is None:
@@ -160,9 +161,6 @@ class _NameRows:
         else:
             brackets, order = "{}", sorted(range(len(self.keys)), key=self.keys.__getitem__)
             heads = (inner + encode_basestring_ascii(self.keys[n]) + ": " for n in order)
-        if not order:
-            yield brackets
-            return
         quoted, ids, lead = self.quoted, self.ids, brackets[0] + "\n"
         for n, head in zip(order, heads):
             row = quoted[ids[n]].tolist()
@@ -182,14 +180,13 @@ def _system_payload(system: ReducedLinkingSystem) -> dict:
 
 def system_from_json(obj: dict) -> ReducedLinkingSystem:
     """The re-verified system of a certificate payload: ValueError unless
-    params, mu and nu are ints (``type(x) is int``: no true, no 3.0) equal to
-    the recomputed ones, and every witness given equals the recomputed one."""
+    params, mu and nu are integers (``groups._int_scalar``: no true, no 3.0)
+    equal to the recomputed ones, and every witness given equals the
+    recomputed one."""
     G = group_from_spec(_field(obj, "group"))
     _known_fields(obj, {"group", "params", "mu", "nu", "sets", "witnesses"})
     params = _params_field(obj)
-    munu = (_field(obj, "mu"), _field(obj, "nu"))
-    if any(type(x) is not int for x in munu):
-        raise ValueError("mu and nu must be integers")
+    munu = tuple(_int_scalar(_field(obj, key), key) for key in ("mu", "nu"))
     system = verify_reduced(G, _sets_field(G, _field(obj, "sets")))
     if system is None:
         raise ValueError("serialized sets do not form a reduced linking system")
@@ -228,16 +225,13 @@ def dm_to_json(M: DifferenceMatrix) -> dict:
 
 def dm_from_json(obj: dict) -> DifferenceMatrix:
     """The re-verified matrix of a payload: ValueError unless lambda, which
-    ``dm_to_json`` always writes, is an int and the rows are a difference
-    matrix for it."""
+    ``dm_to_json`` always writes, is an integer (``groups._int_scalar``)
+    and the rows are a difference matrix for it."""
     G = group_from_spec(_field(obj, "group"))
     _known_fields(obj, {"group", "lambda", "rows"})
     rows = tuple(tuple(G.element_ids(_strings(row, "each entry of rows")))
                  for row in _list_of(_field(obj, "rows"), "rows"))
-    lam = _field(obj, "lambda")
-    if type(lam) is not int:
-        raise ValueError("lambda must be an integer")
-    M = DifferenceMatrix(G, lam, rows)
+    M = DifferenceMatrix(G, _int_scalar(_field(obj, "lambda"), "lambda"), rows)
     if not verify_dm(M):
         raise ValueError("serialized matrix fails the difference property")
     return M
@@ -248,10 +242,8 @@ def bent_set_to_json(fns) -> dict:
 
 
 def bent_set_from_json(obj: dict) -> list[BooleanFunction]:
-    arity = _field(obj, "arity")
+    arity = _int_scalar(_field(obj, "arity"), "arity", 0)
     _known_fields(obj, {"arity", "tables"})
-    if type(arity) is not int or arity < 0:
-        raise ValueError("arity must be a nonnegative integer")
     tables = _strings(_field(obj, "tables"), "tables")
     fns = [BooleanFunction.from_hex(arity, table) for table in tables]
     if not is_bent_set(fns):

@@ -52,6 +52,7 @@ from .groups import (
     FiniteGroup,
     Subgroup,
     _cosets,
+    _int_scalar,
     _scratch_rows,
     coset_transversal,
     find_central_elementary_abelian,
@@ -125,9 +126,9 @@ def enumerate_difference_sets(G: FiniteGroup, k: int) -> list[DifferenceSetRecor
 
 def _size_params(G: FiniteGroup, k: int) -> DSParams | None:
     """The parameters of every k-subset of G that is a difference set, or
-    None when lambda = k(k-1)/(v-1) is no integer; ValueError unless
-    0 <= k <= v/2."""
-    if not 0 <= k <= G.order // 2:
+    None when lambda = k(k-1)/(v-1) is no integer; ValueError unless k is
+    an integer (``groups._int_scalar``) with 0 <= k <= v/2."""
+    if not 0 <= (k := _int_scalar(k, "k")) <= G.order // 2:
         raise ValueError("enumerate with 0 <= k <= v/2; complements are mirrored")
     lam, rem = divmod(k * (k - 1), max(1, G.order - 1))
     return None if rem else DSParams(G.order, k, lam, k - lam)
@@ -228,8 +229,7 @@ def build_linking_graph(G: FiniteGroup, records, munu: MuNu, jobs: int = 1) -> L
     process per row range (``_row_chunks``) when there are several; unless
     the records (one at least) are difference sets with common parameters
     and (mu, nu) a branch, ValueError before any worker process exists."""
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
+    jobs = _int_scalar(jobs, "jobs", 1)
     records = tuple(records)
     check = PairCheck(G, np.array([r.elements for r in records], dtype=np.int64))
     check.check_branch(munu)
@@ -300,8 +300,7 @@ class CensusSystems(Sequence):
 def enumerate_systems(graph: LinkingGraph, ell: int) -> CensusSystems:
     """All ell-vertex cliques as unordered record tuples, lexicographic in
     vertex order, each re-verified before emission (``_reverify_cliques``)."""
-    if ell < 2:
-        raise ValueError("system size must be at least 2")
+    ell = _int_scalar(ell, "system size", 2)
     cliques = _clique_indices(graph.adjacency, ell)
     verified = _reverify_cliques(graph, cliques)
     return CensusSystems(graph.records, cliques, verified)
@@ -696,9 +695,9 @@ class CensusResult:
 def census_systems(G: FiniteGroup, k: int, ell: int, jobs: int = 1) -> CensusResult:
     """Exhaustive census of size-ell reduced linking systems of k-subsets
     under the first (mu, nu) branch of the parameters that (v, k) fixes:
-    ValueError before any work unless lambda and a branch are integers."""
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
+    ValueError before any work unless k, ell and jobs are integers (ell at
+    least 2, jobs at least 1) and lambda and a branch are integers."""
+    jobs, ell = _int_scalar(jobs, "jobs", 1), _int_scalar(ell, "system size", 2)
     start = time.time()
     params = _size_params(G, k)
     branches = mu_nu_candidates(params) if params else []

@@ -245,6 +245,18 @@ def test_kerdock_outside_its_domain_raises_before_any_work(monkeypatch, d):
         kerdock_bent_set(d)
 
 
+def test_the_kerdock_gate_requires_the_zero_function(monkeypatch):
+    """A trace family moved by a linear function is still a bent set of
+    the full size (pairwise sums are unchanged) but has no zero function,
+    so the gate fails it instead of translating it."""
+    linear = BooleanFunction(4, np.arange(16) & 1)
+    moved = [f + linear for f in bent._kerdock_trace_family(1)]
+    assert is_bent_set(moved) and not any(f.is_zero() for f in moved)
+    monkeypatch.setattr(bent, "_kerdock_trace_family", lambda d: moved)
+    with pytest.raises(AssertionError, match="failed verification"):
+        kerdock_bent_set(1)
+
+
 @pytest.mark.parametrize("d,size", [(0, 2), (1, 8), (2, 32)])
 def test_kerdock_sizes(d, size):
     fns = kerdock_bent_set(d)

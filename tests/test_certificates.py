@@ -1,8 +1,9 @@
 """Certificate files as bytes: the writer's rendering of a linking system
 from its id rows against json.dumps of its name lists, ``link
 verify-reduced`` on the writer's own bytes (``io.canonical_system``)
-against the general reader, and the same command on layout variants and
-single-field corruptions of a linking-system certificate."""
+against the general reader, the same command on layout variants and
+single-field corruptions of a linking-system certificate, and corruptions
+of the other kinds (difference set, difference matrix, bent set)."""
 
 import io
 import json
@@ -13,6 +14,7 @@ from test_cli import run_capture
 from linkset import io as lio
 from linkset.bent import bent_linking, kerdock_bent_set
 from linkset.cli import _write_json
+from linkset.designs import make_record
 from linkset.diffmat import build_improved, build_tyken, dm_auto
 from linkset.groups import FiniteGroup, make_abelian
 from linkset.linking import verify_reduced
@@ -318,3 +320,87 @@ def test_a_duplicate_key_is_malformed_json(z4_cubed, tmp_path, old, new, key):
     code, out, err = run_capture(["link", "verify-reduced", str(path)])
     assert (code, out) == (2, "")
     assert err == f"error: JSON object has duplicate key {key!r}\n"
+
+
+@pytest.fixture(scope="module")
+def every_kind(tmp_path_factory, canonical):
+    """kind -> (its verify command, the text of a certificate in the
+    writer's layout): a difference set of the linked triple, the Z2^2
+    matrix of ``dm construct``, the d = 1 set of ``bent kerdock`` and the
+    ``build improved`` Z4^3 system."""
+    G, sets = linked_triple_z4z4()
+    texts = {"ds": (["ds", "verify"], _render(lio.certificate(
+                 "difference-set", lio.record_to_json(make_record(G, sets[0])), None))),
+             "link": (["link", "verify-reduced"], canonical["improved Z4^3"])}
+    for kind, argv in (("dm", ["dm", "construct", "--group", '{"abelian": [2, 2]}',
+                               "--rows", "4"]),
+                       ("bent", ["bent", "kerdock", "-d", "1"])):
+        path = tmp_path_factory.mktemp(kind) / "cert.json"
+        assert run_capture(argv + ["--out", str(path)])[0] == 0
+        texts[kind] = ([kind, "verify"], path.read_text())
+    return texts
+
+
+def _other_name(names):
+    return next(name for name in make_abelian([4, 4]).names if name not in names)
+
+
+def _flip_a_bit(tables):
+    tables[1] = f"{int(tables[1][0], 16) ^ 1:x}{tables[1][1:]}"
+
+
+def _swap_an_entry(rows):
+    rows[2][1] = rows[2][2]
+
+
+# (kind, the payload field a corruption changes, the change, what the one
+# error line says): one corruption of each kind that fails its verifier
+KIND_CORRUPTIONS = [
+    ("ds", "set", lambda names: names.__setitem__(0, _other_name(names)),
+     "serialized set is not a difference set"),
+    ("dm", "rows", _swap_an_entry, "serialized matrix fails the difference property"),
+    ("bent", "tables", _flip_a_bit, "not a bent set"),
+]
+# (kind, the payload field, the index in it or None) of each JSON integer
+INTEGER_FIELDS = [("ds", "params", 0), ("link", "params", 0), ("link", "mu", None),
+                  ("link", "nu", None), ("dm", "lambda", None), ("bent", "arity", None)]
+
+
+def _fails_with_one_line(every_kind, tmp_path, kind, payload, says):
+    """Write the certificate of ``kind`` with ``payload`` in the writer's
+    layout and check that its verify command fails: exit 1, nothing on
+    stdout and one ``verification failed:`` line saying ``says``."""
+    argv, text = every_kind[kind]
+    cert = json.loads(text) | {"payload": payload}
+    path = tmp_path / "cert.json"
+    path.write_text(_render(cert))
+    code, out, err = run_capture([*argv, str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith("verification failed: ") and err.count("\n") == 1 and says in err
+
+
+@pytest.mark.parametrize("kind, field, change, says", KIND_CORRUPTIONS,
+                         ids=[kind for kind, *_ in KIND_CORRUPTIONS])
+def test_a_corruption_of_each_kind_fails_with_one_line(every_kind, tmp_path, kind, field,
+                                                      change, says):
+    argv, text = every_kind[kind]
+    path = tmp_path / "cert.json"
+    path.write_text(text)
+    assert run_capture([*argv, str(path)])[0] == 0
+    payload = json.loads(text)["payload"]
+    change(payload[field])
+    _fails_with_one_line(every_kind, tmp_path, kind, payload, says)
+
+
+@pytest.mark.parametrize("kind, field, index", INTEGER_FIELDS,
+                         ids=[f"{kind} {field}" for kind, field, _ in INTEGER_FIELDS])
+@pytest.mark.parametrize("as_float", [True, False], ids=["float", "true"])
+def test_a_json_integer_field_takes_no_float_and_no_bool(every_kind, tmp_path, kind, field,
+                                                        index, as_float):
+    """The integral float of the written value, or true, in a JSON integer
+    field fails verification: the readers let integers in through
+    ``groups._int_scalar``, which coerces neither."""
+    payload = json.loads(every_kind[kind][1])["payload"]
+    holder, key = (payload, field) if index is None else (payload[field], index)
+    holder[key] = float(holder[key]) if as_float else True
+    _fails_with_one_line(every_kind, tmp_path, kind, payload, "is not an integer")

@@ -267,9 +267,10 @@ def test_usage_errors():
 
 
 def test_malformed_group_specs_are_usage_errors():
-    for spec in ['{"abelian": "44"}', '{"abelian": [4, 4.5]}']:
+    for spec, says in [('{"abelian": "44"}', "list of integers"),
+                       ('{"abelian": [4, 4.5]}', "cyclic factor 4.5 is not an integer")]:
         code, out, err = run_capture(["group", spec])
-        assert code == 2 and out == "" and "list of integers" in err
+        assert code == 2 and out == "" and says in err
         assert "Traceback" not in err
 
 
@@ -324,16 +325,13 @@ def test_integer_flags_take_only_ascii_digits(monkeypatch, argv, flag, text):
     digits, and nothing that ``int`` would coerce: an underscore, a sign
     or space around the digits, a decimal point, or the digits of another
     script (Arabic-Indic, full-width).  Each is one ``error:`` line naming
-    the flag and its text, exit 2, before any work; --jobs says "positive
-    integer" as it does for 0."""
+    the flag and its text, exit 2, before any work."""
     from linkset import cli
 
     for name in ("dm_auto", "kerdock_bent_set", "build_nonreversible", "build_tyken",
                  "census_systems"):
         monkeypatch.setattr(cli, name, None)  # no work may start
-    kind = "a positive integer" if flag == "--jobs" else "an integer"
-    assert run_capture(argv) == (
-        2, "", f"error: {flag} must be {kind}, got {text!r}\n")
+    assert run_capture(argv) == (2, "", f"error: {flag} must be an integer, got {text!r}\n")
 
 
 DEEP = "[" * 10 ** 5 + "]" * 10 ** 5  # nested past the decoder's recursion
@@ -359,7 +357,7 @@ def test_deeply_nested_json_is_a_usage_error(tmp_path):
 def test_dm_construct_rejects_fewer_than_one_row(rows):
     code, out, err = run_capture(["dm", "construct", "--group", '{"abelian": [2, 2]}',
                                   f"--rows={rows}"])
-    assert code == 2 and out == "" and "at least one row" in err
+    assert code == 2 and out == "" and f"rows must be at least 1, got {rows}" in err
     assert "Traceback" not in err
 
 
@@ -813,7 +811,8 @@ def test_jobs_below_one_or_not_an_integer_are_usage_errors(monkeypatch, argv):
     monkeypatch.setattr(search, "enumerate_difference_sets", None)  # no work may start
     code, out, err = run_capture(argv)
     assert code == 2 and out == ""
-    assert err.startswith("error: ") and "positive integer" in err and err.count("\n") == 1
+    says = "--jobs must be an integer" if argv[-1] == "two" else "jobs must be at least 1"
+    assert err.startswith("error: ") and says in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("target", ["mcfarland-q3", "spence-d1"])
@@ -869,3 +868,12 @@ def test_selftest_fails_when_the_witness_filter_rejects(monkeypatch):
     assert code == 1 and err == "" and "Traceback" not in out
     assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
         "FAIL  every two-valued pair of the Z4xZ4 census sets has a difference-set witness"]
+
+
+@pytest.mark.parametrize("argv, says", [
+    (["build", "general"], "--group is required for this family"),
+    (["build", "tyken", "-d", "1"], "--group (the abelian factor K) is required for tyken"),
+    (["build", "nonrev"], "-d is required for this family"),
+])
+def test_build_without_its_group_or_depth_is_a_usage_error(argv, says):
+    assert run_capture(argv) == (2, "", f"error: {says}\n")

@@ -460,11 +460,16 @@ def _builder_rejections():
         "construction_sets Spence, p = 2": (
             lambda: construction_sets(fam16, reps16, 0), r"works over GF\(3\)"),
         **{f"construction_sets slot {m!r}": (lambda m=m: construction_sets(fam36, reps36, m), slot)
-           for m in (-1, 4, 1.5, True)},
+           for m in (-1, 4)},
+        **{f"construction_sets slot {m!r}": (lambda m=m: construction_sets(fam36, reps36, m),
+                                             f"complemented slot {m!r} is not an integer")
+           for m in (1.5, True)},
         **{f"spence_construct slot {m!r}": (lambda m=m: spence_construct(G36, fam36, reps36, m),
-                                            slot) for m in (1.5, True)},
+                                            f"complemented slot {m!r} is not an integer")
+           for m in (1.5, True)},
         **{f"mcfarland_construct assignment {a}": (
-            lambda a=a: mcfarland_construct(G45, fam45, reps45, a), "assignment must injectively")
+            lambda a=a: mcfarland_construct(G45, fam45, reps45, a),
+            f"assignment entry {a[0]!r} is not an integer")
            for a in ([1.5, 2, 3, 4], [True, 2, 3, 4])},
     }
 
@@ -499,3 +504,14 @@ def _basis3(G, E):
             basis.append(a)
             span = {G.mul(x, G.power(a, e)) for x in span for e in range(3)}
     return tuple(basis)
+
+
+def test_hyperplanes_reject_a_basis_that_does_not_span_e():
+    """A basis of the right size that is dependent, or spans another
+    subgroup of the same order, is rejected by its own check."""
+    G = make_abelian([2, 2, 2])
+    E = subgroup_generated(G, G.element_ids(["x1", "x2"]))
+    with pytest.raises(ValueError, match="does not span the subgroup freely"):
+        hyperplanes(E, 2, G.element_ids(["x1", "x1"]))
+    with pytest.raises(ValueError, match="basis span does not equal the subgroup"):
+        hyperplanes(E, 2, G.element_ids(["x1", "x3"]))

@@ -18,7 +18,7 @@ from linkset import diffmat
 from linkset import group_ring as rg
 from linkset import io as lio
 from linkset.cli import run
-from linkset.designs import is_reversible
+from linkset.designs import hyperplanes, is_reversible
 from linkset.diffmat import (
     DEFAULT_SEARCH_BUDGET,
     KILL_CACHE_BYTES,
@@ -161,7 +161,7 @@ def test_dm_auto():
     assert dm_auto(make_abelian([4]), 3) is None  # cyclic: no third row exists
     assert dm_auto(make_abelian([2, 2]), 5) is None  # above the |G| ceiling
     for rows in (0, -3):
-        with pytest.raises(ValueError, match="at least one row"):
+        with pytest.raises(ValueError, match="rows must be at least 1"):
             dm_auto(make_abelian([2, 2]), rows)
     with pytest.raises(ValueError):
         dm_auto(make_abelian([3, 3]), 2)  # not a 2-group
@@ -550,6 +550,27 @@ def test_linked_from_dm_validation():
     bad_lift[0][0] = G.element("x1")
     with pytest.raises(ValueError):
         linked_from_dm(G, E, bmat, bad_lift, family=family)  # lift outside E
+
+
+def test_linked_from_dm_rejects_each_malformed_input():
+    """One case per check of the matrix, the family, the lifts and E, each
+    with the message of its own check."""
+    G, _ = linked_triple_z4z4()
+    E, family, bmat, emat = triple_dm_data(G)
+    D4xZ2 = direct_product(make_dihedral8(), make_abelian([2]))
+    klein = subgroup_generated(D4xZ2, D4xZ2.element_ids(["a^2", "b"]))  # not central
+    half = subgroup_generated(G, G.element_ids(["x1^2"]))
+    cases = {
+        "matrix must have 4 columns": (G, E, [row[:3] for row in bmat], emat, family),
+        "row 0 must project to the identity coset": (G, E, bmat[1:2] + bmat[1:], emat, family),
+        "hyperplane family does not belong to E": (G, E, bmat, emat, hyperplanes(half, 2)),
+        r"lift choice must be 3 x 3": (G, E, bmat, emat[:2], family),
+        "subgroup must be central": (D4xZ2, klein, bmat, emat, None),
+        "subgroup must have order 4": (G, half, bmat, emat, None),
+    }
+    for message, (group, sub, rows, lifts, fam) in cases.items():
+        with pytest.raises(ValueError, match=message):
+            linked_from_dm(group, sub, rows, lifts, family=fam)
 
 
 def test_lift_independence():

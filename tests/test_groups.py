@@ -334,10 +334,14 @@ def test_products_of_nonabelian_factors_build(factors):
 
 
 def test_group_from_spec_rejects_malformed_factors():
-    for factors in ["44", [4, 4.5], [4, 4.0], [4, "4"], [True, 4], (4, 4), 4]:
+    """A spec's factors are a list, each let in by make_abelian's door."""
+    for factors in ["44", (4, 4), 4]:
         with pytest.raises(ValueError, match="list of integers"):
             group_from_spec({"abelian": factors})
-    with pytest.raises(ValueError, match="list of integers"):
+    for factors in [[4, 4.5], [4, 4.0], [4, "4"], [True, 4]]:
+        with pytest.raises(ValueError, match=r"^cyclic factor .+ is not an integer$"):
+            group_from_spec({"abelian": factors})
+    with pytest.raises(ValueError, match="cyclic factor 4.5 is not an integer"):
         group_from_spec({"product": [{"abelian": [4, 4.5]}, "D4"]})
 
 
@@ -862,3 +866,65 @@ def test_ids_pass_through_the_door_unchanged():
                 np.True_, None):
         with pytest.raises(ValueError, match="element id"):
             _id_array(G, ids)
+
+
+def _door_rejections():
+    """Each public integer parameter that once took a float, a bool or a
+    string, building something from it or failing with a TypeError, as
+    name -> call."""
+    from linkset.bent import BooleanFunction, kerdock_bent_set
+    from linkset.designs import two_group_params
+    from linkset.diffmat import (
+        DifferenceMatrix,
+        build_general,
+        build_nonreversible,
+        build_tyken,
+        dm_auto,
+    )
+    from linkset.search import census_systems
+
+    G = make_abelian([4, 4])
+    E = subgroup_generated(G, G.element_ids(["x1^2", "x2^2"]))
+    rows = [[0] * 16, list(range(16))]
+    return {
+        "make_abelian ['4', 4]": lambda: make_abelian(["4", 4]),
+        "make_abelian [4.0, 4]": lambda: make_abelian([4.0, 4]),
+        "dm_auto rows 2.5": lambda: dm_auto(G, 2.5),
+        "dm_auto rows True": lambda: dm_auto(G, True),
+        "kerdock_bent_set True": lambda: kerdock_bent_set(True),
+        "build_tyken True": lambda: build_tyken(True, make_abelian([2])),
+        "build_nonreversible True": lambda: build_nonreversible(True),
+        "find_central_elementary_abelian p = 4": lambda: find_central_elementary_abelian(
+            make_abelian([4, 4, 2]), 1, p=4),
+        "hyperplanes p = 2.0": lambda: hyperplanes(E, 2.0),
+        "two_group_params 4.0": lambda: two_group_params(4.0),
+        "DifferenceMatrix lam True": lambda: DifferenceMatrix(G, True, rows),
+        "BooleanFunction arity 2.0": lambda: BooleanFunction(2.0, np.zeros(4, dtype=np.uint8)),
+        "build_general budget 2.5": lambda: build_general(G, budget=2.5),
+        "census_systems ell 2.5": lambda: census_systems(G, 6, 2.5),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_door_rejections()))
+def test_integer_parameters_come_in_through_one_door(case):
+    """A count, depth, size or prime that is no integer, or a p that is no
+    prime, is a ValueError at the entry, never read as 1 (True), cut to an
+    int (2.5, "4") or passed on as a float."""
+    with pytest.raises(ValueError, match="is not an integer|must be a prime"):
+        _door_rejections()[case]()
+
+
+def test_the_door_bounds_from_below_and_takes_numpy_integers():
+    from linkset.groups import _int_scalar, _prime
+
+    assert _int_scalar(np.int8(3), "n", 3) == 3 and type(_int_scalar(np.uint64(3), "n")) is int
+    with pytest.raises(ValueError, match="^n must be at least 4, got 3$"):
+        _int_scalar(np.int64(3), "n", 4)
+    for x in (True, np.bool_(True), 3.0, np.float64(3), "3", None, [3]):
+        with pytest.raises(ValueError, match="^n .+ is not an integer$"):
+            _int_scalar(x, "n")
+    assert [_prime(p) for p in (2, np.int64(3), 4093)] == [2, 3, 4093]
+    for p in (-3, 0, 1, 4, 9, 4099):
+        with pytest.raises(ValueError, match=f"^p must be a prime at most 4096, got {p}$"):
+            _prime(p)
+    assert find_central_elementary_abelian(make_abelian([4, 4, 2]), 1, p=3) == []

@@ -1,6 +1,8 @@
 import math
 import random
 
+import pytest
+
 from linkset.designs import DSParams
 from linkset.diffmat import linked_from_dm
 from linkset.groups import subgroup_generated
@@ -135,6 +137,17 @@ def test_verify_reduced_checks_its_sets_once(monkeypatch):
         calls.clear()
         assert verify_reduced(system.group, system.sets()) == system
         assert calls == [system.size]
+
+
+def test_verify_full_rejects_a_wrong_index_set():
+    from linkset.linking import LinkingSystem
+
+    G, sets = linked_triple_z4z4()
+    full = expand(verify_reduced(G, sets))
+    entries = dict(full.entries)
+    del entries[(2, 1)]
+    with pytest.raises(ValueError, match="wrong index set"):
+        verify_full(LinkingSystem(G, entries, full.munu))
 
 
 def test_verify_full_catches_mutations():

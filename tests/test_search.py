@@ -1052,3 +1052,28 @@ def test_linking_graph_rejects_a_record_that_is_no_difference_set(z4z4_census):
     with pytest.raises(ValueError, match="difference sets"):
         build_linking_graph(G, [], munu)
     assert build_linking_graph(G, records, munu).num_vertices == 5
+
+
+@pytest.mark.parametrize("ell", [1, 2.5, True])
+def test_a_census_rejects_its_system_size_before_it_enumerates(monkeypatch, ell):
+    monkeypatch.setattr(search, "enumerate_difference_sets", None)  # no work may start
+    with pytest.raises(ValueError, match="^system size (must be at least 2|.+ is not an integer)"):
+        census_systems(make_abelian([6, 6]), 15, ell)
+
+
+def test_cyclic_factors_are_established_by_the_constructors_only():
+    """A group built from a table has no cyclic factors, whatever table it
+    is: the spectral test's mixed-radix layout is never claimed for a
+    table it does not describe.  Over the D4 x Z2 table the 8008 6-subsets
+    get the same verdicts as over the product, 192 of them (16,6,2) sets."""
+    P = direct_product(make_dihedral8(), make_abelian([2]))
+    G = FiniteGroup(P.table, P.names, P.generators, P.spec)
+    assert P.cyclic_factors is None and G.cyclic_factors is None
+    with pytest.raises(TypeError):
+        FiniteGroup(P.table, P.names, P.generators, P.spec, cyclic_factors=(4, 4))
+    A = make_abelian([4, 4])
+    assert FiniteGroup(A.table, A.names, A.generators, A.spec).cyclic_factors is None
+    sets = np.array(list(itertools.combinations(range(16), 6)))
+    verdicts = difference_set_params(G, sets)
+    assert verdicts == difference_set_params(P, sets)
+    assert sum(p is not None for p in verdicts) == 192

@@ -654,3 +654,61 @@ def test_one_check_per_precondition():
     assert _order_comparisons(tree, "m") == {"m.f", "m.K.g"}
     assert _modulo_element_orders(tree, "m") == {"m.k"}
     assert _raises_with(tree, "m", "element id") == {"m.n"}
+
+
+def _integer_tests(tree: ast.Module, module: str) -> set[str]:
+    """The scopes that test whether a value is an integer by its type:
+    ``type(x)`` compared with ``int``, or ``isinstance`` against ``int`` or
+    a numpy ``integer``, alone or in a tuple of types."""
+    def integer_type(node) -> bool:
+        return any(_named(sub, {"int", "integer"}) for sub in ast.walk(node))
+
+    def hit(node) -> bool:
+        if isinstance(node, ast.Compare):
+            sides = (node.left, *node.comparators)
+            return (any(isinstance(x, ast.Call) and _named(x.func, {"type"}) for x in sides)
+                    and any(integer_type(x) for x in sides))
+        return (isinstance(node, ast.Call) and _named(node.func, {"isinstance"})
+                and len(node.args) == 2 and integer_type(node.args[1]))
+
+    return _scopes_where(tree, module, hit)
+
+
+def test_one_integer_door():
+    """Every scalar integer parameter (a count, a depth, a size, a prime, an
+    exponent, a JSON integer field) comes in through one door,
+    ``groups._int_scalar``, the only scope besides the id door
+    ``groups._id_array`` that tests a value's type for an integer
+    (``cli._integer`` reads command-line text by its digits), and the one
+    that raises "must be at least" for a parameter; the two other such
+    raises bound facts of a group (its depth and rank), not a parameter.
+    That p is a prime is ``groups._prime``, called where a prime comes in."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+    def scan(shape, *args) -> set[str]:
+        return set().union(*(shape(tree, stem, *args) for stem, tree in trees.items()))
+
+    assert scan(_integer_tests) == {"groups._int_scalar", "groups._id_array"}
+    assert scan(_calls_to, {"_int_scalar"}) == {
+        "groups.FiniteGroup.power", "groups._prime", "groups.make_abelian",
+        "groups.find_central_elementary_abelian", "group_ring.scale",
+        "designs.two_group_params", "designs._hyperplane_sets",
+        "diffmat.DifferenceMatrix.__post_init__", "diffmat.dm_auto", "diffmat._check_depth",
+        "bent.BooleanFunction.__post_init__", "bent.kerdock_bent_set",
+        "search._size_params", "search.build_linking_graph", "search.enumerate_systems",
+        "search.census_systems", "io._params_field", "io.system_from_json",
+        "io.dm_from_json", "io.bent_set_from_json"}
+    assert scan(_calls_to, {"_prime"}) == {"groups.find_central_elementary_abelian",
+                                           "designs.hyperplanes"}
+    assert scan(_raises_with, "is not an integer") == {"groups._int_scalar", "groups._id_array"}
+    assert scan(_raises_with, "must be at least") == {
+        "groups._int_scalar", "diffmat.build_general", "diffmat._abelian_2group_depth"}
+    # the scan sees type(x) compared with int either way round, isinstance
+    # against int or np.integer alone or in a tuple, and in a method; a test
+    # for other types and an int() conversion are none
+    tree = ast.parse("def f(x):\n    return type(x) is int\n"
+                     "def g(x):\n    return int is not type(x) or isinstance(x, np.integer)\n"
+                     "class K:\n    def h(self, x):\n        return isinstance(x, (bool, int))\n"
+                     "def k(x):\n    return isinstance(x, (str, float)) or type(x) is str\n"
+                     "def m(x):\n    return int(x) == x\n")
+    assert _integer_tests(tree, "m") == {"m.f", "m.g", "m.K.h"}
