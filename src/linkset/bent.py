@@ -71,6 +71,7 @@ class BooleanFunction:
     @classmethod
     def from_hex(cls, arity: int, hex_string: str) -> "BooleanFunction":
         """The inverse of ``to_hex``: ValueError unless exactly its bytes, padding bits zero."""
+        arity = _int_scalar(arity, "arity", 0)
         raw = np.frombuffer(bytes.fromhex(hex_string), dtype=np.uint8)
         bits = np.unpackbits(raw, bitorder="little")
         if len(raw) != -(-2 ** arity // 8) or bits[2 ** arity:].any():
@@ -233,6 +234,7 @@ def bent_linking(fns) -> ReducedLinkingSystem:
 
 def enumerate_bent(arity: int) -> list[BooleanFunction]:
     """All bent functions of the given (small, even) arity by exhaustion."""
+    arity = _int_scalar(arity, "arity", 0)
     if arity % 2 != 0:
         raise ValueError("bent functions require even arity")
     if arity > 4:

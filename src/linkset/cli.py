@@ -294,13 +294,6 @@ def _cmd_nonexist(args) -> int:
                    1 if all(r.all_pairs_fail for r in reports) else 0)
 
 
-def _cmd_selftest(args) -> int:
-    from .selftest import run_selftest
-
-    ok = run_selftest()
-    return 0 if ok else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="linkset",
@@ -371,9 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     grp.add_argument("--pruned", dest="mode", action="store_const", const="pruned")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_nonexist, mode=None)
-
-    p = sub.add_parser("selftest", help="run the worked examples end to end")
-    p.set_defaults(func=_cmd_selftest)
     return parser
 
 

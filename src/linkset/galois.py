@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .groups import _int_scalar
+
 
 def gf2_is_irreducible(poly: int, deg: int) -> bool:
     """Trial division by every polynomial of degree 1..deg//2."""
@@ -47,8 +49,7 @@ class GaloisRing:
     """GR(2^e, t): polynomials over Z_{2^e} modulo a basic irreducible."""
 
     def __init__(self, e: int, t: int):
-        if e < 1 or t < 1:
-            raise ValueError("e and t must be positive")
+        e, t = _int_scalar(e, "e", 1), _int_scalar(t, "t", 1)
         if e * t > 31:
             raise ValueError("GR(2^e, t) with e*t > 31 is past exact int64 products")
         self.e = e

@@ -1,5 +1,5 @@
-"""Hand-checkable worked examples used by the selftest, the test suite, and
-the demo scripts.
+"""Hand-checkable worked examples used by the test suite and the demo
+scripts.
 
 The centerpiece is a classical reduced (16,6,2,4;3)-linking system in
 Z_4 x Z_4 together with the difference-matrix data that reproduces it, and

@@ -241,29 +241,10 @@ def test_build_rejects_arguments_its_family_ignores(monkeypatch, argv):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-def test_selftest():
-    code, out, _ = run_capture(["selftest"])
-    assert code == 0 and "FAIL" not in out
-
-
-def test_selftest_fails_on_a_broken_kernel(monkeypatch):
-    from linkset import group_ring as rg
-
-    transform = rg._Transform.__call__
-    monkeypatch.setattr(rg._Transform, "__call__", lambda *a: transform(*a) + 1)
-    code, out, _ = run_capture(["selftest"])
-    assert code == 1 and "FAIL  difference-set params: spectrum and count agree" in out
-    monkeypatch.undo()
-
-    pair_products = rg.pair_products
-    monkeypatch.setattr(rg, "pair_products", lambda G, left, right: pair_products(G, left, right) + 1)
-    code, out, _ = run_capture(["selftest"])
-    assert code == 1 and "FAIL  pair_products" in out
-
-
 def test_usage_errors():
     assert run_capture(["census", "bogus"])[0] == 2
     assert run_capture(["frobnicate"])[0] == 2
+    assert run_capture(["selftest"])[0] == 2
 
 
 def test_malformed_group_specs_are_usage_errors():
@@ -858,16 +839,6 @@ def test_link_verify_checks_params_mu_and_nu(general_z42_certificate, tmp_path, 
         cert["payload"][field] = value
     path.write_text(json.dumps(cert))
     _assert_verification_failed(["link", "verify-reduced", str(path)])
-
-
-def test_selftest_fails_when_the_witness_filter_rejects(monkeypatch):
-    from linkset import selftest
-
-    monkeypatch.setattr(selftest, "is_difference_set", lambda G, S: None)
-    code, out, err = run_capture(["selftest"])
-    assert code == 1 and err == "" and "Traceback" not in out
-    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
-        "FAIL  every two-valued pair of the Z4xZ4 census sets has a difference-set witness"]
 
 
 @pytest.mark.parametrize("argv, says", [

@@ -524,6 +524,10 @@ def test_linked_from_dm_worked_example():
     system = linked_from_dm(G, E, bmat, emat, family=family)
     assert [r.elements for r in system.records] == expected
     assert system.witnesses[(2, 3)].elements == witness23
+    # and by the direct formula from the lifted representatives
+    f = [G.mul(bmat[2][j], emat[1][j - 1]) for j in range(1, 4)]
+    g = [G.mul(bmat[3][j], emat[2][j - 1]) for j in range(1, 4)]
+    assert witness_direct(G, family, f, g) == witness23
 
 
 def test_linked_from_dm_identity_lifts():

@@ -441,7 +441,7 @@ def test_transform_pair_products_match_the_table_route(monkeypatch):
     Z45 = make_abelian([4] * 5)
     rng = random.Random(37)
     cases = [(Z45, [r.elements for r in build_improved(Z45).records])]
-    for factors in ([16, 4, 2, 2], [2] * 8, [3, 3, 5]):
+    for factors in ([16, 4, 2, 2], [8, 4, 4], [2] * 8, [3, 3, 5]):
         G = make_abelian(factors)
         cases.append((G, [rng.sample(range(G.order), rng.randint(0, G.order))
                           for _ in range(12)]))

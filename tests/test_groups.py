@@ -872,7 +872,7 @@ def _door_rejections():
     """Each public integer parameter that once took a float, a bool or a
     string, building something from it or failing with a TypeError, as
     name -> call."""
-    from linkset.bent import BooleanFunction, kerdock_bent_set
+    from linkset.bent import BooleanFunction, enumerate_bent, kerdock_bent_set
     from linkset.designs import two_group_params
     from linkset.diffmat import (
         DifferenceMatrix,
@@ -880,6 +880,7 @@ def _door_rejections():
         build_nonreversible,
         build_tyken,
         dm_auto,
+        dm_galois_ring,
     )
     from linkset.search import census_systems
 
@@ -902,6 +903,11 @@ def _door_rejections():
         "BooleanFunction arity 2.0": lambda: BooleanFunction(2.0, np.zeros(4, dtype=np.uint8)),
         "build_general budget 2.5": lambda: build_general(G, budget=2.5),
         "census_systems ell 2.5": lambda: census_systems(G, 6, 2.5),
+        "dm_galois_ring e True": lambda: dm_galois_ring(True, 2),
+        "dm_galois_ring t True": lambda: dm_galois_ring(1, True),
+        "dm_galois_ring t 2.0": lambda: dm_galois_ring(1, 2.0),
+        "BooleanFunction.from_hex arity 2.0": lambda: BooleanFunction.from_hex(2.0, "0f"),
+        "enumerate_bent arity 2.0": lambda: enumerate_bent(2.0),
     }
 
 

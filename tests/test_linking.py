@@ -5,9 +5,10 @@ import pytest
 
 from linkset.designs import DSParams
 from linkset.diffmat import linked_from_dm
-from linkset.groups import subgroup_generated
+from linkset.groups import FiniteGroup, subgroup_generated
 from linkset.designs import hyperplanes
 from linkset.linking import (
+    MuNu,
     complement_system,
     expand,
     is_reversible_system,
@@ -709,6 +710,35 @@ def test_expand_inverts_the_sets_with_one_gather(monkeypatch):
     assert calls == []
 
 
+def witness_filter_oracle(G: FiniteGroup, sets, munu: MuNu,
+                          params: DSParams) -> tuple[int, int]:
+    """The witness filter that ``linking.PairCheck`` leaves out, as an
+    oracle for the lemma in its docstring: (pairs, rejected), the ordered
+    pairs i != j of ``sets`` whose product D_i D_j^(-1) is valued in
+    {mu, nu}, and those of them whose mu-support is not a difference set
+    with ``params``.  Each distinct product with at most two values goes to
+    ``group_ring.decompose_two_valued``; all n^2 products are held at once.
+    """
+    import numpy as np
+
+    from linkset import group_ring as rg
+    from linkset.designs import is_difference_set
+    from linkset.search import _distinct_rows
+
+    rows = rg.indicators(G, sets)
+    prods = rg.pair_products(G, rows, rows)[~np.eye(len(sets), dtype=bool)]
+    values = np.sort(prods, axis=1)
+    prods = prods[(values[:, 1:] != values[:, :-1]).sum(axis=1) <= 1].astype(np.int64)
+    first, inverse = _distinct_rows(prods)
+    pairs = rejected = 0
+    for row, count in zip(prods[first], np.bincount(inverse, minlength=len(first)).tolist()):
+        support = rg.decompose_two_valued(rg.GroupRingElement(G, row), *munu.as_tuple())
+        if support is not None:
+            pairs += count
+            rejected += count * (is_difference_set(G, support) != params)
+    return pairs, rejected
+
+
 def _oracle_cases():
     from linkset.bent import bent_linking, kerdock_bent_set
     from linkset.diffmat import build_improved
@@ -733,8 +763,6 @@ def test_the_witness_filter_never_rejects():
     and on bent d = 2, every ordered pair whose product is valued in
     {mu, nu} has a mu-support of k elements that is a difference set with
     the common parameters (the lemma in ``linking.PairCheck``)."""
-    from linkset.selftest import witness_filter_oracle
-
     for G, sets, params, supports in _oracle_cases():
         (munu,) = mu_nu_candidates(params)
         assert witness_filter_oracle(G, sets, munu, params) == (supports, 0)
@@ -746,9 +774,7 @@ def test_the_witness_filter_oracle_rejects_supports_that_are_no_difference_sets(
     swapped branch (3, 1), whose 3-supports have 10 elements, and under the
     right branch against parameters of another order."""
     from linkset.groups import make_abelian
-    from linkset.linking import MuNu
     from linkset.search import enumerate_difference_sets
-    from linkset.selftest import witness_filter_oracle
 
     G = make_abelian([4, 4])
     sets = [r.elements for r in enumerate_difference_sets(G, 6)]

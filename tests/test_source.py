@@ -136,9 +136,8 @@ def test_one_scratch_bound():
     assert _size_constants(tree, "m") == {"m.SET_BLOCK", "m.N", "m.KEY_ROWS"}
 
 
-# the command line imports the self-test's module only when it runs, and the
-# census imports its worker pool only when it starts one
-LAZY_IMPORTS = {"cli._cmd_selftest", "search.build_linking_graph"}
+# the census imports its worker pool only when it starts one
+LAZY_IMPORTS = {"search.build_linking_graph"}
 
 
 def _local_imports(tree: ast.Module, module: str) -> set[str]:
@@ -149,7 +148,7 @@ def _local_imports(tree: ast.Module, module: str) -> set[str]:
 
 def test_imports_are_at_module_tops():
     """Every import of the package sits at the top of its module, where a
-    reader sees what the module needs, apart from the two lazy imports in
+    reader sees what the module needs, apart from the lazy import in
     LAZY_IMPORTS; none of the moved ones broke an import cycle."""
     found = set()
     for path in sorted(SRC.glob("*.py")):
@@ -165,8 +164,6 @@ def test_imports_are_at_module_tops():
 
 
 SCALAR_GROUP_METHODS = {"mul", "power", "inv", "element_order"}
-# the self-test spells out its small examples element by element on purpose
-SCALAR_LOOP_MODULES = {"selftest.py"}
 LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
          ast.GeneratorExp)
 
@@ -200,13 +197,17 @@ def test_scalar_group_calls_stay_out_of_loops():
     ``mul``/``power``/``inv``/``element_order`` calls."""
     offenders = {}
     for path in sorted(SRC.glob("*.py")):
-        if path.name not in SCALAR_LOOP_MODULES:
-            calls = _scalar_calls_in_loops(ast.parse(path.read_text()))
-            if calls:
-                offenders[path.name] = calls
+        calls = _scalar_calls_in_loops(ast.parse(path.read_text()))
+        if calls:
+            offenders[path.name] = calls
     assert offenders == {}
-    # the scan sees such calls where they are: the exempt example module has them
-    assert _scalar_calls_in_loops(ast.parse((SRC / "selftest.py").read_text()))
+    # the scan sees such calls where they are: in a comprehension in a
+    # function, and in a method's loop on another object than ``self``
+    assert _scalar_calls_in_loops(ast.parse(
+        "def f(G, b, e):\n    return [G.mul(b[j], e[j - 1]) for j in range(1, 4)]\n"
+        "class K:\n    def mul(self, a, b):\n        pass\n"
+        "    def g(self, G, s):\n        for a in s:\n            self.mul(a, a)\n"
+        "            G.element_order(a)\n")) == [(2, "mul"), (9, "element_order")]
     assert _scalar_calls_in_loops(ast.parse("for a in s:\n    G.inv(a)\n")) == [(2, "inv")]
     assert _scalar_calls_in_loops(ast.parse("[G.mul(a, b) for a in s]")) == [(1, "mul")]
     assert _scalar_calls_in_loops(ast.parse("G.mul(a, b)")) == []
@@ -694,7 +695,8 @@ def test_one_integer_door():
         "groups.find_central_elementary_abelian", "group_ring.scale",
         "designs.two_group_params", "designs._hyperplane_sets",
         "diffmat.DifferenceMatrix.__post_init__", "diffmat.dm_auto", "diffmat._check_depth",
-        "bent.BooleanFunction.__post_init__", "bent.kerdock_bent_set",
+        "galois.GaloisRing.__init__", "bent.BooleanFunction.__post_init__",
+        "bent.BooleanFunction.from_hex", "bent.kerdock_bent_set", "bent.enumerate_bent",
         "search._size_params", "search.build_linking_graph", "search.enumerate_systems",
         "search.census_systems", "io._params_field", "io.system_from_json",
         "io.dm_from_json", "io.bent_set_from_json"}
