@@ -51,7 +51,10 @@ class DifferenceSetRecord:
     params: DSParams
 
     def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(sorted(set(self.elements))))
+        # the ids of a set of G, through the subset door (ValueError for an
+        # id that is no integer or out of range and for a repeated id), sorted
+        ids = rg._subset_rows(self.group, [self.elements])[0]
+        object.__setattr__(self, "elements", tuple(np.sort(ids).tolist()))
 
     @classmethod
     def _of_sorted(cls, group: FiniteGroup, elements: tuple[int, ...],

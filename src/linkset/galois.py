@@ -18,6 +18,7 @@ from .groups import _int_scalar
 
 def gf2_is_irreducible(poly: int, deg: int) -> bool:
     """Trial division by every polynomial of degree 1..deg//2."""
+    poly, deg = _int_scalar(poly, "poly", 0), _int_scalar(deg, "deg", 1)
     for fdeg in range(1, deg // 2 + 1):
         for f in range(1 << fdeg, 1 << (fdeg + 1)):
             if _gf2_mod(poly, f) == 0:
@@ -34,9 +35,7 @@ def _gf2_mod(a: int, b: int) -> int:
 
 def irreducible_poly(t: int) -> int:
     """Smallest monic irreducible of degree t over GF(2), as a bit mask."""
-    if t < 1:
-        raise ValueError("degree must be positive")
-    if t == 1:
+    if (t := _int_scalar(t, "t", 1)) == 1:
         return 0b10  # X
     for low in range(1 << t):
         poly = (1 << t) | low

@@ -2,8 +2,11 @@
 
 Element id 0 is always the identity.  Every group carries a full v x v
 multiplication table (groups here are desk-scale, v <= 4096), an inverse
-table, and printable element names built from generator words such as
-``x1^3*x2`` or ``a^2*b``.
+table, and printable element names, generator words such as ``x1^3*x2``
+or ``a^2*b``.  Every group the constructors build is named by one rule,
+``_word_names``: the generator ids are the place values of a mixed radix
+whose digits of id x are the exponents of x's word, so the name of x is
+its normal form.  ``direct_product`` takes only factors named by that rule.
 
 Work over many elements is a table gather, not a loop of scalar products:
 ``FiniteGroup.element_orders`` caches the order of every element, which
@@ -310,14 +313,8 @@ def make_abelian(invariant_factors: list[int] | tuple[int, ...]) -> FiniteGroup:
     for n in reversed(factors):  # the long axes, the table so far, innermost
         cyclic = np.arange(n, dtype=np.int32)
         table = _product_table((cyclic[:, None] + cyclic) % n, table)
-    # the name parts of factor i are "", "xi", "xi^2", ...; itertools.product
-    # runs the last factor fastest, as the ids do
-    parts = [[""] + [f"x{i+1}" + (f"^{e}" if e > 1 else "") for e in range(1, n)]
-             for i, n in enumerate(factors)]
-    names = ["*".join(filter(None, word)) or "1" for word in itertools.product(*parts)]
-    weights = _radix_weights(factors)
-    gens = [(f"x{i+1}", int(weights[i])) for i in range(len(factors))]
-    G = FiniteGroup(table, names, gens, {"abelian": list(factors)})
+    gens = [(f"x{i+1}", int(w)) for i, w in enumerate(_radix_weights(factors))]
+    G = FiniteGroup(table, _word_names(table, gens), gens, {"abelian": list(factors)})
     G.cyclic_factors = factors
     return G
 
@@ -340,30 +337,43 @@ def _radix_weights(factors: tuple[int, ...]) -> np.ndarray:
     return w
 
 
-def _word_name(gen_names: list[str], exps) -> str:
-    parts = []
-    for g, e in zip(gen_names, exps):
-        e = int(e)
-        if e == 1:
-            parts.append(g)
-        elif e > 1:
-            parts.append(f"{g}^{e}")
-    return "*".join(parts) if parts else "1"
+def _word_names(table: np.ndarray, gens: list[tuple[str, int]]) -> list[str]:
+    """The name of every id x as the word g_1^d_1 ... g_r^d_r over the
+    generators ``gens`` in list order, the one naming rule of this module.
+    The generator ids, sorted, are the place values 1 = p_1 | p_2 | ... | v
+    of a mixed radix, and the digit of the generator with id p is
+    (x // p) mod (p' / p), p' the next place value (v after the last).  A
+    digit 0 drops its factor and a digit 1 its exponent; the empty word is
+    ``1``.  ValueError unless the generator ids are such place values and
+    every id equals its word, checked by one table gather per generator."""
+    v = len(table)
+    places = sorted(p for _, p in gens)
+    nexts = places[1:] + [v]
+    if places and places[0] != 1 or any(q <= p or q % p for p, q in zip(places, nexts)):
+        raise ValueError(f"generator ids {places} are no place values 1 | ... | {v}")
+    nexts = dict(zip(places, nexts))
+    ids = np.arange(v)
+    words = np.zeros(v, dtype=np.int64)  # the product of each id's word so far
+    names = np.full(v, "", dtype=object)
+    for g, p in gens:
+        n = nexts[p] // p
+        digits = ids // p % n
+        words = table[words, _powers(table, p, n)[digits]]
+        names += np.array(["", f"*{g}"] + [f"*{g}^{e}" for e in range(2, n)], dtype=object)[digits]
+    if not np.array_equal(words, ids):
+        raise ValueError(f"the ids are not the words of the generators {[g for g, _ in gens]}")
+    return [name[1:] or "1" for name in names.tolist()]
 
 
 def _presentation_order8(twist: int, name: str) -> FiniteGroup:
-    """Order-8 group <a,b> with a^4=1, b a b^-1 = a^-1, b^2 = a^twist."""
-    ids = [(i, j) for j in range(2) for i in range(4)]  # id = i + 4j
-    idx = {e: k for k, e in enumerate(ids)}
-    table = np.zeros((8, 8), dtype=np.int32)
-    for (i1, j1) in ids:
-        for (i2, j2) in ids:
-            i = (i1 + (i2 if j1 == 0 else -i2) + twist * j1 * j2) % 4
-            j = (j1 + j2) % 2
-            table[idx[(i1, j1)], idx[(i2, j2)]] = idx[(i, j)]
-    names = [_word_name(["a", "b"], (i, j)) for (i, j) in ids]
-    gens = [("a", idx[(1, 0)]), ("b", idx[(0, 1)])]
-    return FiniteGroup(table, names, gens, name)
+    """Order-8 group <a,b> with a^4=1, b a b^-1 = a^-1, b^2 = a^twist, id
+    i + 4j the element a^i b^j: a^i1 b^j1 a^i2 b^j2 is
+    a^(i1 + (-1)^j1 i2 + twist j1 j2) b^(j1 + j2)."""
+    i, j = np.arange(8) % 4, np.arange(8) // 4
+    table = ((i[:, None] + (1 - 2 * j[:, None]) * i + twist * j[:, None] * j) % 4
+             + 4 * ((j[:, None] + j) % 2))
+    gens = [("a", 1), ("b", 4)]
+    return FiniteGroup(table, _word_names(table, gens), gens, name)
 
 
 def make_dihedral8() -> FiniteGroup:
@@ -377,54 +387,35 @@ def make_quaternion8() -> FiniteGroup:
 
 
 def direct_product(G1: FiniteGroup, G2: FiniteGroup) -> FiniteGroup:
-    """Componentwise product; ids are packed as a*|G2| + b, names concatenate."""
+    """Componentwise product; ids are packed as a*|G2| + b.
+
+    The generators of G1 (their ids times |G2|) and of G2 are place values
+    of the product, which ``_word_names`` names: the name of (a, b) is the
+    name of a and that of b joined, with the generators renamed.  The
+    abelian generators x1..xk of both factors are renumbered across the
+    product, and a name of G2 that G1 also uses gets the first free numeric
+    suffix (a -> a2 in D4 x D4).  No name is parsed: ValueError unless each
+    factor is named by ``_word_names`` (a quotient, or a group built from a
+    table with other generators or names, is not).
+    """
     v1, v2 = G1.order, G2.order
     _check_table_order(v1 * v2)
+    for F in (G1, G2):
+        if F.names != _word_names(F.table, F.generators):
+            raise ValueError(f"factor {F.spec!r} is not named by its generators' place values")
+    count, r = itertools.count(1), len(G1.generators)
+    new = [f"x{next(count)}" if g.startswith("x") else g for g, _ in G1.generators + G2.generators]
+    taken = set(new)
+    for k in range(r, len(new)):
+        if new[k] in new[:r]:
+            new[k] = next(f"{new[k]}{i}" for i in itertools.count(2) if f"{new[k]}{i}" not in taken)
+            taken.add(new[k])
+    gens = list(zip(new, [p * v2 for _, p in G1.generators] + [p for _, p in G2.generators]))
     table = _product_table(G1.table, G2.table)
-    names, gens = _product_names(G1, G2)
-    G = FiniteGroup(table, names, gens, {"product": [G1.spec, G2.spec]})
+    G = FiniteGroup(table, _word_names(table, gens), gens, {"product": [G1.spec, G2.spec]})
     if G1.cyclic_factors is not None and G2.cyclic_factors is not None:
         G.cyclic_factors = G1.cyclic_factors + G2.cyclic_factors
     return G
-
-
-def _product_names(G1: FiniteGroup, G2: FiniteGroup) -> tuple[list[str], list[tuple[str, int]]]:
-    # renumber abelian generators x1..xk across the product; keep a/b as is,
-    # except that a name of the second factor that the first factor uses
-    # gets the first free numeric suffix (a -> a2 in D4 x D4)
-    rename1, rename2 = {}, {}
-    counter = itertools.count(1)
-    for (gname, _), rename in [(g, rename1) for g in G1.generators] + [(g, rename2) for g in G2.generators]:
-        rename[gname] = f"x{next(counter)}" if gname.startswith("x") else gname
-    first = set(rename1.values())
-    taken = first | set(rename2.values())
-    for gname, new in rename2.items():
-        if new in first:
-            rename2[gname] = next(f"{new}{i}" for i in itertools.count(2)
-                                  if f"{new}{i}" not in taken)
-            taken.add(rename2[gname])
-    v2 = G2.order
-
-    def combined(a: int, b: int) -> str:
-        p1 = _rename_word(G1.names[a], rename1)
-        p2 = _rename_word(G2.names[b], rename2)
-        parts = [p for p in (p1, p2) if p != "1"]
-        return "*".join(parts) if parts else "1"
-
-    names = [combined(a, b) for a in range(G1.order) for b in range(v2)]
-    gens = [(rename1[n], i * v2) for n, i in G1.generators]
-    gens += [(rename2[n], i) for n, i in G2.generators]
-    return names, gens
-
-
-def _rename_word(word: str, rename: dict[str, str]) -> str:
-    if word == "1":
-        return word
-    out = []
-    for token in word.split("*"):
-        base, sep, exp = token.partition("^")
-        out.append(rename[base] + sep + exp)
-    return "*".join(out)
 
 
 def group_from_spec(spec: object) -> FiniteGroup:
@@ -675,7 +666,7 @@ def _span_table(G: FiniteGroup, gens, orders) -> np.ndarray:
     section that puts a quotient's (or a product's) exponents on them."""
     span = np.zeros(1, dtype=np.int64)
     for g, n in zip(gens, np.broadcast_to(orders, len(gens))):
-        span = G.table[span[:, None], _powers(G, int(g), int(n))].ravel()
+        span = G.table[span[:, None], _powers(G.table, int(g), int(n))].ravel()
     return span
 
 
@@ -691,11 +682,11 @@ def _power_gather(table, a, e: int):
     return x
 
 
-def _powers(G: FiniteGroup, a: int, n: int) -> np.ndarray:
-    """a^0, a^1, ..., a^(n-1) as an id array."""
+def _powers(table: np.ndarray, a: int, n: int) -> np.ndarray:
+    """a^0, a^1, ..., a^(n-1) over ``table`` as an id array."""
     out = np.zeros(n, dtype=np.int64)
     for e in range(1, n):
-        out[e] = G.table[out[e - 1], a]
+        out[e] = table[out[e - 1], a]
     return out
 
 

@@ -27,7 +27,7 @@ import numpy as np
 from .bent import BooleanFunction, is_bent_set
 from .designs import DifferenceSetRecord, is_difference_set
 from .diffmat import DifferenceMatrix, verify_dm
-from .groups import FiniteGroup, _int_scalar, _scratch_rows, group_from_spec
+from .groups import FiniteGroup, _id_array, _int_scalar, _scratch_rows, group_from_spec
 from .linking import ReducedLinkingSystem, verify_reduced
 from .search import CensusSystems
 
@@ -35,7 +35,7 @@ FORMAT_VERSION = "0.1.0"
 
 
 def set_to_names(G: FiniteGroup, elems) -> list[str]:
-    return G.name_array[np.sort(np.asarray(elems, dtype=np.int64))].tolist()
+    return G.name_array[np.sort(_id_array(G, elems))].tolist()
 
 
 def names_to_set(G: FiniteGroup, names) -> tuple[int, ...]:

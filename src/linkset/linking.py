@@ -131,7 +131,8 @@ def verify_reduced(G: FiniteGroup, sets) -> ReducedLinkingSystem | None:
     for munu in mu_nu_candidates(check.params):
         found = check.witness_ids(munu)
         if found is not None:
-            records = tuple(DifferenceSetRecord(G, tuple(S), check.params) for S in sets)
+            records = tuple(DifferenceSetRecord._of_sorted(G, tuple(S), check.params)
+                            for S in np.sort(check.ids, axis=-1).tolist())
             return ReducedLinkingSystem(G, records, munu, found)
     return None
 

@@ -8,6 +8,7 @@ import pytest
 
 from linkset import group_ring as rg
 from linkset.designs import (
+    DifferenceSetRecord,
     DSParams,
     _autocorrelation_params,
     complement,
@@ -238,6 +239,22 @@ def test_complement():
     assert comp.params.as_tuple() == (16, 10, 6, 4)
     assert is_difference_set(G, comp.elements).as_tuple() == (16, 10, 6, 4)
     assert complement(comp).elements == rec.elements
+
+
+def test_a_record_holds_a_set_of_its_group():
+    """A record's ids come in through the subset door: an id out of range
+    (numpy would wrap -1 round to 15), one that is no integer and a
+    repeated one raise ValueError, never a record of another set; valid
+    ids in any order come out sorted."""
+    G = make_abelian([4, 4])
+    params = DSParams(16, 6, 2, 4)
+    for ids, message in [((1, 1, -1), "out of range"), ((1, 2, 1.5), "is not an integer"),
+                         ((1, 2, 1), "repeated element")]:
+        with pytest.raises(ValueError, match=message):
+            DifferenceSetRecord(G, ids, params)
+    _, sets = linked_triple_z4z4()
+    rec = DifferenceSetRecord(G, tuple(reversed(sorted(sets[0]))), params)
+    assert rec.elements == tuple(sorted(sets[0])) and rec == make_record(G, sets[0])
 
 
 def test_is_reversible():

@@ -65,6 +65,19 @@ def test_modulus_is_irreducible():
         assert gf2_is_irreducible(irreducible_poly(t), t)
 
 
+def test_the_polynomial_helpers_bound_their_integers():
+    """A degree is at least 1 and a polynomial mask at least 0, through the
+    integer door (a bool or a float is rejected there, see
+    ``tests/test_groups.py``), and numpy integers are taken."""
+    for call, message in [(lambda: irreducible_poly(0), "^t must be at least 1, got 0$"),
+                          (lambda: gf2_is_irreducible(7, 0), "^deg must be at least 1, got 0$"),
+                          (lambda: gf2_is_irreducible(-7, 2), "^poly must be at least 0, got -7$")]:
+        with pytest.raises(ValueError, match=message):
+            call()
+    assert irreducible_poly(np.int64(3)) == 0b1011
+    assert gf2_is_irreducible(np.int64(7), np.int8(2))
+
+
 @pytest.mark.parametrize("e,t", [(e, t) for t in range(1, 6) for e in range(1, 13)
                                  if e * t <= 12])
 def test_teichmueller_sets(e, t):

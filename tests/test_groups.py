@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 import random
 
@@ -12,6 +14,7 @@ from linkset.groups import (
     Subgroup,
     _independent_basis,
     _span_table,
+    _word_names,
     abelian_invariants,
     abelian_rank,
     center,
@@ -331,6 +334,85 @@ def test_products_of_nonabelian_factors_build(factors):
     assert group_from_spec(G.spec).names == G.names
     # the first factor's names are kept
     assert [G.names[8 * a] for a in range(8)] == group_from_spec(factors[0]).names
+
+
+def _product(a, b):
+    return {"product": [a, b]}
+
+
+# the SHA-256 of each group's names and generators (as JSON) and its int32
+# table: certificates and golden digests name elements by these names, so
+# the bytes must not move
+NAMING_PINS = [
+    ({"abelian": []}, "c002459f24f896e60ad9abacd7dc8b7d0dee1f4ff2e5ac08c0cb6384d2430d0c"),
+    ({"abelian": [2]}, "b7de6d3398a37c314868476547e1bc9c88443bed680772834a61dbc291592ac0"),
+    ({"abelian": [4, 4]}, "069ce5feddf9ae76c4f539e83119b6d15c13d231da491d6df9333bbc4e7e3039"),
+    ({"abelian": [4, 2, 2]}, "acba3c8ce249cc301ddbd2a939940f8c2aadc124d90d762dccf375ba562ed138"),
+    ({"abelian": [8, 2]}, "55cb98d5290441d29eb2f1d7d3c1acf7fc183d60dcb2da0e3d82b2453e148aac"),
+    ({"abelian": [4] * 5}, "8bbc15dc1328c194c1487f874ed47dd0ecae81c75f54b145066aa77aa5ada938"),
+    ({"abelian": [2] * 12}, "c3f4c53c9e343011843c457b882a169ef87da20b034a84d1551be07bf6f43260"),
+    ({"abelian": [16, 16, 16]}, "6534a8a6056d91ed84db6b518e5efc7db588e6d591b344e925d365e32e170276"),
+    ("D4", "398d0605a37afc2f288e82d3c96bfd8a4126ba931a4fa29e76a5d63f5aa8ca86"),
+    ("Q8", "f786268b29624ff5a07adb3b71f3d7be13d1579cf65b481662b2e445473043c7"),
+    (_product("D4", "D4"), "057ae234c9a0b01861df748de86f54e827405b3490d3166b8be800f17bed2a72"),
+    (_product(_product("D4", "D4"), "D4"),
+     "21ba879ea8592bb880f1bf4467f8f36828da46bd1c5d0d7cb3becc12fc3f2f02"),
+    (_product("Q8", "Q8"), "52fd8a9efcc728ab7362546d983d43747bd1282cd6c83af8f0c012edc586c39e"),
+    (_product("D4", _product("Q8", "D4")),
+     "56f2dfd89ef38da1350fc834b87c8ac8604a3eebfe6babc1b8b3a51c53c0fa4b"),
+    (_product("Q8", {"abelian": [4, 2]}),
+     "54e33b9f158cfd80e08c3764d76d6ec5defd497b161f8965981369d9b7a7c84c"),
+    (_product("D4", {"abelian": [4, 4, 4, 4, 2]}),
+     "43c810cd5b825fd5818ccf056f806bf39133a299abe434798a2cbd9b8d4f03d7"),
+    ({"abelian": [3, 5]}, "676349774363ad4cc09b3990417c2025f23ee12844aecb865685a297b7bcf4b8"),
+]
+
+
+@pytest.mark.parametrize("spec,digest", NAMING_PINS, ids=[json.dumps(s) for s, _ in NAMING_PINS])
+def test_every_constructor_names_its_group_by_one_rule(spec, digest):
+    """``make_abelian``, D4, Q8 and ``direct_product`` name their groups by
+    ``groups._word_names`` and keep their names, generators and tables byte
+    for byte, and every name is the word of its id: multiplied out through
+    the generators' powers, not looked up in the name table."""
+    G = group_from_spec(spec)
+    h = hashlib.sha256(json.dumps([G.names, G.generators]).encode())
+    h.update(G.table.tobytes())
+    assert h.hexdigest() == digest
+    gens = dict(G.generators)
+    for x, name in enumerate(G.names):
+        word = 0
+        for token in name.split("*") if name != "1" else []:
+            base, _, e = token.partition("^")
+            word = int(G.table[word, G.power(gens[base], int(e or 1))])
+        assert word == x, name
+
+
+def test_direct_product_takes_only_groups_named_by_the_rule():
+    """A factor whose names do not follow the rule is a ValueError up front,
+    in either place, where parsing its names once raised KeyError: a
+    quotient (its generators c1, c2, ... are every coset, no place values),
+    a table given no generators, and a table whose ids are the words of
+    normal-form generators but whose names differ from the rule's."""
+    Z2, Z4 = make_abelian([2]), make_abelian([4])
+    G = make_abelian([4, 4])
+    factors = [quotient(G, subgroup_generated(G, [G.element("x1^2")]))[0],
+               FiniteGroup(Z2.table, Z2.names, [], "bare"),
+               FiniteGroup(Z4.table, Z4.names, [("x1", 1), ("x2", 2)], "Z4 over x1, x2")]
+    for F in factors:
+        for pair in [(F, Z2), (Z2, F)]:
+            with pytest.raises(ValueError, match="place values|words of the generators"):
+                direct_product(*pair)
+    # the words are joined in list order and must multiply out to their ids:
+    # in D4 the id i + 4j is a^i b^j, and b a is not a b
+    D4 = make_dihedral8()
+    assert _word_names(D4.table, D4.generators) == D4.names
+    assert D4.names[5] == "a*b"
+    with pytest.raises(ValueError, match="words of the generators"):
+        _word_names(D4.table, D4.generators[::-1])
+    # a generator id of 0 or past the order is no place value
+    for gens in ([("x1", 0)], [("x1", 1), ("x2", 8)]):
+        with pytest.raises(ValueError, match="no place values"):
+            _word_names(Z4.table, gens)
 
 
 def test_group_from_spec_rejects_malformed_factors():
@@ -769,6 +851,7 @@ def _id_entries():
         spence_construct,
     )
     from linkset.diffmat import DifferenceMatrix, linked_from_dm, witness_direct
+    from linkset.io import set_to_names
     from linkset.linking import verify_reduced
     from linkset.worked_examples import linked_triple_z4z4, triple_dm_data
 
@@ -819,6 +902,7 @@ def _id_entries():
         "linked_from_dm lifts": (G, lifts[0][0], lambda x: linked_from_dm(
             G, E, bmat, put(lifts, x, 0, 0), family=family)),
         "witness_direct": (G, f[-1], lambda x: witness_direct(G, family, [*f[:-1], x], g)),
+        "set_to_names": (G, 1, lambda x: set_to_names(G, [0, x])),
     }
 
 
@@ -882,6 +966,7 @@ def _door_rejections():
         dm_auto,
         dm_galois_ring,
     )
+    from linkset.galois import gf2_is_irreducible, irreducible_poly
     from linkset.search import census_systems
 
     G = make_abelian([4, 4])
@@ -908,6 +993,10 @@ def _door_rejections():
         "dm_galois_ring t 2.0": lambda: dm_galois_ring(1, 2.0),
         "BooleanFunction.from_hex arity 2.0": lambda: BooleanFunction.from_hex(2.0, "0f"),
         "enumerate_bent arity 2.0": lambda: enumerate_bent(2.0),
+        "irreducible_poly True": lambda: irreducible_poly(True),
+        "irreducible_poly 2.0": lambda: irreducible_poly(2.0),
+        "gf2_is_irreducible deg True": lambda: gf2_is_irreducible(7, True),
+        "gf2_is_irreducible poly 7.0": lambda: gf2_is_irreducible(7.0, 2),
     }
 
 

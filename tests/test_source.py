@@ -412,6 +412,27 @@ def test_one_json_renderer():
     assert _indented_dumps(tree, "m") == {"m.g", "m.h"}
 
 
+def test_one_naming_rule():
+    """Every group the package constructs is named by one renderer,
+    ``groups._word_names``, which ``make_abelian``, ``_presentation_order8``
+    and ``direct_product`` alone call; ``direct_product`` names the product
+    and checks its factors with it, so the helpers that re-parsed and
+    rewrote the factors' names are defined nowhere, and the one scope in
+    ``groups`` that splits a name string is the parser ``FiniteGroup.element``."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+    def scan(shape, *args) -> set[str]:
+        return set().union(*(shape(tree, stem, *args) for stem, tree in trees.items()))
+
+    gone = {"_word_name", "_rename_word", "_product_names"}
+    assert not scan(_scopes_where, lambda node: isinstance(
+        node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node.name in gone)
+    assert scan(_calls_to, {"_word_names"}) == {
+        "groups.make_abelian", "groups._presentation_order8", "groups.direct_product"}
+    assert _calls_to(trees["groups"], "groups", {"split", "partition"}) == {
+        "groups.FiniteGroup.element"}
+
+
 def test_one_way_out_for_certificates():
     """Every command that makes a certificate reports through ``cli._report``:
     in ``cli`` only it builds one (``io.certificate``) and writes ``--out``
@@ -695,7 +716,8 @@ def test_one_integer_door():
         "groups.find_central_elementary_abelian", "group_ring.scale",
         "designs.two_group_params", "designs._hyperplane_sets",
         "diffmat.DifferenceMatrix.__post_init__", "diffmat.dm_auto", "diffmat._check_depth",
-        "galois.GaloisRing.__init__", "bent.BooleanFunction.__post_init__",
+        "galois.GaloisRing.__init__", "galois.gf2_is_irreducible", "galois.irreducible_poly",
+        "bent.BooleanFunction.__post_init__",
         "bent.BooleanFunction.from_hex", "bent.kerdock_bent_set", "bent.enumerate_bent",
         "search._size_params", "search.build_linking_graph", "search.enumerate_systems",
         "search.census_systems", "io._params_field", "io.system_from_json",
